@@ -763,15 +763,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except ValidationError as exc:
+    except (ValidationError, ShapeMismatchError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except ShapeMismatchError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except IntegrationError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except LindbladiffError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -1,9 +1,9 @@
 """Hermitian eigendecomposition with analytic first derivatives.
 
-The decomposition itself is a self-contained cyclic Jacobi iteration
-(deterministic, no external eigensolver), with a fixed phase gauge: in each
-eigenvector column the entry of largest magnitude is made real and positive,
-ties broken by lowest row index.
+The decomposition itself is numpy's LAPACK Hermitian eigensolver applied to
+the symmetrized input, with a fixed phase gauge: in each eigenvector column
+the entry of largest magnitude is made real and positive, ties broken by
+lowest row index.
 
 Derivatives are well-defined under eigenvalue multiplicity: eigenvalues
 within the degeneracy tolerance form clusters, and for a cluster only the
@@ -26,14 +26,11 @@ from .errors import (
     ConditioningWarning,
     DegenerateEigenvalueError,
     GaugeDependenceError,
-    LindbladiffError,
     ValidationError,
 )
 
 #: Eigenvalues closer than this (times max(1, spectral norm)) are clustered.
 DEGENERACY_TOL = 1e-8
-
-_JACOBI_MAX_SWEEPS = 80
 
 
 @dataclass(frozen=True)
@@ -74,65 +71,6 @@ class EigDecomposition:
         return float(np.linalg.norm(r))
 
 
-def _jacobi_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
-
-    Returns (eigenvalues unsorted, eigenvector columns).  Deterministic:
-    fixed sweep order, no randomization.
-    """
-    d = a.shape[0]
-    A = np.array(a, dtype=np.complex128)
-    V = np.eye(d, dtype=np.complex128)
-    if d == 1:
-        return np.array([A[0, 0].real]), V
-    scale = float(np.linalg.norm(A))
-    if scale == 0.0:
-        return np.zeros(d), V
-    off_target = 1e-14 * scale
-    off_mask = ~np.eye(d, dtype=bool)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        # summed directly over off-diagonal entries; subtracting the diagonal
-        # from the total suffers cancellation and floors near sqrt(eps)*scale
-        off = float(np.linalg.norm(A[off_mask]))
-        if off <= off_target:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = A[p, q]
-                r = abs(apq)
-                if r <= 1e-300 or r <= 1e-18 * scale:
-                    continue
-                phase = apq / r  # e^{i phi}
-                app = A[p, p].real
-                aqq = A[q, q].real
-                tau = (aqq - app) / (2.0 * r)
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                sp = s * phase
-                spc = s * np.conj(phase)
-                # columns, then rows (A <- R^dag A R), accumulating V <- V R
-                colp = A[:, p].copy()
-                colq = A[:, q].copy()
-                A[:, p] = c * colp - spc * colq
-                A[:, q] = sp * colp + c * colq
-                rowp = A[p, :].copy()
-                rowq = A[q, :].copy()
-                A[p, :] = c * rowp - sp * rowq
-                A[q, :] = spc * rowp + c * rowq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - spc * vq
-                V[:, q] = sp * vp + c * vq
-    else:
-        raise LindbladiffError("Jacobi eigendecomposition did not converge")
-    return np.diag(A).real.copy(), V
-
-
 def _cluster_indices(lam: np.ndarray, tol: float) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     d = lam.shape[0]
     labels = np.zeros(d, dtype=int)
@@ -151,7 +89,8 @@ def eigh(rho: np.ndarray, *, herm_tol: float = 1e-9, degeneracy_tol: float = DEG
 
     The input is symmetrized as (rho + rho^dag)/2 before decomposition;
     inputs whose anti-Hermitian part exceeds herm_tol (relative) are
-    rejected.  Output is deterministic, bit-identical across calls.
+    rejected.  Output is deterministic: bit-identical across calls for a
+    given numpy/LAPACK build and BLAS thread count.
     """
     m = np.asarray(rho, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -162,10 +101,7 @@ def eigh(rho: np.ndarray, *, herm_tol: float = 1e-9, degeneracy_tol: float = DEG
     if float(np.linalg.norm(m - m.conj().T)) > herm_tol * scale:
         raise ValidationError(f"matrix is not Hermitian to relative tolerance {herm_tol}")
     sym = 0.5 * (m + m.conj().T)
-    lam, vec = _jacobi_hermitian(sym)
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    vec = vec[:, order]
+    lam, vec = np.linalg.eigh(sym)  # LAPACK: eigenvalues ascending
     # phase gauge: largest-magnitude entry real positive, ties by lowest row
     for j in range(vec.shape[1]):
         col = vec[:, j]

@@ -55,11 +55,9 @@ class DensityOperator:
         tr = linalg.trace(m)
         if abs(tr - 1.0) >= trace_tol:
             raise ValidationError(f"density matrix trace {tr} deviates from 1 beyond {trace_tol}")
-        from .eigen import eigh  # deferred: eigen depends only on linalg
-
-        lam = eigh(m).eigenvalues
-        if lam[0] <= -psd_tol:
-            raise ValidationError(f"density matrix has eigenvalue {lam[0]:.3e} below -{psd_tol}")
+        lam_min = float(np.linalg.eigvalsh(m)[0])
+        if lam_min <= -psd_tol:
+            raise ValidationError(f"density matrix has eigenvalue {lam_min:.3e} below -{psd_tol}")
         return cls(matrix=m, n_qubits=n)
 
     @property

@@ -20,7 +20,7 @@ eigenvalue gaps collapse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -210,41 +210,36 @@ def qfi_of_params(
     try:
         result = integrate(model, x, rho0, t_span, cfg)
         stage = "eigendecomposition"
-        decomp = eigh(result.final_state.matrix)
+        rho_t = result.final_state.matrix
+        decomp = eigh(rho_t)
         stage = "figure-of-merit"
         report = qfi(decomp, g, times_four=times_four)
+        diagnostics = {"solver": result.stats.to_json()}
         if not want_gradient:
-            return report
+            return replace(report, diagnostics=diagnostics)
         stage = "gradient"
 
+        def decompose(rho: np.ndarray) -> EigDecomposition:
+            # the cost sees rho(T) itself for its value and cotangent; only
+            # the verifier's probe states need a decomposition of their own
+            return decomp if np.array_equal(rho, rho_t) else eigh(rho)
+
         def evaluate(rho: np.ndarray) -> float:
-            return qfi(eigh(rho), g).value
+            return qfi(decompose(rho), g).value
 
         def gradient(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            cot = qfi_rho_cotangent(eigh(rho), g)
+            cot = qfi_rho_cotangent(decompose(rho), g)
             return cot.real.copy(), cot.imag.copy()
 
         cost = CostCofunction(evaluate=evaluate, gradient=gradient, name="qfi")
         grad_result = adjoint_gradient(model, x, rho0, t_span, cfg, cost, result=result)
-        diagnostics = {
-            "solver": result.stats.to_json(),
-            "adjoint": {
-                k: v
-                for k, v in grad_result.diagnostics.items()
-                if k in ("segments", "steps_replayed", "longest_segment", "fd_fallback")
-            },
-            "dc_dT": grad_result.dc_dT,
+        diagnostics["adjoint"] = {
+            k: v
+            for k, v in grad_result.diagnostics.items()
+            if k in ("segments", "steps_replayed", "longest_segment", "fd_fallback")
         }
-        return QfiReport(
-            value=report.value,
-            gradient=grad_result.dc_dx,
-            skipped_pairs=report.skipped_pairs,
-            clusters=report.clusters,
-            min_gap=report.min_gap,
-            convention=report.convention,
-            display_multiplier=report.display_multiplier,
-            diagnostics=diagnostics,
-        )
+        diagnostics["dc_dT"] = grad_result.dc_dT
+        return replace(report, gradient=grad_result.dc_dx, diagnostics=diagnostics)
     except LindbladiffError as exc:
         if not hasattr(exc, "stage"):
             exc.stage = stage  # type: ignore[attr-defined]

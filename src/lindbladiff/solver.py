@@ -397,14 +397,13 @@ def dense_segment(
     t_span: tuple[float, float],
     cfg: SolveConfig = SolveConfig(),
     *,
-    result: SolveResult | None = None,
+    result: SolveResult,
 ) -> list[tuple[float, np.ndarray]]:
     """Recompute every accepted step state on [t_a, t_b] for the reverse pass.
 
-    When ``result`` is supplied, the segment is replayed on the recorded
-    accepted-step grid: the same step sizes, hence the same floating-point
-    operations, hence bit-identical states.  Without a recorded trail the
-    segment is integrated adaptively (still deterministic call-to-call).
+    The segment is replayed on the accepted-step grid recorded in
+    ``result``: the same step sizes, hence the same floating-point
+    operations, hence bit-identical states.
     Returns [(t_a, state_a), ..., (t_b, state_b)] including both endpoints.
     """
     t_a, t_b = float(t_span[0]), float(t_span[1])
@@ -414,11 +413,6 @@ def dense_segment(
     # no copy: the returned list shares the caller's checkpoint array as its
     # left endpoint, keeping reverse-pass retained states at K + segment steps
     y = np.asarray(state_at_checkpoint, dtype=np.complex128)
-
-    if result is None:
-        sub = integrate(model, x, DensityOperator.from_matrix(y, psd_tol=1e-6), (t_a, t_b), cfg)
-        replay = dense_segment(model, x, y, (t_a, t_b), cfg, result=sub)
-        return replay
 
     rhs_calls = 0
 

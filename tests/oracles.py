@@ -1,11 +1,13 @@
 """Independent brute-force reference implementations for the tests.
 
 Nothing in this module imports the package under test; every result comes
-from plain numpy (the separately implemented LAPACK eigensolver is allowed
-here precisely because the production code never calls it).  The oracles
-are deliberately slow and simple: a Taylor matrix exponential with
-scaling and squaring, classic fixed-step RK4, central finite differences,
-and a directly enumerated spectral figure of merit.
+from plain numpy and scipy.  The oracles are deliberately slow and simple:
+a Taylor matrix exponential with scaling and squaring, classic fixed-step
+RK4, central finite differences, a directly enumerated spectral figure of
+merit, and a symmetric-logarithmic-derivative figure of merit.  The
+production code decomposes states with the same LAPACK Hermitian
+eigensolver the spectral oracle uses; the SLD oracle solves a Sylvester
+equation instead and uses no Hermitian eigensolver at all.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_sylvester
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,9 @@ def rk4_lindblad(
 def qfi_reference(rho: np.ndarray, g: np.ndarray, *, skip_tol: float = 1e-12) -> OracleResult:
     """Directly enumerated spectral figure of merit.
 
-    Diagonalizes with numpy's LAPACK wrapper (never used in production),
-    clips tiny negative eigenvalues to zero, and sums
+    Diagonalizes with numpy's LAPACK wrapper (the eigensolver production
+    also calls, so this checks the figure-of-merit code, not the
+    decomposition), clips tiny negative eigenvalues to zero, and sums
     (l_i - l_j)^2 / (l_i + l_j) * |<i|G|j>|^2 over unordered pairs with
     l_i + l_j above the skip tolerance.
     """
@@ -168,6 +172,19 @@ def qfi_reference(rho: np.ndarray, g: np.ndarray, *, skip_tol: float = 1e-12) ->
             mel = vec[:, i].conj() @ g @ vec[:, j]
             total += (lam[i] - lam[j]) ** 2 / s * abs(mel) ** 2
     return OracleResult({"F": total, "skipped_pairs": skipped}, "hand-enumeration")
+
+
+def qfi_sld_reference(rho: np.ndarray, g: np.ndarray) -> OracleResult:
+    """Figure of merit Tr(rho L^2) / 4 from the symmetric logarithmic derivative.
+
+    L solves rho L + L rho = -2i [G, rho], a Sylvester equation handled by
+    scipy's Schur-based solver, so no Hermitian eigensolver is involved.
+    Needs a full-rank rho (the equation is singular on its kernel).
+    """
+    rho = np.asarray(rho, dtype=complex)
+    g = np.asarray(g, dtype=complex)
+    sld = solve_sylvester(rho, rho, -2j * (g @ rho - rho @ g))
+    return OracleResult(float(np.trace(rho @ sld @ sld).real) / 4.0, "sld-sylvester")
 
 
 def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:

@@ -168,6 +168,13 @@ class TestQfi:
         assert stage["convention"] == "variance"
         assert stage["grad"] is None
 
+    def test_solve_stats_reported_without_grad(self, tmp_path):
+        rep = _run(tmp_path, ["qfi", "--model", "oat:2", "--params", "0.7,0.4"])
+        stats = rep["stages"]["solve"]["stats"]
+        assert set(stats) == {"accepted", "rejected", "rhs_evals", "trace_drift"}
+        assert stats["accepted"] > 0
+        assert stats["rhs_evals"] > 0
+
     def test_grad_flag_adds_gradient_and_adjoint_stage(self, tmp_path):
         rep = _run(tmp_path, ["qfi", "--model", "oat:2", "--params", "0.7,0.4", "--grad"])
         stage = rep["stages"]["qfi"]

@@ -1,9 +1,11 @@
 """Spectral figure of merit: values, cotangent, end-to-end gradient."""
 
+import importlib
+
 import numpy as np
 import pytest
 
-from oracles import fd_gradient, qfi_reference, random_density, random_hermitian
+from oracles import fd_gradient, qfi_reference, qfi_sld_reference, random_density, random_hermitian
 from lindbladiff.eigen import eigh
 from lindbladiff.errors import LindbladiffError, ValidationError
 from lindbladiff.instrumentation import counters
@@ -97,6 +99,15 @@ class TestValues:
             g = random_hermitian(rng, 4)
             rep = qfi(eigh(rho), Generator(g))
             assert rep.value == pytest.approx(qfi_reference(rho, g).value["F"], rel=1e-9)
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_matches_sld_reference_on_full_rank_states(self, d):
+        rng = np.random.default_rng(30 + d)
+        for _ in range(5):
+            rho = random_density(rng, d)
+            g = random_hermitian(rng, d)
+            rep = qfi(eigh(rho), Generator(g))
+            assert rep.value == pytest.approx(qfi_sld_reference(rho, g).value, rel=1e-10)
 
     def test_gauge_phase_randomization_invariance(self):
         rng = np.random.default_rng(4)
@@ -223,6 +234,32 @@ class TestOfParams:
         snap = counters.snapshot()
         assert snap["forward_integrations"] == 1
         assert snap["adjoint_passes"] == 1
+
+    def test_gradient_decomposes_each_state_once(self, monkeypatch):
+        # the package re-exports functions named eigh and qfi, which shadow
+        # the submodules as attributes of lindbladiff
+        eigen_mod = importlib.import_module("lindbladiff.eigen")
+        qfi_mod = importlib.import_module("lindbladiff.qfi")
+        inputs = []
+        original = eigen_mod.eigh
+
+        def recording_eigh(rho, **kwargs):
+            inputs.append(np.array(rho, dtype=complex).tobytes())
+            return original(rho, **kwargs)
+
+        monkeypatch.setattr(eigen_mod, "eigh", recording_eigh)
+        monkeypatch.setattr(qfi_mod, "eigh", recording_eigh)
+        qfi_of_params(
+            preset_oat(2),
+            np.array([0.8, 0.5]),
+            all_zero_density(2),
+            (0.0, 1.0),
+            generator_from_preset("Sz", 2),
+            SolveConfig(),
+            want_gradient=True,
+        )
+        assert inputs
+        assert len(set(inputs)) == len(inputs)
 
     def test_dissipation_degrades_the_figure_of_merit(self):
         x = np.array([np.pi, np.pi * np.sqrt(3) / 2])
