@@ -8,7 +8,7 @@ grad-check  cross-validate adjoint / forward / finite-difference gradients
 optimize    gradient-ascent protocol search; trace persisted as JSON lines
 emit-plots  write plot-ready CSV tables for traces or trajectories
 
-Reports carry the schema tag "lindbladiff-report/1" and echo every
+Reports carry the schema tag "lindbladiff-report/2" and echo every
 resolved default, so a run is reproducible from its own report.
 Wall-clock data lives only under the "timings" key; everything else is
 byte-deterministic for a fixed config and seed.  Exit codes: 0 success,
@@ -18,21 +18,18 @@ byte-deterministic for a fixed config and seed.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .eigen import eigh
-from .errors import (
-    IntegrationError,
-    LindbladiffError,
-    ShapeMismatchError,
-    ValidationError,
-)
+from .errors import LindbladiffError, ShapeMismatchError, ValidationError
 from .linalg import operator_to_json, to_dense, operator_from_json
 from .model import (
     DensityOperator,
@@ -45,7 +42,7 @@ from .optimize import OptConfig, OptTrace, gradient_check, maximize_qfi
 from .qfi import Generator, generator_from_preset, qfi_of_params
 from .solver import SolveConfig, dense_segment, integrate
 
-SCHEMA = "lindbladiff-report/1"
+SCHEMA = "lindbladiff-report/2"
 
 _TRACE_HEADER = ("iter", "F", "grad_norm", "step")
 _TRAJECTORY_HEADER = ("t", "trace_rho", "purity", "min_eig")
@@ -216,73 +213,30 @@ def _int_field(obj: dict, key: str, default, pointer: str):
     return int(value)
 
 
-def _resolve_solver(spec, pointer: str) -> tuple[SolveConfig, dict]:
+def _resolve_section(cls, spec, pointer: str) -> tuple[object, dict]:
+    """Build the config dataclass ``cls`` from a JSON object of its fields.
+
+    Keys, defaults and number kinds (integer or float) come from the
+    dataclass itself, so a field is declared in one place only.
+    """
     spec = dict(spec or {})
-    known = {"rtol", "atol", "initial_step", "max_steps", "checkpoints"}
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     for key in spec:
-        if key not in known:
-            raise ValidationError(f"unknown solver option {key!r}", path=f"{pointer}/{key}")
-    defaults = SolveConfig()
+        if key not in fields:
+            raise ValidationError(f"unknown {pointer[1:]} option {key!r}", path=f"{pointer}/{key}")
+    hints = typing.get_type_hints(cls)
     try:
-        cfg = SolveConfig(
-            rtol=_float_field(spec, "rtol", defaults.rtol, pointer),
-            atol=_float_field(spec, "atol", defaults.atol, pointer),
-            initial_step=_float_field(spec, "initial_step", None, pointer),
-            max_steps=_int_field(spec, "max_steps", defaults.max_steps, pointer),
-            checkpoints=_int_field(spec, "checkpoints", None, pointer),
-        )
+        kwargs = {}
+        for name, f in fields.items():
+            is_int = int in (hints[name], *typing.get_args(hints[name]))
+            parse = _int_field if is_int else _float_field
+            kwargs[name] = parse(spec, name, f.default, pointer)
+        cfg = cls(**kwargs)
     except ValidationError as exc:
         if exc.path:
             raise
         raise ValidationError(str(exc), path=pointer)
-    echo = {
-        "rtol": cfg.rtol,
-        "atol": cfg.atol,
-        "initial_step": cfg.initial_step,
-        "max_steps": cfg.max_steps,
-        "checkpoints": cfg.checkpoint_budget,
-    }
-    return cfg, echo
-
-
-def _resolve_optimizer(spec, pointer: str) -> tuple[OptConfig, dict]:
-    spec = dict(spec or {})
-    known = {
-        "max_iterations",
-        "initial_step",
-        "backtracking_factor",
-        "armijo_constant",
-        "grad_tolerance",
-        "seed",
-    }
-    for key in spec:
-        if key not in known:
-            raise ValidationError(f"unknown optimizer option {key!r}", path=f"{pointer}/{key}")
-    defaults = OptConfig()
-    try:
-        cfg = OptConfig(
-            max_iterations=_int_field(spec, "max_iterations", defaults.max_iterations, pointer),
-            initial_step=_float_field(spec, "initial_step", defaults.initial_step, pointer),
-            backtracking_factor=_float_field(
-                spec, "backtracking_factor", defaults.backtracking_factor, pointer
-            ),
-            armijo_constant=_float_field(spec, "armijo_constant", defaults.armijo_constant, pointer),
-            grad_tolerance=_float_field(spec, "grad_tolerance", defaults.grad_tolerance, pointer),
-            seed=_int_field(spec, "seed", defaults.seed, pointer),
-        )
-    except ValidationError as exc:
-        if exc.path:
-            raise
-        raise ValidationError(str(exc), path=pointer)
-    echo = {
-        "max_iterations": cfg.max_iterations,
-        "initial_step": cfg.initial_step,
-        "backtracking_factor": cfg.backtracking_factor,
-        "armijo_constant": cfg.armijo_constant,
-        "grad_tolerance": cfg.grad_tolerance,
-        "seed": cfg.seed,
-    }
-    return cfg, echo
+    return cfg, dataclasses.asdict(cfg)
 
 
 def resolve_config(raw: dict, subcommand: str) -> ExperimentConfig:
@@ -342,9 +296,10 @@ def resolve_config(raw: dict, subcommand: str) -> ExperimentConfig:
     if not t1 > t0:
         raise ValidationError(f"t_span needs t1 > t0, got [{t0}, {t1}]", path="/t_span/1")
 
-    solver, solver_echo = _resolve_solver(raw.get("solver"), "/solver")
+    solver, solver_echo = _resolve_section(SolveConfig, raw.get("solver"), "/solver")
+    solver_echo["checkpoints"] = solver.checkpoint_budget
     generator, generator_echo = _resolve_generator(raw.get("generator"), model, "/generator")
-    optimizer, optimizer_echo = _resolve_optimizer(raw.get("optimizer"), "/optimizer")
+    optimizer, optimizer_echo = _resolve_section(OptConfig, raw.get("optimizer"), "/optimizer")
 
     times_four = raw.get("times_four", False)
     if not isinstance(times_four, bool):
@@ -407,37 +362,33 @@ def _fmt(value) -> str:
 def emit_plot_data(data, path: str, kind: str | None = None) -> str:
     """Write a plot-ready CSV table and return the resolved kind.
 
-    ``data`` is an optimization trace (an OptTrace, or an iterable of its
-    JSON rows) for kind "trace", or an iterable of (t, trace_rho, purity,
-    min_eig) rows for kind "trajectory".  The kind is inferred when the
-    data makes it unambiguous.  Numbers are written with 17 significant
-    digits so round-tripping is exact.
+    ``data`` is an iterable of JSON rows of an optimization trace (objects
+    with "iter", "F", "grad_norm" and "step", as in the trace JSONL file)
+    for kind "trace", or an iterable of (t, trace_rho, purity, min_eig)
+    rows for kind "trajectory".  The kind is inferred when the data makes
+    it unambiguous.  Numbers are written with 17 significant digits so
+    round-tripping is exact.
     """
     if isinstance(data, OptTrace):
-        if kind not in (None, "trace"):
-            raise ValidationError(f"an optimization trace cannot emit kind {kind!r}")
-        kind = "trace"
-        rows = [(it.iteration, it.value, it.grad_norm, it.step) for it in data.iterates]
+        raise ValidationError("pass the trace's JSON rows (it.to_json() for it in trace.iterates)")
+    items = list(data)
+    if kind is None:
+        if not items:
+            raise ValidationError("cannot infer plot kind from empty data; pass kind explicitly")
+        kind = "trace" if isinstance(items[0], dict) else "trajectory"
+    if kind == "trace":
+        rows = []
+        for i, row in enumerate(items):
+            if not isinstance(row, dict):
+                raise ValidationError(f"trace row {i} is not a JSON object")
+            try:
+                rows.append((row["iter"], row["F"], row["grad_norm"], row["step"]))
+            except KeyError as exc:
+                raise ValidationError(f"trace row {i} is missing column {exc}")
+    elif kind == "trajectory":
+        rows = [tuple(row) for row in items]
     else:
-        items = list(data)
-        if kind is None:
-            if not items:
-                raise ValidationError("cannot infer plot kind from empty data; pass kind explicitly")
-            kind = "trace" if isinstance(items[0], dict) else "trajectory"
-        if kind == "trace":
-            rows = []
-            for i, row in enumerate(items):
-                if isinstance(row, dict):
-                    try:
-                        rows.append((row["iter"], row["F"], row["grad_norm"], row["step"]))
-                    except KeyError as exc:
-                        raise ValidationError(f"trace row {i} is missing column {exc}")
-                else:
-                    rows.append(tuple(row))
-        elif kind == "trajectory":
-            rows = [tuple(row) for row in items]
-        else:
-            raise ValidationError(f"unknown plot kind {kind!r}")
+        raise ValidationError(f"unknown plot kind {kind!r}")
 
     header = _TRACE_HEADER if kind == "trace" else _TRAJECTORY_HEADER
     for i, row in enumerate(rows):
@@ -455,25 +406,22 @@ def emit_plot_data(data, path: str, kind: str | None = None) -> str:
 # --------------------------------------------------------------------------
 
 
+def _state_health(rho: np.ndarray) -> tuple[float, float, float]:
+    """(trace, purity, smallest eigenvalue) of a density matrix."""
+    return (
+        float(np.trace(rho).real),
+        float(np.trace(rho @ rho).real),
+        float(eigh(rho).eigenvalues[0]),
+    )
+
+
 def _final_state_summary(rho: np.ndarray) -> dict:
-    dec = eigh(rho)
+    trace, purity, min_eig = _state_health(rho)
     return {
         "matrix": operator_to_json(rho),
-        "trace": float(np.trace(rho).real),
-        "purity": float(np.trace(rho @ rho).real),
-        "min_eigenvalue": float(dec.eigenvalues[0]),
-    }
-
-
-def _stats_json(stats) -> dict:
-    return {
-        "accepted": stats.accepted,
-        "rejected": stats.rejected,
-        "rhs_evaluations": stats.rhs_evaluations,
-        "trace_drift": stats.trace_drift,
-        "hermiticity_drift": stats.hermiticity_drift,
-        "min_step": stats.min_step,
-        "max_step": stats.max_step,
+        "trace": trace,
+        "purity": purity,
+        "min_eigenvalue": min_eig,
     }
 
 
@@ -482,7 +430,7 @@ def _run_solve(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
     result = integrate(cfg.model, cfg.x, cfg.state, cfg.t_span, cfg.solver)
     elapsed = time.perf_counter() - tic
     stage = {
-        "stats": _stats_json(result.stats),
+        "stats": result.stats.to_json(),
         "checkpoints_retained": len(result.checkpoints),
         "final_state": _final_state_summary(result.final_state.matrix),
     }
@@ -503,7 +451,7 @@ def _run_qfi(cfg: ExperimentConfig, want_gradient: bool) -> tuple[dict, dict, in
     )
     elapsed = time.perf_counter() - tic
     stages = {
-        "solve": {"stats": report.diagnostics.get("solver", {})},
+        "solve": {"stats": report.diagnostics["solver"]},
         "eigen": {
             "clusters": [list(c) for c in report.clusters],
             "min_gap": report.min_gap,
@@ -511,7 +459,7 @@ def _run_qfi(cfg: ExperimentConfig, want_gradient: bool) -> tuple[dict, dict, in
         "qfi": report.to_json(),
     }
     if want_gradient:
-        stages["adjoint"] = report.diagnostics.get("adjoint", {})
+        stages["adjoint"] = report.diagnostics["adjoint"]
     return stages, {"qfi": elapsed}, 0
 
 
@@ -583,23 +531,8 @@ def _run_optimize(cfg: ExperimentConfig, out: str | None) -> tuple[dict, dict, i
 
 def _trajectory_rows(cfg: ExperimentConfig) -> list[tuple[float, float, float, float]]:
     result = integrate(cfg.model, cfg.x, cfg.state, cfg.t_span, cfg.solver)
-    t0 = cfg.t_span[0]
-    start = cfg.state.matrix if not result.checkpoints else result.checkpoints[0][1]
-    nodes = dense_segment(cfg.model, cfg.x, start, cfg.t_span, cfg.solver, result=result)
-    rows = []
-    for t, rho in nodes:
-        dec = eigh(rho)
-        rows.append(
-            (
-                float(t),
-                float(np.trace(rho).real),
-                float(np.trace(rho @ rho).real),
-                float(dec.eigenvalues[0]),
-            )
-        )
-    if rows and rows[0][0] != t0:
-        raise IntegrationError("trajectory replay lost its left endpoint")
-    return rows
+    nodes = dense_segment(cfg.model, cfg.x, result.checkpoints[0][1], result.t_span, result=result)
+    return [(float(t), *_state_health(rho)) for t, rho in nodes]
 
 
 def _read_trace_file(path: str) -> list[dict]:
@@ -662,7 +595,9 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="optimization trace or state trajectory",
     )
-    plots.add_argument("--trace-file", help="existing trace JSONL to convert (kind=trace)")
+    plots.add_argument(
+        "--trace-file", help="trace JSONL written by 'optimize --out' (required for kind=trace)"
+    )
     return parser
 
 
@@ -714,24 +649,15 @@ def _dispatch(args) -> int:
     if args.subcommand == "emit-plots":
         if not out:
             raise ValidationError("emit-plots needs --out (or config 'output') for the CSV path")
-        if args.kind == "trace" and args.trace_file:
-            emit_plot_data(_read_trace_file(args.trace_file), out, kind="trace")
-            return 0
-        cfg = resolve_config(raw, "optimize" if args.kind == "trace" else "solve")
         if args.kind == "trace":
-            _, trace = maximize_qfi(
-                cfg.model,
-                cfg.params,
-                cfg.state,
-                cfg.t_span,
-                cfg.generator,
-                cfg.solver,
-                cfg.optimizer,
-                times_four=cfg.times_four,
-            )
-            emit_plot_data(trace, out, kind="trace")
+            if not args.trace_file:
+                raise ValidationError(
+                    "emit-plots --kind trace needs --trace-file; "
+                    "'lindbladiff optimize --out report.json' writes report.trace.jsonl"
+                )
+            emit_plot_data(_read_trace_file(args.trace_file), out, kind="trace")
         else:
-            emit_plot_data(_trajectory_rows(cfg), out, kind="trajectory")
+            emit_plot_data(_trajectory_rows(resolve_config(raw, "solve")), out, kind="trajectory")
         return 0
 
     cfg = resolve_config(raw, args.subcommand)
@@ -772,7 +698,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -347,12 +347,14 @@ def adjoint_gradient(
 
     for seg in range(n_checkpoints - 1, 0, -1):
         t_a, state_a = result.checkpoints[seg - 1]
-        t_b, _ = result.checkpoints[seg]
-        segment = dense_segment(model, x, state_a, (t_a, t_b), cfg, result=result)
+        # replay stops at the start of the segment's last step: the state at
+        # its right end is the stored next checkpoint, which nothing reads
+        t_last = float(times[indices[seg] - 1])
+        segment = dense_segment(model, x, state_a, (t_a, t_last), result=result)
         counters.note_retained_states(n_checkpoints + len(segment) - 1)
-        longest = max(longest, len(segment) - 1)
+        longest = max(longest, len(segment))
         i_a = indices[seg - 1]
-        for m in range(len(segment) - 2, -1, -1):
+        for m in range(len(segment) - 1, -1, -1):
             n = i_a + m
             lam = _reverse_step(model, x, float(times[n]), segment[m][1], float(sizes[n]), lam, grad, f)
             replayed += 1

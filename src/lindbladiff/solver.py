@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import IntegrationError, ValidationError
 from .instrumentation import counters
-from .model import DensityOperator, LindbladModel, lindblad_rhs
+from .model import DensityOperator, LindbladModel, lindblad_rhs, validate_hamiltonian
 
 # Dormand-Prince 5(4) tableau.  The 5th-order weights equal the last stage
 # row (FSAL): k7 of an accepted step is k1 of the next.
@@ -107,6 +107,9 @@ class SolveStats:
             "rejected": self.rejected,
             "rhs_evals": self.rhs_evaluations,
             "trace_drift": self.trace_drift,
+            "hermiticity_drift": self.hermiticity_drift,
+            "min_step": self.min_step,
+            "max_step": self.max_step,
         }
 
 
@@ -326,6 +329,7 @@ def _check_inputs(
     x = np.asarray(x, dtype=float)
     if x.shape != (model.n_params,):
         raise ValidationError(f"parameter vector shape {x.shape} != ({model.n_params},)")
+    validate_hamiltonian(model, x, t0)
     return y, x, t0, t_final
 
 
@@ -395,7 +399,6 @@ def dense_segment(
     x: np.ndarray,
     state_at_checkpoint: np.ndarray,
     t_span: tuple[float, float],
-    cfg: SolveConfig = SolveConfig(),
     *,
     result: SolveResult,
 ) -> list[tuple[float, np.ndarray]]:
@@ -404,11 +407,12 @@ def dense_segment(
     The segment is replayed on the accepted-step grid recorded in
     ``result``: the same step sizes, hence the same floating-point
     operations, hence bit-identical states.
-    Returns [(t_a, state_a), ..., (t_b, state_b)] including both endpoints.
+    Returns [(t_a, state_a), ..., (t_b, state_b)] including both endpoints;
+    when t_b == t_a that is just [(t_a, state_a)], with no RHS call.
     """
     t_a, t_b = float(t_span[0]), float(t_span[1])
-    if not t_b > t_a:
-        raise ValidationError(f"segment needs t_b > t_a, got ({t_a}, {t_b})")
+    if not t_b >= t_a:
+        raise ValidationError(f"segment needs t_b >= t_a, got ({t_a}, {t_b})")
     x = np.asarray(x, dtype=float)
     # no copy: the returned list shares the caller's checkpoint array as its
     # left endpoint, keeping reverse-pass retained states at K + segment steps

@@ -1,12 +1,18 @@
 """Command-line interface: config resolution, subcommands, reports, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lindbladiff
 from lindbladiff import cli
 from lindbladiff.errors import ValidationError
+from lindbladiff.instrumentation import counters
 from lindbladiff.linalg import operator_to_json
 
 PHASE_MODEL = {
@@ -18,6 +24,16 @@ PHASE_MODEL = {
         ],
     },
     "channels": [],
+}
+
+SOLVE_STATS_KEYS = {
+    "accepted",
+    "rejected",
+    "rhs_evals",
+    "trace_drift",
+    "hermiticity_drift",
+    "min_step",
+    "max_step",
 }
 
 PLUS_STATE = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
@@ -96,6 +112,45 @@ class TestResolveConfig:
         again = cli.resolve_config(cfg.echo, "optimize")
         assert again.echo == cfg.echo
 
+    def test_full_echo_with_solver_and_optimizer_overrides(self):
+        raw = {
+            "model": "oat:2",
+            "t_span": [0, 1],
+            "solver": {"rtol": 1e-7, "initial_step": 0.01, "max_steps": 500},
+            "optimizer": {"max_iterations": 4, "backtracking_factor": 0.25, "seed": 2},
+        }
+        assert cli.resolve_config(raw, "optimize").echo == {
+            "model": {"preset": "oat:2", "gamma": 0.0},
+            "params": None,
+            "state": "all-zero-pure:2",
+            "t_span": [0.0, 1.0],
+            "solver": {
+                "rtol": 1e-7,
+                "atol": 1e-10,
+                "initial_step": 0.01,
+                "max_steps": 500,
+                "checkpoints": 23,  # the resolved default budget, ceil(sqrt(500))
+            },
+            "generator": "Sz:2",
+            "optimizer": {
+                "max_iterations": 4,
+                "initial_step": 0.1,
+                "backtracking_factor": 0.25,
+                "armijo_constant": 1e-4,
+                "grad_tolerance": 1e-6,
+                "seed": 2,
+            },
+            "times_four": False,
+            "grad_check": {"fd_step": 1e-6, "tolerance": 1e-4},
+            "output": None,
+        }
+
+    def test_integer_option_rejects_fraction(self):
+        raw = {"model": "oat:2", "optimizer": {"seed": 0.5}}
+        with pytest.raises(ValidationError) as err:
+            cli.resolve_config(raw, "optimize")
+        assert "/optimizer/seed" in str(err.value)
+
     def test_optimize_defaults_params_to_seeded_random(self):
         cfg = cli.resolve_config(
             {"model": "oat:2", "t_span": [0, 1], "optimizer": {"seed": 3}}, "optimize"
@@ -145,7 +200,7 @@ class TestSolve:
             {"model": {"file": model}, "state": {"file": state}, "params": [], "t_span": [0.0, 1.0]},
         )
         rep = _run(tmp_path, ["solve", "--config", cfg])
-        assert rep["schema"] == "lindbladiff-report/1"
+        assert rep["schema"] == "lindbladiff-report/2"
         assert rep["subcommand"] == "solve"
         assert rep["exit_code"] == 0
         stage = rep["stages"]["solve"]
@@ -171,9 +226,21 @@ class TestQfi:
     def test_solve_stats_reported_without_grad(self, tmp_path):
         rep = _run(tmp_path, ["qfi", "--model", "oat:2", "--params", "0.7,0.4"])
         stats = rep["stages"]["solve"]["stats"]
-        assert set(stats) == {"accepted", "rejected", "rhs_evals", "trace_drift"}
+        assert set(stats) == SOLVE_STATS_KEYS
         assert stats["accepted"] > 0
         assert stats["rhs_evals"] > 0
+
+    def test_solve_and_qfi_share_one_stats_schema(self, tmp_path):
+        flags = ["--model", "oat:2", "--params", "0.7,0.4"]
+        reports = [
+            _run(tmp_path, ["solve"] + flags),
+            _run(tmp_path, ["qfi"] + flags),
+            _run(tmp_path, ["qfi"] + flags + ["--grad"]),
+        ]
+        stats = [rep["stages"]["solve"]["stats"] for rep in reports]
+        assert all(set(s) == SOLVE_STATS_KEYS for s in stats)
+        # one forward solve of the same problem behind each report
+        assert stats[0] == stats[1] == stats[2]
 
     def test_grad_flag_adds_gradient_and_adjoint_stage(self, tmp_path):
         rep = _run(tmp_path, ["qfi", "--model", "oat:2", "--params", "0.7,0.4", "--grad"])
@@ -269,6 +336,13 @@ class TestEmitPlots:
         assert len(lines) == 4
         assert lines[1].split(",")[0] == "0"
 
+    def test_opt_trace_object_is_a_validation_error(self, tmp_path):
+        trace = lindbladiff.OptTrace(iterates=(), status="converged", evaluations=0)
+        out = tmp_path / "plot.csv"
+        with pytest.raises(ValidationError, match="JSON rows"):
+            cli.emit_plot_data(trace, str(out), kind="trace")
+        assert not out.exists()
+
     def test_float_cells_round_trip(self, tmp_path):
         value = 0.1 + 0.2  # not exactly representable in shorter decimal
         trace = tmp_path / "t.jsonl"
@@ -301,6 +375,14 @@ class TestEmitPlots:
         assert all(b <= a + 1e-12 for a, b in zip(purities, purities[1:]))
         expect_final = 0.5 + 2 * (0.5 * np.exp(-2.0)) ** 2
         assert purities[-1] == pytest.approx(expect_final, rel=1e-7)
+
+    def test_trace_without_trace_file_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "plot.csv"
+        code = cli.main(["emit-plots", "--kind", "trace", "--model", "oat:2", "--out", str(out)])
+        assert code == 2
+        assert "optimize --out" in capsys.readouterr().err
+        assert counters.forward_integrations == 0
+        assert not out.exists()
 
     def test_empty_trace_emits_header_only(self, tmp_path):
         trace = tmp_path / "t.jsonl"
@@ -336,3 +418,17 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_python_dash_m_runs_cli_without_warnings(tmp_path):
+    out = tmp_path / "r.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(lindbladiff.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lindbladiff", "solve", "--model", "oat:1", "--params", "0.3,0.2", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(out.read_text())["subcommand"] == "solve"

@@ -234,6 +234,35 @@ class TestAdjointGradient:
         assert snap["forward_integrations"] == 1
         assert snap["adjoint_passes"] == 1
 
+    @pytest.mark.parametrize("checkpoints", [None, 4])
+    def test_replay_skips_each_segments_last_step(self, checkpoints):
+        # the state after a segment's last step is the stored next
+        # checkpoint, so replay stops one step short of the segment end
+        model = preset_oat(2, gamma=0.1)
+        x = np.array([0.9, 0.6])
+        rho0 = all_zero_density(2)
+        cfg = SolveConfig(checkpoints=checkpoints)
+        res = integrate(model, x, rho0, (0.0, 1.0), cfg)
+        grad = adjoint_gradient(model, x, rho0, (0.0, 1.0), cfg, state_entry_re_cost(0, 0), result=res)
+        segments = grad.diagnostics["segments"]
+        assert grad.diagnostics["steps_replayed"] == res.stats.accepted
+        assert counters.rhs_evaluations - res.stats.rhs_evaluations == 6 * (res.stats.accepted - segments)
+
+    def test_non_hermitian_hamiltonian_rejected_before_any_rhs_call(self):
+        # x0 * i*I commutes with every state, so only the boundary check stops the solve
+        sched = HamiltonianSchedule(
+            evaluate=lambda t, x: x[0] * 1j * np.eye(2),
+            n_params=1,
+            derivative=lambda t, x, k: 1j * np.eye(2),
+        )
+        model = LindbladModel(hamiltonian=sched, channels=(), dimension=2)
+        x = np.array([0.5])
+        with pytest.raises(ValidationError):
+            forward_sensitivity(model, x, PLUS, (0.0, 1.0))
+        with pytest.raises(ValidationError):
+            adjoint_gradient(model, x, PLUS, (0.0, 1.0), cost=state_entry_re_cost(0, 0))
+        assert counters.rhs_evaluations == 0
+
     def test_memory_contract(self):
         model = preset_oat(2)
         x = np.array([0.9, 0.9])

@@ -159,7 +159,7 @@ class TestTrailAndReplay:
         x = np.array([0.8, 0.6])
         rho0 = all_zero_density(2)
         res = integrate(model, x, rho0, (0.0, 1.0))
-        nodes = dense_segment(model, x, res.checkpoints[0][1], (0.0, 1.0), SolveConfig(), result=res)
+        nodes = dense_segment(model, x, res.checkpoints[0][1], (0.0, 1.0), result=res)
         assert len(nodes) == res.stats.accepted + 1
         assert nodes[-1][0] == 1.0
         assert np.array_equal(nodes[-1][1], res.final_state.matrix)
@@ -174,11 +174,24 @@ class TestTrailAndReplay:
         assert cps[0][0] == 0.0 and cps[-1][0] == 1.2
         covered = 0
         for (t_a, state_a), (t_b, _) in zip(cps, cps[1:]):
-            nodes = dense_segment(model, x, state_a, (t_a, t_b), cfg, result=res)
+            nodes = dense_segment(model, x, state_a, (t_a, t_b), result=res)
             covered += len(nodes) - 1
             # right endpoint of each replayed segment equals the stored checkpoint
             assert nodes[-1][0] == t_b
         assert covered == res.stats.accepted
+
+    def test_empty_segment_makes_no_rhs_call(self):
+        model = preset_oat(2)
+        x = np.array([0.8, 0.6])
+        res = integrate(model, x, all_zero_density(2), (0.0, 1.0))
+        t_a, state_a = res.checkpoints[1]
+        counters.reset()
+        nodes = dense_segment(model, x, state_a, (t_a, t_a), result=res)
+        assert len(nodes) == 1
+        assert nodes[0][0] == t_a and np.array_equal(nodes[0][1], state_a)
+        assert counters.rhs_evaluations == 0
+        with pytest.raises(ValidationError):
+            dense_segment(model, x, state_a, (t_a, 0.0), result=res)
 
     def test_checkpoint_budget_and_thinning(self):
         model = preset_oat(2)
@@ -195,7 +208,7 @@ class TestTrailAndReplay:
         cfg = SolveConfig(checkpoints=5)
         res = integrate(model, x, all_zero_density(2), (0.0, 1.0), cfg)
         for (t_a, state_a), (t_b, state_b) in zip(res.checkpoints, res.checkpoints[1:]):
-            nodes = dense_segment(model, x, state_a, (t_a, t_b), cfg, result=res)
+            nodes = dense_segment(model, x, state_a, (t_a, t_b), result=res)
             assert np.array_equal(nodes[-1][1], state_b)
 
 
@@ -227,6 +240,15 @@ class TestCostsAndErrors:
             integrate(model, np.zeros(2), all_zero_density(1), (1.0, 1.0))
         with pytest.raises(ValidationError):
             integrate(model, np.zeros(2), all_zero_density(1), (2.0, 1.0))
+
+    def test_non_hermitian_hamiltonian_rejected_before_any_rhs_call(self):
+        # i*I commutes with every state, so only the boundary check stops the solve
+        sched = HamiltonianSchedule(evaluate=lambda t, x: 1j * np.eye(2), n_params=0)
+        model = LindbladModel(hamiltonian=sched, channels=(), dimension=2)
+        with pytest.raises(ValidationError):
+            integrate(model, np.zeros(0), PLUS, (0.0, 1.0))
+        assert counters.rhs_evaluations == 0
+        assert counters.forward_integrations == 0
 
     def test_wrong_parameter_count_rejected(self):
         model = preset_oat(1)
