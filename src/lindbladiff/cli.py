@@ -199,9 +199,11 @@ def _float_field(obj: dict, key: str, default, pointer: str):
     if value is None:
         return None
     try:
-        return float(value)
+        if not isinstance(value, bool):
+            return float(value)
     except (TypeError, ValueError):
-        raise ValidationError(f"{key} must be a number, got {value!r}", path=f"{pointer}/{key}")
+        pass
+    raise ValidationError(f"{key} must be a number, got {value!r}", path=f"{pointer}/{key}")
 
 
 def _int_field(obj: dict, key: str, default, pointer: str):

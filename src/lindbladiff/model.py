@@ -6,10 +6,13 @@ The generator acts on density matrices as
                 + sum_j gamma_j (J_j rho J_j^dag - (1/2) {J_j^dag J_j, rho})
 
 with a Hermitian, time- and parameter-dependent Hamiltonian H and fixed jump
-channels (gamma_j, J_j).  The right-hand side is evaluated on raw complex
-matrices: intermediate integrator stages legitimately violate trace and
-positivity, so state invariants are only enforced on accepted states via
-DensityOperator.
+channels (gamma_j, J_j), applied in effective-Hamiltonian form
+L(rho) = -i (H_eff rho - rho H_eff^dag) + sum_j gamma_j J_j rho J_j^dag with
+H_eff = H - iK, K = (1/2) sum_j gamma_j J_j^dag J_j: L^dag and dL/dx_k are the
+same sandwich kernel with other operands.  The right-hand side is evaluated
+on raw complex matrices: intermediate integrator stages legitimately violate
+trace and positivity, so state invariants are only enforced on accepted
+states via DensityOperator.
 """
 
 from __future__ import annotations
@@ -72,16 +75,11 @@ def purity(rho: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class JumpChannel:
-    """Dissipation channel: nonnegative rate and jump operator.
-
-    The adjoint and J^dag J products are cached at construction; they appear
-    in every right-hand-side evaluation.
-    """
+    """Dissipation channel: nonnegative rate and jump operator, adjoint cached at construction."""
 
     rate: float
     operator: Operator
     adjoint_operator: Operator = field(init=False, repr=False)
-    squared: Operator = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.rate < 0:
@@ -89,9 +87,7 @@ class JumpChannel:
         op = self.operator
         if op.shape[0] != op.shape[1]:
             raise ValidationError(f"jump operator must be square, got shape {op.shape}")
-        adj = linalg.hermitian_adjoint(op)
-        object.__setattr__(self, "adjoint_operator", adj)
-        object.__setattr__(self, "squared", adj @ op if linalg.is_sparse(op) else adj @ op)
+        object.__setattr__(self, "adjoint_operator", linalg.hermitian_adjoint(op))
 
 
 @dataclass(frozen=True)
@@ -126,11 +122,12 @@ class HamiltonianSchedule:
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """Hamiltonian schedule plus jump channels on a fixed Hilbert space."""
+    """Hamiltonian schedule plus jump channels on a fixed Hilbert space; ``decay`` caches K."""
 
     hamiltonian: HamiltonianSchedule
     channels: tuple[JumpChannel, ...]
     dimension: int
+    decay: Operator | float = field(init=False, repr=False)
 
     def __post_init__(self):
         for j, ch in enumerate(self.channels):
@@ -138,10 +135,17 @@ class LindbladModel:
                 raise ShapeMismatchError(
                     f"jump operator {j}", ch.operator.shape, (self.dimension, self.dimension)
                 )
+        object.__setattr__(self, "decay", _decay_operator(self.channels))
 
     @property
     def n_params(self) -> int:
         return self.hamiltonian.n_params
+
+
+def _decay_operator(channels: Sequence[JumpChannel]) -> Operator | float:
+    """K = (1/2) sum_j gamma_j J_j^dag J_j over rates > 0 in the operators' storage; 0 if none."""
+    terms = ((0.5 * ch.rate) * (ch.adjoint_operator @ ch.operator) for ch in channels if ch.rate != 0.0)
+    return sum(terms, 0.0)
 
 
 def _right_matmul(a: np.ndarray, b: Operator) -> np.ndarray:
@@ -151,19 +155,29 @@ def _right_matmul(a: np.ndarray, b: Operator) -> np.ndarray:
     return a @ b
 
 
+def _sandwich(
+    a: Operator, a_right: Operator, channels: Sequence[JumpChannel], state: np.ndarray, *, adjoint: bool = False
+) -> np.ndarray:
+    """-i (a X - X a') + sum_j gamma_j L_j X R_j on X = state, (L, R) = (J, J^dag).
+
+    The one place a state meets a generator operand.  With K the model's ``decay``,
+    L is (H - iK, H + iK, channels), dL/dx_k is (dH/dx_k, dH/dx_k, ()) and L^dag is
+    (-H - iK, -H + iK, channels, adjoint=True), which swaps (L, R) to (J^dag, J).
+    """
+    out = -1j * (np.asarray(a @ state) - _right_matmul(state, a_right))
+    for ch in channels:
+        if ch.rate != 0.0:
+            left, right = ch.operator, ch.adjoint_operator
+            if adjoint:
+                left, right = right, left
+            out += ch.rate * _right_matmul(np.asarray(left @ state), right)
+    return out
+
+
 def liouvillian_apply(h: Operator, channels: Sequence[JumpChannel], rho: np.ndarray) -> np.ndarray:
     """Apply the generator defined by (H, channels) to rho."""
-    hr = np.asarray(h @ rho)
-    out = -1j * (hr - _right_matmul(rho, h))
-    for ch in channels:
-        if ch.rate == 0.0:
-            continue
-        jr = np.asarray(ch.operator @ rho)
-        jrj = _right_matmul(jr, ch.adjoint_operator)
-        kr = np.asarray(ch.squared @ rho)
-        rk = _right_matmul(rho, ch.squared)
-        out += ch.rate * (jrj - 0.5 * (kr + rk))
-    return out
+    ik = 1j * _decay_operator(channels)
+    return _sandwich(h - ik, h + ik, channels, rho)
 
 
 def lindblad_rhs(t: float, rho: np.ndarray, model: LindbladModel, x: np.ndarray) -> np.ndarray:
@@ -176,8 +190,8 @@ def lindblad_rhs(t: float, rho: np.ndarray, model: LindbladModel, x: np.ndarray)
         raise ShapeMismatchError("lindblad_rhs state", rho.shape, (model.dimension, model.dimension))
     if not np.all(np.isfinite(rho)):
         raise ValidationError("lindblad_rhs received a non-finite state")
-    h = model.hamiltonian.evaluate(t, x)
-    return liouvillian_apply(h, model.channels, rho)
+    h, ik = model.hamiltonian.evaluate(t, x), 1j * model.decay
+    return _sandwich(h - ik, h + ik, model.channels, rho)
 
 
 def rhs_parameter_derivative(
@@ -191,7 +205,7 @@ def rhs_parameter_derivative(
     if rho.shape != (model.dimension, model.dimension):
         raise ShapeMismatchError("rhs state", rho.shape, (model.dimension, model.dimension))
     dh = model.hamiltonian.param_derivative(t, x, k)
-    return -1j * (np.asarray(dh @ rho) - _right_matmul(rho, dh))
+    return _sandwich(dh, dh, (), rho)
 
 
 def validate_hamiltonian(model: LindbladModel, x: np.ndarray, t: float = 0.0, tol: float = 1e-12) -> None:

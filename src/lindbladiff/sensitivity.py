@@ -25,13 +25,7 @@ import numpy as np
 from .errors import CostGradientError, ValidationError
 from .instrumentation import counters
 from .linalg import to_dense
-from .model import (
-    DensityOperator,
-    LindbladModel,
-    _right_matmul,
-    lindblad_rhs,
-    rhs_parameter_derivative,
-)
+from .model import DensityOperator, LindbladModel, _sandwich, lindblad_rhs, rhs_parameter_derivative
 from .solver import (
     STAGE_A,
     STAGE_B,
@@ -41,6 +35,7 @@ from .solver import (
     dp5_step_detail,
     _adaptive_core,
     _check_inputs,
+    _CountedRhs,
     integrate,
 )
 
@@ -212,15 +207,8 @@ def adjoint_liouvillian_apply(model: LindbladModel, x: np.ndarray, t: float, lam
     if lam.shape != (model.dimension, model.dimension):
         raise ValidationError(f"adjoint state shape {lam.shape} != model dimension {model.dimension}")
     x = np.asarray(x, dtype=float)
-    h = model.hamiltonian.evaluate(t, x)
-    out = 1j * (np.asarray(h @ lam) - _right_matmul(lam, h))
-    for ch in model.channels:
-        if ch.rate == 0.0:
-            continue
-        jlj = np.asarray(ch.adjoint_operator @ _right_matmul(lam, ch.operator))
-        anti = np.asarray(ch.squared @ lam) + _right_matmul(lam, ch.squared)
-        out = out + ch.rate * (jlj - 0.5 * anti)
-    return out
+    h, ik = model.hamiltonian.evaluate(t, x), 1j * model.decay
+    return _sandwich(-h - ik, -h + ik, model.channels, lam, adjoint=True)
 
 
 def forward_sensitivity(
@@ -330,13 +318,7 @@ def adjoint_gradient(
     lam = cost.cotangent(rho_t)
     dc_dt = _pair(lam, lindblad_rhs(t_final, rho_t, model, x))
 
-    rhs_calls = 0
-
-    def f(t: float, state: np.ndarray) -> np.ndarray:
-        nonlocal rhs_calls
-        rhs_calls += 1
-        return lindblad_rhs(t, state, model, x)
-
+    f = _CountedRhs(model, x)
     grad = np.zeros(model.n_params)
     n_checkpoints = len(result.checkpoints)
     times = result.step_times
@@ -360,12 +342,12 @@ def adjoint_gradient(
             replayed += 1
 
     counters.adjoint_passes += 1
-    counters.adjoint_rhs_evaluations += rhs_calls
+    counters.adjoint_rhs_evaluations += f.calls
     diagnostics = {
         "segments": n_checkpoints - 1,
         "steps_replayed": replayed,
         "longest_segment": longest,
-        "adjoint_rhs_evaluations": rhs_calls,
+        "adjoint_rhs_evaluations": f.calls,
         "fd_fallback": model.hamiltonian.uses_fd_fallback,
         "cost_verification": verification,
     }

@@ -312,6 +312,17 @@ def _adaptive_core(
     )
 
 
+class _CountedRhs:
+    """f(t, state) = lindblad_rhs(t, state, model, x), looked up in this module per call; counts ``calls``."""
+
+    def __init__(self, model: LindbladModel, x: np.ndarray):
+        self.model, self.x, self.calls = model, x, 0
+
+    def __call__(self, t: float, state: np.ndarray) -> np.ndarray:
+        self.calls += 1
+        return lindblad_rhs(t, state, self.model, self.x)
+
+
 def _check_inputs(
     model: LindbladModel, x: np.ndarray, rho0: DensityOperator | np.ndarray, t_span: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -349,12 +360,7 @@ def integrate(
     y0, x, t0, t_final = _check_inputs(model, x, rho0, t_span)
     trace0 = float(np.trace(y0).real)
 
-    rhs_calls = 0
-
-    def f(t: float, state: np.ndarray) -> np.ndarray:
-        nonlocal rhs_calls
-        rhs_calls += 1
-        return lindblad_rhs(t, state, model, x)
+    f = _CountedRhs(model, x)
 
     trail = _adaptive_core(f, y0, t0, t_final, cfg)
     y = trail.final
@@ -366,14 +372,14 @@ def integrate(
     stats = SolveStats(
         accepted=trail.accepted,
         rejected=trail.rejected,
-        rhs_evaluations=rhs_calls,
+        rhs_evaluations=f.calls,
         trace_drift=abs(float(np.trace(y).real) - trace0),
         hermiticity_drift=float(np.linalg.norm(y - y.conj().T)),
         min_step=trail.min_step,
         max_step=trail.max_step,
     )
     counters.forward_integrations += 1
-    counters.rhs_evaluations += rhs_calls
+    counters.rhs_evaluations += f.calls
 
     return SolveResult(
         final_state=final_state,
@@ -418,12 +424,7 @@ def dense_segment(
     # left endpoint, keeping reverse-pass retained states at K + segment steps
     y = np.asarray(state_at_checkpoint, dtype=np.complex128)
 
-    rhs_calls = 0
-
-    def f(t: float, state: np.ndarray) -> np.ndarray:
-        nonlocal rhs_calls
-        rhs_calls += 1
-        return lindblad_rhs(t, state, model, x)
+    f = _CountedRhs(model, x)
 
     times = result.step_times
     ia = _locate_time(times, t_a, "segment start")
@@ -434,5 +435,5 @@ def dense_segment(
         h_n = float(result.step_sizes[n])
         y, _, _, _ = dp5_step_detail(f, t_n, y, h_n)
         out.append((float(times[n + 1]), y))
-    counters.rhs_evaluations += rhs_calls
+    counters.rhs_evaluations += f.calls
     return out

@@ -4,7 +4,8 @@ Nothing in this module imports the package under test; every result comes
 from plain numpy and scipy.  The oracles are deliberately slow and simple:
 a Taylor matrix exponential with scaling and squaring, classic fixed-step
 RK4, central finite differences, a directly enumerated spectral figure of
-merit, and a symmetric-logarithmic-derivative figure of merit.  The
+merit, a symmetric-logarithmic-derivative figure of merit, and the Lindblad
+generator and its adjoint written out in textbook anticommutator form.  The
 production code decomposes states with the same LAPACK Hermitian
 eigensolver the spectral oracle uses; the SLD oracle solves a Sylvester
 equation instead and uses no Hermitian eigensolver at all.
@@ -115,6 +116,25 @@ def dense_eig_fd(
     )
 
 
+def lindblad_reference(h, channels, rho: np.ndarray, *, adjoint: bool = False) -> np.ndarray:
+    """Textbook Lindblad generator in dense anticommutator form.
+
+    L(rho) = -i [H, rho] + sum gamma (J rho J^dag - (1/2) {J^dag J, rho}), or with
+    ``adjoint`` L^dag(rho) = +i [H, rho] + sum gamma (J^dag rho J - (1/2) {J^dag J, rho}).
+    ``channels`` is a list of (rate, jump-matrix) pairs.
+    """
+    hm = np.asarray(h, dtype=complex)
+    r = np.asarray(rho, dtype=complex)
+    out = (1j if adjoint else -1j) * (hm @ r - r @ hm)
+    for rate, j in channels:
+        j = np.asarray(j, dtype=complex)
+        jd = j.conj().T
+        jj = jd @ j
+        jump = jd @ r @ j if adjoint else j @ r @ jd
+        out = out + rate * (jump - 0.5 * (jj @ r + r @ jj))
+    return out
+
+
 def rk4_lindblad(
     h_of_t, channels, rho0: np.ndarray, t_span: tuple[float, float], steps: int
 ) -> OracleResult:
@@ -128,14 +148,7 @@ def rk4_lindblad(
     dt = (t1 - t0) / steps
 
     def rhs(t, r):
-        hm = np.asarray(h_of_t(t), dtype=complex)
-        out = -1j * (hm @ r - r @ hm)
-        for rate, j in channels:
-            j = np.asarray(j, dtype=complex)
-            jd = j.conj().T
-            jj = jd @ j
-            out = out + rate * (j @ r @ jd - 0.5 * (jj @ r + r @ jj))
-        return out
+        return lindblad_reference(h_of_t(t), channels, r)
 
     t = t0
     for _ in range(steps):

@@ -151,6 +151,13 @@ class TestResolveConfig:
             cli.resolve_config(raw, "optimize")
         assert "/optimizer/seed" in str(err.value)
 
+    @pytest.mark.parametrize("section, key", [("solver", "rtol"), ("grad_check", "fd_step")])
+    def test_float_option_rejects_boolean(self, section, key):
+        raw = {"model": "oat:2", "t_span": [0, 1], section: {key: True}}
+        with pytest.raises(ValidationError) as err:
+            cli.resolve_config(raw, "solve")
+        assert err.value.path == f"/{section}/{key}"
+
     def test_optimize_defaults_params_to_seeded_random(self):
         cfg = cli.resolve_config(
             {"model": "oat:2", "t_span": [0, 1], "optimizer": {"seed": 3}}, "optimize"

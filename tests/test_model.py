@@ -5,7 +5,7 @@ import pytest
 
 from oracles import random_density, random_hermitian
 from lindbladiff.errors import ShapeMismatchError, ValidationError
-from lindbladiff.linalg import to_dense
+from lindbladiff.linalg import is_sparse, to_dense
 from lindbladiff.model import (
     DensityOperator,
     HamiltonianSchedule,
@@ -70,13 +70,43 @@ class TestJumpChannel:
     def test_caches_adjoint_and_square(self):
         ch = JumpChannel(rate=0.3, operator=LOWERING.copy())
         assert np.array_equal(to_dense(ch.adjoint_operator), LOWERING.conj().T)
-        assert np.array_equal(to_dense(ch.squared), LOWERING.conj().T @ LOWERING)
+        sched = HamiltonianSchedule(evaluate=lambda t, x: PAULI_Z, n_params=0)
+        model = LindbladModel(hamiltonian=sched, channels=(ch,), dimension=2)
+        assert np.array_equal(to_dense(model.decay), (0.5 * 0.3) * (LOWERING.conj().T @ LOWERING))
 
     def test_rejects_negative_rate_and_nonsquare(self):
         with pytest.raises(ValidationError):
             JumpChannel(rate=-0.1, operator=LOWERING.copy())
         with pytest.raises(ValidationError):
             JumpChannel(rate=0.1, operator=np.ones((2, 3), dtype=complex))
+
+
+class TestDecay:
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_is_half_rate_weighted_sum_of_jump_squares(self, sparse):
+        model = preset_oat(3, gamma=0.1, sparse=sparse)
+        jumps = [(ch.rate, to_dense(ch.operator)) for ch in model.channels]
+        expect = sum(0.5 * rate * j.conj().T @ j for rate, j in jumps)
+        assert np.allclose(to_dense(model.decay), expect, rtol=0.0, atol=1e-15)
+
+    def test_keeps_sparse_storage(self):
+        assert is_sparse(preset_oat(3, 0.1, sparse=True).decay)
+        assert not is_sparse(preset_oat(3, 0.1).decay)
+
+    def test_zero_without_channels_keeps_sparse_hamiltonian_sparse(self):
+        model = preset_oat(3, sparse=True)
+        assert model.decay == 0.0
+        h = model.hamiltonian.evaluate(0.0, np.array([0.8, 0.6]))
+        assert is_sparse(h - 1j * model.decay) and is_sparse(-h + 1j * model.decay)
+
+    def test_skips_zero_rate_channels(self):
+        ops = (LOWERING.copy(), PAULI_Z.copy())
+        model = LindbladModel(
+            hamiltonian=HamiltonianSchedule(evaluate=lambda t, x: PAULI_Z, n_params=0),
+            channels=(JumpChannel(rate=0.0, operator=ops[0]), JumpChannel(rate=0.4, operator=ops[1])),
+            dimension=2,
+        )
+        assert np.array_equal(model.decay, 0.2 * (PAULI_Z.conj().T @ PAULI_Z))
 
 
 class TestRhs:

@@ -1,4 +1,4 @@
-"""Property-based check of the adjoint generator on random small models.
+"""Property-based checks of the generator and of the eigen pullback on random small inputs.
 
 Every matrix entry is drawn by hypothesis, so a failing example shrinks
 towards a smaller model with simpler entries.
@@ -12,6 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import lindblad_reference
+from lindbladiff.eigen import eig_vjp, eigh
+from lindbladiff.errors import GaugeDependenceError
+from lindbladiff.linalg import to_dense
 from lindbladiff.model import HamiltonianSchedule, JumpChannel, LindbladModel, lindblad_rhs
 from lindbladiff.sensitivity import adjoint_liouvillian_apply
 from lindbladiff.spins import as_sparse
@@ -59,3 +63,68 @@ def test_adjoint_pairing_identity(case):
     backward = np.vdot(adjoint_liouvillian_apply(model, x, t, lam), rho)  # Tr((L^dag lam)^dag rho)
     bound = 1e-12 * scale * np.linalg.norm(lam) * np.linalg.norm(rho)
     assert abs(forward - backward) <= bound
+
+
+@PROPERTY
+@given(cases())
+def test_generator_and_adjoint_match_textbook_form(case):
+    # an error both directions share can keep the pairing identity intact;
+    # this pins each direction separately to the anticommutator form
+    model, t, rho, lam, scale = case
+    x = np.zeros(0)
+    h = to_dense(model.hamiltonian.evaluate(t, x))
+    channels = [(ch.rate, to_dense(ch.operator)) for ch in model.channels]
+    forward = lindblad_rhs(t, rho, model, x) - lindblad_reference(h, channels, rho)
+    assert np.linalg.norm(forward) <= 1e-12 * scale * np.linalg.norm(rho)
+    backward = adjoint_liouvillian_apply(model, x, t, lam) - lindblad_reference(h, channels, lam, adjoint=True)
+    assert np.linalg.norm(backward) <= 1e-12 * scale * np.linalg.norm(lam)
+
+
+@st.composite
+def clustered_spectra(draw):
+    """(decomposition, planted cluster sizes, B): a Hermitian matrix with exactly
+    repeated eigenvalues, and eigenbasis coordinates B of a random cotangent."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    centers = draw(st.lists(st.integers(-10, 10), min_size=len(sizes), max_size=len(sizes), unique=True))
+    d = sum(sizes)
+    # Householder QR returns a unitary factor even for a singular draw
+    u = np.linalg.qr(_complex(draw, d))[0]
+    order = np.argsort(centers)
+    lam = np.concatenate([np.full(sizes[c], 0.1 * centers[c]) for c in order])
+    decomp = eigh(u @ np.diag(lam) @ u.conj().T)
+    return decomp, [sizes[c] for c in order], _complex(draw, d)
+
+
+def _cluster_hermitian(decomp, b):
+    """b with every within-cluster block replaced by its Hermitian part (no gauge component)."""
+    b = b.copy()
+    for cl in decomp.clusters:
+        idx = np.ix_(cl, cl)
+        b[idx] = 0.5 * (b[idx] + b[idx].conj().T)
+    return b
+
+
+@PROPERTY
+@given(clustered_spectra(), st.data())
+def test_eig_vjp_is_hermitian_on_planted_clusters(spectrum, data):
+    decomp, sizes, b = spectrum
+    assert [len(cl) for cl in decomp.clusters] == sizes
+    d = decomp.dimension
+    values = data.draw(arrays(np.float64, (d,), elements=_ENTRY))
+    out = eig_vjp(decomp, values, decomp.eigenvectors @ _cluster_hermitian(decomp, b))
+    assert np.all(np.isfinite(out))
+    assert np.array_equal(out, out.conj().T)
+
+
+@PROPERTY
+@given(clustered_spectra(), st.data())
+def test_eig_vjp_rejects_planted_gauge_component(spectrum, data):
+    decomp, _, b = spectrum
+    cl = data.draw(st.sampled_from(decomp.clusters))
+    m = 0.25 * _complex(data.draw, len(cl))
+    # i*I keeps the planted anti-Hermitian block away from zero
+    anti = 0.5 * (m - m.conj().T) + 1j * np.eye(len(cl))
+    b = _cluster_hermitian(decomp, b)
+    b[np.ix_(cl, cl)] += anti
+    with pytest.raises(GaugeDependenceError):
+        eig_vjp(decomp, vector_cotangent=decomp.eigenvectors @ b)
