@@ -9,10 +9,14 @@ with a Hermitian, time- and parameter-dependent Hamiltonian H and fixed jump
 channels (gamma_j, J_j), applied in effective-Hamiltonian form
 L(rho) = -i (H_eff rho - rho H_eff^dag) + sum_j gamma_j J_j rho J_j^dag with
 H_eff = H - iK, K = (1/2) sum_j gamma_j J_j^dag J_j: L^dag and dL/dx_k are the
-same sandwich kernel with other operands.  The right-hand side is evaluated
-on raw complex matrices: intermediate integrator stages legitimately violate
-trace and positivity, so state invariants are only enforced on accepted
-states via DensityOperator.
+same sandwich kernel with other operands.  A jump operator that acts on one
+qubit, J = I (x) a (x) I with a 2x2 factor a of at most two nonzero entries
+(sigma_+/-, sigma_x/y/z, the projectors; every preset channel), is detected
+once per JumpChannel and applied as O(d^2) block copies on the qubit tensor
+view of the state; every other J takes two dense or sparse products.  The
+right-hand side is evaluated on raw complex matrices: intermediate
+integrator stages legitimately violate trace and positivity, so state
+invariants are only enforced on accepted states via DensityOperator.
 """
 
 from __future__ import annotations
@@ -74,12 +78,73 @@ def purity(rho: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
+class LocalJump:
+    """Single-qubit form J = I_{2^site} (x) factor (x) I_{2^(n-1-site)} of a jump operator.
+
+    On the view X.reshape(``view``) = (L, 2, R, L, 2, R), J X J^dag adds
+    c * X[:, q, :, :, q', :] to X[:, p, :, :, p', :] for each nonzero entry
+    c = factor[p, q] conj(factor[p', q']) of factor (x) conj(factor); ``blocks``
+    holds these as (destination index, source index, c).  J^dag X J swaps
+    destination and source and conjugates c.
+    """
+
+    site: int
+    factor: np.ndarray
+    view: tuple[int, ...]
+    blocks: tuple[tuple[tuple, tuple, complex], ...]
+
+
+def _local_jump(op: Operator) -> LocalJump | None:
+    """The single-qubit form of op if it has one with at most two nonzero factor entries, else None.
+
+    One scan for the nonzero entries (O(d^2) dense, O(nnz) CSR); a local op has
+    d/2 or d of them, and each site is then checked against those alone.
+    """
+    d = op.shape[0]
+    n = d.bit_length() - 1
+    if 2**n != d:
+        return None
+    if linalg.is_sparse(op):
+        coo = op.tocoo()
+        coo.sum_duplicates()
+        keep = coo.data != 0
+        rows, cols, vals = coo.row[keep], coo.col[keep], coo.data[keep]
+    else:
+        rows, cols = np.nonzero(op)
+        vals = op[rows, cols]
+    if len(vals) not in (d // 2, d):
+        return None
+    for site in range(n):
+        bit = d >> (site + 1)
+        if np.any((rows ^ cols) & ~bit):
+            continue
+        p, q = (rows & bit) // bit, (cols & bit) // bit
+        factor = np.zeros((2, 2), dtype=np.complex128)
+        factor[p, q] = vals
+        # every entry sits in the support of I (x) factor (x) I with its value; equal counts fill it
+        if np.array_equal(factor[p, q], vals) and np.count_nonzero(factor) * (d // 2) == len(vals):
+            entries = [(int(i), int(j), factor[i, j]) for i, j in zip(*np.nonzero(factor))]
+            blocks = tuple(
+                (np.s_[:, p1, :, :, p2, :], np.s_[:, q1, :, :, q2, :], complex(c1 * np.conj(c2)))
+                for p1, q1, c1 in entries
+                for p2, q2, c2 in entries
+            )
+            view = (2**site, 2, bit, 2**site, 2, bit)
+            return LocalJump(site=site, factor=factor, view=view, blocks=blocks)
+    return None
+
+
+@dataclass(frozen=True)
 class JumpChannel:
-    """Dissipation channel: nonnegative rate and jump operator, adjoint cached at construction."""
+    """Dissipation channel: nonnegative rate and jump operator.
+
+    Its adjoint and, for a single-qubit operator, its ``local`` form are cached at construction.
+    """
 
     rate: float
     operator: Operator
     adjoint_operator: Operator = field(init=False, repr=False)
+    local: LocalJump | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.rate < 0:
@@ -88,6 +153,7 @@ class JumpChannel:
         if op.shape[0] != op.shape[1]:
             raise ValidationError(f"jump operator must be square, got shape {op.shape}")
         object.__setattr__(self, "adjoint_operator", linalg.hermitian_adjoint(op))
+        object.__setattr__(self, "local", _local_jump(op))
 
 
 @dataclass(frozen=True)
@@ -163,14 +229,25 @@ def _sandwich(
     The one place a state meets a generator operand.  With K the model's ``decay``,
     L is (H - iK, H + iK, channels), dL/dx_k is (dH/dx_k, dH/dx_k, ()) and L^dag is
     (-H - iK, -H + iK, channels, adjoint=True), which swaps (L, R) to (J^dag, J).
+    A channel with a ``local`` form adds its blocks on the qubit view instead of
+    the two products.
     """
     out = -1j * (np.asarray(a @ state) - _right_matmul(state, a_right))
     for ch in channels:
-        if ch.rate != 0.0:
-            left, right = ch.operator, ch.adjoint_operator
-            if adjoint:
-                left, right = right, left
-            out += ch.rate * _right_matmul(np.asarray(left @ state), right)
+        if ch.rate == 0.0:
+            continue
+        if ch.local is not None:
+            # out is a fresh C-ordered array (a @ state is), so its reshape is a view
+            src, dst = state.reshape(ch.local.view), out.reshape(ch.local.view)
+            for to, frm, c in ch.local.blocks:
+                if adjoint:
+                    to, frm, c = frm, to, c.conjugate()
+                dst[to] += (ch.rate * c) * src[frm]
+            continue
+        left, right = ch.operator, ch.adjoint_operator
+        if adjoint:
+            left, right = right, left
+        out += ch.rate * _right_matmul(np.asarray(left @ state), right)
     return out
 
 

@@ -234,7 +234,7 @@ def forward_sensitivity(
 
     def f(t: float, state: np.ndarray) -> np.ndarray:
         nonlocal rhs_calls
-        rhs_calls += 1
+        rhs_calls += 2  # one lindblad_rhs each for the state and the tangent
         rho, sigma = state[0], state[1]
         drho = lindblad_rhs(t, rho, model, x)
         dsigma = lindblad_rhs(t, sigma, model, x) + rhs_parameter_derivative(t, rho, model, x, k)

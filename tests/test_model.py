@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import random_density, random_hermitian
+from oracles import lindblad_reference, random_density, random_hermitian
 from lindbladiff.errors import ShapeMismatchError, ValidationError
-from lindbladiff.linalg import is_sparse, to_dense
+from lindbladiff.linalg import is_sparse, operator_to_json, to_dense
 from lindbladiff.model import (
     DensityOperator,
     HamiltonianSchedule,
@@ -19,7 +19,17 @@ from lindbladiff.model import (
     rhs_parameter_derivative,
     validate_hamiltonian,
 )
-from lindbladiff.spins import LOWERING, PAULI_X, PAULI_Z, collective_sx, collective_sz, embed_single
+from lindbladiff.sensitivity import adjoint_liouvillian_apply
+from lindbladiff.spins import (
+    LOWERING,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    as_sparse,
+    collective_sx,
+    collective_sz,
+    embed_single,
+)
 
 
 def _random_model(rng, n, n_channels):
@@ -79,6 +89,99 @@ class TestJumpChannel:
             JumpChannel(rate=-0.1, operator=LOWERING.copy())
         with pytest.raises(ValidationError):
             JumpChannel(rate=0.1, operator=np.ones((2, 3), dtype=complex))
+
+
+def _oracle_errors(model, x, rng):
+    """Max elementwise |L rho - oracle| and |L^dag rho - oracle| at t = 0.4 on a random state."""
+    rho = random_density(rng, model.dimension)
+    h = to_dense(model.hamiltonian.evaluate(0.4, x))
+    channels = [(ch.rate, to_dense(ch.operator)) for ch in model.channels]
+    forward = lindblad_rhs(0.4, rho, model, x) - lindblad_reference(h, channels, rho)
+    backward = adjoint_liouvillian_apply(model, x, 0.4, rho) - lindblad_reference(h, channels, rho, adjoint=True)
+    return float(np.max(np.abs(forward))), float(np.max(np.abs(backward)))
+
+
+def _fixed_model(d, ops, rate=0.3):
+    h = random_hermitian(np.random.default_rng(d), d)
+    return LindbladModel(
+        hamiltonian=HamiltonianSchedule(evaluate=lambda t, x: h, n_params=0),
+        channels=tuple(JumpChannel(rate=rate, operator=op) for op in ops),
+        dimension=d,
+    )
+
+
+class TestLocalJump:
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_every_preset_channel_is_local_on_its_qubit(self, n, sparse):
+        model = preset_oat(n, gamma=0.2, sparse=sparse)
+        for i, ch in enumerate(model.channels):
+            assert ch.local is not None and ch.local.site == i
+            assert np.array_equal(ch.local.factor, LOWERING)
+            assert ch.local.view == (2**i, 2, 2 ** (n - 1 - i), 2**i, 2, 2 ** (n - 1 - i))
+            # sigma_minus (x) conj(sigma_minus) has the one entry |00><11|
+            assert len(ch.local.blocks) == 1
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_explicit_json_channel_is_detected(self, sparse):
+        n, i = 3, 1
+        wrap = as_sparse if sparse else np.asarray
+        obj = {
+            "dimension": 2**n,
+            "hamiltonian": {"kind": "explicit", "terms": []},
+            "channels": [{"gamma": 0.4, "matrix": operator_to_json(wrap(embed_single(LOWERING, i, n)))}],
+        }
+        (ch,) = model_from_json(obj).channels
+        assert is_sparse(ch.operator) == sparse
+        assert ch.local is not None and ch.local.site == i
+        assert np.array_equal(ch.local.factor, LOWERING)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize(
+        "factor",
+        [LOWERING, LOWERING.T, PAULI_X, PAULI_Y, PAULI_Z, np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
+        ids=["sigma_minus", "sigma_plus", "sigma_x", "sigma_y", "sigma_z", "proj0", "proj1"],
+    )
+    def test_two_entry_factors_are_local_and_match_oracle(self, factor, sparse):
+        n = 3
+        wrap = as_sparse if sparse else np.asarray
+        ops = [wrap(embed_single(np.asarray(factor, dtype=complex), i, n)) for i in range(n)]
+        model = _fixed_model(2**n, ops)
+        for i, ch in enumerate(model.channels):
+            assert ch.local is not None and ch.local.site == i
+            assert np.array_equal(ch.local.factor, factor)
+        assert max(_oracle_errors(model, np.zeros(0), np.random.default_rng(3))) < 1e-12
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_non_local_operators_take_the_dense_sandwich(self, sparse):
+        wrap = as_sparse if sparse else np.asarray
+        four_entries = np.array([[1.0, 2.0j], [-0.5, 0.25]])
+        ops = [
+            np.kron(LOWERING, LOWERING),  # two-qubit jump
+            embed_single(four_entries, 1, 2),  # single-qubit, but four nonzero entries
+        ]
+        model = _fixed_model(4, [wrap(op) for op in ops])
+        assert [ch.local for ch in model.channels] == [None, None]
+        assert max(_oracle_errors(model, np.zeros(0), np.random.default_rng(4))) < 1e-12
+
+    def test_non_qubit_dimension_takes_the_dense_sandwich(self):
+        h = operator_to_json(random_hermitian(np.random.default_rng(3), 3))
+        lowering3 = operator_to_json(np.diag([1.0, 1.0], k=1))
+        obj = {
+            "dimension": 3,
+            "hamiltonian": {"kind": "explicit", "terms": [{"coefficient": 1.0, "matrix": h}]},
+            "channels": [{"gamma": 0.3, "matrix": lowering3}],
+        }
+        model = model_from_json(obj)
+        assert model.channels[0].local is None
+        assert max(_oracle_errors(model, np.zeros(0), np.random.default_rng(5))) < 1e-12
+
+    def test_zero_rate_local_channel_is_skipped(self):
+        ops = [embed_single(LOWERING, 0, 2)]
+        model = _fixed_model(4, ops, rate=0.0)
+        rho = random_density(np.random.default_rng(6), 4)
+        h = to_dense(model.hamiltonian.evaluate(0.0, np.zeros(0)))
+        assert np.array_equal(lindblad_rhs(0.0, rho, model, np.zeros(0)), -1j * (h @ rho - rho @ h))
 
 
 class TestDecay:
@@ -199,6 +302,18 @@ class TestPresetOat:
             a = lindblad_rhs(0.1, rho, dense_m, x)
             b = lindblad_rhs(0.1, rho, sparse_m, x)
             assert np.max(np.abs(a - b)) < 1e-12
+
+    def test_both_storages_match_textbook_oracle(self):
+        # dense and sparse presets share the local jump path, so criterion 9's
+        # dense-vs-sparse comparison is backed by a check of each against the oracle
+        rng = np.random.default_rng(99)
+        x = np.array([0.8, 0.6])
+        worst = 0.0
+        for n in (1, 2, 3, 4):
+            for gamma in (0.0, 0.3):
+                for sparse in (False, True):
+                    worst = max(worst, *_oracle_errors(preset_oat(n, gamma, sparse=sparse), x, rng))
+        assert worst < 1e-12
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValidationError):

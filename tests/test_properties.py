@@ -18,12 +18,13 @@ from lindbladiff.errors import GaugeDependenceError
 from lindbladiff.linalg import to_dense
 from lindbladiff.model import HamiltonianSchedule, JumpChannel, LindbladModel, lindblad_rhs
 from lindbladiff.sensitivity import adjoint_liouvillian_apply
-from lindbladiff.spins import as_sparse
+from lindbladiff.spins import as_sparse, embed_single
 
 # derandomized and without an example database: every run draws the same examples
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 _ENTRY = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+_NONZERO = _ENTRY.filter(lambda v: v != 0.0)
 
 
 def _complex(draw, d):
@@ -32,17 +33,11 @@ def _complex(draw, d):
     return re + 1j * im
 
 
-@st.composite
-def cases(draw):
-    """(model, t, rho, lam, scale): a random 1-3 qubit model, two operands and a bound on |L|."""
-    d = 2 ** draw(st.integers(1, 3))
+def _case(draw, d, rates, ops):
+    """(model, t, rho, lam, scale) for the given channels, two operands and a bound on |L|."""
     wrap = as_sparse if draw(st.booleans()) else (lambda m: m)
     a = _complex(draw, d)
     h = 0.5 * (a + a.conj().T)
-    n_channels = draw(st.integers(0, 3))
-    # rate 0 exercises the skipped-channel branch; jump operators are non-Hermitian
-    rates = [draw(st.sampled_from([0.0, 0.3, 1.0, 2.0])) for _ in range(n_channels)]
-    ops = [_complex(draw, d) for _ in range(n_channels)]
     h_op = wrap(h)
     model = LindbladModel(
         hamiltonian=HamiltonianSchedule(evaluate=lambda t, x: h_op, n_params=0),
@@ -54,9 +49,42 @@ def cases(draw):
     return model, t, _complex(draw, d), _complex(draw, d), scale
 
 
-@PROPERTY
-@given(cases())
-def test_adjoint_pairing_identity(case):
+# rate 0 exercises the skipped-channel branch
+_RATE = st.sampled_from([0.0, 0.3, 1.0, 2.0])
+
+
+@st.composite
+def cases(draw):
+    """A random 1-3 qubit model with dense, non-Hermitian jump operators."""
+    d = 2 ** draw(st.integers(1, 3))
+    n_channels = draw(st.integers(0, 3))
+    rates = [draw(_RATE) for _ in range(n_channels)]
+    return _case(draw, d, rates, [_complex(draw, d) for _ in range(n_channels)])
+
+
+@st.composite
+def local_cases(draw):
+    """(case, n_local): a random 1-4 qubit model whose channels are single-qubit
+    factors with one or two nonzero entries on random sites, n_local of them,
+    mixed with dense jump operators."""
+    n = draw(st.integers(1, 4))
+    d = 2**n
+    rates, ops, n_local = [], [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        rates.append(draw(_RATE))
+        if draw(st.integers(0, 3)) == 0:
+            ops.append(_complex(draw, d))
+            continue
+        factor = np.zeros((2, 2), dtype=np.complex128)
+        entries = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=2, unique=True)
+        for p, q in draw(entries):
+            factor[p, q] = complex(draw(_NONZERO), draw(_ENTRY))
+        ops.append(embed_single(factor, draw(st.integers(0, n - 1)), n))
+        n_local += 1
+    return _case(draw, d, rates, ops), n_local
+
+
+def _check_pairing(case):
     model, t, rho, lam, scale = case
     x = np.zeros(0)
     forward = np.vdot(lam, lindblad_rhs(t, rho, model, x))  # Tr(lam^dag L(rho))
@@ -65,9 +93,7 @@ def test_adjoint_pairing_identity(case):
     assert abs(forward - backward) <= bound
 
 
-@PROPERTY
-@given(cases())
-def test_generator_and_adjoint_match_textbook_form(case):
+def _check_textbook_form(case):
     # an error both directions share can keep the pairing identity intact;
     # this pins each direction separately to the anticommutator form
     model, t, rho, lam, scale = case
@@ -78,6 +104,28 @@ def test_generator_and_adjoint_match_textbook_form(case):
     assert np.linalg.norm(forward) <= 1e-12 * scale * np.linalg.norm(rho)
     backward = adjoint_liouvillian_apply(model, x, t, lam) - lindblad_reference(h, channels, lam, adjoint=True)
     assert np.linalg.norm(backward) <= 1e-12 * scale * np.linalg.norm(lam)
+
+
+@PROPERTY
+@given(cases())
+def test_adjoint_pairing_identity(case):
+    _check_pairing(case)
+
+
+@PROPERTY
+@given(cases())
+def test_generator_and_adjoint_match_textbook_form(case):
+    _check_textbook_form(case)
+
+
+@PROPERTY
+@given(local_cases())
+def test_local_channels_match_textbook_form_and_pairing(drawn):
+    case, n_local = drawn
+    # a dense draw may happen to be local too
+    assert sum(ch.local is not None for ch in case[0].channels) >= n_local
+    _check_textbook_form(case)
+    _check_pairing(case)
 
 
 @st.composite

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import fd_gradient, random_density, random_hermitian
 from lindbladiff.errors import CostGradientError, ValidationError
+from lindbladiff import sensitivity
 from lindbladiff.instrumentation import counters
 from lindbladiff.model import (
     DensityOperator,
@@ -148,6 +149,20 @@ class TestForwardSensitivity:
         )
         _, sigma = forward_sensitivity(model, np.array([0.3]), PLUS, (0.0, 1.0), TIGHT, k=0)
         assert np.max(np.abs(sigma)) < 1e-12
+
+    def test_counts_every_rhs_call(self, monkeypatch):
+        # each stacked evaluation applies L twice: to the state and to the tangent
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return lindblad_rhs(*args)
+
+        monkeypatch.setattr(sensitivity, "lindblad_rhs", counted)
+        forward_sensitivity(preset_oat(2, 0.1), np.array([0.8, 0.6]), all_zero_density(2), (0.0, 1.0))
+        assert calls > 0
+        assert counters.rhs_evaluations == calls
 
 
 class TestAdjointGradient:
