@@ -24,6 +24,7 @@ from .instrumentation import counters
 from .model import (
     DensityOperator,
     HamiltonianSchedule,
+    LinearSchedule,
     JumpChannel,
     LindbladModel,
     all_zero_density,
@@ -72,6 +73,7 @@ __all__ = [
     "counters",
     "DensityOperator",
     "HamiltonianSchedule",
+    "LinearSchedule",
     "JumpChannel",
     "LindbladModel",
     "all_zero_density",

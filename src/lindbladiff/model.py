@@ -6,25 +6,34 @@ The generator acts on density matrices as
                 + sum_j gamma_j (J_j rho J_j^dag - (1/2) {J_j^dag J_j, rho})
 
 with a Hermitian, time- and parameter-dependent Hamiltonian H and fixed jump
-channels (gamma_j, J_j), applied in effective-Hamiltonian form
+channels (gamma_j, J_j).  A declared LinearSchedule H(x) = A_0 + sum_k x_k A_k
+(preset_oat and explicit JSON models use one) compiles the generator once per
+model, on first use, to a row-major CSR superoperator S(x) = S_0 + sum_k x_k S_k
+with S_0 and every S_k on one pattern: L is one SpMV with S(x), L^dag one with
+S(x)^H and dL/dx_k one with S_k.  Callable schedules, and linear models whose
+Kronecker terms count more than COMPILE_MAX_NNZ entries (preset_oat from
+n = 9 on), apply the generator in effective-Hamiltonian form
 L(rho) = -i (H_eff rho - rho H_eff^dag) + sum_j gamma_j J_j rho J_j^dag with
 H_eff = H - iK, K = (1/2) sum_j gamma_j J_j^dag J_j: L^dag and dL/dx_k are the
 same sandwich kernel with other operands.  A jump operator that acts on one
 qubit, J = I (x) a (x) I with a 2x2 factor a of at most two nonzero entries
 (sigma_+/-, sigma_x/y/z, the projectors; every preset channel), is detected
-once per JumpChannel and applied as O(d^2) block copies on the qubit tensor
-view of the state; every other J takes two dense or sparse products.  The
-right-hand side is evaluated on raw complex matrices: intermediate
-integrator stages legitimately violate trace and positivity, so state
-invariants are only enforced on accepted states via DensityOperator.
+once per JumpChannel, adds its J^dag J to K in O(d^2), and is applied by the
+kernel as O(d^2) block copies on the qubit tensor view of the state; every
+other J takes two dense or sparse products.  The right-hand side is
+evaluated on raw complex matrices: intermediate integrator stages
+legitimately violate trace and positivity, so state invariants are only
+enforced on accepted states via DensityOperator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from . import linalg
 from .errors import ShapeMismatchError, ValidationError
@@ -186,11 +195,77 @@ class HamiltonianSchedule:
         return (self.evaluate(t, xp) - self.evaluate(t, xm)) / (2.0 * h)
 
 
+def _check_hermitian(op: Operator, what: str, path: str | None = None) -> None:
+    # Frobenius norms; a sparse operator is checked on its stored entries, not densified
+    if linalg.is_sparse(op):
+        defect, scale = np.linalg.norm((op - op.conj().T).data), np.linalg.norm(op.data)
+    else:
+        defect, scale = linalg.hermiticity_defect(op), np.linalg.norm(op)
+    if defect > 1e-12 * max(1.0, float(scale)):
+        raise ValidationError(f"{what} is not Hermitian", path=path)
+
+
+@dataclass(frozen=True)
+class LinearSchedule:
+    """Declared time-independent schedule H(x) = A_0 + sum_k x_k A_k.
+
+    ``constant`` is A_0 (None for none) and ``terms`` holds A_1.. in parameter
+    order; every operand is checked square, of one shape and Hermitian here,
+    once.  A model with this schedule compiles its generator to one sparse
+    superoperator (see LindbladModel.superoperator).
+    """
+
+    terms: tuple[Operator, ...]
+    constant: Operator | None = None
+    uses_fd_fallback = False  # class constant, not a field: derivatives are the terms
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
+        operands = ([] if self.constant is None else [("constant term", self.constant)]) + [
+            (f"term {k}", a) for k, a in enumerate(self.terms)
+        ]
+        if not operands:
+            raise ValidationError("a linear schedule needs a constant or at least one parameter term")
+        shape = operands[0][1].shape
+        for what, a in operands:
+            if a.ndim != 2 or a.shape != shape or shape[0] != shape[1]:
+                raise ShapeMismatchError(f"linear schedule {what}", a.shape, shape)
+            _check_hermitian(a, f"linear schedule {what}")
+
+    @property
+    def n_params(self) -> int:
+        return len(self.terms)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.terms[0] if self.constant is None else self.constant).shape
+
+    def evaluate(self, t: float, x: np.ndarray) -> Operator:
+        if len(x) != self.n_params:
+            raise ValidationError(f"parameter vector length {len(x)} != {self.n_params}")
+        out = self.constant
+        for xk, a in zip(x, self.terms):
+            out = xk * a if out is None else out + xk * a
+        return out
+
+    def param_derivative(self, t: float, x: np.ndarray, k: int) -> Operator:
+        if not 0 <= k < self.n_params:
+            raise ValidationError(f"parameter index {k} outside range [0, {self.n_params})")
+        return self.terms[k]
+
+
+#: Largest superoperator a linear model compiles, counted as the stored entries
+#: of its Kronecker terms (an upper bound on nnz(S)): preset_oat(8, g) counts
+#: 1.41M (nnz(S) = 1.25M, ~19 MiB per data array) and compiles; n = 9 counts
+#: 6.36M and keeps the sandwich kernel.
+COMPILE_MAX_NNZ = 2_000_000
+
+
 @dataclass(frozen=True)
 class LindbladModel:
     """Hamiltonian schedule plus jump channels on a fixed Hilbert space; ``decay`` caches K."""
 
-    hamiltonian: HamiltonianSchedule
+    hamiltonian: HamiltonianSchedule | LinearSchedule
     channels: tuple[JumpChannel, ...]
     dimension: int
     decay: Operator | float = field(init=False, repr=False)
@@ -201,17 +276,144 @@ class LindbladModel:
                 raise ShapeMismatchError(
                     f"jump operator {j}", ch.operator.shape, (self.dimension, self.dimension)
                 )
+        ham = self.hamiltonian
+        if isinstance(ham, LinearSchedule) and ham.shape != (self.dimension, self.dimension):
+            raise ShapeMismatchError("linear schedule", ham.shape, (self.dimension, self.dimension))
         object.__setattr__(self, "decay", _decay_operator(self.channels))
 
     @property
     def n_params(self) -> int:
         return self.hamiltonian.n_params
 
+    @cached_property
+    def superoperator(self) -> Superoperator | None:
+        """The compiled generator, built on first use: for a LinearSchedule whose
+        Kronecker terms count at most COMPILE_MAX_NNZ entries; None otherwise."""
+        return _compile(self)
+
+
+def _sparse_eye(m: int) -> sparse.csr_array:
+    return sparse.csr_array(sparse.identity(m, dtype=np.complex128, format="csr"))
+
+
+def _jump_square(ch: JumpChannel) -> Operator:
+    """J^dag J in the operator's storage; I (x) a^dag a (x) I in O(d^2) for a local J."""
+    loc = ch.local
+    if loc is None:
+        return ch.adjoint_operator @ ch.operator
+    square = loc.factor.conj().T @ loc.factor
+    left, right = loc.view[0], loc.view[2]
+    if linalg.is_sparse(ch.operator):
+        return sparse.kron(sparse.kron(_sparse_eye(left), square), _sparse_eye(right), format="csr")
+    return np.kron(np.kron(np.eye(left), square), np.eye(right))
+
 
 def _decay_operator(channels: Sequence[JumpChannel]) -> Operator | float:
     """K = (1/2) sum_j gamma_j J_j^dag J_j over rates > 0 in the operators' storage; 0 if none."""
-    terms = ((0.5 * ch.rate) * (ch.adjoint_operator @ ch.operator) for ch in channels if ch.rate != 0.0)
+    terms = ((0.5 * ch.rate) * _jump_square(ch) for ch in channels if ch.rate != 0.0)
     return sum(terms, 0.0)
+
+
+def _nnz(op: Operator) -> int:
+    return op.nnz if linalg.is_sparse(op) else int(np.count_nonzero(op))
+
+
+def _coherent_super(a: Operator, eye: sparse.csr_array) -> sparse.csr_array:
+    """-i (a (x) I - I (x) conj(a)): X -> -i (a X - X a^dag) on row-major vec(X)."""
+    a = sparse.csr_array(a)
+    return -1j * (sparse.kron(a, eye, format="csr") - sparse.kron(eye, a.conj(), format="csr"))
+
+
+def _structure(a: sparse.csr_array) -> sparse.csr_array:
+    return sparse.csr_array((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
+
+
+def _row_major_keys(a: sparse.csr_array) -> np.ndarray:
+    """row * ncols + col of every stored entry; increasing for a canonical CSR."""
+    rows = np.repeat(np.arange(a.shape[0], dtype=np.int64), np.diff(a.indptr))
+    return rows * a.shape[1] + a.indices
+
+
+class Superoperator:
+    """Row-major generator S(x) = S_0 + sum_k x_k S_k of a model with a LinearSchedule.
+
+    With vec(X) = X.ravel(), vec(A X B) = (A (x) B^T) vec(X), so
+    S_0 = -i (H_eff,0 (x) I - I (x) conj(H_eff,0)) + sum_j gamma_j J_j (x) conj(J_j)
+    with H_eff,0 = A_0 - iK, and S_k = -i (A_k (x) I - I (x) conj(A_k)).  S_0 and
+    every S_k are stored as data arrays on one CSR pattern, so S(x) is an O(nnz)
+    combination of them; S(x)^H, the adjoint generator, reorders that data
+    along the pattern's transpose, found once.  ``at`` keeps the last
+    (x, S(x), S(x)^H), keyed on the exact bytes of x, so the forward, replay and
+    reverse passes of a solve share one S.
+    """
+
+    def __init__(self, base: sparse.csr_array, slopes: Sequence[sparse.csr_array]):
+        parts = [base, *slopes]
+        for part in parts:
+            part.sum_duplicates()  # canonical: sorted column indices, no duplicates
+        # the union pattern is the (canonical) sum of the parts' structures
+        union = sum(map(_structure, parts[1:]), _structure(base))
+        self.indices, self.indptr = union.indices, union.indptr
+        keys = _row_major_keys(union)
+        data = []
+        for part in parts:
+            on_pattern = np.zeros(union.nnz, dtype=np.complex128)
+            on_pattern[np.searchsorted(keys, _row_major_keys(part))] = part.data
+            data.append(on_pattern)
+        self.base, self.slopes = data[0], tuple(data[1:])
+        # S^T on its own CSR pattern, holding the position in S of each entry
+        order = np.arange(union.nnz, dtype=self.indices.dtype)
+        transpose = sparse.csr_array((order, self.indices, self.indptr), shape=union.shape).T.tocsr()
+        self.adjoint_order, self.adjoint_indices, self.adjoint_indptr = (
+            transpose.data,
+            transpose.indices,
+            transpose.indptr,
+        )
+        # S_k on its own, sparser pattern for dL/dx_k
+        self.derivatives = tuple(slopes)
+        self._memo: tuple = (None, None, None)
+
+    def _csr(self, data: np.ndarray, *, adjoint: bool = False) -> sparse.csr_array:
+        n = len(self.indptr) - 1
+        pattern = (self.adjoint_indices, self.adjoint_indptr) if adjoint else (self.indices, self.indptr)
+        return sparse.csr_array((data, *pattern), shape=(n, n))
+
+    def at(self, x: np.ndarray) -> tuple[sparse.csr_array, sparse.csr_array]:
+        """(S(x), S(x)^H); x must hold one value per parameter."""
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.shape != (len(self.slopes),):
+            raise ValidationError(f"parameter vector shape {x.shape} != ({len(self.slopes)},)")
+        key = x.tobytes()
+        # read and replaced as one tuple, so a concurrent caller sees a whole entry
+        memo = self._memo
+        if memo[0] != key:
+            data = self.base.copy()
+            for xk, slope in zip(x, self.slopes):
+                data += xk * slope
+            memo = (key, self._csr(data), self._csr(data[self.adjoint_order].conj(), adjoint=True))
+            self._memo = memo
+        return memo[1], memo[2]
+
+
+def _compile(model: LindbladModel) -> Superoperator | None:
+    sched = model.hamiltonian
+    if not isinstance(sched, LinearSchedule):
+        return None
+    d = model.dimension
+    ik = 1j * model.decay
+    heff = -ik if sched.constant is None else sched.constant - ik
+    coherent = [] if np.isscalar(heff) else [heff]  # K = 0 and no A_0: S_0 has no coherent part
+    channels = [ch for ch in model.channels if ch.rate != 0.0]
+    count = 2 * d * sum(map(_nnz, [*coherent, *sched.terms])) + sum(_nnz(ch.operator) ** 2 for ch in channels)
+    if count > COMPILE_MAX_NNZ:
+        return None
+    eye = _sparse_eye(d)
+    pieces = [_coherent_super(a, eye) for a in coherent]
+    for ch in channels:
+        jump = sparse.csr_array(ch.operator)
+        pieces.append(ch.rate * sparse.kron(jump, jump.conj(), format="csr"))
+    base = sum(pieces, sparse.csr_array((d * d, d * d), dtype=np.complex128))
+    return Superoperator(base, [_coherent_super(a, eye) for a in sched.terms])
 
 
 def _right_matmul(a: np.ndarray, b: Operator) -> np.ndarray:
@@ -267,8 +469,21 @@ def lindblad_rhs(t: float, rho: np.ndarray, model: LindbladModel, x: np.ndarray)
         raise ShapeMismatchError("lindblad_rhs state", rho.shape, (model.dimension, model.dimension))
     if not np.all(np.isfinite(rho)):
         raise ValidationError("lindblad_rhs received a non-finite state")
+    return _generator_apply(model, t, x, rho)
+
+
+def _generator_apply(
+    model: LindbladModel, t: float, x: np.ndarray, state: np.ndarray, *, adjoint: bool = False
+) -> np.ndarray:
+    """L(state), or L^dag(state) with adjoint=True: one SpMV if the model compiles, else the sandwich."""
+    compiled = model.superoperator
+    if compiled is not None:
+        s, s_adjoint = compiled.at(x)
+        return ((s_adjoint if adjoint else s) @ state.ravel()).reshape(state.shape)
     h, ik = model.hamiltonian.evaluate(t, x), 1j * model.decay
-    return _sandwich(h - ik, h + ik, model.channels, rho)
+    if adjoint:
+        return _sandwich(-h - ik, -h + ik, model.channels, state, adjoint=True)
+    return _sandwich(h - ik, h + ik, model.channels, state)
 
 
 def rhs_parameter_derivative(
@@ -277,12 +492,15 @@ def rhs_parameter_derivative(
     """d/dx_k of the right-hand side at fixed rho: -i [dH/dx_k, rho].
 
     Jump channels are parameter-independent, so only the coherent term
-    contributes.
+    contributes; a compiled model applies S_k.
     """
     if rho.shape != (model.dimension, model.dimension):
         raise ShapeMismatchError("rhs state", rho.shape, (model.dimension, model.dimension))
-    dh = model.hamiltonian.param_derivative(t, x, k)
-    return _sandwich(dh, dh, (), rho)
+    dh = model.hamiltonian.param_derivative(t, x, k)  # also rejects an out-of-range k
+    compiled = model.superoperator
+    if compiled is None:
+        return _sandwich(dh, dh, (), rho)
+    return (compiled.derivatives[k] @ rho.ravel()).reshape(rho.shape)
 
 
 def validate_hamiltonian(model: LindbladModel, x: np.ndarray, t: float = 0.0, tol: float = 1e-12) -> None:
@@ -308,19 +526,10 @@ def preset_oat(n: int, gamma: float = 0.0, *, sparse: bool = False) -> LindbladM
     if gamma < 0:
         raise ValidationError(f"gamma {gamma} must be nonnegative")
     sz = collective_sz(n)
-    sz2 = sz @ sz
-    sx = collective_sx(n)
+    terms = (sz @ sz, collective_sx(n))
     if sparse:
-        sz2 = as_sparse(sz2)
-        sx = as_sparse(sx)
-
-    def evaluate(t, x):
-        return x[0] * sz2 + x[1] * sx
-
-    def derivative(t, x, k):
-        return sz2 if k == 0 else sx
-
-    schedule = HamiltonianSchedule(evaluate=evaluate, n_params=2, derivative=derivative)
+        terms = tuple(map(as_sparse, terms))
+    schedule = LinearSchedule(terms=terms)
     channels = []
     if gamma > 0:
         for i in range(n):
@@ -334,13 +543,6 @@ def all_zero_density(n: int) -> DensityOperator:
     return DensityOperator.from_matrix(all_zero_state(n))
 
 
-def _coefficient_value(spec, x: np.ndarray) -> float:
-    if isinstance(spec, str):
-        k = int(spec.split(":", 1)[1])
-        return float(x[k])
-    return float(spec)
-
-
 def model_from_json(obj: dict) -> LindbladModel:
     """Build a model from its JSON description.
 
@@ -352,7 +554,9 @@ def model_from_json(obj: dict) -> LindbladModel:
              "gamma": g?}           (preset dissipation rate, preset_oat only)
 
     Explicit Hamiltonians are linear in the parameters: H(t, x) = sum_m c_m(x) A_m
-    with each c_m a constant or one parameter x_k, and each A_m Hermitian.
+    with each c_m a constant or one parameter x_k, and each A_m Hermitian.  They
+    become a LinearSchedule: the constant terms c_m A_m sum to A_0, and the terms
+    of param:k sum to A_k (zero for an index no term names).
     """
     if not isinstance(obj, dict):
         raise ValidationError("model description must be an object", path="")
@@ -381,8 +585,8 @@ def model_from_json(obj: dict) -> LindbladModel:
     if kind != "explicit":
         raise ValidationError(f"unknown hamiltonian kind {kind!r}", path="/hamiltonian/kind")
 
-    terms = []
-    n_params = 0
+    constant = None
+    by_param: dict[int, Operator] = {}
     for m, term in enumerate(ham.get("terms", [])):
         path = f"/hamiltonian/terms/{m}"
         if "coefficient" not in term or "matrix" not in term:
@@ -397,35 +601,20 @@ def model_from_json(obj: dict) -> LindbladModel:
                 raise ValidationError(f"bad parameter index in {coef!r}", path=path)
             if k < 0:
                 raise ValidationError(f"parameter index {k} must be nonnegative", path=path)
-            n_params = max(n_params, k + 1)
         elif not isinstance(coef, (int, float)):
             raise ValidationError(f"coefficient {coef!r} must be 'param:<k>' or a number", path=path)
         op = linalg.operator_from_json(term["matrix"], name=path + "/matrix")
         if op.shape != (d, d):
             raise ValidationError(f"term matrix shape {op.shape} does not match dimension {d}", path=path)
-        dense = linalg.to_dense(op)
-        if linalg.hermiticity_defect(dense) > 1e-12 * max(1.0, float(np.linalg.norm(dense))):
-            raise ValidationError("term matrix is not Hermitian", path=path + "/matrix")
-        terms.append((coef, op))
+        _check_hermitian(op, "term matrix", path=path + "/matrix")
+        if isinstance(coef, str):
+            by_param[k] = by_param[k] + op if k in by_param else op
+        else:
+            constant = float(coef) * op if constant is None else constant + float(coef) * op
 
     zero = np.zeros((d, d), dtype=np.complex128)
-
-    def evaluate(t, x):
-        out = None
-        for coef, op in terms:
-            c = _coefficient_value(coef, x)
-            out = c * op if out is None else out + c * op
-        return zero if out is None else out
-
-    def derivative(t, x, k):
-        out = None
-        key = f"param:{k}"
-        for coef, op in terms:
-            if coef == key:
-                out = op.copy() if out is None else out + op
-        return zero if out is None else out
-
-    schedule = HamiltonianSchedule(evaluate=evaluate, n_params=n_params, derivative=derivative)
+    terms = tuple(by_param.get(k, zero) for k in range(max(by_param, default=-1) + 1))
+    schedule = LinearSchedule(terms=terms, constant=zero if constant is None and not terms else constant)
 
     channels = []
     for j, ch in enumerate(obj.get("channels", [])):

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import CostGradientError, ValidationError
 from .instrumentation import counters
 from .linalg import to_dense
-from .model import DensityOperator, LindbladModel, _sandwich, lindblad_rhs, rhs_parameter_derivative
+from .model import DensityOperator, LindbladModel, _generator_apply, lindblad_rhs, rhs_parameter_derivative
 from .solver import (
     STAGE_A,
     STAGE_B,
@@ -206,9 +206,7 @@ def adjoint_liouvillian_apply(model: LindbladModel, x: np.ndarray, t: float, lam
     lam = np.asarray(lam, dtype=np.complex128)
     if lam.shape != (model.dimension, model.dimension):
         raise ValidationError(f"adjoint state shape {lam.shape} != model dimension {model.dimension}")
-    x = np.asarray(x, dtype=float)
-    h, ik = model.hamiltonian.evaluate(t, x), 1j * model.decay
-    return _sandwich(-h - ik, -h + ik, model.channels, lam, adjoint=True)
+    return _generator_apply(model, t, np.asarray(x, dtype=float), lam, adjoint=True)
 
 
 def forward_sensitivity(

@@ -11,6 +11,7 @@ from lindbladiff.model import (
     HamiltonianSchedule,
     JumpChannel,
     LindbladModel,
+    LinearSchedule,
     all_zero_density,
     lindblad_rhs,
     liouvillian_apply,
@@ -192,6 +193,15 @@ class TestDecay:
         expect = sum(0.5 * rate * j.conj().T @ j for rate, j in jumps)
         assert np.allclose(to_dense(model.decay), expect, rtol=0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_local_factors_give_half_rate_weighted_jump_squares(self, n, sparse):
+        model = preset_oat(n, gamma=0.3, sparse=sparse)
+        assert all(ch.local is not None for ch in model.channels)
+        assert is_sparse(model.decay) == sparse
+        expect = sum(0.5 * ch.rate * to_dense(ch.adjoint_operator) @ to_dense(ch.operator) for ch in model.channels)
+        assert np.max(np.abs(to_dense(model.decay) - expect)) <= 1e-15
+
     def test_keeps_sparse_storage(self):
         assert is_sparse(preset_oat(3, 0.1, sparse=True).decay)
         assert not is_sparse(preset_oat(3, 0.1).decay)
@@ -210,6 +220,182 @@ class TestDecay:
             dimension=2,
         )
         assert np.array_equal(model.decay, 0.2 * (PAULI_Z.conj().T @ PAULI_Z))
+
+
+def _commutator_errors(model, x, rng):
+    """Max elementwise |dL/dx_k rho + i [A_k, rho]| over k on a random state."""
+    rho = random_density(rng, model.dimension)
+    worst = 0.0
+    for k in range(model.n_params):
+        a = to_dense(model.hamiltonian.param_derivative(0.4, x, k))
+        got = rhs_parameter_derivative(0.4, rho, model, x, k)
+        worst = max(worst, float(np.max(np.abs(got + 1j * (a @ rho - rho @ a)))))
+    return worst
+
+
+def _explicit_model(sparse):
+    """3 qubits: a constant term, param:1 named twice, param:0 once, a local and a two-qubit channel."""
+    n, d = 3, 8
+    wrap = (lambda m: operator_to_json(as_sparse(m))) if sparse else operator_to_json
+    rng = np.random.default_rng(17)
+    terms = [
+        {"coefficient": 0.7, "matrix": wrap(random_hermitian(rng, d))},
+        {"coefficient": "param:1", "matrix": wrap(collective_sx(n))},
+        {"coefficient": "param:0", "matrix": wrap(collective_sz(n) @ collective_sz(n))},
+        {"coefficient": "param:1", "matrix": wrap(embed_single(PAULI_Y, 2, n))},
+    ]
+    channels = [
+        {"gamma": 0.3, "matrix": wrap(embed_single(LOWERING, 0, n))},
+        {"gamma": 0.2, "matrix": wrap(np.kron(np.kron(LOWERING, LOWERING), np.eye(2)))},
+    ]
+    return model_from_json({"dimension": d, "hamiltonian": {"kind": "explicit", "terms": terms}, "channels": channels})
+
+
+def _sandwich_twin(model):
+    """The same generator behind a callable schedule, which always takes the sandwich kernel."""
+    sched = model.hamiltonian
+    return LindbladModel(
+        hamiltonian=HamiltonianSchedule(
+            evaluate=sched.evaluate, n_params=sched.n_params, derivative=lambda t, x, k: sched.terms[k]
+        ),
+        channels=model.channels,
+        dimension=model.dimension,
+    )
+
+
+class TestCompiled:
+    def test_presets_match_textbook_oracle(self):
+        # companion to criterion 9 for the compiled S: each storage against the oracle
+        rng = np.random.default_rng(7)
+        x = np.array([0.8, -0.6])
+        for n in (1, 2, 3, 4, 5):
+            for gamma in (0.0, 0.3):
+                for sparse in (False, True):
+                    model = preset_oat(n, gamma, sparse=sparse)
+                    assert isinstance(model.hamiltonian, LinearSchedule) and model.superoperator is not None
+                    assert max(_oracle_errors(model, x, rng)) < 1e-12
+                    assert _commutator_errors(model, x, rng) < 1e-12
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_explicit_model_groups_terms_and_matches_oracle(self, sparse):
+        model = _explicit_model(sparse)
+        sched = model.hamiltonian
+        assert isinstance(sched, LinearSchedule) and model.n_params == 2
+        assert model.channels[1].local is None and model.superoperator is not None
+        expect_1 = collective_sx(3) + embed_single(PAULI_Y, 2, 3)
+        assert np.allclose(to_dense(sched.terms[1]), expect_1, rtol=0.0, atol=1e-15)
+        x = np.array([0.45, -1.2])
+        rng = np.random.default_rng(8)
+        assert max(_oracle_errors(model, x, rng)) < 1e-12
+        assert _commutator_errors(model, x, rng) < 1e-12
+
+    def test_missing_parameter_index_is_a_zero_term(self):
+        term = {"coefficient": "param:1", "matrix": operator_to_json(PAULI_X)}
+        obj = {"dimension": 2, "hamiltonian": {"kind": "explicit", "terms": [term]}}
+        model = model_from_json(obj)
+        assert model.n_params == 2 and not np.any(model.hamiltonian.terms[0])
+        assert np.array_equal(rhs_parameter_derivative(0.0, np.eye(2) / 2, model, np.zeros(2), 0), np.zeros((2, 2)))
+
+    def test_model_above_the_cap_takes_the_sandwich_with_equal_results(self, monkeypatch):
+        import lindbladiff.model as model_module
+
+        x = np.array([0.8, -0.6])
+        rho = random_density(np.random.default_rng(10), 16)
+        compiled = preset_oat(4, 0.3)
+        assert compiled.superoperator is not None  # built on first use, before the cap drops
+        monkeypatch.setattr(model_module, "COMPILE_MAX_NNZ", 0)
+        capped = preset_oat(4, 0.3)
+        assert capped.superoperator is None
+        for got, expect in (
+            (lindblad_rhs(0.2, rho, capped, x), lindblad_rhs(0.2, rho, compiled, x)),
+            (adjoint_liouvillian_apply(capped, x, 0.2, rho), adjoint_liouvillian_apply(compiled, x, 0.2, rho)),
+            (rhs_parameter_derivative(0.2, rho, capped, x, 1), rhs_parameter_derivative(0.2, rho, compiled, x, 1)),
+        ):
+            assert np.max(np.abs(got - expect)) < 1e-12
+
+    def test_cap_sits_between_eight_and_nine_qubits(self):
+        assert preset_oat(9, 0.1, sparse=True).superoperator is None
+
+    def test_memo_follows_the_bytes_of_x(self):
+        model = preset_oat(3, 0.2)
+        rho = random_density(np.random.default_rng(11), 8)
+        x = np.array([0.8, -0.6])
+        first = lindblad_rhs(0.0, rho, model, x)
+        x[0] = 1.3  # mutated in place: the next call must not reuse S(0.8, -0.6)
+        second = lindblad_rhs(0.0, rho, model, x)
+        fresh = preset_oat(3, 0.2)
+        assert np.array_equal(second, lindblad_rhs(0.0, rho, fresh, np.array([1.3, -0.6])))
+        adjoint = adjoint_liouvillian_apply(model, x, 0.0, rho)
+        assert np.array_equal(adjoint, adjoint_liouvillian_apply(fresh, x, 0.0, rho))
+        assert not np.allclose(first, second)
+        x[0] = 0.8
+        assert np.array_equal(lindblad_rhs(0.0, rho, model, x), first)
+
+    def test_qfi_reports_repeat_bit_for_bit_across_parameter_changes(self):
+        from lindbladiff.qfi import generator_from_preset, qfi_of_params
+        from lindbladiff.solver import SolveConfig
+
+        model = preset_oat(3, 0.1)
+        g = generator_from_preset("Sz", 3)
+        rho0 = all_zero_density(3)
+        cfg = SolveConfig(rtol=1e-8, atol=1e-10)
+        x1, x2 = np.array([0.8, 0.6]), np.array([-0.4, 1.1])
+
+        def report(m, x):
+            rep = qfi_of_params(m, x, rho0, (0.0, 1.0), g, cfg, want_gradient=True)
+            return rep.value, rep.gradient.tobytes(), rep.to_json()
+
+        first = report(model, x1)
+        report(model, x2)
+        assert report(model, x1) == first
+        assert report(preset_oat(3, 0.1), x1) == first
+
+
+class TestInputChecks:
+    """Compiled and sandwich models reject the same malformed input."""
+
+    @pytest.fixture(params=["compiled", "sandwich"])
+    def model(self, request):
+        model = preset_oat(2, 0.3)
+        return model if request.param == "compiled" else _sandwich_twin(model)
+
+    def test_rhs_rejects_non_finite_state(self, model):
+        bad = np.full((4, 4), np.nan, dtype=complex)
+        with pytest.raises(ValidationError):
+            lindblad_rhs(0.0, bad, model, np.zeros(2))
+
+    def test_every_entry_point_rejects_a_wrong_shape(self, model):
+        wrong = np.eye(2, dtype=complex)
+        with pytest.raises(ShapeMismatchError):
+            lindblad_rhs(0.0, wrong, model, np.zeros(2))
+        with pytest.raises(ShapeMismatchError):
+            rhs_parameter_derivative(0.0, wrong, model, np.zeros(2), 0)
+        with pytest.raises(ValidationError):
+            adjoint_liouvillian_apply(model, np.zeros(2), 0.0, wrong)
+
+    @pytest.mark.parametrize("x", [np.zeros(1), np.zeros(3)])
+    def test_rhs_rejects_a_wrong_parameter_count(self, model, x):
+        with pytest.raises(ValidationError):
+            lindblad_rhs(0.0, np.eye(4, dtype=complex) / 4, model, x)
+
+    @pytest.mark.parametrize("k", [-1, 2])
+    def test_parameter_index_out_of_range(self, model, k):
+        with pytest.raises(ValidationError):
+            rhs_parameter_derivative(0.0, np.eye(4, dtype=complex) / 4, model, np.zeros(2), k)
+
+    def test_linear_schedule_rejects_non_hermitian_terms(self):
+        with pytest.raises(ValidationError):
+            LinearSchedule(terms=(PAULI_Z, LOWERING))
+        with pytest.raises(ValidationError):
+            LinearSchedule(terms=(PAULI_Z,), constant=as_sparse(LOWERING))
+        with pytest.raises(ValidationError):
+            LinearSchedule(terms=())
+
+    def test_time_dependent_schedule_takes_the_sandwich(self):
+        rng = np.random.default_rng(12)
+        model = _random_model(rng, 2, 2)
+        assert model.superoperator is None
+        assert max(_oracle_errors(model, np.array([0.7, -0.4]), rng)) < 1e-12
 
 
 class TestRhs:

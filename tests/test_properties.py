@@ -16,7 +16,7 @@ from oracles import lindblad_reference
 from lindbladiff.eigen import eig_vjp, eigh
 from lindbladiff.errors import GaugeDependenceError
 from lindbladiff.linalg import to_dense
-from lindbladiff.model import HamiltonianSchedule, JumpChannel, LindbladModel, lindblad_rhs
+from lindbladiff.model import HamiltonianSchedule, JumpChannel, LindbladModel, LinearSchedule, lindblad_rhs
 from lindbladiff.sensitivity import adjoint_liouvillian_apply
 from lindbladiff.spins import as_sparse, embed_single
 
@@ -33,20 +33,39 @@ def _complex(draw, d):
     return re + 1j * im
 
 
-def _case(draw, d, rates, ops):
-    """(model, t, rho, lam, scale) for the given channels, two operands and a bound on |L|."""
-    wrap = as_sparse if draw(st.booleans()) else (lambda m: m)
+def _hermitian(draw, d):
     a = _complex(draw, d)
-    h = 0.5 * (a + a.conj().T)
-    h_op = wrap(h)
-    model = LindbladModel(
-        hamiltonian=HamiltonianSchedule(evaluate=lambda t, x: h_op, n_params=0),
-        channels=tuple(JumpChannel(rate=g, operator=wrap(j)) for g, j in zip(rates, ops)),
-        dimension=d,
-    )
-    scale = 2.0 * np.linalg.norm(h) + 2.0 * sum(g * np.linalg.norm(j) ** 2 for g, j in zip(rates, ops))
+    return 0.5 * (a + a.conj().T)
+
+
+def _case(draw, d, rates, ops, linear=False):
+    """(model, t, x, rho, lam, scale) for the given channels, two operands and a bound on |L|.
+
+    The Hamiltonian is a fixed H behind a callable schedule (the sandwich
+    kernel), or with ``linear`` a LinearSchedule A_0 + sum_k x_k A_k with
+    zero to two parameters and random x (the compiled superoperator).
+    """
+    wrap = as_sparse if draw(st.booleans()) else (lambda m: m)
+    channels = tuple(JumpChannel(rate=g, operator=wrap(j)) for g, j in zip(rates, ops))
+    scale = 2.0 * sum(g * np.linalg.norm(j) ** 2 for g, j in zip(rates, ops))
+    if linear:
+        n_params = draw(st.integers(0, 2))
+        constant = _hermitian(draw, d) if n_params == 0 or draw(st.booleans()) else None
+        terms = [_hermitian(draw, d) for _ in range(n_params)]
+        x = np.array([draw(_ENTRY) for _ in range(n_params)])
+        hamiltonian = LinearSchedule(
+            terms=tuple(map(wrap, terms)), constant=None if constant is None else wrap(constant)
+        )
+        scale += 2.0 * sum(abs(c) * np.linalg.norm(a) for c, a in zip([1.0, *x], [constant, *terms]) if a is not None)
+    else:
+        h = _hermitian(draw, d)
+        h_op = wrap(h)
+        x = np.zeros(0)
+        hamiltonian = HamiltonianSchedule(evaluate=lambda t, x: h_op, n_params=0)
+        scale += 2.0 * np.linalg.norm(h)
+    model = LindbladModel(hamiltonian=hamiltonian, channels=channels, dimension=d)
     t = draw(st.floats(0.0, 1.0))
-    return model, t, _complex(draw, d), _complex(draw, d), scale
+    return model, t, x, _complex(draw, d), _complex(draw, d), scale
 
 
 # rate 0 exercises the skipped-channel branch
@@ -54,12 +73,12 @@ _RATE = st.sampled_from([0.0, 0.3, 1.0, 2.0])
 
 
 @st.composite
-def cases(draw):
+def cases(draw, linear=False):
     """A random 1-3 qubit model with dense, non-Hermitian jump operators."""
     d = 2 ** draw(st.integers(1, 3))
     n_channels = draw(st.integers(0, 3))
     rates = [draw(_RATE) for _ in range(n_channels)]
-    return _case(draw, d, rates, [_complex(draw, d) for _ in range(n_channels)])
+    return _case(draw, d, rates, [_complex(draw, d) for _ in range(n_channels)], linear=linear)
 
 
 @st.composite
@@ -85,8 +104,7 @@ def local_cases(draw):
 
 
 def _check_pairing(case):
-    model, t, rho, lam, scale = case
-    x = np.zeros(0)
+    model, t, x, rho, lam, scale = case
     forward = np.vdot(lam, lindblad_rhs(t, rho, model, x))  # Tr(lam^dag L(rho))
     backward = np.vdot(adjoint_liouvillian_apply(model, x, t, lam), rho)  # Tr((L^dag lam)^dag rho)
     bound = 1e-12 * scale * np.linalg.norm(lam) * np.linalg.norm(rho)
@@ -96,8 +114,7 @@ def _check_pairing(case):
 def _check_textbook_form(case):
     # an error both directions share can keep the pairing identity intact;
     # this pins each direction separately to the anticommutator form
-    model, t, rho, lam, scale = case
-    x = np.zeros(0)
+    model, t, x, rho, lam, scale = case
     h = to_dense(model.hamiltonian.evaluate(t, x))
     channels = [(ch.rate, to_dense(ch.operator)) for ch in model.channels]
     forward = lindblad_rhs(t, rho, model, x) - lindblad_reference(h, channels, rho)
@@ -110,6 +127,15 @@ def _check_textbook_form(case):
 @given(cases())
 def test_adjoint_pairing_identity(case):
     _check_pairing(case)
+
+
+@PROPERTY
+@given(cases(linear=True))
+def test_compiled_generator_pairing_and_textbook_form(case):
+    # Tr(lam^dag S rho) == Tr((S^H lam)^dag rho) for the compiled S of a random linear model
+    assert case[0].superoperator is not None
+    _check_pairing(case)
+    _check_textbook_form(case)
 
 
 @PROPERTY
