@@ -525,8 +525,8 @@ def preset_oat(n: int, gamma: float = 0.0, *, sparse: bool = False) -> LindbladM
         raise ValidationError(f"qubit count {n} outside supported range [1, 10]")
     if gamma < 0:
         raise ValidationError(f"gamma {gamma} must be nonnegative")
-    sz = collective_sz(n)
-    terms = (sz @ sz, collective_sx(n))
+    sz2 = np.diag(np.diag(collective_sz(n)).real ** 2).astype(np.complex128)  # Sz is diagonal
+    terms = (sz2, collective_sx(n))
     if sparse:
         terms = tuple(map(as_sparse, terms))
     schedule = LinearSchedule(terms=terms)

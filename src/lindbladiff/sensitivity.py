@@ -11,8 +11,9 @@ with tangents through Re Tr(lambda^dag v).
 The reverse pass is the exact discrete adjoint of the replayed forward
 steps: each checkpoint segment is recomputed forward on the recorded step
 grid, then the stage cotangent recursion runs backward through the same
-stages.  Because replay is bit-identical, the gradient is deterministic
-and does not depend on the checkpoint count.
+stages, with the A and b of the solver's one tableau (``solver.DOPRI5``).
+Because replay is bit-identical, the gradient is deterministic and does not
+depend on the checkpoint count.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from .instrumentation import counters
 from .linalg import to_dense
 from .model import DensityOperator, LindbladModel, _generator_apply, lindblad_rhs, rhs_parameter_derivative
 from .solver import (
-    STAGE_A,
-    STAGE_B,
+    DOPRI5,
     SolveConfig,
     SolveResult,
     dense_segment,
-    dp5_step_detail,
+    rk_stages,
     _adaptive_core,
     _check_inputs,
     _CountedRhs,
@@ -259,29 +259,31 @@ def _reverse_step(
     grad: np.ndarray,
     f: Callable[[float, np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """Exact reverse-mode of one replayed 5th-order step.
+    """Exact reverse-mode of one replayed step of the DOPRI5 tableau.
 
-    Recomputes the six stages, then runs the cotangent recursion
+    Recomputes the s stages, then runs the cotangent recursion
         v_i = h b_i lam + h sum_{j>i} a_ji w_j,   w_i = L^dag(t_i) v_i,
     giving lam_prev = lam + sum_i w_i.  Parameter sensitivities accumulate
     through the stage slopes: dc/dx_k += sum_i <v_i, (dL/dx_k)(t_i) Y_i>.
     """
-    _, _, stage_times, stage_states = dp5_step_detail(f, t_n, y_n, h)
-    ws: list[np.ndarray] = [None] * 6  # type: ignore[list-item]
-    vs: list[np.ndarray] = [None] * 6  # type: ignore[list-item]
-    for i in range(5, -1, -1):
-        v = (h * STAGE_B[i]) * lam
-        for j in range(i + 1, 6):
-            aji = STAGE_A[j, i]
+    _, _, stage_times, stage_states = rk_stages(f, t_n, y_n, h)
+    a, b = DOPRI5.a, DOPRI5.b
+    s = len(b)
+    ws: list[np.ndarray] = [None] * s  # type: ignore[list-item]
+    vs: list[np.ndarray] = [None] * s  # type: ignore[list-item]
+    for i in range(s - 1, -1, -1):
+        v = (h * b[i]) * lam
+        for j in range(i + 1, s):
+            aji = a[j][i]
             if aji != 0.0:
                 v = v + (h * aji) * ws[j]
         vs[i] = v
         ws[i] = adjoint_liouvillian_apply(model, x, stage_times[i], v)
     lam_prev = lam
-    for i in range(6):
-        lam_prev = lam_prev + ws[i]
+    for w in ws:
+        lam_prev = lam_prev + w
     for k in range(grad.shape[0]):
-        for i in range(6):
+        for i in range(s):
             grad[k] += _pair(vs[i], rhs_parameter_derivative(stage_times[i], stage_states[i], model, x, k))
     return lam_prev
 
@@ -302,13 +304,19 @@ def adjoint_gradient(
     then sweeps backward segment by segment: each segment between stored
     checkpoints is replayed on the recorded grid and its steps are
     reverse-differentiated exactly.  Returns dc/dx, the realified dc/d(rho0)
-    (the terminal adjoint state), and dc/dT.
+    (the terminal adjoint state), and dc/dT.  A reused ``result`` must cover
+    ``t_span`` and start from ``rho0``, else ValidationError; that the solve
+    used this model and ``x`` is the caller's responsibility.
     """
     if cost is None:
         raise ValidationError("adjoint_gradient needs a CostCofunction")
     y0, x, t0, t_final = _check_inputs(model, x, rho0, t_span)
     if result is None:
         result = integrate(model, x, y0, (t0, t_final), cfg)
+    elif result.t_span != (t0, t_final):
+        raise ValidationError(f"result covers the span {result.t_span}, not {(t0, t_final)}")
+    elif not np.array_equal(result.checkpoints[0][1], y0):
+        raise ValidationError("result does not start from the given initial state")
 
     rho_t = result.final_state.matrix
     verification = cost.verify(rho_t)

@@ -1,10 +1,11 @@
 """Adaptive integration of the master equation with a checkpoint trail.
 
-The stepper is an embedded Runge--Kutta 5(4) pair (Dormand--Prince
-coefficients, FSAL) operating natively on the complex density matrix, with
-a stabilized PI step-size controller.  Every accepted step time and step
-size is recorded, so any segment between two checkpoints can later be
-replayed on the recorded grid; replay performs the same floating-point
+The stepper is an explicit embedded Runge--Kutta pair on the complex density
+matrix with a stabilized PI step-size controller.  Its one tableau,
+``DOPRI5`` (Dormand--Prince 5(4), FSAL), drives the forward step, segment
+replay and the reverse pass in ``sensitivity``.  Every accepted step time
+and step size is recorded, so any segment between two checkpoints can later
+be replayed on the recorded grid; replay performs the same floating-point
 operations as the original pass and is therefore bit-identical.  Trace is
 never renormalized -- trace drift is reported as a diagnostic instead.
 """
@@ -21,46 +22,46 @@ from .errors import IntegrationError, ValidationError
 from .instrumentation import counters
 from .model import DensityOperator, LindbladModel, lindblad_rhs, validate_hamiltonian
 
-# Dormand-Prince 5(4) tableau.  The 5th-order weights equal the last stage
-# row (FSAL): k7 of an accepted step is k1 of the next.
-_C2, _C3, _C4, _C5, _C6 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0
 
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
-)
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-# 5th-order minus embedded 4th-order weights (error estimator)
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71.0 / 57600.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
+@dataclass(frozen=True)
+class RKTableau:
+    """Explicit embedded Runge--Kutta pair with a first-same-as-last slope.
 
-# stage weights/coupling in array form for the reverse (adjoint) pass
-STAGE_B = np.array([_B1, 0.0, _B3, _B4, _B5, _B6])
-STAGE_A = np.zeros((6, 6))
-STAGE_A[1, 0] = _A21
-STAGE_A[2, :2] = (_A31, _A32)
-STAGE_A[3, :3] = (_A41, _A42, _A43)
-STAGE_A[4, :4] = (_A51, _A52, _A53, _A54)
-STAGE_A[5, :5] = (_A61, _A62, _A63, _A64, _A65)
+    Row i of ``a`` holds a_i0 ... a_i(i-1).  A step forms s stages, y_new =
+    y + h sum_i b_i k_i and the FSAL slope f(t + h, y_new), k_1 of the next
+    step; the error estimate h sum_i e_i k_i (e = b minus the embedded
+    weights) runs over all s + 1 slopes.  ``error_order`` is the embedded
+    order q, and the controller scales steps by err^(-1/(q+1)).
+    """
+
+    c: tuple[float, ...]
+    a: tuple[tuple[float, ...], ...]
+    b: tuple[float, ...]
+    e: tuple[float, ...]
+    error_order: int
+
+
+# Dormand--Prince 5(4): the pair integrated and reverse-differentiated here.
+DOPRI5 = RKTableau(
+    c=(0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0),
+    a=(
+        (),
+        (1.0 / 5.0,),
+        (3.0 / 40.0, 9.0 / 40.0),
+        (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+        (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+        (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
+    ),
+    b=(35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
+    e=(71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0),
+    error_order=4,
+)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_K_EXP = 0.7 / 5.0  # proportional exponent (on the current error)
-_KI_EXP = 0.4 / 5.0  # integral exponent (on the previous error)
+_K_EXP = 0.7 / (DOPRI5.error_order + 1)  # proportional exponent (on the current error)
+_KI_EXP = 0.4 / (DOPRI5.error_order + 1)  # integral exponent (on the previous error)
 _UNDERFLOW = 1e-14
 
 
@@ -140,14 +141,23 @@ def _error_norm(delta: np.ndarray, y: np.ndarray, y_new: np.ndarray, rtol: float
     return _rms(np.abs(delta) / scale)
 
 
-def dp5_step_detail(
+def _combine(weights: tuple[float, ...], slopes: list[np.ndarray]) -> np.ndarray:
+    """sum_j weights[j] * slopes[j], added left to right, zero weights skipped."""
+    acc = None
+    for w, k in zip(weights, slopes):
+        if w != 0.0:
+            acc = w * k if acc is None else acc + w * k
+    return acc
+
+
+def rk_stages(
     f: Callable[[float, np.ndarray], np.ndarray],
     t: float,
     y: np.ndarray,
     h: float,
     k1: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray], list[float], list[np.ndarray]]:
-    """All six stages of one step: (y_new, slopes, stage_times, stage_states).
+    """All DOPRI5 stages of one step: (y_new, slopes, stage_times, stage_states).
 
     This is the single source of the stage arithmetic; the adaptive loop,
     segment replay, and the reverse pass all go through it, so a replayed
@@ -155,36 +165,15 @@ def dp5_step_detail(
     """
     if k1 is None:
         k1 = f(t, y)
-    t2, t3, t4, t5, t6 = t + _C2 * h, t + _C3 * h, t + _C4 * h, t + _C5 * h, t + h
-    y2 = y + h * (_A21 * k1)
-    k2 = f(t2, y2)
-    y3 = y + h * (_A31 * k1 + _A32 * k2)
-    k3 = f(t3, y3)
-    y4 = y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)
-    k4 = f(t4, y4)
-    y5 = y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
-    k5 = f(t5, y5)
-    y6 = y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
-    k6 = f(t6, y6)
-    y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-    return y_new, [k1, k2, k3, k4, k5, k6], [t, t2, t3, t4, t5, t6], [y, y2, y3, y4, y5, y6]
-
-
-def _dp5_step(
-    f: Callable[[float, np.ndarray], np.ndarray],
-    t: float,
-    y: np.ndarray,
-    h: float,
-    k1: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One 5th-order step with error estimate: (y_new, k7, error_estimate).
-
-    k7 = f(t+h, y_new) doubles as k1 of the following step (FSAL).
-    """
-    y_new, ks, _, _ = dp5_step_detail(f, t, y, h, k1)
-    k7 = f(t + h, y_new)
-    delta = h * (_E1 * ks[0] + _E3 * ks[2] + _E4 * ks[3] + _E5 * ks[4] + _E6 * ks[5] + _E7 * k7)
-    return y_new, k7, delta
+    times, states, slopes = [t], [y], [k1]
+    for ci, row in zip(DOPRI5.c[1:], DOPRI5.a[1:]):
+        t_i = t + ci * h
+        y_i = y + h * _combine(row, slopes)
+        times.append(t_i)
+        states.append(y_i)
+        slopes.append(f(t_i, y_i))
+    y_new = y + h * _combine(DOPRI5.b, slopes)
+    return y_new, slopes, times, states
 
 
 def _initial_step(
@@ -205,7 +194,7 @@ def _initial_step(
     f1 = f(t0 + h0, y0 + h0 * f0)
     d2 = _rms(np.abs(f1 - f0) / scale) / h0
     dmax = max(d1, d2)
-    h1 = max(1e-6, h0 * 1e-3) if dmax <= 1e-15 else (0.01 / dmax) ** 0.2
+    h1 = max(1e-6, h0 * 1e-3) if dmax <= 1e-15 else (0.01 / dmax) ** (1.0 / (DOPRI5.error_order + 1))
     return min(100.0 * h0, h1, span)
 
 
@@ -268,14 +257,16 @@ def _adaptive_core(
         last = t + h >= t_final
         if last:
             h = t_final - t
-        y_new, k7, delta = _dp5_step(f, t, y, h, k1)
+        y_new, ks, _, _ = rk_stages(f, t, y, h, k1)
+        k_fsal = f(t + h, y_new)
+        delta = h * _combine(DOPRI5.e, ks + [k_fsal])
         if not np.all(np.isfinite(y_new)) or not np.all(np.isfinite(delta)):
             raise IntegrationError(f"non-finite state produced at t = {t:.6g} with h = {h:.3e}")
         err = _error_norm(delta, y, y_new, cfg.rtol, cfg.atol)
         if err <= 1.0:
             t = t_final if last else t + h
             y = y_new
-            k1 = k7
+            k1 = k_fsal
             accepted += 1
             min_h = min(min_h, h)
             max_h = max(max_h, h)
@@ -433,7 +424,7 @@ def dense_segment(
     for n in range(ia, ib):
         t_n = float(times[n])
         h_n = float(result.step_sizes[n])
-        y, _, _, _ = dp5_step_detail(f, t_n, y, h_n)
+        y, _, _, _ = rk_stages(f, t_n, y, h_n)
         out.append((float(times[n + 1]), y))
     counters.rhs_evaluations += f.calls
     return out

@@ -22,10 +22,9 @@ def embed_single(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """Place a 1-qubit operator on the given qubit of an n-qubit register."""
     if not 0 <= qubit < n:
         raise ValueError(f"qubit index {qubit} outside register of size {n}")
-    out = np.eye(1, dtype=np.complex128)
-    for i in range(n):
-        out = np.kron(out, op if i == qubit else np.eye(2, dtype=np.complex128))
-    return out
+    left = np.eye(2**qubit, dtype=np.complex128)
+    right = np.eye(2 ** (n - 1 - qubit), dtype=np.complex128)
+    return np.kron(np.kron(left, op), right)
 
 
 def collective(op: np.ndarray, n: int) -> np.ndarray:

@@ -471,6 +471,21 @@ class TestPresetOat:
         assert model.channels == ()
         validate_hamiltonian(model, x)
 
+    def test_terms_equal_kronecker_chains_and_products(self):
+        # embed_single and the diagonal Sz^2 against the textbook constructions
+        eye = np.eye(2, dtype=complex)
+        for n in range(1, 6):
+            for op in (PAULI_X, PAULI_Y, PAULI_Z, LOWERING):
+                for q in range(n):
+                    chain = np.eye(1, dtype=complex)
+                    for i in range(n):
+                        chain = np.kron(chain, op if i == q else eye)
+                    assert np.array_equal(embed_single(op, q, n), chain)
+            sz, sx = collective_sz(n), collective_sx(n)
+            sz2, sx_term = preset_oat(n).hamiltonian.terms
+            assert np.array_equal(sz2, sz @ sz) and sz2.dtype == np.complex128
+            assert np.array_equal(sx_term, sx)
+
     def test_dissipative_channels_are_per_qubit_lowering(self):
         model = preset_oat(3, gamma=0.25)
         assert len(model.channels) == 3

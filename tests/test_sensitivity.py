@@ -16,6 +16,8 @@ from lindbladiff.model import (
     preset_oat,
 )
 from lindbladiff.sensitivity import (
+    _pair,
+    _reverse_step,
     CostCofunction,
     GradientResult,
     adjoint_gradient,
@@ -26,8 +28,8 @@ from lindbladiff.sensitivity import (
     realify,
     state_entry_re_cost,
 )
-from lindbladiff.solver import SolveConfig, integrate
-from lindbladiff.spins import PAULI_Z
+from lindbladiff.solver import SolveConfig, _CountedRhs, integrate, rk_stages
+from lindbladiff.spins import PAULI_Z, collective_sx
 
 PLUS = DensityOperator.from_matrix(0.5 * np.array([[1, 1], [1, 1]], dtype=complex))
 TIGHT = SolveConfig(rtol=1e-10, atol=1e-12)
@@ -263,6 +265,23 @@ class TestAdjointGradient:
         assert grad.diagnostics["steps_replayed"] == res.stats.accepted
         assert counters.rhs_evaluations - res.stats.rhs_evaluations == 6 * (res.stats.accepted - segments)
 
+    def test_result_for_another_span_is_rejected(self):
+        model = preset_oat(2, 0.1)
+        x = np.array([0.8, 0.6])
+        rho0 = all_zero_density(2)
+        cost = observable_cost(collective_sx(2))
+        res = integrate(model, x, rho0, (0.0, 1.0))
+        with pytest.raises(ValidationError, match="span"):
+            adjoint_gradient(model, x, rho0, (0.0, 2.0), cost=cost, result=res)
+
+    def test_result_from_another_initial_state_is_rejected(self):
+        model = preset_oat(2, 0.1)
+        x = np.array([0.8, 0.6])
+        cost = observable_cost(collective_sx(2))
+        res = integrate(model, x, all_zero_density(2), (0.0, 1.0))
+        with pytest.raises(ValidationError, match="initial state"):
+            adjoint_gradient(model, x, np.eye(4) / 4, (0.0, 1.0), cost=cost, result=res)
+
     def test_non_hermitian_hamiltonian_rejected_before_any_rhs_call(self):
         # x0 * i*I commutes with every state, so only the boundary check stops the solve
         sched = HamiltonianSchedule(
@@ -302,3 +321,40 @@ class TestAdjointGradient:
         assert d["steps_replayed"] >= d["segments"] >= 1
         assert d["fd_fallback"] is False
         assert "cost_verification" in d
+
+
+class TestReverseStep:
+    """One step y -> Phi(y) of a model with a time-independent generator is
+    linear in y, so the reverse step must be Phi's exact transpose."""
+
+    T_N, H = 0.3, 0.15
+
+    def _model(self):
+        return preset_oat(2, 0.3), np.array([0.8, 0.6])
+
+    def _step(self, model, x, y):
+        return rk_stages(_CountedRhs(model, x), self.T_N, y, self.H)[0]
+
+    def test_is_exact_transpose_of_one_step(self):
+        model, x = self._model()
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            sigma = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            lam = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            lam_prev = _reverse_step(model, x, self.T_N, sigma, self.H, lam, np.zeros(2), _CountedRhs(model, x))
+            forward = _pair(lam, self._step(model, x, sigma))
+            backward = _pair(lam_prev, sigma)
+            assert abs(forward - backward) <= 1e-13 * np.linalg.norm(lam) * np.linalg.norm(sigma)
+
+    def test_parameter_term_matches_central_difference(self):
+        model, x = self._model()
+        rng = np.random.default_rng(12)
+        y = random_density(rng, 4)
+        lam = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        grad = np.zeros(2)
+        _reverse_step(model, x, self.T_N, y, self.H, lam, grad, _CountedRhs(model, x))
+        eps = 1e-5
+        for k in range(2):
+            dx = eps * np.eye(2)[k]
+            fd = (_pair(lam, self._step(model, x + dx, y)) - _pair(lam, self._step(model, x - dx, y))) / (2 * eps)
+            assert grad[k] == pytest.approx(fd, rel=1e-8, abs=1e-11)

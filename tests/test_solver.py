@@ -13,7 +13,7 @@ from lindbladiff.model import (
     all_zero_density,
     preset_oat,
 )
-from lindbladiff.solver import SolveConfig, dense_segment, integrate
+from lindbladiff.solver import DOPRI5, SolveConfig, dense_segment, integrate
 from lindbladiff.spins import PAULI_Z
 from lindbladiff.instrumentation import counters
 
@@ -264,3 +264,84 @@ class TestCostsAndErrors:
         )
         assert b.step_sizes[0] == 1e-3
         assert np.linalg.norm(a.final_state.matrix - b.final_state.matrix) < 1e-7
+
+
+def _rooted_trees(order):
+    """Every rooted tree with ``order`` nodes, as a sorted tuple of its subtrees."""
+    if order == 1:
+        return [()]
+    trees = set()
+    for k in range(1, order):
+        for child in _rooted_trees(k):
+            for rest in _rooted_trees(order - k):
+                trees.add(tuple(sorted(rest + (child,))))
+    return sorted(trees)
+
+
+def _size(tree):
+    return 1 + sum(_size(sub) for sub in tree)
+
+
+def _density(tree):
+    """gamma(t) = |t| prod_i gamma(t_i) over the subtrees t_i."""
+    return _size(tree) * np.prod([_density(sub) for sub in tree])
+
+
+def _stage_weights(tree, a):
+    """Per-stage elementary weights Phi_i(t) = prod over subtrees u of (A Phi(u))_i."""
+    out = np.ones(a.shape[0])
+    for sub in tree:
+        out = out * (a @ _stage_weights(sub, a))
+    return out
+
+
+def _order_residuals(a, b, order):
+    """b . Phi(t) - 1/gamma(t) for every rooted tree t with ``order`` nodes."""
+    return [b @ _stage_weights(t, a) - 1.0 / _density(t) for t in _rooted_trees(order)]
+
+
+class TestTableau:
+    """The shipped pair, as the stepper and the reverse pass read it."""
+
+    def _dense(self):
+        s = len(DOPRI5.b)
+        a = np.zeros((s, s))
+        for i, row in enumerate(DOPRI5.a):
+            assert len(row) == i
+            a[i, :i] = row
+        return np.array(DOPRI5.c), a, np.array(DOPRI5.b), np.array(DOPRI5.e)
+
+    def test_tree_counts(self):
+        assert [len(_rooted_trees(q)) for q in range(1, 6)] == [1, 1, 2, 4, 9]
+
+    def test_weights_satisfy_all_order_conditions_up_to_five(self):
+        _, a, b, _ = self._dense()
+        residuals = [r for q in range(1, DOPRI5.error_order + 2) for r in _order_residuals(a, b, q)]
+        assert len(residuals) == 17
+        assert np.max(np.abs(residuals)) < 1e-14
+
+    def test_embedded_weights_have_the_error_order_on_the_fsal_extension(self):
+        # the stepper's last slope is f(t + h, y + h sum b_j k_j): a seventh
+        # stage at node 1 whose row is b, weighted by e[-1] in the estimate
+        c, a, b, e = self._dense()
+        s = b.shape[0]
+        assert e.shape == (s + 1,)
+        a_ext = np.zeros((s + 1, s + 1))
+        a_ext[:s, :s] = a
+        a_ext[s, :s] = b
+        c_ext = np.append(c, 1.0)
+        assert np.array_equal(a_ext[s, :s], b)
+        assert c_ext[s] == pytest.approx(a_ext[s].sum(), abs=1e-15)
+        embedded = np.append(b, 0.0) - e
+        q = DOPRI5.error_order
+        residuals = [r for p in range(1, q + 1) for r in _order_residuals(a_ext, embedded, p)]
+        assert len(residuals) == 8
+        assert np.max(np.abs(residuals)) < 1e-14
+        # and not one order more: the estimate h sum e_i k_i is O(h^(q+1)), not zero
+        assert np.max(np.abs(_order_residuals(a_ext, embedded, q + 1))) > 1e-6
+
+    def test_nodes_are_row_sums_and_error_weights_sum_to_zero(self):
+        c, a, _, e = self._dense()
+        assert c[0] == 0.0
+        assert np.max(np.abs(a.sum(axis=1) - c)) < 1e-15
+        assert abs(e.sum()) < 1e-15
