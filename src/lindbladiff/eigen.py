@@ -32,6 +32,13 @@ from .errors import (
 #: Eigenvalues closer than this (times max(1, spectral norm)) are clustered.
 DEGENERACY_TOL = 1e-8
 
+#: eigh rejects an input whose anti-Hermitian part exceeds this, relative to its Frobenius norm.
+HERMITIAN_TOL = 1e-9
+
+#: eig_vjp rejects a vector cotangent whose within-cluster gauge component
+#: exceeds this, relative to max(1, its Frobenius norm).
+GAUGE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class EigDecomposition:
@@ -84,11 +91,11 @@ def _cluster_indices(lam: np.ndarray, tol: float) -> tuple[tuple[tuple[int, ...]
     return tuple(clusters), labels
 
 
-def eigh(rho: np.ndarray, *, herm_tol: float = 1e-9, degeneracy_tol: float = DEGENERACY_TOL) -> EigDecomposition:
+def eigh(rho: np.ndarray) -> EigDecomposition:
     """Full spectral decomposition of a Hermitian matrix.
 
     The input is symmetrized as (rho + rho^dag)/2 before decomposition;
-    inputs whose anti-Hermitian part exceeds herm_tol (relative) are
+    inputs whose anti-Hermitian part exceeds HERMITIAN_TOL (relative) are
     rejected.  Output is deterministic: bit-identical across calls for a
     given numpy/LAPACK build and BLAS thread count.
     """
@@ -98,8 +105,8 @@ def eigh(rho: np.ndarray, *, herm_tol: float = 1e-9, degeneracy_tol: float = DEG
     if not np.all(np.isfinite(m)):
         raise ValidationError("eigh received non-finite entries")
     scale = max(float(np.linalg.norm(m)), 1e-300)
-    if float(np.linalg.norm(m - m.conj().T)) > herm_tol * scale:
-        raise ValidationError(f"matrix is not Hermitian to relative tolerance {herm_tol}")
+    if float(np.linalg.norm(m - m.conj().T)) > HERMITIAN_TOL * scale:
+        raise ValidationError(f"matrix is not Hermitian to relative tolerance {HERMITIAN_TOL}")
     sym = 0.5 * (m + m.conj().T)
     lam, vec = np.linalg.eigh(sym)  # LAPACK: eigenvalues ascending
     # phase gauge: largest-magnitude entry real positive, ties by lowest row
@@ -109,7 +116,7 @@ def eigh(rho: np.ndarray, *, herm_tol: float = 1e-9, degeneracy_tol: float = DEG
         mag = abs(col[idx])
         vec[:, j] = col * (np.conj(col[idx]) / mag)
         vec[idx, j] = mag
-    tol = degeneracy_tol * max(1.0, float(np.max(np.abs(lam))) if lam.size else 0.0)
+    tol = DEGENERACY_TOL * max(1.0, float(np.max(np.abs(lam))) if lam.size else 0.0)
     clusters, labels = _cluster_indices(lam, tol)
     return EigDecomposition(
         eigenvalues=lam,
@@ -262,8 +269,6 @@ def eig_vjp(
     decomp: EigDecomposition,
     value_cotangent: np.ndarray | None = None,
     vector_cotangent: np.ndarray | None = None,
-    *,
-    gauge_tol: float = 1e-8,
 ) -> np.ndarray:
     """Pull eigenvalue/eigenvector cotangents back to a Hermitian d(cost)/d(rho).
 
@@ -279,7 +284,7 @@ def eig_vjp(
 
     A vector cotangent with a within-cluster gauge component (phase
     sensitivity, or rotation sensitivity inside a degenerate cluster)
-    beyond gauge_tol raises GaugeDependenceError: such a cost is not a
+    beyond GAUGE_TOL raises GaugeDependenceError: such a cost is not a
     well-defined function of rho.
     """
     d = decomp.dimension
@@ -298,7 +303,7 @@ def eig_vjp(
         if c_vec.shape != (d, d):
             raise ValidationError(f"vector cotangent shape {c_vec.shape} != ({d}, {d})")
         b = V.conj().T @ c_vec
-        gauge_scale = gauge_tol * max(1.0, float(np.linalg.norm(c_vec)))
+        gauge_scale = GAUGE_TOL * max(1.0, float(np.linalg.norm(c_vec)))
         for cl in decomp.clusters:
             idx = np.array(cl)
             block = b[np.ix_(idx, idx)]

@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 from scipy import sparse
 
-from .errors import ShapeMismatchError, ValidationError
+from .errors import ValidationError
 
 Dense = np.ndarray
 Sparse = sparse.csr_array
@@ -75,14 +75,6 @@ def csr_from_triplets(rows: int, cols: int, triplets) -> Sparse:
     return out
 
 
-def matmul(a: Operator, b: Dense) -> Dense:
-    """Product of an operator (dense or sparse) with a dense matrix."""
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError("matmul", a.shape, b.shape)
-    out = a @ b
-    return np.asarray(out)
-
-
 def hermitian_adjoint(a: Operator) -> Operator:
     """Conjugate transpose, preserving the storage variant."""
     if is_sparse(a):
@@ -95,13 +87,6 @@ def trace(a: Dense) -> complex:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"trace requires a square matrix, got shape {a.shape}")
     return complex(np.trace(a))
-
-
-def frobenius_distance(a: Dense, b: Dense) -> float:
-    """sqrt(sum |a_ij - b_ij|^2); zero iff the matrices are equal."""
-    if a.shape != b.shape:
-        raise ShapeMismatchError("frobenius_distance", a.shape, b.shape)
-    return float(np.linalg.norm(a - b))
 
 
 def to_dense(op: Operator) -> Dense:

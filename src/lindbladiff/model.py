@@ -8,21 +8,21 @@ The generator acts on density matrices as
 with a Hermitian, time- and parameter-dependent Hamiltonian H and fixed jump
 channels (gamma_j, J_j).  A declared LinearSchedule H(x) = A_0 + sum_k x_k A_k
 (preset_oat and explicit JSON models use one) compiles the generator once per
-model, on first use, to a row-major CSR superoperator S(x) = S_0 + sum_k x_k S_k
-with S_0 and every S_k on one pattern: L is one SpMV with S(x), L^dag one with
-S(x)^H and dL/dx_k one with S_k.  Callable schedules, and linear models whose
-Kronecker terms count more than COMPILE_MAX_NNZ entries (preset_oat from
-n = 9 on), apply the generator in effective-Hamiltonian form
-L(rho) = -i (H_eff rho - rho H_eff^dag) + sum_j gamma_j J_j rho J_j^dag with
-H_eff = H - iK, K = (1/2) sum_j gamma_j J_j^dag J_j: L^dag and dL/dx_k are the
-same sandwich kernel with other operands.  A jump operator that acts on one
-qubit, J = I (x) a (x) I with a 2x2 factor a of at most two nonzero entries
-(sigma_+/-, sigma_x/y/z, the projectors; every preset channel), is detected
-once per JumpChannel, adds its J^dag J to K in O(d^2), and is applied by the
-kernel as O(d^2) block copies on the qubit tensor view of the state; every
-other J takes two dense or sparse products.  The right-hand side is
-evaluated on raw complex matrices: intermediate integrator stages
-legitimately violate trace and positivity, so state invariants are only
+model, on first use, to S_0 and S_k, each a row-major CSR superoperator on its
+own pattern; S(x) = S_0 + sum_k x_k S_k is their sparse sum, formed once per x:
+L is one SpMV with S(x), L^dag one with S(x)^H and dL/dx_k one with S_k.
+Callable schedules, and linear models whose Kronecker terms count more than
+COMPILE_MAX_NNZ entries (preset_oat from n = 9 on), apply the generator in
+effective-Hamiltonian form L(rho) = -i (H_eff rho - rho H_eff^dag) + sum_j
+gamma_j J_j rho J_j^dag with H_eff = H - iK, K = (1/2) sum_j gamma_j J_j^dag
+J_j: L^dag and dL/dx_k are the same sandwich kernel with other operands.  A
+jump operator that acts on one qubit, J = I (x) a (x) I with a 2x2 factor a of
+at most two nonzero entries (sigma_+/-, sigma_x/y/z, the projectors; every
+preset channel), is detected once per JumpChannel, adds its J^dag J to K in
+O(d^2), and is applied by the kernel as O(d^2) block copies on the qubit tensor
+view of the state; every other J takes two dense or sparse products.  The
+right-hand side is evaluated on raw complex matrices: intermediate integrator
+stages legitimately violate trace and positivity, so state invariants are only
 enforced on accepted states via DensityOperator.
 """
 
@@ -42,6 +42,10 @@ from .spins import LOWERING, all_zero_state, as_sparse, collective_sx, collectiv
 
 #: Step used by the central-difference fallback for dH/dx_k, scaled by max(1, |x_k|).
 FD_FALLBACK_STEP = 1e-6
+
+#: Largest anti-Hermitian part a Hamiltonian operand may have, in Frobenius norm
+#: relative to max(1, its norm).
+HERMITIAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,11 +83,6 @@ class DensityOperator:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-
-def purity(rho: np.ndarray) -> float:
-    """Tr(rho^2), real part."""
-    return float(np.trace(rho @ rho).real)
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ def _check_hermitian(op: Operator, what: str, path: str | None = None) -> None:
         defect, scale = np.linalg.norm((op - op.conj().T).data), np.linalg.norm(op.data)
     else:
         defect, scale = linalg.hermiticity_defect(op), np.linalg.norm(op)
-    if defect > 1e-12 * max(1.0, float(scale)):
+    if defect > HERMITIAN_TOL * max(1.0, float(scale)):
         raise ValidationError(f"{what} is not Hermitian", path=path)
 
 
@@ -324,73 +323,38 @@ def _coherent_super(a: Operator, eye: sparse.csr_array) -> sparse.csr_array:
     return -1j * (sparse.kron(a, eye, format="csr") - sparse.kron(eye, a.conj(), format="csr"))
 
 
-def _structure(a: sparse.csr_array) -> sparse.csr_array:
-    return sparse.csr_array((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
-
-
-def _row_major_keys(a: sparse.csr_array) -> np.ndarray:
-    """row * ncols + col of every stored entry; increasing for a canonical CSR."""
-    rows = np.repeat(np.arange(a.shape[0], dtype=np.int64), np.diff(a.indptr))
-    return rows * a.shape[1] + a.indices
-
-
 class Superoperator:
     """Row-major generator S(x) = S_0 + sum_k x_k S_k of a model with a LinearSchedule.
 
     With vec(X) = X.ravel(), vec(A X B) = (A (x) B^T) vec(X), so
     S_0 = -i (H_eff,0 (x) I - I (x) conj(H_eff,0)) + sum_j gamma_j J_j (x) conj(J_j)
-    with H_eff,0 = A_0 - iK, and S_k = -i (A_k (x) I - I (x) conj(A_k)).  S_0 and
-    every S_k are stored as data arrays on one CSR pattern, so S(x) is an O(nnz)
-    combination of them; S(x)^H, the adjoint generator, reorders that data
-    along the pattern's transpose, found once.  ``at`` keeps the last
-    (x, S(x), S(x)^H), keyed on the exact bytes of x, so the forward, replay and
-    reverse passes of a solve share one S.
+    with H_eff,0 = A_0 - iK, and S_k = -i (A_k (x) I - I (x) conj(A_k)).  ``base``
+    (S_0) and each of ``derivatives`` (S_k) is one canonical CSR on its own
+    pattern.  ``at`` forms S(x) as the sparse sum ((S_0 + x_1 S_1) + x_2 S_2) ...
+    and S(x)^H, the adjoint generator, by conjugate transposition; it keeps the
+    last (x, S(x), S(x)^H), keyed on the exact bytes of x, so the forward,
+    replay and reverse passes of a solve share one S.
     """
 
-    def __init__(self, base: sparse.csr_array, slopes: Sequence[sparse.csr_array]):
-        parts = [base, *slopes]
-        for part in parts:
+    def __init__(self, base: sparse.csr_array, derivatives: Sequence[sparse.csr_array]):
+        for part in (base, *derivatives):
             part.sum_duplicates()  # canonical: sorted column indices, no duplicates
-        # the union pattern is the (canonical) sum of the parts' structures
-        union = sum(map(_structure, parts[1:]), _structure(base))
-        self.indices, self.indptr = union.indices, union.indptr
-        keys = _row_major_keys(union)
-        data = []
-        for part in parts:
-            on_pattern = np.zeros(union.nnz, dtype=np.complex128)
-            on_pattern[np.searchsorted(keys, _row_major_keys(part))] = part.data
-            data.append(on_pattern)
-        self.base, self.slopes = data[0], tuple(data[1:])
-        # S^T on its own CSR pattern, holding the position in S of each entry
-        order = np.arange(union.nnz, dtype=self.indices.dtype)
-        transpose = sparse.csr_array((order, self.indices, self.indptr), shape=union.shape).T.tocsr()
-        self.adjoint_order, self.adjoint_indices, self.adjoint_indptr = (
-            transpose.data,
-            transpose.indices,
-            transpose.indptr,
-        )
-        # S_k on its own, sparser pattern for dL/dx_k
-        self.derivatives = tuple(slopes)
+        self.base, self.derivatives = base, tuple(derivatives)
         self._memo: tuple = (None, None, None)
-
-    def _csr(self, data: np.ndarray, *, adjoint: bool = False) -> sparse.csr_array:
-        n = len(self.indptr) - 1
-        pattern = (self.adjoint_indices, self.adjoint_indptr) if adjoint else (self.indices, self.indptr)
-        return sparse.csr_array((data, *pattern), shape=(n, n))
 
     def at(self, x: np.ndarray) -> tuple[sparse.csr_array, sparse.csr_array]:
         """(S(x), S(x)^H); x must hold one value per parameter."""
         x = np.ascontiguousarray(x, dtype=np.float64)
-        if x.shape != (len(self.slopes),):
-            raise ValidationError(f"parameter vector shape {x.shape} != ({len(self.slopes)},)")
+        if x.shape != (len(self.derivatives),):
+            raise ValidationError(f"parameter vector shape {x.shape} != ({len(self.derivatives)},)")
         key = x.tobytes()
         # read and replaced as one tuple, so a concurrent caller sees a whole entry
         memo = self._memo
         if memo[0] != key:
-            data = self.base.copy()
-            for xk, slope in zip(x, self.slopes):
-                data += xk * slope
-            memo = (key, self._csr(data), self._csr(data[self.adjoint_order].conj(), adjoint=True))
+            s = self.base
+            for xk, sk in zip(x, self.derivatives):
+                s = s + xk * sk
+            memo = (key, s, s.conj().T.tocsr())
             self._memo = memo
         return memo[1], memo[2]
 
@@ -503,14 +467,14 @@ def rhs_parameter_derivative(
     return (compiled.derivatives[k] @ rho.ravel()).reshape(rho.shape)
 
 
-def validate_hamiltonian(model: LindbladModel, x: np.ndarray, t: float = 0.0, tol: float = 1e-12) -> None:
-    """Check that H(t, x) is Hermitian to tolerance; raises ValidationError."""
+def validate_hamiltonian(model: LindbladModel, x: np.ndarray, t: float = 0.0) -> None:
+    """Check that H(t, x) is Hermitian to HERMITIAN_TOL; raises ValidationError."""
     h = linalg.to_dense(model.hamiltonian.evaluate(t, x))
     if h.shape != (model.dimension, model.dimension):
         raise ShapeMismatchError("hamiltonian", h.shape, (model.dimension, model.dimension))
     scale = max(1.0, float(np.linalg.norm(h)))
-    if linalg.hermiticity_defect(h) > tol * scale:
-        raise ValidationError(f"H(t={t}, x) is not Hermitian to {tol}")
+    if linalg.hermiticity_defect(h) > HERMITIAN_TOL * scale:
+        raise ValidationError(f"H(t={t}, x) is not Hermitian to {HERMITIAN_TOL}")
 
 
 def preset_oat(n: int, gamma: float = 0.0, *, sparse: bool = False) -> LindbladModel:

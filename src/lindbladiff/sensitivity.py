@@ -39,6 +39,10 @@ from .solver import (
     integrate,
 )
 
+#: Central-difference step and relative tolerance of CostCofunction.verify.
+VERIFY_FD_STEP = 1e-6
+VERIFY_REL_TOL = 1e-5
+
 __all__ = [
     "realify",
     "complexify",
@@ -101,7 +105,7 @@ class CostCofunction:
             )
         return dre + 1j * dim
 
-    def verify(self, rho: np.ndarray, *, fd_step: float = 1e-6, rel_tol: float = 1e-5) -> dict:
+    def verify(self, rho: np.ndarray) -> dict:
         """Directional finite-difference check of the gradient rule at rho.
 
         Probe directions preserve the spectrum's validity: a commutator
@@ -124,6 +128,7 @@ class CostCofunction:
         # evaluation error amplified by the step) plus h^2 truncation; below
         # that floor the comparison is uninformative, so a verdict needs the
         # disagreement to exceed both the relative tolerance and the floor.
+        fd_step = VERIFY_FD_STEP
         cost_scale = max(1.0, abs(self.evaluate(rho)))
         fd_floor = cost_scale * (1e-13 / fd_step + fd_step**2)
         checks = []
@@ -137,13 +142,13 @@ class CostCofunction:
                 self.evaluate(rho + fd_step * direction) - self.evaluate(rho - fd_step * direction)
             ) / (2.0 * fd_step)
             scale = max(abs(analytic), abs(fd))
-            if scale > 1e-9 and abs(analytic - fd) > rel_tol * scale + fd_floor:
+            if scale > 1e-9 and abs(analytic - fd) > VERIFY_REL_TOL * scale + fd_floor:
                 raise CostGradientError(
                     f"gradient rule of cost {self.name!r} disagrees with finite differences: "
                     f"directional derivative {analytic:.10g} vs FD {fd:.10g}"
                 )
             checks.append({"analytic": analytic, "fd": fd})
-        return {"probes": checks, "fd_step": fd_step, "rel_tol": rel_tol}
+        return {"probes": checks, "fd_step": fd_step, "rel_tol": VERIFY_REL_TOL}
 
 
 def state_entry_re_cost(i: int, j: int) -> CostCofunction:
@@ -266,7 +271,7 @@ def _reverse_step(
     giving lam_prev = lam + sum_i w_i.  Parameter sensitivities accumulate
     through the stage slopes: dc/dx_k += sum_i <v_i, (dL/dx_k)(t_i) Y_i>.
     """
-    _, _, stage_times, stage_states = rk_stages(f, t_n, y_n, h)
+    _, stage_times, stage_states = rk_stages(f, t_n, y_n, h)
     a, b = DOPRI5.a, DOPRI5.b
     s = len(b)
     ws: list[np.ndarray] = [None] * s  # type: ignore[list-item]
@@ -304,15 +309,19 @@ def adjoint_gradient(
     then sweeps backward segment by segment: each segment between stored
     checkpoints is replayed on the recorded grid and its steps are
     reverse-differentiated exactly.  Returns dc/dx, the realified dc/d(rho0)
-    (the terminal adjoint state), and dc/dT.  A reused ``result`` must cover
-    ``t_span`` and start from ``rho0``, else ValidationError; that the solve
-    used this model and ``x`` is the caller's responsibility.
+    (the terminal adjoint state), and dc/dT.  A reused ``result`` must be a
+    solve of this model at this ``x`` that covers ``t_span`` and starts from
+    ``rho0``, else ValidationError.
     """
     if cost is None:
         raise ValidationError("adjoint_gradient needs a CostCofunction")
     y0, x, t0, t_final = _check_inputs(model, x, rho0, t_span)
     if result is None:
         result = integrate(model, x, y0, (t0, t_final), cfg)
+    elif result.model is not model:
+        raise ValidationError("result was integrated with another model")
+    elif not np.array_equal(result.x, x):
+        raise ValidationError(f"result was integrated at x = {result.x}, not {x}")
     elif result.t_span != (t0, t_final):
         raise ValidationError(f"result covers the span {result.t_span}, not {(t0, t_final)}")
     elif not np.array_equal(result.checkpoints[0][1], y0):

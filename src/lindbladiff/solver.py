@@ -126,6 +126,8 @@ class SolveResult:
     stats: SolveStats
     t_span: tuple[float, float]
     config: SolveConfig
+    x: np.ndarray  # a copy of the checked parameter vector the solve used
+    model: LindbladModel
 
     @property
     def accepted_steps(self) -> int:
@@ -156,12 +158,14 @@ def rk_stages(
     y: np.ndarray,
     h: float,
     k1: np.ndarray | None = None,
-) -> tuple[np.ndarray, list[np.ndarray], list[float], list[np.ndarray]]:
-    """All DOPRI5 stages of one step: (y_new, slopes, stage_times, stage_states).
+) -> tuple[list[np.ndarray], list[float], list[np.ndarray]]:
+    """All DOPRI5 stages of one step: (slopes, stage_times, stage_states).
 
     This is the single source of the stage arithmetic; the adaptive loop,
     segment replay, and the reverse pass all go through it, so a replayed
-    step performs bit-identical floating-point operations.
+    step performs bit-identical floating-point operations.  The step's end
+    state is y + h * _combine(DOPRI5.b, slopes), formed by the callers that
+    need it.
     """
     if k1 is None:
         k1 = f(t, y)
@@ -172,8 +176,7 @@ def rk_stages(
         times.append(t_i)
         states.append(y_i)
         slopes.append(f(t_i, y_i))
-    y_new = y + h * _combine(DOPRI5.b, slopes)
-    return y_new, slopes, times, states
+    return slopes, times, states
 
 
 def _initial_step(
@@ -257,7 +260,8 @@ def _adaptive_core(
         last = t + h >= t_final
         if last:
             h = t_final - t
-        y_new, ks, _, _ = rk_stages(f, t, y, h, k1)
+        ks, _, _ = rk_stages(f, t, y, h, k1)
+        y_new = y + h * _combine(DOPRI5.b, ks)
         k_fsal = f(t + h, y_new)
         delta = h * _combine(DOPRI5.e, ks + [k_fsal])
         if not np.all(np.isfinite(y_new)) or not np.all(np.isfinite(delta)):
@@ -381,6 +385,8 @@ def integrate(
         stats=stats,
         t_span=(t0, t_final),
         config=cfg,
+        x=x.copy(),
+        model=model,
     )
 
 
@@ -424,7 +430,8 @@ def dense_segment(
     for n in range(ia, ib):
         t_n = float(times[n])
         h_n = float(result.step_sizes[n])
-        y, _, _, _ = rk_stages(f, t_n, y, h_n)
+        ks, _, _ = rk_stages(f, t_n, y, h_n)
+        y = y + h_n * _combine(DOPRI5.b, ks)
         out.append((float(times[n + 1]), y))
     counters.rhs_evaluations += f.calls
     return out

@@ -1,0 +1,53 @@
+"""The benchmark's tracer (perfbench/tracing.py) binds to names in the package.
+
+It patches each of its SITES when a run is traced, so a name dropped from the
+package would crash traced runs; these tests catch that here.  The tracer
+module is loaded by path and only read.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _binding(site: str):
+    """The object bound at "module.attr" or "module.Class.attr", or None."""
+    mod_name, attr = site.split(".", 1)
+    owner = importlib.import_module(f"lindbladiff.{mod_name}")
+    *path, name = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part, None)
+    return inspect.getattr_static(owner, name, None)
+
+
+def test_every_site_resolves_to_a_callable():
+    tracing = _load_tracing()
+    sites = [f"{m}.{a}" for m, a, _ in tracing.SITES] + list(tracing.ROOT_ATTRS)
+    missing = [site for site in sites if _binding(site) is None]
+    assert missing == []
+    for site in sites:
+        raw = _binding(site)
+        assert callable(raw.__func__ if isinstance(raw, classmethod) else raw), site
+
+
+def test_install_patches_and_uninstall_restores_every_site():
+    tracing = _load_tracing()
+    sites = [f"{m}.{a}" for m, a, _ in tracing.SITES]
+    before = {site: _binding(site) for site in sites}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert all(_binding(site) is not before[site] for site in sites)
+    finally:
+        tracer.uninstall()
+    assert all(_binding(site) is before[site] for site in sites)

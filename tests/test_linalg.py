@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from lindbladiff.errors import ShapeMismatchError, ValidationError
+from lindbladiff.errors import ValidationError
 from lindbladiff.linalg import (
     as_cmatrix,
     csr_from_triplets,
-    frobenius_distance,
     hermitian_adjoint,
     hermiticity_defect,
     is_sparse,
-    matmul,
     operator_from_json,
     operator_to_json,
     to_dense,
@@ -52,21 +50,6 @@ def test_csr_from_triplets_rejects_bad_input():
         csr_from_triplets(2, 2, [[0, 1, 1.0]])
 
 
-def test_matmul_dense_sparse_agree():
-    rng = np.random.default_rng(0)
-    dense = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    trip = [
-        [i, j, dense[i, j].real, dense[i, j].imag] for i in range(4) for j in range(4) if (i + j) % 2
-    ]
-    sp = csr_from_triplets(4, 4, trip)
-    masked = to_dense(sp)
-    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert np.allclose(matmul(sp, b), masked @ b, atol=1e-14)
-    assert isinstance(matmul(sp, b), np.ndarray)
-    with pytest.raises(ShapeMismatchError):
-        matmul(sp, np.ones((3, 3), dtype=complex))
-
-
 def test_hermitian_adjoint_preserves_storage():
     d = np.array([[1 + 2j, 3], [4j, 5]], dtype=complex)
     assert np.array_equal(hermitian_adjoint(d), d.conj().T)
@@ -76,15 +59,10 @@ def test_hermitian_adjoint_preserves_storage():
     assert to_dense(sa)[1, 0] == -1j
 
 
-def test_trace_and_frobenius_distance():
+def test_trace():
     assert trace(np.diag([1j, 2.0])) == pytest.approx(2.0 + 1j)
     with pytest.raises(ValidationError):
         trace(np.ones((2, 3), dtype=complex))
-    a = np.eye(2, dtype=complex)
-    assert frobenius_distance(a, a) == 0.0
-    assert frobenius_distance(a, np.zeros((2, 2))) == pytest.approx(np.sqrt(2.0))
-    with pytest.raises(ShapeMismatchError):
-        frobenius_distance(a, np.eye(3, dtype=complex))
 
 
 def test_hermiticity_defect():

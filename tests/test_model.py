@@ -251,6 +251,14 @@ def _explicit_model(sparse):
     return model_from_json({"dimension": d, "hamiltonian": {"kind": "explicit", "terms": terms}, "channels": channels})
 
 
+def _flatten(values):
+    for v in values:
+        if isinstance(v, (tuple, list)):
+            yield from _flatten(v)
+        else:
+            yield v
+
+
 def _sandwich_twin(model):
     """The same generator behind a callable schedule, which always takes the sandwich kernel."""
     sched = model.hamiltonian
@@ -288,6 +296,41 @@ class TestCompiled:
         rng = np.random.default_rng(8)
         assert max(_oracle_errors(model, x, rng)) < 1e-12
         assert _commutator_errors(model, x, rng) < 1e-12
+
+    def test_at_is_the_sparse_sum_of_terms_stored_once(self):
+        # S_0: a diagonal constant term and one local channel; param 0 (Sx) and
+        # param 2 (a full Hermitian) have entries outside S_0's pattern
+        n, d = 2, 4
+        rng = np.random.default_rng(21)
+        a2 = random_hermitian(rng, d)
+        terms = [
+            {"coefficient": 0.7, "matrix": operator_to_json(collective_sz(n))},
+            {"coefficient": "param:0", "matrix": operator_to_json(collective_sx(n))},
+            {"coefficient": "param:1", "matrix": operator_to_json(as_sparse(collective_sz(n) @ collective_sz(n)))},
+            {"coefficient": "param:2", "matrix": operator_to_json(a2)},
+        ]
+        channels = [{"gamma": 0.3, "matrix": operator_to_json(embed_single(LOWERING, 0, n))}]
+        model = model_from_json({"dimension": d, "hamiltonian": {"kind": "explicit", "terms": terms}, "channels": channels})
+        compiled = model.superoperator
+        # every stored complex entry, before at() fills the memo
+        stored = sum(
+            v.nnz if is_sparse(v) else v.size
+            for v in _flatten(vars(compiled).values())
+            if is_sparse(v) or (isinstance(v, np.ndarray) and np.iscomplexobj(v))
+        )
+        assert stored == compiled.base.nnz + sum(part.nnz for part in compiled.derivatives)
+        base = compiled.base.toarray()
+        parts = [part.toarray() for part in compiled.derivatives]
+        eye = np.eye(d)
+        assert np.allclose(parts[2], -1j * (np.kron(a2, eye) - np.kron(eye, a2.conj())), rtol=0.0, atol=1e-15)
+        assert np.any((parts[0] != 0) & (base == 0)) and np.any((parts[2] != 0) & (base == 0))
+        x = np.array([0.0, -0.0, -0.7])
+        s, s_adjoint = compiled.at(x)
+        expect = base
+        for xk, part in zip(x, parts):
+            expect = expect + xk * part
+        assert np.array_equal(s.toarray(), expect)
+        assert np.array_equal(s_adjoint.toarray(), expect.conj().T)
 
     def test_missing_parameter_index_is_a_zero_term(self):
         term = {"coefficient": "param:1", "matrix": operator_to_json(PAULI_X)}

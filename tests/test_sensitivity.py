@@ -28,7 +28,7 @@ from lindbladiff.sensitivity import (
     realify,
     state_entry_re_cost,
 )
-from lindbladiff.solver import SolveConfig, _CountedRhs, integrate, rk_stages
+from lindbladiff.solver import DOPRI5, SolveConfig, _combine, _CountedRhs, integrate, rk_stages
 from lindbladiff.spins import PAULI_Z, collective_sx
 
 PLUS = DensityOperator.from_matrix(0.5 * np.array([[1, 1], [1, 1]], dtype=complex))
@@ -274,6 +274,22 @@ class TestAdjointGradient:
         with pytest.raises(ValidationError, match="span"):
             adjoint_gradient(model, x, rho0, (0.0, 2.0), cost=cost, result=res)
 
+    def test_result_for_another_x_is_rejected(self):
+        model = preset_oat(2, 0.1)
+        rho0 = all_zero_density(2)
+        cost = observable_cost(collective_sx(2))
+        res = integrate(model, np.array([0.8, -0.6]), rho0, (0.0, 1.0))
+        with pytest.raises(ValidationError, match="integrated at x"):
+            adjoint_gradient(model, np.array([0.8, 0.6]), rho0, (0.0, 1.0), cost=cost, result=res)
+
+    def test_result_from_another_model_is_rejected(self):
+        x = np.array([0.8, 0.6])
+        rho0 = all_zero_density(2)
+        cost = observable_cost(collective_sx(2))
+        res = integrate(preset_oat(2, 0.3), x, rho0, (0.0, 1.0))
+        with pytest.raises(ValidationError, match="another model"):
+            adjoint_gradient(preset_oat(2, 0.1), x, rho0, (0.0, 1.0), cost=cost, result=res)
+
     def test_result_from_another_initial_state_is_rejected(self):
         model = preset_oat(2, 0.1)
         x = np.array([0.8, 0.6])
@@ -333,7 +349,8 @@ class TestReverseStep:
         return preset_oat(2, 0.3), np.array([0.8, 0.6])
 
     def _step(self, model, x, y):
-        return rk_stages(_CountedRhs(model, x), self.T_N, y, self.H)[0]
+        slopes, _, _ = rk_stages(_CountedRhs(model, x), self.T_N, y, self.H)
+        return y + self.H * _combine(DOPRI5.b, slopes)
 
     def test_is_exact_transpose_of_one_step(self):
         model, x = self._model()
