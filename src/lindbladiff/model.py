@@ -473,7 +473,8 @@ def validate_hamiltonian(model: LindbladModel, x: np.ndarray, t: float = 0.0) ->
     if h.shape != (model.dimension, model.dimension):
         raise ShapeMismatchError("hamiltonian", h.shape, (model.dimension, model.dimension))
     scale = max(1.0, float(np.linalg.norm(h)))
-    if linalg.hermiticity_defect(h) > HERMITIAN_TOL * scale:
+    # written so that a NaN defect fails too
+    if not linalg.hermiticity_defect(h) <= HERMITIAN_TOL * scale:
         raise ValidationError(f"H(t={t}, x) is not Hermitian to {HERMITIAN_TOL}")
 
 

@@ -11,7 +11,7 @@ with tangents through Re Tr(lambda^dag v).
 The reverse pass is the exact discrete adjoint of the replayed forward
 steps: each checkpoint segment is recomputed forward on the recorded step
 grid, then the stage cotangent recursion runs backward through the same
-stages, with the A and b of the solver's one tableau (``solver.DOPRI5``).
+stages, with the A and b of the solver's one tableau (``solver.DOP853``).
 Because replay is bit-identical, the gradient is deterministic and does not
 depend on the checkpoint count.
 """
@@ -28,7 +28,7 @@ from .instrumentation import counters
 from .linalg import to_dense
 from .model import DensityOperator, LindbladModel, _generator_apply, lindblad_rhs, rhs_parameter_derivative
 from .solver import (
-    DOPRI5,
+    DOP853,
     SolveConfig,
     SolveResult,
     dense_segment,
@@ -264,15 +264,16 @@ def _reverse_step(
     grad: np.ndarray,
     f: Callable[[float, np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """Exact reverse-mode of one replayed step of the DOPRI5 tableau.
+    """Exact reverse-mode of one replayed step of the DOP853 tableau.
 
-    Recomputes the s stages, then runs the cotangent recursion
+    Recomputes the s stage states with s - 1 calls of f (the last stage's
+    slope is never read), then runs the cotangent recursion
         v_i = h b_i lam + h sum_{j>i} a_ji w_j,   w_i = L^dag(t_i) v_i,
     giving lam_prev = lam + sum_i w_i.  Parameter sensitivities accumulate
     through the stage slopes: dc/dx_k += sum_i <v_i, (dL/dx_k)(t_i) Y_i>.
     """
-    _, stage_times, stage_states = rk_stages(f, t_n, y_n, h)
-    a, b = DOPRI5.a, DOPRI5.b
+    _, stage_times, stage_states = rk_stages(f, t_n, y_n, h, last_slope=False)
+    a, b = DOP853.a, DOP853.b
     s = len(b)
     ws: list[np.ndarray] = [None] * s  # type: ignore[list-item]
     vs: list[np.ndarray] = [None] * s  # type: ignore[list-item]

@@ -1,13 +1,13 @@
 """Adaptive integration of the master equation with a checkpoint trail.
 
 The stepper is an explicit embedded Runge--Kutta pair on the complex density
-matrix with a stabilized PI step-size controller.  Its one tableau,
-``DOPRI5`` (Dormand--Prince 5(4), FSAL), drives the forward step, segment
-replay and the reverse pass in ``sensitivity``.  Every accepted step time
-and step size is recorded, so any segment between two checkpoints can later
-be replayed on the recorded grid; replay performs the same floating-point
-operations as the original pass and is therefore bit-identical.  Trace is
-never renormalized -- trace drift is reported as a diagnostic instead.
+matrix with a stabilized PI step-size controller.  One tableau, ``DOP853``
+(Dormand--Prince 8(5,3), FSAL), drives the forward step, segment replay and
+the reverse pass in ``sensitivity``.  Every accepted step time and step size
+is recorded, so any segment between two checkpoints can later be replayed on
+the recorded grid; replay performs the same floating-point operations as the
+original pass and is therefore bit-identical.  Trace is never renormalized --
+trace drift is reported as a diagnostic instead.
 """
 
 from __future__ import annotations
@@ -29,39 +29,78 @@ class RKTableau:
 
     Row i of ``a`` holds a_i0 ... a_i(i-1).  A step forms s stages, y_new =
     y + h sum_i b_i k_i and the FSAL slope f(t + h, y_new), k_1 of the next
-    step; the error estimate h sum_i e_i k_i (e = b minus the embedded
-    weights) runs over all s + 1 slopes.  ``error_order`` is the embedded
-    order q, and the controller scales steps by err^(-1/(q+1)).
+    step.  Two error estimates h sum_i e_i k_i and h sum_i e3_i k_i run over
+    all s + 1 slopes: e is b minus a 5th-order embedded solution and e3 is b
+    minus a 3rd-order one.  ``error_order`` q is the order of the blended
+    error norm, which is O(h^(q+1)); the controller scales steps by
+    err^(-1/(q+1)).
     """
 
     c: tuple[float, ...]
     a: tuple[tuple[float, ...], ...]
     b: tuple[float, ...]
     e: tuple[float, ...]
+    e3: tuple[float, ...]
     error_order: int
 
 
-# Dormand--Prince 5(4): the pair integrated and reverse-differentiated here.
-DOPRI5 = RKTableau(
-    c=(0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0),
+# Dormand--Prince 8(5,3): Hairer, Norsett & Wanner, Solving Ordinary
+# Differential Equations I, 2nd ed., section II.10 (the DOP853 code).  b is the 8th-order solution, e = b minus the 5th-order solution
+# and e3 = b minus the 3rd-order one; neither estimate reads the FSAL slope.
+DOP853 = RKTableau(
+    c=(
+        0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726, 0.3333333333333333,
+        0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571, 1.0
+    ),
     a=(
         (),
-        (1.0 / 5.0,),
-        (3.0 / 40.0, 9.0 / 40.0),
-        (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-        (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-        (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
+        (0.05260015195876773,),
+        (0.0197250569845379, 0.0591751709536137),
+        (0.02958758547680685, 0.0, 0.08876275643042054),
+        (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+        (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+        (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+        (
+            0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+            0.008273789163814023
+        ),
+        (
+            0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+            20.154067550477894, -43.48988418106996
+        ),
+        (
+            0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+            15.279233632882423, -33.28821096898486, -0.020331201708508627
+        ),
+        (
+            -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+            -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196
+        ),
+        (
+            2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+            27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303, 0.6433927460157636
+        ),
     ),
-    b=(35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
-    e=(71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0),
-    error_order=4,
+    b=(
+        0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+        0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259
+    ),
+    e=(
+        0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+        -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0
+    ),
+    e3=(
+        -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+        -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0
+    ),
+    error_order=7,
 )
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_K_EXP = 0.7 / (DOPRI5.error_order + 1)  # proportional exponent (on the current error)
-_KI_EXP = 0.4 / (DOPRI5.error_order + 1)  # integral exponent (on the previous error)
+_K_EXP = 0.7 / (DOP853.error_order + 1)  # proportional exponent (on the current error)
+_KI_EXP = 0.4 / (DOP853.error_order + 1)  # integral exponent (on the previous error)
 _UNDERFLOW = 1e-14
 
 
@@ -138,9 +177,22 @@ def _rms(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(values) ** 2)))
 
 
-def _error_norm(delta: np.ndarray, y: np.ndarray, y_new: np.ndarray, rtol: float, atol: float) -> float:
+def _error_norm(
+    delta5: np.ndarray, delta3: np.ndarray, y: np.ndarray, y_new: np.ndarray, rtol: float, atol: float
+) -> float:
+    """Hairer's DOP853 blend err5^2 / sqrt((err5^2 + 0.01 err3^2) N) of the squared scaled norms.
+
+    The 3rd-order estimate keeps the 5th-order one from being too optimistic.
+    A squared norm that overflows gives inf, so the step is rejected.
+    """
     scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-    return _rms(np.abs(delta) / scale)
+    err5 = float(np.sum((np.abs(delta5) / scale) ** 2))
+    err3 = float(np.sum((np.abs(delta3) / scale) ** 2))
+    if not (math.isfinite(err5) and math.isfinite(err3)):
+        return math.inf
+    if err5 == 0.0 and err3 == 0.0:
+        return 0.0
+    return err5 / math.sqrt((err5 + 0.01 * err3) * delta5.size)
 
 
 def _combine(weights: tuple[float, ...], slopes: list[np.ndarray]) -> np.ndarray:
@@ -158,24 +210,30 @@ def rk_stages(
     y: np.ndarray,
     h: float,
     k1: np.ndarray | None = None,
+    *,
+    last_slope: bool = True,
 ) -> tuple[list[np.ndarray], list[float], list[np.ndarray]]:
-    """All DOPRI5 stages of one step: (slopes, stage_times, stage_states).
+    """All DOP853 stages of one step: (slopes, stage_times, stage_states).
 
     This is the single source of the stage arithmetic; the adaptive loop,
     segment replay, and the reverse pass all go through it, so a replayed
     step performs bit-identical floating-point operations.  The step's end
-    state is y + h * _combine(DOPRI5.b, slopes), formed by the callers that
-    need it.
+    state is y + h * _combine(DOP853.b, slopes), formed by the callers that
+    need it.  With ``last_slope=False`` the last stage state is formed but f
+    is not evaluated there, leaving s - 1 slopes (the reverse pass needs
+    only the states).
     """
     if k1 is None:
         k1 = f(t, y)
     times, states, slopes = [t], [y], [k1]
-    for ci, row in zip(DOPRI5.c[1:], DOPRI5.a[1:]):
-        t_i = t + ci * h
-        y_i = y + h * _combine(row, slopes)
+    last = len(DOP853.c) - 1
+    for i in range(1, last + 1):
+        t_i = t + DOP853.c[i] * h
+        y_i = y + h * _combine(DOP853.a[i], slopes)
         times.append(t_i)
         states.append(y_i)
-        slopes.append(f(t_i, y_i))
+        if last_slope or i < last:
+            slopes.append(f(t_i, y_i))
     return slopes, times, states
 
 
@@ -197,7 +255,7 @@ def _initial_step(
     f1 = f(t0 + h0, y0 + h0 * f0)
     d2 = _rms(np.abs(f1 - f0) / scale) / h0
     dmax = max(d1, d2)
-    h1 = max(1e-6, h0 * 1e-3) if dmax <= 1e-15 else (0.01 / dmax) ** (1.0 / (DOPRI5.error_order + 1))
+    h1 = max(1e-6, h0 * 1e-3) if dmax <= 1e-15 else (0.01 / dmax) ** (1.0 / (DOP853.error_order + 1))
     return min(100.0 * h0, h1, span)
 
 
@@ -222,7 +280,7 @@ def _adaptive_core(
     t_final: float,
     cfg: SolveConfig,
 ) -> _CoreTrail:
-    """Adaptive 5(4) loop on an arbitrary complex array state.
+    """Adaptive 8(5,3) loop on an arbitrary complex array state.
 
     Records every accepted step time and size, and keeps a thinned
     checkpoint list: stride doubles whenever the stored count would exceed
@@ -261,12 +319,13 @@ def _adaptive_core(
         if last:
             h = t_final - t
         ks, _, _ = rk_stages(f, t, y, h, k1)
-        y_new = y + h * _combine(DOPRI5.b, ks)
+        y_new = y + h * _combine(DOP853.b, ks)
         k_fsal = f(t + h, y_new)
-        delta = h * _combine(DOPRI5.e, ks + [k_fsal])
-        if not np.all(np.isfinite(y_new)) or not np.all(np.isfinite(delta)):
+        delta5 = h * _combine(DOP853.e, ks + [k_fsal])
+        delta3 = h * _combine(DOP853.e3, ks + [k_fsal])
+        if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(delta5)) and np.all(np.isfinite(delta3))):
             raise IntegrationError(f"non-finite state produced at t = {t:.6g} with h = {h:.3e}")
-        err = _error_norm(delta, y, y_new, cfg.rtol, cfg.atol)
+        err = _error_norm(delta5, delta3, y, y_new, cfg.rtol, cfg.atol)
         if err <= 1.0:
             t = t_final if last else t + h
             y = y_new
@@ -335,6 +394,8 @@ def _check_inputs(
     x = np.asarray(x, dtype=float)
     if x.shape != (model.n_params,):
         raise ValidationError(f"parameter vector shape {x.shape} != ({model.n_params},)")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError(f"parameter vector x must be finite, got {x}")
     validate_hamiltonian(model, x, t0)
     return y, x, t0, t_final
 
@@ -408,8 +469,8 @@ def dense_segment(
     """Recompute every accepted step state on [t_a, t_b] for the reverse pass.
 
     The segment is replayed on the accepted-step grid recorded in
-    ``result``: the same step sizes, hence the same floating-point
-    operations, hence bit-identical states.
+    ``result``: the same step sizes and stages, hence the same
+    floating-point operations, hence bit-identical states.
     Returns [(t_a, state_a), ..., (t_b, state_b)] including both endpoints;
     when t_b == t_a that is just [(t_a, state_a)], with no RHS call.
     """
@@ -431,7 +492,7 @@ def dense_segment(
         t_n = float(times[n])
         h_n = float(result.step_sizes[n])
         ks, _, _ = rk_stages(f, t_n, y, h_n)
-        y = y + h_n * _combine(DOPRI5.b, ks)
+        y = y + h_n * _combine(DOP853.b, ks)
         out.append((float(times[n + 1]), y))
     counters.rhs_evaluations += f.calls
     return out

@@ -622,3 +622,11 @@ def test_validate_hamiltonian_catches_nonhermitian():
     model = LindbladModel(hamiltonian=sched, channels=(), dimension=2)
     with pytest.raises(ValidationError):
         validate_hamiltonian(model, np.zeros(0))
+
+
+def test_validate_hamiltonian_catches_nan():
+    # a NaN defect compares false against the tolerance, so it must fail, not pass
+    sched = HamiltonianSchedule(evaluate=lambda t, x: np.diag([np.nan, 0.0]).astype(complex), n_params=0)
+    model = LindbladModel(hamiltonian=sched, channels=(), dimension=2)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        validate_hamiltonian(model, np.zeros(0))

@@ -27,6 +27,14 @@ _ENTRY = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 _NONZERO = _ENTRY.filter(lambda v: v != 0.0)
 
 
+def _norm(a):
+    """Frobenius norm of a, scaled by max|a_ij| first: np.linalg.norm squares
+    the entries, so it returns 0 for entries below about 1e-162."""
+    r = np.abs(to_dense(a))
+    m = np.max(r, initial=0.0)
+    return 0.0 if m == 0.0 else float(m * np.sqrt(np.sum((r / m) ** 2)))
+
+
 def _complex(draw, d):
     re = draw(arrays(np.float64, (d, d), elements=_ENTRY))
     im = draw(arrays(np.float64, (d, d), elements=_ENTRY))
@@ -47,7 +55,7 @@ def _case(draw, d, rates, ops, linear=False):
     """
     wrap = as_sparse if draw(st.booleans()) else (lambda m: m)
     channels = tuple(JumpChannel(rate=g, operator=wrap(j)) for g, j in zip(rates, ops))
-    scale = 2.0 * sum(g * np.linalg.norm(j) ** 2 for g, j in zip(rates, ops))
+    scale = 2.0 * sum(g * _norm(j) ** 2 for g, j in zip(rates, ops))
     if linear:
         n_params = draw(st.integers(0, 2))
         constant = _hermitian(draw, d) if n_params == 0 or draw(st.booleans()) else None
@@ -56,13 +64,13 @@ def _case(draw, d, rates, ops, linear=False):
         hamiltonian = LinearSchedule(
             terms=tuple(map(wrap, terms)), constant=None if constant is None else wrap(constant)
         )
-        scale += 2.0 * sum(abs(c) * np.linalg.norm(a) for c, a in zip([1.0, *x], [constant, *terms]) if a is not None)
+        scale += 2.0 * sum(abs(c) * _norm(a) for c, a in zip([1.0, *x], [constant, *terms]) if a is not None)
     else:
         h = _hermitian(draw, d)
         h_op = wrap(h)
         x = np.zeros(0)
         hamiltonian = HamiltonianSchedule(evaluate=lambda t, x: h_op, n_params=0)
-        scale += 2.0 * np.linalg.norm(h)
+        scale += 2.0 * _norm(h)
     model = LindbladModel(hamiltonian=hamiltonian, channels=channels, dimension=d)
     t = draw(st.floats(0.0, 1.0))
     return model, t, x, _complex(draw, d), _complex(draw, d), scale
@@ -107,7 +115,7 @@ def _check_pairing(case):
     model, t, x, rho, lam, scale = case
     forward = np.vdot(lam, lindblad_rhs(t, rho, model, x))  # Tr(lam^dag L(rho))
     backward = np.vdot(adjoint_liouvillian_apply(model, x, t, lam), rho)  # Tr((L^dag lam)^dag rho)
-    bound = 1e-12 * scale * np.linalg.norm(lam) * np.linalg.norm(rho)
+    bound = 1e-12 * scale * _norm(lam) * _norm(rho)
     assert abs(forward - backward) <= bound
 
 
@@ -118,9 +126,9 @@ def _check_textbook_form(case):
     h = to_dense(model.hamiltonian.evaluate(t, x))
     channels = [(ch.rate, to_dense(ch.operator)) for ch in model.channels]
     forward = lindblad_rhs(t, rho, model, x) - lindblad_reference(h, channels, rho)
-    assert np.linalg.norm(forward) <= 1e-12 * scale * np.linalg.norm(rho)
+    assert _norm(forward) <= 1e-12 * scale * _norm(rho)
     backward = adjoint_liouvillian_apply(model, x, t, lam) - lindblad_reference(h, channels, lam, adjoint=True)
-    assert np.linalg.norm(backward) <= 1e-12 * scale * np.linalg.norm(lam)
+    assert _norm(backward) <= 1e-12 * scale * _norm(lam)
 
 
 @PROPERTY

@@ -1,6 +1,7 @@
 """Spectral figure of merit: values, cotangent, end-to-end gradient."""
 
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,19 @@ class TestOfParams:
                 SolveConfig(max_steps=5),
             )
         assert getattr(exc.value, "stage", None) == "integrate"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameters_rejected_before_any_rhs_call(self, bad):
+        g = generator_from_preset("Sz", 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for want_gradient in (False, True):
+                with pytest.raises(ValidationError, match="parameter vector x"):
+                    qfi_of_params(
+                        preset_oat(2, 0.1), np.array([bad, 0.5]), all_zero_density(2), (0.0, 1.0), g,
+                        want_gradient=want_gradient,
+                    )
+        assert counters.rhs_evaluations == 0
 
     def test_report_validation(self):
         with pytest.raises(ValidationError):

@@ -1,5 +1,7 @@
 """Forward-tangent and reverse-adjoint gradients through the integrator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from lindbladiff.sensitivity import (
     realify,
     state_entry_re_cost,
 )
-from lindbladiff.solver import DOPRI5, SolveConfig, _combine, _CountedRhs, integrate, rk_stages
+from lindbladiff.solver import DOP853, SolveConfig, _combine, _CountedRhs, integrate, rk_stages
 from lindbladiff.spins import PAULI_Z, collective_sx
 
 PLUS = DensityOperator.from_matrix(0.5 * np.array([[1, 1], [1, 1]], dtype=complex))
@@ -251,19 +253,31 @@ class TestAdjointGradient:
         assert snap["forward_integrations"] == 1
         assert snap["adjoint_passes"] == 1
 
-    @pytest.mark.parametrize("checkpoints", [None, 4])
-    def test_replay_skips_each_segments_last_step(self, checkpoints):
-        # the state after a segment's last step is the stored next
-        # checkpoint, so replay stops one step short of the segment end
+    @staticmethod
+    def _replayed_gradient(checkpoints):
         model = preset_oat(2, gamma=0.1)
         x = np.array([0.9, 0.6])
         rho0 = all_zero_density(2)
         cfg = SolveConfig(checkpoints=checkpoints)
         res = integrate(model, x, rho0, (0.0, 1.0), cfg)
         grad = adjoint_gradient(model, x, rho0, (0.0, 1.0), cfg, state_entry_re_cost(0, 0), result=res)
-        segments = grad.diagnostics["segments"]
         assert grad.diagnostics["steps_replayed"] == res.stats.accepted
-        assert counters.rhs_evaluations - res.stats.rhs_evaluations == 6 * (res.stats.accepted - segments)
+        return res, grad, counters.rhs_evaluations - res.stats.rhs_evaluations
+
+    @pytest.mark.parametrize("checkpoints", [None, 4])
+    def test_replay_skips_each_segments_last_step(self, checkpoints):
+        # the state after a segment's last step is the stored next
+        # checkpoint, so replay stops one step short of the segment end; a
+        # replayed step costs s = 12 slopes
+        res, grad, replay_rhs = self._replayed_gradient(checkpoints)
+        s = len(DOP853.b)
+        assert replay_rhs == s * (res.stats.accepted - grad.diagnostics["segments"])
+
+    def test_reverse_step_skips_the_last_stage_slope(self):
+        # the reverse step needs the s stage states, and the last one depends
+        # on the first s - 1 slopes only
+        res, grad, _ = self._replayed_gradient(4)
+        assert grad.diagnostics["adjoint_rhs_evaluations"] == (len(DOP853.b) - 1) * res.stats.accepted
 
     def test_result_for_another_span_is_rejected(self):
         model = preset_oat(2, 0.1)
@@ -313,6 +327,19 @@ class TestAdjointGradient:
             adjoint_gradient(model, x, PLUS, (0.0, 1.0), cost=state_entry_re_cost(0, 0))
         assert counters.rhs_evaluations == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameters_rejected_before_any_rhs_call(self, bad):
+        model = preset_oat(2, 0.1)
+        x = np.array([bad, 0.5])
+        rho0 = all_zero_density(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match="parameter vector x"):
+                forward_sensitivity(model, x, rho0, (0.0, 1.0))
+            with pytest.raises(ValidationError, match="parameter vector x"):
+                adjoint_gradient(model, x, rho0, (0.0, 1.0), cost=state_entry_re_cost(0, 0))
+        assert counters.rhs_evaluations == 0
+
     def test_memory_contract(self):
         model = preset_oat(2)
         x = np.array([0.9, 0.9])
@@ -350,7 +377,10 @@ class TestReverseStep:
 
     def _step(self, model, x, y):
         slopes, _, _ = rk_stages(_CountedRhs(model, x), self.T_N, y, self.H)
-        return y + self.H * _combine(DOPRI5.b, slopes)
+        return y + self.H * _combine(DOP853.b, slopes)
+
+    def _reverse(self, model, x, y, lam, grad):
+        return _reverse_step(model, x, self.T_N, y, self.H, lam, grad, _CountedRhs(model, x))
 
     def test_is_exact_transpose_of_one_step(self):
         model, x = self._model()
@@ -358,7 +388,7 @@ class TestReverseStep:
         for _ in range(3):
             sigma = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             lam = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            lam_prev = _reverse_step(model, x, self.T_N, sigma, self.H, lam, np.zeros(2), _CountedRhs(model, x))
+            lam_prev = self._reverse(model, x, sigma, lam, np.zeros(2))
             forward = _pair(lam, self._step(model, x, sigma))
             backward = _pair(lam_prev, sigma)
             assert abs(forward - backward) <= 1e-13 * np.linalg.norm(lam) * np.linalg.norm(sigma)
@@ -369,7 +399,7 @@ class TestReverseStep:
         y = random_density(rng, 4)
         lam = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         grad = np.zeros(2)
-        _reverse_step(model, x, self.T_N, y, self.H, lam, grad, _CountedRhs(model, x))
+        self._reverse(model, x, y, lam, grad)
         eps = 1e-5
         for k in range(2):
             dx = eps * np.eye(2)[k]

@@ -1,9 +1,17 @@
 """Adaptive integration: accuracy, replay determinism, checkpoint policy."""
 
+import functools
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from oracles import expm_propagate, random_hermitian, rk4_lindblad
+import lindbladiff
 from lindbladiff.errors import IntegrationError, ValidationError
 from lindbladiff.model import (
     DensityOperator,
@@ -13,7 +21,7 @@ from lindbladiff.model import (
     all_zero_density,
     preset_oat,
 )
-from lindbladiff.solver import DOPRI5, SolveConfig, dense_segment, integrate
+from lindbladiff.solver import DOP853, SolveConfig, _error_norm, dense_segment, integrate
 from lindbladiff.spins import PAULI_Z
 from lindbladiff.instrumentation import counters
 
@@ -218,10 +226,32 @@ class TestCostsAndErrors:
         counters.reset()
         res = integrate(model, np.array([1.2, 0.9]), all_zero_density(2), (0.0, 1.0))
         stats = res.stats
-        # two evaluations choose the initial step; six fresh ones per attempt
-        assert stats.rhs_evaluations == 2 + 6 * (stats.accepted + stats.rejected)
+        # two evaluations choose the initial step; s = 12 fresh ones per
+        # attempt (11 stages after the reused first slope, plus the FSAL slope)
+        assert len(DOP853.b) == 12
+        assert stats.rhs_evaluations == 2 + 12 * (stats.accepted + stats.rejected)
         assert counters.snapshot()["rhs_evaluations"] == stats.rhs_evaluations
         assert counters.snapshot()["forward_integrations"] == 1
+
+    def test_overflowing_error_norm_rejects_the_step(self):
+        # finite estimates whose squared scaled norms overflow must not be
+        # accepted: inf from either norm (alone or both) means a retry
+        y = np.zeros(4, dtype=complex)
+        small, huge = np.full(4, 1e-3 + 0j), np.full(4, 1e200 + 0j)
+        with np.errstate(over="ignore"):
+            for delta5, delta3 in ((small, huge), (huge, small), (huge, huge)):
+                assert _error_norm(delta5, delta3, y, y, 1e-8, 1e-10) == np.inf
+        assert _error_norm(small, small, y, y, 1e-8, 1e-10) > 1.0
+        assert _error_norm(y, y, y, y, 1e-8, 1e-10) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameters_rejected_before_any_rhs_call(self, bad):
+        model = preset_oat(2, gamma=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match="x"):
+                integrate(model, np.array([bad, 0.5]), all_zero_density(2), (0.0, 1.0))
+        assert counters.rhs_evaluations == 0
 
     def test_max_steps_exhaustion_raises(self):
         model = preset_oat(2)
@@ -266,16 +296,17 @@ class TestCostsAndErrors:
         assert np.linalg.norm(a.final_state.matrix - b.final_state.matrix) < 1e-7
 
 
+@functools.lru_cache(maxsize=None)
 def _rooted_trees(order):
     """Every rooted tree with ``order`` nodes, as a sorted tuple of its subtrees."""
     if order == 1:
-        return [()]
+        return ((),)
     trees = set()
     for k in range(1, order):
         for child in _rooted_trees(k):
             for rest in _rooted_trees(order - k):
                 trees.add(tuple(sorted(rest + (child,))))
-    return sorted(trees)
+    return tuple(sorted(trees))
 
 
 def _size(tree):
@@ -301,47 +332,79 @@ def _order_residuals(a, b, order):
 
 
 class TestTableau:
-    """The shipped pair, as the stepper and the reverse pass read it."""
+    """The DOP853 pair as the stepper and the reverse pass read it."""
+
+    ORDER = 8  # of b
+    CONDITIONS = 200  # order conditions up to ORDER
+    EMBEDDED = {"e": 5, "e3": 3}  # error-weight field -> order of b minus those weights
 
     def _dense(self):
-        s = len(DOPRI5.b)
+        tab = DOP853
+        s = len(tab.b)
         a = np.zeros((s, s))
-        for i, row in enumerate(DOPRI5.a):
+        for i, row in enumerate(tab.a):
             assert len(row) == i
             a[i, :i] = row
-        return np.array(DOPRI5.c), a, np.array(DOPRI5.b), np.array(DOPRI5.e)
+        return tab, np.array(tab.c), a, np.array(tab.b)
 
     def test_tree_counts(self):
-        assert [len(_rooted_trees(q)) for q in range(1, 6)] == [1, 1, 2, 4, 9]
+        assert [len(_rooted_trees(q)) for q in range(1, 9)] == [1, 1, 2, 4, 9, 20, 48, 115]
 
-    def test_weights_satisfy_all_order_conditions_up_to_five(self):
-        _, a, b, _ = self._dense()
-        residuals = [r for q in range(1, DOPRI5.error_order + 2) for r in _order_residuals(a, b, q)]
-        assert len(residuals) == 17
+    def test_weights_satisfy_all_order_conditions(self):
+        _, _, a, b = self._dense()
+        residuals = [r for q in range(1, self.ORDER + 1) for r in _order_residuals(a, b, q)]
+        assert len(residuals) == self.CONDITIONS
         assert np.max(np.abs(residuals)) < 1e-14
+        assert np.max(np.abs(_order_residuals(a, b, self.ORDER + 1))) > 1e-6
 
     def test_embedded_weights_have_the_error_order_on_the_fsal_extension(self):
-        # the stepper's last slope is f(t + h, y + h sum b_j k_j): a seventh
+        # the stepper's last slope is f(t + h, y + h sum b_j k_j): one more
         # stage at node 1 whose row is b, weighted by e[-1] in the estimate
-        c, a, b, e = self._dense()
+        tab, c, a, b = self._dense()
         s = b.shape[0]
-        assert e.shape == (s + 1,)
         a_ext = np.zeros((s + 1, s + 1))
         a_ext[:s, :s] = a
         a_ext[s, :s] = b
         c_ext = np.append(c, 1.0)
-        assert np.array_equal(a_ext[s, :s], b)
         assert c_ext[s] == pytest.approx(a_ext[s].sum(), abs=1e-15)
-        embedded = np.append(b, 0.0) - e
-        q = DOPRI5.error_order
-        residuals = [r for p in range(1, q + 1) for r in _order_residuals(a_ext, embedded, p)]
-        assert len(residuals) == 8
-        assert np.max(np.abs(residuals)) < 1e-14
-        # and not one order more: the estimate h sum e_i k_i is O(h^(q+1)), not zero
-        assert np.max(np.abs(_order_residuals(a_ext, embedded, q + 1))) > 1e-6
+        for name, q in self.EMBEDDED.items():
+            e = np.array(getattr(tab, name))
+            assert e.shape == (s + 1,)
+            embedded = np.append(b, 0.0) - e
+            residuals = [r for p in range(1, q + 1) for r in _order_residuals(a_ext, embedded, p)]
+            assert np.max(np.abs(residuals)) < 1e-14
+            # and not one order more: the estimate h sum e_i k_i is O(h^(q+1)), not zero
+            assert np.max(np.abs(_order_residuals(a_ext, embedded, q + 1))) > 1e-6
 
     def test_nodes_are_row_sums_and_error_weights_sum_to_zero(self):
-        c, a, _, e = self._dense()
+        tab, c, a, _ = self._dense()
         assert c[0] == 0.0
         assert np.max(np.abs(a.sum(axis=1) - c)) < 1e-15
-        assert abs(e.sum()) < 1e-15
+        for e in (tab.e, tab.e3):
+            assert abs(np.sum(e)) < 1e-15
+
+
+def test_dop853_literals_equal_scipy_bit_for_bit():
+    coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")  # a private module
+    s = coeffs.N_STAGES
+    a = np.zeros((s, s))
+    for i, row in enumerate(DOP853.a):
+        a[i, :i] = row
+
+    def same(ours, theirs):
+        return np.asarray(ours, dtype=np.float64).tobytes() == np.ascontiguousarray(theirs).tobytes()
+
+    assert same(DOP853.c, coeffs.C[:s])
+    assert same(a, coeffs.A[:s, :s])
+    assert same(DOP853.b, coeffs.A[s, :s])
+    assert same(DOP853.e, coeffs.E5)
+    assert same(DOP853.e3, coeffs.E3)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # the tableau is literals: importing scipy.integrate would cost set-up time
+    env = dict(os.environ, PYTHONPATH=str(Path(lindbladiff.__file__).parents[1]))
+    code = "import sys, lindbladiff; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
