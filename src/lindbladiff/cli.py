@@ -133,8 +133,8 @@ def _resolve_model(spec, pointer: str) -> tuple[LindbladModel, dict]:
     if "preset" in spec:
         n = _preset_size(str(spec["preset"]), "oat", pointer + "/preset")
         gamma = float(spec.get("gamma", 0.0))
-        if gamma < 0:
-            raise ValidationError(f"gamma must be nonnegative, got {gamma}", path=pointer + "/gamma")
+        if not (np.isfinite(gamma) and gamma >= 0):
+            raise ValidationError(f"gamma must be finite and nonnegative, got {gamma}", path=pointer + "/gamma")
         return preset_oat(n, gamma), {"preset": f"oat:{n}", "gamma": gamma}
     raise ValidationError("model needs a 'preset' or a 'file'", path=pointer)
 
@@ -533,7 +533,7 @@ def _run_optimize(cfg: ExperimentConfig, out: str | None) -> tuple[dict, dict, i
 
 def _trajectory_rows(cfg: ExperimentConfig) -> list[tuple[float, float, float, float]]:
     result = integrate(cfg.model, cfg.x, cfg.state, cfg.t_span, cfg.solver)
-    nodes = dense_segment(cfg.model, cfg.x, result.checkpoints[0][1], result.t_span, result=result)
+    nodes = dense_segment(result, result.checkpoints[0][1], result.t_span)
     return [(float(t), *_state_health(rho)) for t, rho in nodes]
 
 

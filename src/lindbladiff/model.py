@@ -155,8 +155,8 @@ class JumpChannel:
     local: LocalJump | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValidationError(f"dissipation rate {self.rate} must be nonnegative")
+        if not (np.isfinite(self.rate) and self.rate >= 0):
+            raise ValidationError(f"dissipation rate {self.rate} must be finite and nonnegative")
         op = self.operator
         if op.shape[0] != op.shape[1]:
             raise ValidationError(f"jump operator must be square, got shape {op.shape}")
@@ -196,11 +196,11 @@ class HamiltonianSchedule:
 
 def _check_hermitian(op: Operator, what: str, path: str | None = None) -> None:
     # Frobenius norms; a sparse operator is checked on its stored entries, not densified
-    if linalg.is_sparse(op):
-        defect, scale = np.linalg.norm((op - op.conj().T).data), np.linalg.norm(op.data)
-    else:
-        defect, scale = linalg.hermiticity_defect(op), np.linalg.norm(op)
-    if defect > HERMITIAN_TOL * max(1.0, float(scale)):
+    entries = op.data if linalg.is_sparse(op) else op
+    if not np.all(np.isfinite(entries)):
+        raise ValidationError(f"{what} has non-finite entries", path=path)
+    defect = np.linalg.norm((op - op.conj().T).data) if linalg.is_sparse(op) else linalg.hermiticity_defect(op)
+    if not defect <= HERMITIAN_TOL * max(1.0, float(np.linalg.norm(entries))):
         raise ValidationError(f"{what} is not Hermitian", path=path)
 
 
@@ -488,8 +488,8 @@ def preset_oat(n: int, gamma: float = 0.0, *, sparse: bool = False) -> LindbladM
     """
     if not 1 <= n <= 10:
         raise ValidationError(f"qubit count {n} outside supported range [1, 10]")
-    if gamma < 0:
-        raise ValidationError(f"gamma {gamma} must be nonnegative")
+    if not (np.isfinite(gamma) and gamma >= 0):
+        raise ValidationError(f"gamma {gamma} must be finite and nonnegative")
     sz2 = np.diag(np.diag(collective_sz(n)).real ** 2).astype(np.complex128)  # Sz is diagonal
     terms = (sz2, collective_sx(n))
     if sparse:
@@ -540,12 +540,11 @@ def model_from_json(obj: dict) -> LindbladModel:
         if 2**n != d:
             raise ValidationError(f"preset_oat needs a power-of-two dimension, got {d}", path="/dimension")
         gamma = float(obj.get("gamma", 0.0))
-        if gamma < 0:
-            raise ValidationError(f"gamma {gamma} must be nonnegative", path="/gamma")
-        model = preset_oat(n, gamma)
+        if not (np.isfinite(gamma) and gamma >= 0):
+            raise ValidationError(f"gamma {gamma} must be finite and nonnegative", path="/gamma")
         if obj.get("channels"):
             raise ValidationError("preset_oat defines its own channels", path="/channels")
-        return model
+        return preset_oat(n, gamma)
 
     if kind != "explicit":
         raise ValidationError(f"unknown hamiltonian kind {kind!r}", path="/hamiltonian/kind")
@@ -587,8 +586,8 @@ def model_from_json(obj: dict) -> LindbladModel:
         if "gamma" not in ch or "matrix" not in ch:
             raise ValidationError("channel needs 'gamma' and 'matrix'", path=path)
         gamma = float(ch["gamma"])
-        if gamma < 0:
-            raise ValidationError(f"gamma {gamma} must be nonnegative", path=path + "/gamma")
+        if not (np.isfinite(gamma) and gamma >= 0):
+            raise ValidationError(f"gamma {gamma} must be finite and nonnegative", path=path + "/gamma")
         op = linalg.operator_from_json(ch["matrix"], name=path + "/matrix")
         if op.shape != (d, d):
             raise ValidationError(f"channel matrix shape {op.shape} does not match dimension {d}", path=path)

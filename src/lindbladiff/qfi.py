@@ -49,8 +49,10 @@ class Generator:
         dense = to_dense(self.operator)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValidationError(f"generator must be square, got shape {dense.shape}")
+        if not np.all(np.isfinite(dense)):
+            raise ValidationError("generator has non-finite entries")
         scale = max(1.0, float(np.linalg.norm(dense)))
-        if float(np.linalg.norm(dense - dense.conj().T)) > 1e-12 * scale:
+        if not float(np.linalg.norm(dense - dense.conj().T)) <= 1e-12 * scale:
             raise ValidationError("generator is not Hermitian to 1e-12")
 
     @property
@@ -232,7 +234,7 @@ def qfi_of_params(
             return cot.real.copy(), cot.imag.copy()
 
         cost = CostCofunction(evaluate=evaluate, gradient=gradient, name="qfi")
-        grad_result = adjoint_gradient(model, x, rho0, t_span, cfg, cost, result=result)
+        grad_result = adjoint_gradient(result, cost)
         diagnostics["adjoint"] = {
             k: v
             for k, v in grad_result.diagnostics.items()

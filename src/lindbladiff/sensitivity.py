@@ -12,8 +12,11 @@ The reverse pass is the exact discrete adjoint of the replayed forward
 steps: each checkpoint segment is recomputed forward on the recorded step
 grid, then the stage cotangent recursion runs backward through the same
 stages, with the A and b of the solver's one tableau (``solver.DOP853``).
-Because replay is bit-identical, the gradient is deterministic and does not
-depend on the checkpoint count.
+It takes the forward solve's ``SolveResult`` as its only input besides the
+cost, and reads the model, x, span, checkpoints and step grid from it, so
+it always replays the trajectory that solve produced.  Because replay is
+bit-identical, the gradient is deterministic and does not depend on the
+checkpoint count.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .solver import (
     _adaptive_core,
     _check_inputs,
     _CountedRhs,
-    integrate,
 )
 
 #: Central-difference step and relative tolerance of CostCofunction.verify.
@@ -294,40 +296,17 @@ def _reverse_step(
     return lam_prev
 
 
-def adjoint_gradient(
-    model: LindbladModel,
-    x: np.ndarray,
-    rho0: DensityOperator | np.ndarray,
-    t_span: tuple[float, float],
-    cfg: SolveConfig = SolveConfig(),
-    cost: CostCofunction = None,  # type: ignore[assignment]
-    *,
-    result: SolveResult | None = None,
-) -> GradientResult:
-    """Reverse-mode gradient of a terminal cost through the integration.
+def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResult:
+    """Reverse-mode gradient of a terminal cost through the solve ``result``.
 
-    Runs (or reuses) one forward solve, verifies the cost's gradient rule,
-    then sweeps backward segment by segment: each segment between stored
-    checkpoints is replayed on the recorded grid and its steps are
-    reverse-differentiated exactly.  Returns dc/dx, the realified dc/d(rho0)
-    (the terminal adjoint state), and dc/dT.  A reused ``result`` must be a
-    solve of this model at this ``x`` that covers ``t_span`` and starts from
-    ``rho0``, else ValidationError.
+    Verifies the cost's gradient rule at the final state, then sweeps
+    backward segment by segment: each segment between stored checkpoints is
+    replayed on the recorded grid with the model and x of ``result`` and its
+    steps are reverse-differentiated exactly.  Returns dc/dx, the realified
+    dc/d(rho0) (the terminal adjoint state), and dc/dT.  For a fresh solve,
+    pass ``integrate(model, x, rho0, t_span, cfg)``.
     """
-    if cost is None:
-        raise ValidationError("adjoint_gradient needs a CostCofunction")
-    y0, x, t0, t_final = _check_inputs(model, x, rho0, t_span)
-    if result is None:
-        result = integrate(model, x, y0, (t0, t_final), cfg)
-    elif result.model is not model:
-        raise ValidationError("result was integrated with another model")
-    elif not np.array_equal(result.x, x):
-        raise ValidationError(f"result was integrated at x = {result.x}, not {x}")
-    elif result.t_span != (t0, t_final):
-        raise ValidationError(f"result covers the span {result.t_span}, not {(t0, t_final)}")
-    elif not np.array_equal(result.checkpoints[0][1], y0):
-        raise ValidationError("result does not start from the given initial state")
-
+    model, x, t_final = result.model, result.x, result.t_span[1]
     rho_t = result.final_state.matrix
     verification = cost.verify(rho_t)
 
@@ -348,7 +327,7 @@ def adjoint_gradient(
         # replay stops at the start of the segment's last step: the state at
         # its right end is the stored next checkpoint, which nothing reads
         t_last = float(times[indices[seg] - 1])
-        segment = dense_segment(model, x, state_a, (t_a, t_last), result=result)
+        segment = dense_segment(result, state_a, (t_a, t_last))
         counters.note_retained_states(n_checkpoints + len(segment) - 1)
         longest = max(longest, len(segment))
         i_a = indices[seg - 1]

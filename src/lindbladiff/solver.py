@@ -4,10 +4,11 @@ The stepper is an explicit embedded Runge--Kutta pair on the complex density
 matrix with a stabilized PI step-size controller.  One tableau, ``DOP853``
 (Dormand--Prince 8(5,3), FSAL), drives the forward step, segment replay and
 the reverse pass in ``sensitivity``.  Every accepted step time and step size
-is recorded, so any segment between two checkpoints can later be replayed on
-the recorded grid; replay performs the same floating-point operations as the
-original pass and is therefore bit-identical.  Trace is never renormalized --
-trace drift is reported as a diagnostic instead.
+is recorded, and the ``SolveResult`` keeps the model and x it was solved
+with, so any segment between two checkpoints can later be replayed on the
+recorded grid from the result alone; replay performs the same floating-point
+operations as the original pass and is therefore bit-identical.  Trace is
+never renormalized -- trace drift is reported as a diagnostic instead.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ class RKTableau:
     y + h sum_i b_i k_i and the FSAL slope f(t + h, y_new), k_1 of the next
     step.  Two error estimates h sum_i e_i k_i and h sum_i e3_i k_i run over
     all s + 1 slopes: e is b minus a 5th-order embedded solution and e3 is b
-    minus a 3rd-order one.  ``error_order`` q is the order of the blended
-    error norm, which is O(h^(q+1)); the controller scales steps by
-    err^(-1/(q+1)).
+    minus a 3rd-order one.  The stepper needs the FSAL weights e[-1] and
+    e3[-1] to be zero: it forms both estimates from the s stage slopes and
+    evaluates the FSAL slope only for an accepted step.  ``error_order`` q is
+    the order of the blended error norm, which is O(h^(q+1)); the controller
+    scales steps by err^(-1/(q+1)).
     """
 
     c: tuple[float, ...]
@@ -167,10 +170,6 @@ class SolveResult:
     config: SolveConfig
     x: np.ndarray  # a copy of the checked parameter vector the solve used
     model: LindbladModel
-
-    @property
-    def accepted_steps(self) -> int:
-        return self.step_sizes.shape[0]
 
 
 def _rms(values: np.ndarray) -> float:
@@ -320,16 +319,17 @@ def _adaptive_core(
             h = t_final - t
         ks, _, _ = rk_stages(f, t, y, h, k1)
         y_new = y + h * _combine(DOP853.b, ks)
-        k_fsal = f(t + h, y_new)
-        delta5 = h * _combine(DOP853.e, ks + [k_fsal])
-        delta3 = h * _combine(DOP853.e3, ks + [k_fsal])
+        # e[-1] = e3[-1] = 0: the estimates need no FSAL slope, so only an
+        # accepted step pays for f(t + h, y_new)
+        delta5 = h * _combine(DOP853.e, ks)
+        delta3 = h * _combine(DOP853.e3, ks)
         if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(delta5)) and np.all(np.isfinite(delta3))):
             raise IntegrationError(f"non-finite state produced at t = {t:.6g} with h = {h:.3e}")
         err = _error_norm(delta5, delta3, y, y_new, cfg.rtol, cfg.atol)
         if err <= 1.0:
+            k1 = f(t + h, y_new)
             t = t_final if last else t + h
             y = y_new
-            k1 = k_fsal
             accepted += 1
             min_h = min(min_h, h)
             max_h = max(max_h, h)
@@ -459,30 +459,26 @@ def _locate_time(times: np.ndarray, t: float, what: str) -> int:
 
 
 def dense_segment(
-    model: LindbladModel,
-    x: np.ndarray,
-    state_at_checkpoint: np.ndarray,
-    t_span: tuple[float, float],
-    *,
-    result: SolveResult,
+    result: SolveResult, state_at_checkpoint: np.ndarray, t_span: tuple[float, float]
 ) -> list[tuple[float, np.ndarray]]:
     """Recompute every accepted step state on [t_a, t_b] for the reverse pass.
 
-    The segment is replayed on the accepted-step grid recorded in
-    ``result``: the same step sizes and stages, hence the same
-    floating-point operations, hence bit-identical states.
+    The segment is replayed with the model and x of ``result`` on its
+    recorded accepted-step grid: the same step sizes and stages, hence the
+    same floating-point operations, hence bit-identical states.  The state
+    at t_a is an argument rather than read from the stored checkpoints, so
+    a caller may replay from a state it recomputed itself.
     Returns [(t_a, state_a), ..., (t_b, state_b)] including both endpoints;
     when t_b == t_a that is just [(t_a, state_a)], with no RHS call.
     """
     t_a, t_b = float(t_span[0]), float(t_span[1])
     if not t_b >= t_a:
         raise ValidationError(f"segment needs t_b >= t_a, got ({t_a}, {t_b})")
-    x = np.asarray(x, dtype=float)
     # no copy: the returned list shares the caller's checkpoint array as its
     # left endpoint, keeping reverse-pass retained states at K + segment steps
     y = np.asarray(state_at_checkpoint, dtype=np.complex128)
 
-    f = _CountedRhs(model, x)
+    f = _CountedRhs(result.model, result.x)
 
     times = result.step_times
     ia = _locate_time(times, t_a, "segment start")

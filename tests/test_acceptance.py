@@ -137,7 +137,7 @@ def test_criterion_3_gradient_triad_agreement():
     x0, t_final, h = 0.8, 1.3, 1e-6
     cost = state_entry_re_cost(0, 1)
     span = (0.0, t_final)
-    adj = adjoint_gradient(phase, np.array([x0]), plus, span, TIGHT, cost).dc_dx[0]
+    adj = adjoint_gradient(integrate(phase, np.array([x0]), plus, span, TIGHT), cost).dc_dx[0]
     rho_t = integrate(phase, np.array([x0]), plus, span, TIGHT).final_state.matrix
     _, tangent = forward_sensitivity(phase, np.array([x0]), plus, span, TIGHT, 0)
     fwd = _pair(cost.cotangent(rho_t), tangent)

@@ -95,6 +95,12 @@ class TestResolveConfig:
             cli.resolve_config({"model": "oat:2", "t_span": [2.0, 1.0]}, "solve")
         assert "/t_span" in str(err.value)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+    def test_bad_gamma_path(self, bad):
+        with pytest.raises(ValidationError) as err:
+            cli.resolve_config({"model": {"preset": "oat:2", "gamma": bad}, "t_span": [0, 1]}, "solve")
+        assert "/model/gamma" in str(err.value)
+
     def test_bad_param_count_path(self):
         with pytest.raises(ValidationError) as err:
             cli.resolve_config({"model": "oat:2", "t_span": [0, 1], "params": [1.0]}, "solve")

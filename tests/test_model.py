@@ -434,6 +434,20 @@ class TestInputChecks:
         with pytest.raises(ValidationError):
             LinearSchedule(terms=())
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_linear_schedule_rejects_non_finite_operands(self, bad, entry, sparse):
+        # a NaN defect, and the inf defect of a one-sided inf entry against an
+        # inf scale, both pass a "defect > tol" test
+        op = np.zeros((2, 2), dtype=complex)
+        op[entry] = bad
+        op = as_sparse(op) if sparse else op
+        with pytest.raises(ValidationError, match="non-finite"):
+            LinearSchedule(terms=(op,))
+        with pytest.raises(ValidationError, match="non-finite"):
+            LinearSchedule(terms=(PAULI_Z,), constant=op)
+
     def test_time_dependent_schedule_takes_the_sandwich(self):
         rng = np.random.default_rng(12)
         model = _random_model(rng, 2, 2)
@@ -588,6 +602,49 @@ class TestModelFromJson:
             to_dense(model.hamiltonian.param_derivative(0.0, x, 0)), 0.5 * PAULI_Z, atol=1e-15
         )
         assert len(model.channels) == 1 and model.channels[0].rate == 0.1
+
+    @pytest.mark.parametrize("n, gamma", [(1, 0.0), (2, 0.1), (3, 0.3)])
+    def test_preset_kind_builds_preset_oat(self, n, gamma):
+        model = model_from_json({"dimension": 2**n, "gamma": gamma, "hamiltonian": {"kind": "preset_oat"}})
+        expect = preset_oat(n, gamma)
+        assert model.dimension == expect.dimension and model.n_params == 2
+        for a, b in zip(model.hamiltonian.terms, expect.hamiltonian.terms, strict=True):
+            assert np.array_equal(a, b)
+        assert [ch.rate for ch in model.channels] == [ch.rate for ch in expect.channels]
+        for a, b in zip(model.channels, expect.channels):
+            assert np.array_equal(to_dense(a.operator), to_dense(b.operator))
+        rho = random_density(np.random.default_rng(n), 2**n)
+        x = np.array([0.8, 0.6])
+        assert np.array_equal(lindblad_rhs(0.0, rho, model, x), lindblad_rhs(0.0, rho, expect, x))
+
+    @pytest.mark.parametrize(
+        "extra, path, message",
+        [
+            ({"dimension": 6}, "/dimension", "power-of-two"),
+            ({"gamma": -0.1}, "/gamma", "nonnegative"),
+            ({"channels": [{"gamma": 0.1, "matrix": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}]}, "/channels", "own channels"),
+        ],
+    )
+    def test_preset_kind_errors(self, extra, path, message):
+        obj = {"dimension": 2, "hamiltonian": {"kind": "preset_oat"}, **extra}
+        with pytest.raises(ValidationError, match=message) as exc:
+            model_from_json(obj)
+        assert exc.value.path == path
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rates_are_rejected(self, bad):
+        # "rate < 0" is False for NaN, and preset_oat adds channels only for gamma > 0
+        with pytest.raises(ValidationError, match="finite"):
+            preset_oat(2, bad)
+        with pytest.raises(ValidationError, match="finite"):
+            JumpChannel(rate=bad, operator=LOWERING)
+        with pytest.raises(ValidationError) as exc:
+            model_from_json({"dimension": 4, "gamma": bad, "hamiltonian": {"kind": "preset_oat"}})
+        assert exc.value.path == "/gamma"
+        channel = {"gamma": bad, "matrix": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}
+        with pytest.raises(ValidationError) as exc:
+            model_from_json({"dimension": 2, "hamiltonian": {"kind": "explicit", "terms": []}, "channels": [channel]})
+        assert exc.value.path == "/channels/0/gamma"
 
     def test_error_paths_are_json_pointers(self):
         with pytest.raises(ValidationError) as exc:

@@ -45,6 +45,14 @@ class TestGenerator:
         g = Generator(0.5 * PAULI_Z, name="Jz")
         assert g.dimension == 2 and g.name == "Jz"
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad, entry):
+        g = np.zeros((2, 2), dtype=complex)
+        g[entry] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            Generator(g)
+
     def test_preset_is_collective_sz(self):
         g = generator_from_preset("Sz", 3)
         assert np.array_equal(g.dense, collective_sz(3))

@@ -167,7 +167,7 @@ class TestTrailAndReplay:
         x = np.array([0.8, 0.6])
         rho0 = all_zero_density(2)
         res = integrate(model, x, rho0, (0.0, 1.0))
-        nodes = dense_segment(model, x, res.checkpoints[0][1], (0.0, 1.0), result=res)
+        nodes = dense_segment(res, res.checkpoints[0][1], (0.0, 1.0))
         assert len(nodes) == res.stats.accepted + 1
         assert nodes[-1][0] == 1.0
         assert np.array_equal(nodes[-1][1], res.final_state.matrix)
@@ -182,7 +182,7 @@ class TestTrailAndReplay:
         assert cps[0][0] == 0.0 and cps[-1][0] == 1.2
         covered = 0
         for (t_a, state_a), (t_b, _) in zip(cps, cps[1:]):
-            nodes = dense_segment(model, x, state_a, (t_a, t_b), result=res)
+            nodes = dense_segment(res, state_a, (t_a, t_b))
             covered += len(nodes) - 1
             # right endpoint of each replayed segment equals the stored checkpoint
             assert nodes[-1][0] == t_b
@@ -194,12 +194,12 @@ class TestTrailAndReplay:
         res = integrate(model, x, all_zero_density(2), (0.0, 1.0))
         t_a, state_a = res.checkpoints[1]
         counters.reset()
-        nodes = dense_segment(model, x, state_a, (t_a, t_a), result=res)
+        nodes = dense_segment(res, state_a, (t_a, t_a))
         assert len(nodes) == 1
         assert nodes[0][0] == t_a and np.array_equal(nodes[0][1], state_a)
         assert counters.rhs_evaluations == 0
         with pytest.raises(ValidationError):
-            dense_segment(model, x, state_a, (t_a, 0.0), result=res)
+            dense_segment(res, state_a, (t_a, 0.0))
 
     def test_checkpoint_budget_and_thinning(self):
         model = preset_oat(2)
@@ -216,7 +216,7 @@ class TestTrailAndReplay:
         cfg = SolveConfig(checkpoints=5)
         res = integrate(model, x, all_zero_density(2), (0.0, 1.0), cfg)
         for (t_a, state_a), (t_b, state_b) in zip(res.checkpoints, res.checkpoints[1:]):
-            nodes = dense_segment(model, x, state_a, (t_a, t_b), result=res)
+            nodes = dense_segment(res, state_a, (t_a, t_b))
             assert np.array_equal(nodes[-1][1], state_b)
 
 
@@ -226,12 +226,25 @@ class TestCostsAndErrors:
         counters.reset()
         res = integrate(model, np.array([1.2, 0.9]), all_zero_density(2), (0.0, 1.0))
         stats = res.stats
-        # two evaluations choose the initial step; s = 12 fresh ones per
-        # attempt (11 stages after the reused first slope, plus the FSAL slope)
+        # two evaluations choose the initial step; s - 1 = 11 fresh ones per
+        # attempt (the stages after the reused first slope), and the FSAL
+        # slope once per accepted step
         assert len(DOP853.b) == 12
-        assert stats.rhs_evaluations == 2 + 12 * (stats.accepted + stats.rejected)
+        assert stats.rhs_evaluations == 2 + 11 * (stats.accepted + stats.rejected) + stats.accepted
         assert counters.snapshot()["rhs_evaluations"] == stats.rhs_evaluations
         assert counters.snapshot()["forward_integrations"] == 1
+
+    def test_rejected_step_skips_the_fsal_slope(self):
+        # a large given first step is rejected, and so is one later step; a
+        # given step needs no heuristic, so only f(t0) precedes the attempts
+        res = integrate(
+            preset_oat(2, gamma=0.1), np.array([1.5, 1.2]), all_zero_density(2), (0.0, 4.0),
+            SolveConfig(initial_step=0.5),
+        )
+        stats = res.stats
+        assert stats.rejected >= 2
+        assert stats.rhs_evaluations == 1 + 11 * (stats.accepted + stats.rejected) + stats.accepted
+        assert len(res.step_sizes) == stats.accepted and res.step_times[-1] == 4.0
 
     def test_overflowing_error_norm_rejects_the_step(self):
         # finite estimates whose squared scaled norms overflow must not be
@@ -375,6 +388,11 @@ class TestTableau:
             assert np.max(np.abs(residuals)) < 1e-14
             # and not one order more: the estimate h sum e_i k_i is O(h^(q+1)), not zero
             assert np.max(np.abs(_order_residuals(a_ext, embedded, q + 1))) > 1e-6
+
+    def test_estimates_do_not_weight_the_fsal_slope(self):
+        # the stepper forms both estimates from the s stage slopes and
+        # evaluates the FSAL slope only for an accepted step
+        assert DOP853.e[-1] == 0.0 and DOP853.e3[-1] == 0.0
 
     def test_nodes_are_row_sums_and_error_weights_sum_to_zero(self):
         tab, c, a, _ = self._dense()
