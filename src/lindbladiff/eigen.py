@@ -28,6 +28,7 @@ from .errors import (
     GaugeDependenceError,
     ValidationError,
 )
+from .linalg import is_hermitian
 
 #: Eigenvalues closer than this (times max(1, spectral norm)) are clustered.
 DEGENERACY_TOL = 1e-8
@@ -104,8 +105,7 @@ def eigh(rho: np.ndarray) -> EigDecomposition:
         raise ValidationError(f"eigh needs a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError("eigh received non-finite entries")
-    scale = max(float(np.linalg.norm(m)), 1e-300)
-    if float(np.linalg.norm(m - m.conj().T)) > HERMITIAN_TOL * scale:
+    if not is_hermitian(m, HERMITIAN_TOL, floor=1e-300):
         raise ValidationError(f"matrix is not Hermitian to relative tolerance {HERMITIAN_TOL}")
     sym = 0.5 * (m + m.conj().T)
     lam, vec = np.linalg.eigh(sym)  # LAPACK: eigenvalues ascending

@@ -25,6 +25,8 @@ Dense = np.ndarray
 Sparse = sparse.csr_array
 Operator = Union[Dense, Sparse]
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
 
 def is_sparse(op: Operator) -> bool:
     return sparse.issparse(op)
@@ -95,9 +97,20 @@ def to_dense(op: Operator) -> Dense:
     return op
 
 
-def hermiticity_defect(a: Dense) -> float:
-    """Frobenius norm of the anti-Hermitian part, ||a - a^dag||_F."""
-    return float(np.linalg.norm(a - a.conj().T))
+def is_hermitian(a: Operator, tol: float, floor: float = 1.0) -> bool:
+    """||a - a^dag||_F <= tol * max(floor, ||a||_F), tested on a / max|a_ij| so no norm overflows.
+
+    A sparse operator is tested on its stored entries; a non-finite entry fails.
+    """
+    entries = a.data if is_sparse(a) else np.asarray(a)
+    m = float(np.max(np.abs(entries), initial=1e-300))
+    if not m < _FLOAT_MAX:  # a NaN or inf entry, or a finite one whose modulus overflows
+        if not np.all(np.isfinite(entries)):
+            return False
+        m = _FLOAT_MAX
+    s = a / m
+    defect = np.linalg.norm((s - s.conj().T).data if is_sparse(s) else s - s.conj().T)
+    return bool(defect <= tol * max(floor / m, np.linalg.norm(s.data if is_sparse(s) else s)))
 
 
 def operator_from_json(obj, *, name: str = "operator") -> Operator:

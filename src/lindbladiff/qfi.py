@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import LindbladiffError, ValidationError
-from .linalg import Operator, to_dense
+from .linalg import Operator, is_hermitian, to_dense
 from .eigen import EigDecomposition, eig_vjp, eigh
 from .model import DensityOperator, LindbladModel
 from .sensitivity import CostCofunction, adjoint_gradient
@@ -51,8 +51,7 @@ class Generator:
             raise ValidationError(f"generator must be square, got shape {dense.shape}")
         if not np.all(np.isfinite(dense)):
             raise ValidationError("generator has non-finite entries")
-        scale = max(1.0, float(np.linalg.norm(dense)))
-        if not float(np.linalg.norm(dense - dense.conj().T)) <= 1e-12 * scale:
+        if not is_hermitian(dense, 1e-12):
             raise ValidationError("generator is not Hermitian to 1e-12")
 
     @property

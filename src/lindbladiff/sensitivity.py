@@ -39,6 +39,7 @@ from .solver import (
     _adaptive_core,
     _check_inputs,
     _CountedRhs,
+    _final_state,
 )
 
 #: Central-difference step and relative tolerance of CostCofunction.verify.
@@ -222,38 +223,33 @@ def forward_sensitivity(
     rho0: DensityOperator | np.ndarray,
     t_span: tuple[float, float],
     cfg: SolveConfig = SolveConfig(),
-    k: int = 0,
 ) -> tuple[DensityOperator, np.ndarray]:
-    """Jointly integrate the state and its tangent d(rho)/d(x_k).
+    """Jointly integrate the state and its tangents d(rho)/d(x_k) for every k.
 
-    The stacked system is d/dt (rho, sigma) = (L rho, L sigma + dL/dx_k rho)
-    with sigma(t0) = 0; adaptive error control acts on the joint state.
-    Returns (rho(T) as a DensityOperator, tangent matrix sigma(T)).
+    The stacked system is d/dt (rho, sigma_1..sigma_p) = (L rho, L sigma_k +
+    dL/dx_k rho for each k) with sigma_k(t0) = 0, solved in one adaptive
+    integration whose error control acts on the whole stack; each evaluation
+    applies L p + 1 times.  Returns (rho(T) as a DensityOperator, the
+    tangents sigma_k(T) as one array of shape (p, d, d)).
     """
     y0, x, t0, t_final = _check_inputs(model, x, rho0, t_span)
-    if not 0 <= k < model.n_params:
-        raise ValidationError(f"parameter index {k} outside range [0, {model.n_params})")
-
-    stacked0 = np.stack([y0, np.zeros_like(y0)])
+    p = model.n_params
+    stacked0 = np.stack([y0] + [np.zeros_like(y0)] * p)
     rhs_calls = 0
 
     def f(t: float, state: np.ndarray) -> np.ndarray:
         nonlocal rhs_calls
-        rhs_calls += 2  # one lindblad_rhs each for the state and the tangent
-        rho, sigma = state[0], state[1]
-        drho = lindblad_rhs(t, rho, model, x)
-        dsigma = lindblad_rhs(t, sigma, model, x) + rhs_parameter_derivative(t, rho, model, x, k)
-        return np.stack([drho, dsigma])
+        rhs_calls += p + 1  # one lindblad_rhs for the state and one per tangent
+        rho = state[0]
+        slopes = [lindblad_rhs(t, rho, model, x)]
+        for k in range(p):
+            slopes.append(lindblad_rhs(t, state[k + 1], model, x) + rhs_parameter_derivative(t, rho, model, x, k))
+        return np.stack(slopes)
 
     trail = _adaptive_core(f, stacked0, t0, t_final, cfg)
     counters.forward_integrations += 1
     counters.rhs_evaluations += rhs_calls
-
-    tol_scale = max(1e-9, 50.0 * cfg.rtol)
-    final = DensityOperator.from_matrix(
-        trail.final[0], trace_tol=tol_scale, herm_tol=tol_scale, psd_tol=max(1e-7, tol_scale)
-    )
-    return final, trail.final[1]
+    return _final_state(trail.final[0], cfg), trail.final[1:]
 
 
 def _reverse_step(

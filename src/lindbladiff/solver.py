@@ -158,7 +158,7 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Final state plus the recorded trail needed for exact replay."""
+    """Final state plus the recorded trail needed for exact replay; integrate makes its arrays read-only."""
 
     final_state: DensityOperator
     checkpoints: tuple[tuple[float, np.ndarray], ...]
@@ -400,6 +400,12 @@ def _check_inputs(
     return y, x, t0, t_final
 
 
+def _final_state(y: np.ndarray, cfg: SolveConfig) -> DensityOperator:
+    """rho(T) as a DensityOperator, checked to tolerances that scale with cfg.rtol."""
+    tol_scale = max(1e-9, 50.0 * cfg.rtol)
+    return DensityOperator.from_matrix(y, trace_tol=tol_scale, herm_tol=tol_scale, psd_tol=max(1e-7, tol_scale))
+
+
 def integrate(
     model: LindbladModel,
     x: np.ndarray,
@@ -420,11 +426,7 @@ def integrate(
 
     trail = _adaptive_core(f, y0, t0, t_final, cfg)
     y = trail.final
-
-    tol_scale = max(1e-9, 50.0 * cfg.rtol)
-    final_state = DensityOperator.from_matrix(
-        y, trace_tol=tol_scale, herm_tol=tol_scale, psd_tol=max(1e-7, tol_scale)
-    )
+    final_state = _final_state(y, cfg)
     stats = SolveStats(
         accepted=trail.accepted,
         rejected=trail.rejected,
@@ -437,6 +439,9 @@ def integrate(
     counters.forward_integrations += 1
     counters.rhs_evaluations += f.calls
 
+    x = x.copy()  # replay and the adjoint trust these arrays, so none of them may change
+    for a in (x, trail.step_times, trail.step_sizes, final_state.matrix, *(s for _, _, s in trail.checkpoints)):
+        a.setflags(write=False)
     return SolveResult(
         final_state=final_state,
         checkpoints=tuple((tm, state) for _, tm, state in trail.checkpoints),
@@ -446,7 +451,7 @@ def integrate(
         stats=stats,
         t_span=(t0, t_final),
         config=cfg,
-        x=x.copy(),
+        x=x,
         model=model,
     )
 

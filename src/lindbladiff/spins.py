@@ -18,21 +18,27 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 LOWERING = np.array([[0, 1], [0, 0]], dtype=np.complex128)  # |0><1|
 
 
+def _embed_into(out: np.ndarray, op: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """out += op on ``qubit``: op[p, q] lands where the row's bit there is p, the column's q, and all others agree."""
+    bit = 1 << (n - 1 - qubit)
+    base = np.flatnonzero((np.arange(2**n) & bit) == 0)
+    for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        out[base + p * bit, base + q * bit] += op[p, q]
+    return out
+
+
 def embed_single(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """Place a 1-qubit operator on the given qubit of an n-qubit register."""
     if not 0 <= qubit < n:
         raise ValueError(f"qubit index {qubit} outside register of size {n}")
-    left = np.eye(2**qubit, dtype=np.complex128)
-    right = np.eye(2 ** (n - 1 - qubit), dtype=np.complex128)
-    return np.kron(np.kron(left, op), right)
+    return _embed_into(np.zeros((2**n, 2**n), dtype=np.complex128), op, qubit, n)
 
 
 def collective(op: np.ndarray, n: int) -> np.ndarray:
     """S_a = (1/2) sum over qubits of the given Pauli."""
-    d = 2**n
-    out = np.zeros((d, d), dtype=np.complex128)
+    out = np.zeros((2**n, 2**n), dtype=np.complex128)
     for i in range(n):
-        out += embed_single(op, i, n)
+        _embed_into(out, op, i, n)
     return 0.5 * out
 
 

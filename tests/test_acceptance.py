@@ -139,7 +139,7 @@ def test_criterion_3_gradient_triad_agreement():
     span = (0.0, t_final)
     adj = adjoint_gradient(integrate(phase, np.array([x0]), plus, span, TIGHT), cost).dc_dx[0]
     rho_t = integrate(phase, np.array([x0]), plus, span, TIGHT).final_state.matrix
-    _, tangent = forward_sensitivity(phase, np.array([x0]), plus, span, TIGHT, 0)
+    _, (tangent,) = forward_sensitivity(phase, np.array([x0]), plus, span, TIGHT)
     fwd = _pair(cost.cotangent(rho_t), tangent)
 
     def coherence(v):

@@ -81,6 +81,9 @@ class TestEigh:
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValidationError):
             eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        # finite, but its norm and defect overflow to inf, and inf <= tol * inf holds
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            eigh(np.array([[0.0, 1e200], [0.0, 0.0]]))
 
     def test_identity_and_diagonal(self):
         dec = eigh(np.eye(3, dtype=complex))

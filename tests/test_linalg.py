@@ -1,14 +1,17 @@
 """Dense/sparse operator primitives and their JSON wire formats."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from lindbladiff.errors import ValidationError
 from lindbladiff.linalg import (
     as_cmatrix,
     csr_from_triplets,
     hermitian_adjoint,
-    hermiticity_defect,
+    is_hermitian,
     is_sparse,
     operator_from_json,
     operator_to_json,
@@ -65,10 +68,31 @@ def test_trace():
         trace(np.ones((2, 3), dtype=complex))
 
 
-def test_hermiticity_defect():
+def test_is_hermitian():
+    # ||a - a^dag||_F <= tol * max(floor, ||a||_F), dense and sparse alike
     h = np.array([[1.0, 2 - 1j], [2 + 1j, 3.0]])
-    assert hermiticity_defect(h) == 0.0
-    assert hermiticity_defect(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(np.sqrt(2.0))
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])  # defect sqrt(2), norm 1
+    for wrap in (np.asarray, sparse.csr_array):
+        assert is_hermitian(wrap(h), 0.0)
+        assert not is_hermitian(wrap(skew), 1.4) and is_hermitian(wrap(skew), 1.5)
+        # below the floor the test is absolute, above it relative
+        assert is_hermitian(wrap(1e-3 * skew), 1.0) and not is_hermitian(wrap(1e-3 * skew), 1.0, floor=1e-300)
+        assert is_hermitian(wrap(np.zeros((2, 2))), 0.0)
+
+
+def test_is_hermitian_without_overflow_or_nan():
+    # the defect and the norm of these entries overflow to inf, and inf <= tol * inf holds
+    big = np.array([[0.0, 1e200], [0.0, 0.0]], dtype=complex)
+    ok = np.array([[1.0, 1e200 + 1e200j], [1e200 - 1e200j, 2.0]])
+    # here even the modulus of the off-diagonal entry overflows
+    huge = np.array([[0.0, 1.7e308 + 1.7e308j], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for wrap in (np.asarray, sparse.csr_array):
+            assert not is_hermitian(wrap(big), 1e-12) and not is_hermitian(wrap(huge), 1e-12)
+            assert is_hermitian(wrap(ok), 1e-12) and is_hermitian(wrap(huge + huge.conj().T), 1e-12)
+        for bad in (np.nan, np.inf):
+            assert not is_hermitian(np.array([[bad, 0.0], [0.0, 1.0]]), 1e-12)
 
 
 def test_operator_json_round_trip_dense_and_sparse():

@@ -1,5 +1,7 @@
 """Model construction, the master-equation right-hand side, and presets."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -679,6 +681,33 @@ def test_validate_hamiltonian_catches_nonhermitian():
     model = LindbladModel(hamiltonian=sched, channels=(), dimension=2)
     with pytest.raises(ValidationError):
         validate_hamiltonian(model, np.zeros(0))
+
+
+#: Finite, but ||.||_F and ||. - .^dag||_F both overflow to inf, and inf <= tol * inf holds.
+OVERFLOWING = np.array([[0.0, 1e200], [0.0, 0.0]], dtype=complex)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_hermiticity_checks_reject_an_overflowing_operand(sparse):
+    op = as_sparse(OVERFLOWING) if sparse else OVERFLOWING
+    model = LindbladModel(
+        hamiltonian=HamiltonianSchedule(evaluate=lambda t, x: op, n_params=0), channels=(), dimension=2
+    )
+    explicit = {
+        "dimension": 2,
+        "hamiltonian": {"kind": "explicit", "terms": [{"coefficient": 1.0, "matrix": operator_to_json(op)}]},
+        "channels": [],
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            LinearSchedule(terms=(op,))
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            model_from_json(explicit)
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            validate_hamiltonian(model, np.zeros(0))
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            DensityOperator.from_matrix(OVERFLOWING + np.diag([1.0, 0.0]))
 
 
 def test_validate_hamiltonian_catches_nan():

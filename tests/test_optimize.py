@@ -237,6 +237,21 @@ class TestGradientCheck:
         for p in report["parameters"]:
             assert set(p) == {"index", "adjoint", "forward", "fd", "rel_error"}
 
+    def test_forward_route_is_one_joint_solve(self):
+        # one solve for the adjoint, one joint tangent solve for all p
+        # parameters, and two per parameter for the central differences
+        p = 2
+        report = gradient_check(
+            preset_oat(2, 0.1),
+            np.array([0.8, 0.6]),
+            all_zero_density(2),
+            (0.0, 1.0),
+            generator_from_preset("Sz", 2),
+            FAST,
+        )
+        assert report["pass"]
+        assert counters.forward_integrations == 2 + 2 * p
+
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValidationError):
             gradient_check(

@@ -40,6 +40,9 @@ class TestGenerator:
     def test_validates_hermiticity_and_shape(self):
         with pytest.raises(ValidationError):
             Generator(np.array([[0, 1], [0, 0]], dtype=complex))
+        # finite, but its norm and defect overflow to inf, and inf <= tol * inf holds
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            Generator(np.array([[0, 1e200], [0, 0]], dtype=complex))
         with pytest.raises(ValidationError):
             Generator(np.ones((2, 3)))
         g = Generator(0.5 * PAULI_Z, name="Jz")

@@ -129,14 +129,16 @@ class TestForwardSensitivity:
         model = preset_oat(2, gamma=0.1)
         x = np.array([0.8, 0.5])
         rho0 = all_zero_density(2)
-        _, sigma = forward_sensitivity(model, x, rho0, (0.0, 1.0), TIGHT, k=1)
+        _, tangents = forward_sensitivity(model, x, rho0, (0.0, 1.0), TIGHT)
+        assert tangents.shape == (2, 4, 4)
         h = 1e-6
-        xp, xm = x.copy(), x.copy()
-        xp[1] += h
-        xm[1] -= h
-        rp = integrate(model, xp, rho0, (0.0, 1.0), TIGHT).final_state.matrix
-        rm = integrate(model, xm, rho0, (0.0, 1.0), TIGHT).final_state.matrix
-        assert np.max(np.abs(sigma - (rp - rm) / (2 * h))) < 1e-6
+        for k, sigma in enumerate(tangents):
+            xp, xm = x.copy(), x.copy()
+            xp[k] += h
+            xm[k] -= h
+            rp = integrate(model, xp, rho0, (0.0, 1.0), TIGHT).final_state.matrix
+            rm = integrate(model, xm, rho0, (0.0, 1.0), TIGHT).final_state.matrix
+            assert np.max(np.abs(sigma - (rp - rm) / (2 * h))) < 1e-6
 
     def test_zero_parameter_dependence_gives_zero_tangent(self):
         h0 = 0.5 * PAULI_Z
@@ -151,11 +153,12 @@ class TestForwardSensitivity:
             channels=(),
             dimension=2,
         )
-        _, sigma = forward_sensitivity(model, np.array([0.3]), PLUS, (0.0, 1.0), TIGHT, k=0)
+        _, (sigma,) = forward_sensitivity(model, np.array([0.3]), PLUS, (0.0, 1.0), TIGHT)
         assert np.max(np.abs(sigma)) < 1e-12
 
     def test_counts_every_rhs_call(self, monkeypatch):
-        # each stacked evaluation applies L twice: to the state and to the tangent
+        # each stacked evaluation applies L p + 1 times: to the state and to
+        # each of the p tangents
         calls = 0
 
         def counted(*args):
@@ -165,7 +168,7 @@ class TestForwardSensitivity:
 
         monkeypatch.setattr(sensitivity, "lindblad_rhs", counted)
         forward_sensitivity(preset_oat(2, 0.1), np.array([0.8, 0.6]), all_zero_density(2), (0.0, 1.0))
-        assert calls > 0
+        assert calls > 0 and calls % 3 == 0
         assert counters.rhs_evaluations == calls
 
 
@@ -194,10 +197,8 @@ class TestAdjointGradient:
         adj = adjoint_gradient(integrate(model, x, rho0, (0.0, 1.0), TIGHT), cost).dc_dx
 
         cot = cost.cotangent(integrate(model, x, rho0, (0.0, 1.0), TIGHT).final_state.matrix)
-        fwd = np.zeros(2)
-        for k in range(2):
-            _, sigma = forward_sensitivity(model, x, rho0, (0.0, 1.0), TIGHT, k)
-            fwd[k] = np.sum(cot.conj() * sigma).real
+        _, tangents = forward_sensitivity(model, x, rho0, (0.0, 1.0), TIGHT)
+        fwd = np.array([np.sum(cot.conj() * sigma).real for sigma in tangents])
 
         def f(xv):
             rho_t = integrate(model, xv, rho0, (0.0, 1.0), TIGHT).final_state.matrix
@@ -236,10 +237,8 @@ class TestAdjointGradient:
         for g in grads[1:]:
             assert np.array_equal(g, grads[0])
         cot = cost.cotangent(res.final_state.matrix)
-        fwd = np.zeros(2)
-        for k in range(2):
-            _, sigma = forward_sensitivity(model, x, rho0, (0.0, 4.0), SolveConfig(initial_step=0.5), k)
-            fwd[k] = _pair(cot, sigma)
+        _, tangents = forward_sensitivity(model, x, rho0, (0.0, 4.0), SolveConfig(initial_step=0.5))
+        fwd = np.array([_pair(cot, sigma) for sigma in tangents])
         assert np.max(np.abs(grads[0] - fwd)) < 1e-6 * max(1.0, np.max(np.abs(grads[0])))
 
     def test_initial_state_gradient_directional_fd(self):
@@ -264,6 +263,20 @@ class TestAdjointGradient:
         fd = (run(rho0.matrix + h * probe) - run(rho0.matrix - h * probe)) / (2 * h)
         analytic = np.sum(lam0.conj() * probe).real
         assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-9)
+
+    def test_result_arrays_are_read_only(self):
+        # replay and the adjoint trust the result's arrays, so a write must
+        # fail rather than silently change the gradient
+        model = preset_oat(2, 0.1)
+        cost = observable_cost(collective_sx(2))
+        res = integrate(model, np.array([0.8, 0.6]), all_zero_density(2), (0.0, 1.0))
+        before = adjoint_gradient(res, cost).dc_dx
+        arrays = [res.x, res.step_times, res.step_sizes, res.final_state.matrix]
+        arrays += [state for _, state in res.checkpoints]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(1,) * a.ndim] = -0.6
+        assert np.array_equal(adjoint_gradient(res, cost).dc_dx, before)
 
     def test_result_reuse_costs_one_forward_one_adjoint(self):
         model = preset_oat(2)

@@ -293,6 +293,15 @@ class TestCostsAndErrors:
         assert counters.rhs_evaluations == 0
         assert counters.forward_integrations == 0
 
+    def test_overflowing_hamiltonian_rejected_before_any_rhs_call(self):
+        # ||H||_F and ||H - H^dag||_F both overflow to inf, and inf <= tol * inf holds
+        model = _static_model(np.array([[0.0, 1e200], [0.0, 0.0]], dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match="not Hermitian"):
+                integrate(model, np.zeros(0), PLUS, (0.0, 1.0))
+        assert counters.rhs_evaluations == 0
+
     def test_wrong_parameter_count_rejected(self):
         model = preset_oat(1)
         with pytest.raises(ValidationError):
