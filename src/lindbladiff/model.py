@@ -145,12 +145,13 @@ def _local_jump(op: Operator) -> LocalJump | None:
 class JumpChannel:
     """Dissipation channel: nonnegative rate and jump operator.
 
-    Its adjoint and, for a single-qubit operator, its ``local`` form are cached at construction.
+    Its single-qubit ``local`` form, if any, is found at construction.  Its
+    adjoint is formed on first use, which only a channel without a local form
+    reaches: a local channel keeps no second d x d operator.
     """
 
     rate: float
     operator: Operator
-    adjoint_operator: Operator = field(init=False, repr=False)
     local: LocalJump | None = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -159,8 +160,11 @@ class JumpChannel:
         op = self.operator
         if op.shape[0] != op.shape[1]:
             raise ValidationError(f"jump operator must be square, got shape {op.shape}")
-        object.__setattr__(self, "adjoint_operator", linalg.hermitian_adjoint(op))
         object.__setattr__(self, "local", _local_jump(op))
+
+    @cached_property
+    def adjoint_operator(self) -> Operator:
+        return linalg.hermitian_adjoint(self.operator)
 
 
 @dataclass(frozen=True)
@@ -292,15 +296,23 @@ def _sparse_eye(m: int) -> sparse.csr_array:
 
 
 def _jump_square(ch: JumpChannel) -> Operator:
-    """J^dag J in the operator's storage; I (x) a^dag a (x) I in O(d^2) for a local J."""
+    """J^dag J in the operator's storage; I (x) a^dag a (x) I in O(d^2) for a local J.
+
+    A dense local square is written into the (L, 2, R, L, 2, R) view of a
+    zero matrix: entry ((l, p, r), (l, q, r)) is (a^dag a)[p, q] for every l, r.
+    """
     loc = ch.local
     if loc is None:
         return ch.adjoint_operator @ ch.operator
     square = loc.factor.conj().T @ loc.factor
-    left, right = loc.view[0], loc.view[2]
     if linalg.is_sparse(ch.operator):
+        left, right = loc.view[0], loc.view[2]
         return sparse.kron(sparse.kron(_sparse_eye(left), square), _sparse_eye(right), format="csr")
-    return np.kron(np.kron(np.eye(left), square), np.eye(right))
+    out = np.zeros(ch.operator.shape, dtype=np.complex128)
+    blocks = out.reshape(loc.view)
+    for p, q in zip(*np.nonzero(square)):
+        np.einsum("ijij->ij", blocks[:, p, :, :, q, :])[...] = square[p, q]
+    return out
 
 
 def _decay_operator(channels: Sequence[JumpChannel]) -> Operator | float:
@@ -447,20 +459,37 @@ def _generator_apply(
 
 
 def rhs_parameter_derivative(
-    t: float, rho: np.ndarray, model: LindbladModel, x: np.ndarray, k: int
+    t: float | Sequence[float], rho: np.ndarray, model: LindbladModel, x: np.ndarray, k: int
 ) -> np.ndarray:
     """d/dx_k of the right-hand side at fixed rho: -i [dH/dx_k, rho].
 
-    Jump channels are parameter-independent, so only the coherent term
-    contributes; a compiled model applies S_k.
+    rho is one state (d, d) at time t, or a stack (m, d, d) of states with t
+    a sequence of m times, one per state; the result has rho's shape.  Jump
+    channels are parameter-independent, so only the coherent term
+    contributes.  A compiled model applies S_k, to a stack as one SpMM on
+    the (N, m) matrix of its columns.  The sandwich kernel takes a stack
+    state by state: one (d, m d) left and one (m d, d) right product would
+    need strided copies of the whole stack, which cost more than the m
+    sandwiches save, and hold m more states.
     """
-    if rho.shape != (model.dimension, model.dimension):
-        raise ShapeMismatchError("rhs state", rho.shape, (model.dimension, model.dimension))
-    dh = model.hamiltonian.param_derivative(t, x, k)  # also rejects an out-of-range k
+    d = model.dimension
+    if rho.shape[-2:] != (d, d) or rho.ndim not in (2, 3):
+        raise ShapeMismatchError("rhs state", rho.shape, (d, d))
     compiled = model.superoperator
+    if rho.ndim == 3:
+        if np.shape(t) != rho.shape[:1]:
+            raise ValidationError(f"a stack of {rho.shape[0]} states needs as many times, got {np.shape(t)}")
+        if compiled is None:
+            out = np.empty(rho.shape, dtype=np.complex128)
+            for i, (t_i, y_i) in enumerate(zip(t, rho)):
+                out[i] = rhs_parameter_derivative(t_i, y_i, model, x, k)
+            return out
+    dh = model.hamiltonian.param_derivative(t, x, k)  # also rejects an out-of-range k
     if compiled is None:
         return _sandwich(dh, dh, (), rho)
-    return (compiled.derivatives[k] @ rho.ravel()).reshape(rho.shape)
+    if rho.ndim == 2:
+        return (compiled.derivatives[k] @ rho.ravel()).reshape(rho.shape)
+    return (compiled.derivatives[k] @ rho.reshape(len(rho), d * d).T).T.reshape(rho.shape)
 
 
 def validate_hamiltonian(model: LindbladModel, x: np.ndarray, t: float = 0.0) -> None:

@@ -11,7 +11,9 @@ with tangents through Re Tr(lambda^dag v).
 The reverse pass is the exact discrete adjoint of the replayed forward
 steps: each checkpoint segment is recomputed forward on the recorded step
 grid, then the stage cotangent recursion runs backward through the same
-stages, with the A and b of the solver's one tableau (``solver.DOP853``).
+stages, with the A and b of the solver's one tableau (``solver.DOP853``), on
+stacked stage buffers with one BLAS product per stage sum and p parameter
+pairings per step.
 It takes the forward solve's ``SolveResult`` as its only input besides the
 cost, and reads the model, x, span, checkpoints and step grid from it, so
 it always replays the trajectory that solve produced.  Because replay is
@@ -36,6 +38,7 @@ from .solver import (
     SolveResult,
     dense_segment,
     rk_stages,
+    _A,
     _adaptive_core,
     _check_inputs,
     _CountedRhs,
@@ -264,31 +267,33 @@ def _reverse_step(
 ) -> np.ndarray:
     """Exact reverse-mode of one replayed step of the DOP853 tableau.
 
-    Recomputes the s stage states with s - 1 calls of f (the last stage's
-    slope is never read), then runs the cotangent recursion
+    Recomputes the s stage states Y into one stacked buffer with s - 1 calls
+    of f (the last stage's slope is never read), then runs the cotangent
+    recursion on the stacked buffers V and W
         v_i = h b_i lam + h sum_{j>i} a_ji w_j,   w_i = L^dag(t_i) v_i,
-    giving lam_prev = lam + sum_i w_i.  Parameter sensitivities accumulate
-    through the stage slopes: dc/dx_k += sum_i <v_i, (dL/dx_k)(t_i) Y_i>.
+    each stage sum one BLAS product A[i+1:, i] W[i+1:] over the float64 view
+    of W, giving lam_prev = lam + sum_i w_i.  Parameter sensitivities
+    accumulate through the stage slopes: dc/dx_k += sum_i <v_i, (dL/dx_k)(t_i)
+    Y_i>, one rhs_parameter_derivative call on the whole stack Y and one
+    vdot per parameter, so a step makes p such calls.
     """
-    _, stage_times, stage_states = rk_stages(f, t_n, y_n, h, last_slope=False)
-    a, b = DOP853.a, DOP853.b
-    s = len(b)
-    ws: list[np.ndarray] = [None] * s  # type: ignore[list-item]
-    vs: list[np.ndarray] = [None] * s  # type: ignore[list-item]
+    s = _A.shape[0]
+    stage_states = np.empty((s, *y_n.shape), dtype=np.complex128)
+    rk_stages(f, t_n, y_n, h, states=stage_states)
+    stage_times = [t_n + c * h for c in DOP853.c]
+    vs = np.empty_like(stage_states)
+    ws = np.empty_like(stage_states)
+    flat_ws = ws.reshape(s, -1).view(np.float64)
     for i in range(s - 1, -1, -1):
-        v = (h * b[i]) * lam
-        for j in range(i + 1, s):
-            aji = a[j][i]
-            if aji != 0.0:
-                v = v + (h * aji) * ws[j]
-        vs[i] = v
+        v = vs[i]
+        np.dot(_A[i + 1 :, i], flat_ws[i + 1 :], out=v.reshape(-1).view(np.float64))
+        v *= h
+        v += (h * DOP853.b[i]) * lam
         ws[i] = adjoint_liouvillian_apply(model, x, stage_times[i], v)
-    lam_prev = lam
-    for w in ws:
-        lam_prev = lam_prev + w
+    lam_prev = lam + ws.sum(axis=0)
+    del ws, flat_ws  # each pairing below allocates an (s, d, d) result
     for k in range(grad.shape[0]):
-        for i in range(s):
-            grad[k] += _pair(vs[i], rhs_parameter_derivative(stage_times[i], stage_states[i], model, x, k))
+        grad[k] += np.vdot(vs, rhs_parameter_derivative(stage_times, stage_states, model, x, k)).real
     return lam_prev
 
 

@@ -3,12 +3,15 @@
 The stepper is an explicit embedded Runge--Kutta pair on the complex density
 matrix with a stabilized PI step-size controller.  One tableau, ``DOP853``
 (Dormand--Prince 8(5,3), FSAL), drives the forward step, segment replay and
-the reverse pass in ``sensitivity``.  Every accepted step time and step size
-is recorded, and the ``SolveResult`` keeps the model and x it was solved
-with, so any segment between two checkpoints can later be replayed on the
-recorded grid from the result alone; replay performs the same floating-point
-operations as the original pass and is therefore bit-identical.  Trace is
-never renormalized -- trace drift is reported as a diagnostic instead.
+the reverse pass in ``sensitivity``, all through a stacked slope buffer: the
+s slopes of a step fill one (s, *state shape) array, each stage sum is one
+BLAS product over its float64 view, and the reverse pass makes p parameter
+pairings per step.  Every accepted step time and step size is recorded, and
+the ``SolveResult`` keeps the model and x it was solved with, so any segment
+between two checkpoints can later be replayed on the recorded grid from the
+result alone; replay performs the same floating-point operations as the
+original pass and is therefore bit-identical.  Trace is never renormalized
+-- trace drift is reported as a diagnostic instead.
 """
 
 from __future__ import annotations
@@ -106,6 +109,11 @@ _K_EXP = 0.7 / (DOP853.error_order + 1)  # proportional exponent (on the current
 _KI_EXP = 0.4 / (DOP853.error_order + 1)  # integral exponent (on the previous error)
 _UNDERFLOW = 1e-14
 
+#: DOP853's a rows as one zero-padded (s, s) array: row i holds a_i0 ... a_i(i-1).
+_A = np.array([row + (0.0,) * (len(DOP853.c) - len(row)) for row in DOP853.a])
+#: The end-of-step weight rows b, e[:s] and e3[:s] (the FSAL weights of e and e3 are zero).
+_STEP_WEIGHTS = np.array([DOP853.b, DOP853.e[: len(DOP853.b)], DOP853.e3[: len(DOP853.b)]])
+
 
 @dataclass(frozen=True)
 class SolveConfig:
@@ -194,15 +202,6 @@ def _error_norm(
     return err5 / math.sqrt((err5 + 0.01 * err3) * delta5.size)
 
 
-def _combine(weights: tuple[float, ...], slopes: list[np.ndarray]) -> np.ndarray:
-    """sum_j weights[j] * slopes[j], added left to right, zero weights skipped."""
-    acc = None
-    for w, k in zip(weights, slopes):
-        if w != 0.0:
-            acc = w * k if acc is None else acc + w * k
-    return acc
-
-
 def rk_stages(
     f: Callable[[float, np.ndarray], np.ndarray],
     t: float,
@@ -210,30 +209,51 @@ def rk_stages(
     h: float,
     k1: np.ndarray | None = None,
     *,
-    last_slope: bool = True,
-) -> tuple[list[np.ndarray], list[float], list[np.ndarray]]:
-    """All DOP853 stages of one step: (slopes, stage_times, stage_states).
+    states: np.ndarray | None = None,
+) -> np.ndarray:
+    """The slopes of all s DOP853 stages of one step, as one (s, *y.shape) array.
 
     This is the single source of the stage arithmetic; the adaptive loop,
     segment replay, and the reverse pass all go through it, so a replayed
-    step performs bit-identical floating-point operations.  The step's end
-    state is y + h * _combine(DOP853.b, slopes), formed by the callers that
-    need it.  With ``last_slope=False`` the last stage state is formed but f
-    is not evaluated there, leaving s - 1 slopes (the reverse pass needs
-    only the states).
+    step performs bit-identical floating-point operations.  The slopes fill
+    one preallocated stacked buffer K, and stage state i is one BLAS product
+    A[i, :i] K[:i] over its float64 view, scaled by h and added to y in
+    place.  Without ``states`` the stage states share one scratch buffer,
+    so a step holds one of them at a time; _step_end forms the step's end.
+    The reverse pass passes an (s, *y.shape) buffer as ``states`` and gets
+    every stage state written into it; the last stage's slope, which it
+    never reads, is then not evaluated and K[s - 1] is left zero.
     """
-    if k1 is None:
-        k1 = f(t, y)
-    times, states, slopes = [t], [y], [k1]
-    last = len(DOP853.c) - 1
-    for i in range(1, last + 1):
-        t_i = t + DOP853.c[i] * h
-        y_i = y + h * _combine(DOP853.a[i], slopes)
-        times.append(t_i)
-        states.append(y_i)
-        if last_slope or i < last:
-            slopes.append(f(t_i, y_i))
-    return slopes, times, states
+    s = _A.shape[0]
+    slopes = np.zeros((s, *y.shape), dtype=np.complex128)
+    flat = slopes.reshape(s, -1).view(np.float64)
+    slopes[0] = f(t, y) if k1 is None else k1
+    if states is not None:
+        states[0] = y
+    scratch = np.empty_like(slopes[0]) if states is None else None
+    for i in range(1, s):
+        y_i = scratch if states is None else states[i]
+        increment = y_i.reshape(-1).view(np.float64)
+        np.dot(_A[i, :i], flat[:i], out=increment)
+        increment *= h
+        y_i += y
+        if states is None or i < s - 1:
+            slopes[i] = f(t + DOP853.c[i] * h, y_i)
+    return slopes
+
+
+def _step_end(y: np.ndarray, h: float, slopes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(y_new, delta5, delta3) = (y + h sum_i b_i k_i, h sum_i e_i k_i, h sum_i e3_i k_i).
+
+    The three sums are one (3, s) x (s, 2N) product over the float64 view of
+    the slope stack.  The forward step and replay both call this with the
+    same operand shapes, so a replayed state is bit-equal to the forward one.
+    """
+    s = slopes.shape[0]
+    sums = np.dot(_STEP_WEIGHTS, slopes.reshape(s, -1).view(np.float64))
+    sums *= h
+    sums = sums.view(np.complex128).reshape(3, *y.shape)
+    return y + sums[0], sums[1], sums[2]
 
 
 def _initial_step(
@@ -317,12 +337,9 @@ def _adaptive_core(
         last = t + h >= t_final
         if last:
             h = t_final - t
-        ks, _, _ = rk_stages(f, t, y, h, k1)
-        y_new = y + h * _combine(DOP853.b, ks)
         # e[-1] = e3[-1] = 0: the estimates need no FSAL slope, so only an
         # accepted step pays for f(t + h, y_new)
-        delta5 = h * _combine(DOP853.e, ks)
-        delta3 = h * _combine(DOP853.e3, ks)
+        y_new, delta5, delta3 = _step_end(y, h, rk_stages(f, t, y, h, k1))
         if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(delta5)) and np.all(np.isfinite(delta3))):
             raise IntegrationError(f"non-finite state produced at t = {t:.6g} with h = {h:.3e}")
         err = _error_norm(delta5, delta3, y, y_new, cfg.rtol, cfg.atol)
@@ -492,8 +509,7 @@ def dense_segment(
     for n in range(ia, ib):
         t_n = float(times[n])
         h_n = float(result.step_sizes[n])
-        ks, _, _ = rk_stages(f, t_n, y, h_n)
-        y = y + h_n * _combine(DOP853.b, ks)
+        y, _, _ = _step_end(y, h_n, rk_stages(f, t_n, y, h_n))
         out.append((float(times[n + 1]), y))
     counters.rhs_evaluations += f.calls
     return out

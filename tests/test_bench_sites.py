@@ -1,16 +1,21 @@
 """The benchmark's tracer (perfbench/tracing.py) binds to names in the package.
 
 It patches each of its SITES when a run is traced, so a name dropped from the
-package would crash traced runs; these tests catch that here.  The tracer
-module is loaded by path and only read.
+package, or a call whose shape the wrappers cannot take, would crash traced
+runs; these tests catch that here.  The tracer module is loaded by path and
+only read.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -51,3 +56,13 @@ def test_install_patches_and_uninstall_restores_every_site():
     finally:
         tracer.uninstall()
     assert all(_binding(site) is before[site] for site in sites)
+
+
+def test_traced_smoke_run_matches_untraced(tmp_path):
+    # a traced run repeats each op with the wrappers installed; the benchmark
+    # marks the run incorrect if a traced op fails or changes the output
+    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "grad-long-n4-k8", "--smoke", "--trace", "1"]
+    done = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

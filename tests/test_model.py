@@ -1,9 +1,11 @@
 """Model construction, the master-equation right-hand side, and presets."""
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from oracles import lindblad_reference, random_density, random_hermitian
 from lindbladiff.errors import ShapeMismatchError, ValidationError
@@ -86,6 +88,42 @@ class TestJumpChannel:
         sched = HamiltonianSchedule(evaluate=lambda t, x: PAULI_Z, n_params=0)
         model = LindbladModel(hamiltonian=sched, channels=(ch,), dimension=2)
         assert np.array_equal(to_dense(model.decay), (0.5 * 0.3) * (LOWERING.conj().T @ LOWERING))
+
+    @pytest.mark.parametrize("sparse_ops", [False, True])
+    def test_local_decay_is_byte_equal_to_the_kronecker_chain(self, sparse_ops):
+        def eye(m):
+            return scipy.sparse.eye_array(m, dtype=np.complex128, format="csr") if sparse_ops else np.eye(m)
+
+        kron = partial(scipy.sparse.kron, format="csr") if sparse_ops else np.kron
+        for n in range(1, 9):
+            model = preset_oat(n, 0.1, sparse=sparse_ops)
+            expect = 0.0
+            for ch in model.channels:
+                a = ch.local.factor
+                left, right = ch.local.view[0], ch.local.view[2]
+                expect = expect + (0.5 * ch.rate) * kron(kron(eye(left), a.conj().T @ a), eye(right))
+            got = model.decay
+            assert type(got) is type(expect) and got.dtype == expect.dtype
+            if sparse_ops:
+                for part in ("data", "indices", "indptr"):
+                    assert getattr(got, part).tobytes() == getattr(expect, part).tobytes()
+            else:
+                assert got.tobytes() == expect.tobytes()
+
+    def test_local_channel_never_forms_its_adjoint(self, monkeypatch):
+        # a local channel is applied by block copies, so the sandwich kernel
+        # never reads a dense J^dag; a channel without a local form does
+        import lindbladiff.model as model_module
+
+        monkeypatch.setattr(model_module, "COMPILE_MAX_NNZ", 0)
+        rng = np.random.default_rng(3)
+        dense_jump = JumpChannel(rate=0.2, operator=rng.standard_normal((8, 8)) + 0j)
+        model = preset_oat(3, 0.1)
+        model = LindbladModel(model.hamiltonian, model.channels + (dense_jump,), model.dimension)
+        rho = random_density(rng, 8)
+        lindblad_rhs(0.0, rho, model, np.array([0.8, 0.6]))
+        adjoint_liouvillian_apply(model, np.array([0.8, 0.6]), 0.0, rho)
+        assert [("adjoint_operator" in vars(ch)) for ch in model.channels] == [False, False, False, True]
 
     def test_rejects_negative_rate_and_nonsquare(self):
         with pytest.raises(ValidationError):

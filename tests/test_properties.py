@@ -4,6 +4,8 @@ Every matrix entry is drawn by hypothesis, so a failing example shrinks
 towards a smaller model with simpler entries.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,15 @@ from oracles import lindblad_reference
 from lindbladiff.eigen import eig_vjp, eigh
 from lindbladiff.errors import GaugeDependenceError
 from lindbladiff.linalg import to_dense
-from lindbladiff.model import HamiltonianSchedule, JumpChannel, LindbladModel, LinearSchedule, lindblad_rhs
+from lindbladiff import model as model_module
+from lindbladiff.model import (
+    HamiltonianSchedule,
+    JumpChannel,
+    LindbladModel,
+    LinearSchedule,
+    lindblad_rhs,
+    rhs_parameter_derivative,
+)
 from lindbladiff.sensitivity import adjoint_liouvillian_apply
 from lindbladiff.spins import as_sparse, embed_single
 
@@ -160,6 +170,40 @@ def test_local_channels_match_textbook_form_and_pairing(drawn):
     assert sum(ch.local is not None for ch in case[0].channels) >= n_local
     _check_textbook_form(case)
     _check_pairing(case)
+
+
+@st.composite
+def state_stacks(draw):
+    """(schedule, x, times, stack): a random 1-3 qubit LinearSchedule with one
+    or two parameter terms, and a stack of 1-4 states with a time each."""
+    d = 2 ** draw(st.integers(1, 3))
+    wrap = as_sparse if draw(st.booleans()) else (lambda m: m)
+    terms = tuple(wrap(_hermitian(draw, d)) for _ in range(draw(st.integers(1, 2))))
+    constant = wrap(_hermitian(draw, d)) if draw(st.booleans()) else None
+    x = np.array([draw(_ENTRY) for _ in terms])
+    m = draw(st.integers(1, 4))
+    times = [draw(st.floats(0.0, 1.0)) for _ in range(m)]
+    return LinearSchedule(terms=terms, constant=constant), x, times, np.stack([_complex(draw, d) for _ in range(m)])
+
+
+@PROPERTY
+@given(state_stacks())
+def test_parameter_derivative_of_a_stack_matches_per_state_calls(drawn):
+    # one SpMM for the whole stack (compiled) or a sandwich per state gives
+    # the per-state results, stacked
+    schedule, x, times, stack = drawn
+    d = stack.shape[1]
+    with mock.patch.object(model_module, "COMPILE_MAX_NNZ", -1):  # an all-zero draw counts 0 entries
+        capped = LindbladModel(hamiltonian=schedule, channels=(), dimension=d)
+        assert capped.superoperator is None
+    compiled = LindbladModel(hamiltonian=schedule, channels=(), dimension=d)
+    assert compiled.superoperator is not None
+    for model in (compiled, capped):
+        for k, term in enumerate(schedule.terms):
+            got = rhs_parameter_derivative(times, stack, model, x, k)
+            expect = np.stack([rhs_parameter_derivative(t, y, model, x, k) for t, y in zip(times, stack)])
+            assert got.shape == stack.shape
+            assert _norm(got - expect) <= 1e-14 * 2.0 * _norm(term) * _norm(stack)
 
 
 @st.composite

@@ -16,6 +16,7 @@ from lindbladiff.model import (
     all_zero_density,
     lindblad_rhs,
     preset_oat,
+    rhs_parameter_derivative,
 )
 from lindbladiff.sensitivity import (
     _pair,
@@ -30,7 +31,7 @@ from lindbladiff.sensitivity import (
     realify,
     state_entry_re_cost,
 )
-from lindbladiff.solver import DOP853, SolveConfig, _combine, _CountedRhs, integrate, rk_stages
+from lindbladiff.solver import DOP853, SolveConfig, _CountedRhs, _step_end, integrate, rk_stages
 from lindbladiff.spins import PAULI_Z, collective_sx
 
 PLUS = DensityOperator.from_matrix(0.5 * np.array([[1, 1], [1, 1]], dtype=complex))
@@ -309,6 +310,22 @@ class TestAdjointGradient:
         s = len(DOP853.b)
         assert replay_rhs == s * (res.stats.accepted - grad.diagnostics["segments"])
 
+    def test_reverse_step_pairs_each_parameter_once(self, monkeypatch):
+        # dL/dx_k is applied to the whole stack of s stage states in one
+        # call, so a replayed step makes p calls, not s * p
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return rhs_parameter_derivative(*args)
+
+        monkeypatch.setattr(sensitivity, "rhs_parameter_derivative", counted)
+        model = preset_oat(2, 0.1)
+        res = integrate(model, np.array([0.9, 0.6]), all_zero_density(2), (0.0, 1.0), SolveConfig(checkpoints=4))
+        grad = adjoint_gradient(res, state_entry_re_cost(0, 0))
+        assert calls == model.n_params * grad.diagnostics["steps_replayed"] > 0
+
     def test_reverse_step_skips_the_last_stage_slope(self):
         # the reverse step needs the s stage states, and the last one depends
         # on the first s - 1 slopes only
@@ -371,22 +388,29 @@ class TestAdjointGradient:
 
 class TestReverseStep:
     """One step y -> Phi(y) of a model with a time-independent generator is
-    linear in y, so the reverse step must be Phi's exact transpose."""
+    linear in y, so the reverse step must be Phi's exact transpose.  Each
+    test runs on the compiled superoperator and on the sandwich kernel."""
 
-    T_N, H = 0.3, 0.15
+    T_N, H, X = 0.3, 0.15, np.array([0.8, 0.6])
 
-    def _model(self):
-        return preset_oat(2, 0.3), np.array([0.8, 0.6])
+    @pytest.fixture(params=["compiled", "sandwich"])
+    def model(self, request, monkeypatch):
+        if request.param == "sandwich":
+            import lindbladiff.model as model_module
+
+            monkeypatch.setattr(model_module, "COMPILE_MAX_NNZ", 0)
+        model = preset_oat(2, 0.3)
+        assert (model.superoperator is None) == (request.param == "sandwich")
+        return model
 
     def _step(self, model, x, y):
-        slopes, _, _ = rk_stages(_CountedRhs(model, x), self.T_N, y, self.H)
-        return y + self.H * _combine(DOP853.b, slopes)
+        return _step_end(y, self.H, rk_stages(_CountedRhs(model, x), self.T_N, y, self.H))[0]
 
     def _reverse(self, model, x, y, lam, grad):
         return _reverse_step(model, x, self.T_N, y, self.H, lam, grad, _CountedRhs(model, x))
 
-    def test_is_exact_transpose_of_one_step(self):
-        model, x = self._model()
+    def test_is_exact_transpose_of_one_step(self, model):
+        x = self.X
         rng = np.random.default_rng(11)
         for _ in range(3):
             sigma = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -396,8 +420,8 @@ class TestReverseStep:
             backward = _pair(lam_prev, sigma)
             assert abs(forward - backward) <= 1e-13 * np.linalg.norm(lam) * np.linalg.norm(sigma)
 
-    def test_parameter_term_matches_central_difference(self):
-        model, x = self._model()
+    def test_parameter_term_matches_central_difference(self, model):
+        x = self.X
         rng = np.random.default_rng(12)
         y = random_density(rng, 4)
         lam = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -21,7 +21,7 @@ from lindbladiff.model import (
     all_zero_density,
     preset_oat,
 )
-from lindbladiff.solver import DOP853, SolveConfig, _error_norm, dense_segment, integrate
+from lindbladiff.solver import _A, DOP853, SolveConfig, _error_norm, dense_segment, integrate
 from lindbladiff.spins import PAULI_Z
 from lindbladiff.instrumentation import counters
 
@@ -423,6 +423,7 @@ def test_dop853_literals_equal_scipy_bit_for_bit():
 
     assert same(DOP853.c, coeffs.C[:s])
     assert same(a, coeffs.A[:s, :s])
+    assert same(_A, coeffs.A[:s, :s])  # the padded array the stage sums read
     assert same(DOP853.b, coeffs.A[s, :s])
     assert same(DOP853.e, coeffs.E5)
     assert same(DOP853.e3, coeffs.E3)
