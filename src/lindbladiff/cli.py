@@ -361,23 +361,18 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def emit_plot_data(data, path: str, kind: str | None = None) -> str:
-    """Write a plot-ready CSV table and return the resolved kind.
+def emit_plot_data(data, path: str, kind: str) -> None:
+    """Write a plot-ready CSV table of the given kind.
 
     ``data`` is an iterable of JSON rows of an optimization trace (objects
     with "iter", "F", "grad_norm" and "step", as in the trace JSONL file)
     for kind "trace", or an iterable of (t, trace_rho, purity, min_eig)
-    rows for kind "trajectory".  The kind is inferred when the data makes
-    it unambiguous.  Numbers are written with 17 significant digits so
-    round-tripping is exact.
+    rows for kind "trajectory".  Numbers are written with 17 significant
+    digits so round-tripping is exact.
     """
     if isinstance(data, OptTrace):
         raise ValidationError("pass the trace's JSON rows (it.to_json() for it in trace.iterates)")
     items = list(data)
-    if kind is None:
-        if not items:
-            raise ValidationError("cannot infer plot kind from empty data; pass kind explicitly")
-        kind = "trace" if isinstance(items[0], dict) else "trajectory"
     if kind == "trace":
         rows = []
         for i, row in enumerate(items):
@@ -400,7 +395,6 @@ def emit_plot_data(data, path: str, kind: str | None = None) -> str:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-    return kind
 
 
 # --------------------------------------------------------------------------
@@ -433,7 +427,7 @@ def _run_solve(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
     elapsed = time.perf_counter() - tic
     stage = {
         "stats": result.stats.to_json(),
-        "checkpoints_retained": len(result.checkpoints),
+        "checkpoints_retained": len(result.step_checkpoints),
         "final_state": _final_state_summary(result.final_state.matrix),
     }
     return {"solve": stage}, {"solve": elapsed}, 0
@@ -533,7 +527,7 @@ def _run_optimize(cfg: ExperimentConfig, out: str | None) -> tuple[dict, dict, i
 
 def _trajectory_rows(cfg: ExperimentConfig) -> list[tuple[float, float, float, float]]:
     result = integrate(cfg.model, cfg.x, cfg.state, cfg.t_span, cfg.solver)
-    nodes = dense_segment(result, result.checkpoints[0][1], result.t_span)
+    nodes = dense_segment(result, result.step_checkpoints[0][1], (0, result.stats.accepted))
     return [(float(t), *_state_health(rho)) for t, rho in nodes]
 
 

@@ -305,7 +305,10 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     replayed on the recorded grid with the model and x of ``result`` and its
     steps are reverse-differentiated exactly.  Returns dc/dx, the realified
     dc/d(rho0) (the terminal adjoint state), and dc/dT.  For a fresh solve,
-    pass ``integrate(model, x, rho0, t_span, cfg)``.
+    pass ``integrate(model, x, rho0, t_span, cfg)``.  The diagnostics come from
+    the checkpoints' step indices: ``segments`` (stored count - 1),
+    ``steps_replayed`` (the reverse-differentiated steps: the last index, =
+    accepted) and ``longest_segment`` (the largest gap between indices).
     """
     model, x, t_final = result.model, result.x, result.t_span[1]
     rho_t = result.final_state.matrix
@@ -316,33 +319,23 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
 
     f = _CountedRhs(model, x)
     grad = np.zeros(model.n_params)
-    n_checkpoints = len(result.checkpoints)
-    times = result.step_times
-    sizes = result.step_sizes
-    indices = result.checkpoint_indices
-    longest = 0
-    replayed = 0
+    stored = result.step_checkpoints
+    pairs = list(zip(stored, stored[1:]))
 
-    for seg in range(n_checkpoints - 1, 0, -1):
-        t_a, state_a = result.checkpoints[seg - 1]
+    for (i_a, state_a), (i_b, _) in reversed(pairs):
         # replay stops at the start of the segment's last step: the state at
         # its right end is the stored next checkpoint, which nothing reads
-        t_last = float(times[indices[seg] - 1])
-        segment = dense_segment(result, state_a, (t_a, t_last))
-        counters.note_retained_states(n_checkpoints + len(segment) - 1)
-        longest = max(longest, len(segment))
-        i_a = indices[seg - 1]
-        for m in range(len(segment) - 1, -1, -1):
-            n = i_a + m
-            lam = _reverse_step(model, x, float(times[n]), segment[m][1], float(sizes[n]), lam, grad, f)
-            replayed += 1
+        segment = dense_segment(result, state_a, (i_a, i_b - 1))
+        counters.note_retained_states(len(stored) + len(segment) - 1)
+        for (t_n, y_n), h_n in reversed(list(zip(segment, result.step_sizes[i_a:i_b]))):
+            lam = _reverse_step(model, x, t_n, y_n, float(h_n), lam, grad, f)
 
     counters.adjoint_passes += 1
     counters.adjoint_rhs_evaluations += f.calls
     diagnostics = {
-        "segments": n_checkpoints - 1,
-        "steps_replayed": replayed,
-        "longest_segment": longest,
+        "segments": len(pairs),
+        "steps_replayed": stored[-1][0],
+        "longest_segment": max(i_b - i_a for (i_a, _), (i_b, _) in pairs),
         "adjoint_rhs_evaluations": f.calls,
         "fd_fallback": model.hamiltonian.uses_fd_fallback,
         "cost_verification": verification,

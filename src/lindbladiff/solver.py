@@ -10,13 +10,15 @@ pairings per step.  Every accepted step time and step size is recorded, and
 the ``SolveResult`` keeps the model and x it was solved with, so any segment
 between two checkpoints can later be replayed on the recorded grid from the
 result alone; replay performs the same floating-point operations as the
-original pass and is therefore bit-identical.  Trace is never renormalized
--- trace drift is reported as a diagnostic instead.
+original pass and is therefore bit-identical.  Checkpoints and replay spans
+are addressed by accepted-step index i; state i sits at step_times[i].
+Trace is never renormalized -- trace drift is reported as a diagnostic instead.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -169,8 +171,7 @@ class SolveResult:
     """Final state plus the recorded trail needed for exact replay; integrate makes its arrays read-only."""
 
     final_state: DensityOperator
-    checkpoints: tuple[tuple[float, np.ndarray], ...]
-    checkpoint_indices: tuple[int, ...]
+    step_checkpoints: tuple[tuple[int, np.ndarray], ...]  # (step index i, state i), i = 0 ... accepted
     step_times: np.ndarray  # accepted times, t0 ... T, length accepted+1
     step_sizes: np.ndarray  # accepted step sizes, length accepted
     stats: SolveStats
@@ -268,7 +269,10 @@ def _initial_step(
     """Starting step size from the standard two-evaluation heuristic."""
     scale = atol + rtol * np.abs(y0)
     d0 = _rms(np.abs(y0) / scale)
-    d1 = _rms(np.abs(f0) / scale)
+    with np.errstate(over="ignore"):  # an overflowing norm is reported below
+        d1 = _rms(np.abs(f0) / scale)
+    if not math.isfinite(d1):
+        raise IntegrationError(f"the scaled norm of the initial slope overflows at t = {t0:.6g}")
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
     f1 = f(t0 + h0, y0 + h0 * f0)
@@ -285,11 +289,8 @@ class _CoreTrail:
     final: np.ndarray
     step_times: np.ndarray
     step_sizes: np.ndarray
-    accepted: int
     rejected: int
-    min_step: float
-    max_step: float
-    checkpoints: list[tuple[int, float, np.ndarray]]
+    checkpoints: list[tuple[int, np.ndarray]]
 
 
 def _adaptive_core(
@@ -304,7 +305,7 @@ def _adaptive_core(
     Records every accepted step time and size, and keeps a thinned
     checkpoint list: stride doubles whenever the stored count would exceed
     the budget, so checkpoints stay roughly equally spaced in accepted-step
-    index; the first entry is t0 and the last is t_final.
+    index; the first entry is step 0 (t0) and the last is step accepted (t_final).
     """
     y = y0
     span = t_final - t0
@@ -313,7 +314,7 @@ def _adaptive_core(
     h = min(h, span)
 
     budget = cfg.checkpoint_budget
-    stored: list[tuple[int, float, np.ndarray]] = [(0, t0, y.copy())]
+    stored: list[tuple[int, np.ndarray]] = [(0, y.copy())]
     stride = 1
 
     step_times = [t0]
@@ -323,8 +324,6 @@ def _adaptive_core(
     err_prev = 1.0
     accepted = 0
     rejected = 0
-    min_h = math.inf
-    max_h = 0.0
 
     while t < t_final:
         if accepted + rejected >= cfg.max_steps:
@@ -339,7 +338,10 @@ def _adaptive_core(
             h = t_final - t
         # e[-1] = e3[-1] = 0: the estimates need no FSAL slope, so only an
         # accepted step pays for f(t + h, y_new)
-        y_new, delta5, delta3 = _step_end(y, h, rk_stages(f, t, y, h, k1))
+        try:
+            y_new, delta5, delta3 = _step_end(y, h, rk_stages(f, t, y, h, k1))
+        except ValidationError as exc:  # lindblad_rhs rejects a stage state that blew up
+            raise IntegrationError(f"step at t = {t:.6g} with h = {h:.3e} failed: {exc}") from exc
         if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(delta5)) and np.all(np.isfinite(delta3))):
             raise IntegrationError(f"non-finite state produced at t = {t:.6g} with h = {h:.3e}")
         err = _error_norm(delta5, delta3, y, y_new, cfg.rtol, cfg.atol)
@@ -348,12 +350,10 @@ def _adaptive_core(
             t = t_final if last else t + h
             y = y_new
             accepted += 1
-            min_h = min(min_h, h)
-            max_h = max(max_h, h)
             step_times.append(t)
             step_sizes.append(h)
             if accepted % stride == 0 and t < t_final:
-                stored.append((accepted, t, y.copy()))
+                stored.append((accepted, y.copy()))
                 # reserve one slot for the final state appended below
                 if len(stored) > budget - 1:
                     stored = stored[::2]
@@ -370,15 +370,12 @@ def _adaptive_core(
             factor = _SAFETY * err ** (-_K_EXP)
             h = h * min(1.0, max(_MIN_FACTOR, factor))
 
-    stored.append((accepted, t_final, y.copy()))
+    stored.append((accepted, y.copy()))
     return _CoreTrail(
         final=y,
         step_times=np.array(step_times),
         step_sizes=np.array(step_sizes),
-        accepted=accepted,
         rejected=rejected,
-        min_step=min_h,
-        max_step=max_h,
         checkpoints=stored,
     )
 
@@ -432,9 +429,10 @@ def integrate(
 ) -> SolveResult:
     """Integrate the master equation from t0 to T with adaptive steps.
 
-    Returns the final state, a thinned checkpoint trail (first entry at t0,
-    last at T, roughly equally spaced in accepted-step index, at most the
-    configured checkpoint count), and the full accepted step grid.
+    Returns the final state, a thinned trail of (step index, state)
+    checkpoints (first step 0, last step accepted, roughly equally spaced in
+    index, at most the configured checkpoint count), and the full accepted
+    step grid, from which the step statistics are read.
     """
     y0, x, t0, t_final = _check_inputs(model, x, rho0, t_span)
     trace0 = float(np.trace(y0).real)
@@ -442,29 +440,28 @@ def integrate(
     f = _CountedRhs(model, x)
 
     trail = _adaptive_core(f, y0, t0, t_final, cfg)
-    y = trail.final
+    y, sizes = trail.final, trail.step_sizes
     final_state = _final_state(y, cfg)
     stats = SolveStats(
-        accepted=trail.accepted,
+        accepted=len(sizes),
         rejected=trail.rejected,
         rhs_evaluations=f.calls,
         trace_drift=abs(float(np.trace(y).real) - trace0),
         hermiticity_drift=float(np.linalg.norm(y - y.conj().T)),
-        min_step=trail.min_step,
-        max_step=trail.max_step,
+        min_step=float(sizes.min()),
+        max_step=float(sizes.max()),
     )
     counters.forward_integrations += 1
     counters.rhs_evaluations += f.calls
 
     x = x.copy()  # replay and the adjoint trust these arrays, so none of them may change
-    for a in (x, trail.step_times, trail.step_sizes, final_state.matrix, *(s for _, _, s in trail.checkpoints)):
+    for a in (x, trail.step_times, sizes, final_state.matrix, *(s for _, s in trail.checkpoints)):
         a.setflags(write=False)
     return SolveResult(
         final_state=final_state,
-        checkpoints=tuple((tm, state) for _, tm, state in trail.checkpoints),
-        checkpoint_indices=tuple(idx for idx, _, _ in trail.checkpoints),
+        step_checkpoints=tuple(trail.checkpoints),
         step_times=trail.step_times,
-        step_sizes=trail.step_sizes,
+        step_sizes=sizes,
         stats=stats,
         t_span=(t0, t_final),
         config=cfg,
@@ -473,29 +470,22 @@ def integrate(
     )
 
 
-def _locate_time(times: np.ndarray, t: float, what: str) -> int:
-    idx = int(np.searchsorted(times, t))
-    if idx >= times.shape[0] or times[idx] != t:
-        raise ValidationError(f"{what} {t!r} is not a recorded accepted-step time")
-    return idx
-
-
 def dense_segment(
-    result: SolveResult, state_at_checkpoint: np.ndarray, t_span: tuple[float, float]
+    result: SolveResult, state_at_checkpoint: np.ndarray, steps: tuple[int, int]
 ) -> list[tuple[float, np.ndarray]]:
-    """Recompute every accepted step state on [t_a, t_b] for the reverse pass.
+    """Recompute accepted-step states i_a ... i_b, integer ``steps`` = (i_a, i_b), for the reverse pass.
 
     The segment is replayed with the model and x of ``result`` on its
     recorded accepted-step grid: the same step sizes and stages, hence the
     same floating-point operations, hence bit-identical states.  The state
-    at t_a is an argument rather than read from the stored checkpoints, so
-    a caller may replay from a state it recomputed itself.
-    Returns [(t_a, state_a), ..., (t_b, state_b)] including both endpoints;
-    when t_b == t_a that is just [(t_a, state_a)], with no RHS call.
+    at step i_a is an argument rather than read from the stored checkpoints,
+    so a caller may replay from a state it recomputed itself.  Returns
+    [(t_i, state_i) for i = i_a ... i_b] with t_i = result.step_times[i];
+    when i_b == i_a that is just [(t_i_a, state_a)], with no RHS call.
     """
-    t_a, t_b = float(t_span[0]), float(t_span[1])
-    if not t_b >= t_a:
-        raise ValidationError(f"segment needs t_b >= t_a, got ({t_a}, {t_b})")
+    i_a, i_b = operator.index(steps[0]), operator.index(steps[1])
+    if not 0 <= i_a <= i_b <= result.stats.accepted:
+        raise ValidationError(f"segment needs 0 <= i_a <= i_b <= {result.stats.accepted}, got ({i_a}, {i_b})")
     # no copy: the returned list shares the caller's checkpoint array as its
     # left endpoint, keeping reverse-pass retained states at K + segment steps
     y = np.asarray(state_at_checkpoint, dtype=np.complex128)
@@ -503,13 +493,10 @@ def dense_segment(
     f = _CountedRhs(result.model, result.x)
 
     times = result.step_times
-    ia = _locate_time(times, t_a, "segment start")
-    ib = _locate_time(times, t_b, "segment end")
-    out: list[tuple[float, np.ndarray]] = [(t_a, y)]
-    for n in range(ia, ib):
-        t_n = float(times[n])
+    out: list[tuple[float, np.ndarray]] = [(float(times[i_a]), y)]
+    for n in range(i_a, i_b):
         h_n = float(result.step_sizes[n])
-        y, _, _ = _step_end(y, h_n, rk_stages(f, t_n, y, h_n))
+        y, _, _ = _step_end(y, h_n, rk_stages(f, float(times[n]), y, h_n))
         out.append((float(times[n + 1]), y))
     counters.rhs_evaluations += f.calls
     return out

@@ -222,6 +222,14 @@ class TestSolve:
         got = np.array([[c[0] + 1j * c[1] for c in row] for row in stage["final_state"]["matrix"]])
         assert np.allclose(got, np.array([[0.5, 0.5], [0.5, 0.5]]), atol=1e-12)
 
+    def test_tolerance_flags_override_and_report_goes_to_stdout(self, capsys):
+        code = cli.main(["solve", "--model", "oat:2", "--params", "0.8,0.6", "--rtol", "1e-6", "--atol", "1e-9"])
+        assert code == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["subcommand"] == "solve"
+        assert rep["config"]["solver"]["rtol"] == 1e-6
+        assert rep["config"]["solver"]["atol"] == 1e-9
+
     def test_report_echo_round_trips(self, phase_cfg, tmp_path):
         rep = _run(tmp_path, ["solve", "--config", phase_cfg])
         cfg = cli.resolve_config(rep["config"], "solve")
@@ -431,6 +439,25 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_blown_up_stage_state_exits_three(self, tmp_path, capsys):
+        cfg = _write(
+            tmp_path / "cfg.json",
+            {
+                "model": "oat:2",
+                "params": [1e150, 1e150],
+                "t_span": [0, 1000],
+                "solver": {"initial_step": 1000, "max_steps": 200},
+            },
+        )
+        code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        assert "numerical failure:" in capsys.readouterr().err
+
+    def test_overflowing_initial_slope_exits_three(self, tmp_path, capsys):
+        code = cli.main(["solve", "--model", "oat:2", "--params", "1e150,1e150", "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        assert "numerical failure:" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_cli_without_warnings(tmp_path):

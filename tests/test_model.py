@@ -466,6 +466,11 @@ class TestInputChecks:
         with pytest.raises(ValidationError):
             rhs_parameter_derivative(0.0, np.eye(4, dtype=complex) / 4, model, np.zeros(2), k)
 
+    def test_stacked_parameter_derivative_needs_one_time_per_state(self, model):
+        stack = np.stack([np.eye(4, dtype=complex) / 4] * 3)
+        with pytest.raises(ValidationError, match="times"):
+            rhs_parameter_derivative([0.0, 0.1], stack, model, np.zeros(2), 0)
+
     def test_linear_schedule_rejects_non_hermitian_terms(self):
         with pytest.raises(ValidationError):
             LinearSchedule(terms=(PAULI_Z, LOWERING))

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import fd_gradient, qfi_reference, qfi_sld_reference, random_density, random_hermitian
 from lindbladiff.eigen import eigh
-from lindbladiff.errors import LindbladiffError, ValidationError
+from lindbladiff.errors import IntegrationError, LindbladiffError, ValidationError
 from lindbladiff.instrumentation import counters
 from lindbladiff.model import DensityOperator, all_zero_density, preset_oat
 from lindbladiff.qfi import (
@@ -149,6 +149,14 @@ class TestValues:
         assert rep.display_value == pytest.approx(1.0, abs=1e-12)
         assert rep.convention == "variance-x4"
         assert qfi(eigh(PLUS), Generator(0.5 * PAULI_Z)).convention == "variance"
+
+    def test_generator_dimension_must_match_the_state(self):
+        decomp = eigh(_ghz(2))
+        g = generator_from_preset("Sz", 1)
+        with pytest.raises(ValidationError, match="generator dimension"):
+            qfi(decomp, g)
+        with pytest.raises(ValidationError, match="generator dimension"):
+            qfi_rho_cotangent(decomp, g)
 
     def test_report_json_keys(self):
         rep = qfi(eigh(PLUS), Generator(0.5 * PAULI_Z))
@@ -294,6 +302,18 @@ class TestOfParams:
                 SolveConfig(max_steps=5),
             )
         assert getattr(exc.value, "stage", None) == "integrate"
+
+    @pytest.mark.parametrize(
+        "t_end, cfg", [(1000.0, SolveConfig(initial_step=1000.0, max_steps=200)), (1.0, SolveConfig())]
+    )
+    def test_blown_up_solve_is_an_integration_error_at_stage_integrate(self, t_end, cfg):
+        # a stage state that overflows, and an initial slope whose norm does
+        with pytest.raises(IntegrationError) as exc:
+            qfi_of_params(
+                preset_oat(2), np.array([1e150, 1e150]), all_zero_density(2), (0.0, t_end),
+                generator_from_preset("Sz", 2), cfg,
+            )
+        assert exc.value.stage == "integrate"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_parameters_rejected_before_any_rhs_call(self, bad):

@@ -273,7 +273,7 @@ class TestAdjointGradient:
         res = integrate(model, np.array([0.8, 0.6]), all_zero_density(2), (0.0, 1.0))
         before = adjoint_gradient(res, cost).dc_dx
         arrays = [res.x, res.step_times, res.step_sizes, res.final_state.matrix]
-        arrays += [state for _, state in res.checkpoints]
+        arrays += [state for _, state in res.step_checkpoints]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[(1,) * a.ndim] = -0.6
@@ -368,10 +368,9 @@ class TestAdjointGradient:
         res = integrate(model, x, all_zero_density(2), (0.0, 1.0), cfg)
         adjoint_gradient(res, state_entry_re_cost(0, 0))
         diag = counters.snapshot()
-        longest = max(
-            b - a for a, b in zip(res.checkpoint_indices, res.checkpoint_indices[1:])
-        )
-        assert diag["peak_retained_states"] <= len(res.checkpoints) + longest
+        indices = [i for i, _ in res.step_checkpoints]
+        longest = max(b - a for a, b in zip(indices, indices[1:]))
+        assert diag["peak_retained_states"] <= len(indices) + longest
 
     def test_diagnostics_shape(self):
         model = preset_oat(2)

@@ -167,8 +167,9 @@ class TestTrailAndReplay:
         x = np.array([0.8, 0.6])
         rho0 = all_zero_density(2)
         res = integrate(model, x, rho0, (0.0, 1.0))
-        nodes = dense_segment(res, res.checkpoints[0][1], (0.0, 1.0))
+        nodes = dense_segment(res, res.step_checkpoints[0][1], (0, res.stats.accepted))
         assert len(nodes) == res.stats.accepted + 1
+        assert [t for t, _ in nodes] == res.step_times.tolist()
         assert nodes[-1][0] == 1.0
         assert np.array_equal(nodes[-1][1], res.final_state.matrix)
 
@@ -177,46 +178,63 @@ class TestTrailAndReplay:
         x = np.array([1.1, 0.2])
         cfg = SolveConfig(checkpoints=4)
         res = integrate(model, x, all_zero_density(2), (0.0, 1.2), cfg)
-        cps = res.checkpoints
+        cps = res.step_checkpoints
         assert len(cps) <= 4
-        assert cps[0][0] == 0.0 and cps[-1][0] == 1.2
+        assert cps[0][0] == 0 and cps[-1][0] == res.stats.accepted
+        assert res.step_times[cps[0][0]] == 0.0 and res.step_times[cps[-1][0]] == 1.2
         covered = 0
-        for (t_a, state_a), (t_b, _) in zip(cps, cps[1:]):
-            nodes = dense_segment(res, state_a, (t_a, t_b))
+        for (i_a, state_a), (i_b, _) in zip(cps, cps[1:]):
+            nodes = dense_segment(res, state_a, (i_a, i_b))
             covered += len(nodes) - 1
-            # right endpoint of each replayed segment equals the stored checkpoint
-            assert nodes[-1][0] == t_b
+            # right endpoint of each replayed segment is the stored checkpoint's step
+            assert len(nodes) == i_b - i_a + 1
+            assert nodes[-1][0] == res.step_times[i_b]
         assert covered == res.stats.accepted
 
     def test_empty_segment_makes_no_rhs_call(self):
         model = preset_oat(2)
         x = np.array([0.8, 0.6])
         res = integrate(model, x, all_zero_density(2), (0.0, 1.0))
-        t_a, state_a = res.checkpoints[1]
+        i_a, state_a = res.step_checkpoints[1]
         counters.reset()
-        nodes = dense_segment(res, state_a, (t_a, t_a))
+        nodes = dense_segment(res, state_a, (i_a, i_a))
         assert len(nodes) == 1
-        assert nodes[0][0] == t_a and np.array_equal(nodes[0][1], state_a)
+        assert nodes[0][0] == res.step_times[i_a] and np.array_equal(nodes[0][1], state_a)
         assert counters.rhs_evaluations == 0
         with pytest.raises(ValidationError):
-            dense_segment(res, state_a, (t_a, 0.0))
+            dense_segment(res, state_a, (i_a, 0))
+
+    def test_replay_span_is_a_pair_of_step_indices(self):
+        res = integrate(preset_oat(2), np.array([0.8, 0.6]), all_zero_density(2), (0.0, 1.0))
+        state0 = res.step_checkpoints[0][1]
+        # a float time span is refused, not truncated to an index
+        with pytest.raises(TypeError):
+            dense_segment(res, state0, (0.0, 1.0))
+        for bad in ((-1, 1), (0, res.stats.accepted + 1)):
+            with pytest.raises(ValidationError, match="i_a <= i_b"):
+                dense_segment(res, state0, bad)
+        nodes = dense_segment(res, state0, (np.int64(0), np.int64(2)))
+        assert [t for t, _ in nodes] == res.step_times[:3].tolist()
 
     def test_checkpoint_budget_and_thinning(self):
         model = preset_oat(2)
         for k in (2, 3, 10):
             cfg = SolveConfig(checkpoints=k, rtol=1e-10, atol=1e-12)
             res = integrate(model, np.array([1.0, 0.8]), all_zero_density(2), (0.0, 2.0), cfg)
-            assert 2 <= len(res.checkpoints) <= k
-            assert res.checkpoints[0][0] == 0.0
-            assert res.checkpoints[-1][0] == 2.0
+            indices = [i for i, _ in res.step_checkpoints]
+            assert 2 <= len(indices) <= k
+            assert indices[0] == 0 and indices[-1] == res.stats.accepted
+            assert indices == sorted(set(indices))
+            assert res.step_times[indices[0]] == 0.0 and res.step_times[indices[-1]] == 2.0
 
     def test_replayed_states_match_checkpoint_states_bitwise(self):
         model = preset_oat(2, gamma=0.05)
         x = np.array([0.5, 0.9])
         cfg = SolveConfig(checkpoints=5)
         res = integrate(model, x, all_zero_density(2), (0.0, 1.0), cfg)
-        for (t_a, state_a), (t_b, state_b) in zip(res.checkpoints, res.checkpoints[1:]):
-            nodes = dense_segment(res, state_a, (t_a, t_b))
+        cps = res.step_checkpoints
+        for (i_a, state_a), (i_b, state_b) in zip(cps, cps[1:]):
+            nodes = dense_segment(res, state_a, (i_a, i_b))
             assert np.array_equal(nodes[-1][1], state_b)
 
 
@@ -276,6 +294,36 @@ class TestCostsAndErrors:
                 (0.0, 50.0),
                 SolveConfig(max_steps=5),
             )
+
+    def test_step_size_underflow_raises(self):
+        with pytest.raises(IntegrationError, match="underflow"):
+            integrate(
+                preset_oat(2), np.array([0.5, 0.5]), all_zero_density(2), (0.0, 1.0), SolveConfig(initial_step=1e-20)
+            )
+
+    def test_raw_array_initial_state_is_validated(self):
+        model = preset_oat(2, gamma=0.1)
+        x = np.array([0.8, 0.6])
+        rho0 = all_zero_density(2)
+        # a trace error of 1e-7 is within the final state's tolerance, so
+        # only the check of the initial array can catch it
+        with pytest.raises(ValidationError, match="trace"):
+            integrate(model, x, (1.0 + 1e-7) * rho0.matrix, (0.0, 1.0))
+        from_array = integrate(model, x, rho0.matrix, (0.0, 1.0))
+        assert np.array_equal(from_array.final_state.matrix, integrate(model, x, rho0, (0.0, 1.0)).final_state.matrix)
+
+    def test_blown_up_stage_state_is_an_integration_error(self):
+        # the stage states of a huge first step overflow; lindblad_rhs
+        # rejects them, and the solve reports it as a numerical failure
+        with pytest.raises(IntegrationError, match="non-finite state"):
+            integrate(
+                preset_oat(2), np.array([1e150, 1e150]), all_zero_density(2), (0.0, 1000.0),
+                SolveConfig(initial_step=1000.0, max_steps=200),
+            )
+
+    def test_overflowing_initial_slope_norm_is_an_integration_error(self):
+        with pytest.raises(IntegrationError, match="initial slope"):
+            integrate(preset_oat(2), np.array([1e150, 1e150]), all_zero_density(2), (0.0, 1.0))
 
     def test_bad_t_span_rejected(self):
         model = preset_oat(1)
