@@ -24,13 +24,14 @@ import sys
 import time
 import typing
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .eigen import eigh
 from .errors import LindbladiffError, ShapeMismatchError, ValidationError
-from .linalg import operator_to_json, to_dense, operator_from_json
+from .linalg import json_array, json_number, json_object, operator_from_json, operator_to_json, to_dense
 from .model import (
     DensityOperator,
     LindbladModel,
@@ -86,6 +87,8 @@ def _repath(exc: ValidationError, base: str) -> ValidationError:
 
 
 def _load_json(path: str, pointer: str) -> dict | list:
+    if not isinstance(path, str):
+        raise ValidationError(f"must be a path string, got {path!r}", path=pointer)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -108,16 +111,6 @@ def _preset_size(spec: str, family: str, pointer: str) -> int:
     return n
 
 
-def _qubit_count(dimension: int, pointer: str) -> int:
-    n = dimension.bit_length() - 1
-    if 2**n != dimension:
-        raise ValidationError(
-            f"dimension {dimension} is not a power of two; presets need qubit registers",
-            path=pointer,
-        )
-    return n
-
-
 def _resolve_model(spec, pointer: str) -> tuple[LindbladModel, dict]:
     if isinstance(spec, str):
         spec = {"preset": spec}
@@ -129,115 +122,75 @@ def _resolve_model(spec, pointer: str) -> tuple[LindbladModel, dict]:
             model = model_from_json(raw)
         except ValidationError as exc:
             raise _repath(exc, pointer + "/file")
-        return model, {"file": str(spec["file"])}
+        return model, {"file": spec["file"]}
     if "preset" in spec:
         n = _preset_size(str(spec["preset"]), "oat", pointer + "/preset")
-        gamma = float(spec.get("gamma", 0.0))
-        if not (np.isfinite(gamma) and gamma >= 0):
-            raise ValidationError(f"gamma must be finite and nonnegative, got {gamma}", path=pointer + "/gamma")
+        gamma = json_number(spec.get("gamma", 0.0), pointer + "/gamma")
+        if gamma < 0:
+            raise ValidationError(f"gamma must be nonnegative, got {gamma}", path=pointer + "/gamma")
         return preset_oat(n, gamma), {"preset": f"oat:{n}", "gamma": gamma}
     raise ValidationError("model needs a 'preset' or a 'file'", path=pointer)
 
 
-def _resolve_state(spec, model: LindbladModel, pointer: str) -> tuple[DensityOperator, object]:
+def _resolve_operand(spec, model: LindbladModel, pointer: str, what: str, family: str, preset, from_matrix):
+    """/state or /generator from a ``<family>:<n>`` tag (default: the model's qubit count) or a
+    ``{"file": path}`` operator literal; its shape is checked before ``preset`` or ``from_matrix`` builds it."""
     if spec is None:
-        n = _qubit_count(model.dimension, pointer)
-        spec = f"all-zero-pure:{n}"
-    if isinstance(spec, str):
-        n = _preset_size(spec, "all-zero-pure", pointer)
+        n = model.dimension.bit_length() - 1
         if 2**n != model.dimension:
-            raise ValidationError(
-                f"state preset is {2**n}-dimensional but the model is {model.dimension}-dimensional",
-                path=pointer,
-            )
-        return all_zero_density(n), f"all-zero-pure:{n}"
-    if isinstance(spec, dict) and "file" in spec:
-        raw = _load_json(spec["file"], pointer + "/file")
-        try:
-            matrix = to_dense(operator_from_json(raw, name="state"))
-            state = DensityOperator.from_matrix(matrix)
-        except ValidationError as exc:
-            raise _repath(exc, pointer + "/file")
-        if state.matrix.shape != (model.dimension, model.dimension):
-            raise ValidationError(
-                f"state shape {state.matrix.shape} does not match model dimension {model.dimension}",
-                path=pointer + "/file",
-            )
-        return state, {"file": str(spec["file"])}
-    raise ValidationError("state must be 'all-zero-pure:<n>' or {'file': path}", path=pointer)
-
-
-def _resolve_generator(spec, model: LindbladModel, pointer: str) -> tuple[Generator, object]:
-    if spec is None:
-        n = _qubit_count(model.dimension, pointer)
-        spec = f"Sz:{n}"
+            message = f"dimension {model.dimension} is not a power of two; presets need qubit registers"
+            raise ValidationError(message, path=pointer)
+        spec = f"{family}:{n}"
     if isinstance(spec, str):
-        n = _preset_size(spec, "Sz", pointer)
-        if 2**n != model.dimension:
-            raise ValidationError(
-                f"generator preset is {2**n}-dimensional but the model is {model.dimension}-dimensional",
-                path=pointer,
-            )
-        return generator_from_preset("Sz", n), f"Sz:{n}"
-    if isinstance(spec, dict) and "file" in spec:
-        raw = _load_json(spec["file"], pointer + "/file")
+        n = _preset_size(spec, family, pointer)
+        shape, echo, build = (2**n, 2**n), f"{family}:{n}", partial(preset, n)
+    elif isinstance(spec, dict) and "file" in spec:
+        pointer += "/file"
+        raw = _load_json(spec["file"], pointer)
         try:
-            g = Generator(to_dense(operator_from_json(raw, name="generator")))
+            matrix = to_dense(operator_from_json(raw))
         except ValidationError as exc:
-            raise _repath(exc, pointer + "/file")
-        if g.dimension != model.dimension:
-            raise ValidationError(
-                f"generator dimension {g.dimension} does not match model dimension {model.dimension}",
-                path=pointer + "/file",
-            )
-        return g, {"file": str(spec["file"])}
-    raise ValidationError("generator must be 'Sz:<n>' or {'file': path}", path=pointer)
-
-
-def _float_field(obj: dict, key: str, default, pointer: str):
-    value = obj.get(key, default)
-    if value is None:
-        return None
+            raise _repath(exc, pointer)
+        shape, echo, build = matrix.shape, {"file": spec["file"]}, partial(from_matrix, matrix)
+    else:
+        raise ValidationError(f"{what} must be '{family}:<n>' or {{'file': path}}", path=pointer)
+    if shape != (model.dimension, model.dimension):
+        raise ValidationError(f"{what} shape {shape} does not match model dimension {model.dimension}", path=pointer)
     try:
-        if not isinstance(value, bool):
-            return float(value)
-    except (TypeError, ValueError):
-        pass
-    raise ValidationError(f"{key} must be a number, got {value!r}", path=f"{pointer}/{key}")
+        return build(), echo
+    except ValidationError as exc:
+        raise _repath(exc, pointer)
 
 
-def _int_field(obj: dict, key: str, default, pointer: str):
-    value = obj.get(key, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
-        raise ValidationError(f"{key} must be an integer, got {value!r}", path=f"{pointer}/{key}")
-    return int(value)
+def _section(raw: dict, key: str, known=None) -> dict:
+    """The object under ``raw[key]`` (empty when absent or null), with keys from ``known`` if given."""
+    spec = {} if raw.get(key) is None else json_object(raw[key], "/" + key)
+    for name in spec:
+        if known is not None and name not in known:
+            raise ValidationError(f"unknown {key} option {name!r}", path=f"/{key}/{name}")
+    return spec
 
 
-def _resolve_section(cls, spec, pointer: str) -> tuple[object, dict]:
-    """Build the config dataclass ``cls`` from a JSON object of its fields.
+def _resolve_section(cls, raw: dict, key: str) -> tuple[object, dict]:
+    """Build the config dataclass ``cls`` from the JSON object ``raw[key]`` of its fields.
 
-    Keys, defaults and number kinds (integer or float) come from the
-    dataclass itself, so a field is declared in one place only.
+    Keys, defaults, number kinds (integer or float) and whether null is
+    allowed come from the dataclass itself, so a field is declared once.
     """
-    spec = dict(spec or {})
+    pointer = "/" + key
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    for key in spec:
-        if key not in fields:
-            raise ValidationError(f"unknown {pointer[1:]} option {key!r}", path=f"{pointer}/{key}")
-    hints = typing.get_type_hints(cls)
+    spec = _section(raw, key, fields)
+    kwargs = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        value = spec.get(name, fields[name].default)
+        if value is None and type(None) in typing.get_args(hint):
+            kwargs[name] = None
+        else:
+            kwargs[name] = json_number(value, f"{pointer}/{name}", integer=int in (hint, *typing.get_args(hint)))
     try:
-        kwargs = {}
-        for name, f in fields.items():
-            is_int = int in (hints[name], *typing.get_args(hints[name]))
-            parse = _int_field if is_int else _float_field
-            kwargs[name] = parse(spec, name, f.default, pointer)
         cfg = cls(**kwargs)
     except ValidationError as exc:
-        if exc.path:
-            raise
-        raise ValidationError(str(exc), path=pointer)
+        raise _repath(exc, pointer)
     return cfg, dataclasses.asdict(cfg)
 
 
@@ -269,50 +222,39 @@ def resolve_config(raw: dict, subcommand: str) -> ExperimentConfig:
 
     params = raw.get("params")
     if params is not None:
-        if not isinstance(params, (list, tuple)):
-            raise ValidationError("params must be an array of numbers", path="/params")
-        try:
-            params = np.array([float(v) for v in params], dtype=float)
-        except (TypeError, ValueError):
-            raise ValidationError("params must be an array of numbers", path="/params")
+        params = np.array(
+            [json_number(v, f"/params/{i}") for i, v in enumerate(json_array(params, "/params"))], dtype=float
+        )
         if params.size != model.n_params:
             raise ValidationError(
                 f"model takes {model.n_params} parameters, got {params.size}", path="/params"
             )
-        if not np.all(np.isfinite(params)):
-            raise ValidationError("params must be finite", path="/params")
     elif subcommand != "optimize":
         params = np.zeros(model.n_params)
 
-    state, state_echo = _resolve_state(raw.get("state"), model, "/state")
+    state, state_echo = _resolve_operand(
+        raw.get("state"), model, "/state", "state", "all-zero-pure", all_zero_density, DensityOperator.from_matrix
+    )
 
-    t_span = raw.get("t_span", [0.0, 1.0])
-    if not isinstance(t_span, (list, tuple)) or len(t_span) != 2:
-        raise ValidationError("t_span must be [t0, t1]", path="/t_span")
-    try:
-        t0, t1 = float(t_span[0]), float(t_span[1])
-    except (TypeError, ValueError):
-        raise ValidationError("t_span entries must be numbers", path="/t_span")
-    if not (np.isfinite(t0) and np.isfinite(t1)):
-        raise ValidationError("t_span entries must be finite", path="/t_span")
+    t_span = json_array(raw.get("t_span", [0.0, 1.0]), "/t_span", length=2)
+    t0, t1 = (json_number(t, f"/t_span/{i}") for i, t in enumerate(t_span))
     if not t1 > t0:
         raise ValidationError(f"t_span needs t1 > t0, got [{t0}, {t1}]", path="/t_span/1")
 
-    solver, solver_echo = _resolve_section(SolveConfig, raw.get("solver"), "/solver")
+    solver, solver_echo = _resolve_section(SolveConfig, raw, "solver")
     solver_echo["checkpoints"] = solver.checkpoint_budget
-    generator, generator_echo = _resolve_generator(raw.get("generator"), model, "/generator")
-    optimizer, optimizer_echo = _resolve_section(OptConfig, raw.get("optimizer"), "/optimizer")
+    generator, generator_echo = _resolve_operand(
+        raw.get("generator"), model, "/generator", "generator", "Sz", partial(generator_from_preset, "Sz"), Generator
+    )
+    optimizer, optimizer_echo = _resolve_section(OptConfig, raw, "optimizer")
 
     times_four = raw.get("times_four", False)
     if not isinstance(times_four, bool):
         raise ValidationError("times_four must be a boolean", path="/times_four")
 
-    gc = dict(raw.get("grad_check") or {})
-    for key in gc:
-        if key not in {"fd_step", "tolerance"}:
-            raise ValidationError(f"unknown grad_check option {key!r}", path=f"/grad_check/{key}")
-    fd_step = _float_field(gc, "fd_step", 1e-6, "/grad_check")
-    tolerance = _float_field(gc, "tolerance", 1e-4, "/grad_check")
+    gc = _section(raw, "grad_check", {"fd_step", "tolerance"})
+    fd_step = json_number(gc.get("fd_step", 1e-6), "/grad_check/fd_step")
+    tolerance = json_number(gc.get("tolerance", 1e-4), "/grad_check/tolerance")
     if not fd_step > 0:
         raise ValidationError("fd_step must be positive", path="/grad_check/fd_step")
     if not tolerance > 0:
@@ -376,12 +318,11 @@ def emit_plot_data(data, path: str, kind: str) -> None:
     if kind == "trace":
         rows = []
         for i, row in enumerate(items):
-            if not isinstance(row, dict):
-                raise ValidationError(f"trace row {i} is not a JSON object")
-            try:
-                rows.append((row["iter"], row["F"], row["grad_norm"], row["step"]))
-            except KeyError as exc:
-                raise ValidationError(f"trace row {i} is missing column {exc}")
+            row = json_object(row, f"/{i}")
+            missing = [key for key in _TRACE_HEADER if key not in row]
+            if missing:
+                raise ValidationError(f"trace row is missing columns {missing}", path=f"/{i}")
+            rows.append(tuple(json_number(row[key], f"/{i}/{key}", integer=key == "iter") for key in _TRACE_HEADER))
     elif kind == "trajectory":
         rows = [tuple(row) for row in items]
     else:
@@ -540,7 +481,7 @@ def _read_trace_file(path: str) -> list[dict]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"line {lineno} of {path!r} is not valid JSON ({exc})")
-        if "summary" in record:
+        if isinstance(record, dict) and "summary" in record:
             continue
         rows.append(record)
     return rows
@@ -609,7 +550,6 @@ def _raw_config(args) -> dict:
     raw = _load_json(args.config, "--config") if args.config else {}
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object", path="")
-    raw = dict(raw)
     if getattr(args, "model", None):
         raw["model"] = _spec_from_flag(args.model)
     if getattr(args, "generator", None):
@@ -619,14 +559,10 @@ def _raw_config(args) -> dict:
             raw["params"] = [float(tok) for tok in args.params.split(",") if tok.strip()]
         except ValueError:
             raise ValidationError(f"--params {args.params!r} must be comma-separated numbers", path="/params")
-    if args.seed is not None:
-        raw["optimizer"] = {**dict(raw.get("optimizer") or {}), "seed": args.seed}
-    if args.rtol is not None:
-        raw["solver"] = {**dict(raw.get("solver") or {}), "rtol": args.rtol}
-    if args.atol is not None:
-        raw["solver"] = {**dict(raw.get("solver") or {}), "atol": args.atol}
-    if getattr(args, "tol", None) is not None:
-        raw["grad_check"] = {**dict(raw.get("grad_check") or {}), "tolerance": args.tol}
+    overrides = [("optimizer", "seed", args.seed), ("solver", "rtol", args.rtol), ("solver", "atol", args.atol)]
+    for section, key, value in overrides + [("grad_check", "tolerance", getattr(args, "tol", None))]:
+        if value is not None:
+            raw[section] = {**_section(raw, section), key: value}
     return raw
 
 

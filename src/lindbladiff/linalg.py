@@ -10,10 +10,16 @@ JSON wire formats:
 
 * dense matrix: array of rows, each entry a ``[re, im]`` pair;
 * sparse matrix: ``{"rows": r, "cols": c, "triplets": [[i, j, re, im], ...]}``.
+
+Every value decoded from JSON, here and in ``model`` and ``cli``, is read by
+``json_number``, ``json_array`` or ``json_object``, which raise a
+``ValidationError`` at the JSON pointer of a malformed value.
 """
 
 from __future__ import annotations
 
+import math
+import reprlib
 from typing import Union
 
 import numpy as np
@@ -26,6 +32,36 @@ Sparse = sparse.csr_array
 Operator = Union[Dense, Sparse]
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+def json_number(value, path: str, *, integer: bool = False):
+    """A finite JSON number as a float, or with ``integer`` as an int (2.0 reads as 2, 2.5 fails).
+
+    Python and numpy ints and floats qualify; bool, str, None and NaN or
+    infinities (json decodes NaN and Infinity) raise a ValidationError at ``path``.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if integer or abs(value) <= _FLOAT_MAX:  # a larger int would overflow float()
+            return int(value) if integer else float(value)
+    elif isinstance(value, (float, np.floating)) and math.isfinite(value) and (not integer or value % 1 == 0):
+        return int(value) if integer else float(value)
+    kind = "an integer" if integer else "a finite number"
+    raise ValidationError(f"must be {kind}, got {reprlib.repr(value)}", path=path)
+
+
+def json_array(value, path: str, length: int | None = None) -> list:
+    """A JSON array at ``path``, of exactly ``length`` entries when given."""
+    if isinstance(value, (list, tuple)) and length in (None, len(value)):
+        return value
+    entries = "" if length is None else f" of {length} entries"
+    raise ValidationError(f"must be an array{entries}, got {reprlib.repr(value)}", path=path)
+
+
+def json_object(value, path: str) -> dict:
+    """A JSON object at ``path``."""
+    if isinstance(value, dict):
+        return value
+    raise ValidationError(f"must be an object, got {reprlib.repr(value)}", path=path)
 
 
 def is_sparse(op: Operator) -> bool:
@@ -48,28 +84,24 @@ def as_cmatrix(data, *, square: bool = False, name: str = "matrix") -> Dense:
     return m
 
 
-def csr_from_triplets(rows: int, cols: int, triplets) -> Sparse:
+def csr_from_triplets(rows: int, cols: int, triplets, path: str = "") -> Sparse:
     """Build a canonical CSR operator from ``[i, j, re, im]`` triplets.
 
     Duplicate coordinates are summed; structural zeros are kept out of the
-    stored pattern by canonicalization.
+    stored pattern by canonicalization.  ``path`` points at the sparse literal.
     """
     if rows <= 0 or cols <= 0:
-        raise ValidationError(f"sparse shape ({rows}, {cols}) must be positive")
+        raise ValidationError(f"sparse shape ({rows}, {cols}) must be positive", path=path)
     ii, jj, vv = [], [], []
     for k, t in enumerate(triplets):
-        if len(t) != 4:
-            raise ValidationError(f"triplet {k} must be [i, j, re, im], got {t!r}")
-        i, j, re, im = t
-        i, j = int(i), int(j)
+        at = f"{path}/triplets/{k}"
+        i, j, re, im = json_array(t, at, length=4)
+        i, j = json_number(i, at + "/0", integer=True), json_number(j, at + "/1", integer=True)
         if not (0 <= i < rows and 0 <= j < cols):
-            raise ValidationError(f"triplet {k} index ({i}, {j}) outside shape ({rows}, {cols})")
-        v = complex(float(re), float(im))
-        if not np.isfinite(v.real) or not np.isfinite(v.imag):
-            raise ValidationError(f"triplet {k} has non-finite value")
+            raise ValidationError(f"index ({i}, {j}) outside shape ({rows}, {cols})", path=at)
         ii.append(i)
         jj.append(j)
-        vv.append(v)
+        vv.append(complex(json_number(re, at + "/2"), json_number(im, at + "/3")))
     coo = sparse.coo_array((np.asarray(vv, dtype=np.complex128), (ii, jj)), shape=(rows, cols))
     out = coo.tocsr()
     out.sum_duplicates()
@@ -113,20 +145,28 @@ def is_hermitian(a: Operator, tol: float, floor: float = 1.0) -> bool:
     return bool(defect <= tol * max(floor / m, np.linalg.norm(s.data if is_sparse(s) else s)))
 
 
-def operator_from_json(obj, *, name: str = "operator") -> Operator:
-    """Parse an operator literal (dense array-of-arrays or sparse triplet dict)."""
+def _json_complex(pair, path: str) -> complex:
+    re, im = json_array(pair, path, length=2)
+    return complex(json_number(re, path + "/0"), json_number(im, path + "/1"))
+
+
+def operator_from_json(obj, path: str = "") -> Operator:
+    """Parse an operator literal (dense array-of-arrays or sparse triplet dict) found at ``path``."""
     if isinstance(obj, dict):
         missing = {"rows", "cols", "triplets"} - obj.keys()
         if missing:
-            raise ValidationError(f"{name}: sparse literal missing keys {sorted(missing)}")
-        return csr_from_triplets(int(obj["rows"]), int(obj["cols"]), obj["triplets"])
+            raise ValidationError(f"sparse literal missing keys {sorted(missing)}", path=path)
+        rows, cols = (json_number(obj[key], f"{path}/{key}", integer=True) for key in ("rows", "cols"))
+        return csr_from_triplets(rows, cols, json_array(obj["triplets"], path + "/triplets"), path)
     if isinstance(obj, list):
-        try:
-            m = np.array([[complex(float(e[0]), float(e[1])) for e in row] for row in obj])
-        except (TypeError, IndexError, ValueError) as exc:
-            raise ValidationError(f"{name}: dense literal entries must be [re, im] pairs ({exc})")
-        return as_cmatrix(m, name=name)
-    raise ValidationError(f"{name}: expected a dense array-of-arrays or a sparse triplet object")
+        m = [
+            [_json_complex(e, f"{path}/{i}/{j}") for j, e in enumerate(json_array(row, f"{path}/{i}"))]
+            for i, row in enumerate(obj)
+        ]
+        if len({len(row) for row in m}) != 1:
+            raise ValidationError("dense literal needs one or more rows of equal length", path=path)
+        return as_cmatrix(m)
+    raise ValidationError("expected a dense array-of-arrays or a sparse triplet object", path=path)
 
 
 def operator_to_json(op: Operator):

@@ -550,7 +550,7 @@ def model_from_json(obj: dict) -> LindbladModel:
         raise ValidationError("model description must be an object", path="")
     if "dimension" not in obj:
         raise ValidationError("missing required key", path="/dimension")
-    d = int(obj["dimension"])
+    d = linalg.json_number(obj["dimension"], "/dimension", integer=True)
     if d < 1:
         raise ValidationError(f"dimension {d} must be positive", path="/dimension")
     ham = obj.get("hamiltonian")
@@ -562,9 +562,9 @@ def model_from_json(obj: dict) -> LindbladModel:
         n = d.bit_length() - 1
         if 2**n != d:
             raise ValidationError(f"preset_oat needs a power-of-two dimension, got {d}", path="/dimension")
-        gamma = float(obj.get("gamma", 0.0))
-        if not (np.isfinite(gamma) and gamma >= 0):
-            raise ValidationError(f"gamma {gamma} must be finite and nonnegative", path="/gamma")
+        gamma = linalg.json_number(obj.get("gamma", 0.0), "/gamma")
+        if gamma < 0:
+            raise ValidationError(f"gamma {gamma} must be nonnegative", path="/gamma")
         if obj.get("channels"):
             raise ValidationError("preset_oat defines its own channels", path="/channels")
         return preset_oat(n, gamma)
@@ -574,8 +574,9 @@ def model_from_json(obj: dict) -> LindbladModel:
 
     constant = None
     by_param: dict[int, Operator] = {}
-    for m, term in enumerate(ham.get("terms", [])):
+    for m, term in enumerate(linalg.json_array(ham.get("terms", []), "/hamiltonian/terms")):
         path = f"/hamiltonian/terms/{m}"
+        term = linalg.json_object(term, path)
         if "coefficient" not in term or "matrix" not in term:
             raise ValidationError("term needs 'coefficient' and 'matrix'", path=path)
         coef = term["coefficient"]
@@ -588,30 +589,31 @@ def model_from_json(obj: dict) -> LindbladModel:
                 raise ValidationError(f"bad parameter index in {coef!r}", path=path)
             if k < 0:
                 raise ValidationError(f"parameter index {k} must be nonnegative", path=path)
-        elif not isinstance(coef, (int, float)):
-            raise ValidationError(f"coefficient {coef!r} must be 'param:<k>' or a number", path=path)
-        op = linalg.operator_from_json(term["matrix"], name=path + "/matrix")
+        else:
+            coef = linalg.json_number(coef, path + "/coefficient")
+        op = linalg.operator_from_json(term["matrix"], path + "/matrix")
         if op.shape != (d, d):
             raise ValidationError(f"term matrix shape {op.shape} does not match dimension {d}", path=path)
         _check_hermitian(op, "term matrix", path=path + "/matrix")
         if isinstance(coef, str):
             by_param[k] = by_param[k] + op if k in by_param else op
         else:
-            constant = float(coef) * op if constant is None else constant + float(coef) * op
+            constant = coef * op if constant is None else constant + coef * op
 
     zero = np.zeros((d, d), dtype=np.complex128)
     terms = tuple(by_param.get(k, zero) for k in range(max(by_param, default=-1) + 1))
     schedule = LinearSchedule(terms=terms, constant=zero if constant is None and not terms else constant)
 
     channels = []
-    for j, ch in enumerate(obj.get("channels", [])):
+    for j, ch in enumerate(linalg.json_array(obj.get("channels", []), "/channels")):
         path = f"/channels/{j}"
+        ch = linalg.json_object(ch, path)
         if "gamma" not in ch or "matrix" not in ch:
             raise ValidationError("channel needs 'gamma' and 'matrix'", path=path)
-        gamma = float(ch["gamma"])
-        if not (np.isfinite(gamma) and gamma >= 0):
-            raise ValidationError(f"gamma {gamma} must be finite and nonnegative", path=path + "/gamma")
-        op = linalg.operator_from_json(ch["matrix"], name=path + "/matrix")
+        gamma = linalg.json_number(ch["gamma"], path + "/gamma")
+        if gamma < 0:
+            raise ValidationError(f"gamma {gamma} must be nonnegative", path=path + "/gamma")
+        op = linalg.operator_from_json(ch["matrix"], path + "/matrix")
         if op.shape != (d, d):
             raise ValidationError(f"channel matrix shape {op.shape} does not match dimension {d}", path=path)
         channels.append(JumpChannel(rate=gamma, operator=op))

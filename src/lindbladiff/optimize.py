@@ -2,9 +2,11 @@
 
 First-order ascent keeps the objective-call count transparent: each
 iteration costs one gradient evaluation plus one value evaluation per line
-search trial, all recorded in the trace.  The ascent path is invariant to
-positive rescaling of the objective when the initial step is scaled
-inversely, so the display-convention multiplier cannot change the argmax.
+search trial, all recorded in the trace.  ``maximize_qfi(..., times_four=True)``
+ascends 4F rather than F: the objective, its gradient and the trace values
+are all scaled by 4.  With the same ``OptConfig`` its steps are therefore 4x
+longer and ``grad_tolerance`` applies to the scaled gradient; the ascent path
+equals the unscaled one only when ``initial_step`` is divided by 4.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .model import DensityOperator, LindbladModel
 from .qfi import Generator, qfi_of_params, qfi_rho_cotangent
 from .eigen import eigh
 from .sensitivity import _pair, forward_sensitivity
-from .solver import SolveConfig
+from .solver import SolveConfig, require_count
 
 _MAX_HALVINGS = 30
 
@@ -37,8 +39,8 @@ class OptConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be positive")
+        require_count(self.max_iterations, "max_iterations", 1)
+        require_count(self.seed, "seed", 0)
         if not self.initial_step > 0:
             raise ValidationError("initial_step must be positive")
         if not 0.0 < self.backtracking_factor < 1.0:
@@ -152,7 +154,10 @@ def maximize_qfi(
 
     When x0 is omitted, parameters initialize uniformly in [-pi, pi] from
     the configured seed.  The trace's evaluation counter is the exact
-    number of figure-of-merit pipeline calls.
+    number of figure-of-merit pipeline calls.  ``times_four`` is not
+    display-only here: the objective and its gradient are 4F and 4 dF/dx,
+    so steps are 4x longer unless ``opt_cfg.initial_step`` is divided by 4,
+    and ``opt_cfg.grad_tolerance`` is compared with the scaled gradient.
     """
     if x0 is None:
         rng = np.random.default_rng(opt_cfg.seed)

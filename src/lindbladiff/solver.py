@@ -117,6 +117,12 @@ _A = np.array([row + (0.0,) * (len(DOP853.c) - len(row)) for row in DOP853.a])
 _STEP_WEIGHTS = np.array([DOP853.b, DOP853.e[: len(DOP853.b)], DOP853.e3[: len(DOP853.b)]])
 
 
+def require_count(value, name: str, minimum: int) -> None:
+    """Raise a ValidationError at ``/name`` unless ``value`` is an int (not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValidationError(f"{name} must be an integer of at least {minimum}, got {value!r}", path="/" + name)
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     """Tolerances and budgets for one integration."""
@@ -130,12 +136,11 @@ class SolveConfig:
     def __post_init__(self):
         if not (self.rtol > 0 and self.atol > 0):
             raise ValidationError("tolerances must be positive")
-        if self.max_steps < 1:
-            raise ValidationError("max_steps must be at least 1")
+        require_count(self.max_steps, "max_steps", 1)
         if self.initial_step is not None and not self.initial_step > 0:
             raise ValidationError("initial_step must be positive when given")
-        if self.checkpoints is not None and self.checkpoints < 2:
-            raise ValidationError("checkpoint count must be at least 2")
+        if self.checkpoints is not None:
+            require_count(self.checkpoints, "checkpoints", 2)
 
     @property
     def checkpoint_budget(self) -> int:

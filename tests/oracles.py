@@ -135,6 +135,36 @@ def lindblad_reference(h, channels, rho: np.ndarray, *, adjoint: bool = False) -
     return out
 
 
+def block_exp_tangent(h, terms, channels, rho0: np.ndarray, t: float) -> OracleResult:
+    """Exact state and parameter tangents of a time-independent Lindblad model.
+
+    For H(x) = A_0 + sum_k x_k A_k, ``h`` is H at the point, ``terms`` the
+    A_k = dH/dx_k and ``channels`` the (rate, jump-matrix) pairs.  The N x N
+    generator S on row-major vec(rho), N = d^2, is assembled column by
+    column by applying ``lindblad_reference`` to the basis matrices E_ij,
+    and S_k likewise from the commutator -i[A_k, .].  By Van Loan's block
+    exponential (IEEE TAC 23, 395 (1978)), exp(t [[S, S_k], [0, S]]) applied
+    to (0, vec rho0) has top block vec d rho(t)/dx_k.  Dense 2N x 2N blocks,
+    so meant for d <= 8.  Returns {"rho": rho(t), "tangents": (p, d, d)}.
+    """
+    rho0 = np.asarray(rho0, dtype=complex)
+    d = rho0.shape[0]
+    n = d * d
+    basis = np.eye(n, dtype=complex).reshape(n, d, d)
+
+    def superoperator(hm, chs):
+        return np.stack([lindblad_reference(hm, chs, e).reshape(n) for e in basis], axis=1)
+
+    s = superoperator(h, channels)
+    start = np.concatenate([np.zeros(n, dtype=complex), rho0.reshape(n)])
+    tangents = []
+    for a in terms:
+        block = np.block([[s, superoperator(a, [])], [np.zeros((n, n)), s]])
+        tangents.append((taylor_expm(t * block) @ start)[:n].reshape(d, d))
+    rho_t = (taylor_expm(t * s) @ rho0.reshape(n)).reshape(d, d)
+    return OracleResult({"rho": rho_t, "tangents": np.array(tangents).reshape(len(tangents), d, d)}, "van-loan-block-exponential")
+
+
 def rk4_lindblad(
     h_of_t, channels, rho0: np.ndarray, t_span: tuple[float, float], steps: int
 ) -> OracleResult:

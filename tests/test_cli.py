@@ -413,6 +413,97 @@ class TestEmitPlots:
         assert out.read_text().splitlines() == ["iter,F,grad_norm,step"]
 
 
+def _deep(obj, path, value):
+    """A copy of obj with the entry at the JSON pointer path replaced by value."""
+    obj = json.loads(json.dumps(obj))
+    *head, last = path.strip("/").split("/")
+    node = obj
+    for key in head:
+        node = node[int(key) if isinstance(node, list) else key]
+    node[int(last) if isinstance(node, list) else last] = value
+    return obj
+
+
+SPARSE_SX = {"rows": 2, "cols": 2, "triplets": [[0, 1, 0.5, 0.0], [1, 0, 0.5, 0.0]]}
+DAMPED_MODEL = dict(PHASE_MODEL, channels=[{"gamma": 0.1, "matrix": {"rows": 2, "cols": 2, "triplets": [[0, 1, 1.0, 0.0]]}}])
+PRESET_MODEL = {"dimension": 4, "hamiltonian": {"kind": "preset_oat"}, "gamma": 0.1}
+BASE_CONFIG = {"model": "oat:2", "params": [0.8, 0.6], "t_span": [0.0, 1.0]}
+
+# (what is edited: the config or a file it names, pointer of the edit, new value, pointer the error names)
+MALFORMED_CONFIGS = [
+    ("config", "/model", {"preset": "oat:2", "gamma": "x"}, "/model/gamma"),
+    ("config", "/model", {"preset": "oat:2", "gamma": None}, "/model/gamma"),
+    ("config", "/model", {"preset": "oat:2", "gamma": True}, "/model/gamma"),
+    ("config", "/params", [True, 0.5], "/params/0"),
+    ("config", "/t_span", [False, True], "/t_span/0"),
+    ("config", "/t_span", [0.0, float("inf")], "/t_span/1"),
+    ("config", "/solver", {"rtol": "1e-6"}, "/solver/rtol"),
+    ("config", "/solver", {"max_steps": 10.5}, "/solver/max_steps"),
+    ("config", "/grad_check", {"fd_step": "1e-6"}, "/grad_check/fd_step"),
+    ("config", "/grad_check", {"tolerance": None}, "/grad_check/tolerance"),
+    ("config", "/solver", [1], "/solver"),
+    ("config", "/optimizer", "fast", "/optimizer"),
+    ("config", "/grad_check", 5, "/grad_check"),
+    ("config", "/optimizer", {"seed": -1}, "/optimizer/seed"),
+    ("config", "/model", {"file": 0}, "/model/file"),  # open(0) would read stdin
+    ("model", "/dimension", "abc", "/model/file/dimension"),
+    ("model", "/dimension", 2.7, "/model/file/dimension"),
+    ("model", "/hamiltonian/terms/0/coefficient", True, "/model/file/hamiltonian/terms/0/coefficient"),
+    ("model", "/channels", 3, "/model/file/channels"),
+    ("model", "/hamiltonian/terms", [3], "/model/file/hamiltonian/terms/0"),
+    ("model", "/channels/0/gamma", None, "/model/file/channels/0/gamma"),
+    ("model", "/channels/0/matrix/triplets/0/0", 0.7, "/model/file/channels/0/matrix/triplets/0/0"),
+    ("model", "/channels/0/matrix/triplets/0/2", "1", "/model/file/channels/0/matrix/triplets/0/2"),
+    ("model", "/channels/0/matrix/triplets", 5, "/model/file/channels/0/matrix/triplets"),
+    ("model", "/channels/0/matrix/rows", 2.9, "/model/file/channels/0/matrix/rows"),
+    ("preset", "/gamma", "x", "/model/file/gamma"),
+    ("state", "/0/0", [True, False], "/state/file/0/0/0"),
+    ("state", "/0/0", ["1", "0"], "/state/file/0/0/0"),
+    ("state", "/0/0", [1, 0, 5], "/state/file/0/0"),
+    ("generator", "/rows", "2", "/generator/file/rows"),
+    ("generator", "/rows", 2.9, "/generator/file/rows"),
+]
+
+
+class TestMalformedInput:
+    """Malformed JSON exits 2 with one 'validation error: <pointer>: ...' line and writes nothing."""
+
+    def _expect_two(self, argv, out, pointer, capsys):
+        code = cli.main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"validation error: {pointer}: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where, at, value, pointer", MALFORMED_CONFIGS)
+    def test_config_and_files(self, tmp_path, capsys, where, at, value, pointer):
+        if where == "config":
+            config = _deep(BASE_CONFIG, at, value)
+        elif where == "preset":
+            config = dict(BASE_CONFIG, model={"file": _write(tmp_path / "model.json", _deep(PRESET_MODEL, at, value))})
+        else:
+            files = {"model": DAMPED_MODEL, "state": PLUS_STATE, "generator": SPARSE_SX}
+            files[where] = _deep(files[where], at, value)
+            config = dict(BASE_CONFIG, params=[0.8])
+            for name, literal in files.items():
+                config[name] = {"file": _write(tmp_path / f"{name}.json", literal)}
+        cfg = _write(tmp_path / "cfg.json", config)
+        self._expect_two(["qfi", "--config", cfg], tmp_path / "report.json", pointer, capsys)
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        argv = ["optimize", "--model", "oat:2", "--seed", "-1"]
+        self._expect_two(argv, tmp_path / "report.json", "/optimizer/seed", capsys)
+
+    @pytest.mark.parametrize("column, value", [("F", "abc"), ("grad_norm", None), ("iter", 1.5)])
+    def test_trace_rows(self, tmp_path, capsys, column, value):
+        rows = [{"iter": 0, "F": 0.1, "grad_norm": 0.5, "step": 0.1}, {"iter": 1, "F": 0.2, "grad_norm": 0.3, "step": 0.0}]
+        rows[1][column] = value
+        trace = tmp_path / "t.jsonl"
+        trace.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        argv = ["emit-plots", "--kind", "trace", "--trace-file", str(trace)]
+        self._expect_two(argv, tmp_path / "plot.csv", f"/1/{column}", capsys)
+
+
 class TestExitCodes:
     def test_validation_error_exits_two(self, tmp_path):
         out = tmp_path / "r.json"

@@ -13,6 +13,9 @@ from lindbladiff.linalg import (
     hermitian_adjoint,
     is_hermitian,
     is_sparse,
+    json_array,
+    json_number,
+    json_object,
     operator_from_json,
     operator_to_json,
     to_dense,
@@ -111,3 +114,58 @@ def test_operator_from_json_rejects_malformed():
         operator_from_json([[1.0, 2.0]])  # entries must be [re, im] pairs
     with pytest.raises(ValidationError):
         operator_from_json("nope")
+
+
+@pytest.mark.parametrize("value", [True, "1", None, [1.0], float("nan"), float("inf"), float("-inf")])
+def test_json_number_rejects_non_numbers(value):
+    with pytest.raises(ValidationError) as err:
+        json_number(value, "/a/0")
+    assert err.value.path == "/a/0"
+
+
+def test_json_number_reads_python_and_numpy_reals():
+    assert json_number(3, "") == 3.0 and isinstance(json_number(3, ""), float)
+    assert json_number(np.float32(0.5), "") == 0.5
+    assert json_number(np.int64(7), "", integer=True) == 7
+    assert json_number(2.0, "", integer=True) == 2 and isinstance(json_number(2.0, "", integer=True), int)
+    assert json_number(10**400, "", integer=True) == 10**400
+    for bad in (2.5, np.float64(0.7), True, np.bool_(True), float("inf")):
+        with pytest.raises(ValidationError):
+            json_number(bad, "/i", integer=True)
+    with pytest.raises(ValidationError, match="finite"):
+        json_number(10**400, "/big")  # beyond the float range, and no OverflowError
+
+
+def test_json_array_and_object_readers():
+    assert json_array([1, 2], "/a", length=2) == [1, 2]
+    assert json_object({"k": 1}, "/o") == {"k": 1}
+    for value, length in (("ab", None), ({"0": 1}, None), ([1, 2, 3], 2)):
+        with pytest.raises(ValidationError) as err:
+            json_array(value, "/a", length=length)
+        assert err.value.path == "/a"
+    for value in ([], "x", 5, None):
+        with pytest.raises(ValidationError) as err:
+            json_object(value, "/o")
+        assert err.value.path == "/o"
+
+
+@pytest.mark.parametrize(
+    "literal, pointer",
+    [
+        ([[[True, False]]], "/m/0/0/0"),
+        ([[["1", "0"]]], "/m/0/0/0"),
+        ([[[1, 0, 5]]], "/m/0/0"),
+        ([[[1, 0]], [[1, 0], [0, 0]]], "/m"),
+        ([], "/m"),
+        ({"rows": 2.9, "cols": 2, "triplets": []}, "/m/rows"),
+        ({"rows": 2, "cols": "2", "triplets": []}, "/m/cols"),
+        ({"rows": 2, "cols": 2, "triplets": 5}, "/m/triplets"),
+        ({"rows": 2, "cols": 2, "triplets": [[0.7, 0, 1.0, 0.0]]}, "/m/triplets/0/0"),
+        ({"rows": 2, "cols": 2, "triplets": [[0, 1, "1", 0.0]]}, "/m/triplets/0/2"),
+        ({"rows": 2, "cols": 2, "triplets": [5]}, "/m/triplets/0"),
+    ],
+)
+def test_operator_from_json_points_at_the_malformed_value(literal, pointer):
+    with pytest.raises(ValidationError) as err:
+        operator_from_json(literal, "/m")
+    assert err.value.path == pointer

@@ -53,6 +53,19 @@ class TestOptConfig:
         with pytest.raises(ValidationError):
             OptConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["max_iterations", "seed"])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+    def test_integer_fields_reject_non_integers(self, field, bad):
+        with pytest.raises(ValidationError) as err:
+            OptConfig(**{field: bad})
+        assert err.value.path == f"/{field}"
+
+    def test_seed_must_be_nonnegative(self):
+        with pytest.raises(ValidationError) as err:
+            OptConfig(seed=-1)
+        assert err.value.path == "/seed"
+        assert OptConfig(seed=0).seed == 0
+
 
 class TestMaximize:
     def test_quadratic_surrogate_converges(self):

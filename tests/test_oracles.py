@@ -6,10 +6,12 @@ import scipy.linalg
 
 from oracles import (
     OracleResult,
+    block_exp_tangent,
     dense_eig_fd,
     expm_propagate,
     fd_gradient,
     qfi_reference,
+    random_density,
     random_hermitian,
     rk4_lindblad,
     taylor_expm,
@@ -103,6 +105,38 @@ def test_rk4_dephasing_closed_form():
     gamma, t1 = 0.5, 2.0
     res = rk4_lindblad(lambda t: np.zeros((2, 2)), [(gamma, SZ)], PLUS, (0.0, t1), 2000)
     assert res.value[0, 1].real == pytest.approx(0.5 * np.exp(-2 * gamma * t1), abs=1e-10)
+
+
+def test_block_exp_tangent_closed_form_phase():
+    # H = x Sz/2 on |+>: the coherence is 0.5 e^{-ixt}, so its x-derivative is -0.5 i t e^{-ixt}
+    x, t = 0.7, 1.9
+    res = block_exp_tangent(0.5 * x * SZ, [0.5 * SZ], [], PLUS, t)
+    assert res.method == "van-loan-block-exponential"
+    assert np.allclose(res.value["rho"], expm_propagate(0.5 * x * SZ, PLUS, t).value, atol=1e-14)
+    expect = np.array([[0.0, -0.5j * t * np.exp(-1j * x * t)], [0.5j * t * np.exp(1j * x * t), 0.0]])
+    assert np.allclose(res.value["tangents"][0], expect, atol=1e-13)
+
+
+def test_block_exp_tangent_matches_fd_and_rk4_with_dissipation():
+    rng = np.random.default_rng(5)
+    d, t = 4, 0.8
+    a0, a1, a2 = (random_hermitian(rng, d) for _ in range(3))
+    jumps = [(0.6, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))]
+    rho0 = random_density(rng, d)
+    x = np.array([0.3, -0.4])
+
+    def ham(xs):
+        return a0 + xs[0] * a1 + xs[1] * a2
+
+    res = block_exp_tangent(ham(x), [a1, a2], jumps, rho0, t)
+    rk4 = rk4_lindblad(lambda _: ham(x), jumps, rho0, (0.0, t), 4000).value
+    assert np.max(np.abs(res.value["rho"] - rk4)) < 1e-9
+    for k in range(2):
+        step = np.zeros(2)
+        step[k] = 1e-5
+        plus, minus = (block_exp_tangent(ham(x + s), [], jumps, rho0, t).value["rho"] for s in (step, -step))
+        fd = (plus - minus) / 2e-5
+        assert np.max(np.abs(res.value["tangents"][k] - fd)) < 1e-7 * np.max(np.abs(fd))
 
 
 def test_qfi_reference_hand_values():

@@ -1,4 +1,5 @@
-"""Property-based checks of the generator and of the eigen pullback on random small inputs.
+"""Property-based checks of the generator, of the eigen pullback and of the
+gradients on random small inputs.
 
 Every matrix entry is drawn by hypothesis, so a failing example shrinks
 towards a smaller model with simpler entries.
@@ -10,11 +11,11 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import lindblad_reference
+from oracles import block_exp_tangent, lindblad_reference
 from lindbladiff.eigen import eig_vjp, eigh
 from lindbladiff.errors import GaugeDependenceError
 from lindbladiff.linalg import to_dense
@@ -27,7 +28,9 @@ from lindbladiff.model import (
     lindblad_rhs,
     rhs_parameter_derivative,
 )
-from lindbladiff.sensitivity import adjoint_liouvillian_apply
+from lindbladiff.qfi import Generator, qfi_of_params, qfi_rho_cotangent
+from lindbladiff.sensitivity import adjoint_gradient, adjoint_liouvillian_apply, forward_sensitivity, observable_cost
+from lindbladiff.solver import SolveConfig, integrate
 from lindbladiff.spins import as_sparse, embed_single
 
 # derandomized and without an example database: every run draws the same examples
@@ -254,3 +257,81 @@ def test_eig_vjp_rejects_planted_gauge_component(spectrum, data):
     b[np.ix_(cl, cl)] += anti
     with pytest.raises(GaugeDependenceError):
         eig_vjp(decomp, vector_cotangent=decomp.eigenvectors @ b)
+
+
+# Gradients against the exact Van Loan oracle.  An error is measured on the
+# scale |<O, tau>| <= |O|_F max_k |tau_k|_F of a pairing of the cotangent O
+# with the exact tangents tau_k, and must stay below half the solver rtol
+# (atol = rtol / 100).  Over 200 derandomized draws the worst was 0.035 rtol
+# (QFI), 0.017 rtol (observable cost), 0.013 rtol (adjoint against forward)
+# and 0.08 rtol (forward tangents), so the bound has a margin of at least 6x;
+# a broken adjoint is off by a sizeable fraction of that scale.
+GRADIENT_BOUND = 0.5
+ORACLE = settings(PROPERTY, max_examples=30)
+RTOLS = pytest.mark.parametrize("rtol", [1e-6, 1e-8, 1e-10])
+
+
+@st.composite
+def oracle_cases(draw):
+    """(model, x, rho0, t_span, O, exact): a random linear model from
+    cases(linear=True) with one or two parameters, a full-rank initial state,
+    a random observable O, and the oracle's exact rho(T) and tangents."""
+    model, t, x, a, obs, _ = draw(cases(linear=True))
+    assume(model.n_params > 0)
+    d = model.dimension
+    rho0 = a @ a.conj().T + np.diag(np.arange(1.0, d + 1))  # distinct eigenvalues even for a = 0
+    rho0 = rho0 / np.trace(rho0).real
+    rho0 = 0.5 * (rho0 + rho0.conj().T)
+    t_span = (0.0, 0.5 + 0.5 * t)
+    schedule = model.hamiltonian
+    exact = block_exp_tangent(
+        to_dense(schedule.evaluate(0.0, x)),
+        [to_dense(term) for term in schedule.terms],
+        [(ch.rate, to_dense(ch.operator)) for ch in model.channels],
+        rho0,
+        t_span[1],
+    ).value
+    return model, x, rho0, t_span, obs, exact
+
+
+def _paired(cot, tangents):
+    """(Re <cot, tau_k> for each k, |cot|_F max_k |tau_k|_F): the gradient and its scale."""
+    scale = _norm(cot) * max(_norm(tau) for tau in tangents)
+    return np.array([np.vdot(cot, tau).real for tau in tangents]), max(scale, 1e-300)
+
+
+@RTOLS
+@ORACLE
+@given(drawn=oracle_cases())
+def test_adjoint_gradient_matches_block_exponential_oracle(rtol, drawn):
+    model, x, rho0, t_span, obs, exact = drawn
+    result = integrate(model, x, rho0, t_span, SolveConfig(rtol=rtol, atol=rtol / 100))
+    got = adjoint_gradient(result, observable_cost(obs)).dc_dx
+    expect, scale = _paired(obs.conj().T, exact["tangents"])  # d Re Tr(rho O) = Re <O^dag, d rho>
+    assert np.max(np.abs(got - expect)) <= GRADIENT_BOUND * rtol * scale
+
+
+@RTOLS
+@ORACLE
+@given(drawn=oracle_cases())
+def test_qfi_gradient_matches_exact_cotangent_and_tangents(rtol, drawn):
+    model, x, rho0, t_span, obs, exact = drawn
+    g = Generator(0.5 * (obs + obs.conj().T))
+    rep = qfi_of_params(model, x, rho0, t_span, g, SolveConfig(rtol=rtol, atol=rtol / 100), want_gradient=True)
+    rho_t = 0.5 * (exact["rho"] + exact["rho"].conj().T)
+    expect, scale = _paired(qfi_rho_cotangent(eigh(rho_t), g), exact["tangents"])
+    assert np.max(np.abs(rep.gradient - expect)) <= GRADIENT_BOUND * rtol * scale
+
+
+@RTOLS
+@ORACLE
+@given(drawn=oracle_cases())
+def test_adjoint_gradient_agrees_with_forward_tangents(rtol, drawn):
+    model, x, rho0, t_span, obs, exact = drawn
+    cfg = SolveConfig(rtol=rtol, atol=rtol / 100)
+    _, tangents = forward_sensitivity(model, x, rho0, t_span, cfg)
+    tangent_scale = max(np.max(np.abs(exact["tangents"])), 1e-300)
+    assert np.max(np.abs(tangents - exact["tangents"])) <= GRADIENT_BOUND * rtol * tangent_scale
+    forward, scale = _paired(obs.conj().T, tangents)
+    got = adjoint_gradient(integrate(model, x, rho0, t_span, cfg), observable_cost(obs)).dc_dx
+    assert np.max(np.abs(got - forward)) <= GRADIENT_BOUND * rtol * scale

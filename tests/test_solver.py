@@ -56,6 +56,14 @@ class TestSolveConfig:
         with pytest.raises(ValidationError):
             SolveConfig(initial_step=0.0)
 
+    @pytest.mark.parametrize("field", ["max_steps", "checkpoints"])
+    @pytest.mark.parametrize("bad", [10.5, 10.0, True, "10"])
+    def test_integer_fields_reject_non_integers(self, field, bad):
+        with pytest.raises(ValidationError) as err:
+            SolveConfig(**{field: bad})
+        assert err.value.path == f"/{field}"
+        SolveConfig(**{field: np.int64(10)})  # a numpy integer is an integer
+
 
 class TestAccuracy:
     def test_phase_rotation_closed_form(self):
