@@ -309,8 +309,10 @@ def emit_plot_data(data, path: str, kind: str) -> None:
     ``data`` is an iterable of JSON rows of an optimization trace (objects
     with "iter", "F", "grad_norm" and "step", as in the trace JSONL file)
     for kind "trace", or an iterable of (t, trace_rho, purity, min_eig)
-    rows for kind "trajectory".  Numbers are written with 17 significant
-    digits so round-tripping is exact.
+    rows for kind "trajectory".  Every cell is read as a finite number, at
+    pointer /<row>/<column>, before the file is opened, so a bad row leaves
+    no partial file.  Numbers are written with 17 significant digits so
+    round-tripping is exact.
     """
     if isinstance(data, OptTrace):
         raise ValidationError("pass the trace's JSON rows (it.to_json() for it in trace.iterates)")
@@ -324,7 +326,7 @@ def emit_plot_data(data, path: str, kind: str) -> None:
                 raise ValidationError(f"trace row is missing columns {missing}", path=f"/{i}")
             rows.append(tuple(json_number(row[key], f"/{i}/{key}", integer=key == "iter") for key in _TRACE_HEADER))
     elif kind == "trajectory":
-        rows = [tuple(row) for row in items]
+        rows = [tuple(json_number(v, f"/{i}/{j}") for j, v in enumerate(row)) for i, row in enumerate(items)]
     else:
         raise ValidationError(f"unknown plot kind {kind!r}")
 

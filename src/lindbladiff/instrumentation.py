@@ -14,6 +14,7 @@ class Counters:
     adjoint_passes: int = 0
     rhs_evaluations: int = 0
     adjoint_rhs_evaluations: int = 0
+    adjoint_generator_applications: int = 0
     peak_retained_states: int = 0
 
     def reset(self) -> None:
@@ -21,6 +22,7 @@ class Counters:
         self.adjoint_passes = 0
         self.rhs_evaluations = 0
         self.adjoint_rhs_evaluations = 0
+        self.adjoint_generator_applications = 0
         self.peak_retained_states = 0
 
     def note_retained_states(self, n: int) -> None:
@@ -33,6 +35,7 @@ class Counters:
             "adjoint_passes": self.adjoint_passes,
             "rhs_evaluations": self.rhs_evaluations,
             "adjoint_rhs_evaluations": self.adjoint_rhs_evaluations,
+            "adjoint_generator_applications": self.adjoint_generator_applications,
             "peak_retained_states": self.peak_retained_states,
         }
 

@@ -10,7 +10,9 @@ channels (gamma_j, J_j).  A declared LinearSchedule H(x) = A_0 + sum_k x_k A_k
 (preset_oat and explicit JSON models use one) compiles the generator once per
 model, on first use, to S_0 and S_k, each a row-major CSR superoperator on its
 own pattern; S(x) = S_0 + sum_k x_k S_k is their sparse sum, formed once per x:
-L is one SpMV with S(x), L^dag one with S(x)^H and dL/dx_k one with S_k.
+L is one call of scipy's CSR matrix-vector kernel with S(x), L^dag one with
+S(x)^H and dL/dx_k one with S_k, each writing into a buffer the caller may own
+(a row of the integrator's stage stack) with no temporary or copy.
 Callable schedules, and linear models whose Kronecker terms count more than
 COMPILE_MAX_NNZ entries (preset_oat from n = 9 on), apply the generator in
 effective-Hamiltonian form L(rho) = -i (H_eff rho - rho H_eff^dag) + sum_j
@@ -34,6 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_matvec  # the kernel S @ v calls; tests pin its bits
 
 from . import linalg
 from .errors import ShapeMismatchError, ValidationError
@@ -431,31 +434,62 @@ def liouvillian_apply(h: Operator, channels: Sequence[JumpChannel], rho: np.ndar
     return _sandwich(h - ik, h + ik, channels, rho)
 
 
-def lindblad_rhs(t: float, rho: np.ndarray, model: LindbladModel, x: np.ndarray) -> np.ndarray:
+def lindblad_rhs(
+    t: float, rho: np.ndarray, model: LindbladModel, x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Master-equation right-hand side at time t, state rho, parameters x.
 
     rho need not satisfy state invariants here; integrator stages pass
-    through arbitrary Hermitian-ish matrices.
+    through arbitrary Hermitian-ish matrices.  With ``out``, a C-contiguous
+    complex128 array of rho's shape that does not overlap rho, the result is
+    written into it and it is returned.
     """
     if rho.shape != (model.dimension, model.dimension):
         raise ShapeMismatchError("lindblad_rhs state", rho.shape, (model.dimension, model.dimension))
-    if not np.all(np.isfinite(rho)):
+    if not np.isfinite(rho).all():
         raise ValidationError("lindblad_rhs received a non-finite state")
-    return _generator_apply(model, t, x, rho)
+    return _generator_apply(model, t, x, rho, out=out)
+
+
+def _csr_apply(s: sparse.csr_array, state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """s @ vec(state) in state's shape, into a C-contiguous ``out`` if given: the one kernel call s @ v makes."""
+    if out is None:
+        out = np.zeros(state.shape, dtype=np.complex128)
+    else:
+        out.fill(0)  # the kernel adds to its output
+    n = s.shape[0]
+    csr_matvec(n, n, s.indptr, s.indices, s.data, state.ravel(), out.reshape(-1))
+    return out
 
 
 def _generator_apply(
-    model: LindbladModel, t: float, x: np.ndarray, state: np.ndarray, *, adjoint: bool = False
+    model: LindbladModel,
+    t: float,
+    x: np.ndarray,
+    state: np.ndarray,
+    *,
+    adjoint: bool = False,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """L(state), or L^dag(state) with adjoint=True: one SpMV if the model compiles, else the sandwich."""
+    """L(state), or L^dag(state) with adjoint=True, into ``out`` if given.
+
+    A compiled model makes one CSR kernel call with S(x) or S(x)^H straight
+    into ``out``; the sandwich kernel's result is copied into it.  ``out``
+    must be C-contiguous: a strided one would reach the kernel as a copy.
+    """
+    if out is not None and (out.shape != state.shape or out.dtype != np.complex128 or not out.flags.c_contiguous):
+        raise ValidationError(f"out must be a C-contiguous complex128 array of shape {state.shape}")
     compiled = model.superoperator
     if compiled is not None:
         s, s_adjoint = compiled.at(x)
-        return ((s_adjoint if adjoint else s) @ state.ravel()).reshape(state.shape)
+        return _csr_apply(s_adjoint if adjoint else s, state, out)
     h, ik = model.hamiltonian.evaluate(t, x), 1j * model.decay
-    if adjoint:
-        return _sandwich(-h - ik, -h + ik, model.channels, state, adjoint=True)
-    return _sandwich(h - ik, h + ik, model.channels, state)
+    a, a_right = (-h - ik, -h + ik) if adjoint else (h - ik, h + ik)
+    result = _sandwich(a, a_right, model.channels, state, adjoint=adjoint)
+    if out is None:
+        return result
+    out[...] = result
+    return out
 
 
 def rhs_parameter_derivative(
@@ -488,7 +522,7 @@ def rhs_parameter_derivative(
     if compiled is None:
         return _sandwich(dh, dh, (), rho)
     if rho.ndim == 2:
-        return (compiled.derivatives[k] @ rho.ravel()).reshape(rho.shape)
+        return _csr_apply(compiled.derivatives[k], rho)
     return (compiled.derivatives[k] @ rho.reshape(len(rho), d * d).T).T.reshape(rho.shape)
 
 

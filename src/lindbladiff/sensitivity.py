@@ -12,8 +12,8 @@ The reverse pass is the exact discrete adjoint of the replayed forward
 steps: each checkpoint segment is recomputed forward on the recorded step
 grid, then the stage cotangent recursion runs backward through the same
 stages, with the A and b of the solver's one tableau (``solver.DOP853``), on
-stacked stage buffers with one BLAS product per stage sum and p parameter
-pairings per step.
+stacked stage buffers that each L^dag application writes straight into, with
+one BLAS product per stage sum and p parameter pairings per step.
 It takes the forward solve's ``SolveResult`` as its only input besides the
 cost, and reads the model, x, span, checkpoints and step grid from it, so
 it always replays the trajectory that solve produced.  Because replay is
@@ -209,15 +209,19 @@ class GradientResult:
         return None if self.dc_drho0 is None else complexify(self.dc_drho0)
 
 
-def adjoint_liouvillian_apply(model: LindbladModel, x: np.ndarray, t: float, lam: np.ndarray) -> np.ndarray:
+def adjoint_liouvillian_apply(
+    model: LindbladModel, x: np.ndarray, t: float, lam: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Adjoint generator: +i[H, lam] + sum_j gamma_j (J^dag lam J - (1/2){J^dag J, lam}).
 
     Satisfies the pairing identity Tr(lam^dag L(rho)) == Tr((L^dag lam)^dag rho).
+    With ``out``, a C-contiguous complex128 array of lam's shape that does
+    not overlap lam, the result is written into it and it is returned.
     """
     lam = np.asarray(lam, dtype=np.complex128)
     if lam.shape != (model.dimension, model.dimension):
         raise ValidationError(f"adjoint state shape {lam.shape} != model dimension {model.dimension}")
-    return _generator_apply(model, t, np.asarray(x, dtype=float), lam, adjoint=True)
+    return _generator_apply(model, t, np.asarray(x, dtype=float), lam, adjoint=True, out=out)
 
 
 def forward_sensitivity(
@@ -240,14 +244,17 @@ def forward_sensitivity(
     stacked0 = np.stack([y0] + [np.zeros_like(y0)] * p)
     rhs_calls = 0
 
-    def f(t: float, state: np.ndarray) -> np.ndarray:
+    def f(t: float, state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         nonlocal rhs_calls
         rhs_calls += p + 1  # one lindblad_rhs for the state and one per tangent
+        if out is None:
+            out = np.empty_like(state)
         rho = state[0]
-        slopes = [lindblad_rhs(t, rho, model, x)]
+        lindblad_rhs(t, rho, model, x, out[0])
         for k in range(p):
-            slopes.append(lindblad_rhs(t, state[k + 1], model, x) + rhs_parameter_derivative(t, rho, model, x, k))
-        return np.stack(slopes)
+            lindblad_rhs(t, state[k + 1], model, x, out[k + 1])
+            out[k + 1] += rhs_parameter_derivative(t, rho, model, x, k)
+        return out
 
     trail = _adaptive_core(f, stacked0, t0, t_final, cfg)
     counters.forward_integrations += 1
@@ -263,7 +270,7 @@ def _reverse_step(
     h: float,
     lam: np.ndarray,
     grad: np.ndarray,
-    f: Callable[[float, np.ndarray], np.ndarray],
+    f: Callable[..., np.ndarray],
 ) -> np.ndarray:
     """Exact reverse-mode of one replayed step of the DOP853 tableau.
 
@@ -271,9 +278,9 @@ def _reverse_step(
     of f (the last stage's slope is never read), then runs the cotangent
     recursion on the stacked buffers V and W
         v_i = h b_i lam + h sum_{j>i} a_ji w_j,   w_i = L^dag(t_i) v_i,
-    each stage sum one BLAS product A[i+1:, i] W[i+1:] over the float64 view
-    of W, giving lam_prev = lam + sum_i w_i.  Parameter sensitivities
-    accumulate through the stage slopes: dc/dx_k += sum_i <v_i, (dL/dx_k)(t_i)
+    each w_i written straight into its row of W and each stage sum one BLAS
+    product A[i+1:, i] W[i+1:] over the float64 view of W, giving lam_prev =
+    lam + sum_i w_i.  Parameter sensitivities accumulate through the stage slopes: dc/dx_k += sum_i <v_i, (dL/dx_k)(t_i)
     Y_i>, one rhs_parameter_derivative call on the whole stack Y and one
     vdot per parameter, so a step makes p such calls.
     """
@@ -289,7 +296,7 @@ def _reverse_step(
         np.dot(_A[i + 1 :, i], flat_ws[i + 1 :], out=v.reshape(-1).view(np.float64))
         v *= h
         v += (h * DOP853.b[i]) * lam
-        ws[i] = adjoint_liouvillian_apply(model, x, stage_times[i], v)
+        adjoint_liouvillian_apply(model, x, stage_times[i], v, ws[i])
     lam_prev = lam + ws.sum(axis=0)
     del ws, flat_ws  # each pairing below allocates an (s, d, d) result
     for k in range(grad.shape[0]):
@@ -308,7 +315,10 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     pass ``integrate(model, x, rho0, t_span, cfg)``.  The diagnostics come from
     the checkpoints' step indices: ``segments`` (stored count - 1),
     ``steps_replayed`` (the reverse-differentiated steps: the last index, =
-    accepted) and ``longest_segment`` (the largest gap between indices).
+    accepted) and ``longest_segment`` (the largest gap between indices);
+    ``adjoint_rhs_evaluations`` counts the L applications that recompute
+    stage states, and ``adjoint_generator_applications`` the L^dag
+    applications of the stage recursion, s per step.
     """
     model, x, t_final = result.model, result.x, result.t_span[1]
     rho_t = result.final_state.matrix
@@ -330,13 +340,16 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
         for (t_n, y_n), h_n in reversed(list(zip(segment, result.step_sizes[i_a:i_b]))):
             lam = _reverse_step(model, x, t_n, y_n, float(h_n), lam, grad, f)
 
+    applications = _A.shape[0] * stored[-1][0]  # _reverse_step applies L^dag once per stage
     counters.adjoint_passes += 1
     counters.adjoint_rhs_evaluations += f.calls
+    counters.adjoint_generator_applications += applications
     diagnostics = {
         "segments": len(pairs),
         "steps_replayed": stored[-1][0],
         "longest_segment": max(i_b - i_a for (i_a, _), (i_b, _) in pairs),
         "adjoint_rhs_evaluations": f.calls,
+        "adjoint_generator_applications": applications,
         "fd_fallback": model.hamiltonian.uses_fd_fallback,
         "cost_verification": verification,
     }

@@ -4,15 +4,17 @@ The stepper is an explicit embedded Runge--Kutta pair on the complex density
 matrix with a stabilized PI step-size controller.  One tableau, ``DOP853``
 (Dormand--Prince 8(5,3), FSAL), drives the forward step, segment replay and
 the reverse pass in ``sensitivity``, all through a stacked slope buffer: the
-s slopes of a step fill one (s, *state shape) array, each stage sum is one
-BLAS product over its float64 view, and the reverse pass makes p parameter
-pairings per step.  Every accepted step time and step size is recorded, and
-the ``SolveResult`` keeps the model and x it was solved with, so any segment
-between two checkpoints can later be replayed on the recorded grid from the
-result alone; replay performs the same floating-point operations as the
-original pass and is therefore bit-identical.  Checkpoints and replay spans
-are addressed by accepted-step index i; state i sits at step_times[i].
-Trace is never renormalized -- trace drift is reported as a diagnostic instead.
+s slopes of a step fill one (s, *state shape) array, each written in place
+by the right-hand side (one CSR kernel call into its row for a compiled
+model), each stage sum is one BLAS product over its float64 view, and the
+reverse pass makes p parameter pairings per step.  Every accepted step time
+and step size is recorded, and the ``SolveResult`` keeps the model and x it
+was solved with, so any segment between two checkpoints can later be
+replayed on the recorded grid from the result alone; replay performs the
+same floating-point operations as the original pass and is therefore
+bit-identical.  Checkpoints and replay spans are addressed by accepted-step
+index i; state i sits at step_times[i].  Trace is never renormalized --
+trace drift is reported as a diagnostic instead.
 """
 
 from __future__ import annotations
@@ -209,7 +211,7 @@ def _error_norm(
 
 
 def rk_stages(
-    f: Callable[[float, np.ndarray], np.ndarray],
+    f: Callable[..., np.ndarray],
     t: float,
     y: np.ndarray,
     h: float,
@@ -222,10 +224,12 @@ def rk_stages(
     This is the single source of the stage arithmetic; the adaptive loop,
     segment replay, and the reverse pass all go through it, so a replayed
     step performs bit-identical floating-point operations.  The slopes fill
-    one preallocated stacked buffer K, and stage state i is one BLAS product
-    A[i, :i] K[:i] over its float64 view, scaled by h and added to y in
-    place.  Without ``states`` the stage states share one scratch buffer,
-    so a step holds one of them at a time; _step_end forms the step's end.
+    one preallocated stacked buffer K: f(t, y, out) writes slope i straight
+    into its row K[i] (for a compiled model, one CSR kernel call into the
+    caller's buffer), and stage state i is one BLAS product A[i, :i] K[:i]
+    over its float64 view, scaled by h and added to y in place.  Without
+    ``states`` the stage states share one scratch buffer, so a step holds
+    one of them at a time; _step_end forms the step's end.
     The reverse pass passes an (s, *y.shape) buffer as ``states`` and gets
     every stage state written into it; the last stage's slope, which it
     never reads, is then not evaluated and K[s - 1] is left zero.
@@ -233,7 +237,10 @@ def rk_stages(
     s = _A.shape[0]
     slopes = np.zeros((s, *y.shape), dtype=np.complex128)
     flat = slopes.reshape(s, -1).view(np.float64)
-    slopes[0] = f(t, y) if k1 is None else k1
+    if k1 is None:
+        f(t, y, slopes[0])
+    else:
+        slopes[0] = k1
     if states is not None:
         states[0] = y
     scratch = np.empty_like(slopes[0]) if states is None else None
@@ -244,7 +251,7 @@ def rk_stages(
         increment *= h
         y_i += y
         if states is None or i < s - 1:
-            slopes[i] = f(t + DOP853.c[i] * h, y_i)
+            f(t + DOP853.c[i] * h, y_i, slopes[i])
     return slopes
 
 
@@ -299,13 +306,13 @@ class _CoreTrail:
 
 
 def _adaptive_core(
-    f: Callable[[float, np.ndarray], np.ndarray],
+    f: Callable[..., np.ndarray],
     y0: np.ndarray,
     t0: float,
     t_final: float,
     cfg: SolveConfig,
 ) -> _CoreTrail:
-    """Adaptive 8(5,3) loop on an arbitrary complex array state.
+    """Adaptive 8(5,3) loop on an arbitrary complex array state; f(t, y, out=None) as in rk_stages.
 
     Records every accepted step time and size, and keeps a thinned
     checkpoint list: stride doubles whenever the stored count would exceed
@@ -386,14 +393,17 @@ def _adaptive_core(
 
 
 class _CountedRhs:
-    """f(t, state) = lindblad_rhs(t, state, model, x), looked up in this module per call; counts ``calls``."""
+    """f(t, state, out=None) = lindblad_rhs(t, state, model, x, out), looked up in this module per call.
+
+    Counts ``calls``.
+    """
 
     def __init__(self, model: LindbladModel, x: np.ndarray):
         self.model, self.x, self.calls = model, x, 0
 
-    def __call__(self, t: float, state: np.ndarray) -> np.ndarray:
+    def __call__(self, t: float, state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         self.calls += 1
-        return lindblad_rhs(t, state, self.model, self.x)
+        return lindblad_rhs(t, state, self.model, self.x, out)
 
 
 def _check_inputs(

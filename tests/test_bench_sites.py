@@ -66,3 +66,29 @@ def test_traced_smoke_run_matches_untraced(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
+
+
+def test_traced_sites_see_every_generator_application():
+    # the per-layer model.rhs_calls and sensitivity.adjoint_apply_calls count
+    # spans at the binding sites, so every application must pass through them
+    from lindbladiff import counters
+    from lindbladiff.model import all_zero_density, preset_oat
+    from lindbladiff.qfi import generator_from_preset, qfi_of_params
+    from lindbladiff.solver import DOP853
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    counters.reset()
+    tracer.install()
+    try:
+        g = generator_from_preset("Sz", 2)
+        report = qfi_of_params(preset_oat(2, 0.1), [0.8, 0.6], all_zero_density(2), (0.0, 1.0), g, want_gradient=True)
+    finally:
+        tracer.uninstall()
+    homes = [span[1] for span in tracer.spans]
+    snap = counters.snapshot()
+    steps = report.diagnostics["adjoint"]["steps_replayed"]
+    # forward and replay, reverse stages, and the one dc/dT evaluation
+    assert homes.count("model.lindblad_rhs") == snap["rhs_evaluations"] + snap["adjoint_rhs_evaluations"] + 1
+    assert homes.count("sensitivity.adjoint_liouvillian_apply") == len(DOP853.c) * steps > 0
+    assert snap["adjoint_generator_applications"] == len(DOP853.c) * steps

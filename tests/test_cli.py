@@ -364,6 +364,13 @@ class TestEmitPlots:
             cli.emit_plot_data(trace, str(out), kind="trace")
         assert not out.exists()
 
+    def test_unreadable_trajectory_cell_writes_no_file(self, tmp_path):
+        out = tmp_path / "plot.csv"
+        with pytest.raises(ValidationError) as err:
+            cli.emit_plot_data([(0.0, 1.0, 1.0, 1.0), ("a", 1, 2, 3)], str(out), kind="trajectory")
+        assert err.value.path == "/1/0"
+        assert not out.exists()
+
     def test_float_cells_round_trip(self, tmp_path):
         value = 0.1 + 0.2  # not exactly representable in shorter decimal
         trace = tmp_path / "t.jsonl"

@@ -466,6 +466,20 @@ class TestInputChecks:
         with pytest.raises(ValidationError):
             rhs_parameter_derivative(0.0, np.eye(4, dtype=complex) / 4, model, np.zeros(2), k)
 
+    def test_out_receives_the_result_and_is_checked(self, model):
+        rng = np.random.default_rng(15)
+        rho = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        x = np.array([0.8, 0.6])
+        applies = (partial(lindblad_rhs, 0.2, rho, model, x), partial(adjoint_liouvillian_apply, model, x, 0.2, rho))
+        for apply in applies:
+            out = np.full((4, 4), np.nan, dtype=complex)
+            assert apply(out=out) is out
+            assert np.array_equal(out, apply())
+            # a strided row would be written through a copy, a real array cannot hold L(rho)
+            for bad in (np.empty((2, 4), dtype=complex), np.empty((4, 4)), np.empty((4, 8), dtype=complex)[:, ::2]):
+                with pytest.raises(ValidationError, match="out must be"):
+                    apply(out=bad)
+
     def test_stacked_parameter_derivative_needs_one_time_per_state(self, model):
         stack = np.stack([np.eye(4, dtype=complex) / 4] * 3)
         with pytest.raises(ValidationError, match="times"):

@@ -160,6 +160,26 @@ def test_compiled_generator_pairing_and_textbook_form(case):
 
 
 @PROPERTY
+@given(cases(linear=True))
+def test_direct_kernel_writes_the_bits_of_the_sparse_product(case):
+    # the compiled generator calls scipy's private CSR kernel straight into the
+    # caller's buffer; its results must stay bit-equal to scipy's public S @ v
+    model, t, x, rho, lam, _ = case
+    s, s_adjoint = model.superoperator.at(x)
+    expect = (s @ rho.ravel()).reshape(rho.shape)
+    out = np.full(rho.shape, np.nan, dtype=np.complex128)
+    assert lindblad_rhs(t, rho, model, x, out=out) is out
+    assert np.array_equal(out, expect)
+    assert np.array_equal(lindblad_rhs(t, rho, model, x), expect)
+    assert np.array_equal(lindblad_rhs(t, np.ascontiguousarray(rho.T).T, model, x), expect)  # a strided view
+    out = np.full(lam.shape, np.nan, dtype=np.complex128)
+    assert adjoint_liouvillian_apply(model, x, t, lam, out=out) is out
+    assert np.array_equal(out, (s_adjoint @ lam.ravel()).reshape(lam.shape))
+    for k, s_k in enumerate(model.superoperator.derivatives):
+        assert np.array_equal(rhs_parameter_derivative(t, rho, model, x, k), (s_k @ rho.ravel()).reshape(rho.shape))
+
+
+@PROPERTY
 @given(cases())
 def test_generator_and_adjoint_match_textbook_form(case):
     _check_textbook_form(case)
