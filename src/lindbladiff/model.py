@@ -30,6 +30,7 @@ enforced on accepted states via DensityOperator.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -446,7 +447,9 @@ def lindblad_rhs(
     """
     if rho.shape != (model.dimension, model.dimension):
         raise ShapeMismatchError("lindblad_rhs state", rho.shape, (model.dimension, model.dimension))
-    if not np.isfinite(rho).all():
+    # any non-finite entry makes the sum non-finite; a finite state whose sum
+    # overflows takes the elementwise test
+    if not cmath.isfinite(rho.sum()) and not np.isfinite(rho).all():
         raise ValidationError("lindblad_rhs received a non-finite state")
     return _generator_apply(model, t, x, rho, out=out)
 

@@ -209,7 +209,7 @@ def qfi_of_params(
     """
     stage = "integrate"
     try:
-        result = integrate(model, x, rho0, t_span, cfg)
+        result = integrate(model, x, rho0, t_span, cfg, keep_slopes=want_gradient)
         stage = "eigendecomposition"
         rho_t = result.final_state.matrix
         decomp = eigh(rho_t)

@@ -13,7 +13,11 @@ steps: each checkpoint segment is recomputed forward on the recorded step
 grid, then the stage cotangent recursion runs backward through the same
 stages, with the A and b of the solver's one tableau (``solver.DOP853``), on
 stacked stage buffers that each L^dag application writes straight into, with
-one BLAS product per stage sum and p parameter pairings per step.
+one BLAS product per stage sum and p parameter pairings per step.  A step
+whose forward slopes the solve kept (``integrate(..., keep_slopes=True)``)
+rebuilds its stage states from them with no L application; any other step
+recomputes them with s - 1.  The two paths form each stage state with the
+same row product, so they give the same bits.
 It takes the forward solve's ``SolveResult`` as its only input besides the
 cost, and reads the model, x, span, checkpoints and step grid from it, so
 it always replays the trajectory that solve produced.  Because replay is
@@ -43,6 +47,7 @@ from .solver import (
     _check_inputs,
     _CountedRhs,
     _final_state,
+    _stage_state,
 )
 
 #: Central-difference step and relative tolerance of CostCofunction.verify.
@@ -271,12 +276,14 @@ def _reverse_step(
     lam: np.ndarray,
     grad: np.ndarray,
     f: Callable[..., np.ndarray],
+    slopes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact reverse-mode of one replayed step of the DOP853 tableau.
 
-    Recomputes the s stage states Y into one stacked buffer with s - 1 calls
-    of f (the last stage's slope is never read), then runs the cotangent
-    recursion on the stacked buffers V and W
+    Forms the s stage states Y into one stacked buffer: from the step's kept
+    forward ``slopes`` if given, with no call of f, and otherwise with s - 1
+    calls of f (the last stage's slope is never read).  It then runs the
+    cotangent recursion on the stacked buffers V and W
         v_i = h b_i lam + h sum_{j>i} a_ji w_j,   w_i = L^dag(t_i) v_i,
     each w_i written straight into its row of W and each stage sum one BLAS
     product A[i+1:, i] W[i+1:] over the float64 view of W, giving lam_prev =
@@ -286,7 +293,13 @@ def _reverse_step(
     """
     s = _A.shape[0]
     stage_states = np.empty((s, *y_n.shape), dtype=np.complex128)
-    rk_stages(f, t_n, y_n, h, states=stage_states)
+    if slopes is None:
+        rk_stages(f, t_n, y_n, h, states=stage_states)
+    else:
+        flat = slopes.reshape(s, -1).view(np.float64)
+        stage_states[0] = y_n
+        for i in range(1, s):
+            _stage_state(y_n, h, flat, i, stage_states[i])
     stage_times = [t_n + c * h for c in DOP853.c]
     vs = np.empty_like(stage_states)
     ws = np.empty_like(stage_states)
@@ -311,14 +324,19 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     backward segment by segment: each segment between stored checkpoints is
     replayed on the recorded grid with the model and x of ``result`` and its
     steps are reverse-differentiated exactly.  Returns dc/dx, the realified
-    dc/d(rho0) (the terminal adjoint state), and dc/dT.  For a fresh solve,
-    pass ``integrate(model, x, rho0, t_span, cfg)``.  The diagnostics come from
-    the checkpoints' step indices: ``segments`` (stored count - 1),
+    dc/d(rho0) (the terminal adjoint state), and dc/dT.  For a fresh solve
+    pass ``integrate(model, x, rho0, t_span, cfg, keep_slopes=True)``: the
+    steps whose slopes it kept then need no stage recompute, and the
+    gradient is bit-equal either way.  The diagnostics come from the
+    checkpoints' step indices: ``segments`` (stored count - 1),
     ``steps_replayed`` (the reverse-differentiated steps: the last index, =
     accepted) and ``longest_segment`` (the largest gap between indices);
-    ``adjoint_rhs_evaluations`` counts the L applications that recompute
-    stage states, and ``adjoint_generator_applications`` the L^dag
-    applications of the stage recursion, s per step.
+    ``kept_slope_steps`` is the number of reverse steps that read kept
+    forward slopes, ``adjoint_rhs_evaluations`` the L applications that
+    recompute stage states, (s - 1) per step without kept slopes, and
+    ``adjoint_generator_applications`` the L^dag applications of the stage
+    recursion, s per step.  The retained-state count includes each kept
+    slope stack as s states.
     """
     model, x, t_final = result.model, result.x, result.t_span[1]
     rho_t = result.final_state.matrix
@@ -331,16 +349,20 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     grad = np.zeros(model.n_params)
     stored = result.step_checkpoints
     pairs = list(zip(stored, stored[1:]))
+    s = _A.shape[0]
+    kept_slopes = result.step_slopes
+    kept = 0 if kept_slopes is None else len(kept_slopes)
 
     for (i_a, state_a), (i_b, _) in reversed(pairs):
         # replay stops at the start of the segment's last step: the state at
         # its right end is the stored next checkpoint, which nothing reads
         segment = dense_segment(result, state_a, (i_a, i_b - 1))
-        counters.note_retained_states(len(stored) + len(segment) - 1)
-        for (t_n, y_n), h_n in reversed(list(zip(segment, result.step_sizes[i_a:i_b]))):
-            lam = _reverse_step(model, x, t_n, y_n, float(h_n), lam, grad, f)
+        counters.note_retained_states(len(stored) + len(segment) - 1 + s * kept)
+        for n, (t_n, y_n), h_n in reversed(list(zip(range(i_a, i_b), segment, result.step_sizes[i_a:i_b]))):
+            slopes = kept_slopes[n] if n < kept else None
+            lam = _reverse_step(model, x, t_n, y_n, float(h_n), lam, grad, f, slopes)
 
-    applications = _A.shape[0] * stored[-1][0]  # _reverse_step applies L^dag once per stage
+    applications = s * stored[-1][0]  # _reverse_step applies L^dag once per stage
     counters.adjoint_passes += 1
     counters.adjoint_rhs_evaluations += f.calls
     counters.adjoint_generator_applications += applications
@@ -348,6 +370,7 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
         "segments": len(pairs),
         "steps_replayed": stored[-1][0],
         "longest_segment": max(i_b - i_a for (i_a, _), (i_b, _) in pairs),
+        "kept_slope_steps": kept,
         "adjoint_rhs_evaluations": f.calls,
         "adjoint_generator_applications": applications,
         "fd_fallback": model.hamiltonian.uses_fd_fallback,

@@ -7,14 +7,18 @@ the reverse pass in ``sensitivity``, all through a stacked slope buffer: the
 s slopes of a step fill one (s, *state shape) array, each written in place
 by the right-hand side (one CSR kernel call into its row for a compiled
 model), each stage sum is one BLAS product over its float64 view, and the
-reverse pass makes p parameter pairings per step.  Every accepted step time
-and step size is recorded, and the ``SolveResult`` keeps the model and x it
-was solved with, so any segment between two checkpoints can later be
-replayed on the recorded grid from the result alone; replay performs the
-same floating-point operations as the original pass and is therefore
-bit-identical.  Checkpoints and replay spans are addressed by accepted-step
-index i; state i sits at step_times[i].  Trace is never renormalized --
-trace drift is reported as a diagnostic instead.
+reverse pass makes p parameter pairings per step.  A solve that will be
+differentiated (``integrate(..., keep_slopes=True)``) keeps the slope stacks
+of its leading accepted steps in one preallocated block, within what the
+checkpoint budget leaves and a fixed byte cap, so the reverse pass rebuilds
+those steps' stage states from them with no right-hand-side call.  Every
+accepted step time and step size is recorded, and the ``SolveResult`` keeps
+the model and x it was solved with, so any segment between two checkpoints
+can later be replayed on the recorded grid from the result alone; replay
+performs the same floating-point operations as the original pass and is
+therefore bit-identical.  Checkpoints and replay spans are addressed by
+accepted-step index i; state i sits at step_times[i].  Trace is never
+renormalized -- trace drift is reported as a diagnostic instead.
 """
 
 from __future__ import annotations
@@ -117,6 +121,9 @@ _UNDERFLOW = 1e-14
 _A = np.array([row + (0.0,) * (len(DOP853.c) - len(row)) for row in DOP853.a])
 #: The end-of-step weight rows b, e[:s] and e3[:s] (the FSAL weights of e and e3 are zero).
 _STEP_WEIGHTS = np.array([DOP853.b, DOP853.e[: len(DOP853.b)], DOP853.e3[: len(DOP853.b)]])
+#: Most bytes of slope stacks a differentiated solve keeps for its reverse
+#: pass: every step at n <= 7 qubits, and none at n = 10 (192 MiB per stack).
+_KEPT_SLOPES_MAX_BYTES = 64 * 2**20
 
 
 def require_count(value, name: str, minimum: int) -> None:
@@ -186,6 +193,9 @@ class SolveResult:
     config: SolveConfig
     x: np.ndarray  # a copy of the checked parameter vector the solve used
     model: LindbladModel
+    # the (kept, s, *state shape) slope stacks of accepted steps 0 ... kept - 1,
+    # or None; only integrate(..., keep_slopes=True) keeps any
+    step_slopes: np.ndarray | None = None
 
 
 def _rms(values: np.ndarray) -> float:
@@ -210,6 +220,20 @@ def _error_norm(
     return err5 / math.sqrt((err5 + 0.01 * err3) * delta5.size)
 
 
+def _stage_state(y: np.ndarray, h: float, flat_slopes: np.ndarray, i: int, out: np.ndarray) -> None:
+    """Write stage state i, y + h A[i, :i] K[:i], into ``out``.
+
+    ``flat_slopes`` is the float64 (s, 2N) view of the slope stack K, and the
+    row product is one BLAS call into the float64 view of ``out``.  A forward
+    step and a reverse step that rebuilds its stage states from kept slopes
+    both form them here, so the two are bit-equal.
+    """
+    increment = out.reshape(-1).view(np.float64)
+    np.dot(_A[i, :i], flat_slopes[:i], out=increment)
+    increment *= h
+    out += y
+
+
 def rk_stages(
     f: Callable[..., np.ndarray],
     t: float,
@@ -218,24 +242,27 @@ def rk_stages(
     k1: np.ndarray | None = None,
     *,
     states: np.ndarray | None = None,
+    slopes: np.ndarray | None = None,
 ) -> np.ndarray:
     """The slopes of all s DOP853 stages of one step, as one (s, *y.shape) array.
 
     This is the single source of the stage arithmetic; the adaptive loop,
     segment replay, and the reverse pass all go through it, so a replayed
     step performs bit-identical floating-point operations.  The slopes fill
-    one preallocated stacked buffer K: f(t, y, out) writes slope i straight
-    into its row K[i] (for a compiled model, one CSR kernel call into the
-    caller's buffer), and stage state i is one BLAS product A[i, :i] K[:i]
-    over its float64 view, scaled by h and added to y in place.  Without
+    one stacked buffer K, ``slopes`` if given (a C-contiguous complex128
+    (s, *y.shape) array, such as a row of the kept-slope block) and a fresh
+    one otherwise: f(t, y, out) writes slope i straight into its row K[i]
+    (for a compiled model, one CSR kernel call into the caller's buffer), and
+    stage state i is formed by _stage_state from the rows before it.  Without
     ``states`` the stage states share one scratch buffer, so a step holds
     one of them at a time; _step_end forms the step's end.
     The reverse pass passes an (s, *y.shape) buffer as ``states`` and gets
     every stage state written into it; the last stage's slope, which it
-    never reads, is then not evaluated and K[s - 1] is left zero.
+    never reads, is then not evaluated and K[s - 1] is left unset.
     """
     s = _A.shape[0]
-    slopes = np.zeros((s, *y.shape), dtype=np.complex128)
+    if slopes is None:
+        slopes = np.empty((s, *y.shape), dtype=np.complex128)
     flat = slopes.reshape(s, -1).view(np.float64)
     if k1 is None:
         f(t, y, slopes[0])
@@ -246,10 +273,7 @@ def rk_stages(
     scratch = np.empty_like(slopes[0]) if states is None else None
     for i in range(1, s):
         y_i = scratch if states is None else states[i]
-        increment = y_i.reshape(-1).view(np.float64)
-        np.dot(_A[i, :i], flat[:i], out=increment)
-        increment *= h
-        y_i += y
+        _stage_state(y, h, flat, i, y_i)
         if states is None or i < s - 1:
             f(t + DOP853.c[i] * h, y_i, slopes[i])
     return slopes
@@ -303,6 +327,7 @@ class _CoreTrail:
     step_sizes: np.ndarray
     rejected: int
     checkpoints: list[tuple[int, np.ndarray]]
+    slopes: np.ndarray | None
 
 
 def _adaptive_core(
@@ -311,6 +336,7 @@ def _adaptive_core(
     t0: float,
     t_final: float,
     cfg: SolveConfig,
+    keep_slopes: bool = False,
 ) -> _CoreTrail:
     """Adaptive 8(5,3) loop on an arbitrary complex array state; f(t, y, out=None) as in rk_stages.
 
@@ -318,6 +344,13 @@ def _adaptive_core(
     checkpoint list: stride doubles whenever the stored count would exceed
     the budget, so checkpoints stay roughly equally spaced in accepted-step
     index; the first entry is step 0 (t0) and the last is step accepted (t_final).
+    With ``keep_slopes`` the slope stacks of the leading accepted steps are
+    kept too, each counted as s states against the budget: checkpoints come
+    first, and after each accepted step the kept count shrinks to what they
+    leave, kept <= (budget - 1 - stored) // s, so at the end stored + s kept
+    <= budget.  Kept steps are a prefix (once a step is not kept, no later
+    step is), written in place into one block sized by the budget and by
+    _KEPT_SLOPES_MAX_BYTES.
     """
     y = y0
     span = t_final - t0
@@ -328,6 +361,10 @@ def _adaptive_core(
     budget = cfg.checkpoint_budget
     stored: list[tuple[int, np.ndarray]] = [(0, y.copy())]
     stride = 1
+    s = _A.shape[0]
+    # one slot each for the first and the final checkpoint
+    kept = min((budget - 2) // s, _KEPT_SLOPES_MAX_BYTES // (s * y0.nbytes)) if keep_slopes else 0
+    block = np.empty((kept, s, *y0.shape), dtype=np.complex128) if kept > 0 else None
 
     step_times = [t0]
     step_sizes: list[float] = []
@@ -351,7 +388,8 @@ def _adaptive_core(
         # e[-1] = e3[-1] = 0: the estimates need no FSAL slope, so only an
         # accepted step pays for f(t + h, y_new)
         try:
-            y_new, delta5, delta3 = _step_end(y, h, rk_stages(f, t, y, h, k1))
+            slopes = block[accepted] if accepted < kept else None
+            y_new, delta5, delta3 = _step_end(y, h, rk_stages(f, t, y, h, k1, slopes=slopes))
         except ValidationError as exc:  # lindblad_rhs rejects a stage state that blew up
             raise IntegrationError(f"step at t = {t:.6g} with h = {h:.3e} failed: {exc}") from exc
         if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(delta5)) and np.all(np.isfinite(delta3))):
@@ -370,6 +408,10 @@ def _adaptive_core(
                 if len(stored) > budget - 1:
                     stored = stored[::2]
                     stride *= 2
+            if kept:
+                kept = min(kept, (budget - 1 - len(stored)) // s)
+                if kept == 0:
+                    block = None
             if err == 0.0:
                 factor = _MAX_FACTOR
             else:
@@ -389,6 +431,7 @@ def _adaptive_core(
         step_sizes=np.array(step_sizes),
         rejected=rejected,
         checkpoints=stored,
+        slopes=None if block is None else block[: min(kept, accepted)],
     )
 
 
@@ -441,20 +484,26 @@ def integrate(
     rho0: DensityOperator | np.ndarray,
     t_span: tuple[float, float],
     cfg: SolveConfig = SolveConfig(),
+    *,
+    keep_slopes: bool = False,
 ) -> SolveResult:
     """Integrate the master equation from t0 to T with adaptive steps.
 
     Returns the final state, a thinned trail of (step index, state)
     checkpoints (first step 0, last step accepted, roughly equally spaced in
     index, at most the configured checkpoint count), and the full accepted
-    step grid, from which the step statistics are read.
+    step grid, from which the step statistics are read.  With
+    ``keep_slopes``, for a solve that will be differentiated, the result's
+    ``step_slopes`` also holds the slope stacks of as many leading accepted
+    steps as the checkpoint budget leaves room for (each counted as s
+    states) and the fixed byte cap allows; otherwise it is None.
     """
     y0, x, t0, t_final = _check_inputs(model, x, rho0, t_span)
     trace0 = float(np.trace(y0).real)
 
     f = _CountedRhs(model, x)
 
-    trail = _adaptive_core(f, y0, t0, t_final, cfg)
+    trail = _adaptive_core(f, y0, t0, t_final, cfg, keep_slopes)
     y, sizes = trail.final, trail.step_sizes
     final_state = _final_state(y, cfg)
     stats = SolveStats(
@@ -470,7 +519,8 @@ def integrate(
     counters.rhs_evaluations += f.calls
 
     x = x.copy()  # replay and the adjoint trust these arrays, so none of them may change
-    for a in (x, trail.step_times, sizes, final_state.matrix, *(s for _, s in trail.checkpoints)):
+    kept = () if trail.slopes is None else (trail.slopes,)
+    for a in (x, trail.step_times, sizes, final_state.matrix, *kept, *(s for _, s in trail.checkpoints)):
         a.setflags(write=False)
     return SolveResult(
         final_state=final_state,
@@ -482,6 +532,7 @@ def integrate(
         config=cfg,
         x=x,
         model=model,
+        step_slopes=trail.slopes,
     )
 
 

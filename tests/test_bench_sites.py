@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 
@@ -68,13 +70,16 @@ def test_traced_smoke_run_matches_untraced(tmp_path):
     assert result["correct"] is True and result["failed"] == 0
 
 
-def test_traced_sites_see_every_generator_application():
+@pytest.mark.parametrize("checkpoints", [None, 4])
+def test_traced_sites_see_every_generator_application(checkpoints):
     # the per-layer model.rhs_calls and sensitivity.adjoint_apply_calls count
-    # spans at the binding sites, so every application must pass through them
+    # spans at the binding sites, so every application must pass through them;
+    # the default budget keeps every step's slopes, so the reverse pass
+    # recomputes no stage, and 4 checkpoints keep none
     from lindbladiff import counters
     from lindbladiff.model import all_zero_density, preset_oat
     from lindbladiff.qfi import generator_from_preset, qfi_of_params
-    from lindbladiff.solver import DOP853
+    from lindbladiff.solver import DOP853, SolveConfig
 
     tracing = _load_tracing()
     tracer = tracing.Tracer()
@@ -82,12 +87,17 @@ def test_traced_sites_see_every_generator_application():
     tracer.install()
     try:
         g = generator_from_preset("Sz", 2)
-        report = qfi_of_params(preset_oat(2, 0.1), [0.8, 0.6], all_zero_density(2), (0.0, 1.0), g, want_gradient=True)
+        cfg = SolveConfig(checkpoints=checkpoints)
+        report = qfi_of_params(
+            preset_oat(2, 0.1), [0.8, 0.6], all_zero_density(2), (0.0, 1.0), g, cfg, want_gradient=True
+        )
     finally:
         tracer.uninstall()
     homes = [span[1] for span in tracer.spans]
     snap = counters.snapshot()
     steps = report.diagnostics["adjoint"]["steps_replayed"]
+    s = len(DOP853.c)
+    assert snap["adjoint_rhs_evaluations"] == (0 if checkpoints is None else (s - 1) * steps)
     # forward and replay, reverse stages, and the one dc/dT evaluation
     assert homes.count("model.lindblad_rhs") == snap["rhs_evaluations"] + snap["adjoint_rhs_evaluations"] + 1
     assert homes.count("sensitivity.adjoint_liouvillian_apply") == len(DOP853.c) * steps > 0

@@ -447,6 +447,21 @@ class TestInputChecks:
         with pytest.raises(ValidationError):
             lindblad_rhs(0.0, bad, model, np.zeros(2))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
+    def test_rhs_rejects_one_non_finite_entry(self, model, value):
+        bad = random_density(np.random.default_rng(3), 4)
+        bad[1, 2] = value
+        with pytest.raises(ValidationError, match="non-finite state"):
+            lindblad_rhs(0.0, bad, model, np.zeros(2))
+
+    def test_rhs_accepts_a_finite_state_whose_sum_overflows(self, model):
+        # the guard sums the entries first; an overflowing sum of finite
+        # entries must fall through to the elementwise test, which passes
+        big = np.diag([1e308, 1e308, 0.0, 0.0]).astype(complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(big.sum())
+            assert lindblad_rhs(0.0, big, model, np.zeros(2)).shape == (4, 4)
+
     def test_every_entry_point_rejects_a_wrong_shape(self, model):
         wrong = np.eye(2, dtype=complex)
         with pytest.raises(ShapeMismatchError):

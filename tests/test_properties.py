@@ -30,8 +30,8 @@ from lindbladiff.model import (
 )
 from lindbladiff.qfi import Generator, qfi_of_params, qfi_rho_cotangent
 from lindbladiff.sensitivity import adjoint_gradient, adjoint_liouvillian_apply, forward_sensitivity, observable_cost
-from lindbladiff.solver import SolveConfig, integrate
-from lindbladiff.spins import as_sparse, embed_single
+from lindbladiff.solver import DOP853, SolveConfig, integrate
+from lindbladiff.spins import as_sparse, collective_sx, collective_sz, embed_single
 
 # derandomized and without an example database: every run draws the same examples
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -292,17 +292,23 @@ RTOLS = pytest.mark.parametrize("rtol", [1e-6, 1e-8, 1e-10])
 
 
 @st.composite
-def oracle_cases(draw):
-    """(model, x, rho0, t_span, O, exact): a random linear model from
-    cases(linear=True) with one or two parameters, a full-rank initial state,
-    a random observable O, and the oracle's exact rho(T) and tangents."""
+def solve_cases(draw):
+    """(model, x, rho0, t_span, O): a random linear model from
+    cases(linear=True), a full-rank initial state and a random observable O."""
     model, t, x, a, obs, _ = draw(cases(linear=True))
-    assume(model.n_params > 0)
     d = model.dimension
     rho0 = a @ a.conj().T + np.diag(np.arange(1.0, d + 1))  # distinct eigenvalues even for a = 0
     rho0 = rho0 / np.trace(rho0).real
     rho0 = 0.5 * (rho0 + rho0.conj().T)
-    t_span = (0.0, 0.5 + 0.5 * t)
+    return model, x, rho0, (0.0, 0.5 + 0.5 * t), obs
+
+
+@st.composite
+def oracle_cases(draw):
+    """(model, x, rho0, t_span, O, exact): a solve_cases draw with one or two
+    parameters, and the oracle's exact rho(T) and tangents."""
+    model, x, rho0, t_span, obs = draw(solve_cases())
+    assume(model.n_params > 0)
     schedule = model.hamiltonian
     exact = block_exp_tangent(
         to_dense(schedule.evaluate(0.0, x)),
@@ -355,3 +361,75 @@ def test_adjoint_gradient_agrees_with_forward_tangents(rtol, drawn):
     forward, scale = _paired(obs.conj().T, tangents)
     got = adjoint_gradient(integrate(model, x, rho0, t_span, cfg), observable_cost(obs)).dc_dx
     assert np.max(np.abs(got - forward)) <= GRADIENT_BOUND * rtol * scale
+
+
+# A differentiated solve keeps its leading steps' slope stacks, and the
+# reverse step rebuilds their stage states from them instead of recomputing
+# them; both paths form a stage state with the same row product, so the
+# gradient must not change by a single bit.
+
+
+def _check_kept_slopes_are_bit_exact(model, x, rho0, t_span, cfg, cost):
+    plain = integrate(model, x, rho0, t_span, cfg)
+    kept = integrate(model, x, rho0, t_span, cfg, keep_slopes=True)
+    assert plain.step_slopes is None
+    n = len(kept.step_slopes)
+    s = len(DOP853.c)
+    assert kept.step_slopes.shape == (n, s, *rho0.shape) and n >= 1
+    with pytest.raises(ValueError, match="read-only"):
+        kept.step_slopes[0, 0, 0, 0] = 0.0
+    want, got = adjoint_gradient(plain, cost), adjoint_gradient(kept, cost)
+    assert np.array_equal(got.dc_dx, want.dc_dx)
+    assert np.array_equal(got.dc_drho0, want.dc_drho0)
+    assert got.dc_dT == want.dc_dT
+    assert want.diagnostics["kept_slope_steps"] == 0
+    assert got.diagnostics["kept_slope_steps"] == n
+    steps = kept.stats.accepted
+    assert want.diagnostics["adjoint_rhs_evaluations"] == (s - 1) * steps
+    assert got.diagnostics["adjoint_rhs_evaluations"] == (s - 1) * (steps - n)
+    return got
+
+
+@settings(PROPERTY, max_examples=30)
+@given(drawn=solve_cases())
+def test_kept_slopes_give_the_recomputed_gradient_bit_for_bit(drawn):
+    model, x, rho0, t_span, obs = drawn
+    cfg = SolveConfig(rtol=1e-8, atol=1e-10)
+    accepted = integrate(model, x, rho0, t_span, cfg).stats.accepted
+    # a budget with room for every step's stack (s states each) beside a
+    # checkpoint at every step, so every reverse step reads kept slopes
+    roomy = SolveConfig(rtol=1e-8, atol=1e-10, checkpoints=(len(DOP853.c) + 1) * accepted + 2)
+    got = _check_kept_slopes_are_bit_exact(model, x, rho0, t_span, roomy, observable_cost(obs))
+    assert got.diagnostics["kept_slope_steps"] == accepted
+    assert got.diagnostics["adjoint_rhs_evaluations"] == 0
+
+
+@pytest.mark.parametrize("checkpoints", [None, 40])
+def test_kept_slopes_are_bit_exact_on_a_time_dependent_sandwich_model(checkpoints):
+    # a callable schedule runs the sandwich kernel, and its time dependence
+    # makes every stage time count: a kept slope k_1 is the previous step's
+    # FSAL slope, evaluated at that step's end time
+    sz, sx = collective_sz(2), collective_sx(2)
+
+    def evaluate(t, x):
+        return x[0] * np.cos(2.0 * t) * sz + x[1] * sx
+
+    def derivative(t, x, k):
+        return np.cos(2.0 * t) * sz if k == 0 else sx
+
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)
+    channels = tuple(JumpChannel(rate=0.2, operator=embed_single(lower, i, 2)) for i in range(2))
+    model = LindbladModel(
+        hamiltonian=HamiltonianSchedule(evaluate=evaluate, n_params=2, derivative=derivative),
+        channels=channels,
+        dimension=4,
+    )
+    assert model.superoperator is None
+    rho0 = np.zeros((4, 4), dtype=complex)
+    rho0[0, 0] = 1.0
+    cost = observable_cost(sx + 0.5 * sz)
+    cfg = SolveConfig(checkpoints=checkpoints)
+    got = _check_kept_slopes_are_bit_exact(model, np.array([0.9, 0.7]), rho0, (0.0, 3.0), cfg, cost)
+    kept, steps = got.diagnostics["kept_slope_steps"], got.diagnostics["steps_replayed"]
+    # the default budget keeps every step; 40 states keep a leading few
+    assert kept == steps if checkpoints is None else 0 < kept < steps

@@ -8,6 +8,7 @@ import pytest
 from oracles import fd_gradient, random_density, random_hermitian
 from lindbladiff.errors import CostGradientError, ValidationError
 from lindbladiff import sensitivity
+from lindbladiff import solver as solver_module
 from lindbladiff.instrumentation import counters
 from lindbladiff.model import (
     DensityOperator,
@@ -383,6 +384,74 @@ class TestAdjointGradient:
         assert d["steps_replayed"] >= d["segments"] >= 1
         assert d["fd_fallback"] is False
         assert "cost_verification" in d
+
+
+class TestKeptSlopes:
+    """A differentiated solve keeps the slope stacks of its leading accepted
+    steps, each counted as s states against the checkpoint budget, and the
+    reverse pass reads them instead of recomputing the stage states."""
+
+    S = len(DOP853.c)
+    X = np.array([0.8, 0.6])
+
+    def _solve(self, t_end, cfg=SolveConfig(), n=2):
+        return integrate(preset_oat(n, 0.1), self.X, all_zero_density(n), (0.0, t_end), cfg, keep_slopes=True)
+
+    def test_a_small_budget_keeps_nothing(self):
+        # 8 states leave no room for one 12-state stack beside two checkpoints
+        res = self._solve(1.0, SolveConfig(checkpoints=8))
+        assert res.step_slopes is None
+        grad = adjoint_gradient(res, state_entry_re_cost(0, 0))
+        assert grad.diagnostics["kept_slope_steps"] == 0
+        assert grad.diagnostics["adjoint_rhs_evaluations"] == (self.S - 1) * res.stats.accepted
+
+    def test_a_long_solve_keeps_what_the_checkpoints_leave(self):
+        # a checkpoint at every step: checkpoints come first, and the kept
+        # stacks fill what is left of the budget, a leading prefix of steps
+        res = self._solve(40.0)
+        budget = SolveConfig().checkpoint_budget
+        stored = len(res.step_checkpoints)
+        assert stored == res.stats.accepted + 1
+        kept = len(res.step_slopes)
+        assert kept == (budget - stored) // self.S
+        assert 0 < kept < res.stats.accepted
+        counters.reset()
+        grad = adjoint_gradient(res, state_entry_re_cost(0, 0))
+        assert grad.diagnostics["kept_slope_steps"] == kept
+        assert grad.diagnostics["adjoint_rhs_evaluations"] == (self.S - 1) * (res.stats.accepted - kept)
+        assert counters.snapshot()["peak_retained_states"] == stored + self.S * kept <= budget
+        plain = integrate(res.model, self.X, all_zero_density(2), (0.0, 40.0))
+        assert np.array_equal(grad.dc_dx, adjoint_gradient(plain, state_entry_re_cost(0, 0)).dc_dx)
+
+    def test_the_byte_cap_limits_the_kept_stacks(self, monkeypatch):
+        stack_bytes = self.S * 4 * 4 * 16
+        monkeypatch.setattr(solver_module, "_KEPT_SLOPES_MAX_BYTES", 3 * stack_bytes + stack_bytes // 2)
+        res = self._solve(1.0)
+        assert res.stats.accepted > 3
+        assert len(res.step_slopes) == 3
+
+    def test_kept_slopes_equal_the_recomputed_ones(self):
+        # row 0 is the FSAL slope of the step before; the last row is the one
+        # slope the reverse step does not recompute
+        res = self._solve(1.0)
+        f = _CountedRhs(res.model, res.x)
+        for n in range(len(res.step_slopes)):
+            t_n, y_n, h_n = float(res.step_times[n]), res.step_checkpoints[n][1], float(res.step_sizes[n])
+            assert res.step_checkpoints[n][0] == n
+            assert np.array_equal(res.step_slopes[n], rk_stages(f, t_n, y_n, h_n))
+
+    @pytest.mark.parametrize("k", [2, 10, 50, 120, None])
+    def test_memory_contract_counts_kept_stacks(self, k):
+        cfg = SolveConfig(checkpoints=k)
+        counters.reset()
+        res = self._solve(1.5, cfg)
+        grad = adjoint_gradient(res, state_entry_re_cost(0, 0))
+        kept = grad.diagnostics["kept_slope_steps"]
+        assert kept == (0 if res.step_slopes is None else len(res.step_slopes))
+        assert len(res.step_checkpoints) + self.S * kept <= cfg.checkpoint_budget
+        peak = counters.snapshot()["peak_retained_states"]
+        assert peak <= cfg.checkpoint_budget + grad.diagnostics["longest_segment"]
+        assert peak >= len(res.step_checkpoints) + self.S * kept
 
 
 class TestReverseStep:

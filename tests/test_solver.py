@@ -21,7 +21,7 @@ from lindbladiff.model import (
     all_zero_density,
     preset_oat,
 )
-from lindbladiff.solver import _A, DOP853, SolveConfig, _error_norm, dense_segment, integrate
+from lindbladiff.solver import _A, DOP853, SolveConfig, _error_norm, _step_end, dense_segment, integrate
 from lindbladiff.spins import PAULI_Z
 from lindbladiff.instrumentation import counters
 
@@ -159,6 +159,24 @@ class TestTrailAndReplay:
         assert np.array_equal(a.final_state.matrix, b.final_state.matrix)
         assert np.array_equal(a.step_times, b.step_times)
         assert np.array_equal(a.step_sizes, b.step_sizes)
+
+    def test_keeping_slopes_leaves_the_solve_unchanged(self):
+        # rejected steps write into the kept block too; the slot is reused by
+        # the retried step, so a kept stack is always the accepted step's
+        model = preset_oat(2, gamma=0.1)
+        x = np.array([1.5, 1.2])
+        cfg = SolveConfig(initial_step=0.5)
+        a = integrate(model, x, all_zero_density(2), (0.0, 4.0), cfg)
+        b = integrate(model, x, all_zero_density(2), (0.0, 4.0), cfg, keep_slopes=True)
+        assert b.stats.rejected >= 2 and b.stats == a.stats
+        assert a.step_slopes is None and len(b.step_slopes) == b.stats.accepted
+        assert np.array_equal(a.final_state.matrix, b.final_state.matrix)
+        assert np.array_equal(a.step_sizes, b.step_sizes)
+        assert [i for i, _ in a.step_checkpoints] == [i for i, _ in b.step_checkpoints]
+        # each kept stack's b-weighted sum is its step: y_(n+1) = y_n + h sum_i b_i k_i
+        states = [state for _, state in b.step_checkpoints]
+        for n, slopes in enumerate(b.step_slopes):
+            assert np.array_equal(_step_end(states[n], b.step_sizes[n], slopes)[0], states[n + 1])
 
     def test_recorded_grid_ends_exactly_at_t_final(self):
         model = preset_oat(2)
