@@ -22,7 +22,7 @@ from .model import DensityOperator, LindbladModel
 from .qfi import Generator, qfi_of_params, qfi_rho_cotangent
 from .eigen import eigh
 from .sensitivity import _pair, forward_sensitivity
-from .solver import SolveConfig, require_count
+from .solver import SolveConfig, require_count, require_positive
 
 _MAX_HALVINGS = 30
 
@@ -41,14 +41,11 @@ class OptConfig:
     def __post_init__(self):
         require_count(self.max_iterations, "max_iterations", 1)
         require_count(self.seed, "seed", 0)
-        if not self.initial_step > 0:
-            raise ValidationError("initial_step must be positive")
+        require_positive(self.initial_step, "initial_step")
         if not 0.0 < self.backtracking_factor < 1.0:
             raise ValidationError("backtracking_factor must lie in (0, 1)")
-        if not self.armijo_constant > 0:
-            raise ValidationError("armijo_constant must be positive")
-        if not self.grad_tolerance > 0:
-            raise ValidationError("grad_tolerance must be positive")
+        require_positive(self.armijo_constant, "armijo_constant")
+        require_positive(self.grad_tolerance, "grad_tolerance")
 
 
 @dataclass(frozen=True)
@@ -194,8 +191,8 @@ def gradient_check(
     components whose true value is zero against division by
     finite-difference noise).
     """
-    if not h > 0:
-        raise ValidationError("finite-difference step must be positive")
+    require_positive(h, "h")
+    require_positive(tol, "tol")
     x = np.asarray(x, dtype=float)
     rep = qfi_of_params(model, x, rho0, t_span, g, cfg, want_gradient=True)
     adjoint = rep.gradient

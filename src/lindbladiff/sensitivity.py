@@ -14,10 +14,11 @@ grid, then the stage cotangent recursion runs backward through the same
 stages, with the A and b of the solver's one tableau (``solver.DOP853``), on
 stacked stage buffers that each L^dag application writes straight into, with
 one BLAS product per stage sum and p parameter pairings per step.  A step
-whose forward slopes the solve kept (``integrate(..., keep_slopes=True)``)
-rebuilds its stage states from them with no L application; any other step
-recomputes them with s - 1.  The two paths form each stage state with the
-same row product, so they give the same bits.
+whose forward slope stack the solve kept (``SolveResult.step_slopes``, a
+tuple filled by ``integrate(..., keep_slopes=True)``) rebuilds its stage
+states from it with no L application; any other step computes its slopes
+again with s - 1.  One loop forms each stage state from either stack with
+the forward step's row product, so the two give the same bits.
 It takes the forward solve's ``SolveResult`` as its only input besides the
 cost, and reads the model, x, span, checkpoints and step grid from it, so
 it always replays the trajectory that solve produced.  Because replay is
@@ -41,7 +42,6 @@ from .solver import (
     SolveConfig,
     SolveResult,
     dense_segment,
-    rk_stages,
     _A,
     _adaptive_core,
     _check_inputs,
@@ -280,10 +280,12 @@ def _reverse_step(
 ) -> np.ndarray:
     """Exact reverse-mode of one replayed step of the DOP853 tableau.
 
-    Forms the s stage states Y into one stacked buffer: from the step's kept
-    forward ``slopes`` if given, with no call of f, and otherwise with s - 1
-    calls of f (the last stage's slope is never read).  It then runs the
-    cotangent recursion on the stacked buffers V and W
+    Forms the s stage states Y into one stacked buffer, each from the slope
+    rows before it by _stage_state, the forward step's row product.  The
+    rows are the step's kept forward ``slopes`` if given, with no call of f;
+    otherwise f fills the rows of the W buffer below as the loop reaches
+    them, s - 1 calls (the last stage's slope is never read).  It then runs
+    the cotangent recursion on the stacked buffers V and W
         v_i = h b_i lam + h sum_{j>i} a_ji w_j,   w_i = L^dag(t_i) v_i,
     each w_i written straight into its row of W and each stage sum one BLAS
     product A[i+1:, i] W[i+1:] over the float64 view of W, giving lam_prev =
@@ -292,17 +294,20 @@ def _reverse_step(
     vdot per parameter, so a step makes p such calls.
     """
     s = _A.shape[0]
-    stage_states = np.empty((s, *y_n.shape), dtype=np.complex128)
-    if slopes is None:
-        rk_stages(f, t_n, y_n, h, states=stage_states)
-    else:
-        flat = slopes.reshape(s, -1).view(np.float64)
-        stage_states[0] = y_n
-        for i in range(1, s):
-            _stage_state(y_n, h, flat, i, stage_states[i])
     stage_times = [t_n + c * h for c in DOP853.c]
-    vs = np.empty_like(stage_states)
+    stage_states = np.empty((s, *y_n.shape), dtype=np.complex128)
     ws = np.empty_like(stage_states)
+    recompute = slopes is None
+    if recompute:  # W is unused until the recursion below, so the fresh slopes fill it
+        slopes = ws
+    flat = slopes.reshape(s, -1).view(np.float64)
+    stage_states[0] = y_n
+    for i in range(1, s):
+        if recompute:
+            f(stage_times[i - 1], stage_states[i - 1], slopes[i - 1])
+        _stage_state(y_n, h, flat, i, stage_states[i])
+    del slopes, flat  # so that the del of ws below frees W
+    vs = np.empty_like(stage_states)
     flat_ws = ws.reshape(s, -1).view(np.float64)
     for i in range(s - 1, -1, -1):
         v = vs[i]
@@ -351,7 +356,7 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     pairs = list(zip(stored, stored[1:]))
     s = _A.shape[0]
     kept_slopes = result.step_slopes
-    kept = 0 if kept_slopes is None else len(kept_slopes)
+    kept = len(kept_slopes)
 
     for (i_a, state_a), (i_b, _) in reversed(pairs):
         # replay stops at the start of the segment's last step: the state at

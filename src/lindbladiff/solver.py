@@ -8,17 +8,18 @@ s slopes of a step fill one (s, *state shape) array, each written in place
 by the right-hand side (one CSR kernel call into its row for a compiled
 model), each stage sum is one BLAS product over its float64 view, and the
 reverse pass makes p parameter pairings per step.  A solve that will be
-differentiated (``integrate(..., keep_slopes=True)``) keeps the slope stacks
-of its leading accepted steps in one preallocated block, within what the
-checkpoint budget leaves and a fixed byte cap, so the reverse pass rebuilds
-those steps' stage states from them with no right-hand-side call.  Every
-accepted step time and step size is recorded, and the ``SolveResult`` keeps
-the model and x it was solved with, so any segment between two checkpoints
-can later be replayed on the recorded grid from the result alone; replay
-performs the same floating-point operations as the original pass and is
-therefore bit-identical.  Checkpoints and replay spans are addressed by
-accepted-step index i; state i sits at step_times[i].  Trace is never
-renormalized -- trace drift is reported as a diagnostic instead.
+differentiated (``integrate(..., keep_slopes=True)``) keeps the stacks its
+leading accepted steps returned, a tuple of read-only (s, *state shape)
+arrays, within what the checkpoint budget leaves and a fixed byte cap, so
+the reverse pass rebuilds those steps' stage states from them with no
+right-hand-side call.  Every accepted step time and step size is recorded,
+and the ``SolveResult`` keeps the model and x it was solved with, so any
+segment between two checkpoints can later be replayed on the recorded grid
+from the result alone; replay performs the same floating-point operations as
+the original pass and is therefore bit-identical.  Checkpoints and replay
+spans are addressed by accepted-step index i; state i sits at step_times[i].
+Trace is never renormalized -- trace drift is reported as a diagnostic
+instead.
 """
 
 from __future__ import annotations
@@ -132,6 +133,12 @@ def require_count(value, name: str, minimum: int) -> None:
         raise ValidationError(f"{name} must be an integer of at least {minimum}, got {value!r}", path="/" + name)
 
 
+def require_positive(value, name: str) -> None:
+    """Raise a ValidationError at ``/name`` unless ``value`` is a finite number above zero (not NaN or inf)."""
+    if not 0 < value < math.inf:
+        raise ValidationError(f"{name} must be finite and positive, got {value!r}", path="/" + name)
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     """Tolerances and budgets for one integration."""
@@ -143,11 +150,11 @@ class SolveConfig:
     checkpoints: int | None = None  # default: ceil(sqrt(max_steps))
 
     def __post_init__(self):
-        if not (self.rtol > 0 and self.atol > 0):
-            raise ValidationError("tolerances must be positive")
+        require_positive(self.rtol, "rtol")
+        require_positive(self.atol, "atol")
         require_count(self.max_steps, "max_steps", 1)
-        if self.initial_step is not None and not self.initial_step > 0:
-            raise ValidationError("initial_step must be positive when given")
+        if self.initial_step is not None:
+            require_positive(self.initial_step, "initial_step")
         if self.checkpoints is not None:
             require_count(self.checkpoints, "checkpoints", 2)
 
@@ -193,9 +200,9 @@ class SolveResult:
     config: SolveConfig
     x: np.ndarray  # a copy of the checked parameter vector the solve used
     model: LindbladModel
-    # the (kept, s, *state shape) slope stacks of accepted steps 0 ... kept - 1,
-    # or None; only integrate(..., keep_slopes=True) keeps any
-    step_slopes: np.ndarray | None = None
+    # the (s, *state shape) slope stacks of accepted steps 0 ... kept - 1;
+    # only integrate(..., keep_slopes=True) keeps any
+    step_slopes: tuple[np.ndarray, ...] = ()
 
 
 def _rms(values: np.ndarray) -> float:
@@ -224,9 +231,9 @@ def _stage_state(y: np.ndarray, h: float, flat_slopes: np.ndarray, i: int, out: 
     """Write stage state i, y + h A[i, :i] K[:i], into ``out``.
 
     ``flat_slopes`` is the float64 (s, 2N) view of the slope stack K, and the
-    row product is one BLAS call into the float64 view of ``out``.  A forward
-    step and a reverse step that rebuilds its stage states from kept slopes
-    both form them here, so the two are bit-equal.
+    row product is one BLAS call into the float64 view of ``out``.  The
+    forward step and the reverse step both form their stage states here, so
+    the two are bit-equal.
     """
     increment = out.reshape(-1).view(np.float64)
     np.dot(_A[i, :i], flat_slopes[:i], out=increment)
@@ -235,47 +242,29 @@ def _stage_state(y: np.ndarray, h: float, flat_slopes: np.ndarray, i: int, out: 
 
 
 def rk_stages(
-    f: Callable[..., np.ndarray],
-    t: float,
-    y: np.ndarray,
-    h: float,
-    k1: np.ndarray | None = None,
-    *,
-    states: np.ndarray | None = None,
-    slopes: np.ndarray | None = None,
+    f: Callable[..., np.ndarray], t: float, y: np.ndarray, h: float, k1: np.ndarray | None = None
 ) -> np.ndarray:
-    """The slopes of all s DOP853 stages of one step, as one (s, *y.shape) array.
+    """The slopes of all s DOP853 stages of one step, as a fresh (s, *y.shape) array.
 
-    This is the single source of the stage arithmetic; the adaptive loop,
-    segment replay, and the reverse pass all go through it, so a replayed
-    step performs bit-identical floating-point operations.  The slopes fill
-    one stacked buffer K, ``slopes`` if given (a C-contiguous complex128
-    (s, *y.shape) array, such as a row of the kept-slope block) and a fresh
-    one otherwise: f(t, y, out) writes slope i straight into its row K[i]
-    (for a compiled model, one CSR kernel call into the caller's buffer), and
-    stage state i is formed by _stage_state from the rows before it.  Without
-    ``states`` the stage states share one scratch buffer, so a step holds
-    one of them at a time; _step_end forms the step's end.
-    The reverse pass passes an (s, *y.shape) buffer as ``states`` and gets
-    every stage state written into it; the last stage's slope, which it
-    never reads, is then not evaluated and K[s - 1] is left unset.
+    This is the single source of the stage arithmetic; the adaptive loop and
+    segment replay both go through it, so a replayed step performs
+    bit-identical floating-point operations.  f(t, y, out) writes slope i
+    straight into its row K[i] of the stack (for a compiled model, one CSR
+    kernel call into the caller's buffer), and stage state i is formed by
+    _stage_state from the rows before it in one scratch buffer, so a step
+    holds one stage state at a time; _step_end forms the step's end.
     """
     s = _A.shape[0]
-    if slopes is None:
-        slopes = np.empty((s, *y.shape), dtype=np.complex128)
+    slopes = np.empty((s, *y.shape), dtype=np.complex128)
     flat = slopes.reshape(s, -1).view(np.float64)
     if k1 is None:
         f(t, y, slopes[0])
     else:
         slopes[0] = k1
-    if states is not None:
-        states[0] = y
-    scratch = np.empty_like(slopes[0]) if states is None else None
+    y_i = np.empty_like(slopes[0])
     for i in range(1, s):
-        y_i = scratch if states is None else states[i]
         _stage_state(y, h, flat, i, y_i)
-        if states is None or i < s - 1:
-            f(t + DOP853.c[i] * h, y_i, slopes[i])
+        f(t + DOP853.c[i] * h, y_i, slopes[i])
     return slopes
 
 
@@ -327,7 +316,7 @@ class _CoreTrail:
     step_sizes: np.ndarray
     rejected: int
     checkpoints: list[tuple[int, np.ndarray]]
-    slopes: np.ndarray | None
+    slopes: list[np.ndarray]
 
 
 def _adaptive_core(
@@ -348,9 +337,10 @@ def _adaptive_core(
     kept too, each counted as s states against the budget: checkpoints come
     first, and after each accepted step the kept count shrinks to what they
     leave, kept <= (budget - 1 - stored) // s, so at the end stored + s kept
-    <= budget.  Kept steps are a prefix (once a step is not kept, no later
-    step is), written in place into one block sized by the budget and by
-    _KEPT_SLOPES_MAX_BYTES.
+    <= budget.  A kept step's stack is the one rk_stages returned for it,
+    and _KEPT_SLOPES_MAX_BYTES bounds their bytes.  The room for stacks only
+    shrinks, so kept steps are a prefix: once a step is not kept, no later
+    step is.
     """
     y = y0
     span = t_final - t0
@@ -363,8 +353,8 @@ def _adaptive_core(
     stride = 1
     s = _A.shape[0]
     # one slot each for the first and the final checkpoint
-    kept = min((budget - 2) // s, _KEPT_SLOPES_MAX_BYTES // (s * y0.nbytes)) if keep_slopes else 0
-    block = np.empty((kept, s, *y0.shape), dtype=np.complex128) if kept > 0 else None
+    room = min((budget - 2) // s, _KEPT_SLOPES_MAX_BYTES // (s * y0.nbytes)) if keep_slopes else 0
+    kept: list[np.ndarray] = []
 
     step_times = [t0]
     step_sizes: list[float] = []
@@ -388,8 +378,8 @@ def _adaptive_core(
         # e[-1] = e3[-1] = 0: the estimates need no FSAL slope, so only an
         # accepted step pays for f(t + h, y_new)
         try:
-            slopes = block[accepted] if accepted < kept else None
-            y_new, delta5, delta3 = _step_end(y, h, rk_stages(f, t, y, h, k1, slopes=slopes))
+            slopes = rk_stages(f, t, y, h, k1)
+            y_new, delta5, delta3 = _step_end(y, h, slopes)
         except ValidationError as exc:  # lindblad_rhs rejects a stage state that blew up
             raise IntegrationError(f"step at t = {t:.6g} with h = {h:.3e} failed: {exc}") from exc
         if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(delta5)) and np.all(np.isfinite(delta3))):
@@ -402,16 +392,16 @@ def _adaptive_core(
             accepted += 1
             step_times.append(t)
             step_sizes.append(h)
+            if len(kept) < room:
+                kept.append(slopes)
             if accepted % stride == 0 and t < t_final:
                 stored.append((accepted, y.copy()))
                 # reserve one slot for the final state appended below
                 if len(stored) > budget - 1:
                     stored = stored[::2]
                     stride *= 2
-            if kept:
-                kept = min(kept, (budget - 1 - len(stored)) // s)
-                if kept == 0:
-                    block = None
+            room = min(room, (budget - 1 - len(stored)) // s)
+            del kept[room:]
             if err == 0.0:
                 factor = _MAX_FACTOR
             else:
@@ -431,7 +421,7 @@ def _adaptive_core(
         step_sizes=np.array(step_sizes),
         rejected=rejected,
         checkpoints=stored,
-        slopes=None if block is None else block[: min(kept, accepted)],
+        slopes=kept,
     )
 
 
@@ -496,7 +486,7 @@ def integrate(
     ``keep_slopes``, for a solve that will be differentiated, the result's
     ``step_slopes`` also holds the slope stacks of as many leading accepted
     steps as the checkpoint budget leaves room for (each counted as s
-    states) and the fixed byte cap allows; otherwise it is None.
+    states) and the fixed byte cap allows; otherwise it is empty.
     """
     y0, x, t0, t_final = _check_inputs(model, x, rho0, t_span)
     trace0 = float(np.trace(y0).real)
@@ -519,8 +509,7 @@ def integrate(
     counters.rhs_evaluations += f.calls
 
     x = x.copy()  # replay and the adjoint trust these arrays, so none of them may change
-    kept = () if trail.slopes is None else (trail.slopes,)
-    for a in (x, trail.step_times, sizes, final_state.matrix, *kept, *(s for _, s in trail.checkpoints)):
+    for a in (x, trail.step_times, sizes, final_state.matrix, *trail.slopes, *(s for _, s in trail.checkpoints)):
         a.setflags(write=False)
     return SolveResult(
         final_state=final_state,
@@ -532,7 +521,7 @@ def integrate(
         config=cfg,
         x=x,
         model=model,
-        step_slopes=trail.slopes,
+        step_slopes=tuple(trail.slopes),
     )
 
 

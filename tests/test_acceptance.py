@@ -7,6 +7,7 @@ single PASS/FAIL verdict line (visible because -s is in the default addopts).
 import json
 
 import numpy as np
+import pytest
 
 from oracles import (
     dense_eig_fd,
@@ -178,6 +179,7 @@ def test_criterion_3_gradient_triad_agreement():
     )
 
 
+@pytest.mark.bit_identity
 def test_criterion_4_checkpoint_invariance_and_memory():
     model = preset_oat(2, gamma=0.1)
     x = np.array([0.8, 0.6])
@@ -380,6 +382,7 @@ def test_criterion_9_sparse_dense_parity():
     )
 
 
+@pytest.mark.bit_identity
 def test_criterion_10_reports_are_reproducible(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(

@@ -70,34 +70,40 @@ def test_traced_smoke_run_matches_untraced(tmp_path):
     assert result["correct"] is True and result["failed"] == 0
 
 
-@pytest.mark.parametrize("checkpoints", [None, 4])
-def test_traced_sites_see_every_generator_application(checkpoints):
+@pytest.mark.parametrize(
+    "checkpoints, t_end",
+    [pytest.param(None, 1.0, id="None"), pytest.param(4, 1.0, id="4"), pytest.param(None, 40.0, id="None-t40")],
+)
+def test_traced_sites_see_every_generator_application(checkpoints, t_end):
     # the per-layer model.rhs_calls and sensitivity.adjoint_apply_calls count
     # spans at the binding sites, so every application must pass through them;
-    # the default budget keeps every step's slopes, so the reverse pass
-    # recomputes no stage, and 4 checkpoints keep none
+    # at t = 1 the default budget keeps every step's slopes, so the reverse
+    # pass recomputes no stage, and 4 checkpoints keep none; at t = 40 the
+    # kept steps are a strict prefix, so one pass reads both stage sources
     from lindbladiff import counters
     from lindbladiff.model import all_zero_density, preset_oat
     from lindbladiff.qfi import generator_from_preset, qfi_of_params
-    from lindbladiff.solver import DOP853, SolveConfig
+    from lindbladiff.solver import DOP853, SolveConfig, integrate
 
+    model, x, rho0 = preset_oat(2, 0.1), [0.8, 0.6], all_zero_density(2)
+    cfg = SolveConfig(checkpoints=checkpoints)
+    solved = integrate(model, x, rho0, (0.0, t_end), cfg, keep_slopes=True)
+    kept, steps = len(solved.step_slopes), solved.stats.accepted
+    assert (kept == (0 if checkpoints == 4 else steps)) if t_end == 1.0 else (0 < kept < steps)
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     counters.reset()
     tracer.install()
     try:
         g = generator_from_preset("Sz", 2)
-        cfg = SolveConfig(checkpoints=checkpoints)
-        report = qfi_of_params(
-            preset_oat(2, 0.1), [0.8, 0.6], all_zero_density(2), (0.0, 1.0), g, cfg, want_gradient=True
-        )
+        report = qfi_of_params(model, x, rho0, (0.0, t_end), g, cfg, want_gradient=True)
     finally:
         tracer.uninstall()
     homes = [span[1] for span in tracer.spans]
     snap = counters.snapshot()
-    steps = report.diagnostics["adjoint"]["steps_replayed"]
+    assert report.diagnostics["adjoint"]["steps_replayed"] == steps
     s = len(DOP853.c)
-    assert snap["adjoint_rhs_evaluations"] == (0 if checkpoints is None else (s - 1) * steps)
+    assert snap["adjoint_rhs_evaluations"] == (s - 1) * (steps - kept)
     # forward and replay, reverse stages, and the one dc/dT evaluation
     assert homes.count("model.lindblad_rhs") == snap["rhs_evaluations"] + snap["adjoint_rhs_evaluations"] + 1
     assert homes.count("sensitivity.adjoint_liouvillian_apply") == len(DOP853.c) * steps > 0

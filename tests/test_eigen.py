@@ -55,6 +55,7 @@ class TestEigh:
             assert col[anchor].imag == 0.0
             assert col[anchor].real > 0.0
 
+    @pytest.mark.bit_identity
     def test_repeat_calls_bit_identical(self):
         rng = np.random.default_rng(34)
         m = random_hermitian(rng, 5)

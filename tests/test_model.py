@@ -414,6 +414,7 @@ class TestCompiled:
         x[0] = 0.8
         assert np.array_equal(lindblad_rhs(0.0, rho, model, x), first)
 
+    @pytest.mark.bit_identity
     def test_qfi_reports_repeat_bit_for_bit_across_parameter_changes(self):
         from lindbladiff.qfi import generator_from_preset, qfi_of_params
         from lindbladiff.solver import SolveConfig

@@ -53,6 +53,13 @@ class TestOptConfig:
         with pytest.raises(ValidationError):
             OptConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["initial_step", "armijo_constant", "grad_tolerance"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_float_fields_reject_non_finite_values(self, field, bad):
+        with pytest.raises(ValidationError) as err:
+            OptConfig(**{field: bad})
+        assert err.value.path == f"/{field}"
+
     @pytest.mark.parametrize("field", ["max_iterations", "seed"])
     @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
     def test_integer_fields_reject_non_integers(self, field, bad):
@@ -113,6 +120,7 @@ class TestMaximize:
         assert trace.evaluations == calls["n"]
         assert trace.iterates[-1].evaluations == calls["n"]
 
+    @pytest.mark.bit_identity
     def test_fixed_seed_trace_is_bit_identical(self):
         model = preset_oat(2)
         rho0 = all_zero_density(2)
@@ -129,6 +137,7 @@ class TestMaximize:
             assert np.array_equal(a.x, b.x)
             assert a.value == b.value and a.grad_norm == b.grad_norm and a.step == b.step
 
+    @pytest.mark.bit_identity
     def test_scaling_invariance_of_ascent_path(self):
         model = preset_oat(2)
         rho0 = all_zero_density(2)
@@ -264,6 +273,23 @@ class TestGradientCheck:
         )
         assert report["pass"]
         assert counters.forward_integrations == 2 + 2 * p
+
+    @pytest.mark.parametrize("kwargs", [{"h": np.inf}, {"h": np.nan}, {"tol": np.inf}, {"tol": np.nan}])
+    def test_rejects_non_finite_step_or_tolerance_before_any_solve(self, kwargs):
+        # an infinite step would fail deep inside integrate, and an infinite
+        # tolerance would pass every check
+        with pytest.raises(ValidationError) as err:
+            gradient_check(
+                preset_oat(2),
+                np.array([0.5, 0.5]),
+                all_zero_density(2),
+                (0.0, 1.0),
+                generator_from_preset("Sz", 2),
+                FAST,
+                **kwargs,
+            )
+        assert err.value.path == "/" + next(iter(kwargs))
+        assert counters.forward_integrations == 0
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValidationError):

@@ -210,6 +210,7 @@ class TestAdjointGradient:
         assert np.max(np.abs(adj - fwd)) < 1e-6 * max(1.0, np.max(np.abs(adj)))
         assert np.max(np.abs(adj - fd)) < 1e-4 * max(1.0, np.max(np.abs(adj)))
 
+    @pytest.mark.bit_identity
     def test_checkpoint_count_invariance_is_bitwise(self):
         model = preset_oat(2, gamma=0.1)
         x = np.array([1.0, 0.6])
@@ -292,12 +293,12 @@ class TestAdjointGradient:
         assert snap["adjoint_passes"] == 1
 
     @staticmethod
-    def _replayed_gradient(checkpoints):
+    def _replayed_gradient(checkpoints, keep_slopes=False):
         model = preset_oat(2, gamma=0.1)
         x = np.array([0.9, 0.6])
         rho0 = all_zero_density(2)
         cfg = SolveConfig(checkpoints=checkpoints)
-        res = integrate(model, x, rho0, (0.0, 1.0), cfg)
+        res = integrate(model, x, rho0, (0.0, 1.0), cfg, keep_slopes=keep_slopes)
         grad = adjoint_gradient(res, state_entry_re_cost(0, 0))
         assert grad.diagnostics["steps_replayed"] == res.stats.accepted
         return res, grad, counters.rhs_evaluations - res.stats.rhs_evaluations
@@ -329,9 +330,12 @@ class TestAdjointGradient:
 
     def test_reverse_step_skips_the_last_stage_slope(self):
         # the reverse step needs the s stage states, and the last one depends
-        # on the first s - 1 slopes only
-        res, grad, _ = self._replayed_gradient(4)
-        assert grad.diagnostics["adjoint_rhs_evaluations"] == (len(DOP853.b) - 1) * res.stats.accepted
+        # on the first s - 1 slopes only; with every step's slopes kept (the
+        # default budget at t = 1) it calls f not at all
+        for checkpoints, keep_slopes, per_step in [(4, False, len(DOP853.b) - 1), (None, True, 0)]:
+            res, grad, _ = self._replayed_gradient(checkpoints, keep_slopes)
+            assert len(res.step_slopes) == (res.stats.accepted if keep_slopes else 0)
+            assert grad.diagnostics["adjoint_rhs_evaluations"] == per_step * res.stats.accepted
 
     def test_non_hermitian_hamiltonian_rejected_before_any_rhs_call(self):
         # x0 * i*I commutes with every state, so only the boundary check stops the solve
@@ -400,11 +404,12 @@ class TestKeptSlopes:
     def test_a_small_budget_keeps_nothing(self):
         # 8 states leave no room for one 12-state stack beside two checkpoints
         res = self._solve(1.0, SolveConfig(checkpoints=8))
-        assert res.step_slopes is None
+        assert res.step_slopes == ()
         grad = adjoint_gradient(res, state_entry_re_cost(0, 0))
         assert grad.diagnostics["kept_slope_steps"] == 0
         assert grad.diagnostics["adjoint_rhs_evaluations"] == (self.S - 1) * res.stats.accepted
 
+    @pytest.mark.bit_identity
     def test_a_long_solve_keeps_what_the_checkpoints_leave(self):
         # a checkpoint at every step: checkpoints come first, and the kept
         # stacks fill what is left of the budget, a leading prefix of steps
@@ -423,6 +428,16 @@ class TestKeptSlopes:
         plain = integrate(res.model, self.X, all_zero_density(2), (0.0, 40.0))
         assert np.array_equal(grad.dc_dx, adjoint_gradient(plain, state_entry_re_cost(0, 0)).dc_dx)
 
+    def test_each_kept_stack_owns_only_its_own_bytes(self):
+        # a kept stack is the array rk_stages returned for its step, so the
+        # result holds no slopes beyond the stacks it counts against the budget
+        res = self._solve(40.0)
+        d = res.model.dimension
+        assert 0 < len(res.step_slopes) < res.stats.accepted
+        for a in res.step_slopes:
+            assert a.shape == (self.S, d, d) and a.nbytes == self.S * d * d * 16
+            assert a.base is None or a.base.nbytes <= a.nbytes
+
     def test_the_byte_cap_limits_the_kept_stacks(self, monkeypatch):
         stack_bytes = self.S * 4 * 4 * 16
         monkeypatch.setattr(solver_module, "_KEPT_SLOPES_MAX_BYTES", 3 * stack_bytes + stack_bytes // 2)
@@ -430,6 +445,7 @@ class TestKeptSlopes:
         assert res.stats.accepted > 3
         assert len(res.step_slopes) == 3
 
+    @pytest.mark.bit_identity
     def test_kept_slopes_equal_the_recomputed_ones(self):
         # row 0 is the FSAL slope of the step before; the last row is the one
         # slope the reverse step does not recompute
@@ -447,7 +463,7 @@ class TestKeptSlopes:
         res = self._solve(1.5, cfg)
         grad = adjoint_gradient(res, state_entry_re_cost(0, 0))
         kept = grad.diagnostics["kept_slope_steps"]
-        assert kept == (0 if res.step_slopes is None else len(res.step_slopes))
+        assert kept == len(res.step_slopes)
         assert len(res.step_checkpoints) + self.S * kept <= cfg.checkpoint_budget
         peak = counters.snapshot()["peak_retained_states"]
         assert peak <= cfg.checkpoint_budget + grad.diagnostics["longest_segment"]
