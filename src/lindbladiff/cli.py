@@ -41,7 +41,7 @@ from .model import (
 )
 from .optimize import OptConfig, OptTrace, gradient_check, maximize_qfi
 from .qfi import Generator, generator_from_preset, qfi_of_params
-from .solver import SolveConfig, dense_segment, integrate
+from .solver import SolveConfig, dense_segment, integrate, require_positive
 
 SCHEMA = "lindbladiff-report/2"
 
@@ -255,10 +255,8 @@ def resolve_config(raw: dict, subcommand: str) -> ExperimentConfig:
     gc = _section(raw, "grad_check", {"fd_step", "tolerance"})
     fd_step = json_number(gc.get("fd_step", 1e-6), "/grad_check/fd_step")
     tolerance = json_number(gc.get("tolerance", 1e-4), "/grad_check/tolerance")
-    if not fd_step > 0:
-        raise ValidationError("fd_step must be positive", path="/grad_check/fd_step")
-    if not tolerance > 0:
-        raise ValidationError("tolerance must be positive", path="/grad_check/tolerance")
+    require_positive(fd_step, "grad_check/fd_step")
+    require_positive(tolerance, "grad_check/tolerance")
 
     output = raw.get("output")
     if output is not None and not isinstance(output, str):

@@ -1,12 +1,13 @@
 """Gradient ascent on the figure of merit with Armijo backtracking.
 
-First-order ascent keeps the objective-call count transparent: each
-iteration costs one gradient evaluation plus one value evaluation per line
-search trial, all recorded in the trace.  ``maximize_qfi(..., times_four=True)``
-ascends 4F rather than F: the objective, its gradient and the trace values
-are all scaled by 4.  With the same ``OptConfig`` its steps are therefore 4x
-longer and ``grad_tolerance`` applies to the scaled gradient; the ascent path
-equals the unscaled one only when ``initial_step`` is divided by 4.
+First-order ascent keeps the objective-call count transparent: each call
+is one forward solve, recorded in the trace, and only the start point and
+each accepted line search trial are differentiated, by an adjoint pass over
+that same solve.  ``maximize_qfi(..., times_four=True)`` ascends 4F rather
+than F: the objective, its gradient and the trace values are all scaled by
+4.  With the same ``OptConfig`` its steps are therefore 4x longer and
+``grad_tolerance`` applies to the scaled gradient; the ascent path equals
+the unscaled one only when ``initial_step`` is divided by 4.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import DensityOperator, LindbladModel
-from .qfi import Generator, qfi_of_params, qfi_rho_cotangent
+from .qfi import Generator, _qfi_point, qfi_of_params, qfi_rho_cotangent
 from .eigen import eigh
 from .sensitivity import _pair, forward_sensitivity
 from .solver import SolveConfig, require_count, require_positive
 
-_MAX_HALVINGS = 30
+_MAX_BACKTRACKS = 30
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ class OptIterate:
     value: float
     grad_norm: float
     step: float  # accepted step length leaving this iterate; 0.0 if terminal
-    evaluations: int  # cumulative objective evaluations so far
+    evaluations: int  # cumulative objective calls (forward solves) so far
 
     def to_json(self) -> dict:
         return {
@@ -85,27 +86,30 @@ class OptTrace:
 
 
 def maximize(
-    objective: Callable[[np.ndarray, bool], tuple[float, np.ndarray | None]],
+    objective: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]],
     x0: np.ndarray,
     cfg: OptConfig = OptConfig(),
 ) -> tuple[np.ndarray, OptTrace]:
     """Maximize a black-box objective with gradient ascent.
 
-    ``objective(x, need_grad)`` returns (value, gradient-or-None); gradient
-    is only requested once per iteration, line-search trials ask for the
-    value alone.  A trial step x + alpha*g is accepted when it satisfies
-    the ascent Armijo condition value >= current + c1*alpha*|g|^2; alpha
-    is halved at most 30 times before the search reports failure and the
-    best accepted iterate is returned.
+    ``objective(x)`` returns (value, gradient), where ``gradient()`` returns
+    dF/dx at that x.  It is called for the start point and for each
+    accepted trial; a rejected trial's callable is dropped uncalled, and no
+    point's callable outlives the next objective call.  A trial step
+    x + alpha*g is accepted when it satisfies the ascent Armijo condition
+    value >= current + c1*alpha*|g|^2; alpha is scaled by
+    ``backtracking_factor`` at most 30 times before the search reports
+    failure and the best accepted iterate is returned.
     """
     x = np.asarray(x0, dtype=float).copy()
     evals = 0
     rows: list[OptIterate] = []
 
-    value, grad = objective(x, True)
+    value, differentiate = objective(x)
     evals += 1
     status = "max-iters"
     for it in range(cfg.max_iterations):
+        grad, differentiate = differentiate(), None
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= cfg.grad_tolerance:
             rows.append(OptIterate(it, x.copy(), value, gnorm, 0.0, evals))
@@ -113,24 +117,23 @@ def maximize(
             break
         alpha = cfg.initial_step
         accepted = None
-        for _ in range(_MAX_HALVINGS + 1):
+        for _ in range(_MAX_BACKTRACKS + 1):
             trial = x + alpha * grad
-            trial_value, _ = objective(trial, False)
+            trial_value, differentiate = objective(trial)
             evals += 1
             if trial_value >= value + cfg.armijo_constant * alpha * gnorm * gnorm:
                 accepted = (trial, trial_value, alpha)
                 break
-            alpha *= cfg.backtracking_factor
+            alpha, differentiate = alpha * cfg.backtracking_factor, None
         if accepted is None:
             rows.append(OptIterate(it, x.copy(), value, gnorm, 0.0, evals))
             status = "line-search-failure"
             break
         rows.append(OptIterate(it, x.copy(), value, gnorm, accepted[2], evals))
         x, value = accepted[0], accepted[1]
-        _, grad = objective(x, True)
-        evals += 1
     else:
-        rows.append(OptIterate(cfg.max_iterations, x.copy(), value, float(np.linalg.norm(grad)), 0.0, evals))
+        gnorm = float(np.linalg.norm(differentiate()))
+        rows.append(OptIterate(cfg.max_iterations, x.copy(), value, gnorm, 0.0, evals))
 
     trace = OptTrace(iterates=tuple(rows), status=status, evaluations=evals)
     return trace.best.x.copy(), trace
@@ -151,22 +154,20 @@ def maximize_qfi(
 
     When x0 is omitted, parameters initialize uniformly in [-pi, pi] from
     the configured seed.  The trace's evaluation counter is the exact
-    number of figure-of-merit pipeline calls.  ``times_four`` is not
-    display-only here: the objective and its gradient are 4F and 4 dF/dx,
-    so steps are 4x longer unless ``opt_cfg.initial_step`` is divided by 4,
-    and ``opt_cfg.grad_tolerance`` is compared with the scaled gradient.
+    number of forward solves.  ``times_four`` is not display-only here:
+    the objective and its gradient are 4F and 4 dF/dx, so steps are 4x
+    longer unless ``opt_cfg.initial_step`` is divided by 4, and
+    ``opt_cfg.grad_tolerance`` is compared with the scaled gradient.
     """
     if x0 is None:
         rng = np.random.default_rng(opt_cfg.seed)
         x0 = rng.uniform(-math.pi, math.pi, model.n_params)
 
-    def objective(x: np.ndarray, need_grad: bool) -> tuple[float, np.ndarray | None]:
-        rep = qfi_of_params(
-            model, x, rho0, t_span, g, solve_cfg, want_gradient=need_grad, times_four=times_four
-        )
-        scale = rep.display_multiplier
-        grad = None if rep.gradient is None else scale * rep.gradient
-        return scale * rep.value, grad
+    def objective(x: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
+        # the solve keeps its slopes, so an accepted trial is differentiated with no stage recompute
+        report, differentiate = _qfi_point(model, x, rho0, t_span, g, solve_cfg, True, times_four)
+        scale = report.display_multiplier
+        return scale * report.value, lambda: scale * differentiate().gradient
 
     return maximize(objective, np.asarray(x0, dtype=float), opt_cfg)
 

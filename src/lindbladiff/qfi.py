@@ -21,6 +21,7 @@ eigenvalue gaps collapse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -207,41 +208,50 @@ def qfi_of_params(
     parameters.  Raised errors carry a ``stage`` attribute naming the
     pipeline stage that failed.
     """
+    report, differentiate = _qfi_point(model, x, rho0, t_span, g, cfg, want_gradient, times_four)
+    return differentiate() if want_gradient else report
+
+
+def _qfi_point(
+    model, x, rho0, t_span, g, cfg, keep_slopes: bool, times_four: bool
+) -> tuple[QfiReport, Callable[[], QfiReport]]:
+    """The value report of one forward solve, and a callable that runs the
+    adjoint pass over that same solve and returns the report with its gradient."""
     stage = "integrate"
     try:
-        result = integrate(model, x, rho0, t_span, cfg, keep_slopes=want_gradient)
+        result = integrate(model, x, rho0, t_span, cfg, keep_slopes=keep_slopes)
         stage = "eigendecomposition"
         rho_t = result.final_state.matrix
         decomp = eigh(rho_t)
         stage = "figure-of-merit"
         report = qfi(decomp, g, times_four=times_four)
-        diagnostics = {"solver": result.stats.to_json()}
-        if not want_gradient:
-            return replace(report, diagnostics=diagnostics)
-        stage = "gradient"
-
-        def decompose(rho: np.ndarray) -> EigDecomposition:
-            # the cost sees rho(T) itself for its value and cotangent; only
-            # the verifier's probe states need a decomposition of their own
-            return decomp if np.array_equal(rho, rho_t) else eigh(rho)
-
-        def evaluate(rho: np.ndarray) -> float:
-            return qfi(decompose(rho), g).value
-
-        def gradient(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            cot = qfi_rho_cotangent(decompose(rho), g)
-            return cot.real.copy(), cot.imag.copy()
-
-        cost = CostCofunction(evaluate=evaluate, gradient=gradient, name="qfi")
-        grad_result = adjoint_gradient(result, cost)
-        diagnostics["adjoint"] = {
-            k: v
-            for k, v in grad_result.diagnostics.items()
-            if k in ("segments", "steps_replayed", "longest_segment", "fd_fallback")
-        }
-        diagnostics["dc_dT"] = grad_result.dc_dT
-        return replace(report, gradient=grad_result.dc_dx, diagnostics=diagnostics)
+        report = replace(report, diagnostics={"solver": result.stats.to_json()})
     except LindbladiffError as exc:
-        if not hasattr(exc, "stage"):
-            exc.stage = stage  # type: ignore[attr-defined]
+        exc.stage = getattr(exc, "stage", stage)  # type: ignore[attr-defined]
         raise
+
+    def decompose(rho: np.ndarray) -> EigDecomposition:
+        # the cost sees rho(T) itself for its value and cotangent; only
+        # the verifier's probe states need a decomposition of their own
+        return decomp if np.array_equal(rho, rho_t) else eigh(rho)
+
+    def evaluate(rho: np.ndarray) -> float:
+        return qfi(decompose(rho), g).value
+
+    def gradient(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cot = qfi_rho_cotangent(decompose(rho), g)
+        return cot.real.copy(), cot.imag.copy()
+
+    def differentiate() -> QfiReport:
+        try:
+            cost = CostCofunction(evaluate=evaluate, gradient=gradient, name="qfi")
+            grad_result = adjoint_gradient(result, cost)
+            kept = ("segments", "steps_replayed", "longest_segment", "fd_fallback")
+            adjoint = {k: v for k, v in grad_result.diagnostics.items() if k in kept}
+            diagnostics = dict(report.diagnostics, adjoint=adjoint, dc_dT=grad_result.dc_dT)
+            return replace(report, gradient=grad_result.dc_dx, diagnostics=diagnostics)
+        except LindbladiffError as exc:
+            exc.stage = getattr(exc, "stage", "gradient")  # type: ignore[attr-defined]
+            raise
+
+    return report, differentiate

@@ -469,6 +469,10 @@ MALFORMED_CONFIGS = [
     ("state", "/0/0", [1, 0, 5], "/state/file/0/0"),
     ("generator", "/rows", "2", "/generator/file/rows"),
     ("generator", "/rows", 2.9, "/generator/file/rows"),
+    ("config", "/grad_check", {"fd_step": 0}, "/grad_check/fd_step"),
+    ("config", "/grad_check", {"fd_step": -1e-6}, "/grad_check/fd_step"),
+    ("config", "/grad_check", {"tolerance": 0}, "/grad_check/tolerance"),
+    ("config", "/grad_check", {"tolerance": -1e-4}, "/grad_check/tolerance"),
 ]
 
 

@@ -1,9 +1,12 @@
 """Gradient ascent with Armijo backtracking and the gradient cross-check."""
 
+import importlib
+import weakref
+
 import numpy as np
 import pytest
 
-from lindbladiff.errors import ValidationError
+from lindbladiff.errors import IntegrationError, ValidationError
 from lindbladiff.instrumentation import counters
 from lindbladiff.model import (
     DensityOperator,
@@ -13,7 +16,7 @@ from lindbladiff.model import (
     preset_oat,
 )
 from lindbladiff.optimize import OptConfig, OptTrace, gradient_check, maximize, maximize_qfi
-from lindbladiff.qfi import Generator, generator_from_preset
+from lindbladiff.qfi import Generator, generator_from_preset, qfi_of_params
 from lindbladiff.solver import SolveConfig
 from lindbladiff.spins import PAULI_X, PAULI_Z
 
@@ -21,10 +24,8 @@ FAST = SolveConfig(rtol=1e-8, atol=1e-10)
 
 
 def _quadratic(a):
-    def objective(x, need_grad):
-        v = -float(np.sum((x - a) ** 2))
-        g = -2.0 * (x - a) if need_grad else None
-        return v, g
+    def objective(x):
+        return -float(np.sum((x - a) ** 2)), lambda: -2.0 * (x - a)
 
     return objective
 
@@ -99,26 +100,46 @@ class TestMaximize:
         assert np.array_equal(xs, a)
 
     def test_line_search_failure_after_thirty_halvings(self):
-        def capped(x, need_grad):
+        def capped(x):
             # reported gradient points uphill of a hard-capped objective
-            return min(float(x[0]), 1.0), (np.array([1.0]) if need_grad else None)
+            return min(float(x[0]), 1.0), lambda: np.array([1.0])
 
         xs, trace = maximize(capped, np.array([1.0]), OptConfig(initial_step=1.0))
         assert trace.status == "line-search-failure"
-        assert trace.evaluations == 1 + 31  # gradient eval + 31 trial values
+        assert trace.evaluations == 1 + 31  # the start point + 31 trials
         assert xs[0] == 1.0  # best accepted iterate is returned
 
     def test_trace_counts_every_objective_call(self):
         calls = {"n": 0}
         a = np.array([0.4])
 
-        def counted(x, need_grad):
+        def counted(x):
             calls["n"] += 1
-            return _quadratic(a)(x, need_grad)
+            return _quadratic(a)(x)
 
         _, trace = maximize(counted, np.array([1.4]), OptConfig(max_iterations=30))
         assert trace.evaluations == calls["n"]
         assert trace.iterates[-1].evaluations == calls["n"]
+
+    def test_no_earlier_point_is_alive_at_the_next_objective_call(self):
+        # the gradient callable holds its point's solve, so a rejected trial's
+        # and a differentiated point's must both be gone by the next call
+        handed_out = []
+        alive_at_call = []
+
+        def objective(x):
+            alive_at_call.append(sum(ref() is not None for ref in handed_out))
+
+            def gradient():
+                return np.array([-2.0 * x[0], -20.0 * x[1]])
+
+            handed_out.append(weakref.ref(gradient))
+            return -float(x[0] ** 2 + 10.0 * x[1] ** 2), gradient
+
+        _, trace = maximize(objective, np.array([1.0, 1.0]), OptConfig(max_iterations=5, initial_step=0.8))
+        accepted = sum(1 for it in trace.iterates if it.step > 0.0)
+        assert accepted == 5 and trace.evaluations - 1 - accepted > 0  # both kinds of trial occur
+        assert alive_at_call == [0] * trace.evaluations
 
     @pytest.mark.bit_identity
     def test_fixed_seed_trace_is_bit_identical(self):
@@ -203,22 +224,62 @@ class TestMaximizeQfi:
         )
         assert np.array_equal(trace.iterates[0].x, start)
 
-    def test_forward_and_adjoint_counts_match_trace(self):
-        model = preset_oat(2)
-        counters.reset()
-        _, trace = maximize_qfi(
-            model,
-            np.array([0.5, 0.5]),
-            all_zero_density(2),
-            (0.0, 1.0),
-            generator_from_preset("Sz", 2),
-            FAST,
-            OptConfig(max_iterations=4, seed=0),
-        )
-        snap = counters.snapshot()
-        accepted = sum(1 for it in trace.iterates if it.step > 0.0)
-        assert snap["forward_integrations"] == trace.evaluations
-        assert snap["adjoint_passes"] == 1 + accepted
+    def test_forward_and_adjoint_counts_match_trace(self, monkeypatch):
+        # one forward solve per objective call, and one adjoint pass over the
+        # solves of the start point and of each accepted trial, never over a
+        # rejected one; initial_step=5.0 makes the line search backtrack
+        differentiated = []
+
+        def adjoint_gradient(result, cost):
+            differentiated.append(result.x.tobytes())
+            return real_adjoint_gradient(result, cost)
+
+        qfi_module = importlib.import_module("lindbladiff.qfi")  # the package's ``qfi`` is the function
+        real_adjoint_gradient = qfi_module.adjoint_gradient
+        monkeypatch.setattr(qfi_module, "adjoint_gradient", adjoint_gradient)
+        rejected = []
+        for opt in (OptConfig(max_iterations=4, seed=0), OptConfig(max_iterations=4, seed=0, initial_step=5.0)):
+            counters.reset()
+            differentiated.clear()
+            _, trace = maximize_qfi(
+                preset_oat(2),
+                np.array([0.5, 0.5]),
+                all_zero_density(2),
+                (0.0, 1.0),
+                generator_from_preset("Sz", 2),
+                FAST,
+                opt,
+            )
+            snap = counters.snapshot()
+            accepted = sum(1 for it in trace.iterates if it.step > 0.0)
+            assert snap["forward_integrations"] == trace.evaluations
+            assert snap["adjoint_passes"] == 1 + accepted
+            assert differentiated == [it.x.tobytes() for it in trace.iterates]
+            rejected.append(trace.evaluations - 1 - accepted)
+        assert rejected[0] == 0 and rejected[1] > 0
+        assert trace.evaluations == 8
+
+    @pytest.mark.bit_identity
+    def test_reused_solve_differentiates_like_a_fresh_one(self):
+        model, rho0, g = preset_oat(2, 0.1), all_zero_density(2), generator_from_preset("Sz", 2)
+        _, trace = maximize_qfi(model, None, rho0, (0.0, 1.0), g, FAST, OptConfig(max_iterations=4, seed=3))
+        assert len(trace.iterates) == 5
+        for it in trace.iterates:
+            fresh = qfi_of_params(model, it.x, rho0, (0.0, 1.0), g, FAST, want_gradient=True)
+            assert it.grad_norm == np.linalg.norm(fresh.gradient)
+
+    def test_failed_start_solve_is_tagged_integrate(self):
+        with pytest.raises(IntegrationError) as err:
+            maximize_qfi(
+                preset_oat(2),
+                np.array([1e150, 1e150]),
+                all_zero_density(2),
+                (0.0, 1.0),
+                generator_from_preset("Sz", 2),
+                FAST,
+                OptConfig(max_iterations=1),
+            )
+        assert err.value.stage == "integrate"
 
 
 class TestGradientCheck:

@@ -303,6 +303,19 @@ class TestOfParams:
             )
         assert getattr(exc.value, "stage", None) == "integrate"
 
+    def test_adjoint_failure_is_tagged_gradient(self, monkeypatch):
+        # the adjoint pass runs after the value is known, under its own tag
+        def fail(result, cost):
+            raise IntegrationError("reverse pass failed")
+
+        monkeypatch.setattr(importlib.import_module("lindbladiff.qfi"), "adjoint_gradient", fail)
+        with pytest.raises(IntegrationError) as exc:
+            qfi_of_params(
+                preset_oat(2), np.array([0.5, 0.5]), all_zero_density(2), (0.0, 1.0),
+                generator_from_preset("Sz", 2), want_gradient=True,
+            )
+        assert exc.value.stage == "gradient"
+
     @pytest.mark.parametrize(
         "t_end, cfg", [(1000.0, SolveConfig(initial_step=1000.0, max_steps=200)), (1.0, SolveConfig())]
     )
