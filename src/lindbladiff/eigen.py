@@ -110,12 +110,11 @@ def eigh(rho: np.ndarray) -> EigDecomposition:
     sym = 0.5 * (m + m.conj().T)
     lam, vec = np.linalg.eigh(sym)  # LAPACK: eigenvalues ascending
     # phase gauge: largest-magnitude entry real positive, ties by lowest row
-    for j in range(vec.shape[1]):
-        col = vec[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        mag = abs(col[idx])
-        vec[:, j] = col * (np.conj(col[idx]) / mag)
-        vec[idx, j] = mag
+    idx, cols = np.argmax(np.abs(vec), axis=0), np.arange(vec.shape[1])
+    lead = vec[idx, cols]
+    mag = np.hypot(lead.real, lead.imag)  # the bits of abs() on each scalar entry
+    vec *= np.conj(lead) / mag
+    vec[idx, cols] = mag
     tol = DEGENERACY_TOL * max(1.0, float(np.max(np.abs(lam))) if lam.size else 0.0)
     clusters, labels = _cluster_indices(lam, tol)
     return EigDecomposition(

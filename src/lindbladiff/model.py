@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse._sparsetools import csr_matvec  # the kernel S @ v calls; tests pin its bits
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs  # the kernels S @ v and S @ V call; tests pin their bits
 
 from . import linalg
 from .errors import ShapeMismatchError, ValidationError
@@ -46,6 +46,11 @@ from .spins import LOWERING, all_zero_state, as_sparse, collective_sx, collectiv
 
 #: Step used by the central-difference fallback for dH/dx_k, scaled by max(1, |x_k|).
 FD_FALLBACK_STEP = 1e-6
+
+#: Largest compiled stack rhs_parameter_derivative transposes for one kernel call (n <= 5).
+_STACK_KERNEL_MAX_BYTES = 2**19
+
+_FLOAT64 = np.dtype(np.float64)
 
 #: Largest anti-Hermitian part a Hamiltonian operand may have, in Frobenius norm
 #: relative to max(1, its norm).
@@ -353,12 +358,15 @@ class Superoperator:
             part.sum_duplicates()  # canonical: sorted column indices, no duplicates
         self.base, self.derivatives = base, tuple(derivatives)
         self._memo: tuple = (None, None, None)
+        self._x_shape = (len(self.derivatives),)
 
     def at(self, x: np.ndarray) -> tuple[sparse.csr_array, sparse.csr_array]:
         """(S(x), S(x)^H); x must hold one value per parameter."""
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        if x.shape != (len(self.derivatives),):
-            raise ValidationError(f"parameter vector shape {x.shape} != ({len(self.derivatives)},)")
+        if not (type(x) is np.ndarray and x.dtype is _FLOAT64 and x.shape == self._x_shape):
+            x = np.ascontiguousarray(x, dtype=np.float64)
+            if x.shape != self._x_shape:
+                raise ValidationError(f"parameter vector shape {x.shape} != {self._x_shape}")
+        # the bytes of x, not the array: its owner may write to it between calls
         key = x.tobytes()
         # read and replaced as one tuple, so a concurrent caller sees a whole entry
         memo = self._memo
@@ -456,13 +464,15 @@ def lindblad_rhs(
 
 def _csr_apply(s: sparse.csr_array, state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """s @ vec(state) in state's shape, into a C-contiguous ``out`` if given: the one kernel call s @ v makes."""
-    if out is None:
-        out = np.zeros(state.shape, dtype=np.complex128)
-    else:
-        out.fill(0)  # the kernel adds to its output
-    n = s.shape[0]
-    csr_matvec(n, n, s.indptr, s.indices, s.data, state.ravel(), out.reshape(-1))
+    out = np.empty(state.shape, dtype=np.complex128) if out is None else out
+    out.fill(0)  # the kernel adds to its output
+    csr_matvec(state.size, state.size, s.indptr, s.indices, s.data, state.ravel(), out.reshape(-1))
     return out
+
+
+def _check_out(out: np.ndarray | None, shape: tuple[int, ...]) -> None:
+    if out is not None and (out.shape != shape or out.dtype != np.complex128 or not out.flags.c_contiguous):
+        raise ValidationError(f"out must be a C-contiguous complex128 array of shape {shape}")
 
 
 def _generator_apply(
@@ -480,12 +490,14 @@ def _generator_apply(
     into ``out``; the sandwich kernel's result is copied into it.  ``out``
     must be C-contiguous: a strided one would reach the kernel as a copy.
     """
-    if out is not None and (out.shape != state.shape or out.dtype != np.complex128 or not out.flags.c_contiguous):
-        raise ValidationError(f"out must be a C-contiguous complex128 array of shape {state.shape}")
+    _check_out(out, state.shape)
     compiled = model.superoperator
-    if compiled is not None:
-        s, s_adjoint = compiled.at(x)
-        return _csr_apply(s_adjoint if adjoint else s, state, out)
+    if compiled is not None:  # _csr_apply's kernel call, made here to save a call per application
+        s = compiled.at(x)[1 if adjoint else 0]
+        out = np.empty(state.shape, dtype=np.complex128) if out is None else out
+        out.fill(0)
+        csr_matvec(state.size, state.size, s.indptr, s.indices, s.data, state.ravel(), out.reshape(-1))
+        return out
     h, ik = model.hamiltonian.evaluate(t, x), 1j * model.decay
     a, a_right = (-h - ik, -h + ik) if adjoint else (h - ik, h + ik)
     result = _sandwich(a, a_right, model.channels, state, adjoint=adjoint)
@@ -496,37 +508,47 @@ def _generator_apply(
 
 
 def rhs_parameter_derivative(
-    t: float | Sequence[float], rho: np.ndarray, model: LindbladModel, x: np.ndarray, k: int
+    t: float | Sequence[float], rho: np.ndarray, model: LindbladModel, x: np.ndarray, k: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """d/dx_k of the right-hand side at fixed rho: -i [dH/dx_k, rho].
 
     rho is one state (d, d) at time t, or a stack (m, d, d) of states with t
-    a sequence of m times, one per state; the result has rho's shape.  Jump
-    channels are parameter-independent, so only the coherent term
-    contributes.  A compiled model applies S_k, to a stack as one SpMM on
-    the (N, m) matrix of its columns.  The sandwich kernel takes a stack
-    state by state: one (d, m d) left and one (m d, d) right product would
-    need strided copies of the whole stack, which cost more than the m
-    sandwiches save, and hold m more states.
+    a sequence of m times, one per state; the result has rho's shape, in
+    ``out`` if given (as for lindblad_rhs).  Jump channels are
+    parameter-independent, so only the coherent term contributes.  A
+    compiled model applies S_k to a stack of up to _STACK_KERNEL_MAX_BYTES
+    in one multi-vector kernel call on its (N, m) columns.  A larger stack
+    (n >= 6, where that is faster) and any sandwich-kernel stack go state by
+    state, with no copy of the stack; two stacked sandwich products would
+    need strided copies of it, which cost more than they save.
     """
     d = model.dimension
     if rho.shape[-2:] != (d, d) or rho.ndim not in (2, 3):
         raise ShapeMismatchError("rhs state", rho.shape, (d, d))
+    _check_out(out, rho.shape)
     compiled = model.superoperator
     if rho.ndim == 3:
         if np.shape(t) != rho.shape[:1]:
             raise ValidationError(f"a stack of {rho.shape[0]} states needs as many times, got {np.shape(t)}")
-        if compiled is None:
-            out = np.empty(rho.shape, dtype=np.complex128)
-            for i, (t_i, y_i) in enumerate(zip(t, rho)):
-                out[i] = rhs_parameter_derivative(t_i, y_i, model, x, k)
+        out = np.empty(rho.shape, dtype=np.complex128) if out is None else out
+        if compiled is None or rho.nbytes > _STACK_KERNEL_MAX_BYTES:
+            for t_i, y_i, out_i in zip(t, rho, out):
+                rhs_parameter_derivative(t_i, y_i, model, x, k, out_i)
             return out
     dh = model.hamiltonian.param_derivative(t, x, k)  # also rejects an out-of-range k
     if compiled is None:
-        return _sandwich(dh, dh, (), rho)
+        if out is None:
+            return _sandwich(dh, dh, (), rho)
+        out[...] = _sandwich(dh, dh, (), rho)
+        return out
+    s = compiled.derivatives[k]
     if rho.ndim == 2:
-        return _csr_apply(compiled.derivatives[k], rho)
-    return (compiled.derivatives[k] @ rho.reshape(len(rho), d * d).T).T.reshape(rho.shape)
+        return _csr_apply(s, rho, out)
+    m, n = len(rho), d * d
+    columns, operand = np.zeros((n, m), dtype=np.complex128), np.ascontiguousarray(rho.reshape(m, n).T)
+    csr_matvecs(n, n, m, s.indptr, s.indices, s.data, operand.ravel(), columns.ravel())
+    np.copyto(out.reshape(m, n), columns.T)
+    return out
 
 
 def validate_hamiltonian(model: LindbladModel, x: np.ndarray, t: float = 0.0) -> None:

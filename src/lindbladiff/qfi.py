@@ -213,13 +213,13 @@ def qfi_of_params(
 
 
 def _qfi_point(
-    model, x, rho0, t_span, g, cfg, keep_slopes: bool, times_four: bool
+    model, x, rho0, t_span, g, cfg, keep_stages: bool, times_four: bool
 ) -> tuple[QfiReport, Callable[[], QfiReport]]:
     """The value report of one forward solve, and a callable that runs the
     adjoint pass over that same solve and returns the report with its gradient."""
     stage = "integrate"
     try:
-        result = integrate(model, x, rho0, t_span, cfg, keep_slopes=keep_slopes)
+        result = integrate(model, x, rho0, t_span, cfg, keep_stages=keep_stages)
         stage = "eigendecomposition"
         rho_t = result.final_state.matrix
         decomp = eigh(rho_t)

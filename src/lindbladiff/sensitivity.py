@@ -12,13 +12,13 @@ The reverse pass is the exact discrete adjoint of the replayed forward
 steps: each checkpoint segment is recomputed forward on the recorded step
 grid, then the stage cotangent recursion runs backward through the same
 stages, with the A and b of the solver's one tableau (``solver.DOP853``), on
-stacked stage buffers that each L^dag application writes straight into, with
-one BLAS product per stage sum and p parameter pairings per step.  A step
-whose forward slope stack the solve kept (``SolveResult.step_slopes``, a
-tuple filled by ``integrate(..., keep_slopes=True)``) rebuilds its stage
-states from it with no L application; any other step computes its slopes
-again with s - 1.  One loop forms each stage state from either stack with
-the forward step's row product, so the two give the same bits.
+stacked stage buffers, allocated once per pass, that each L^dag application
+writes straight into, with one BLAS product per stage sum and p parameter
+pairings per step.  A step whose stage states the solve kept
+(``SolveResult.step_stages``, filled by ``integrate(..., keep_stages=True)``)
+reads them as they are, with no L application; any other step computes its
+slopes again with s - 1 and forms its stage states with the forward step's
+row product, so the two give the same bits.
 It takes the forward solve's ``SolveResult`` as its only input besides the
 cost, and reads the model, x, span, checkpoints and step grid from it, so
 it always replays the trajectory that solve produced.  Because replay is
@@ -28,6 +28,7 @@ checkpoint count.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -92,6 +93,21 @@ def _pair(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.sum(np.conj(a) * b)))
 
 
+def _probe_operators(d: int) -> np.ndarray:
+    """The Hermitian K and A of CostCofunction.verify's probe directions at dimension d, read-only."""
+    rng = np.random.default_rng(0xC0F7 + d)
+    draws = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(2)]
+    ops = np.array([0.5 * (m + m.conj().T) for m in draws])
+    ops.setflags(write=False)
+    return ops
+
+
+#: verify keeps its probe operators for later calls up to this dimension; a
+#: larger pair (8 MiB at n = 9) would stay alive through every reverse pass.
+_PROBE_CACHE_MAX_DIM = 64
+_cached_probe_operators = functools.cache(_probe_operators)
+
+
 @dataclass(frozen=True)
 class CostCofunction:
     """Scalar terminal cost c(rho(T)) with its own gradient rule.
@@ -116,25 +132,22 @@ class CostCofunction:
             )
         return dre + 1j * dim
 
-    def verify(self, rho: np.ndarray) -> dict:
+    def verify(self, rho: np.ndarray, cot: np.ndarray | None = None) -> dict:
         """Directional finite-difference check of the gradient rule at rho.
 
         Probe directions preserve the spectrum's validity: a commutator
         direction i[K, rho] moves eigenvectors but shifts eigenvalues only
         at second order, and a congruence direction rho A rho vanishes on
         the kernel of rho, so rho +/- h D stays within the tolerance of a
-        valid state even when rho is pure.  Raises CostGradientError on
-        disagreement.
+        valid state even when rho is pure.  Checks ``cot``, or the cotangent
+        formed here if none is given; raises CostGradientError on disagreement.
         """
         rho = np.asarray(rho, dtype=np.complex128)
         d = rho.shape[0]
-        rng = np.random.default_rng(0xC0F7 + d)
-        k_dir = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        k_dir = 0.5 * (k_dir + k_dir.conj().T)
-        a_dir = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        a_dir = 0.5 * (a_dir + a_dir.conj().T)
+        k_dir, a_dir = (_cached_probe_operators if d <= _PROBE_CACHE_MAX_DIM else _probe_operators)(d)
         probes = [1j * (k_dir @ rho - rho @ k_dir), rho @ a_dir @ rho]
-        cot = self.cotangent(rho)
+        if cot is None:
+            cot = self.cotangent(rho)
         # Central differences carry absolute noise of order eps_c/h (cost
         # evaluation error amplified by the step) plus h^2 truncation; below
         # that floor the comparison is uninformative, so a verdict needs the
@@ -276,39 +289,35 @@ def _reverse_step(
     lam: np.ndarray,
     grad: np.ndarray,
     f: Callable[..., np.ndarray],
-    slopes: np.ndarray | None = None,
+    work: np.ndarray,
+    stages: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact reverse-mode of one replayed step of the DOP853 tableau.
 
-    Forms the s stage states Y into one stacked buffer, each from the slope
-    rows before it by _stage_state, the forward step's row product.  The
-    rows are the step's kept forward ``slopes`` if given, with no call of f;
-    otherwise f fills the rows of the W buffer below as the loop reaches
-    them, s - 1 calls (the last stage's slope is never read).  It then runs
-    the cotangent recursion on the stacked buffers V and W
+    The s stage states Y are the step's kept forward ``stages`` if given;
+    otherwise they are formed into Y = work[0], each from the slope rows
+    before it by _stage_state, the forward step's row product, with f
+    filling the rows of W = work[2] as the loop reaches them, s - 1 calls
+    (the last stage's slope is never read).  It then runs the cotangent
+    recursion on V = work[1] and W
         v_i = h b_i lam + h sum_{j>i} a_ji w_j,   w_i = L^dag(t_i) v_i,
     each w_i written straight into its row of W and each stage sum one BLAS
     product A[i+1:, i] W[i+1:] over the float64 view of W, giving lam_prev =
     lam + sum_i w_i.  Parameter sensitivities accumulate through the stage slopes: dc/dx_k += sum_i <v_i, (dL/dx_k)(t_i)
-    Y_i>, one rhs_parameter_derivative call on the whole stack Y and one
-    vdot per parameter, so a step makes p such calls.
+    Y_i>, one rhs_parameter_derivative call on the whole stack Y, into W,
+    and one vdot per parameter, so a step makes p such calls.
     """
     s = _A.shape[0]
     stage_times = [t_n + c * h for c in DOP853.c]
-    stage_states = np.empty((s, *y_n.shape), dtype=np.complex128)
-    ws = np.empty_like(stage_states)
-    recompute = slopes is None
-    if recompute:  # W is unused until the recursion below, so the fresh slopes fill it
-        slopes = ws
-    flat = slopes.reshape(s, -1).view(np.float64)
-    stage_states[0] = y_n
-    for i in range(1, s):
-        if recompute:
-            f(stage_times[i - 1], stage_states[i - 1], slopes[i - 1])
-        _stage_state(y_n, h, flat, i, stage_states[i])
-    del slopes, flat  # so that the del of ws below frees W
-    vs = np.empty_like(stage_states)
+    ys, vs, ws = work
     flat_ws = ws.reshape(s, -1).view(np.float64)
+    if stages is None:  # W is unused until the recursion below, so the fresh slopes fill it
+        ys[0] = y_n
+        for i in range(1, s):
+            f(stage_times[i - 1], ys[i - 1], ws[i - 1])
+            _stage_state(y_n, h, flat_ws, i, ys[i])
+    else:
+        ys = stages
     for i in range(s - 1, -1, -1):
         v = vs[i]
         np.dot(_A[i + 1 :, i], flat_ws[i + 1 :], out=v.reshape(-1).view(np.float64))
@@ -316,38 +325,36 @@ def _reverse_step(
         v += (h * DOP853.b[i]) * lam
         adjoint_liouvillian_apply(model, x, stage_times[i], v, ws[i])
     lam_prev = lam + ws.sum(axis=0)
-    del ws, flat_ws  # each pairing below allocates an (s, d, d) result
     for k in range(grad.shape[0]):
-        grad[k] += np.vdot(vs, rhs_parameter_derivative(stage_times, stage_states, model, x, k)).real
+        grad[k] += np.vdot(vs, rhs_parameter_derivative(stage_times, ys, model, x, k, ws)).real
     return lam_prev
 
 
 def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResult:
     """Reverse-mode gradient of a terminal cost through the solve ``result``.
 
-    Verifies the cost's gradient rule at the final state, then sweeps
-    backward segment by segment: each segment between stored checkpoints is
-    replayed on the recorded grid with the model and x of ``result`` and its
-    steps are reverse-differentiated exactly.  Returns dc/dx, the realified
-    dc/d(rho0) (the terminal adjoint state), and dc/dT.  For a fresh solve
-    pass ``integrate(model, x, rho0, t_span, cfg, keep_slopes=True)``: the
-    steps whose slopes it kept then need no stage recompute, and the
-    gradient is bit-equal either way.  The diagnostics come from the
-    checkpoints' step indices: ``segments`` (stored count - 1),
-    ``steps_replayed`` (the reverse-differentiated steps: the last index, =
-    accepted) and ``longest_segment`` (the largest gap between indices);
-    ``kept_slope_steps`` is the number of reverse steps that read kept
-    forward slopes, ``adjoint_rhs_evaluations`` the L applications that
-    recompute stage states, (s - 1) per step without kept slopes, and
-    ``adjoint_generator_applications`` the L^dag applications of the stage
-    recursion, s per step.  The retained-state count includes each kept
-    slope stack as s states.
+    Verifies the cost's gradient rule on the cotangent at the final state
+    that starts the sweep, then sweeps backward segment by segment: each
+    segment between stored checkpoints is replayed on the recorded grid with
+    the model and x of ``result`` and its steps are reverse-differentiated
+    exactly.  Returns dc/dx, the realified dc/d(rho0) (the terminal adjoint
+    state), and dc/dT.  For a fresh solve pass ``integrate(model, x, rho0,
+    t_span, cfg, keep_stages=True)``: the steps whose stage states it kept
+    then need no stage recompute, and the gradient is bit-equal either way.
+    The diagnostics come from the checkpoints' step indices: ``segments``
+    (stored count - 1), ``steps_replayed`` (the reverse-differentiated
+    steps: the last index, = accepted) and ``longest_segment`` (the largest
+    gap between indices); ``kept_stage_steps`` is the number of reverse
+    steps that read kept forward stage states, ``adjoint_rhs_evaluations``
+    the L applications that recompute stage states, (s - 1) per step without
+    kept ones, and ``adjoint_generator_applications`` the L^dag applications
+    of the stage recursion, s per step.  The retained-state count includes
+    each kept stage stack as s states.
     """
     model, x, t_final = result.model, result.x, result.t_span[1]
     rho_t = result.final_state.matrix
-    verification = cost.verify(rho_t)
-
     lam = cost.cotangent(rho_t)
+    verification = cost.verify(rho_t, lam)
     dc_dt = _pair(lam, lindblad_rhs(t_final, rho_t, model, x))
 
     f = _CountedRhs(model, x)
@@ -355,8 +362,8 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     stored = result.step_checkpoints
     pairs = list(zip(stored, stored[1:]))
     s = _A.shape[0]
-    kept_slopes = result.step_slopes
-    kept = len(kept_slopes)
+    kept = len(result.step_stages)
+    work = np.empty((3, s, *rho_t.shape), dtype=np.complex128)
 
     for (i_a, state_a), (i_b, _) in reversed(pairs):
         # replay stops at the start of the segment's last step: the state at
@@ -364,8 +371,8 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
         segment = dense_segment(result, state_a, (i_a, i_b - 1))
         counters.note_retained_states(len(stored) + len(segment) - 1 + s * kept)
         for n, (t_n, y_n), h_n in reversed(list(zip(range(i_a, i_b), segment, result.step_sizes[i_a:i_b]))):
-            slopes = kept_slopes[n] if n < kept else None
-            lam = _reverse_step(model, x, t_n, y_n, float(h_n), lam, grad, f, slopes)
+            stages = result.step_stages[n] if n < kept else None
+            lam = _reverse_step(model, x, t_n, y_n, float(h_n), lam, grad, f, work, stages)
 
     applications = s * stored[-1][0]  # _reverse_step applies L^dag once per stage
     counters.adjoint_passes += 1
@@ -375,7 +382,7 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
         "segments": len(pairs),
         "steps_replayed": stored[-1][0],
         "longest_segment": max(i_b - i_a for (i_a, _), (i_b, _) in pairs),
-        "kept_slope_steps": kept,
+        "kept_stage_steps": kept,
         "adjoint_rhs_evaluations": f.calls,
         "adjoint_generator_applications": applications,
         "fd_fallback": model.hamiltonian.uses_fd_fallback,

@@ -4,19 +4,20 @@ The stepper is an explicit embedded Runge--Kutta pair on the complex density
 matrix with a stabilized PI step-size controller.  One tableau, ``DOP853``
 (Dormand--Prince 8(5,3), FSAL), drives the forward step, segment replay and
 the reverse pass in ``sensitivity``, all through a stacked slope buffer: the
-s slopes of a step fill one (s, *state shape) array, each written in place
-by the right-hand side (one CSR kernel call into its row for a compiled
-model), each stage sum is one BLAS product over its float64 view, and the
-reverse pass makes p parameter pairings per step.  A solve that will be
-differentiated (``integrate(..., keep_slopes=True)``) keeps the stacks its
-leading accepted steps returned, a tuple of read-only (s, *state shape)
-arrays, within what the checkpoint budget leaves and a fixed byte cap, so
-the reverse pass rebuilds those steps' stage states from them with no
-right-hand-side call.  Every accepted step time and step size is recorded,
-and the ``SolveResult`` keeps the model and x it was solved with, so any
-segment between two checkpoints can later be replayed on the recorded grid
-from the result alone; replay performs the same floating-point operations as
-the original pass and is therefore bit-identical.  Checkpoints and replay
+s slopes of a step fill one (s, *state shape) array that a solve or replay
+reuses for every step, each written in place by the right-hand side (one
+CSR kernel call into its row for a compiled model), each stage sum is one
+BLAS product over its float64 view, and the reverse pass makes p parameter
+pairings per step.  A solve that will be differentiated
+(``integrate(..., keep_stages=True)``) writes the stage states of its
+leading accepted steps straight into one kept (s, *state shape) stack per
+step, within what the checkpoint budget leaves and a fixed byte cap, so the
+reverse pass reads them with no right-hand-side call.  Every accepted step
+time and step size is recorded, and the ``SolveResult`` keeps the model and
+x it was solved with, so any segment between two checkpoints can later be
+replayed on the recorded grid from the result alone; replay performs the
+same floating-point operations as the original pass and is therefore
+bit-identical.  Checkpoints and replay
 spans are addressed by accepted-step index i; state i sits at step_times[i].
 Trace is never renormalized -- trace drift is reported as a diagnostic
 instead.
@@ -122,9 +123,9 @@ _UNDERFLOW = 1e-14
 _A = np.array([row + (0.0,) * (len(DOP853.c) - len(row)) for row in DOP853.a])
 #: The end-of-step weight rows b, e[:s] and e3[:s] (the FSAL weights of e and e3 are zero).
 _STEP_WEIGHTS = np.array([DOP853.b, DOP853.e[: len(DOP853.b)], DOP853.e3[: len(DOP853.b)]])
-#: Most bytes of slope stacks a differentiated solve keeps for its reverse
+#: Most bytes of stage stacks a differentiated solve keeps for its reverse
 #: pass: every step at n <= 7 qubits, and none at n = 10 (192 MiB per stack).
-_KEPT_SLOPES_MAX_BYTES = 64 * 2**20
+_KEPT_STAGES_MAX_BYTES = 64 * 2**20
 
 
 def require_count(value, name: str, minimum: int) -> None:
@@ -200,9 +201,9 @@ class SolveResult:
     config: SolveConfig
     x: np.ndarray  # a copy of the checked parameter vector the solve used
     model: LindbladModel
-    # the (s, *state shape) slope stacks of accepted steps 0 ... kept - 1;
-    # only integrate(..., keep_slopes=True) keeps any
-    step_slopes: tuple[np.ndarray, ...] = ()
+    # the (s, *state shape) stage-state stacks of accepted steps 0 ... kept - 1,
+    # row 0 the step's start state; only integrate(..., keep_stages=True) keeps any
+    step_stages: tuple[np.ndarray, ...] = ()
 
 
 def _rms(values: np.ndarray) -> float:
@@ -232,8 +233,8 @@ def _stage_state(y: np.ndarray, h: float, flat_slopes: np.ndarray, i: int, out: 
 
     ``flat_slopes`` is the float64 (s, 2N) view of the slope stack K, and the
     row product is one BLAS call into the float64 view of ``out``.  The
-    forward step and the reverse step both form their stage states here, so
-    the two are bit-equal.
+    forward step and the reverse step's recompute both form their stage
+    states here, so the two are bit-equal.
     """
     increment = out.reshape(-1).view(np.float64)
     np.dot(_A[i, :i], flat_slopes[:i], out=increment)
@@ -242,27 +243,24 @@ def _stage_state(y: np.ndarray, h: float, flat_slopes: np.ndarray, i: int, out: 
 
 
 def rk_stages(
-    f: Callable[..., np.ndarray], t: float, y: np.ndarray, h: float, k1: np.ndarray | None = None
+    f: Callable[..., np.ndarray], t: float, y: np.ndarray, h: float, slopes: np.ndarray, stages: np.ndarray
 ) -> np.ndarray:
-    """The slopes of all s DOP853 stages of one step, as a fresh (s, *y.shape) array.
+    """Fill rows 1 ... s-1 of the caller's (s, *y.shape) ``slopes``, whose row 0 holds f(t, y), and return it.
 
     This is the single source of the stage arithmetic; the adaptive loop and
     segment replay both go through it, so a replayed step performs
     bit-identical floating-point operations.  f(t, y, out) writes slope i
-    straight into its row K[i] of the stack (for a compiled model, one CSR
-    kernel call into the caller's buffer), and stage state i is formed by
-    _stage_state from the rows before it in one scratch buffer, so a step
-    holds one stage state at a time; _step_end forms the step's end.
+    straight into its row K[i], and _stage_state forms stage state i from
+    the rows before it into ``stages``: an (s, *y.shape) stack that keeps
+    all of Y_0 = y ... Y_(s-1), or one scratch state that each overwrites.
     """
     s = _A.shape[0]
-    slopes = np.empty((s, *y.shape), dtype=np.complex128)
     flat = slopes.reshape(s, -1).view(np.float64)
-    if k1 is None:
-        f(t, y, slopes[0])
-    else:
-        slopes[0] = k1
-    y_i = np.empty_like(slopes[0])
+    stacked = stages.ndim > y.ndim
+    if stacked:
+        stages[0] = y
     for i in range(1, s):
+        y_i = stages[i] if stacked else stages
         _stage_state(y, h, flat, i, y_i)
         f(t + DOP853.c[i] * h, y_i, slopes[i])
     return slopes
@@ -316,7 +314,7 @@ class _CoreTrail:
     step_sizes: np.ndarray
     rejected: int
     checkpoints: list[tuple[int, np.ndarray]]
-    slopes: list[np.ndarray]
+    stages: list[np.ndarray]
 
 
 def _adaptive_core(
@@ -325,7 +323,7 @@ def _adaptive_core(
     t0: float,
     t_final: float,
     cfg: SolveConfig,
-    keep_slopes: bool = False,
+    keep_stages: bool = False,
 ) -> _CoreTrail:
     """Adaptive 8(5,3) loop on an arbitrary complex array state; f(t, y, out=None) as in rk_stages.
 
@@ -333,33 +331,33 @@ def _adaptive_core(
     checkpoint list: stride doubles whenever the stored count would exceed
     the budget, so checkpoints stay roughly equally spaced in accepted-step
     index; the first entry is step 0 (t0) and the last is step accepted (t_final).
-    With ``keep_slopes`` the slope stacks of the leading accepted steps are
-    kept too, each counted as s states against the budget: checkpoints come
-    first, and after each accepted step the kept count shrinks to what they
-    leave, kept <= (budget - 1 - stored) // s, so at the end stored + s kept
-    <= budget.  A kept step's stack is the one rk_stages returned for it,
-    and _KEPT_SLOPES_MAX_BYTES bounds their bytes.  The room for stacks only
-    shrinks, so kept steps are a prefix: once a step is not kept, no later
-    step is.
+    With ``keep_stages`` the stage-state stacks of the leading accepted steps
+    are kept too, each counted as s states against the budget: checkpoints
+    come first, and after each accepted step the kept count shrinks to what
+    they leave, kept <= (budget - 1 - stored) // s, so at the end stored + s
+    kept <= budget.  A step that may be kept writes into a fresh stack, any
+    other into one scratch state, and _KEPT_STAGES_MAX_BYTES bounds the kept
+    bytes.  The room for stacks only shrinks, so kept steps are a prefix.
     """
     y = y0
     span = t_final - t0
-    f0 = f(t0, y)
+    s = _A.shape[0]
+    slopes = np.empty((s, *y0.shape), dtype=np.complex128)
+    scratch = np.empty_like(slopes[0])
+    f0 = f(t0, y, slopes[0])
     h = cfg.initial_step if cfg.initial_step is not None else _initial_step(f, t0, y, f0, span, cfg.rtol, cfg.atol)
     h = min(h, span)
 
     budget = cfg.checkpoint_budget
     stored: list[tuple[int, np.ndarray]] = [(0, y.copy())]
     stride = 1
-    s = _A.shape[0]
     # one slot each for the first and the final checkpoint
-    room = min((budget - 2) // s, _KEPT_SLOPES_MAX_BYTES // (s * y0.nbytes)) if keep_slopes else 0
+    room = min((budget - 2) // s, _KEPT_STAGES_MAX_BYTES // slopes.nbytes) if keep_stages else 0
     kept: list[np.ndarray] = []
 
     step_times = [t0]
     step_sizes: list[float] = []
     t = t0
-    k1 = f0
     err_prev = 1.0
     accepted = 0
     rejected = 0
@@ -375,10 +373,11 @@ def _adaptive_core(
         last = t + h >= t_final
         if last:
             h = t_final - t
+        stages = np.empty_like(slopes) if len(kept) < room else scratch
         # e[-1] = e3[-1] = 0: the estimates need no FSAL slope, so only an
         # accepted step pays for f(t + h, y_new)
         try:
-            slopes = rk_stages(f, t, y, h, k1)
+            rk_stages(f, t, y, h, slopes, stages)
             y_new, delta5, delta3 = _step_end(y, h, slopes)
         except ValidationError as exc:  # lindblad_rhs rejects a stage state that blew up
             raise IntegrationError(f"step at t = {t:.6g} with h = {h:.3e} failed: {exc}") from exc
@@ -386,14 +385,14 @@ def _adaptive_core(
             raise IntegrationError(f"non-finite state produced at t = {t:.6g} with h = {h:.3e}")
         err = _error_norm(delta5, delta3, y, y_new, cfg.rtol, cfg.atol)
         if err <= 1.0:
-            k1 = f(t + h, y_new)
+            f(t + h, y_new, slopes[0])
             t = t_final if last else t + h
             y = y_new
             accepted += 1
             step_times.append(t)
             step_sizes.append(h)
-            if len(kept) < room:
-                kept.append(slopes)
+            if stages is not scratch:
+                kept.append(stages)
             if accepted % stride == 0 and t < t_final:
                 stored.append((accepted, y.copy()))
                 # reserve one slot for the final state appended below
@@ -421,7 +420,7 @@ def _adaptive_core(
         step_sizes=np.array(step_sizes),
         rejected=rejected,
         checkpoints=stored,
-        slopes=kept,
+        stages=kept,
     )
 
 
@@ -475,7 +474,7 @@ def integrate(
     t_span: tuple[float, float],
     cfg: SolveConfig = SolveConfig(),
     *,
-    keep_slopes: bool = False,
+    keep_stages: bool = False,
 ) -> SolveResult:
     """Integrate the master equation from t0 to T with adaptive steps.
 
@@ -483,17 +482,17 @@ def integrate(
     checkpoints (first step 0, last step accepted, roughly equally spaced in
     index, at most the configured checkpoint count), and the full accepted
     step grid, from which the step statistics are read.  With
-    ``keep_slopes``, for a solve that will be differentiated, the result's
-    ``step_slopes`` also holds the slope stacks of as many leading accepted
-    steps as the checkpoint budget leaves room for (each counted as s
-    states) and the fixed byte cap allows; otherwise it is empty.
+    ``keep_stages``, for a solve that will be differentiated, the result's
+    ``step_stages`` also holds the stage-state stacks of as many leading
+    accepted steps as the checkpoint budget leaves room for (each counted as
+    s states) and the fixed byte cap allows; otherwise it is empty.
     """
     y0, x, t0, t_final = _check_inputs(model, x, rho0, t_span)
     trace0 = float(np.trace(y0).real)
 
     f = _CountedRhs(model, x)
 
-    trail = _adaptive_core(f, y0, t0, t_final, cfg, keep_slopes)
+    trail = _adaptive_core(f, y0, t0, t_final, cfg, keep_stages)
     y, sizes = trail.final, trail.step_sizes
     final_state = _final_state(y, cfg)
     stats = SolveStats(
@@ -509,7 +508,7 @@ def integrate(
     counters.rhs_evaluations += f.calls
 
     x = x.copy()  # replay and the adjoint trust these arrays, so none of them may change
-    for a in (x, trail.step_times, sizes, final_state.matrix, *trail.slopes, *(s for _, s in trail.checkpoints)):
+    for a in (x, trail.step_times, sizes, final_state.matrix, *trail.stages, *(s for _, s in trail.checkpoints)):
         a.setflags(write=False)
     return SolveResult(
         final_state=final_state,
@@ -521,7 +520,7 @@ def integrate(
         config=cfg,
         x=x,
         model=model,
-        step_slopes=tuple(trail.slopes),
+        step_stages=tuple(trail.stages),
     )
 
 
@@ -546,12 +545,15 @@ def dense_segment(
     y = np.asarray(state_at_checkpoint, dtype=np.complex128)
 
     f = _CountedRhs(result.model, result.x)
+    if i_b > i_a:  # one slope stack and one stage state serve every replayed step
+        slopes, scratch = np.empty((_A.shape[0], *y.shape), dtype=np.complex128), np.empty_like(y)
 
     times = result.step_times
     out: list[tuple[float, np.ndarray]] = [(float(times[i_a]), y)]
     for n in range(i_a, i_b):
-        h_n = float(result.step_sizes[n])
-        y, _, _ = _step_end(y, h_n, rk_stages(f, float(times[n]), y, h_n))
+        t_n, h_n = float(times[n]), float(result.step_sizes[n])
+        f(t_n, y, slopes[0])
+        y, _, _ = _step_end(y, h_n, rk_stages(f, t_n, y, h_n, slopes, scratch))
         out.append((float(times[n + 1]), y))
     counters.rhs_evaluations += f.calls
     return out

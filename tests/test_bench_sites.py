@@ -77,7 +77,7 @@ def test_traced_smoke_run_matches_untraced(tmp_path):
 def test_traced_sites_see_every_generator_application(checkpoints, t_end):
     # the per-layer model.rhs_calls and sensitivity.adjoint_apply_calls count
     # spans at the binding sites, so every application must pass through them;
-    # at t = 1 the default budget keeps every step's slopes, so the reverse
+    # at t = 1 the default budget keeps every step's stage states, so the reverse
     # pass recomputes no stage, and 4 checkpoints keep none; at t = 40 the
     # kept steps are a strict prefix, so one pass reads both stage sources
     from lindbladiff import counters
@@ -87,8 +87,8 @@ def test_traced_sites_see_every_generator_application(checkpoints, t_end):
 
     model, x, rho0 = preset_oat(2, 0.1), [0.8, 0.6], all_zero_density(2)
     cfg = SolveConfig(checkpoints=checkpoints)
-    solved = integrate(model, x, rho0, (0.0, t_end), cfg, keep_slopes=True)
-    kept, steps = len(solved.step_slopes), solved.stats.accepted
+    solved = integrate(model, x, rho0, (0.0, t_end), cfg, keep_stages=True)
+    kept, steps = len(solved.step_stages), solved.stats.accepted
     assert (kept == (0 if checkpoints == 4 else steps)) if t_end == 1.0 else (0 < kept < steps)
     tracing = _load_tracing()
     tracer = tracing.Tracer()

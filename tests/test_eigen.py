@@ -63,6 +63,28 @@ class TestEigh:
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
+    @pytest.mark.bit_identity
+    def test_gauge_is_bit_identical_to_the_column_loop(self):
+        # the gauge is vectorized over columns; it must give the bits of the
+        # per-column loop it replaced, ties included (the lowest row wins)
+        def looped_gauge(vec):
+            for j in range(vec.shape[1]):
+                col = vec[:, j]
+                idx = int(np.argmax(np.abs(col)))
+                mag = abs(col[idx])
+                vec[:, j] = col * (np.conj(col[idx]) / mag)
+                vec[idx, j] = mag
+            return vec
+
+        rng = np.random.default_rng(36)
+        cases = [random_hermitian(rng, int(d)) for d in rng.integers(1, 65, size=200)]
+        # ties: identity columns, and eigenvectors whose entries share one magnitude
+        cases += [np.eye(d, dtype=complex) for d in (1, 2, 7)]
+        cases += [np.array([[0, 1], [1, 0]], dtype=complex), np.array([[0, 1j], [-1j, 0]]), np.ones((4, 4), complex)]
+        for m in cases:
+            sym = 0.5 * (m + m.conj().T)
+            assert np.array_equal(eigh(m).eigenvectors, looped_gauge(np.linalg.eigh(sym)[1]))
+
     def test_clusters_and_queries(self):
         m = np.diag([0.2, 0.2 + 0.5 * DEGENERACY_TOL, 0.7]).astype(complex)
         dec = eigh(m)

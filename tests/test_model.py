@@ -372,6 +372,23 @@ class TestCompiled:
         assert np.array_equal(s.toarray(), expect)
         assert np.array_equal(s_adjoint.toarray(), expect.conj().T)
 
+    def test_at_sees_an_x_written_in_place(self):
+        # the memo is keyed on the bytes of x, not on the array: an x its
+        # owner changes in place between two calls gets the new S(x)
+        compiled = preset_oat(2, 0.3).superoperator
+        x = np.array([0.8, 0.6])
+        first = compiled.at(x)[0].toarray()
+        x[0] = -0.4
+        s, s_adjoint = compiled.at(x)
+        expect = (compiled.base + (-0.4) * compiled.derivatives[0] + 0.6 * compiled.derivatives[1]).toarray()
+        assert np.array_equal(s.toarray(), expect) and not np.array_equal(first, expect)
+        assert np.array_equal(s_adjoint.toarray(), expect.conj().T)
+        # a list or a strided vector is read by value, and a wrong length is rejected
+        for same in ([-0.4, 0.6], np.array([-0.4, 9.0, 0.6])[::2]):
+            assert np.array_equal(compiled.at(same)[0].toarray(), expect)
+        with pytest.raises(ValidationError, match="parameter vector shape"):
+            compiled.at(np.zeros(3))
+
     def test_missing_parameter_index_is_a_zero_term(self):
         term = {"coefficient": "param:1", "matrix": operator_to_json(PAULI_X)}
         obj = {"dimension": 2, "hamiltonian": {"kind": "explicit", "terms": [term]}}
@@ -495,6 +512,28 @@ class TestInputChecks:
             for bad in (np.empty((2, 4), dtype=complex), np.empty((4, 4)), np.empty((4, 8), dtype=complex)[:, ::2]):
                 with pytest.raises(ValidationError, match="out must be"):
                     apply(out=bad)
+
+    @pytest.mark.parametrize("per_state", [False, True])
+    def test_stacked_parameter_derivative_writes_each_state_s_bits_into_out(self, model, per_state, monkeypatch):
+        # a compiled stack is one multi-vector kernel call or, above
+        # _STACK_KERNEL_MAX_BYTES, one kernel call per state; either way each
+        # row has the bits of the single-state call
+        import lindbladiff.model as model_module
+
+        if per_state:
+            monkeypatch.setattr(model_module, "_STACK_KERNEL_MAX_BYTES", 0)
+        rng = np.random.default_rng(16)
+        stack = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        times = [0.1 * i for i in range(5)]
+        x = np.array([0.8, 0.6])
+        for k in range(2):
+            want = np.stack([rhs_parameter_derivative(t, y, model, x, k) for t, y in zip(times, stack)])
+            assert np.array_equal(rhs_parameter_derivative(times, stack, model, x, k), want)
+            out = np.full(stack.shape, np.nan, dtype=complex)
+            assert rhs_parameter_derivative(times, stack, model, x, k, out) is out
+            assert np.array_equal(out, want)
+        with pytest.raises(ValidationError, match="out must be"):
+            rhs_parameter_derivative(times, stack, model, x, 0, np.empty((5, 4, 8), dtype=complex)[:, :, ::2])
 
     def test_stacked_parameter_derivative_needs_one_time_per_state(self, model):
         stack = np.stack([np.eye(4, dtype=complex) / 4] * 3)

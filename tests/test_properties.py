@@ -364,27 +364,27 @@ def test_adjoint_gradient_agrees_with_forward_tangents(rtol, drawn):
     assert np.max(np.abs(got - forward)) <= GRADIENT_BOUND * rtol * scale
 
 
-# A differentiated solve keeps its leading steps' slope stacks, and the
-# reverse step rebuilds their stage states from them instead of recomputing
-# them; both paths form a stage state with the same row product, so the
+# A differentiated solve keeps its leading steps' stage states, and the
+# reverse step reads them instead of recomputing them; the forward step and
+# the recompute form a stage state with the same row product, so the
 # gradient must not change by a single bit.
 
 
-def _check_kept_slopes_are_bit_exact(model, x, rho0, t_span, cfg, cost):
+def _check_kept_stages_are_bit_exact(model, x, rho0, t_span, cfg, cost):
     plain = integrate(model, x, rho0, t_span, cfg)
-    kept = integrate(model, x, rho0, t_span, cfg, keep_slopes=True)
-    assert plain.step_slopes == ()
-    n = len(kept.step_slopes)
+    kept = integrate(model, x, rho0, t_span, cfg, keep_stages=True)
+    assert plain.step_stages == ()
+    n = len(kept.step_stages)
     s = len(DOP853.c)
-    assert all(a.shape == (s, *rho0.shape) for a in kept.step_slopes) and n >= 1
+    assert all(a.shape == (s, *rho0.shape) for a in kept.step_stages) and n >= 1
     with pytest.raises(ValueError, match="read-only"):
-        kept.step_slopes[0][0, 0, 0] = 0.0
+        kept.step_stages[0][0, 0, 0] = 0.0
     want, got = adjoint_gradient(plain, cost), adjoint_gradient(kept, cost)
     assert np.array_equal(got.dc_dx, want.dc_dx)
     assert np.array_equal(got.dc_drho0, want.dc_drho0)
     assert got.dc_dT == want.dc_dT
-    assert want.diagnostics["kept_slope_steps"] == 0
-    assert got.diagnostics["kept_slope_steps"] == n
+    assert want.diagnostics["kept_stage_steps"] == 0
+    assert got.diagnostics["kept_stage_steps"] == n
     steps = kept.stats.accepted
     assert want.diagnostics["adjoint_rhs_evaluations"] == (s - 1) * steps
     assert got.diagnostics["adjoint_rhs_evaluations"] == (s - 1) * (steps - n)
@@ -399,10 +399,10 @@ def test_kept_slopes_give_the_recomputed_gradient_bit_for_bit(drawn):
     cfg = SolveConfig(rtol=1e-8, atol=1e-10)
     accepted = integrate(model, x, rho0, t_span, cfg).stats.accepted
     # a budget with room for every step's stack (s states each) beside a
-    # checkpoint at every step, so every reverse step reads kept slopes
+    # checkpoint at every step, so every reverse step reads kept stage states
     roomy = SolveConfig(rtol=1e-8, atol=1e-10, checkpoints=(len(DOP853.c) + 1) * accepted + 2)
-    got = _check_kept_slopes_are_bit_exact(model, x, rho0, t_span, roomy, observable_cost(obs))
-    assert got.diagnostics["kept_slope_steps"] == accepted
+    got = _check_kept_stages_are_bit_exact(model, x, rho0, t_span, roomy, observable_cost(obs))
+    assert got.diagnostics["kept_stage_steps"] == accepted
     assert got.diagnostics["adjoint_rhs_evaluations"] == 0
 
 
@@ -410,8 +410,8 @@ def test_kept_slopes_give_the_recomputed_gradient_bit_for_bit(drawn):
 @pytest.mark.bit_identity
 def test_kept_slopes_are_bit_exact_on_a_time_dependent_sandwich_model(checkpoints):
     # a callable schedule runs the sandwich kernel, and its time dependence
-    # makes every stage time count: a kept slope k_1 is the previous step's
-    # FSAL slope, evaluated at that step's end time
+    # makes every stage time count: a kept step's stage states were formed
+    # from the previous step's FSAL slope, evaluated at that step's end time
     sz, sx = collective_sz(2), collective_sx(2)
 
     def evaluate(t, x):
@@ -432,7 +432,7 @@ def test_kept_slopes_are_bit_exact_on_a_time_dependent_sandwich_model(checkpoint
     rho0[0, 0] = 1.0
     cost = observable_cost(sx + 0.5 * sz)
     cfg = SolveConfig(checkpoints=checkpoints)
-    got = _check_kept_slopes_are_bit_exact(model, np.array([0.9, 0.7]), rho0, (0.0, 3.0), cfg, cost)
-    kept, steps = got.diagnostics["kept_slope_steps"], got.diagnostics["steps_replayed"]
+    got = _check_kept_stages_are_bit_exact(model, np.array([0.9, 0.7]), rho0, (0.0, 3.0), cfg, cost)
+    kept, steps = got.diagnostics["kept_stage_steps"], got.diagnostics["steps_replayed"]
     # the default budget keeps every step; 40 states keep a leading few
     assert kept == steps if checkpoints is None else 0 < kept < steps

@@ -1,5 +1,7 @@
 """Forward-tangent and reverse-adjoint gradients through the integrator."""
 
+import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from oracles import fd_gradient, random_density, random_hermitian
 from lindbladiff.errors import CostGradientError, ValidationError
+from lindbladiff import model as model_module
 from lindbladiff import sensitivity
 from lindbladiff import solver as solver_module
 from lindbladiff.instrumentation import counters
@@ -99,6 +102,13 @@ class TestCosts:
         )
         with pytest.raises(CostGradientError):
             bad.verify(rho)
+
+    def test_verify_checks_the_cotangent_it_is_given(self):
+        rho = random_density(np.random.default_rng(7), 2)
+        cost = state_entry_re_cost(0, 1)
+        cost.verify(rho, cost.cotangent(rho))
+        with pytest.raises(CostGradientError):
+            cost.verify(rho, 2.0 * cost.cotangent(rho))
 
     def test_cotangent_is_linear_packing(self):
         rng = np.random.default_rng(6)
@@ -293,12 +303,12 @@ class TestAdjointGradient:
         assert snap["adjoint_passes"] == 1
 
     @staticmethod
-    def _replayed_gradient(checkpoints, keep_slopes=False):
+    def _replayed_gradient(checkpoints, keep_stages=False):
         model = preset_oat(2, gamma=0.1)
         x = np.array([0.9, 0.6])
         rho0 = all_zero_density(2)
         cfg = SolveConfig(checkpoints=checkpoints)
-        res = integrate(model, x, rho0, (0.0, 1.0), cfg, keep_slopes=keep_slopes)
+        res = integrate(model, x, rho0, (0.0, 1.0), cfg, keep_stages=keep_stages)
         grad = adjoint_gradient(res, state_entry_re_cost(0, 0))
         assert grad.diagnostics["steps_replayed"] == res.stats.accepted
         return res, grad, counters.rhs_evaluations - res.stats.rhs_evaluations
@@ -330,11 +340,11 @@ class TestAdjointGradient:
 
     def test_reverse_step_skips_the_last_stage_slope(self):
         # the reverse step needs the s stage states, and the last one depends
-        # on the first s - 1 slopes only; with every step's slopes kept (the
-        # default budget at t = 1) it calls f not at all
-        for checkpoints, keep_slopes, per_step in [(4, False, len(DOP853.b) - 1), (None, True, 0)]:
-            res, grad, _ = self._replayed_gradient(checkpoints, keep_slopes)
-            assert len(res.step_slopes) == (res.stats.accepted if keep_slopes else 0)
+        # on the first s - 1 slopes only; with every step's stage states kept
+        # (the default budget at t = 1) it calls f not at all
+        for checkpoints, keep_stages, per_step in [(4, False, len(DOP853.b) - 1), (None, True, 0)]:
+            res, grad, _ = self._replayed_gradient(checkpoints, keep_stages)
+            assert len(res.step_stages) == (res.stats.accepted if keep_stages else 0)
             assert grad.diagnostics["adjoint_rhs_evaluations"] == per_step * res.stats.accepted
 
     def test_non_hermitian_hamiltonian_rejected_before_any_rhs_call(self):
@@ -377,6 +387,24 @@ class TestAdjointGradient:
         longest = max(b - a for a, b in zip(indices, indices[1:]))
         assert diag["peak_retained_states"] <= len(indices) + longest
 
+    def test_the_cost_gradient_runs_once_per_pass(self):
+        # the verifier checks the cotangent that starts the sweep, so one
+        # adjoint_gradient calls the cost's gradient rule exactly once
+        base = observable_cost(collective_sx(2))
+        calls = 0
+
+        def gradient(rho):
+            nonlocal calls
+            calls += 1
+            return base.gradient(rho)
+
+        counted = CostCofunction(evaluate=base.evaluate, gradient=gradient, name="counted")
+        res = integrate(preset_oat(2, 0.1), np.array([0.8, 0.6]), all_zero_density(2), (0.0, 1.0))
+        got = adjoint_gradient(res, counted)
+        assert calls == 1
+        assert np.array_equal(got.dc_dx, adjoint_gradient(res, base).dc_dx)
+        json.dumps(got.diagnostics["cost_verification"])  # numbers only, no array
+
     def test_diagnostics_shape(self):
         model = preset_oat(2)
         res = adjoint_gradient(
@@ -391,22 +419,22 @@ class TestAdjointGradient:
 
 
 class TestKeptSlopes:
-    """A differentiated solve keeps the slope stacks of its leading accepted
-    steps, each counted as s states against the checkpoint budget, and the
-    reverse pass reads them instead of recomputing the stage states."""
+    """A differentiated solve keeps the stage-state stacks of its leading
+    accepted steps, each counted as s states against the checkpoint budget,
+    and the reverse pass reads them instead of recomputing them."""
 
     S = len(DOP853.c)
     X = np.array([0.8, 0.6])
 
     def _solve(self, t_end, cfg=SolveConfig(), n=2):
-        return integrate(preset_oat(n, 0.1), self.X, all_zero_density(n), (0.0, t_end), cfg, keep_slopes=True)
+        return integrate(preset_oat(n, 0.1), self.X, all_zero_density(n), (0.0, t_end), cfg, keep_stages=True)
 
     def test_a_small_budget_keeps_nothing(self):
         # 8 states leave no room for one 12-state stack beside two checkpoints
         res = self._solve(1.0, SolveConfig(checkpoints=8))
-        assert res.step_slopes == ()
+        assert res.step_stages == ()
         grad = adjoint_gradient(res, state_entry_re_cost(0, 0))
-        assert grad.diagnostics["kept_slope_steps"] == 0
+        assert grad.diagnostics["kept_stage_steps"] == 0
         assert grad.diagnostics["adjoint_rhs_evaluations"] == (self.S - 1) * res.stats.accepted
 
     @pytest.mark.bit_identity
@@ -417,44 +445,110 @@ class TestKeptSlopes:
         budget = SolveConfig().checkpoint_budget
         stored = len(res.step_checkpoints)
         assert stored == res.stats.accepted + 1
-        kept = len(res.step_slopes)
+        kept = len(res.step_stages)
         assert kept == (budget - stored) // self.S
         assert 0 < kept < res.stats.accepted
         counters.reset()
         grad = adjoint_gradient(res, state_entry_re_cost(0, 0))
-        assert grad.diagnostics["kept_slope_steps"] == kept
+        assert grad.diagnostics["kept_stage_steps"] == kept
         assert grad.diagnostics["adjoint_rhs_evaluations"] == (self.S - 1) * (res.stats.accepted - kept)
         assert counters.snapshot()["peak_retained_states"] == stored + self.S * kept <= budget
         plain = integrate(res.model, self.X, all_zero_density(2), (0.0, 40.0))
         assert np.array_equal(grad.dc_dx, adjoint_gradient(plain, state_entry_re_cost(0, 0)).dc_dx)
 
     def test_each_kept_stack_owns_only_its_own_bytes(self):
-        # a kept stack is the array rk_stages returned for its step, so the
-        # result holds no slopes beyond the stacks it counts against the budget
+        # a kept stack is the array its step wrote its stage states into, so
+        # the result holds no states beyond the stacks it counts against the budget
         res = self._solve(40.0)
         d = res.model.dimension
-        assert 0 < len(res.step_slopes) < res.stats.accepted
-        for a in res.step_slopes:
+        assert 0 < len(res.step_stages) < res.stats.accepted
+        for a in res.step_stages:
             assert a.shape == (self.S, d, d) and a.nbytes == self.S * d * d * 16
             assert a.base is None or a.base.nbytes <= a.nbytes
 
     def test_the_byte_cap_limits_the_kept_stacks(self, monkeypatch):
         stack_bytes = self.S * 4 * 4 * 16
-        monkeypatch.setattr(solver_module, "_KEPT_SLOPES_MAX_BYTES", 3 * stack_bytes + stack_bytes // 2)
+        monkeypatch.setattr(solver_module, "_KEPT_STAGES_MAX_BYTES", 3 * stack_bytes + stack_bytes // 2)
         res = self._solve(1.0)
         assert res.stats.accepted > 3
-        assert len(res.step_slopes) == 3
+        assert len(res.step_stages) == 3
 
     @pytest.mark.bit_identity
-    def test_kept_slopes_equal_the_recomputed_ones(self):
-        # row 0 is the FSAL slope of the step before; the last row is the one
-        # slope the reverse step does not recompute
+    def test_kept_stages_equal_the_recomputed_ones(self):
+        # row 0 is checkpoint n itself, and every row is the stage state that
+        # a reverse step without the kept stack forms into its Y buffer
         res = self._solve(1.0)
+        d = res.model.dimension
         f = _CountedRhs(res.model, res.x)
-        for n in range(len(res.step_slopes)):
-            t_n, y_n, h_n = float(res.step_times[n]), res.step_checkpoints[n][1], float(res.step_sizes[n])
-            assert res.step_checkpoints[n][0] == n
-            assert np.array_equal(res.step_slopes[n], rk_stages(f, t_n, y_n, h_n))
+        work = np.empty((3, self.S, d, d), dtype=complex)
+        assert len(res.step_stages) == res.stats.accepted > 1
+        for n, stages in enumerate(res.step_stages):
+            i_n, y_n = res.step_checkpoints[n]
+            assert i_n == n and np.array_equal(stages[0], y_n)
+            t_n, h_n = float(res.step_times[n]), float(res.step_sizes[n])
+            _reverse_step(res.model, res.x, t_n, y_n, h_n, np.eye(d, dtype=complex), np.zeros(2), f, work)
+            assert np.array_equal(stages, work[0])
+
+    def test_a_kept_step_forms_no_stage_state(self, monkeypatch):
+        # at t = 40 a leading prefix of steps is kept: each of those reads its
+        # stack as it is, and every later step forms its s - 1 stage states
+        # after Y_0 = y_n
+        res = self._solve(40.0)
+        kept = len(res.step_stages)
+        assert 0 < kept < res.stats.accepted
+        calls, formed = 0, {}
+        stage_state, reverse_step = sensitivity._stage_state, sensitivity._reverse_step
+
+        def counted_stage_state(*args):
+            nonlocal calls
+            calls += 1
+            return stage_state(*args)
+
+        def recorded_step(model, x, t_n, *args):
+            before = calls
+            lam = reverse_step(model, x, t_n, *args)
+            formed[int(np.searchsorted(res.step_times, t_n))] = calls - before
+            return lam
+
+        monkeypatch.setattr(sensitivity, "_stage_state", counted_stage_state)
+        monkeypatch.setattr(sensitivity, "_reverse_step", recorded_step)
+        adjoint_gradient(res, state_entry_re_cost(0, 0))
+        assert sorted(formed) == list(range(res.stats.accepted))
+        assert all(formed[n] == (0 if n < kept else self.S - 1) for n in formed)
+
+    @pytest.mark.parametrize("kernel", ["sandwich", "compiled"])
+    def test_reverse_steps_allocate_no_stage_stack(self, kernel, monkeypatch):
+        # the pass allocates Y, V and W once, so the peak of traced memory
+        # over any one reverse step stays below one (s, d, d) stack; a
+        # compiled stack small enough for one multi-vector kernel call takes
+        # two stack-sized temporaries there, so the compiled case goes state by
+        # state, as a stack from n = 6 on does
+        if kernel == "sandwich":
+            monkeypatch.setattr(model_module, "COMPILE_MAX_NNZ", 0)
+        else:
+            monkeypatch.setattr(model_module, "_STACK_KERNEL_MAX_BYTES", 0)
+        res = self._solve(40.0, n=3)
+        assert (res.model.superoperator is None) == (kernel == "sandwich")
+        assert res.stats.accepted >= 40 and 0 < len(res.step_stages) < res.stats.accepted
+        stack_bytes = self.S * 8 * 8 * 16
+        growth = []
+        reverse_step = sensitivity._reverse_step
+
+        def measured_step(*args):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            lam = reverse_step(*args)
+            growth.append(tracemalloc.get_traced_memory()[1] - start)
+            return lam
+
+        monkeypatch.setattr(sensitivity, "_reverse_step", measured_step)
+        tracemalloc.start()
+        try:
+            adjoint_gradient(res, state_entry_re_cost(0, 0))
+        finally:
+            tracemalloc.stop()
+        assert len(growth) == res.stats.accepted
+        assert max(growth) < stack_bytes
 
     @pytest.mark.parametrize("k", [2, 10, 50, 120, None])
     def test_memory_contract_counts_kept_stacks(self, k):
@@ -462,8 +556,8 @@ class TestKeptSlopes:
         counters.reset()
         res = self._solve(1.5, cfg)
         grad = adjoint_gradient(res, state_entry_re_cost(0, 0))
-        kept = grad.diagnostics["kept_slope_steps"]
-        assert kept == len(res.step_slopes)
+        kept = grad.diagnostics["kept_stage_steps"]
+        assert kept == len(res.step_stages)
         assert len(res.step_checkpoints) + self.S * kept <= cfg.checkpoint_budget
         peak = counters.snapshot()["peak_retained_states"]
         assert peak <= cfg.checkpoint_budget + grad.diagnostics["longest_segment"]
@@ -488,10 +582,14 @@ class TestReverseStep:
         return model
 
     def _step(self, model, x, y):
-        return _step_end(y, self.H, rk_stages(_CountedRhs(model, x), self.T_N, y, self.H))[0]
+        f = _CountedRhs(model, x)
+        slopes = np.empty((len(DOP853.c), *y.shape), dtype=complex)
+        f(self.T_N, y, slopes[0])
+        return _step_end(y, self.H, rk_stages(f, self.T_N, y, self.H, slopes, np.empty_like(y)))[0]
 
     def _reverse(self, model, x, y, lam, grad):
-        return _reverse_step(model, x, self.T_N, y, self.H, lam, grad, _CountedRhs(model, x))
+        work = np.empty((3, len(DOP853.c), *y.shape), dtype=complex)
+        return _reverse_step(model, x, self.T_N, y, self.H, lam, grad, _CountedRhs(model, x), work)
 
     def test_is_exact_transpose_of_one_step(self, model):
         x = self.X
