@@ -47,9 +47,6 @@ from .spins import LOWERING, all_zero_state, as_sparse, collective_sx, collectiv
 #: Step used by the central-difference fallback for dH/dx_k, scaled by max(1, |x_k|).
 FD_FALLBACK_STEP = 1e-6
 
-#: Largest compiled stack rhs_parameter_derivative transposes for one kernel call (n <= 5).
-_STACK_KERNEL_MAX_BYTES = 2**19
-
 _FLOAT64 = np.dtype(np.float64)
 
 #: Largest anti-Hermitian part a Hamiltonian operand may have, in Frobenius norm
@@ -470,9 +467,9 @@ def _csr_apply(s: sparse.csr_array, state: np.ndarray, out: np.ndarray | None = 
     return out
 
 
-def _check_out(out: np.ndarray | None, shape: tuple[int, ...]) -> None:
+def _check_out(out: np.ndarray | None, shape: tuple[int, ...], name: str = "out") -> None:
     if out is not None and (out.shape != shape or out.dtype != np.complex128 or not out.flags.c_contiguous):
-        raise ValidationError(f"out must be a C-contiguous complex128 array of shape {shape}")
+        raise ValidationError(f"{name} must be a C-contiguous complex128 array of shape {shape}")
 
 
 def _generator_apply(
@@ -492,12 +489,9 @@ def _generator_apply(
     """
     _check_out(out, state.shape)
     compiled = model.superoperator
-    if compiled is not None:  # _csr_apply's kernel call, made here to save a call per application
-        s = compiled.at(x)[1 if adjoint else 0]
-        out = np.empty(state.shape, dtype=np.complex128) if out is None else out
-        out.fill(0)
-        csr_matvec(state.size, state.size, s.indptr, s.indices, s.data, state.ravel(), out.reshape(-1))
-        return out
+    if compiled is not None:
+        s, s_adjoint = compiled.at(x)
+        return _csr_apply(s_adjoint if adjoint else s, state, out)
     h, ik = model.hamiltonian.evaluate(t, x), 1j * model.decay
     a, a_right = (-h - ik, -h + ik) if adjoint else (h - ik, h + ik)
     result = _sandwich(a, a_right, model.channels, state, adjoint=adjoint)
@@ -508,19 +502,21 @@ def _generator_apply(
 
 
 def rhs_parameter_derivative(
-    t: float | Sequence[float], rho: np.ndarray, model: LindbladModel, x: np.ndarray, k: int, out: np.ndarray | None = None
+    t: float | Sequence[float], rho: np.ndarray, model: LindbladModel, x: np.ndarray, k: int,
+    out: np.ndarray | None = None, scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """d/dx_k of the right-hand side at fixed rho: -i [dH/dx_k, rho].
 
     rho is one state (d, d) at time t, or a stack (m, d, d) of states with t
     a sequence of m times, one per state; the result has rho's shape, in
-    ``out`` if given (as for lindblad_rhs).  Jump channels are
-    parameter-independent, so only the coherent term contributes.  A
-    compiled model applies S_k to a stack of up to _STACK_KERNEL_MAX_BYTES
-    in one multi-vector kernel call on its (N, m) columns.  A larger stack
-    (n >= 6, where that is faster) and any sandwich-kernel stack go state by
-    state, with no copy of the stack; two stacked sandwich products would
-    need strided copies of it, which cost more than they save.
+    ``out`` if given (as for lindblad_rhs; it must not overlap rho).  Jump
+    channels are parameter-independent, so only the coherent term
+    contributes.  A compiled model applies S_k to a stack in one
+    multi-vector kernel call on the (N, m) matrix of its columns, copied
+    into ``out``, and the kernel writes into ``scratch`` (a buffer of rho's
+    shape, if given) before the result is copied back.  The sandwich kernel
+    takes a stack state by state: two stacked sandwich products would need
+    strided copies of it, which cost more than they save.
     """
     d = model.dimension
     if rho.shape[-2:] != (d, d) or rho.ndim not in (2, 3):
@@ -531,7 +527,7 @@ def rhs_parameter_derivative(
         if np.shape(t) != rho.shape[:1]:
             raise ValidationError(f"a stack of {rho.shape[0]} states needs as many times, got {np.shape(t)}")
         out = np.empty(rho.shape, dtype=np.complex128) if out is None else out
-        if compiled is None or rho.nbytes > _STACK_KERNEL_MAX_BYTES:
+        if compiled is None:
             for t_i, y_i, out_i in zip(t, rho, out):
                 rhs_parameter_derivative(t_i, y_i, model, x, k, out_i)
             return out
@@ -545,8 +541,11 @@ def rhs_parameter_derivative(
     if rho.ndim == 2:
         return _csr_apply(s, rho, out)
     m, n = len(rho), d * d
-    columns, operand = np.zeros((n, m), dtype=np.complex128), np.ascontiguousarray(rho.reshape(m, n).T)
-    csr_matvecs(n, n, m, s.indptr, s.indices, s.data, operand.ravel(), columns.ravel())
+    _check_out(scratch, rho.shape, "scratch")
+    columns = (np.empty(rho.shape, dtype=np.complex128) if scratch is None else scratch).reshape(n, m)
+    columns.fill(0)  # the kernel adds to its output
+    np.copyto(out.reshape(n, m), rho.reshape(m, n).T)  # the operand, until the result replaces it
+    csr_matvecs(n, n, m, s.indptr, s.indices, s.data, out.reshape(-1), columns.reshape(-1))
     np.copyto(out.reshape(m, n), columns.T)
     return out
 

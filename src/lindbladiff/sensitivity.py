@@ -304,12 +304,13 @@ def _reverse_step(
     each w_i written straight into its row of W and each stage sum one BLAS
     product A[i+1:, i] W[i+1:] over the float64 view of W, giving lam_prev =
     lam + sum_i w_i.  Parameter sensitivities accumulate through the stage slopes: dc/dx_k += sum_i <v_i, (dL/dx_k)(t_i)
-    Y_i>, one rhs_parameter_derivative call on the whole stack Y, into W,
-    and one vdot per parameter, so a step makes p such calls.
+    Y_i>, one rhs_parameter_derivative call on the whole stack Y, into W
+    (a compiled model's kernel writes its (N, s) result into work[3]), and
+    one vdot per parameter, so a step makes p such calls.
     """
     s = _A.shape[0]
     stage_times = [t_n + c * h for c in DOP853.c]
-    ys, vs, ws = work
+    ys, vs, ws, scratch = work
     flat_ws = ws.reshape(s, -1).view(np.float64)
     if stages is None:  # W is unused until the recursion below, so the fresh slopes fill it
         ys[0] = y_n
@@ -326,7 +327,7 @@ def _reverse_step(
         adjoint_liouvillian_apply(model, x, stage_times[i], v, ws[i])
     lam_prev = lam + ws.sum(axis=0)
     for k in range(grad.shape[0]):
-        grad[k] += np.vdot(vs, rhs_parameter_derivative(stage_times, ys, model, x, k, ws)).real
+        grad[k] += np.vdot(vs, rhs_parameter_derivative(stage_times, ys, model, x, k, ws, scratch)).real
     return lam_prev
 
 
@@ -363,7 +364,7 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     pairs = list(zip(stored, stored[1:]))
     s = _A.shape[0]
     kept = len(result.step_stages)
-    work = np.empty((3, s, *rho_t.shape), dtype=np.complex128)
+    work = np.empty((4, s, *rho_t.shape), dtype=np.complex128)
 
     for (i_a, state_a), (i_b, _) in reversed(pairs):
         # replay stops at the start of the segment's last step: the state at

@@ -513,15 +513,9 @@ class TestInputChecks:
                 with pytest.raises(ValidationError, match="out must be"):
                     apply(out=bad)
 
-    @pytest.mark.parametrize("per_state", [False, True])
-    def test_stacked_parameter_derivative_writes_each_state_s_bits_into_out(self, model, per_state, monkeypatch):
-        # a compiled stack is one multi-vector kernel call or, above
-        # _STACK_KERNEL_MAX_BYTES, one kernel call per state; either way each
-        # row has the bits of the single-state call
-        import lindbladiff.model as model_module
-
-        if per_state:
-            monkeypatch.setattr(model_module, "_STACK_KERNEL_MAX_BYTES", 0)
+    def test_stacked_parameter_derivative_writes_each_state_s_bits_into_out(self, model):
+        # a compiled stack is one multi-vector kernel call, with its result in
+        # the caller's scratch if given; each row has the bits of the single-state call
         rng = np.random.default_rng(16)
         stack = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
         times = [0.1 * i for i in range(5)]
@@ -530,10 +524,15 @@ class TestInputChecks:
             want = np.stack([rhs_parameter_derivative(t, y, model, x, k) for t, y in zip(times, stack)])
             assert np.array_equal(rhs_parameter_derivative(times, stack, model, x, k), want)
             out = np.full(stack.shape, np.nan, dtype=complex)
-            assert rhs_parameter_derivative(times, stack, model, x, k, out) is out
+            scratch = np.full(stack.shape, np.nan, dtype=complex)
+            assert rhs_parameter_derivative(times, stack, model, x, k, out, scratch) is out
             assert np.array_equal(out, want)
         with pytest.raises(ValidationError, match="out must be"):
             rhs_parameter_derivative(times, stack, model, x, 0, np.empty((5, 4, 8), dtype=complex)[:, :, ::2])
+        if model.superoperator is not None:  # the kernel would write past a wrong-sized buffer
+            for bad in (np.empty((5, 16), dtype=complex), np.empty((5, 4, 8), dtype=complex)[:, :, ::2]):
+                with pytest.raises(ValidationError, match="scratch must be"):
+                    rhs_parameter_derivative(times, stack, model, x, 0, out, bad)
 
     def test_stacked_parameter_derivative_needs_one_time_per_state(self, model):
         stack = np.stack([np.eye(4, dtype=complex) / 4] * 3)

@@ -21,7 +21,17 @@ from lindbladiff.model import (
     all_zero_density,
     preset_oat,
 )
-from lindbladiff.solver import _A, DOP853, SolveConfig, _error_norm, dense_segment, integrate
+from lindbladiff.solver import (
+    _A,
+    DOP853,
+    SolveConfig,
+    _CountedRhs,
+    _error_norm,
+    _step_end,
+    dense_segment,
+    integrate,
+    rk_stages,
+)
 from lindbladiff.spins import PAULI_Z
 from lindbladiff.instrumentation import counters
 
@@ -184,10 +194,18 @@ class TestTrailAndReplay:
         assert np.array_equal(a.final_state.matrix, b.final_state.matrix)
         assert np.array_equal(a.step_sizes, b.step_sizes)
         assert [i for i, _ in a.step_checkpoints] == [i for i, _ in b.step_checkpoints]
-        # each kept stack starts at its step's state, Y_0 = y_n
+        # each kept stack is the accepted step's, not a rejected try's from
+        # the same y_n: its rows are the stage states the accepted h_n forms
+        # again from y_n, and that step's slopes lead to y_(n+1)
         states = [state for _, state in b.step_checkpoints]
+        f = _CountedRhs(model, x)
         for n, stages in enumerate(b.step_stages):
-            assert np.array_equal(stages[0], states[n])
+            h_n = float(b.step_sizes[n])
+            slopes, recomputed = np.empty((2, *stages.shape), dtype=complex)
+            f(float(b.step_times[n]), states[n], slopes[0])
+            rk_stages(f, float(b.step_times[n]), states[n], h_n, slopes, recomputed)
+            assert np.array_equal(stages, recomputed)
+            assert np.array_equal(_step_end(states[n], h_n, slopes)[0], states[n + 1])
 
     def test_recorded_grid_ends_exactly_at_t_final(self):
         model = preset_oat(2)
