@@ -12,13 +12,17 @@ The reverse pass is the exact discrete adjoint of the replayed forward
 steps: each checkpoint segment is recomputed forward on the recorded step
 grid, then the stage cotangent recursion runs backward through the same
 stages, with the A and b of the solver's one tableau (``solver.DOP853``), on
-stacked stage buffers, allocated once per pass, that each L^dag application
-writes straight into, with one BLAS product per stage sum and p parameter
-pairings per step.  A step whose stage states the solve kept
+a workspace the pass allocates once.  Its (s+1, d, d) stack holds [y_n,
+k_0 ... k_(s-2), -] while a step recomputes its stage states and [w_0 ...
+w_(s-1), lambda] after, so each stage state, each v_i (a packed, h-scaled
+row [a_(i+1)i ... a_(s-1)i, b_i] times the stack's rows i+1 ... s) and
+lambda_prev (a ones row times the whole stack) is one BLAS product; each
+L^dag application writes w_i straight into its row, and a step makes p
+parameter pairings.  A step whose stage states the solve kept
 (``SolveResult.step_stages``, filled by ``integrate(..., keep_stages=True)``)
 reads them as they are, with no L application; any other step computes its
 slopes again with s - 1 and forms its stage states with the forward step's
-row product, so the two give the same bits.
+row products, so the two give the same bits.
 It takes the forward solve's ``SolveResult`` as its only input besides the
 cost, and reads the model, x, span, checkpoints and step grid from it, so
 it always replays the trajectory that solve produced.  Because replay is
@@ -43,12 +47,14 @@ from .solver import (
     SolveConfig,
     SolveResult,
     dense_segment,
-    _A,
+    _S,
+    _TABLEAU,
+    _StageWork,
     _adaptive_core,
     _check_inputs,
     _CountedRhs,
     _final_state,
-    _stage_state,
+    _rows,
 )
 
 #: Central-difference step and relative tolerance of CostCofunction.verify.
@@ -254,12 +260,13 @@ def forward_sensitivity(
     The stacked system is d/dt (rho, sigma_1..sigma_p) = (L rho, L sigma_k +
     dL/dx_k rho for each k) with sigma_k(t0) = 0, solved in one adaptive
     integration whose error control acts on the whole stack; each evaluation
-    applies L p + 1 times.  Returns (rho(T) as a DensityOperator, the
+    applies L p + 1 times and writes each dL/dx_k rho into one scratch state.  Returns (rho(T) as a DensityOperator, the
     tangents sigma_k(T) as one array of shape (p, d, d)).
     """
     y0, x, t0, t_final = _check_inputs(model, x, rho0, t_span)
     p = model.n_params
     stacked0 = np.stack([y0] + [np.zeros_like(y0)] * p)
+    scratch = np.empty_like(y0)  # dL/dx_k rho, for each k in turn
     rhs_calls = 0
 
     def f(t: float, state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -271,13 +278,48 @@ def forward_sensitivity(
         lindblad_rhs(t, rho, model, x, out[0])
         for k in range(p):
             lindblad_rhs(t, state[k + 1], model, x, out[k + 1])
-            out[k + 1] += rhs_parameter_derivative(t, rho, model, x, k)
+            out[k + 1] += rhs_parameter_derivative(t, rho, model, x, k, scratch)
         return out
 
     trail = _adaptive_core(f, stacked0, t0, t_final, cfg)
     counters.forward_integrations += 1
     counters.rhs_evaluations += rhs_calls
     return _final_state(trail.final[0], cfg), trail.final[1:]
+
+
+#: The cotangent weights over [w_0 ... w_(s-1), lam], before h: row i holds a_(i+1)i ... a_(s-1)i
+#: in columns i + 1 ... s - 1 and b_i in column s, so v_i is row i's tail times rows i + 1 ... s.
+_COTANGENT_WEIGHTS = np.zeros((_S, _S + 1))
+_COTANGENT_WEIGHTS[:, :_S] = _TABLEAU[:_S, 1:].T
+_COTANGENT_WEIGHTS[:, _S] = DOP853.b
+_COTANGENT_WEIGHTS.setflags(write=False)
+_ONES = np.ones(_S + 1)
+_ONES.setflags(write=False)
+
+
+class _ReverseWork(_StageWork):
+    """The buffers and views of one adjoint pass's reverse steps on d x d states.
+
+    The inherited stack is [y_n, k_0 ... k_(s-2), -] while a step recomputes
+    its stage states into Y and [w_0 ... w_(s-1), lam] from then on, so
+    v_i = h [a_(i+1)i ... a_(s-1)i, b_i] @ stack[i+1:] is one BLAS product
+    and lam_prev = ones @ stack another, into ``lam``.  V holds the v_i, and
+    the compiled pairing kernel writes its (N, s) result into ``columns``.
+    """
+
+    def __init__(self, shape: tuple[int, ...]):
+        super().__init__(shape)
+        self.ys, self.vs, self.columns = np.empty((3, _S, *shape), dtype=np.complex128)
+        # a reverse step forms no step-end sums, so their first row takes lam_prev
+        self.lam, self.lam_flat = self.sums[0], self.sums_flat[0]
+        self.cotangent = np.empty((_S, _S + 1))
+        self.y_rows = _rows(self.ys)[1:]
+        self.ws = self.stack[:_S]
+        v_rows = _rows(self.vs)
+        # i = s-1 ... 0: (weights, operand rows i+1 ... s, v_i, its float64 view, w_i)
+        self.cotangent_terms = [
+            (self.cotangent[i, i + 1 :], self.flat[i + 1 :], *v_rows[i], self.ws[i]) for i in reversed(range(_S))
+        ]
 
 
 def _reverse_step(
@@ -289,46 +331,50 @@ def _reverse_step(
     lam: np.ndarray,
     grad: np.ndarray,
     f: Callable[..., np.ndarray],
-    work: np.ndarray,
+    work: _ReverseWork,
     stages: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Exact reverse-mode of one replayed step of the DOP853 tableau.
+    """Exact reverse-mode of one replayed step of the DOP853 tableau; returns lam_prev in work.lam.
 
     The s stage states Y are the step's kept forward ``stages`` if given;
-    otherwise they are formed into Y = work[0], each from the slope rows
-    before it by _stage_state, the forward step's row product, with f
-    filling the rows of W = work[2] as the loop reaches them, s - 1 calls
-    (the last stage's slope is never read).  It then runs the cotangent
-    recursion on V = work[1] and W
+    otherwise they are formed into work.ys with rk_stages' products, from
+    work.stack = [y_n, k_0 ...], with f filling its slope rows as the loop
+    reaches them, s - 1 calls (the last stage's slope is never read).  It
+    then runs the cotangent recursion on V and the stack, which now holds
+    [w_0 ... w_(s-1), lam]:
         v_i = h b_i lam + h sum_{j>i} a_ji w_j,   w_i = L^dag(t_i) v_i,
-    each w_i written straight into its row of W and each stage sum one BLAS
-    product A[i+1:, i] W[i+1:] over the float64 view of W, giving lam_prev =
-    lam + sum_i w_i.  Parameter sensitivities accumulate through the stage slopes: dc/dx_k += sum_i <v_i, (dL/dx_k)(t_i)
-    Y_i>, one rhs_parameter_derivative call on the whole stack Y, into W
-    (a compiled model's kernel writes its (N, s) result into work[3]), and
-    one vdot per parameter, so a step makes p such calls.
+    each v_i one BLAS product into its row of V and each w_i written
+    straight into row i, giving lam_prev = lam + sum_i w_i, one product with
+    a ones row.  Parameter sensitivities accumulate through the stage
+    slopes: dc/dx_k += sum_i <v_i, (dL/dx_k)(t_i) Y_i>, one
+    rhs_parameter_derivative call on the whole stack Y, into rows 0 ... s-1
+    of the stack (a compiled model's kernel writes its (N, s) result into
+    work.columns), and one vdot per parameter, so a step makes p such calls.
     """
-    s = _A.shape[0]
     stage_times = [t_n + c * h for c in DOP853.c]
-    ys, vs, ws, scratch = work
-    flat_ws = ws.reshape(s, -1).view(np.float64)
-    if stages is None:  # W is unused until the recursion below, so the fresh slopes fill it
-        ys[0] = y_n
-        for i in range(1, s):
-            f(stage_times[i - 1], ys[i - 1], ws[i - 1])
-            _stage_state(y_n, h, flat_ws, i, ys[i])
+    if stages is None:  # the stack is unused until the recursion below, so the fresh slopes fill it
+        ys = work.ys
+        np.copyto(ys[0], y_n)
+        np.copyto(work.stack[0], y_n)
+        f(t_n, ys[0], work.stack[1])
+        work.scale(h)
+        terms = zip(work.stage_terms, work.y_rows, work.slopes, stage_times[1:-1])
+        for (weights, operand), (state, flat), slope, t_i in terms:
+            np.dot(weights, operand, out=flat)
+            f(t_i, state, slope)
+        np.dot(*work.stage_terms[-1], out=work.y_rows[-1][1])
     else:
         ys = stages
-    for i in range(s - 1, -1, -1):
-        v = vs[i]
-        np.dot(_A[i + 1 :, i], flat_ws[i + 1 :], out=v.reshape(-1).view(np.float64))
-        v *= h
-        v += (h * DOP853.b[i]) * lam
-        adjoint_liouvillian_apply(model, x, stage_times[i], v, ws[i])
-    lam_prev = lam + ws.sum(axis=0)
+    np.copyto(work.stack[_S], lam)
+    np.multiply(_COTANGENT_WEIGHTS, h, out=work.cotangent)
+    for (weights, operand, v, v_flat, w), t_i in zip(work.cotangent_terms, reversed(stage_times)):
+        np.dot(weights, operand, out=v_flat)
+        adjoint_liouvillian_apply(model, x, t_i, v, w)
+    np.dot(_ONES, work.flat, out=work.lam_flat)
     for k in range(grad.shape[0]):
-        grad[k] += np.vdot(vs, rhs_parameter_derivative(stage_times, ys, model, x, k, ws, scratch)).real
-    return lam_prev
+        pairing = rhs_parameter_derivative(stage_times, ys, model, x, k, work.ws, work.columns)
+        grad[k] += np.vdot(work.vs, pairing).real
+    return work.lam
 
 
 def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResult:
@@ -362,9 +408,9 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     grad = np.zeros(model.n_params)
     stored = result.step_checkpoints
     pairs = list(zip(stored, stored[1:]))
-    s = _A.shape[0]
+    s = _S
     kept = len(result.step_stages)
-    work = np.empty((4, s, *rho_t.shape), dtype=np.complex128)
+    work = _ReverseWork(rho_t.shape)
 
     for (i_a, state_a), (i_b, _) in reversed(pairs):
         # replay stops at the start of the segment's last step: the state at

@@ -3,24 +3,26 @@
 The stepper is an explicit embedded Runge--Kutta pair on the complex density
 matrix with a stabilized PI step-size controller.  One tableau, ``DOP853``
 (Dormand--Prince 8(5,3), FSAL), drives the forward step, segment replay and
-the reverse pass in ``sensitivity``, all through a stacked slope buffer: the
-s slopes of a step fill one (s, *state shape) array that a solve or replay
-reuses for every step, each written in place by the right-hand side (one
-CSR kernel call into its row for a compiled model), each stage sum is one
-BLAS product over its float64 view, and the reverse pass makes p parameter
-pairings per step.  A solve that will be differentiated
-(``integrate(..., keep_stages=True)``) writes the stage states of its
-leading accepted steps straight into one kept (s, *state shape) stack per
-step, within what the checkpoint budget leaves and a fixed byte cap, so the
-reverse pass reads them with no right-hand-side call.  Every accepted step
-time and step size is recorded, and the ``SolveResult`` keeps the model and
-x it was solved with, so any segment between two checkpoints can later be
-replayed on the recorded grid from the result alone; replay performs the
-same floating-point operations as the original pass and is therefore
-bit-identical.  Checkpoints and replay
-spans are addressed by accepted-step index i; state i sits at step_times[i].
-Trace is never renormalized -- trace drift is reported as a diagnostic
-instead.
+the reverse pass in ``sensitivity``, each on a workspace it allocates once
+per pass: one (s+1, *state shape) stack [y_n, k_0 ... k_(s-1)] whose
+float64 view every stage sum reads, and the tableau with its a, b, e and e3
+columns scaled by h once per step.  Stage state i is then one BLAS product
+of the row [1, h a_i0 ... h a_i(i-1)] with the stack's first i + 1 rows,
+written straight into its kept or scratch row, and y_new, delta5 and delta3
+are one (3, s+1) product of [1, h b], [0, h e] and [0, h e3] into a reused
+sums buffer; each slope is written in place by the right-hand side (one CSR
+kernel call into its row for a compiled model).  A solve that will be
+differentiated (``integrate(..., keep_stages=True)``) writes the stage
+states of its leading accepted steps straight into one kept (s, *state
+shape) stack per step, within what the checkpoint budget leaves and a fixed
+byte cap, so the reverse pass reads them with no right-hand-side call.
+Every accepted step time and step size is recorded, and the ``SolveResult``
+keeps the model and x it was solved with, so any segment between two
+checkpoints can later be replayed on the recorded grid from the result
+alone; replay performs the same floating-point operations as the original
+pass and is therefore bit-identical.  Checkpoints and replay spans are
+addressed by accepted-step index i; state i sits at step_times[i].  Trace is
+never renormalized -- trace drift is reported as a diagnostic instead.
 """
 
 from __future__ import annotations
@@ -119,10 +121,17 @@ _K_EXP = 0.7 / (DOP853.error_order + 1)  # proportional exponent (on the current
 _KI_EXP = 0.4 / (DOP853.error_order + 1)  # integral exponent (on the previous error)
 _UNDERFLOW = 1e-14
 
-#: DOP853's a rows as one zero-padded (s, s) array: row i holds a_i0 ... a_i(i-1).
-_A = np.array([row + (0.0,) * (len(DOP853.c) - len(row)) for row in DOP853.a])
-#: The end-of-step weight rows b, e[:s] and e3[:s] (the FSAL weights of e and e3 are zero).
-_STEP_WEIGHTS = np.array([DOP853.b, DOP853.e[: len(DOP853.b)], DOP853.e3[: len(DOP853.b)]])
+_S = len(DOP853.c)
+#: The weights over a step's stack [y_n, k_0 ... k_(s-1)], before h: row i < s is stage i's
+#: [1, a_i0 ... a_i(i-1)], zero-padded, and rows s, s + 1, s + 2 are the step end's [1, b],
+#: [0, e] and [0, e3] (the FSAL weights of e and e3 are zero).  A step scales columns 1 ... s by h.
+_TABLEAU = np.array(
+    [(1.0, *row) + (0.0,) * (_S - len(row)) for row in DOP853.a]
+    + [(1.0, *DOP853.b), (0.0, *DOP853.e[:_S]), (0.0, *DOP853.e3[:_S])]
+)
+_TABLEAU.setflags(write=False)
+_FIRST_COLUMN = _TABLEAU[:, 0].copy()
+_STAGE_NODES = DOP853.c[1:]
 #: Most bytes of stage stacks a differentiated solve keeps for its reverse
 #: pass: every step at n <= 7 qubits, and none at n = 10 (192 MiB per stack).
 _KEPT_STAGES_MAX_BYTES = 64 * 2**20
@@ -210,74 +219,89 @@ def _rms(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(values) ** 2)))
 
 
-def _error_norm(
-    delta5: np.ndarray, delta3: np.ndarray, y: np.ndarray, y_new: np.ndarray, rtol: float, atol: float
-) -> float:
+def _error_norm(sums: np.ndarray, y: np.ndarray, rtol: float, atol: float) -> float:
     """Hairer's DOP853 blend err5^2 / sqrt((err5^2 + 0.01 err3^2) N) of the squared scaled norms.
 
-    The 3rd-order estimate keeps the 5th-order one from being too optimistic.
-    A squared norm that overflows gives inf, so the step is rejected.
+    ``sums`` is the step's (3, *y.shape) stack (y_new, delta5, delta3), and
+    the two estimates are read as its last two rows.  The 3rd-order estimate
+    keeps the 5th-order one from being too optimistic.  A squared norm that
+    overflows gives inf, so the step is rejected.
     """
-    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-    err5 = float(np.sum((np.abs(delta5) / scale) ** 2))
-    err3 = float(np.sum((np.abs(delta3) / scale) ** 2))
+    scale = np.maximum(np.abs(y), np.abs(sums[0]))
+    scale *= rtol
+    scale += atol
+    ratio = np.abs(sums[1:])
+    ratio /= scale
+    ratio *= ratio
+    err5, err3 = ratio.reshape(2, -1).sum(axis=1).tolist()
     if not (math.isfinite(err5) and math.isfinite(err3)):
         return math.inf
     if err5 == 0.0 and err3 == 0.0:
         return 0.0
-    return err5 / math.sqrt((err5 + 0.01 * err3) * delta5.size)
+    return err5 / math.sqrt((err5 + 0.01 * err3) * y.size)
 
 
-def _stage_state(y: np.ndarray, h: float, flat_slopes: np.ndarray, i: int, out: np.ndarray) -> None:
-    """Write stage state i, y + h A[i, :i] K[:i], into ``out``.
+def _rows(states: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(row, its float64 view) for each row of a C-contiguous complex stack, built once per stack."""
+    return list(zip(states, states.reshape(len(states), -1).view(np.float64)))
 
-    ``flat_slopes`` is the float64 (s, 2N) view of the slope stack K, and the
-    row product is one BLAS call into the float64 view of ``out``.  The
-    forward step and the reverse step's recompute both form their stage
-    states here, so the two are bit-equal.
+
+class _StageWork:
+    """The buffers and views of one pass of DOP853 steps on states of one shape.
+
+    ``stack`` is [y_n, k_0 ... k_(s-1)] and ``tableau`` is _TABLEAU with
+    columns 1 ... s scaled by the current h, so stage state i is one BLAS
+    product ``tableau[i, :i+1] @ stack[:i+1]`` over the float64 view, and
+    (y_new, delta5, delta3) is one (3, s+1) product into ``sums``.  Every
+    operand view is built here, once per pass, so a step slices nothing.
     """
-    increment = out.reshape(-1).view(np.float64)
-    np.dot(_A[i, :i], flat_slopes[:i], out=increment)
-    increment *= h
-    out += y
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.stack = np.empty((_S + 1, *shape), dtype=np.complex128)
+        self.flat = self.stack.reshape(_S + 1, -1).view(np.float64)
+        self.tableau = _TABLEAU.copy()
+        self.first_column = self.tableau[:, 0]
+        self.stage_terms = [(self.tableau[i, : i + 1], self.flat[: i + 1]) for i in range(1, _S)]
+        self.slopes = list(self.stack[2:])  # k_1 ... k_(s-1)
+        self.end_weights = self.tableau[_S:]
+        self.sums = np.empty((3, *shape), dtype=np.complex128)
+        self.sums_flat = self.sums.reshape(3, -1).view(np.float64)
+
+    def scale(self, h: float) -> None:
+        """Scale the tableau's columns 1 ... s by h for the next step."""
+        # two contiguous-source calls: a strided multiply would allocate a buffer
+        np.multiply(_TABLEAU, h, out=self.tableau)
+        np.copyto(self.first_column, _FIRST_COLUMN)
+
+
+def _scratch_rows(shape: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One scratch stage state, as the s - 1 rows rk_stages writes a step's stages 1 ... s-1 into."""
+    return _rows(np.empty((1, *shape), dtype=np.complex128)) * (_S - 1)
 
 
 def rk_stages(
-    f: Callable[..., np.ndarray], t: float, y: np.ndarray, h: float, slopes: np.ndarray, stages: np.ndarray
+    f: Callable[..., np.ndarray],
+    t: float,
+    h: float,
+    work: _StageWork,
+    stages: list[tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
-    """Fill rows 1 ... s-1 of the caller's (s, *y.shape) ``slopes``, whose row 0 holds f(t, y), and return it.
+    """One step's stages and sums: return work.sums, (y_new, delta5, delta3) of the step of size h.
 
-    This is the single source of the stage arithmetic; the adaptive loop and
-    segment replay both go through it, so a replayed step performs
-    bit-identical floating-point operations.  f(t, y, out) writes slope i
-    straight into its row K[i], and _stage_state forms stage state i from
-    the rows before it into ``stages``: an (s, *y.shape) stack that keeps
-    all of Y_0 = y ... Y_(s-1), or one scratch state that each overwrites.
+    On entry rows 0 and 1 of work.stack hold y_n and k_0 = f(t, y_n).
+    Stage state i is one BLAS product into ``stages[i - 1]`` (a row and its
+    float64 view: a kept stack's row i, or one scratch state every stage
+    overwrites), and f(t, y, out) writes its slope straight into row i + 1.
+    This is the single source of the step arithmetic; the adaptive loop and
+    segment replay both go through it on their own workspaces, so a
+    replayed step performs bit-identical floating-point operations.
     """
-    s = _A.shape[0]
-    flat = slopes.reshape(s, -1).view(np.float64)
-    stacked = stages.ndim > y.ndim
-    if stacked:
-        stages[0] = y
-    for i in range(1, s):
-        y_i = stages[i] if stacked else stages
-        _stage_state(y, h, flat, i, y_i)
-        f(t + DOP853.c[i] * h, y_i, slopes[i])
-    return slopes
-
-
-def _step_end(y: np.ndarray, h: float, slopes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(y_new, delta5, delta3) = (y + h sum_i b_i k_i, h sum_i e_i k_i, h sum_i e3_i k_i).
-
-    The three sums are one (3, s) x (s, 2N) product over the float64 view of
-    the slope stack.  The forward step and replay both call this with the
-    same operand shapes, so a replayed state is bit-equal to the forward one.
-    """
-    s = slopes.shape[0]
-    sums = np.dot(_STEP_WEIGHTS, slopes.reshape(s, -1).view(np.float64))
-    sums *= h
-    sums = sums.view(np.complex128).reshape(3, *y.shape)
-    return y + sums[0], sums[1], sums[2]
+    work.scale(h)
+    for (weights, operand), (state, flat), slope, c in zip(work.stage_terms, stages, work.slopes, _STAGE_NODES):
+        np.dot(weights, operand, out=flat)
+        f(t + c * h, state, slope)
+    np.dot(work.end_weights, work.flat, out=work.sums_flat)
+    return work.sums
 
 
 def _initial_step(
@@ -335,16 +359,19 @@ def _adaptive_core(
     are kept too, each counted as s states against the budget: checkpoints
     come first, and after each accepted step the kept count shrinks to what
     they leave, kept <= (budget - 1 - stored) // s, so at the end stored + s
-    kept <= budget.  A step that may be kept writes into a fresh stack, any
-    other into one scratch state, and _KEPT_STAGES_MAX_BYTES bounds the kept
-    bytes.  The room for stacks only shrinks, so kept steps are a prefix.
+    kept <= budget.  A step that may be kept writes into a fresh stack, which
+    a rejected try leaves to its retry, any other into one scratch state, and
+    _KEPT_STAGES_MAX_BYTES bounds the kept bytes.  The room for stacks only
+    shrinks, so kept steps are a prefix.  The solve owns one _StageWork, and
+    y_n lives in row 0 of its stack.
     """
-    y = y0
     span = t_final - t0
-    s = _A.shape[0]
-    slopes = np.empty((s, *y0.shape), dtype=np.complex128)
-    scratch = np.empty_like(slopes[0])
-    f0 = f(t0, y, slopes[0])
+    s = _S
+    work = _StageWork(y0.shape)
+    y, sums = work.stack[0], work.sums
+    scratch = _scratch_rows(y0.shape)
+    np.copyto(y, y0)
+    f0 = f(t0, y, work.stack[1])
     h = cfg.initial_step if cfg.initial_step is not None else _initial_step(f, t0, y, f0, span, cfg.rtol, cfg.atol)
     h = min(h, span)
 
@@ -352,8 +379,9 @@ def _adaptive_core(
     stored: list[tuple[int, np.ndarray]] = [(0, y.copy())]
     stride = 1
     # one slot each for the first and the final checkpoint
-    room = min((budget - 2) // s, _KEPT_STAGES_MAX_BYTES // slopes.nbytes) if keep_stages else 0
+    room = min((budget - 2) // s, _KEPT_STAGES_MAX_BYTES // (s * y0.nbytes)) if keep_stages else 0
     kept: list[np.ndarray] = []
+    fresh = None  # the stack a keepable try writes into, until a step keeps it
 
     step_times = [t0]
     step_sizes: list[float] = []
@@ -373,26 +401,35 @@ def _adaptive_core(
         last = t + h >= t_final
         if last:
             h = t_final - t
-        stages = np.empty_like(slopes) if len(kept) < room else scratch
+        if len(kept) < room:
+            if fresh is None:
+                fresh = np.empty((s, *y0.shape), dtype=np.complex128)
+                fresh_rows = _rows(fresh)[1:]
+            stages = fresh_rows
+        else:
+            stages = scratch
         # e[-1] = e3[-1] = 0: the estimates need no FSAL slope, so only an
         # accepted step pays for f(t + h, y_new)
         try:
-            rk_stages(f, t, y, h, slopes, stages)
-            y_new, delta5, delta3 = _step_end(y, h, slopes)
+            rk_stages(f, t, h, work, stages)
         except ValidationError as exc:  # lindblad_rhs rejects a stage state that blew up
             raise IntegrationError(f"step at t = {t:.6g} with h = {h:.3e} failed: {exc}") from exc
-        if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(delta5)) and np.all(np.isfinite(delta3))):
+        # any non-finite entry makes the sum non-finite; finite sums whose
+        # total overflows take the elementwise test
+        if not math.isfinite(work.sums_flat.sum()) and not np.isfinite(work.sums_flat).all():
             raise IntegrationError(f"non-finite state produced at t = {t:.6g} with h = {h:.3e}")
-        err = _error_norm(delta5, delta3, y, y_new, cfg.rtol, cfg.atol)
+        err = _error_norm(sums, y, cfg.rtol, cfg.atol)
         if err <= 1.0:
-            f(t + h, y_new, slopes[0])
+            if stages is not scratch:
+                np.copyto(fresh[0], y)
+                kept.append(fresh)
+                fresh = None
+            np.copyto(y, sums[0])
+            f(t + h, y, work.stack[1])
             t = t_final if last else t + h
-            y = y_new
             accepted += 1
             step_times.append(t)
             step_sizes.append(h)
-            if stages is not scratch:
-                kept.append(stages)
             if accepted % stride == 0 and t < t_final:
                 stored.append((accepted, y.copy()))
                 # reserve one slot for the final state appended below
@@ -413,6 +450,7 @@ def _adaptive_core(
             factor = _SAFETY * err ** (-_K_EXP)
             h = h * min(1.0, max(_MIN_FACTOR, factor))
 
+    y = y.copy()
     stored.append((accepted, y.copy()))
     return _CoreTrail(
         final=y,
@@ -545,15 +583,18 @@ def dense_segment(
     y = np.asarray(state_at_checkpoint, dtype=np.complex128)
 
     f = _CountedRhs(result.model, result.x)
-    if i_b > i_a:  # one slope stack and one stage state serve every replayed step
-        slopes, scratch = np.empty((_A.shape[0], *y.shape), dtype=np.complex128), np.empty_like(y)
+    if i_b > i_a:  # one workspace and one scratch stage state serve every replayed step
+        work, scratch = _StageWork(y.shape), _scratch_rows(y.shape)
+        y_n, y_new = work.stack[0], work.sums[0]
 
     times = result.step_times
     out: list[tuple[float, np.ndarray]] = [(float(times[i_a]), y)]
     for n in range(i_a, i_b):
         t_n, h_n = float(times[n]), float(result.step_sizes[n])
-        f(t_n, y, slopes[0])
-        y, _, _ = _step_end(y, h_n, rk_stages(f, t_n, y, h_n, slopes, scratch))
+        np.copyto(y_n, y)
+        f(t_n, y_n, work.stack[1])
+        rk_stages(f, t_n, h_n, work, scratch)
+        y = y_new.copy()
         out.append((float(times[n + 1]), y))
     counters.rhs_evaluations += f.calls
     return out

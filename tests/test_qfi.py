@@ -239,6 +239,24 @@ class TestOfParams:
         scale = max(1.0, float(np.max(np.abs(rep.gradient))))
         assert np.max(np.abs(rep.gradient - fd)) < 1e-4 * scale
 
+    @pytest.mark.bit_identity
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_gradient_is_bit_identical_across_checkpoint_budgets(self, n):
+        # 4 and 9 checkpoints keep no stage stack and replay multi-step
+        # segments; the default budget keeps every step's stage states
+        model, x, rho0 = preset_oat(n, 0.1), np.array([0.8, 0.6]), all_zero_density(n)
+        g = generator_from_preset("Sz", n)
+        reports, recomputed = [], []
+        for k in (None, 4, 9):
+            counters.reset()
+            reports.append(qfi_of_params(model, x, rho0, (0.0, 1.0), g, SolveConfig(checkpoints=k), want_gradient=True))
+            recomputed.append(counters.snapshot()["adjoint_rhs_evaluations"])
+        assert recomputed[0] == 0 and recomputed[1] == recomputed[2] > 0
+        assert [r.diagnostics["adjoint"]["longest_segment"] > 1 for r in reports] == [False, True, True]
+        for r in reports[1:]:
+            assert r.value == reports[0].value
+            assert np.array_equal(r.gradient, reports[0].gradient)
+
     def test_gradient_eval_is_one_forward_one_adjoint(self):
         model = preset_oat(2)
         counters.reset()

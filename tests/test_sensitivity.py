@@ -24,6 +24,7 @@ from lindbladiff.model import (
 )
 from lindbladiff.sensitivity import (
     _pair,
+    _ReverseWork,
     _reverse_step,
     CostCofunction,
     GradientResult,
@@ -35,7 +36,16 @@ from lindbladiff.sensitivity import (
     realify,
     state_entry_re_cost,
 )
-from lindbladiff.solver import DOP853, SolveConfig, _CountedRhs, _step_end, integrate, rk_stages
+from lindbladiff.solver import (
+    DOP853,
+    SolveConfig,
+    _CountedRhs,
+    _StageWork,
+    _scratch_rows,
+    dense_segment,
+    integrate,
+    rk_stages,
+)
 from lindbladiff.spins import PAULI_Z, collective_sx
 
 PLUS = DensityOperator.from_matrix(0.5 * np.array([[1, 1], [1, 1]], dtype=complex))
@@ -182,6 +192,28 @@ class TestForwardSensitivity:
         forward_sensitivity(preset_oat(2, 0.1), np.array([0.8, 0.6]), all_zero_density(2), (0.0, 1.0))
         assert calls > 0 and calls % 3 == 0
         assert counters.rhs_evaluations == calls
+
+    def test_parameter_terms_share_one_scratch_state(self, monkeypatch):
+        # dL/dx_k rho is written into one state the solve owns and added to
+        # its tangent's slope from there, for every k and every evaluation,
+        # with the bits of a fresh array per term
+        targets = []
+
+        def recorded(t, rho, model, x, k, out=None):
+            targets.append(out)
+            return rhs_parameter_derivative(t, rho, model, x, k, out)
+
+        def fresh(t, rho, model, x, k, out=None):
+            return rhs_parameter_derivative(t, rho, model, x, k)
+
+        model, x, rho0 = preset_oat(2, 0.1), np.array([0.8, 0.6]), all_zero_density(2)
+        monkeypatch.setattr(sensitivity, "rhs_parameter_derivative", fresh)
+        plain = forward_sensitivity(model, x, rho0, (0.0, 1.0))
+        monkeypatch.setattr(sensitivity, "rhs_parameter_derivative", recorded)
+        rho, tangents = forward_sensitivity(model, x, rho0, (0.0, 1.0))
+        assert len(targets) > 2 and targets[0] is not None
+        assert all(out is targets[0] for out in targets)
+        assert np.array_equal(rho.matrix, plain[0].matrix) and np.array_equal(tangents, plain[1])
 
 
 class TestAdjointGradient:
@@ -474,47 +506,65 @@ class TestKeptSlopes:
         assert len(res.step_stages) == 3
 
     @pytest.mark.bit_identity
-    def test_kept_stages_equal_the_recomputed_ones(self):
-        # row 0 is checkpoint n itself, and every row is the stage state that
-        # a reverse step without the kept stack forms into its Y buffer
+    @pytest.mark.parametrize("kernel", ["compiled", "sandwich"])
+    def test_forward_replay_and_reverse_form_the_same_stages(self, kernel, monkeypatch):
+        # the forward step, segment replay and the reverse step's recompute
+        # each run rk_stages' products on a workspace of their own, and must
+        # form the same stage states and the same y_(n+1); row 0 of a kept
+        # stack is checkpoint n itself
+        if kernel == "sandwich":
+            monkeypatch.setattr(model_module, "COMPILE_MAX_NNZ", 0)
         res = self._solve(1.0)
+        assert (res.model.superoperator is None) == (kernel == "sandwich")
         d = res.model.dimension
-        f = _CountedRhs(res.model, res.x)
-        work = np.empty((4, self.S, d, d), dtype=complex)
         assert len(res.step_stages) == res.stats.accepted > 1
+        replayed = []
+        stages_of = solver_module.rk_stages
+
+        def recording(f, t, h, work, rows):
+            # replay's own products, written into a stack instead of its scratch state
+            stack = np.empty((self.S, d, d), dtype=complex)
+            stack[0] = work.stack[0]
+            sums = stages_of(f, t, h, work, solver_module._rows(stack)[1:])
+            replayed.append(stack)
+            return sums
+
+        monkeypatch.setattr(solver_module, "rk_stages", recording)
+        nodes = dense_segment(res, res.step_checkpoints[0][1], (0, res.stats.accepted))
+        monkeypatch.setattr(solver_module, "rk_stages", stages_of)
+        assert len(replayed) == res.stats.accepted
+        f, work = _CountedRhs(res.model, res.x), _ReverseWork((d, d))
         for n, stages in enumerate(res.step_stages):
             i_n, y_n = res.step_checkpoints[n]
             assert i_n == n and np.array_equal(stages[0], y_n)
+            assert np.array_equal(replayed[n], stages)
+            assert np.array_equal(nodes[n + 1][1], res.step_checkpoints[n + 1][1])
             t_n, h_n = float(res.step_times[n]), float(res.step_sizes[n])
-            _reverse_step(res.model, res.x, t_n, y_n, h_n, np.eye(d, dtype=complex), np.zeros(2), f, work)
-            assert np.array_equal(stages, work[0])
+            _reverse_step(res.model, res.x, t_n, nodes[n][1], h_n, np.eye(d, dtype=complex), np.zeros(2), f, work)
+            assert np.array_equal(work.ys, stages)
+        assert np.array_equal(nodes[-1][1], res.final_state.matrix)
 
     def test_a_kept_step_forms_no_stage_state(self, monkeypatch):
         # at t = 40 a leading prefix of steps is kept: each of those reads its
-        # stack as it is, and every later step forms its s - 1 stage states
-        # after Y_0 = y_n
+        # stack as it is, leaving the Y buffer and f alone, and every later
+        # step forms its s - 1 stage states after Y_0 = y_n into Y
         res = self._solve(40.0)
         kept = len(res.step_stages)
         assert 0 < kept < res.stats.accepted
-        calls, formed = 0, {}
-        stage_state, reverse_step = sensitivity._stage_state, sensitivity._reverse_step
+        formed = {}
+        reverse_step = sensitivity._reverse_step
 
-        def counted_stage_state(*args):
-            nonlocal calls
-            calls += 1
-            return stage_state(*args)
-
-        def recorded_step(model, x, t_n, *args):
-            before = calls
-            lam = reverse_step(model, x, t_n, *args)
-            formed[int(np.searchsorted(res.step_times, t_n))] = calls - before
+        def recorded_step(model, x, t_n, y_n, h, lam, grad, f, work, stages=None):
+            before, calls = work.ys.copy(), f.calls
+            lam = reverse_step(model, x, t_n, y_n, h, lam, grad, f, work, stages)
+            n = int(np.searchsorted(res.step_times, t_n))
+            formed[n] = (f.calls - calls, not np.array_equal(before[1:], work.ys[1:]))
             return lam
 
-        monkeypatch.setattr(sensitivity, "_stage_state", counted_stage_state)
         monkeypatch.setattr(sensitivity, "_reverse_step", recorded_step)
         adjoint_gradient(res, state_entry_re_cost(0, 0))
         assert sorted(formed) == list(range(res.stats.accepted))
-        assert all(formed[n] == (0 if n < kept else self.S - 1) for n in formed)
+        assert all(formed[n] == ((0, False) if n < kept else (self.S - 1, True)) for n in formed)
 
     @pytest.mark.parametrize("kernel", ["sandwich", "compiled"])
     def test_reverse_steps_allocate_no_stage_stack(self, kernel, monkeypatch):
@@ -579,13 +629,14 @@ class TestReverseStep:
 
     def _step(self, model, x, y):
         f = _CountedRhs(model, x)
-        slopes = np.empty((len(DOP853.c), *y.shape), dtype=complex)
-        f(self.T_N, y, slopes[0])
-        return _step_end(y, self.H, rk_stages(f, self.T_N, y, self.H, slopes, np.empty_like(y)))[0]
+        work = _StageWork(y.shape)
+        work.stack[0] = y
+        f(self.T_N, y, work.stack[1])
+        return rk_stages(f, self.T_N, self.H, work, _scratch_rows(y.shape))[0].copy()
 
     def _reverse(self, model, x, y, lam, grad):
-        work = np.empty((4, len(DOP853.c), *y.shape), dtype=complex)
-        return _reverse_step(model, x, self.T_N, y, self.H, lam, grad, _CountedRhs(model, x), work)
+        work = _ReverseWork(y.shape)
+        return _reverse_step(model, x, self.T_N, y, self.H, lam, grad, _CountedRhs(model, x), work).copy()
 
     def test_is_exact_transpose_of_one_step(self, model):
         x = self.X

@@ -4,6 +4,7 @@ import functools
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -21,13 +22,17 @@ from lindbladiff.model import (
     all_zero_density,
     preset_oat,
 )
+from lindbladiff import model as model_module
+from lindbladiff import solver as solver_module
 from lindbladiff.solver import (
-    _A,
+    _TABLEAU,
     DOP853,
     SolveConfig,
     _CountedRhs,
+    _StageWork,
     _error_norm,
-    _step_end,
+    _rows,
+    _scratch_rows,
     dense_segment,
     integrate,
     rk_stages,
@@ -181,16 +186,32 @@ class TestTrailAndReplay:
         assert np.array_equal(a.step_sizes, b.step_sizes)
 
     @pytest.mark.bit_identity
-    def test_keeping_slopes_leaves_the_solve_unchanged(self):
-        # a rejected try's stack is dropped and the retry writes a fresh one,
-        # so a kept stack always holds the accepted step's stage states
+    def test_keeping_slopes_leaves_the_solve_unchanged(self, monkeypatch):
+        # a rejected try leaves its stack to the retry, which overwrites it,
+        # so a kept stack always holds the accepted step's stage states, and
+        # the solve allocates exactly one stack per kept step
         model = preset_oat(2, gamma=0.1)
         x = np.array([1.5, 1.2])
         cfg = SolveConfig(initial_step=0.5)
         a = integrate(model, x, all_zero_density(2), (0.0, 4.0), cfg)
+        stack_shape = (len(DOP853.c), 4, 4)
+        allocated = 0
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, shape, *args, **kwargs):
+                nonlocal allocated
+                allocated += tuple(shape) == stack_shape
+                return np.empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "np", CountingNumpy())
         b = integrate(model, x, all_zero_density(2), (0.0, 4.0), cfg, keep_stages=True)
+        monkeypatch.undo()
         assert b.stats.rejected >= 2 and b.stats == a.stats
         assert a.step_stages == () and len(b.step_stages) == b.stats.accepted
+        assert allocated == len(b.step_stages)
         assert np.array_equal(a.final_state.matrix, b.final_state.matrix)
         assert np.array_equal(a.step_sizes, b.step_sizes)
         assert [i for i, _ in a.step_checkpoints] == [i for i, _ in b.step_checkpoints]
@@ -200,12 +221,13 @@ class TestTrailAndReplay:
         states = [state for _, state in b.step_checkpoints]
         f = _CountedRhs(model, x)
         for n, stages in enumerate(b.step_stages):
-            h_n = float(b.step_sizes[n])
-            slopes, recomputed = np.empty((2, *stages.shape), dtype=complex)
-            f(float(b.step_times[n]), states[n], slopes[0])
-            rk_stages(f, float(b.step_times[n]), states[n], h_n, slopes, recomputed)
+            t_n, h_n = float(b.step_times[n]), float(b.step_sizes[n])
+            work, recomputed = _StageWork(states[n].shape), np.empty_like(stages)
+            recomputed[0] = work.stack[0] = states[n]
+            f(t_n, states[n], work.stack[1])
+            y_new = rk_stages(f, t_n, h_n, work, _rows(recomputed)[1:])[0]
             assert np.array_equal(stages, recomputed)
-            assert np.array_equal(_step_end(states[n], h_n, slopes)[0], states[n + 1])
+            assert np.array_equal(y_new, states[n + 1])
 
     def test_recorded_grid_ends_exactly_at_t_final(self):
         model = preset_oat(2)
@@ -328,9 +350,43 @@ class TestCostsAndErrors:
         small, huge = np.full(4, 1e-3 + 0j), np.full(4, 1e200 + 0j)
         with np.errstate(over="ignore"):
             for delta5, delta3 in ((small, huge), (huge, small), (huge, huge)):
-                assert _error_norm(delta5, delta3, y, y, 1e-8, 1e-10) == np.inf
-        assert _error_norm(small, small, y, y, 1e-8, 1e-10) > 1.0
-        assert _error_norm(y, y, y, y, 1e-8, 1e-10) == 0.0
+                assert _error_norm(np.stack([y, delta5, delta3]), y, 1e-8, 1e-10) == np.inf
+        assert _error_norm(np.stack([y, small, small]), y, 1e-8, 1e-10) > 1.0
+        assert _error_norm(np.stack([y, y, y]), y, 1e-8, 1e-10) == 0.0
+
+    @pytest.mark.parametrize("kernel", ["compiled", "sandwich"])
+    def test_a_step_allocates_less_than_one_state(self, kernel, monkeypatch):
+        # rk_stages writes every stage state, slope and sum into the pass's
+        # workspace: between its right-hand-side calls (whose own
+        # temporaries are the kernel's), the peak of traced memory over one
+        # step stays below one d x d state
+        if kernel == "sandwich":
+            monkeypatch.setattr(model_module, "COMPILE_MAX_NNZ", 0)
+        model = preset_oat(4, 0.1)
+        assert (model.superoperator is None) == (kernel == "sandwich")
+        y = all_zero_density(4).matrix
+        work, scratch = _StageWork(y.shape), _scratch_rows(y.shape)
+        rhs = _CountedRhs(model, np.array([0.8, 0.6]))
+        work.stack[0] = y
+        rhs(0.0, y, work.stack[1])
+        rk_stages(rhs, 0.0, 0.05, work, scratch)  # the compiled S(x) is formed on a first call
+        growth = []
+
+        def f(t, state, out):
+            growth.append(tracemalloc.get_traced_memory()[1] - start)
+            rhs(t, state, out)
+            tracemalloc.reset_peak()
+
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rk_stages(f, 0.0, 0.05, work, scratch)
+            growth.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert len(growth) == len(DOP853.c)
+        assert max(growth) < y.nbytes
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_parameters_rejected_before_any_rhs_call(self, bad):
@@ -529,10 +585,13 @@ def test_dop853_literals_equal_scipy_bit_for_bit():
 
     assert same(DOP853.c, coeffs.C[:s])
     assert same(a, coeffs.A[:s, :s])
-    assert same(_A, coeffs.A[:s, :s])  # the padded array the stage sums read
     assert same(DOP853.b, coeffs.A[s, :s])
     assert same(DOP853.e, coeffs.E5)
     assert same(DOP853.e3, coeffs.E3)
+    # the weight table the stage and end products read, before h scales it
+    assert same(_TABLEAU[:, 0], [1.0] * (s + 1) + [0.0, 0.0])
+    assert same(_TABLEAU[:s, 1:], coeffs.A[:s, :s])
+    assert same(_TABLEAU[s:, 1:], [coeffs.A[s, :s], coeffs.E5[:s], coeffs.E3[:s]])
 
 
 def test_import_leaves_scipy_integrate_unloaded():
