@@ -20,9 +20,15 @@ lambda_prev (a ones row times the whole stack) is one BLAS product; each
 L^dag application writes w_i straight into its row, and a step makes p
 parameter pairings.  A step whose stage states the solve kept
 (``SolveResult.step_stages``, filled by ``integrate(..., keep_stages=True)``)
-reads them as they are, with no L application; any other step computes its
-slopes again with s - 1 and forms its stage states with the forward step's
-row products, so the two give the same bits.
+reads them as they are, with no L application.  So does a step that
+segment replay has just taped: the pass allocates one (m, s, d, d) tape,
+and each replayed step without a kept stack writes its stage states into
+its row as it forms them (m is the longest segment's such steps less one,
+capped so that the tape and the kept stacks share solver's byte cap).  Only
+each segment's last step, which replay does not reach, and the steps beyond
+the cap compute their slopes again with s - 1 L applications and form
+their stage states with the forward step's row products, so all three
+sources give the same bits.
 It takes the forward solve's ``SolveResult`` as its only input besides the
 cost, and reads the model, x, span, checkpoints and step grid from it, so
 it always replays the trajectory that solve produced.  Because replay is
@@ -55,6 +61,7 @@ from .solver import (
     _CountedRhs,
     _final_state,
     _rows,
+    _stacks_under_cap,
 )
 
 #: Central-difference step and relative tolerance of CostCofunction.verify.
@@ -336,7 +343,7 @@ def _reverse_step(
 ) -> np.ndarray:
     """Exact reverse-mode of one replayed step of the DOP853 tableau; returns lam_prev in work.lam.
 
-    The s stage states Y are the step's kept forward ``stages`` if given;
+    The s stage states Y are ``stages`` if given, the step's kept or taped stack;
     otherwise they are formed into work.ys with rk_stages' products, from
     work.stack = [y_n, k_0 ...], with f filling its slope rows as the loop
     reaches them, s - 1 calls (the last stage's slope is never read).  It
@@ -388,15 +395,22 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     state), and dc/dT.  For a fresh solve pass ``integrate(model, x, rho0,
     t_span, cfg, keep_stages=True)``: the steps whose stage states it kept
     then need no stage recompute, and the gradient is bit-equal either way.
-    The diagnostics come from the checkpoints' step indices: ``segments``
-    (stored count - 1), ``steps_replayed`` (the reverse-differentiated
-    steps: the last index, = accepted) and ``longest_segment`` (the largest
-    gap between indices); ``kept_stage_steps`` is the number of reverse
-    steps that read kept forward stage states, ``adjoint_rhs_evaluations``
-    the L applications that recompute stage states, (s - 1) per step without
-    kept ones, and ``adjoint_generator_applications`` the L^dag applications
-    of the stage recursion, s per step.  The retained-state count includes
-    each kept stage stack as s states.
+    Replay fills one tape, allocated once per pass, with the stage states of
+    every replayed step that has no kept stack, so of each segment only the
+    last step recomputes them, unless the tape and the kept stacks would
+    pass the byte cap: then each segment tapes as many leading steps as the
+    tape holds.  The diagnostics come from the checkpoints' step indices:
+    ``segments`` (stored count - 1), ``steps_replayed`` (the
+    reverse-differentiated steps: the last index, = accepted) and
+    ``longest_segment`` (the largest gap between indices);
+    ``kept_stage_steps`` and ``taped_stage_steps`` are the numbers of
+    reverse steps that read kept forward stage states and taped replayed
+    ones, ``adjoint_rhs_evaluations`` the L applications that recompute
+    stage states, (s - 1) per step with neither, and
+    ``adjoint_generator_applications`` the L^dag applications of the stage
+    recursion, s per step.  The retained-state count includes each kept
+    stack and each tape row as s states, so its peak is at most
+    checkpoints + longest + s (longest - 1).
     """
     model, x, t_final = result.model, result.x, result.t_span[1]
     rho_t = result.final_state.matrix
@@ -411,14 +425,27 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     s = _S
     kept = len(result.step_stages)
     work = _ReverseWork(rho_t.shape)
+    # a segment's replayed steps without kept stacks, from max(i_a, kept) up
+    # to the one before its last, read the tape; the tape and the kept
+    # stacks share the byte cap
+    need = max(i_b - 1 - max(i_a, kept) for (i_a, _), (i_b, _) in pairs)
+    rows = max(0, min(need, _stacks_under_cap(rho_t.nbytes) - kept))
+    tape = np.empty((rows, s, *rho_t.shape), dtype=np.complex128) if rows else None
+    taped = 0
 
     for (i_a, state_a), (i_b, _) in reversed(pairs):
         # replay stops at the start of the segment's last step: the state at
         # its right end is the stored next checkpoint, which nothing reads
-        segment = dense_segment(result, state_a, (i_a, i_b - 1))
-        counters.note_retained_states(len(stored) + len(segment) - 1 + s * kept)
+        segment = dense_segment(result, state_a, (i_a, i_b - 1), tape=tape)
+        counters.note_retained_states(len(stored) + len(segment) - 1 + s * (kept + rows))
+        first = max(i_a, kept)
+        on_tape = max(0, min(rows, i_b - 1 - first))
+        taped += on_tape
         for n, (t_n, y_n), h_n in reversed(list(zip(range(i_a, i_b), segment, result.step_sizes[i_a:i_b]))):
-            stages = result.step_stages[n] if n < kept else None
+            if n < kept:
+                stages = result.step_stages[n]
+            else:
+                stages = tape[n - first] if n - first < on_tape else None
             lam = _reverse_step(model, x, t_n, y_n, float(h_n), lam, grad, f, work, stages)
 
     applications = s * stored[-1][0]  # _reverse_step applies L^dag once per stage
@@ -430,6 +457,7 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
         "steps_replayed": stored[-1][0],
         "longest_segment": max(i_b - i_a for (i_a, _), (i_b, _) in pairs),
         "kept_stage_steps": kept,
+        "taped_stage_steps": taped,
         "adjoint_rhs_evaluations": f.calls,
         "adjoint_generator_applications": applications,
         "fd_fallback": model.hamiltonian.uses_fd_fallback,

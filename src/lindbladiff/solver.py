@@ -15,7 +15,11 @@ kernel call into its row for a compiled model).  A solve that will be
 differentiated (``integrate(..., keep_stages=True)``) writes the stage
 states of its leading accepted steps straight into one kept (s, *state
 shape) stack per step, within what the checkpoint budget leaves and a fixed
-byte cap, so the reverse pass reads them with no right-hand-side call.
+byte cap, so the reverse pass reads them with no right-hand-side call;
+segment replay writes the stage states of its steps into the reverse
+pass's tape (``dense_segment(..., tape=)``) in the same way, within the
+same cap.  The error norm writes its scaled terms into a buffer of the
+workspace, so a try allocates no state-sized temporary.
 Every accepted step time and step size is recorded, and the ``SolveResult``
 keeps the model and x it was solved with, so any segment between two
 checkpoints can later be replayed on the recorded grid from the result
@@ -133,8 +137,14 @@ _TABLEAU.setflags(write=False)
 _FIRST_COLUMN = _TABLEAU[:, 0].copy()
 _STAGE_NODES = DOP853.c[1:]
 #: Most bytes of stage stacks a differentiated solve keeps for its reverse
-#: pass: every step at n <= 7 qubits, and none at n = 10 (192 MiB per stack).
+#: pass, together with the reverse pass's tape of replayed stacks: every step
+#: at n <= 7 qubits, and none at n = 10 (192 MiB per stack).
 _KEPT_STAGES_MAX_BYTES = 64 * 2**20
+
+
+def _stacks_under_cap(state_nbytes: int) -> int:
+    """How many (s, *state shape) stage stacks of states of ``state_nbytes`` bytes fit in the byte cap."""
+    return _KEPT_STAGES_MAX_BYTES // (_S * state_nbytes)
 
 
 def require_count(value, name: str, minimum: int) -> None:
@@ -219,19 +229,34 @@ def _rms(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(values) ** 2)))
 
 
-def _error_norm(sums: np.ndarray, y: np.ndarray, rtol: float, atol: float) -> float:
+def _error_norm(
+    sums: np.ndarray,
+    y: np.ndarray,
+    rtol: float,
+    atol: float,
+    scale: np.ndarray | None = None,
+    ratio: np.ndarray | None = None,
+) -> float:
     """Hairer's DOP853 blend err5^2 / sqrt((err5^2 + 0.01 err3^2) N) of the squared scaled norms.
 
     ``sums`` is the step's (3, *y.shape) stack (y_new, delta5, delta3), and
     the two estimates are read as its last two rows.  The 3rd-order estimate
     keeps the 5th-order one from being too optimistic.  A squared norm that
-    overflows gives inf, so the step is rejected.
+    overflows gives inf, so the step is rejected.  ``scale`` (y's shape) and
+    ``ratio`` ((2, *y.shape)), two C-contiguous float64 buffers that share
+    no memory (numpy copies an operand that may overlap the output), take
+    the scale and the two scaled estimates, so a try that passes them
+    allocates no state-sized temporary.
     """
-    scale = np.maximum(np.abs(y), np.abs(sums[0]))
+    if scale is None:
+        scale, ratio = np.empty(y.shape), np.empty((2, *y.shape))
+    np.abs(y, out=scale)
+    np.maximum(scale, np.abs(sums[0], out=ratio[0]), out=scale)
     scale *= rtol
     scale += atol
-    ratio = np.abs(sums[1:])
-    ratio /= scale
+    np.abs(sums[1:], out=ratio)
+    for estimate in ratio:  # row by row: a broadcast scale would make numpy allocate a 64 KiB buffer
+        estimate /= scale
     ratio *= ratio
     err5, err3 = ratio.reshape(2, -1).sum(axis=1).tolist()
     if not (math.isfinite(err5) and math.isfinite(err3)):
@@ -252,8 +277,10 @@ class _StageWork:
     ``stack`` is [y_n, k_0 ... k_(s-1)] and ``tableau`` is _TABLEAU with
     columns 1 ... s scaled by the current h, so stage state i is one BLAS
     product ``tableau[i, :i+1] @ stack[:i+1]`` over the float64 view, and
-    (y_new, delta5, delta3) is one (3, s+1) product into ``sums``.  Every
-    operand view is built here, once per pass, so a step slices nothing.
+    (y_new, delta5, delta3) is one (3, s+1) product into ``sums``, whose
+    error norm writes its scale and scaled estimates into ``error_scale``
+    and ``error_ratio``.  Every operand view is built here, once per pass,
+    so a step slices nothing.
     """
 
     def __init__(self, shape: tuple[int, ...]):
@@ -266,6 +293,7 @@ class _StageWork:
         self.end_weights = self.tableau[_S:]
         self.sums = np.empty((3, *shape), dtype=np.complex128)
         self.sums_flat = self.sums.reshape(3, -1).view(np.float64)
+        self.error_scale, self.error_ratio = np.empty(shape), np.empty((2, *shape))
 
     def scale(self, h: float) -> None:
         """Scale the tableau's columns 1 ... s by h for the next step."""
@@ -379,7 +407,7 @@ def _adaptive_core(
     stored: list[tuple[int, np.ndarray]] = [(0, y.copy())]
     stride = 1
     # one slot each for the first and the final checkpoint
-    room = min((budget - 2) // s, _KEPT_STAGES_MAX_BYTES // (s * y0.nbytes)) if keep_stages else 0
+    room = min((budget - 2) // s, _stacks_under_cap(y0.nbytes)) if keep_stages else 0
     kept: list[np.ndarray] = []
     fresh = None  # the stack a keepable try writes into, until a step keeps it
 
@@ -418,7 +446,7 @@ def _adaptive_core(
         # total overflows take the elementwise test
         if not math.isfinite(work.sums_flat.sum()) and not np.isfinite(work.sums_flat).all():
             raise IntegrationError(f"non-finite state produced at t = {t:.6g} with h = {h:.3e}")
-        err = _error_norm(sums, y, cfg.rtol, cfg.atol)
+        err = _error_norm(sums, y, cfg.rtol, cfg.atol, work.error_scale, work.error_ratio)
         if err <= 1.0:
             if stages is not scratch:
                 np.copyto(fresh[0], y)
@@ -563,7 +591,11 @@ def integrate(
 
 
 def dense_segment(
-    result: SolveResult, state_at_checkpoint: np.ndarray, steps: tuple[int, int]
+    result: SolveResult,
+    state_at_checkpoint: np.ndarray,
+    steps: tuple[int, int],
+    *,
+    tape: np.ndarray | None = None,
 ) -> list[tuple[float, np.ndarray]]:
     """Recompute accepted-step states i_a ... i_b, integer ``steps`` = (i_a, i_b), for the reverse pass.
 
@@ -574,6 +606,15 @@ def dense_segment(
     so a caller may replay from a state it recomputed itself.  Returns
     [(t_i, state_i) for i = i_a ... i_b] with t_i = result.step_times[i];
     when i_b == i_a that is just [(t_i_a, state_a)], with no RHS call.
+
+    ``tape``, a writable C-contiguous complex128 (m, s, *state shape) array,
+    is filled like ``out=``: the replayed steps that have no stack in
+    ``result.step_stages``, from the first of them on, write their stage
+    stacks into its rows 0 ... m-1 in step order, just as the forward solve
+    writes a kept stack (row 0 y_n, rows 1 ... s-1 the stage states formed
+    by the same products), and any further step forms its stages in one
+    scratch state.  So the first taped step is max(i_a, len(step_stages)),
+    and a taped row holds the bits the reverse step would recompute.
     """
     i_a, i_b = operator.index(steps[0]), operator.index(steps[1])
     if not 0 <= i_a <= i_b <= result.stats.accepted:
@@ -581,6 +622,16 @@ def dense_segment(
     # no copy: the returned list shares the caller's checkpoint array as its
     # left endpoint, keeping reverse-pass retained states at K + segment steps
     y = np.asarray(state_at_checkpoint, dtype=np.complex128)
+    if tape is None:
+        tape = np.empty((0, _S, *y.shape), dtype=np.complex128)
+    elif (
+        not isinstance(tape, np.ndarray)
+        or tape.dtype != np.complex128
+        or tape.shape[1:] != (_S, *y.shape)
+        or not (tape.flags.c_contiguous and tape.flags.writeable)
+    ):
+        raise ValidationError(f"tape must be a writable C-contiguous complex128 (m, {_S}, *{y.shape}) array")
+    first = max(i_a, len(result.step_stages))
 
     f = _CountedRhs(result.model, result.x)
     if i_b > i_a:  # one workspace and one scratch stage state serve every replayed step
@@ -593,7 +644,11 @@ def dense_segment(
         t_n, h_n = float(times[n]), float(result.step_sizes[n])
         np.copyto(y_n, y)
         f(t_n, y_n, work.stack[1])
-        rk_stages(f, t_n, h_n, work, scratch)
+        if first <= n < first + len(tape):
+            np.copyto(tape[n - first, 0], y)
+            rk_stages(f, t_n, h_n, work, _rows(tape[n - first])[1:])
+        else:
+            rk_stages(f, t_n, h_n, work, scratch)
         y = y_new.copy()
         out.append((float(times[n + 1]), y))
     counters.rhs_evaluations += f.calls

@@ -78,8 +78,9 @@ def test_traced_sites_see_every_generator_application(checkpoints, t_end):
     # the per-layer model.rhs_calls and sensitivity.adjoint_apply_calls count
     # spans at the binding sites, so every application must pass through them;
     # at t = 1 the default budget keeps every step's stage states, so the reverse
-    # pass recomputes no stage, and 4 checkpoints keep none; at t = 40 the
-    # kept steps are a strict prefix, so one pass reads both stage sources
+    # pass recomputes no stage, and 4 checkpoints keep none but tape every
+    # segment's steps but its last; at t = 40 the kept steps are a strict
+    # prefix, so one pass reads both the kept and the recomputed stages
     from lindbladiff import counters
     from lindbladiff.model import all_zero_density, preset_oat
     from lindbladiff.qfi import generator_from_preset, qfi_of_params
@@ -103,7 +104,10 @@ def test_traced_sites_see_every_generator_application(checkpoints, t_end):
     snap = counters.snapshot()
     assert report.diagnostics["adjoint"]["steps_replayed"] == steps
     s = len(DOP853.c)
-    assert snap["adjoint_rhs_evaluations"] == (s - 1) * (steps - kept)
+    adjoint = report.diagnostics["adjoint"]
+    taped = adjoint["taped_stage_steps"]
+    assert taped == (steps - adjoint["segments"] if checkpoints == 4 else 0)
+    assert snap["adjoint_rhs_evaluations"] == (s - 1) * (steps - kept - taped)
     # forward and replay, reverse stages, and the one dc/dT evaluation
     assert homes.count("model.lindblad_rhs") == snap["rhs_evaluations"] + snap["adjoint_rhs_evaluations"] + 1
     assert homes.count("sensitivity.adjoint_liouvillian_apply") == len(DOP853.c) * steps > 0

@@ -372,12 +372,18 @@ class TestAdjointGradient:
 
     def test_reverse_step_skips_the_last_stage_slope(self):
         # the reverse step needs the s stage states, and the last one depends
-        # on the first s - 1 slopes only; with every step's stage states kept
-        # (the default budget at t = 1) it calls f not at all
-        for checkpoints, keep_stages, per_step in [(4, False, len(DOP853.b) - 1), (None, True, 0)]:
+        # on the first s - 1 slopes only; with 4 checkpoints replay tapes every
+        # step but each segment's last, so only those recompute; with every
+        # step's stage states kept (the default budget at t = 1) it calls f not at all
+        s = len(DOP853.b)
+        for checkpoints, keep_stages in [(4, False), (None, True)]:
             res, grad, _ = self._replayed_gradient(checkpoints, keep_stages)
-            assert len(res.step_stages) == (res.stats.accepted if keep_stages else 0)
-            assert grad.diagnostics["adjoint_rhs_evaluations"] == per_step * res.stats.accepted
+            diag = grad.diagnostics
+            assert len(res.step_stages) == diag["kept_stage_steps"] == (res.stats.accepted if keep_stages else 0)
+            assert diag["taped_stage_steps"] == (0 if keep_stages else res.stats.accepted - diag["segments"])
+            recomputed = res.stats.accepted - diag["kept_stage_steps"] - diag["taped_stage_steps"]
+            assert diag["adjoint_rhs_evaluations"] == (s - 1) * recomputed
+            assert recomputed == (0 if keep_stages else diag["segments"])
 
     def test_non_hermitian_hamiltonian_rejected_before_any_rhs_call(self):
         # x0 * i*I commutes with every state, so only the boundary check stops the solve
@@ -417,7 +423,9 @@ class TestAdjointGradient:
         diag = counters.snapshot()
         indices = [i for i, _ in res.step_checkpoints]
         longest = max(b - a for a, b in zip(indices, indices[1:]))
-        assert diag["peak_retained_states"] <= len(indices) + longest
+        assert longest > 1
+        # checkpoints, one replayed segment and a tape of s-state stacks for all but its last step
+        assert diag["peak_retained_states"] <= len(indices) + longest + len(DOP853.c) * (longest - 1)
 
     def test_the_cost_gradient_runs_once_per_pass(self):
         # the verifier checks the cotangent that starts the sweep, so one
@@ -466,8 +474,12 @@ class TestKeptSlopes:
         res = self._solve(1.0, SolveConfig(checkpoints=8))
         assert res.step_stages == ()
         grad = adjoint_gradient(res, state_entry_re_cost(0, 0))
-        assert grad.diagnostics["kept_stage_steps"] == 0
-        assert grad.diagnostics["adjoint_rhs_evaluations"] == (self.S - 1) * res.stats.accepted
+        diag = grad.diagnostics
+        assert diag["kept_stage_steps"] == 0
+        # replay tapes every step but each segment's last, so only those recompute
+        assert diag["longest_segment"] > 1
+        assert diag["taped_stage_steps"] == res.stats.accepted - diag["segments"]
+        assert diag["adjoint_rhs_evaluations"] == (self.S - 1) * diag["segments"]
 
     @pytest.mark.bit_identity
     def test_a_long_solve_keeps_what_the_checkpoints_leave(self):
@@ -605,9 +617,109 @@ class TestKeptSlopes:
         kept = grad.diagnostics["kept_stage_steps"]
         assert kept == len(res.step_stages)
         assert len(res.step_checkpoints) + self.S * kept <= cfg.checkpoint_budget
+        longest = grad.diagnostics["longest_segment"]
+        assert kept == 0 or longest == 1  # a budget that keeps stacks stores every step
         peak = counters.snapshot()["peak_retained_states"]
-        assert peak <= cfg.checkpoint_budget + grad.diagnostics["longest_segment"]
-        assert peak >= len(res.step_checkpoints) + self.S * kept
+        assert peak <= cfg.checkpoint_budget + longest + self.S * (longest - 1)
+        # at n = 2 the byte cap leaves room for a tape of every segment's steps but its last
+        assert peak >= len(res.step_checkpoints) + self.S * kept + self.S * (longest - 1)
+
+
+class TestTapedReplay:
+    """When the budget makes the reverse pass replay multi-step segments,
+    replay writes each step's stage states into a tape the pass allocates
+    once, and the reverse step reads them instead of recomputing them."""
+
+    S = len(DOP853.c)
+    X = np.array([0.8, 0.6])
+
+    def _solve(self, n, t_end=1.0, cfg=SolveConfig(checkpoints=4), keep_stages=False):
+        return integrate(preset_oat(n, 0.1), self.X, all_zero_density(n), (0.0, t_end), cfg, keep_stages=keep_stages)
+
+    @pytest.mark.bit_identity
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_taped_gradient_equals_the_recomputed_one_bit_for_bit(self, n, monkeypatch):
+        # the same solve differentiated three times: the cap fits a full
+        # tape, a 2-step tape (each longer segment tapes a prefix) or none
+        res = self._solve(n)
+        cost = observable_cost(collective_sx(n))
+        stack_bytes = self.S * res.final_state.matrix.nbytes
+        grads = []
+        for cap in (solver_module._KEPT_STAGES_MAX_BYTES, 2 * stack_bytes + stack_bytes // 2, 0):
+            monkeypatch.setattr(solver_module, "_KEPT_STAGES_MAX_BYTES", cap)
+            grads.append(adjoint_gradient(res, cost))
+        diag = grads[0].diagnostics
+        segments, steps = diag["segments"], res.stats.accepted
+        lengths = np.diff([i for i, _ in res.step_checkpoints])
+        assert diag["longest_segment"] > 2
+        assert [g.diagnostics["taped_stage_steps"] for g in grads] == [
+            steps - segments,
+            int(np.minimum(lengths - 1, 2).sum()),
+            0,
+        ]
+        for g in grads:
+            untaped = steps - g.diagnostics["taped_stage_steps"]
+            assert g.diagnostics["adjoint_rhs_evaluations"] == (self.S - 1) * untaped
+        for g in grads[1:]:
+            assert np.array_equal(g.dc_dx, grads[0].dc_dx)
+            assert np.array_equal(g.dc_drho0, grads[0].dc_drho0)
+            assert g.dc_dT == grads[0].dc_dT
+
+    def test_the_tape_is_allocated_once_per_pass(self, monkeypatch):
+        # every segment's replay fills the one tape the pass allocated, and
+        # no replay allocates anything near the tape's size of its own
+        res = self._solve(4)
+        tapes, growth = [], []
+        replay = sensitivity.dense_segment
+
+        def measured_replay(*args, **kwargs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            segment = replay(*args, **kwargs)
+            growth.append(tracemalloc.get_traced_memory()[1] - start)
+            tapes.append(kwargs["tape"])
+            return segment
+
+        monkeypatch.setattr(sensitivity, "dense_segment", measured_replay)
+        tracemalloc.start()
+        try:
+            grad = adjoint_gradient(res, state_entry_re_cost(0, 0))
+        finally:
+            tracemalloc.stop()
+        tape = tapes[0]
+        assert len(tapes) == grad.diagnostics["segments"] > 1
+        assert all(t is tape for t in tapes)
+        assert tape.shape == (grad.diagnostics["longest_segment"] - 1, self.S, 16, 16)
+        assert max(growth) < tape.nbytes
+
+    def test_the_tape_starts_after_the_kept_steps(self):
+        # with kept stacks for steps 0 ... kept - 1, a replay from step 0
+        # tapes steps kept, kept + 1, ...: each taped row holds the stage
+        # states the reverse step forms when it recomputes that step
+        res = self._solve(2, 40.0, SolveConfig(), keep_stages=True)
+        kept, d = len(res.step_stages), res.model.dimension
+        assert 0 < kept < res.stats.accepted - 2
+        tape = np.empty((2, self.S, d, d), dtype=complex)
+        nodes = dense_segment(res, res.step_checkpoints[0][1], (0, kept + 2), tape=tape)
+        f, work = _CountedRhs(res.model, res.x), _ReverseWork((d, d))
+        for j, n in enumerate((kept, kept + 1)):
+            t_n, h_n = float(res.step_times[n]), float(res.step_sizes[n])
+            _reverse_step(res.model, res.x, t_n, nodes[n][1], h_n, np.eye(d, dtype=complex), np.zeros(2), f, work)
+            assert np.array_equal(tape[j], work.ys)
+
+    @pytest.mark.parametrize(
+        "tape",
+        [
+            np.empty((2, 12, 4, 4)),
+            np.empty((2, 11, 4, 4), dtype=complex),
+            np.empty((2, 12, 4, 8), dtype=complex)[..., ::2],
+        ],
+        ids=["real", "short-stack", "strided"],
+    )
+    def test_a_malformed_tape_is_rejected(self, tape):
+        res = self._solve(2)
+        with pytest.raises(ValidationError, match="tape"):
+            dense_segment(res, res.step_checkpoints[0][1], (0, 2), tape=tape)
 
 
 class TestReverseStep:
