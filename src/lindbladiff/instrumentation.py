@@ -5,7 +5,7 @@ backward pass per gradient evaluation) and the reverse-pass memory ceiling.
 Counting is observational only and never changes numerical behavior.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 
 @dataclass
@@ -18,26 +18,15 @@ class Counters:
     peak_retained_states: int = 0
 
     def reset(self) -> None:
-        self.forward_integrations = 0
-        self.adjoint_passes = 0
-        self.rhs_evaluations = 0
-        self.adjoint_rhs_evaluations = 0
-        self.adjoint_generator_applications = 0
-        self.peak_retained_states = 0
+        for f in fields(self):
+            setattr(self, f.name, 0)
 
     def note_retained_states(self, n: int) -> None:
         if n > self.peak_retained_states:
             self.peak_retained_states = n
 
     def snapshot(self) -> dict:
-        return {
-            "forward_integrations": self.forward_integrations,
-            "adjoint_passes": self.adjoint_passes,
-            "rhs_evaluations": self.rhs_evaluations,
-            "adjoint_rhs_evaluations": self.adjoint_rhs_evaluations,
-            "adjoint_generator_applications": self.adjoint_generator_applications,
-            "peak_retained_states": self.peak_retained_states,
-        }
+        return asdict(self)
 
 
 #: Module-level singleton; reset() it around a measured section.

@@ -44,9 +44,6 @@ from .errors import ShapeMismatchError, ValidationError
 from .linalg import Operator
 from .spins import LOWERING, all_zero_state, as_sparse, collective_sx, collective_sz, embed_single
 
-#: Step used by the central-difference fallback for dH/dx_k, scaled by max(1, |x_k|).
-FD_FALLBACK_STEP = 1e-6
-
 _FLOAT64 = np.dtype(np.float64)
 
 #: Largest anti-Hermitian part a Hamiltonian operand may have, in Frobenius norm
@@ -175,32 +172,24 @@ class JumpChannel:
 
 @dataclass(frozen=True)
 class HamiltonianSchedule:
-    """Evaluation rule (t, x) -> H plus optional analytic dH/dx_k rule.
+    """Evaluation rule (t, x) -> H plus the analytic dH/dx_k rule.
 
-    Without an analytic rule, parameter derivatives fall back to central
-    finite differences with step FD_FALLBACK_STEP * max(1, |x_k|); gradient
-    reports flag this.
+    ``derivative`` is required when the schedule has parameters, so every
+    parameter gradient is exact; a schedule without parameters needs none.
     """
 
     evaluate: Callable[[float, np.ndarray], Operator]
     n_params: int
     derivative: Callable[[float, np.ndarray, int], Operator] | None = None
 
-    @property
-    def uses_fd_fallback(self) -> bool:
-        return self.derivative is None
+    def __post_init__(self):
+        if self.n_params > 0 and self.derivative is None:
+            raise ValidationError(f"a schedule with {self.n_params} parameters needs a derivative rule")
 
     def param_derivative(self, t: float, x: np.ndarray, k: int) -> Operator:
         if not 0 <= k < self.n_params:
             raise ValidationError(f"parameter index {k} outside range [0, {self.n_params})")
-        if self.derivative is not None:
-            return self.derivative(t, x, k)
-        h = FD_FALLBACK_STEP * max(1.0, abs(float(x[k])))
-        xp = np.array(x, dtype=float)
-        xm = np.array(x, dtype=float)
-        xp[k] += h
-        xm[k] -= h
-        return (self.evaluate(t, xp) - self.evaluate(t, xm)) / (2.0 * h)
+        return self.derivative(t, x, k)
 
 
 def _check_hermitian(op: Operator, what: str, path: str | None = None) -> None:
@@ -222,7 +211,6 @@ class LinearSchedule:
 
     terms: tuple[Operator, ...]
     constant: Operator | None = None
-    uses_fd_fallback = False  # class constant, not a field: derivatives are the terms
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))

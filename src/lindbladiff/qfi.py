@@ -246,9 +246,7 @@ def _qfi_point(
         try:
             cost = CostCofunction(evaluate=evaluate, gradient=gradient, name="qfi")
             grad_result = adjoint_gradient(result, cost)
-            kept = ("segments", "steps_replayed", "longest_segment", "kept_stage_steps", "taped_stage_steps")
-            kept += ("adjoint_rhs_evaluations", "adjoint_generator_applications", "fd_fallback")
-            adjoint = {k: v for k, v in grad_result.diagnostics.items() if k in kept}
+            adjoint = {k: v for k, v in grad_result.diagnostics.items() if k != "cost_verification"}
             diagnostics = dict(report.diagnostics, adjoint=adjoint, dc_dT=grad_result.dc_dT)
             return replace(report, gradient=grad_result.dc_dx, diagnostics=diagnostics)
         except LindbladiffError as exc:

@@ -14,21 +14,17 @@ grid, then the stage cotangent recursion runs backward through the same
 stages, with the A and b of the solver's one tableau (``solver.DOP853``), on
 a workspace the pass allocates once.  Its (s+1, d, d) stack holds [y_n,
 k_0 ... k_(s-2), -] while a step recomputes its stage states and [w_0 ...
-w_(s-1), lambda] after, so each stage state, each v_i (a packed, h-scaled
-row [a_(i+1)i ... a_(s-1)i, b_i] times the stack's rows i+1 ... s) and
-lambda_prev (a ones row times the whole stack) is one BLAS product; each
-L^dag application writes w_i straight into its row, and a step makes p
-parameter pairings.  A step whose stage states the solve kept
-(``SolveResult.step_stages``, filled by ``integrate(..., keep_stages=True)``)
-reads them as they are, with no L application.  So does a step that
-segment replay has just taped: the pass allocates one (m, s, d, d) tape,
-and each replayed step without a kept stack writes its stage states into
-its row as it forms them (m is the longest segment's such steps less one,
-capped so that the tape and the kept stacks share solver's byte cap).  Only
-each segment's last step, which replay does not reach, and the steps beyond
-the cap compute their slopes again with s - 1 L applications and form
-their stage states with the forward step's row products, so all three
-sources give the same bits.
+w_(s-1), lambda] after, so each v_i (a packed, h-scaled row [a_(i+1)i ...
+a_(s-1)i, b_i] times the stack's rows i+1 ... s) and lambda_prev (a ones
+row times the whole stack) is one BLAS product; each L^dag application
+writes w_i straight into its row, and a step makes p parameter pairings.
+A step gets its stage states from one of three sources, all with the same
+bits: the stack the solve kept (``SolveResult.step_stages``, filled by
+``integrate(..., keep_stages=True)``), the row of the pass's one (m, s, d,
+d) tape that segment replay wrote (row j holds the segment's step i_a + j;
+m is the longest segment less one, capped by solver's byte cap), or, for
+each segment's last step and the steps beyond the cap, the solver's own
+stage loop (``solver._stage_states``) with s - 1 L applications.
 It takes the forward solve's ``SolveResult`` as its only input besides the
 cost, and reads the model, x, span, checkpoints and step grid from it, so
 it always replays the trajectory that solve produced.  Because replay is
@@ -62,6 +58,7 @@ from .solver import (
     _final_state,
     _rows,
     _stacks_under_cap,
+    _stage_states,
 )
 
 #: Central-difference step and relative tolerance of CostCofunction.verify.
@@ -344,9 +341,9 @@ def _reverse_step(
     """Exact reverse-mode of one replayed step of the DOP853 tableau; returns lam_prev in work.lam.
 
     The s stage states Y are ``stages`` if given, the step's kept or taped stack;
-    otherwise they are formed into work.ys with rk_stages' products, from
-    work.stack = [y_n, k_0 ...], with f filling its slope rows as the loop
-    reaches them, s - 1 calls (the last stage's slope is never read).  It
+    otherwise solver._stage_states forms them into work.ys from work.stack =
+    [y_n, k_0 ...], the forward step's stage loop with f filling its slope
+    rows, s - 1 calls (the last stage's slope is never read).  It
     then runs the cotangent recursion on V and the stack, which now holds
     [w_0 ... w_(s-1), lam]:
         v_i = h b_i lam + h sum_{j>i} a_ji w_j,   w_i = L^dag(t_i) v_i,
@@ -358,20 +355,13 @@ def _reverse_step(
     of the stack (a compiled model's kernel writes its (N, s) result into
     work.columns), and one vdot per parameter, so a step makes p such calls.
     """
-    stage_times = [t_n + c * h for c in DOP853.c]
     if stages is None:  # the stack is unused until the recursion below, so the fresh slopes fill it
-        ys = work.ys
-        np.copyto(ys[0], y_n)
+        stages = work.ys
+        np.copyto(stages[0], y_n)
         np.copyto(work.stack[0], y_n)
-        f(t_n, ys[0], work.stack[1])
-        work.scale(h)
-        terms = zip(work.stage_terms, work.y_rows, work.slopes, stage_times[1:-1])
-        for (weights, operand), (state, flat), slope, t_i in terms:
-            np.dot(weights, operand, out=flat)
-            f(t_i, state, slope)
-        np.dot(*work.stage_terms[-1], out=work.y_rows[-1][1])
-    else:
-        ys = stages
+        f(t_n, stages[0], work.stack[1])
+        _stage_states(f, t_n, h, work, work.y_rows)
+    stage_times = [t_n + c * h for c in DOP853.c]
     np.copyto(work.stack[_S], lam)
     np.multiply(_COTANGENT_WEIGHTS, h, out=work.cotangent)
     for (weights, operand, v, v_flat, w), t_i in zip(work.cotangent_terms, reversed(stage_times)):
@@ -379,7 +369,7 @@ def _reverse_step(
         adjoint_liouvillian_apply(model, x, t_i, v, w)
     np.dot(_ONES, work.flat, out=work.lam_flat)
     for k in range(grad.shape[0]):
-        pairing = rhs_parameter_derivative(stage_times, ys, model, x, k, work.ws, work.columns)
+        pairing = rhs_parameter_derivative(stage_times, stages, model, x, k, work.ws, work.columns)
         grad[k] += np.vdot(work.vs, pairing).real
     return work.lam
 
@@ -395,11 +385,13 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     state), and dc/dT.  For a fresh solve pass ``integrate(model, x, rho0,
     t_span, cfg, keep_stages=True)``: the steps whose stage states it kept
     then need no stage recompute, and the gradient is bit-equal either way.
-    Replay fills one tape, allocated once per pass, with the stage states of
-    every replayed step that has no kept stack, so of each segment only the
-    last step recomputes them, unless the tape and the kept stacks would
-    pass the byte cap: then each segment tapes as many leading steps as the
-    tape holds.  The diagnostics come from the checkpoints' step indices:
+    Replay fills one tape, allocated once per pass with longest - 1 rows
+    or as many as solver's byte cap allows: row j takes the stage states of
+    a segment's step i_a + j, and the segment's state i_a + j is a view of
+    its row 0.  So of each segment only the last step, and the steps beyond
+    the cap, recompute their stage states.  A solve that keeps stacks
+    stores a checkpoint at every step, so kept stacks and a tape never meet
+    in one pass.  The diagnostics come from the checkpoints' step indices:
     ``segments`` (stored count - 1), ``steps_replayed`` (the
     reverse-differentiated steps: the last index, = accepted) and
     ``longest_segment`` (the largest gap between indices);
@@ -409,8 +401,8 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     stage states, (s - 1) per step with neither, and
     ``adjoint_generator_applications`` the L^dag applications of the stage
     recursion, s per step.  The retained-state count includes each kept
-    stack and each tape row as s states, so its peak is at most
-    checkpoints + longest + s (longest - 1).
+    stack and each tape row as s states and a taped state once, so its peak
+    is at most checkpoints + longest + s (longest - 1).
     """
     model, x, t_final = result.model, result.x, result.t_span[1]
     rho_t = result.final_state.matrix
@@ -424,12 +416,12 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     pairs = list(zip(stored, stored[1:]))
     s = _S
     kept = len(result.step_stages)
+    longest = max(i_b - i_a for (i_a, _), (i_b, _) in pairs)
     work = _ReverseWork(rho_t.shape)
-    # a segment's replayed steps without kept stacks, from max(i_a, kept) up
-    # to the one before its last, read the tape; the tape and the kept
-    # stacks share the byte cap
-    need = max(i_b - 1 - max(i_a, kept) for (i_a, _), (i_b, _) in pairs)
-    rows = max(0, min(need, _stacks_under_cap(rho_t.nbytes) - kept))
+    # tape row j holds a segment's step i_a + j, for all but its last step;
+    # a solve that keeps stacks stores a checkpoint at every step, so kept
+    # stacks and a tape never meet in one pass
+    rows = min(longest - 1, _stacks_under_cap(rho_t.nbytes))
     tape = np.empty((rows, s, *rho_t.shape), dtype=np.complex128) if rows else None
     taped = 0
 
@@ -437,16 +429,17 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
         # replay stops at the start of the segment's last step: the state at
         # its right end is the stored next checkpoint, which nothing reads
         segment = dense_segment(result, state_a, (i_a, i_b - 1), tape=tape)
-        counters.note_retained_states(len(stored) + len(segment) - 1 + s * (kept + rows))
-        first = max(i_a, kept)
-        on_tape = max(0, min(rows, i_b - 1 - first))
+        # state 0 is the checkpoint and states 1 ... rows - 1 live in the tape
+        counters.note_retained_states(len(stored) + max(0, len(segment) - max(rows, 1)) + s * (kept + rows))
+        on_tape = min(rows, len(segment) - 1)
         taped += on_tape
-        for n, (t_n, y_n), h_n in reversed(list(zip(range(i_a, i_b), segment, result.step_sizes[i_a:i_b]))):
+        for j, (t_n, y_n) in reversed(list(enumerate(segment))):
+            n = i_a + j
             if n < kept:
                 stages = result.step_stages[n]
             else:
-                stages = tape[n - first] if n - first < on_tape else None
-            lam = _reverse_step(model, x, t_n, y_n, float(h_n), lam, grad, f, work, stages)
+                stages = tape[j] if j < on_tape else None
+            lam = _reverse_step(model, x, t_n, y_n, float(result.step_sizes[n]), lam, grad, f, work, stages)
 
     applications = s * stored[-1][0]  # _reverse_step applies L^dag once per stage
     counters.adjoint_passes += 1
@@ -455,12 +448,11 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     diagnostics = {
         "segments": len(pairs),
         "steps_replayed": stored[-1][0],
-        "longest_segment": max(i_b - i_a for (i_a, _), (i_b, _) in pairs),
+        "longest_segment": longest,
         "kept_stage_steps": kept,
         "taped_stage_steps": taped,
         "adjoint_rhs_evaluations": f.calls,
         "adjoint_generator_applications": applications,
-        "fd_fallback": model.hamiltonian.uses_fd_fallback,
         "cost_verification": verification,
     }
     return GradientResult(

@@ -6,20 +6,22 @@ matrix with a stabilized PI step-size controller.  One tableau, ``DOP853``
 the reverse pass in ``sensitivity``, each on a workspace it allocates once
 per pass: one (s+1, *state shape) stack [y_n, k_0 ... k_(s-1)] whose
 float64 view every stage sum reads, and the tableau with its a, b, e and e3
-columns scaled by h once per step.  Stage state i is then one BLAS product
-of the row [1, h a_i0 ... h a_i(i-1)] with the stack's first i + 1 rows,
-written straight into its kept or scratch row, and y_new, delta5 and delta3
+columns scaled by h once per step.  One stage loop, ``_stage_states``,
+serves all three: stage state i is one BLAS product of the row [1, h a_i0
+... h a_i(i-1)] with the stack's first i + 1 rows, written straight into its
+kept, taped or scratch row, and each slope is written in place by the
+right-hand side (one CSR kernel call into its row for a compiled model).
+A step (``rk_stages``) adds the last slope, and y_new, delta5 and delta3
 are one (3, s+1) product of [1, h b], [0, h e] and [0, h e3] into a reused
-sums buffer; each slope is written in place by the right-hand side (one CSR
-kernel call into its row for a compiled model).  A solve that will be
-differentiated (``integrate(..., keep_stages=True)``) writes the stage
-states of its leading accepted steps straight into one kept (s, *state
-shape) stack per step, within what the checkpoint budget leaves and a fixed
-byte cap, so the reverse pass reads them with no right-hand-side call;
-segment replay writes the stage states of its steps into the reverse
-pass's tape (``dense_segment(..., tape=)``) in the same way, within the
-same cap.  The error norm writes its scaled terms into a buffer of the
-workspace, so a try allocates no state-sized temporary.
+sums buffer.  A solve that will be differentiated (``integrate(...,
+keep_stages=True)``) writes the stage states of its leading accepted steps
+straight into one kept (s, *state shape) stack per step, within what the
+checkpoint budget leaves and a fixed byte cap, so the reverse pass reads
+them with no right-hand-side call; segment replay writes step i_a + j's
+stage states into row j of the reverse pass's tape (``dense_segment(...,
+tape=)``) in the same way, and the state it reaches into that row's row 0.
+The error norm writes its scaled terms into buffers of the workspace, so a
+try allocates no state-sized temporary.
 Every accepted step time and step size is recorded, and the ``SolveResult``
 keeps the model and x it was solved with, so any segment between two
 checkpoints can later be replayed on the recorded grid from the result
@@ -135,10 +137,10 @@ _TABLEAU = np.array(
 )
 _TABLEAU.setflags(write=False)
 _FIRST_COLUMN = _TABLEAU[:, 0].copy()
-_STAGE_NODES = DOP853.c[1:]
+_STAGE_NODES = DOP853.c[1:-1]  # the nodes of stages 1 ... s-2, whose slopes every stage loop forms
 #: Most bytes of stage stacks a differentiated solve keeps for its reverse
-#: pass, together with the reverse pass's tape of replayed stacks: every step
-#: at n <= 7 qubits, and none at n = 10 (192 MiB per stack).
+#: pass, and of the reverse pass's tape of replayed stacks: every step at
+#: n <= 7 qubits, and none at n = 10 (192 MiB per stack).
 _KEPT_STAGES_MAX_BYTES = 64 * 2**20
 
 
@@ -234,8 +236,8 @@ def _error_norm(
     y: np.ndarray,
     rtol: float,
     atol: float,
-    scale: np.ndarray | None = None,
-    ratio: np.ndarray | None = None,
+    scale: np.ndarray,
+    ratio: np.ndarray,
 ) -> float:
     """Hairer's DOP853 blend err5^2 / sqrt((err5^2 + 0.01 err3^2) N) of the squared scaled norms.
 
@@ -245,11 +247,9 @@ def _error_norm(
     overflows gives inf, so the step is rejected.  ``scale`` (y's shape) and
     ``ratio`` ((2, *y.shape)), two C-contiguous float64 buffers that share
     no memory (numpy copies an operand that may overlap the output), take
-    the scale and the two scaled estimates, so a try that passes them
-    allocates no state-sized temporary.
+    the scale and the two scaled estimates, so a try allocates no
+    state-sized temporary.
     """
-    if scale is None:
-        scale, ratio = np.empty(y.shape), np.empty((2, *y.shape))
     np.abs(y, out=scale)
     np.maximum(scale, np.abs(sums[0], out=ratio[0]), out=scale)
     scale *= rtol
@@ -307,6 +307,30 @@ def _scratch_rows(shape: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]
     return _rows(np.empty((1, *shape), dtype=np.complex128)) * (_S - 1)
 
 
+def _stage_states(
+    f: Callable[..., np.ndarray],
+    t: float,
+    h: float,
+    work: _StageWork,
+    stages: list[tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """A step's stage states 1 ... s-1 and every slope but the last: the stage loop of every pass.
+
+    On entry rows 0 and 1 of work.stack hold y_n and k_0 = f(t, y_n).
+    Stage state i is one BLAS product into ``stages[i - 1]`` (a row and its
+    float64 view: a kept or taped stack's row i, or one scratch state every
+    stage overwrites), and f(t, y, out) writes k_i straight into stack row
+    i + 1 for i < s - 1.  The forward step, segment replay and the reverse
+    step's recompute all form their stage states here, each on its own
+    workspace, so the three form bit-identical states.
+    """
+    work.scale(h)
+    for (weights, operand), (state, flat), slope, c in zip(work.stage_terms, stages, work.slopes, _STAGE_NODES):
+        np.dot(weights, operand, out=flat)
+        f(t + c * h, state, slope)
+    np.dot(*work.stage_terms[-1], out=stages[-1][1])
+
+
 def rk_stages(
     f: Callable[..., np.ndarray],
     t: float,
@@ -316,18 +340,13 @@ def rk_stages(
 ) -> np.ndarray:
     """One step's stages and sums: return work.sums, (y_new, delta5, delta3) of the step of size h.
 
-    On entry rows 0 and 1 of work.stack hold y_n and k_0 = f(t, y_n).
-    Stage state i is one BLAS product into ``stages[i - 1]`` (a row and its
-    float64 view: a kept stack's row i, or one scratch state every stage
-    overwrites), and f(t, y, out) writes its slope straight into row i + 1.
-    This is the single source of the step arithmetic; the adaptive loop and
-    segment replay both go through it on their own workspaces, so a
-    replayed step performs bit-identical floating-point operations.
+    _stage_states forms the stage states into ``stages``, f writes the last
+    slope into work.stack's last row, and the sums are one (3, s+1)
+    product.  The adaptive loop and segment replay both step through here,
+    so a replayed step performs bit-identical floating-point operations.
     """
-    work.scale(h)
-    for (weights, operand), (state, flat), slope, c in zip(work.stage_terms, stages, work.slopes, _STAGE_NODES):
-        np.dot(weights, operand, out=flat)
-        f(t + c * h, state, slope)
+    _stage_states(f, t, h, work, stages)
+    f(t + DOP853.c[-1] * h, stages[-1][0], work.slopes[-1])
     np.dot(work.end_weights, work.flat, out=work.sums_flat)
     return work.sums
 
@@ -608,13 +627,12 @@ def dense_segment(
     when i_b == i_a that is just [(t_i_a, state_a)], with no RHS call.
 
     ``tape``, a writable C-contiguous complex128 (m, s, *state shape) array,
-    is filled like ``out=``: the replayed steps that have no stack in
-    ``result.step_stages``, from the first of them on, write their stage
-    stacks into its rows 0 ... m-1 in step order, just as the forward solve
-    writes a kept stack (row 0 y_n, rows 1 ... s-1 the stage states formed
-    by the same products), and any further step forms its stages in one
-    scratch state.  So the first taped step is max(i_a, len(step_stages)),
-    and a taped row holds the bits the reverse step would recompute.
+    is filled like ``out=``: row j holds step i_a + j for j < m, just as the
+    forward solve writes a kept stack (row 0 y_n, rows 1 ... s-1 the stage
+    states formed by the same products), and any later step forms its
+    stages in one scratch state.  Replay writes state i_a + j straight into
+    tape[j, 0] for 1 <= j < m, so those returned states are views into the
+    tape, valid until the tape is next filled.
     """
     i_a, i_b = operator.index(steps[0]), operator.index(steps[1])
     if not 0 <= i_a <= i_b <= result.stats.accepted:
@@ -631,25 +649,23 @@ def dense_segment(
         or not (tape.flags.c_contiguous and tape.flags.writeable)
     ):
         raise ValidationError(f"tape must be a writable C-contiguous complex128 (m, {_S}, *{y.shape}) array")
-    first = max(i_a, len(result.step_stages))
 
     f = _CountedRhs(result.model, result.x)
     if i_b > i_a:  # one workspace and one scratch stage state serve every replayed step
         work, scratch = _StageWork(y.shape), _scratch_rows(y.shape)
         y_n, y_new = work.stack[0], work.sums[0]
+        if len(tape):
+            np.copyto(tape[0, 0], y)
 
     times = result.step_times
     out: list[tuple[float, np.ndarray]] = [(float(times[i_a]), y)]
-    for n in range(i_a, i_b):
+    for j, n in enumerate(range(i_a, i_b)):
         t_n, h_n = float(times[n]), float(result.step_sizes[n])
         np.copyto(y_n, y)
         f(t_n, y_n, work.stack[1])
-        if first <= n < first + len(tape):
-            np.copyto(tape[n - first, 0], y)
-            rk_stages(f, t_n, h_n, work, _rows(tape[n - first])[1:])
-        else:
-            rk_stages(f, t_n, h_n, work, scratch)
-        y = y_new.copy()
+        rk_stages(f, t_n, h_n, work, _rows(tape[j])[1:] if j < len(tape) else scratch)
+        y = tape[j + 1, 0] if j + 1 < len(tape) else np.empty_like(y_n)
+        np.copyto(y, y_new)
         out.append((float(times[n + 1]), y))
     counters.rhs_evaluations += f.calls
     return out

@@ -268,7 +268,6 @@ class TestQfi:
         stage = rep["stages"]["qfi"]
         assert len(stage["grad"]) == 2
         assert "adjoint" in rep["stages"]
-        assert rep["stages"]["adjoint"]["fd_fallback"] is False
 
     def test_phase_model_value(self, phase_cfg, tmp_path):
         rep = _run(tmp_path, ["qfi", "--config", phase_cfg])

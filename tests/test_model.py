@@ -611,20 +611,18 @@ class TestRhs:
             lindblad_rhs(0.0, bad, model, np.zeros(2))
 
 
-class TestFdFallback:
-    def test_schedule_without_derivative_uses_central_differences(self):
-        h0 = 0.5 * PAULI_Z
-
-        def evaluate(t, x):
-            return float(np.sin(x[0])) * h0
-
-        sched = HamiltonianSchedule(evaluate=evaluate, n_params=1)
-        assert sched.uses_fd_fallback
-        got = sched.param_derivative(0.0, np.array([0.7]), 0)
-        assert np.allclose(got, np.cos(0.7) * h0, atol=1e-9)
+class TestHamiltonianSchedule:
+    def test_schedule_without_derivative_is_rejected(self):
+        # every parameter gradient is exact: a parameterised schedule needs its dH/dx_k rule
+        with pytest.raises(ValidationError, match="derivative"):
+            HamiltonianSchedule(evaluate=lambda t, x: x[0] * PAULI_Z, n_params=1)
+        HamiltonianSchedule(evaluate=lambda t, x: PAULI_Z, n_params=0)  # no parameters, no rule
 
     def test_param_index_bounds(self):
-        sched = HamiltonianSchedule(evaluate=lambda t, x: PAULI_Z, n_params=1)
+        sched = HamiltonianSchedule(
+            evaluate=lambda t, x: x[0] * PAULI_Z, n_params=1, derivative=lambda t, x, k: PAULI_Z
+        )
+        assert np.array_equal(sched.param_derivative(0.0, np.array([0.0]), 0), PAULI_Z)
         with pytest.raises(ValidationError):
             sched.param_derivative(0.0, np.array([0.0]), 1)
 

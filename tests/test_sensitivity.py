@@ -454,7 +454,6 @@ class TestAdjointGradient:
         d = res.diagnostics
         assert d["segments"] >= 1
         assert d["steps_replayed"] >= d["segments"] >= 1
-        assert d["fd_fallback"] is False
         assert "cost_verification" in d
 
 
@@ -521,7 +520,7 @@ class TestKeptSlopes:
     @pytest.mark.parametrize("kernel", ["compiled", "sandwich"])
     def test_forward_replay_and_reverse_form_the_same_stages(self, kernel, monkeypatch):
         # the forward step, segment replay and the reverse step's recompute
-        # each run rk_stages' products on a workspace of their own, and must
+        # each run the solver's one stage loop on a workspace of their own, and must
         # form the same stage states and the same y_(n+1); row 0 of a kept
         # stack is checkpoint n itself
         if kernel == "sandwich":
@@ -692,20 +691,61 @@ class TestTapedReplay:
         assert tape.shape == (grad.diagnostics["longest_segment"] - 1, self.S, 16, 16)
         assert max(growth) < tape.nbytes
 
-    def test_the_tape_starts_after_the_kept_steps(self):
-        # with kept stacks for steps 0 ... kept - 1, a replay from step 0
-        # tapes steps kept, kept + 1, ...: each taped row holds the stage
-        # states the reverse step forms when it recomputes that step
-        res = self._solve(2, 40.0, SolveConfig(), keep_stages=True)
+    @pytest.mark.bit_identity
+    @pytest.mark.parametrize("keep_stages", [True, False], ids=["kept", "none-kept"])
+    def test_tape_row_j_holds_step_i_a_plus_j(self, keep_stages):
+        # a replay from step i_a writes step i_a + j's stage states into
+        # tape row j, kept stack or not: the bits the solve kept for that
+        # step and the reverse step forms when it recomputes it
+        if keep_stages:  # a kept prefix and a checkpoint at every step
+            res = self._solve(2, 40.0, SolveConfig(), keep_stages=True)
+        else:
+            res = self._solve(2)
         kept, d = len(res.step_stages), res.model.dimension
-        assert 0 < kept < res.stats.accepted - 2
-        tape = np.empty((2, self.S, d, d), dtype=complex)
-        nodes = dense_segment(res, res.step_checkpoints[0][1], (0, kept + 2), tape=tape)
+        i_a, state_a = res.step_checkpoints[1]
+        if keep_stages:  # the tape takes kept steps and the two after them
+            rows = kept + 2 - i_a
+            assert 0 < i_a < kept
+        else:
+            rows = 3
+            assert kept == 0
+        assert i_a + rows <= res.stats.accepted
+        tape = np.empty((rows, self.S, d, d), dtype=complex)
+        nodes = dense_segment(res, state_a, (i_a, i_a + rows), tape=tape)
         f, work = _CountedRhs(res.model, res.x), _ReverseWork((d, d))
-        for j, n in enumerate((kept, kept + 1)):
+        for j in range(rows):
+            n = i_a + j
             t_n, h_n = float(res.step_times[n]), float(res.step_sizes[n])
-            _reverse_step(res.model, res.x, t_n, nodes[n][1], h_n, np.eye(d, dtype=complex), np.zeros(2), f, work)
+            _reverse_step(res.model, res.x, t_n, nodes[j][1], h_n, np.eye(d, dtype=complex), np.zeros(2), f, work)
             assert np.array_equal(tape[j], work.ys)
+            if n < kept:
+                assert np.array_equal(tape[j], res.step_stages[n])
+
+    def test_taped_states_are_views_into_the_tape(self, monkeypatch):
+        # replay writes state i_a + j straight into tape[j, 0], so a taped
+        # state is held once, and counted once among the retained states
+        res = self._solve(2)
+        replay = sensitivity.dense_segment
+        views = []
+
+        def checked_replay(result, state_a, steps, *, tape):
+            segment = replay(result, state_a, steps, tape=tape)
+            plain = replay(result, state_a, steps)
+            assert all(np.array_equal(y, y_plain) for (_, y), (_, y_plain) in zip(segment, plain, strict=True))
+            on_tape = min(len(tape), len(segment) - 1)
+            for j in range(1, on_tape):
+                assert np.shares_memory(segment[j][1], tape[j, 0])
+            views.append(max(0, on_tape - 1))
+            return segment
+
+        monkeypatch.setattr(sensitivity, "dense_segment", checked_replay)
+        counters.reset()
+        grad = adjoint_gradient(res, state_entry_re_cost(0, 0))
+        longest = grad.diagnostics["longest_segment"]
+        assert longest > 2 and max(views) == longest - 2
+        stored = len(res.step_checkpoints)
+        # the longest segment: its checkpoint, the tape and one state of its own
+        assert counters.snapshot()["peak_retained_states"] == stored + 1 + self.S * (longest - 1)
 
     @pytest.mark.parametrize(
         "tape",

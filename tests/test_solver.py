@@ -98,7 +98,7 @@ class TestAccuracy:
             return x[0] * 0.5 * PAULI_Z
 
         model = LindbladModel(
-            hamiltonian=HamiltonianSchedule(evaluate=evaluate, n_params=1),
+            hamiltonian=HamiltonianSchedule(evaluate=evaluate, n_params=1, derivative=lambda t, x, k: 0.5 * PAULI_Z),
             channels=(),
             dimension=2,
         )
@@ -145,8 +145,11 @@ class TestAccuracy:
         def evaluate(t, x):
             return x[0] * np.cos(t) * 0.5 * PAULI_Z
 
+        def derivative(t, x, k):
+            return np.cos(t) * 0.5 * PAULI_Z
+
         model = LindbladModel(
-            hamiltonian=HamiltonianSchedule(evaluate=evaluate, n_params=1),
+            hamiltonian=HamiltonianSchedule(evaluate=evaluate, n_params=1, derivative=derivative),
             channels=(),
             dimension=2,
         )
@@ -348,11 +351,12 @@ class TestCostsAndErrors:
         # accepted: inf from either norm (alone or both) means a retry
         y = np.zeros(4, dtype=complex)
         small, huge = np.full(4, 1e-3 + 0j), np.full(4, 1e200 + 0j)
+        buffers = np.empty(4), np.empty((2, 4))  # the scale and the scaled estimates
         with np.errstate(over="ignore"):
             for delta5, delta3 in ((small, huge), (huge, small), (huge, huge)):
-                assert _error_norm(np.stack([y, delta5, delta3]), y, 1e-8, 1e-10) == np.inf
-        assert _error_norm(np.stack([y, small, small]), y, 1e-8, 1e-10) > 1.0
-        assert _error_norm(np.stack([y, y, y]), y, 1e-8, 1e-10) == 0.0
+                assert _error_norm(np.stack([y, delta5, delta3]), y, 1e-8, 1e-10, *buffers) == np.inf
+        assert _error_norm(np.stack([y, small, small]), y, 1e-8, 1e-10, *buffers) > 1.0
+        assert _error_norm(np.stack([y, y, y]), y, 1e-8, 1e-10, *buffers) == 0.0
 
     @pytest.mark.parametrize("kernel", ["compiled", "sandwich"])
     def test_a_step_allocates_less_than_one_state(self, kernel, monkeypatch):
