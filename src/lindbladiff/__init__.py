@@ -10,10 +10,8 @@ the pipelines with machine-readable JSON reports.
 """
 
 from .errors import (
-    ClusterError,
     ConditioningWarning,
     CostGradientError,
-    DegenerateEigenvalueError,
     GaugeDependenceError,
     IntegrationError,
     LindbladiffError,
@@ -49,8 +47,6 @@ from .eigen import (
     EigDecomposition,
     EigDerivative,
     eig_derivative,
-    eig_derivative_clustered,
-    eig_derivative_simple,
     eig_vjp,
     eigh,
 )
@@ -61,10 +57,8 @@ from .cli import ExperimentConfig, emit_plot_data, main, resolve_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClusterError",
     "ConditioningWarning",
     "CostGradientError",
-    "DegenerateEigenvalueError",
     "GaugeDependenceError",
     "IntegrationError",
     "LindbladiffError",
@@ -98,8 +92,6 @@ __all__ = [
     "EigDecomposition",
     "EigDerivative",
     "eig_derivative",
-    "eig_derivative_clustered",
-    "eig_derivative_simple",
     "eig_vjp",
     "eigh",
     "Generator",

@@ -11,23 +11,20 @@ average eigenvalue derivative and the invariant-subspace tangent (the
 component orthogonal to the cluster) are reported; the arbitrary
 within-cluster rotation is set to zero.  This keeps every derivative entry
 bounded by ||d(rho)||_F / tolerance even as eigenvalue gaps collapse.
+
+Each direction is one matrix formula over the whole spectrum: eig_derivative
+pushes a d(rho) forward to every eigenpair at once, and eig_vjp pulls
+eigenpair cotangents back to d(cost)/d(rho).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ClusterError,
-    ConditioningWarning,
-    DegenerateEigenvalueError,
-    GaugeDependenceError,
-    ValidationError,
-)
+from .errors import ConditioningWarning, GaugeDependenceError, ValidationError
 from .linalg import is_hermitian
 
 #: Eigenvalues closer than this (times max(1, spectral norm)) are clustered.
@@ -131,9 +128,11 @@ def eigh(rho: np.ndarray) -> EigDecomposition:
 class EigDerivative:
     """Directional derivative of a full decomposition along one d(rho).
 
-    For a degenerate cluster, dvalues repeats the cluster-average eigenvalue
-    derivative across members (flagged in averaged) and dvectors holds the
-    invariant-subspace tangent with zero within-cluster rotation.
+    Index i's derivative is (dvalues[i], dvectors[:, i]).  Every member of a
+    degenerate cluster gets the cluster-average eigenvalue derivative
+    (flagged in averaged, which is True exactly for clusters of size > 1),
+    and its dvectors column is the invariant-subspace tangent, with zero
+    within-cluster rotation.
     """
 
     dvalues: np.ndarray
@@ -141,126 +140,73 @@ class EigDerivative:
     averaged: np.ndarray  # bool per index
 
 
-def _check_drho(decomp: EigDecomposition, drho: np.ndarray) -> np.ndarray:
-    m = np.asarray(drho, dtype=np.complex128)
-    if m.shape != decomp.matrix.shape:
-        raise ValidationError(f"d(rho) shape {m.shape} does not match decomposition {decomp.matrix.shape}")
-    return m
+def eig_derivative(decomp: EigDecomposition, drho: np.ndarray, *, constraint: str = "re") -> EigDerivative:
+    """Directional derivative of every eigenpair along a Hermitian d(rho), cluster-aware.
 
+    With G = Psi^dag d(rho) Psi, each member of cluster c gets
+    d lambda = Tr G_cc / |c|, and d Psi = Psi (F o G) with
+    F[j, i] = 1 / (lambda_bar_c(i) - lambda_j) for j outside i's cluster and
+    0 inside it, lambda_bar being the cluster mean; for a nondegenerate
+    index this is the perturbation series.
 
-def eig_derivative_simple(
-    decomp: EigDecomposition,
-    i: int,
-    drho: np.ndarray,
-    *,
-    constraint: str = "re",
-) -> tuple[float, np.ndarray]:
-    """(d lambda_i, d psi_i) for a nondegenerate index, Hermitian d(rho).
+    The nondegenerate indices are cross-checked, before the phase is fixed,
+    against the bordered linear system
 
-    Two routes are computed and cross-checked: the perturbation series
-    (Rayleigh quotient for the eigenvalue, sum over other eigenvectors for
-    the tangent) and the bordered linear system
+        [[rho - lambda I, -psi], [psi^dag, 0]] [d psi; d lambda] = [-d(rho) psi; 0],
 
-        [[rho - lambda I, -psi], [psi^dag, 0]] [d psi; d lambda] = [-d(rho) psi; 0].
+    solved for all of them in one stacked call.  A discrepancy beyond
+    1e-8 max(1, ||d(rho)||_F) emits one ConditioningWarning naming the
+    indices: the spectrum is ill-conditioned outside the cluster tolerance.
 
-    A discrepancy beyond 1e-8 emits ConditioningWarning.  The phase
-    constraint fixes the remaining gauge freedom: "re" keeps the gauge
-    anchor entry real (matching finite differences of the gauge-fixed
-    eigh), "complex" enforces <psi, d psi> = 0 as in the bordered system.
+    The phase constraint fixes the remaining gauge freedom of a
+    nondegenerate index: "re" keeps the gauge anchor entry real (matching
+    finite differences of the gauge-fixed eigh), "complex" enforces
+    <psi, d psi> = 0 as in the bordered system (the convention eig_vjp
+    pairs with).
     """
-    drho = _check_drho(decomp, drho)
+    drho = np.asarray(drho, dtype=np.complex128)
+    if drho.shape != decomp.matrix.shape:
+        raise ValidationError(f"d(rho) shape {drho.shape} does not match decomposition {decomp.matrix.shape}")
     if constraint not in ("re", "complex"):
         raise ValidationError(f"unknown phase constraint {constraint!r}")
-    if decomp.is_degenerate(i):
-        raise DegenerateEigenvalueError(
-            f"index {i} lies in degeneracy cluster {decomp.cluster_of(i)}; "
-            "use eig_derivative_clustered"
-        )
-    lam = decomp.eigenvalues
-    V = decomp.eigenvectors
-    psi = V[:, i]
-    g = V.conj().T @ (drho @ psi)
-    dlam = float(g[i].real)
-    w = np.zeros_like(g)
-    others = np.arange(lam.shape[0]) != i
-    w[others] = g[others] / (lam[i] - lam[others])
-    dpsi = V @ w
+    d = decomp.dimension
+    lam, V, labels = decomp.eigenvalues, decomp.eigenvectors, decomp.labels
+    drho_v = drho @ V
+    g = V.conj().T @ drho_v
+    sizes = np.bincount(labels)[labels]
+    averaged = sizes > 1
+    dvalues = np.bincount(labels, weights=g.diagonal().real)[labels] / sizes
+    lam_bar = np.bincount(labels, weights=lam)[labels] / sizes
+    outside = labels[:, None] != labels[None, :]
+    f = np.zeros((d, d))
+    f[outside] = 1.0 / (lam_bar[None, :] - lam[:, None])[outside]
+    dvectors = V @ (f * g)
 
-    d = lam.shape[0]
-    bordered = np.zeros((d + 1, d + 1), dtype=np.complex128)
-    bordered[:d, :d] = decomp.matrix - lam[i] * np.eye(d)
-    bordered[:d, d] = -psi
-    bordered[d, :d] = psi.conj()
-    rhs = np.zeros(d + 1, dtype=np.complex128)
-    rhs[:d] = -(drho @ psi)
-    sol = np.linalg.solve(bordered, rhs)
-    scale = max(1.0, float(np.linalg.norm(drho)))
-    if abs(sol[d].real - dlam) > 1e-8 * scale or np.linalg.norm(sol[:d] - dpsi) > 1e-8 * scale:
+    simple = np.flatnonzero(~averaged)
+    psi = V[:, simple]
+    bordered = np.zeros((simple.size, d + 1, d + 1), dtype=np.complex128)
+    bordered[:, :d, :d] = decomp.matrix - lam[simple, None, None] * np.eye(d)
+    bordered[:, :d, d] = -psi.T
+    bordered[:, d, :d] = psi.conj().T
+    rhs = np.zeros((simple.size, d + 1, 1), dtype=np.complex128)
+    rhs[:, :d, 0] = -drho_v[:, simple].T
+    sol = np.linalg.solve(bordered, rhs)[..., 0]
+    scale = 1e-8 * max(1.0, float(np.linalg.norm(drho)))
+    disagree = (np.abs(sol[:, d].real - dvalues[simple]) > scale) | (
+        np.linalg.norm(sol[:, :d] - dvectors[:, simple].T, axis=1) > scale
+    )
+    if np.any(disagree):
         warnings.warn(
-            f"eigen-derivative routes disagree at index {i} "
-            f"(dlam {dlam:.3e} vs {sol[d].real:.3e}); spectrum is likely ill-conditioned",
+            f"eigen-derivative routes disagree at indices {simple[disagree].tolist()}; "
+            "spectrum is likely ill-conditioned",
             ConditioningWarning,
         )
 
     if constraint == "re":
-        anchor = int(np.argmax(np.abs(psi)))
-        beta = -dpsi[anchor].imag / psi[anchor].real
-        dpsi = dpsi + 1j * beta * psi
-    return dlam, dpsi
-
-
-def eig_derivative_clustered(
-    decomp: EigDecomposition,
-    cluster: Sequence[int],
-    drho: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Cluster-average eigenvalue derivative and invariant-subspace tangent.
-
-    For a maximal degeneracy cluster c of size m >= 2 this returns
-    d(lambda_bar) = Tr(Psi_c^dag d(rho) Psi_c) / m and the tangent of the
-    invariant subspace projected onto the orthogonal complement; the
-    within-cluster rotation component is zero by convention.
-    """
-    drho = _check_drho(decomp, drho)
-    cl = tuple(sorted(int(i) for i in cluster))
-    if len(cl) < 2:
-        raise ClusterError(f"cluster {cl} has size {len(cl)}; the clustered path needs m >= 2")
-    if cl not in decomp.clusters:
-        raise ClusterError(
-            f"cluster {cl} is not a maximal degeneracy cluster; clusters are {decomp.clusters}"
-        )
-    lam = decomp.eigenvalues
-    V = decomp.eigenvectors
-    members = np.array(cl)
-    psi_c = V[:, members]
-    gmat = V.conj().T @ (drho @ psi_c)
-    dlam_bar = float(np.trace(gmat[members, :]).real) / len(cl)
-    lam_c = float(np.mean(lam[members]))
-    weights = np.zeros_like(gmat)
-    outside = np.ones(lam.shape[0], dtype=bool)
-    outside[members] = False
-    weights[outside, :] = gmat[outside, :] / (lam_c - lam[outside])[:, None]
-    dpsi_c = V @ weights
-    return dlam_bar, dpsi_c
-
-
-def eig_derivative(decomp: EigDecomposition, drho: np.ndarray, *, constraint: str = "re") -> EigDerivative:
-    """Assemble the full directional derivative, cluster-aware."""
-    drho = _check_drho(decomp, drho)
-    d = decomp.dimension
-    dvalues = np.zeros(d)
-    dvectors = np.zeros((d, d), dtype=np.complex128)
-    averaged = np.zeros(d, dtype=bool)
-    for cl in decomp.clusters:
-        if len(cl) == 1:
-            i = cl[0]
-            dvalues[i], dvectors[:, i] = eig_derivative_simple(decomp, i, drho, constraint=constraint)
-        else:
-            dlam_bar, dpsi_c = eig_derivative_clustered(decomp, cl, drho)
-            for pos, i in enumerate(cl):
-                dvalues[i] = dlam_bar
-                dvectors[:, i] = dpsi_c[:, pos]
-                averaged[i] = True
+        anchor = np.argmax(np.abs(psi), axis=0)
+        cols = np.arange(simple.size)
+        beta = -dvectors[anchor, simple].imag / psi[anchor, cols].real
+        dvectors[:, simple] += 1j * beta * psi
     return EigDerivative(dvalues=dvalues, dvectors=dvectors, averaged=averaged)
 
 

@@ -34,16 +34,6 @@ class IntegrationError(LindbladiffError):
     non-finite state)."""
 
 
-class DegenerateEigenvalueError(LindbladiffError):
-    """Simple eigen-derivative path called on an index inside a degeneracy
-    cluster; callers must use the clustered path instead."""
-
-
-class ClusterError(LindbladiffError):
-    """A requested eigenvalue cluster is not maximal under the degeneracy
-    tolerance."""
-
-
 class GaugeDependenceError(LindbladiffError):
     """Eigenvector cotangent depends on the arbitrary within-cluster gauge
     (phase, or unitary rotation inside a degenerate cluster), so the pullback

@@ -246,8 +246,7 @@ def _qfi_point(
         try:
             cost = CostCofunction(evaluate=evaluate, gradient=gradient, name="qfi")
             grad_result = adjoint_gradient(result, cost)
-            adjoint = {k: v for k, v in grad_result.diagnostics.items() if k != "cost_verification"}
-            diagnostics = dict(report.diagnostics, adjoint=adjoint, dc_dT=grad_result.dc_dT)
+            diagnostics = dict(report.diagnostics, adjoint=grad_result.diagnostics, dc_dT=grad_result.dc_dT)
             return replace(report, gradient=grad_result.dc_dx, diagnostics=diagnostics)
         except LindbladiffError as exc:
             exc.stage = getattr(exc, "stage", "gradient")  # type: ignore[attr-defined]

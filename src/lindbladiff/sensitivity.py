@@ -308,12 +308,14 @@ class _ReverseWork(_StageWork):
     its stage states into Y and [w_0 ... w_(s-1), lam] from then on, so
     v_i = h [a_(i+1)i ... a_(s-1)i, b_i] @ stack[i+1:] is one BLAS product
     and lam_prev = ones @ stack another, into ``lam``.  V holds the v_i, and
-    the compiled pairing kernel writes its (N, s) result into ``columns``.
+    on a compiled model the pairing kernel writes its (N, s) result into
+    ``columns``, which only such a pass allocates.
     """
 
-    def __init__(self, shape: tuple[int, ...]):
+    def __init__(self, shape: tuple[int, ...], compiled: bool):
         super().__init__(shape)
-        self.ys, self.vs, self.columns = np.empty((3, _S, *shape), dtype=np.complex128)
+        self.ys, self.vs = np.empty((2, _S, *shape), dtype=np.complex128)
+        self.columns = np.empty((_S, *shape), dtype=np.complex128) if compiled else None
         # a reverse step forms no step-end sums, so their first row takes lam_prev
         self.lam, self.lam_flat = self.sums[0], self.sums_flat[0]
         self.cotangent = np.empty((_S, _S + 1))
@@ -417,7 +419,7 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     s = _S
     kept = len(result.step_stages)
     longest = max(i_b - i_a for (i_a, _), (i_b, _) in pairs)
-    work = _ReverseWork(rho_t.shape)
+    work = _ReverseWork(rho_t.shape, model.superoperator is not None)
     # tape row j holds a segment's step i_a + j, for all but its last step;
     # a solve that keeps stacks stores a checkpoint at every step, so kept
     # stacks and a tape never meet in one pass

@@ -269,6 +269,11 @@ class TestQfi:
         assert len(stage["grad"]) == 2
         assert "adjoint" in rep["stages"]
 
+    def test_adjoint_stage_reports_the_cost_verification(self, tmp_path):
+        rep = _run(tmp_path, ["qfi", "--model", "oat:2", "--params", "0.7,0.4", "--grad"])
+        probes = rep["stages"]["adjoint"]["cost_verification"]["probes"]
+        assert probes and all(set(p) == {"analytic", "fd"} for p in probes)
+
     def test_phase_model_value(self, phase_cfg, tmp_path):
         rep = _run(tmp_path, ["qfi", "--config", phase_cfg])
         expect = np.sin(0.8 * 1.3) ** 2 / 4.0

@@ -544,7 +544,7 @@ class TestKeptSlopes:
         nodes = dense_segment(res, res.step_checkpoints[0][1], (0, res.stats.accepted))
         monkeypatch.setattr(solver_module, "rk_stages", stages_of)
         assert len(replayed) == res.stats.accepted
-        f, work = _CountedRhs(res.model, res.x), _ReverseWork((d, d))
+        f, work = _CountedRhs(res.model, res.x), _ReverseWork((d, d), res.model.superoperator is not None)
         for n, stages in enumerate(res.step_stages):
             i_n, y_n = res.step_checkpoints[n]
             assert i_n == n and np.array_equal(stages[0], y_n)
@@ -712,7 +712,7 @@ class TestTapedReplay:
         assert i_a + rows <= res.stats.accepted
         tape = np.empty((rows, self.S, d, d), dtype=complex)
         nodes = dense_segment(res, state_a, (i_a, i_a + rows), tape=tape)
-        f, work = _CountedRhs(res.model, res.x), _ReverseWork((d, d))
+        f, work = _CountedRhs(res.model, res.x), _ReverseWork((d, d), res.model.superoperator is not None)
         for j in range(rows):
             n = i_a + j
             t_n, h_n = float(res.step_times[n]), float(res.step_sizes[n])
@@ -787,7 +787,7 @@ class TestReverseStep:
         return rk_stages(f, self.T_N, self.H, work, _scratch_rows(y.shape))[0].copy()
 
     def _reverse(self, model, x, y, lam, grad):
-        work = _ReverseWork(y.shape)
+        work = _ReverseWork(y.shape, model.superoperator is not None)
         return _reverse_step(model, x, self.T_N, y, self.H, lam, grad, _CountedRhs(model, x), work).copy()
 
     def test_is_exact_transpose_of_one_step(self, model):
