@@ -27,7 +27,6 @@ from .model import (
     LindbladModel,
     all_zero_density,
     lindblad_rhs,
-    liouvillian_apply,
     model_from_json,
     preset_oat,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "LindbladModel",
     "all_zero_density",
     "lindblad_rhs",
-    "liouvillian_apply",
     "model_from_json",
     "preset_oat",
     "SolveConfig",

@@ -58,6 +58,10 @@ class EigDecomposition:
     def dimension(self) -> int:
         return self.eigenvalues.shape[0]
 
+    def cluster_mean(self, values: np.ndarray) -> np.ndarray:
+        """Each entry replaced by the mean of values over its index's cluster."""
+        return (np.bincount(self.labels, weights=values) / np.bincount(self.labels))[self.labels]
+
     def cluster_of(self, i: int) -> tuple[int, ...]:
         return self.clusters[int(self.labels[i])]
 
@@ -173,10 +177,9 @@ def eig_derivative(decomp: EigDecomposition, drho: np.ndarray, *, constraint: st
     lam, V, labels = decomp.eigenvalues, decomp.eigenvectors, decomp.labels
     drho_v = drho @ V
     g = V.conj().T @ drho_v
-    sizes = np.bincount(labels)[labels]
-    averaged = sizes > 1
-    dvalues = np.bincount(labels, weights=g.diagonal().real)[labels] / sizes
-    lam_bar = np.bincount(labels, weights=lam)[labels] / sizes
+    averaged = np.bincount(labels)[labels] > 1
+    dvalues = decomp.cluster_mean(g.diagonal().real)
+    lam_bar = decomp.cluster_mean(lam)
     outside = labels[:, None] != labels[None, :]
     f = np.zeros((d, d))
     f[outside] = 1.0 / (lam_bar[None, :] - lam[:, None])[outside]
@@ -233,8 +236,7 @@ def eig_vjp(
     well-defined function of rho.
     """
     d = decomp.dimension
-    lam = decomp.eigenvalues
-    V = decomp.eigenvectors
+    lam, V, labels = decomp.eigenvalues, decomp.eigenvectors, decomp.labels
     if value_cotangent is None:
         c_lam = np.zeros(d)
     else:
@@ -248,21 +250,21 @@ def eig_vjp(
         if c_vec.shape != (d, d):
             raise ValidationError(f"vector cotangent shape {c_vec.shape} != ({d}, {d})")
         b = V.conj().T @ c_vec
-        gauge_scale = GAUGE_TOL * max(1.0, float(np.linalg.norm(c_vec)))
-        for cl in decomp.clusters:
-            idx = np.array(cl)
-            block = b[np.ix_(idx, idx)]
-            gauge_part = 0.5 * (block - block.conj().T)
-            if float(np.linalg.norm(gauge_part)) > gauge_scale:
-                raise GaugeDependenceError(
-                    f"vector cotangent is sensitive to the arbitrary gauge of cluster {cl} "
-                    f"(component {float(np.linalg.norm(gauge_part)):.3e}); "
-                    "the pullback to rho is ill-defined"
-                )
+        # Frobenius norm of each cluster's block of (B - B^dag)/2
+        same = labels[:, None] == labels[None, :]
+        gauge_rows = np.sum(np.where(same, np.abs(0.5 * (b - b.conj().T)) ** 2, 0.0), axis=1)
+        gauge = np.sqrt(np.bincount(labels, weights=gauge_rows))
+        bad = np.flatnonzero(gauge > GAUGE_TOL * max(1.0, float(np.linalg.norm(c_vec))))
+        if bad.size:
+            c = bad[0]
+            raise GaugeDependenceError(
+                f"vector cotangent is sensitive to the arbitrary gauge of cluster {decomp.clusters[c]} "
+                f"(component {gauge[c]:.3e}); "
+                "the pullback to rho is ill-defined"
+            )
         gaps = lam[None, :] - lam[:, None]
         f = np.zeros((d, d))
-        different = decomp.labels[None, :] != decomp.labels[:, None]
-        f[different] = 1.0 / gaps[different]
+        f[~same] = 1.0 / gaps[~same]
         core = core + f * (b - b.conj().T)
 
     out = V @ core @ V.conj().T

@@ -422,12 +422,6 @@ def _sandwich(
     return out
 
 
-def liouvillian_apply(h: Operator, channels: Sequence[JumpChannel], rho: np.ndarray) -> np.ndarray:
-    """Apply the generator defined by (H, channels) to rho."""
-    ik = 1j * _decay_operator(channels)
-    return _sandwich(h - ik, h + ik, channels, rho)
-
-
 def lindblad_rhs(
     t: float, rho: np.ndarray, model: LindbladModel, x: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:

@@ -45,6 +45,7 @@ class Generator:
 
     operator: Operator
     name: str = "G"
+    dense: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dense = to_dense(self.operator)
@@ -54,10 +55,7 @@ class Generator:
             raise ValidationError("generator has non-finite entries")
         if not is_hermitian(dense, 1e-12):
             raise ValidationError("generator is not Hermitian to 1e-12")
-
-    @property
-    def dense(self) -> np.ndarray:
-        return to_dense(self.operator)
+        object.__setattr__(self, "dense", dense)
 
     @property
     def dimension(self) -> int:
@@ -117,32 +115,37 @@ def _clipped_eigenvalues(decomp: EigDecomposition) -> np.ndarray:
     return np.where(lam < 0.0, 0.0, lam)
 
 
-def _pair_weights(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """(weight matrix, kept mask over ordered pairs j<i, skipped count)."""
-    d = lam.shape[0]
+def _pair_terms(
+    decomp: EigDecomposition, g: Generator, lam: np.ndarray, pairs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(G Psi, mel, w, keep, diff, s) at eigenvalues lam, over the candidate pairs (i, j).
+
+    mel[i, j] = <psi_i|G|psi_j>, diff = l_i - l_j and s = l_i + l_j; keep drops
+    the pairs with s at or below SKIP_TOL, and w = diff^2 / s on the kept pairs
+    and 0 elsewhere.
+    """
+    gd = g.dense
+    if gd.shape != decomp.matrix.shape:
+        raise ValidationError(f"generator dimension {gd.shape[0]} != state dimension {decomp.dimension}")
+    gpsi = gd @ decomp.eigenvectors
+    mel = decomp.eigenvectors.conj().T @ gpsi
     diff = lam[:, None] - lam[None, :]
     s = lam[:, None] + lam[None, :]
-    lower = np.tril(np.ones((d, d), dtype=bool), k=-1)  # j < i
-    keep = lower & (s > SKIP_TOL)
-    w = np.zeros((d, d))
+    keep = pairs & (s > SKIP_TOL)
+    w = np.zeros(diff.shape)
     w[keep] = diff[keep] ** 2 / s[keep]
-    skipped = int(np.count_nonzero(lower & ~keep))
-    return w, keep, skipped
+    return gpsi, mel, w, keep, diff, s
 
 
 def qfi(decomp: EigDecomposition, g: Generator, *, times_four: bool = False) -> QfiReport:
     """Evaluate the figure of merit on a precomputed decomposition."""
-    gd = g.dense
-    if gd.shape != decomp.matrix.shape:
-        raise ValidationError(f"generator dimension {gd.shape[0]} != state dimension {decomp.dimension}")
-    lam = _clipped_eigenvalues(decomp)
-    mel = decomp.eigenvectors.conj().T @ (gd @ decomp.eigenvectors)  # mel[i, j] = <psi_i|G|psi_j>
-    w, keep, skipped = _pair_weights(lam)
+    lower = np.tri(decomp.dimension, k=-1, dtype=bool)  # j < i
+    _, mel, w, keep, _, _ = _pair_terms(decomp, g, _clipped_eigenvalues(decomp), lower)
     value = float(np.sum(w[keep] * np.abs(mel[keep]) ** 2))
     return QfiReport(
         value=value,
         gradient=None,
-        skipped_pairs=skipped,
+        skipped_pairs=int(np.count_nonzero(lower & ~keep)),
         clusters=decomp.clusters,
         min_gap=decomp.min_gap,
         convention="variance-x4" if times_four else "variance",
@@ -160,32 +163,14 @@ def qfi_rho_cotangent(decomp: EigDecomposition, g: Generator) -> np.ndarray:
     cotangent block is exactly Hermitian, so the eigendecomposition
     pullback is gauge-clean by construction.
     """
-    gd = g.dense
-    if gd.shape != decomp.matrix.shape:
-        raise ValidationError(f"generator dimension {gd.shape[0]} != state dimension {decomp.dimension}")
-    lam_raw = _clipped_eigenvalues(decomp)
-    lam = lam_raw.copy()
-    for cl in decomp.clusters:
-        if len(cl) > 1:
-            idx = np.array(cl)
-            lam[idx] = float(np.mean(lam_raw[idx]))
-
-    d = lam.shape[0]
-    gpsi = gd @ decomp.eigenvectors
-    mel = decomp.eigenvectors.conj().T @ gpsi
-    abs2 = np.abs(mel) ** 2
-
-    diff = lam[:, None] - lam[None, :]
-    s = lam[:, None] + lam[None, :]
-    off = ~np.eye(d, dtype=bool)
-    keep = off & (s > SKIP_TOL)
-    w = np.zeros((d, d))
-    w[keep] = diff[keep] ** 2 / s[keep]
+    lam = decomp.cluster_mean(_clipped_eigenvalues(decomp))
+    off = ~np.eye(decomp.dimension, dtype=bool)
+    gpsi, mel, w, keep, diff, s = _pair_terms(decomp, g, lam, off)
     # d/d(l_i) of (l_i - l_j)^2/(l_i + l_j) at fixed l_j
-    dw = np.zeros((d, d))
+    dw = np.zeros(w.shape)
     dw[keep] = diff[keep] * (lam[:, None] + 3.0 * lam[None, :])[keep] / s[keep] ** 2
 
-    c_lam = np.sum(dw * abs2, axis=1)
+    c_lam = np.sum(dw * np.abs(mel) ** 2, axis=1)
     c_psi = gpsi @ (w * mel.conj()).T  # column i: sum_j w_ij conj(mel_ij) G psi_j
     return eig_vjp(decomp, c_lam, c_psi)
 

@@ -165,19 +165,35 @@ class TestSimpleDerivative:
 
 
 class TestClusteredDerivative:
+    def test_cluster_mean_of_planted_clusters(self):
+        # clusters of sizes 1, 3 and 9: below 8 members np.mean sums in the same
+        # order as bincount, from 8 on it sums pairwise
+        lam = np.array([0.01] + [0.1 + k * 1e-12 for k in range(3)] + [0.3 + k * 1e-12 for k in range(9)])
+        dec = eigh(np.diag(lam).astype(complex))
+        assert [len(c) for c in dec.clusters] == [1, 3, 9]
+        values = np.random.default_rng(52).standard_normal(13)
+        got = dec.cluster_mean(values)
+        assert got[0] == values[0]
+        assert np.all(got[1:4] == np.mean(values[1:4]))
+        assert np.all(got[4:] == got[4])
+        assert got[4] == pytest.approx(np.mean(values[4:]), rel=1e-15, abs=1e-15)
+
     def test_cluster_mean_matches_fd_oracle(self):
-        rng = np.random.default_rng(50)
-        v = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
-        rho = v @ np.diag([0.1, 0.3, 0.3, 0.3]) @ v.conj().T
-        drho = random_hermitian(rng, 4, 0.5)
-        dec = eigh(rho)
-        cluster = dec.cluster_of(2)
-        assert len(cluster) == 3
-        der = eig_derivative(dec, drho)
-        fd = dense_eig_fd(rho, drho, 1e-5).value
-        mean_idx = fd["clusters"].index(tuple(cluster))
-        for i in cluster:
-            assert der.dvalues[i] == pytest.approx(fd["cluster_means"][mean_idx], abs=1e-6)
+        # a cluster of 3, and one of 8 (where np.mean and bincount sum in different orders)
+        for spectrum, i, size in (([0.1, 0.3, 0.3, 0.3], 2, 3), ([0.02] + [0.1] * 8 + [0.18], 4, 8)):
+            rng = np.random.default_rng(50)
+            d = len(spectrum)
+            v = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+            rho = v @ np.diag(spectrum) @ v.conj().T
+            drho = random_hermitian(rng, d, 0.5)
+            dec = eigh(rho)
+            cluster = dec.cluster_of(i)
+            assert len(cluster) == size
+            der = eig_derivative(dec, drho)
+            fd = dense_eig_fd(rho, drho, 1e-5).value
+            mean_idx = fd["clusters"].index(tuple(cluster))
+            for j in cluster:
+                assert der.dvalues[j] == pytest.approx(fd["cluster_means"][mean_idx], abs=1e-6)
 
     def test_assembled_derivative_flags_averaging(self):
         dec = eigh(np.diag([0.25, 0.25, 0.5, 0.9]).astype(complex))
@@ -270,6 +286,20 @@ class TestVjp:
         c_psi[:, i] = dec.eigenvectors[:, j]
         with pytest.raises(GaugeDependenceError):
             eig_vjp(dec, vector_cotangent=c_psi)
+
+    def test_gauge_error_names_the_offending_cluster(self):
+        rng = np.random.default_rng(65)
+        v = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        dec = eigh(v @ np.diag([0.1, 0.1, 0.4, 0.4]) @ v.conj().T)
+        assert dec.clusters == ((0, 1), (2, 3))
+        c_psi = np.zeros((4, 4), dtype=complex)
+        # a real multiple of psi_0 is gauge-free; psi_3 in column 2 rotates inside (2, 3)
+        c_psi[:, 0] = 0.7 * dec.eigenvectors[:, 0]
+        c_psi[:, 2] = dec.eigenvectors[:, 3]
+        with pytest.raises(GaugeDependenceError, match=r"cluster \(2, 3\) \(component"):
+            eig_vjp(dec, vector_cotangent=c_psi)
+        c_psi[:, 2] = 0.0
+        assert np.all(np.isfinite(eig_vjp(dec, vector_cotangent=c_psi)))
 
     def test_none_cotangents_give_zero(self):
         dec = eigh(np.diag([0.3, 0.7]).astype(complex))

@@ -18,7 +18,6 @@ from lindbladiff.model import (
     LinearSchedule,
     all_zero_density,
     lindblad_rhs,
-    liouvillian_apply,
     model_from_json,
     preset_oat,
     rhs_parameter_derivative,
@@ -583,8 +582,9 @@ class TestRhs:
         # single sigma_z channel at rate g: d(rho01)/dt = -2 g rho01, diagonal frozen
         g = 0.4
         ch = JumpChannel(rate=g, operator=PAULI_Z.copy())
+        model = LindbladModel(LinearSchedule(terms=(np.zeros((2, 2)),)), (ch,), 2)
         rho = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]], dtype=complex)
-        out = liouvillian_apply(np.zeros((2, 2), dtype=complex), [ch], rho)
+        out = lindblad_rhs(0.0, rho, model, np.array([0.0]))
         assert out[0, 0] == pytest.approx(0.0, abs=1e-15)
         assert out[0, 1] == pytest.approx(-2.0 * g * rho[0, 1], abs=1e-15)
 

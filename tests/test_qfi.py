@@ -197,13 +197,15 @@ class TestCotangent:
         assert np.max(np.abs(probe)) < 1e-15 or abs(np.sum(cot.conj() * probe).real) < 1e-10
 
     def test_depolarized_pure_state_directional_fd(self):
-        rng = np.random.default_rng(8)
-        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        psi /= np.linalg.norm(psi)
-        rho = 0.99 * np.outer(psi, psi.conj()) + 0.01 * np.eye(4) / 4
-        g = random_hermitian(rng, 4)
-        k_op = random_hermitian(rng, 4)
-        self._directional_check(rho, g, 1j * (k_op @ rho - rho @ k_op), rel=1e-5)
+        for d in (4, 9):  # a cluster of 3 and of 8 at 0.01 / d
+            rng = np.random.default_rng(8)
+            psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            psi /= np.linalg.norm(psi)
+            rho = 0.99 * np.outer(psi, psi.conj()) + 0.01 * np.eye(d) / d
+            assert max(len(c) for c in eigh(rho).clusters) == d - 1
+            g = random_hermitian(rng, d)
+            k_op = random_hermitian(rng, d)
+            self._directional_check(rho, g, 1j * (k_op @ rho - rho @ k_op), rel=1e-5)
 
     def test_cotangent_is_hermitian(self):
         rng = np.random.default_rng(9)
