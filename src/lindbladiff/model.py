@@ -449,9 +449,15 @@ def _csr_apply(s: sparse.csr_array, state: np.ndarray, out: np.ndarray | None = 
     return out
 
 
-def _check_out(out: np.ndarray | None, shape: tuple[int, ...], name: str = "out") -> None:
-    if out is not None and (out.shape != shape or out.dtype != np.complex128 or not out.flags.c_contiguous):
-        raise ValidationError(f"{name} must be a C-contiguous complex128 array of shape {shape}")
+def _check_out(out: np.ndarray | None, state: np.ndarray, name: str = "out") -> None:
+    """Reject an ``out`` the kernels cannot write: it must match the kernel's input ``state``
+    and not overlap it, since the CSR kernel would read entries it has already overwritten."""
+    if out is None:
+        return
+    if out.shape != state.shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
+        raise ValidationError(f"{name} must be a C-contiguous complex128 array of shape {state.shape}")
+    if np.may_share_memory(out, state):
+        raise ValidationError(f"{name} must not overlap the kernel's input")
 
 
 def _generator_apply(
@@ -469,7 +475,7 @@ def _generator_apply(
     into ``out``; the sandwich kernel's result is copied into it.  ``out``
     must be C-contiguous: a strided one would reach the kernel as a copy.
     """
-    _check_out(out, state.shape)
+    _check_out(out, state)
     compiled = model.superoperator
     if compiled is not None:
         s, s_adjoint = compiled.at(x)
@@ -503,7 +509,7 @@ def rhs_parameter_derivative(
     d = model.dimension
     if rho.shape[-2:] != (d, d) or rho.ndim not in (2, 3):
         raise ShapeMismatchError("rhs state", rho.shape, (d, d))
-    _check_out(out, rho.shape)
+    _check_out(out, rho)
     compiled = model.superoperator
     if rho.ndim == 3:
         if np.shape(t) != rho.shape[:1]:
@@ -523,7 +529,8 @@ def rhs_parameter_derivative(
     if rho.ndim == 2:
         return _csr_apply(s, rho, out)
     m, n = len(rho), d * d
-    _check_out(scratch, rho.shape, "scratch")
+    _check_out(scratch, rho, "scratch")
+    _check_out(scratch, out, "scratch")  # out holds the kernel's operand
     columns = (np.empty(rho.shape, dtype=np.complex128) if scratch is None else scratch).reshape(n, m)
     columns.fill(0)  # the kernel adds to its output
     np.copyto(out.reshape(n, m), rho.reshape(m, n).T)  # the operand, until the result replaces it

@@ -3,11 +3,7 @@
 First-order ascent keeps the objective-call count transparent: each call
 is one forward solve, recorded in the trace, and only the start point and
 each accepted line search trial are differentiated, by an adjoint pass over
-that same solve.  ``maximize_qfi(..., times_four=True)`` ascends 4F rather
-than F: the objective, its gradient and the trace values are all scaled by
-4.  With the same ``OptConfig`` its steps are therefore 4x longer and
-``grad_tolerance`` applies to the scaled gradient; the ascent path equals
-the unscaled one only when ``initial_step`` is divided by 4.
+that same solve.
 """
 
 from __future__ import annotations
@@ -147,17 +143,12 @@ def maximize_qfi(
     g: Generator,
     solve_cfg: SolveConfig = SolveConfig(),
     opt_cfg: OptConfig = OptConfig(),
-    *,
-    times_four: bool = False,
 ) -> tuple[np.ndarray, OptTrace]:
     """Maximize the figure of merit over protocol parameters.
 
     When x0 is omitted, parameters initialize uniformly in [-pi, pi] from
     the configured seed.  The trace's evaluation counter is the exact
-    number of forward solves.  ``times_four`` is not display-only here:
-    the objective and its gradient are 4F and 4 dF/dx, so steps are 4x
-    longer unless ``opt_cfg.initial_step`` is divided by 4, and
-    ``opt_cfg.grad_tolerance`` is compared with the scaled gradient.
+    number of forward solves.
     """
     if x0 is None:
         rng = np.random.default_rng(opt_cfg.seed)
@@ -165,9 +156,8 @@ def maximize_qfi(
 
     def objective(x: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
         # the solve keeps its slopes, so an accepted trial is differentiated with no stage recompute
-        report, differentiate = _qfi_point(model, x, rho0, t_span, g, solve_cfg, True, times_four)
-        scale = report.display_multiplier
-        return scale * report.value, lambda: scale * differentiate().gradient
+        report, differentiate = _qfi_point(model, x, rho0, t_span, g, solve_cfg, True)
+        return report.value, lambda: differentiate().gradient
 
     return maximize(objective, np.asarray(x0, dtype=float), opt_cfg)
 

@@ -6,9 +6,8 @@ The figure of merit is
 
 over the spectral decomposition of rho, skipping pairs whose eigenvalue sum
 is below the skip tolerance.  With this normalization F equals Var(G) on
-pure states; the common literature convention carries an extra factor of 4,
-available as an optional display multiplier (the optimizer's argmax is
-unaffected by positive scaling).
+pure states, and every value and gradient here is in it; the literature's
+4F appears only as display keys of the command line's ``qfi`` report.
 
 The gradient path composes the eigendecomposition cotangent with the
 adjoint pass of the integrator: one forward solve and one backward pass
@@ -79,8 +78,6 @@ class QfiReport:
     skipped_pairs: int
     clusters: tuple[tuple[int, ...], ...]
     min_gap: float
-    convention: str = "variance"
-    display_multiplier: float = 1.0
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -89,21 +86,13 @@ class QfiReport:
         if self.gradient is not None and not np.all(np.isfinite(self.gradient)):
             raise ValidationError("non-finite gradient")
 
-    @property
-    def display_value(self) -> float:
-        return self.display_multiplier * self.value
-
     def to_json(self) -> dict:
-        out = {
+        return {
             "F": self.value,
             "grad": None if self.gradient is None else [float(g) for g in self.gradient],
             "skipped_pairs": self.skipped_pairs,
             "clusters": [list(c) for c in self.clusters],
-            "convention": self.convention,
-            "display_multiplier": self.display_multiplier,
-            "display_value": self.display_value,
         }
-        return out
 
 
 def _clipped_eigenvalues(decomp: EigDecomposition) -> np.ndarray:
@@ -137,7 +126,7 @@ def _pair_terms(
     return gpsi, mel, w, keep, diff, s
 
 
-def qfi(decomp: EigDecomposition, g: Generator, *, times_four: bool = False) -> QfiReport:
+def qfi(decomp: EigDecomposition, g: Generator) -> QfiReport:
     """Evaluate the figure of merit on a precomputed decomposition."""
     lower = np.tri(decomp.dimension, k=-1, dtype=bool)  # j < i
     _, mel, w, keep, _, _ = _pair_terms(decomp, g, _clipped_eigenvalues(decomp), lower)
@@ -148,8 +137,6 @@ def qfi(decomp: EigDecomposition, g: Generator, *, times_four: bool = False) -> 
         skipped_pairs=int(np.count_nonzero(lower & ~keep)),
         clusters=decomp.clusters,
         min_gap=decomp.min_gap,
-        convention="variance-x4" if times_four else "variance",
-        display_multiplier=4.0 if times_four else 1.0,
     )
 
 
@@ -183,8 +170,6 @@ def qfi_of_params(
     g: Generator,
     cfg: SolveConfig = SolveConfig(),
     want_gradient: bool = False,
-    *,
-    times_four: bool = False,
 ) -> QfiReport:
     """Figure of merit of the evolved state, optionally with its gradient.
 
@@ -193,13 +178,11 @@ def qfi_of_params(
     parameters.  Raised errors carry a ``stage`` attribute naming the
     pipeline stage that failed.
     """
-    report, differentiate = _qfi_point(model, x, rho0, t_span, g, cfg, want_gradient, times_four)
+    report, differentiate = _qfi_point(model, x, rho0, t_span, g, cfg, want_gradient)
     return differentiate() if want_gradient else report
 
 
-def _qfi_point(
-    model, x, rho0, t_span, g, cfg, keep_stages: bool, times_four: bool
-) -> tuple[QfiReport, Callable[[], QfiReport]]:
+def _qfi_point(model, x, rho0, t_span, g, cfg, keep_stages: bool) -> tuple[QfiReport, Callable[[], QfiReport]]:
     """The value report of one forward solve, and a callable that runs the
     adjoint pass over that same solve and returns the report with its gradient."""
     stage = "integrate"
@@ -209,7 +192,7 @@ def _qfi_point(
         rho_t = result.final_state.matrix
         decomp = eigh(rho_t)
         stage = "figure-of-merit"
-        report = qfi(decomp, g, times_four=times_four)
+        report = qfi(decomp, g)
         report = replace(report, diagnostics={"solver": result.stats.to_json()})
     except LindbladiffError as exc:
         exc.stage = getattr(exc, "stage", stage)  # type: ignore[attr-defined]

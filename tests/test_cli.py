@@ -244,6 +244,18 @@ class TestQfi:
         assert stage["convention"] == "variance"
         assert stage["grad"] is None
 
+    def test_display_multiplier_only_affects_display(self, tmp_path):
+        plain, x4 = (
+            _run(tmp_path, ["qfi", "--config", _write(tmp_path / "cfg.json", dict(BASE_CONFIG, times_four=flag))])
+            for flag in (False, True)
+        )
+        stage = x4["stages"]["qfi"]
+        assert stage["F"] == plain["stages"]["qfi"]["F"]
+        assert stage["convention"] == "variance-x4"
+        assert stage["display_multiplier"] == 4.0
+        assert stage["display_value"] == 4.0 * stage["F"]
+        assert plain["stages"]["qfi"]["display_value"] == stage["F"]
+
     def test_solve_stats_reported_without_grad(self, tmp_path):
         rep = _run(tmp_path, ["qfi", "--model", "oat:2", "--params", "0.7,0.4"])
         stats = rep["stages"]["solve"]["stats"]
@@ -331,6 +343,14 @@ class TestOptimize:
             blobs.append(json.dumps(rep, sort_keys=True))
         assert blobs[0] == blobs[1]
 
+    def test_times_four_does_not_change_the_ascent(self, tmp_path):
+        config = {"model": "oat:2", "t_span": [0.0, 1.0], "optimizer": {"max_iterations": 2, "seed": 3}}
+        plain, x4 = (
+            _run(tmp_path, ["optimize", "--config", _write(tmp_path / "cfg.json", dict(config, times_four=flag))])
+            for flag in (False, True)
+        )
+        assert x4["stages"]["optimize"] == plain["stages"]["optimize"]
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = _write(
             tmp_path / "cfg.json",
@@ -416,6 +436,21 @@ class TestEmitPlots:
         assert counters.forward_integrations == 0
         assert not out.exists()
 
+    def test_without_out_exits_two(self, capsys):
+        code = cli.main(["emit-plots", "--kind", "trajectory", "--model", "oat:2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "emit-plots needs --out" in captured.err and captured.out == ""
+        assert counters.forward_integrations == 0
+
+    def test_trace_file_line_that_is_not_json_exits_two(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(json.dumps({"iter": 0, "F": 0.1, "grad_norm": 0.5, "step": 0.1}) + "\n{not json\n")
+        out = tmp_path / "plot.csv"
+        assert cli.main(["emit-plots", "--kind", "trace", "--trace-file", str(trace), "--out", str(out)]) == 2
+        assert "line 2 of" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_trace_emits_header_only(self, tmp_path):
         trace = tmp_path / "t.jsonl"
         trace.write_text(json.dumps({"summary": {"status": "converged"}}) + "\n")
@@ -477,6 +512,15 @@ MALFORMED_CONFIGS = [
     ("config", "/grad_check", {"fd_step": -1e-6}, "/grad_check/fd_step"),
     ("config", "/grad_check", {"tolerance": 0}, "/grad_check/tolerance"),
     ("config", "/grad_check", {"tolerance": -1e-4}, "/grad_check/tolerance"),
+    ("config", "/model", "oat:x", "/model/preset"),
+    ("config", "/model", "oat:0", "/model/preset"),
+    ("config", "/model", {"gamma": 0.1}, "/model"),
+    ("config", "/state", "all-zero-pure:3", "/state"),
+    ("config", "/model", "xyz:2", "/model/preset"),
+    ("config", "/model", 5, "/model"),
+    ("config", "/generator", 5, "/generator"),
+    ("config", "/times_four", "yes", "/times_four"),
+    ("config", "/output", 3, "/output"),
 ]
 
 

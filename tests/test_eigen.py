@@ -220,6 +220,20 @@ class TestClusteredDerivative:
         assert np.all(np.isfinite(der.dvectors))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda dec: eig_derivative(dec, np.zeros((3, 3))), r"d\(rho\) shape"),
+        (lambda dec: eig_derivative(dec, np.zeros((4, 4)), constraint="imag"), "unknown phase constraint"),
+        (lambda dec: eig_vjp(dec, np.zeros(3)), "value cotangent shape"),
+        (lambda dec: eig_vjp(dec, None, np.zeros((4, 3))), "vector cotangent shape"),
+    ],
+)
+def test_derivative_inputs_are_checked(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call(eigh(random_density(np.random.default_rng(61), 4)))
+
+
 class TestVjp:
     def test_value_cotangent_pullback(self):
         rng = np.random.default_rng(60)

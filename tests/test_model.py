@@ -512,6 +512,23 @@ class TestInputChecks:
                 with pytest.raises(ValidationError, match="out must be"):
                     apply(out=bad)
 
+    @pytest.mark.parametrize("entry", ["rhs", "adjoint", "derivative", "stacked derivative"])
+    def test_out_overlapping_the_input_is_rejected(self, model, entry):
+        # the CSR kernel would read entries of the input it has already overwritten
+        rng = np.random.default_rng(17)
+        stack = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+        rho, x = stack[0], np.array([0.8, 0.6])
+        calls = {
+            "rhs": lambda: lindblad_rhs(0.2, rho, model, x, rho),
+            "adjoint": lambda: adjoint_liouvillian_apply(model, x, 0.2, rho, rho),
+            "derivative": lambda: rhs_parameter_derivative(0.2, rho, model, x, 0, rho),
+            "stacked derivative": lambda: rhs_parameter_derivative([0.1, 0.2], stack, model, x, 0, stack),
+        }
+        before = stack.copy()
+        with pytest.raises(ValidationError, match="out must not overlap"):
+            calls[entry]()
+        assert np.array_equal(stack, before)
+
     def test_stacked_parameter_derivative_writes_each_state_s_bits_into_out(self, model):
         # a compiled stack is one multi-vector kernel call, with its result in
         # the caller's scratch if given; each row has the bits of the single-state call
@@ -532,6 +549,9 @@ class TestInputChecks:
             for bad in (np.empty((5, 16), dtype=complex), np.empty((5, 4, 8), dtype=complex)[:, :, ::2]):
                 with pytest.raises(ValidationError, match="scratch must be"):
                     rhs_parameter_derivative(times, stack, model, x, 0, out, bad)
+            for overlapping in (stack, out):  # the input, or the operand the kernel reads from out
+                with pytest.raises(ValidationError, match="scratch must not overlap"):
+                    rhs_parameter_derivative(times, stack, model, x, 0, out, overlapping)
 
     def test_stacked_parameter_derivative_needs_one_time_per_state(self, model):
         stack = np.stack([np.eye(4, dtype=complex) / 4] * 3)
@@ -691,6 +711,25 @@ class TestPresetOat:
             preset_oat(2, gamma=-1.0)
 
 
+JSON_LOWERING = operator_to_json(LOWERING)
+ONE_BY_ONE = [[[1.0, 0.0]]]
+#: A valid explicit model: H = x_0 Z / 2 with one lowering channel.
+EXPLICIT_QUBIT = {
+    "dimension": 2,
+    "hamiltonian": {
+        "kind": "explicit",
+        "terms": [{"coefficient": "param:0", "matrix": operator_to_json(0.5 * PAULI_Z)}],
+    },
+    "channels": [{"gamma": 0.1, "matrix": JSON_LOWERING}],
+}
+
+
+def _with_term(obj: dict, changes: dict) -> dict:
+    """obj with its first Hamiltonian term updated by changes; a None value drops that key."""
+    term = {key: value for key, value in {**obj["hamiltonian"]["terms"][0], **changes}.items() if value is not None}
+    return dict(obj, hamiltonian=dict(obj["hamiltonian"], terms=[term]))
+
+
 class TestModelFromJson:
     def test_explicit_model_round_trip_behavior(self):
         obj = {
@@ -756,6 +795,27 @@ class TestModelFromJson:
         with pytest.raises(ValidationError) as exc:
             model_from_json({"dimension": 2, "hamiltonian": {"kind": "explicit", "terms": []}, "channels": [channel]})
         assert exc.value.path == "/channels/0/gamma"
+
+    @pytest.mark.parametrize(
+        "edit, path, message",
+        [
+            (lambda obj: [obj], "", "must be an object"),
+            (lambda obj: dict(obj, dimension=0), "/dimension", "must be positive"),
+            (lambda obj: dict(obj, hamiltonian={"terms": []}), "/hamiltonian", "'kind'"),
+            (lambda obj: dict(obj, hamiltonian={"kind": "cubic"}), "/hamiltonian/kind", "unknown hamiltonian kind"),
+            (lambda obj: _with_term(obj, {"matrix": None}), "/hamiltonian/terms/0", "needs 'coefficient'"),
+            (lambda obj: _with_term(obj, {"coefficient": "x:0"}), "/hamiltonian/terms/0", "'param:<k>'"),
+            (lambda obj: _with_term(obj, {"coefficient": "param:a"}), "/hamiltonian/terms/0", "bad parameter index"),
+            (lambda obj: _with_term(obj, {"coefficient": "param:-1"}), "/hamiltonian/terms/0", "nonnegative"),
+            (lambda obj: _with_term(obj, {"matrix": ONE_BY_ONE}), "/hamiltonian/terms/0", "term matrix shape"),
+            (lambda obj: dict(obj, channels=[{"matrix": JSON_LOWERING}]), "/channels/0", "needs 'gamma'"),
+            (lambda obj: dict(obj, channels=[{"gamma": 0.1, "matrix": ONE_BY_ONE}]), "/channels/0", "matrix shape"),
+        ],
+    )
+    def test_explicit_model_errors(self, edit, path, message):
+        with pytest.raises(ValidationError, match=message) as exc:
+            model_from_json(edit(EXPLICIT_QUBIT))
+        assert exc.value.path == path
 
     def test_error_paths_are_json_pointers(self):
         with pytest.raises(ValidationError) as exc:

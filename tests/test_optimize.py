@@ -2,6 +2,7 @@
 
 import importlib
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -159,27 +160,26 @@ class TestMaximize:
             assert a.value == b.value and a.grad_norm == b.grad_norm and a.step == b.step
 
     @pytest.mark.bit_identity
-    def test_scaling_invariance_of_ascent_path(self):
+    def test_ascent_of_four_f_is_the_ascent_of_f_with_rescaled_steps(self):
+        # the 4F ascent a caller may want is maximize_qfi's with initial_step x 4
+        # and grad_tolerance / 4: every scaling by 4 is exact in floating point
         model = preset_oat(2)
         rho0 = all_zero_density(2)
         g = generator_from_preset("Sz", 2)
-        _, plain = maximize_qfi(
-            model, None, rho0, (0.0, 1.0), g, FAST, OptConfig(max_iterations=6, seed=7, initial_step=0.1)
-        )
-        _, scaled = maximize_qfi(
-            model,
-            None,
-            rho0,
-            (0.0, 1.0),
-            g,
-            FAST,
-            OptConfig(max_iterations=6, seed=7, initial_step=0.1 / 4),
-            times_four=True,
-        )
+
+        def four_f(x):
+            rep = qfi_of_params(model, x, rho0, (0.0, 1.0), g, FAST, want_gradient=True)
+            return 4.0 * rep.value, lambda: 4.0 * rep.gradient
+
+        cfg = OptConfig(max_iterations=6, seed=7, initial_step=0.1, grad_tolerance=1e-6)
+        x0 = np.random.default_rng(cfg.seed).uniform(-np.pi, np.pi, model.n_params)
+        _, scaled = maximize(four_f, x0, cfg)
+        rescaled = replace(cfg, initial_step=4 * cfg.initial_step, grad_tolerance=cfg.grad_tolerance / 4)
+        _, plain = maximize_qfi(model, None, rho0, (0.0, 1.0), g, FAST, rescaled)
         assert len(plain.iterates) == len(scaled.iterates)
         for a, b in zip(plain.iterates, scaled.iterates):
             assert np.array_equal(a.x, b.x)
-            assert b.value == 4.0 * a.value
+            assert b.value == 4.0 * a.value and b.step == a.step / 4
 
     def test_trace_validates_monotonicity(self):
         it = dict(iteration=0, x=np.zeros(1), grad_norm=1.0, step=0.1, evaluations=1)

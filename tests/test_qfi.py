@@ -142,14 +142,6 @@ class TestValues:
         with pytest.raises(ValidationError):
             qfi(eigh(bad), Generator(0.5 * PAULI_Z))
 
-    def test_display_multiplier_only_affects_display(self):
-        rep = qfi(eigh(PLUS), Generator(0.5 * PAULI_Z), times_four=True)
-        assert rep.value == pytest.approx(0.25, abs=1e-12)
-        assert rep.display_multiplier == 4.0
-        assert rep.display_value == pytest.approx(1.0, abs=1e-12)
-        assert rep.convention == "variance-x4"
-        assert qfi(eigh(PLUS), Generator(0.5 * PAULI_Z)).convention == "variance"
-
     def test_generator_dimension_must_match_the_state(self):
         decomp = eigh(_ghz(2))
         g = generator_from_preset("Sz", 1)
@@ -160,9 +152,7 @@ class TestValues:
 
     def test_report_json_keys(self):
         rep = qfi(eigh(PLUS), Generator(0.5 * PAULI_Z))
-        js = rep.to_json()
-        for key in ("F", "grad", "skipped_pairs", "clusters", "convention", "display_multiplier"):
-            assert key in js
+        assert list(rep.to_json()) == ["F", "grad", "skipped_pairs", "clusters"]
 
 
 class TestCotangent:

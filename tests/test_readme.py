@@ -1,4 +1,5 @@
-"""README.md's "Library quick start" and "Command line" blocks run as written against the package."""
+"""README.md's "Library quick start" and "Command line" blocks run as written against the package,
+and PAPER.md carries README's module map and design notes unchanged."""
 
 import contextlib
 import io
@@ -12,6 +13,7 @@ from pathlib import Path
 import lindbladiff
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PAPER = README.with_name("PAPER.md")
 
 
 def _quick_start() -> str:
@@ -43,3 +45,11 @@ def test_command_line_block_runs(tmp_path):
         proc = subprocess.run([sys.executable, "-m", *argv], cwd=tmp_path, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, f"{line}: {proc.stderr}"
     assert (tmp_path / "trace.csv").read_text().startswith("iter,F,grad_norm,step\n")
+
+
+def test_paper_module_map_matches_readme():
+    def section(path: Path) -> str:
+        text = path.read_text(encoding="utf-8")
+        return text[text.index("### Module map") : text.index("## Command line")]
+
+    assert section(PAPER) == section(README), "PAPER.md's module map and design notes differ from README.md's"

@@ -84,8 +84,21 @@ class TestRealification:
         with pytest.raises(ValidationError):
             complexify(np.zeros(7))
 
+    @pytest.mark.parametrize(
+        "convert, value, message",
+        [(realify, np.zeros((2, 3)), "square"), (complexify, np.zeros(6), r"2\*d\^2")],
+    )
+    def test_shapes_that_have_no_realified_form_are_rejected(self, convert, value, message):
+        with pytest.raises(ValidationError, match=message):
+            convert(value)
+
 
 class TestCosts:
+    def test_gradient_blocks_must_have_the_state_s_shape(self):
+        cost = CostCofunction(evaluate=lambda rho: 0.0, gradient=lambda rho: (np.zeros((2, 2)), np.zeros((3, 3))))
+        with pytest.raises(ValidationError, match="cost gradient blocks"):
+            cost.cotangent(np.eye(2, dtype=complex))
+
     def test_state_entry_cost_and_verify(self):
         rng = np.random.default_rng(3)
         rho = random_density(rng, 2)

@@ -30,6 +30,7 @@ from lindbladiff.solver import (
     SolveConfig,
     _CountedRhs,
     _StageWork,
+    _adaptive_core,
     _error_norm,
     _rows,
     _scratch_rows,
@@ -437,6 +438,24 @@ class TestCostsAndErrors:
                 preset_oat(2), np.array([1e150, 1e150]), all_zero_density(2), (0.0, 1000.0),
                 SolveConfig(initial_step=1000.0, max_steps=200),
             )
+
+    def test_overflowing_stage_sums_are_an_integration_error(self):
+        # finite slopes that no check rejects, whose weighted sums overflow: only
+        # the finiteness test of the step's sums stops the solve
+        def f(t, y, out=None):
+            out = np.empty_like(y) if out is None else out
+            out.fill(1e308)
+            return out
+
+        cfg = SolveConfig(initial_step=1.0, max_steps=50)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError, match="non-finite state produced"):
+                _adaptive_core(f, np.zeros((2, 2), dtype=complex), 0.0, 1.0, cfg)
+
+    def test_initial_state_of_another_dimension_is_rejected(self):
+        with pytest.raises(ValidationError, match="initial state dimension 2"):
+            integrate(preset_oat(2), np.zeros(2), all_zero_density(1), (0.0, 1.0))
+        assert counters.rhs_evaluations == 0
 
     def test_overflowing_initial_slope_norm_is_an_integration_error(self):
         with pytest.raises(IntegrationError, match="initial slope"):
