@@ -65,19 +65,11 @@ class EigDecomposition:
     def cluster_of(self, i: int) -> tuple[int, ...]:
         return self.clusters[int(self.labels[i])]
 
-    def is_degenerate(self, i: int) -> bool:
-        return len(self.cluster_of(i)) > 1
-
     @property
     def min_gap(self) -> float:
         if self.dimension < 2:
             return float("inf")
         return float(np.min(np.diff(self.eigenvalues)))
-
-    def residual(self) -> float:
-        """||rho Psi - Psi diag(lambda)||_F for diagnostics."""
-        r = self.matrix @ self.eigenvectors - self.eigenvectors * self.eigenvalues[None, :]
-        return float(np.linalg.norm(r))
 
 
 def _cluster_indices(lam: np.ndarray, tol: float) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import DensityOperator, LindbladModel
-from .qfi import Generator, _qfi_point, qfi_of_params, qfi_rho_cotangent
+from .qfi import Generator, _qfi_cost, _qfi_point, qfi_of_params
 from .eigen import eigh
 from .sensitivity import _pair, forward_sensitivity
 from .solver import SolveConfig, require_count, require_positive
@@ -180,7 +180,8 @@ def gradient_check(
     integrations for p parameters -- then reports the per-parameter maximum
     pairwise discrepancy relative to the overall gradient scale (guarding
     components whose true value is zero against division by
-    finite-difference noise).
+    finite-difference noise).  Route (b)'s QFI cost is checked at its rho(T)
+    by ``CostCofunction.verify`` (``cost_verification``; CostGradientError).
     """
     require_positive(h, "h")
     require_positive(tol, "tol")
@@ -189,7 +190,9 @@ def gradient_check(
     adjoint = rep.gradient
 
     final, tangents = forward_sensitivity(model, x, rho0, t_span, cfg)
-    cot = qfi_rho_cotangent(eigh(final.matrix), g)
+    cost = _qfi_cost(final.matrix, eigh(final.matrix), g, cfg)
+    verification = cost.verify(final.matrix)
+    cot = cost.cotangent(final.matrix)
     forward = np.array([_pair(cot, tangent) for tangent in tangents])
 
     def merit(k: int, step: float) -> float:
@@ -212,4 +215,5 @@ def gradient_check(
         "fd_step": h,
         "tolerance": tol,
         "F": rep.value,
+        "cost_verification": verification,
     }

@@ -29,12 +29,13 @@ from .linalg import Operator, is_hermitian, to_dense
 from .eigen import EigDecomposition, eig_vjp, eigh
 from .model import DensityOperator, LindbladModel
 from .sensitivity import CostCofunction, adjoint_gradient
-from .solver import SolveConfig, integrate
+from .solver import SolveConfig, _psd_tolerance, integrate
 from .spins import collective_sz
 
 #: Pairs with eigenvalue sum at or below this are dropped from the sum.
 SKIP_TOL = 1e-12
-#: Negative eigenvalues above -CLIP_TOL are clipped to zero; below is an error.
+#: Negative eigenvalues above -CLIP_TOL are clipped to zero; below is an error,
+#: except that the QFI of a solve's rho(T) clips to the solve's PSD tolerance.
 CLIP_TOL = 1e-9
 
 
@@ -95,11 +96,11 @@ class QfiReport:
         }
 
 
-def _clipped_eigenvalues(decomp: EigDecomposition) -> np.ndarray:
+def _clipped_eigenvalues(decomp: EigDecomposition, clip_tol: float) -> np.ndarray:
     lam = decomp.eigenvalues
-    if float(lam.min()) < -CLIP_TOL:
+    if float(lam.min()) < -clip_tol:
         raise ValidationError(
-            f"state has eigenvalue {float(lam.min()):.3e} below -{CLIP_TOL:g}; not a valid density operator"
+            f"state has eigenvalue {float(lam.min()):.3e} below -{clip_tol:g}; not a valid density operator"
         )
     return np.where(lam < 0.0, 0.0, lam)
 
@@ -128,8 +129,12 @@ def _pair_terms(
 
 def qfi(decomp: EigDecomposition, g: Generator) -> QfiReport:
     """Evaluate the figure of merit on a precomputed decomposition."""
+    return _qfi(decomp, g, CLIP_TOL)
+
+
+def _qfi(decomp: EigDecomposition, g: Generator, clip_tol: float) -> QfiReport:
     lower = np.tri(decomp.dimension, k=-1, dtype=bool)  # j < i
-    _, mel, w, keep, _, _ = _pair_terms(decomp, g, _clipped_eigenvalues(decomp), lower)
+    _, mel, w, keep, _, _ = _pair_terms(decomp, g, _clipped_eigenvalues(decomp, clip_tol), lower)
     value = float(np.sum(w[keep] * np.abs(mel[keep]) ** 2))
     return QfiReport(
         value=value,
@@ -150,7 +155,11 @@ def qfi_rho_cotangent(decomp: EigDecomposition, g: Generator) -> np.ndarray:
     cotangent block is exactly Hermitian, so the eigendecomposition
     pullback is gauge-clean by construction.
     """
-    lam = decomp.cluster_mean(_clipped_eigenvalues(decomp))
+    return _qfi_rho_cotangent(decomp, g, CLIP_TOL)
+
+
+def _qfi_rho_cotangent(decomp: EigDecomposition, g: Generator, clip_tol: float) -> np.ndarray:
+    lam = decomp.cluster_mean(_clipped_eigenvalues(decomp, clip_tol))
     off = ~np.eye(decomp.dimension, dtype=bool)
     gpsi, mel, w, keep, diff, s = _pair_terms(decomp, g, lam, off)
     # d/d(l_i) of (l_i - l_j)^2/(l_i + l_j) at fixed l_j
@@ -192,28 +201,15 @@ def _qfi_point(model, x, rho0, t_span, g, cfg, keep_stages: bool) -> tuple[QfiRe
         rho_t = result.final_state.matrix
         decomp = eigh(rho_t)
         stage = "figure-of-merit"
-        report = qfi(decomp, g)
+        report = _qfi(decomp, g, _psd_tolerance(cfg))
         report = replace(report, diagnostics={"solver": result.stats.to_json()})
     except LindbladiffError as exc:
         exc.stage = getattr(exc, "stage", stage)  # type: ignore[attr-defined]
         raise
 
-    def decompose(rho: np.ndarray) -> EigDecomposition:
-        # the cost sees rho(T) itself for its value and cotangent; only
-        # the verifier's probe states need a decomposition of their own
-        return decomp if np.array_equal(rho, rho_t) else eigh(rho)
-
-    def evaluate(rho: np.ndarray) -> float:
-        return qfi(decompose(rho), g).value
-
-    def gradient(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cot = qfi_rho_cotangent(decompose(rho), g)
-        return cot.real.copy(), cot.imag.copy()
-
     def differentiate() -> QfiReport:
         try:
-            cost = CostCofunction(evaluate=evaluate, gradient=gradient, name="qfi")
-            grad_result = adjoint_gradient(result, cost)
+            grad_result = adjoint_gradient(result, _qfi_cost(rho_t, decomp, g, cfg))
             diagnostics = dict(report.diagnostics, adjoint=grad_result.diagnostics, dc_dT=grad_result.dc_dT)
             return replace(report, gradient=grad_result.dc_dx, diagnostics=diagnostics)
         except LindbladiffError as exc:
@@ -221,3 +217,21 @@ def _qfi_point(model, x, rho0, t_span, g, cfg, keep_stages: bool) -> tuple[QfiRe
             raise
 
     return report, differentiate
+
+
+def _qfi_cost(rho_t: np.ndarray, decomp: EigDecomposition, g: Generator, cfg: SolveConfig) -> CostCofunction:
+    """The figure of merit as a cost near the final state rho_t of a solve under cfg, clipped to that solve's
+    PSD tolerance; at rho_t it reuses rho_t's decomposition, so only verify's probe states need an eigh."""
+    clip_tol = _psd_tolerance(cfg)
+
+    def decompose(rho: np.ndarray) -> EigDecomposition:
+        return decomp if np.array_equal(rho, rho_t) else eigh(rho)
+
+    def evaluate(rho: np.ndarray) -> float:
+        return _qfi(decompose(rho), g, clip_tol).value
+
+    def gradient(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cot = _qfi_rho_cotangent(decompose(rho), g, clip_tol)
+        return cot.real.copy(), cot.imag.copy()
+
+    return CostCofunction(evaluate=evaluate, gradient=gradient, name="qfi")

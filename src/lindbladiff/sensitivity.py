@@ -34,7 +34,6 @@ checkpoint count.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -104,18 +103,10 @@ def _pair(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _probe_operators(d: int) -> np.ndarray:
-    """The Hermitian K and A of CostCofunction.verify's probe directions at dimension d, read-only."""
+    """The Hermitian K and A of CostCofunction.verify's probe directions at dimension d."""
     rng = np.random.default_rng(0xC0F7 + d)
     draws = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(2)]
-    ops = np.array([0.5 * (m + m.conj().T) for m in draws])
-    ops.setflags(write=False)
-    return ops
-
-
-#: verify keeps its probe operators for later calls up to this dimension; a
-#: larger pair (8 MiB at n = 9) would stay alive through every reverse pass.
-_PROBE_CACHE_MAX_DIM = 64
-_cached_probe_operators = functools.cache(_probe_operators)
+    return np.array([0.5 * (m + m.conj().T) for m in draws])
 
 
 @dataclass(frozen=True)
@@ -123,8 +114,10 @@ class CostCofunction:
     """Scalar terminal cost c(rho(T)) with its own gradient rule.
 
     ``gradient`` returns (dc/d(Re rho), dc/d(Im rho)) as real matrices.
-    The built-in verifier probes the gradient against central finite
-    differences along spectrum-safe directions before any adjoint work.
+    adjoint_gradient trusts this rule and never calls ``evaluate``;
+    ``verify(rho)`` probes the rule against central finite differences of
+    ``evaluate`` along spectrum-safe directions, and is the way to check a
+    cost before differentiating through it.
     """
 
     evaluate: Callable[[np.ndarray], float]
@@ -142,22 +135,20 @@ class CostCofunction:
             )
         return dre + 1j * dim
 
-    def verify(self, rho: np.ndarray, cot: np.ndarray | None = None) -> dict:
+    def verify(self, rho: np.ndarray) -> dict:
         """Directional finite-difference check of the gradient rule at rho.
 
         Probe directions preserve the spectrum's validity: a commutator
         direction i[K, rho] moves eigenvectors but shifts eigenvalues only
         at second order, and a congruence direction rho A rho vanishes on
         the kernel of rho, so rho +/- h D stays within the tolerance of a
-        valid state even when rho is pure.  Checks ``cot``, or the cotangent
-        formed here if none is given; raises CostGradientError on disagreement.
+        valid state even when rho is pure.  Raises CostGradientError on
+        disagreement.
         """
         rho = np.asarray(rho, dtype=np.complex128)
-        d = rho.shape[0]
-        k_dir, a_dir = (_cached_probe_operators if d <= _PROBE_CACHE_MAX_DIM else _probe_operators)(d)
+        k_dir, a_dir = _probe_operators(rho.shape[0])
         probes = [1j * (k_dir @ rho - rho @ k_dir), rho @ a_dir @ rho]
-        if cot is None:
-            cot = self.cotangent(rho)
+        cot = self.cotangent(rho)
         # Central differences carry absolute noise of order eps_c/h (cost
         # evaluation error amplified by the step) plus h^2 truncation; below
         # that floor the comparison is uninformative, so a verdict needs the
@@ -231,10 +222,6 @@ class GradientResult:
             raise ValidationError("non-finite parameter gradient")
         if self.dc_drho0 is not None and not np.all(np.isfinite(self.dc_drho0)):
             raise ValidationError("non-finite initial-state gradient")
-
-    @property
-    def dc_drho0_matrix(self) -> np.ndarray | None:
-        return None if self.dc_drho0 is None else complexify(self.dc_drho0)
 
 
 def adjoint_liouvillian_apply(
@@ -379,12 +366,13 @@ def _reverse_step(
 def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResult:
     """Reverse-mode gradient of a terminal cost through the solve ``result``.
 
-    Verifies the cost's gradient rule on the cotangent at the final state
-    that starts the sweep, then sweeps backward segment by segment: each
-    segment between stored checkpoints is replayed on the recorded grid with
-    the model and x of ``result`` and its steps are reverse-differentiated
-    exactly.  Returns dc/dx, the realified dc/d(rho0) (the terminal adjoint
-    state), and dc/dT.  For a fresh solve pass ``integrate(model, x, rho0,
+    Forms the cost's cotangent at the final state once, with no check of
+    the cost's gradient rule: a cost passed here is trusted, and
+    ``cost.verify(rho)`` is the way to check one.  Then sweeps backward
+    segment by segment: each segment between stored checkpoints is replayed
+    on the recorded grid with the model and x of ``result`` and its steps
+    are reverse-differentiated exactly.  Returns dc/dx, the realified
+    dc/d(rho0) (the terminal adjoint state), and dc/dT.  For a fresh solve pass ``integrate(model, x, rho0,
     t_span, cfg, keep_stages=True)``: the steps whose stage states it kept
     then need no stage recompute, and the gradient is bit-equal either way.
     Replay fills one tape, allocated once per pass with longest - 1 rows
@@ -409,7 +397,6 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     model, x, t_final = result.model, result.x, result.t_span[1]
     rho_t = result.final_state.matrix
     lam = cost.cotangent(rho_t)
-    verification = cost.verify(rho_t, lam)
     dc_dt = _pair(lam, lindblad_rhs(t_final, rho_t, model, x))
 
     f = _CountedRhs(model, x)
@@ -455,7 +442,6 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
         "taped_stage_steps": taped,
         "adjoint_rhs_evaluations": f.calls,
         "adjoint_generator_applications": applications,
-        "cost_verification": verification,
     }
     return GradientResult(
         dc_dx=grad,

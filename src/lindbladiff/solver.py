@@ -219,7 +219,6 @@ class SolveResult:
     step_sizes: np.ndarray  # accepted step sizes, length accepted
     stats: SolveStats
     t_span: tuple[float, float]
-    config: SolveConfig
     x: np.ndarray  # a copy of the checked parameter vector the solve used
     model: LindbladModel
     # the (s, *state shape) stage-state stacks of accepted steps 0 ... kept - 1,
@@ -546,10 +545,15 @@ def _check_inputs(
     return y, x, t0, t_final
 
 
+def _psd_tolerance(cfg: SolveConfig) -> float:
+    """The one PSD rule for a solve's rho(T): integrate's check and the QFI of that state both read it."""
+    return max(1e-7, 50.0 * cfg.rtol)
+
+
 def _final_state(y: np.ndarray, cfg: SolveConfig) -> DensityOperator:
     """rho(T) as a DensityOperator, checked to tolerances that scale with cfg.rtol."""
     tol_scale = max(1e-9, 50.0 * cfg.rtol)
-    return DensityOperator.from_matrix(y, trace_tol=tol_scale, herm_tol=tol_scale, psd_tol=max(1e-7, tol_scale))
+    return DensityOperator.from_matrix(y, trace_tol=tol_scale, herm_tol=tol_scale, psd_tol=_psd_tolerance(cfg))
 
 
 def integrate(
@@ -602,7 +606,6 @@ def integrate(
         step_sizes=sizes,
         stats=stats,
         t_span=(t0, t_final),
-        config=cfg,
         x=x,
         model=model,
         step_stages=tuple(trail.stages),

@@ -25,7 +25,7 @@ API = {
     "preset_oat": ("n", "gamma", "sparse"),
     "SolveConfig": ("rtol", "atol", "initial_step", "max_steps", "checkpoints"),
     "SolveResult": (
-        "final_state", "step_checkpoints", "step_times", "step_sizes", "stats", "t_span", "config", "x",
+        "final_state", "step_checkpoints", "step_times", "step_sizes", "stats", "t_span", "x",
         "model", "step_stages"
     ),
     "SolveStats": (

@@ -281,11 +281,6 @@ class TestQfi:
         assert len(stage["grad"]) == 2
         assert "adjoint" in rep["stages"]
 
-    def test_adjoint_stage_reports_the_cost_verification(self, tmp_path):
-        rep = _run(tmp_path, ["qfi", "--model", "oat:2", "--params", "0.7,0.4", "--grad"])
-        probes = rep["stages"]["adjoint"]["cost_verification"]["probes"]
-        assert probes and all(set(p) == {"analytic", "fd"} for p in probes)
-
     def test_phase_model_value(self, phase_cfg, tmp_path):
         rep = _run(tmp_path, ["qfi", "--config", phase_cfg])
         expect = np.sin(0.8 * 1.3) ** 2 / 4.0
@@ -298,6 +293,11 @@ class TestGradCheck:
         stage = rep["stages"]["grad_check"]
         assert stage["pass"] is True
         assert stage["max_rel_error"] < 1e-4
+
+    def test_reports_the_cost_verification(self, tmp_path):
+        rep = _run(tmp_path, ["grad-check", "--model", "oat:2", "--params", "0.7,0.4"])
+        probes = rep["stages"]["grad_check"]["cost_verification"]["probes"]
+        assert probes and all(set(p) == {"analytic", "fd"} for p in probes)
 
     def test_absurd_tolerance_exits_four(self, phase_cfg, tmp_path):
         rep = _run(tmp_path, ["grad-check", "--config", phase_cfg, "--tol", "1e-18"], expect=4)

@@ -1,13 +1,14 @@
 """Gradient ascent with Armijo backtracking and the gradient cross-check."""
 
 import importlib
+import sys
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lindbladiff.errors import IntegrationError, ValidationError
+from lindbladiff.errors import CostGradientError, IntegrationError, ValidationError
 from lindbladiff.instrumentation import counters
 from lindbladiff.model import (
     DensityOperator,
@@ -319,6 +320,26 @@ class TestGradientCheck:
         assert {p["index"] for p in report["parameters"]} == {0, 1}
         for p in report["parameters"]:
             assert set(p) == {"index", "adjoint", "forward", "fd", "rel_error"}
+        probes = report["cost_verification"]["probes"]
+        assert probes and all(set(p) == {"analytic", "fd"} for p in probes)
+
+    def test_a_broken_qfi_gradient_rule_raises(self, monkeypatch):
+        # the forward route checks its QFI cost at rho(T); a doubled eigendecomposition
+        # pullback breaks the cost's gradient rule, which the adjoint pass alone would trust
+        qfi_module = sys.modules["lindbladiff.qfi"]
+        original = qfi_module.eig_vjp
+        monkeypatch.setattr(qfi_module, "eig_vjp", lambda *args: 2.0 * original(*args))
+        with pytest.raises(CostGradientError, match="qfi"):
+            gradient_check(
+                preset_oat(2, 0.1),
+                np.array([0.8, 0.6]),
+                all_zero_density(2),
+                (0.0, 1.0),
+                generator_from_preset("Sz", 2),
+                FAST,
+            )
+        # the adjoint route ran through; the check came with the joint forward solve
+        assert counters.adjoint_passes == 1 and counters.forward_integrations == 2
 
     def test_forward_route_is_one_joint_solve(self):
         # one solve for the adjoint, one joint tangent solve for all p

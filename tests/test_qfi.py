@@ -11,6 +11,7 @@ from lindbladiff.eigen import eigh
 from lindbladiff.errors import IntegrationError, LindbladiffError, ValidationError
 from lindbladiff.instrumentation import counters
 from lindbladiff.model import DensityOperator, all_zero_density, preset_oat
+from lindbladiff.optimize import gradient_check
 from lindbladiff.qfi import (
     CLIP_TOL,
     Generator,
@@ -20,7 +21,7 @@ from lindbladiff.qfi import (
     qfi_of_params,
     qfi_rho_cotangent,
 )
-from lindbladiff.solver import DOP853, SolveConfig
+from lindbladiff.solver import DOP853, SolveConfig, integrate
 from lindbladiff.spins import PAULI_Z, collective_sz
 
 PLUS = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
@@ -269,7 +270,8 @@ class TestOfParams:
 
     def test_gradient_decomposes_each_state_once(self, monkeypatch):
         # the package re-exports functions named eigh and qfi, which shadow
-        # the submodules as attributes of lindbladiff
+        # the submodules as attributes of lindbladiff; the value and the
+        # adjoint pass's cotangent share the one decomposition of rho(T)
         eigen_mod = importlib.import_module("lindbladiff.eigen")
         qfi_mod = importlib.import_module("lindbladiff.qfi")
         inputs = []
@@ -290,8 +292,23 @@ class TestOfParams:
             SolveConfig(),
             want_gradient=True,
         )
-        assert inputs
-        assert len(set(inputs)) == len(inputs)
+        assert len(inputs) == 1
+
+    @pytest.mark.parametrize("x1", [40.0, 85.06])
+    def test_a_final_state_the_solve_accepts_has_a_figure_of_merit(self, x1):
+        # rho(T) is pure in exact arithmetic, but after 186 / 387 steps its
+        # smallest computed eigenvalue sits below -CLIP_TOL; it is within the
+        # solve's PSD tolerance, which the QFI of a solved state clips to
+        model, x, rho0 = preset_oat(2), np.array([1.16, x1]), all_zero_density(2)
+        g = generator_from_preset("Sz", 2)
+        final = integrate(model, x, rho0, (0.0, 1.0)).final_state.matrix
+        assert np.linalg.eigvalsh(final).min() < -CLIP_TOL
+        with pytest.raises(ValidationError):
+            qfi(eigh(final), g)  # a decomposition no solve vouches for keeps the strict tolerance
+        rep = qfi_of_params(model, x, rho0, (0.0, 1.0), g, want_gradient=True)
+        assert np.isfinite(rep.value) and rep.value >= 0.0
+        check = gradient_check(model, x, rho0, (0.0, 1.0), g)
+        assert check["pass"] and check["F"] == rep.value
 
     def test_dissipation_degrades_the_figure_of_merit(self):
         x = np.array([np.pi, np.pi * np.sqrt(3) / 2])

@@ -1,8 +1,10 @@
 """README.md's "Library quick start" and "Command line" blocks run as written against the package,
-and PAPER.md carries README's module map and design notes unchanged."""
+PAPER.md carries README's module map and design notes unchanged, and README.md names exactly the
+diagnostics that the reports carry."""
 
 import contextlib
 import io
+import json
 import os
 import re
 import shlex
@@ -11,6 +13,7 @@ import sys
 from pathlib import Path
 
 import lindbladiff
+from lindbladiff import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PAPER = README.with_name("PAPER.md")
@@ -53,3 +56,36 @@ def test_paper_module_map_matches_readme():
         return text[text.index("### Module map") : text.index("## Command line")]
 
     assert section(PAPER) == section(README), "PAPER.md's module map and design notes differ from README.md's"
+
+
+def _report_keys(node) -> set:
+    """The keys of every object in a JSON tree, objects nested in lists included."""
+    if isinstance(node, dict):
+        return set(node).union(*map(_report_keys, node.values()))
+    if isinstance(node, list):
+        return set().union(*map(_report_keys, node))
+    return set()
+
+
+def _documented_keys(text: str, stage: str) -> set:
+    """The bare names in backticks in README.md's paragraph on ``stages.<stage>``, after its first colon."""
+    start = text.index(f"`stages.{stage}`")
+    paragraph = text[start : text.index("\n\n", start)]
+    return set(re.findall(r"`(\w+)`", paragraph.split(":", 1)[1]))
+
+
+def test_report_diagnostics_are_the_documented_ones(tmp_path):
+    # a key added to or dropped from these reports fails here until README.md's paragraph on it says so
+    stages = {}
+    for argv in (["qfi", "--grad"], ["grad-check"]):
+        out = tmp_path / "report.json"
+        assert cli.main(argv + ["--model", "oat:2", "--params", "0.7,0.4", "--out", str(out)]) == 0
+        stages.update(json.loads(out.read_text())["stages"])
+    text = README.read_text(encoding="utf-8")
+    reports = [
+        ("solve.stats", stages["solve"]["stats"]),
+        ("adjoint", stages["adjoint"]),
+        ("grad_check", stages["grad_check"]),
+    ]
+    for stage, report in reports:
+        assert _documented_keys(text, stage) == _report_keys(report), f"stages.{stage}"

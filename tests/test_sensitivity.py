@@ -1,6 +1,5 @@
 """Forward-tangent and reverse-adjoint gradients through the integrator."""
 
-import json
 import tracemalloc
 import warnings
 
@@ -125,13 +124,6 @@ class TestCosts:
         )
         with pytest.raises(CostGradientError):
             bad.verify(rho)
-
-    def test_verify_checks_the_cotangent_it_is_given(self):
-        rho = random_density(np.random.default_rng(7), 2)
-        cost = state_entry_re_cost(0, 1)
-        cost.verify(rho, cost.cotangent(rho))
-        with pytest.raises(CostGradientError):
-            cost.verify(rho, 2.0 * cost.cotangent(rho))
 
     def test_cotangent_is_linear_packing(self):
         rng = np.random.default_rng(6)
@@ -305,7 +297,7 @@ class TestAdjointGradient:
         rho0 = all_zero_density(2)
         cost = observable_cost(random_hermitian(np.random.default_rng(9), 4))
         res = adjoint_gradient(integrate(model, x, rho0, (0.0, 1.0), TIGHT), cost)
-        lam0 = res.dc_drho0_matrix
+        lam0 = complexify(res.dc_drho0)
         # spectrum-safe probe: i[K, rho] is traceless and Hermitian and moves
         # the eigenvalues only at second order, so rho0 +/- h D stays a valid
         # state even though rho0 is pure
@@ -441,8 +433,7 @@ class TestAdjointGradient:
         assert diag["peak_retained_states"] <= len(indices) + longest + len(DOP853.c) * (longest - 1)
 
     def test_the_cost_gradient_runs_once_per_pass(self):
-        # the verifier checks the cotangent that starts the sweep, so one
-        # adjoint_gradient calls the cost's gradient rule exactly once
+        # the cotangent that starts the sweep is the pass's one call of the cost's gradient rule
         base = observable_cost(collective_sx(2))
         calls = 0
 
@@ -456,7 +447,18 @@ class TestAdjointGradient:
         got = adjoint_gradient(res, counted)
         assert calls == 1
         assert np.array_equal(got.dc_dx, adjoint_gradient(res, base).dc_dx)
-        json.dumps(got.diagnostics["cost_verification"])  # numbers only, no array
+        assert "cost_verification" not in got.diagnostics
+
+    def test_the_pass_trusts_the_cost_and_never_evaluates_it(self):
+        # the gradient rule is checked by cost.verify where gradients are validated, not per pass
+        base = observable_cost(collective_sx(2))
+
+        def evaluate(rho):
+            raise AssertionError("the adjoint pass evaluated the cost")
+
+        trusted = CostCofunction(evaluate=evaluate, gradient=base.gradient, name="trusted")
+        res = integrate(preset_oat(2, 0.1), np.array([0.8, 0.6]), all_zero_density(2), (0.0, 1.0))
+        assert np.array_equal(adjoint_gradient(res, trusted).dc_dx, adjoint_gradient(res, base).dc_dx)
 
     def test_diagnostics_shape(self):
         model = preset_oat(2)
@@ -467,7 +469,7 @@ class TestAdjointGradient:
         d = res.diagnostics
         assert d["segments"] >= 1
         assert d["steps_replayed"] >= d["segments"] >= 1
-        assert "cost_verification" in d
+        assert "cost_verification" not in d
 
 
 class TestKeptSlopes:
