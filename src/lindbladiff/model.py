@@ -6,23 +6,30 @@ The generator acts on density matrices as
                 + sum_j gamma_j (J_j rho J_j^dag - (1/2) {J_j^dag J_j, rho})
 
 with a Hermitian, time- and parameter-dependent Hamiltonian H and fixed jump
-channels (gamma_j, J_j).  A declared LinearSchedule H(x) = A_0 + sum_k x_k A_k
-(preset_oat and explicit JSON models use one) compiles the generator once per
-model, on first use, to S_0 and S_k, each a row-major CSR superoperator on its
-own pattern; S(x) = S_0 + sum_k x_k S_k is their sparse sum, formed once per x:
-L is one call of scipy's CSR matrix-vector kernel with S(x), L^dag one with
-S(x)^H and dL/dx_k one with S_k, each writing into a buffer the caller may own
-(a row of the integrator's stage stack) with no temporary or copy.
-Callable schedules, and linear models whose Kronecker terms count more than
+channels (gamma_j, J_j).  Every state the library integrates is Hermitian, and
+L preserves Hermiticity, L(X^H) = L(X)^H, so both kernels form L on a
+Hermitian X as h + h^H from a half h of the work, and the result is bitwise
+Hermitian; L^dag and dL/dx_k take any input.  A declared LinearSchedule
+H(x) = A_0 + sum_k x_k A_k (preset_oat and explicit JSON models use one)
+compiles the generator once per model, on first use, to S_0 and S_k, each a
+row-major CSR superoperator on its own pattern, with integer maps into the
+one fixed pattern of S(x) = S_0 + sum_k x_k S_k, whose entries are formed
+once per x by vector operations on data arrays: L is one call of scipy's CSR
+matrix-vector kernel over the half rows (i, j), i <= j, of S(x), L^dag one
+with S(x)^H and dL/dx_k one with S_k, each writing into a buffer the caller
+may own (a row of the integrator's stage stack) with no copy.  Callable
+schedules, and linear models whose Kronecker terms count more than
 COMPILE_MAX_NNZ entries (preset_oat from n = 9 on), apply the generator in
 effective-Hamiltonian form L(rho) = -i (H_eff rho - rho H_eff^dag) + sum_j
 gamma_j J_j rho J_j^dag with H_eff = H - iK, K = (1/2) sum_j gamma_j J_j^dag
-J_j: L^dag and dL/dx_k are the same sandwich kernel with other operands.  A
-jump operator that acts on one qubit, J = I (x) a (x) I with a 2x2 factor a of
-at most two nonzero entries (sigma_+/-, sigma_x/y/z, the projectors; every
-preset channel), is detected once per JumpChannel, adds its J^dag J to K in
-O(d^2), and is applied by the kernel as O(d^2) block copies on the qubit tensor
-view of the state; every other J takes two dense or sparse products.  The
+J_j: L takes one product rho H_eff^dag, whose conjugate transpose is
+H_eff rho, and L^dag and dL/dx_k are the same sandwich kernel with other
+operands and two products.  A jump operator that acts on one qubit,
+J = I (x) a (x) I with a 2x2 factor a of at most two nonzero entries
+(sigma_+/-, sigma_x/y/z, the projectors; every preset channel), is detected
+once per JumpChannel, adds its J^dag J to K in O(d^2), and is applied by the
+kernel as O(d^2) block copies on the qubit tensor view of the state; every
+other J takes two dense or sparse products.  The
 right-hand side is evaluated on raw complex matrices: intermediate integrator
 stages legitimately violate trace and positivity, so state invariants are only
 enforced on accepted states via DensityOperator.
@@ -31,6 +38,7 @@ enforced on accepted states via DensityOperator.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -44,7 +52,7 @@ from .errors import ShapeMismatchError, ValidationError
 from .linalg import Operator
 from .spins import LOWERING, all_zero_state, as_sparse, collective_sx, collective_sz, embed_single
 
-_FLOAT64 = np.dtype(np.float64)
+_FLOAT64, _COMPLEX128 = np.dtype(np.float64), np.dtype(np.complex128)
 
 #: Largest anti-Hermitian part a Hamiltonian operand may have, in Frobenius norm
 #: relative to max(1, its norm).
@@ -325,6 +333,20 @@ def _coherent_super(a: Operator, eye: sparse.csr_array) -> sparse.csr_array:
     return -1j * (sparse.kron(a, eye, format="csr") - sparse.kron(eye, a.conj(), format="csr"))
 
 
+def _transposed_keys(part: sparse.csr_array) -> np.ndarray:
+    """column * N + row of each stored entry of an N x N CSR array: the keys
+    that sort its entries in the CSR order of its transpose."""
+    keys = part.indices.astype(np.int64)
+    keys *= part.shape[0]
+    keys += np.repeat(np.arange(part.shape[0]), np.diff(part.indptr))
+    return keys
+
+
+def _indptr(rows: np.ndarray, size: int, index: np.dtype) -> np.ndarray:
+    """The CSR row pointer of entries with these sorted rows, in an N = size row array."""
+    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=size))]).astype(index)
+
+
 class Superoperator:
     """Row-major generator S(x) = S_0 + sum_k x_k S_k of a model with a LinearSchedule.
 
@@ -332,21 +354,68 @@ class Superoperator:
     S_0 = -i (H_eff,0 (x) I - I (x) conj(H_eff,0)) + sum_j gamma_j J_j (x) conj(J_j)
     with H_eff,0 = A_0 - iK, and S_k = -i (A_k (x) I - I (x) conj(A_k)).  ``base``
     (S_0) and each of ``derivatives`` (S_k) is one canonical CSR on its own
-    pattern.  ``at`` forms S(x) as the sparse sum ((S_0 + x_1 S_1) + x_2 S_2) ...
-    and S(x)^H, the adjoint generator, by conjugate transposition; it keeps the
-    last (x, S(x), S(x)^H), keyed on the exact bytes of x, so the forward,
-    replay and reverse passes of a solve share one S.
+    pattern, the only complex tables stored before a first x.
+
+    S(x) lives on one fixed pattern, the union of theirs, held in the CSR
+    order of S(x)^H.  Construction fixes integer tables once: for each entry
+    of the union, the stored values of the parts it sums, in part order; and
+    the half rows of S(x), its rows (i, j) = i d + j with i <= j, as a CSR
+    pattern with the positions of its entries.  At a new x the memo is then
+    a few vector operations on data arrays: the parts' values, S_k's scaled
+    by x_k, gathered and added into S(x)'s entries ((S_0 + x_1 S_1) + x_2 S_2)
+    ..., the operations of the sparse sum; the half rows gathered from them,
+    with the diagonal rows (i, i) scaled by 1/2, which is exact; and S(x)^H
+    as their conjugates in place, with the bits of the conjugate transposed
+    sum.
+    For a Hermitian X, L(X) is Hermitian (L(X^H) = L(X)^H), so ``apply`` makes
+    one CSR kernel call over the half rows, h, and returns h + h^H, bitwise
+    Hermitian: row (i, j) of L for i < j, its conjugate at (j, i), and the
+    real part of row (i, i).  With ``adjoint`` it is one kernel call with all
+    rows of S(x)^H, for any input.  The memo holds the last x's tables, keyed
+    on the exact bytes of x, so the forward, replay and reverse passes of a
+    solve share them.  ``at`` and ``half_rows`` return them as CSR arrays.
     """
 
     def __init__(self, base: sparse.csr_array, derivatives: Sequence[sparse.csr_array]):
-        for part in (base, *derivatives):
+        parts = (base, *derivatives)
+        for part in parts:
             part.sum_duplicates()  # canonical: sorted column indices, no duplicates
         self.base, self.derivatives = base, tuple(derivatives)
         self._memo: tuple = (None, None, None)
         self._x_shape = (len(self.derivatives),)
+        size, index = base.shape[0], np.result_type(*(part.indices for part in parts))
+        d = math.isqrt(size)
+        # every part's entries, as terms of the parts' data laid end to end, sorted
+        # into S^H's CSR order (by column of S, then by row) and, stably, by part
+        keys = np.concatenate([_transposed_keys(part) for part in parts])
+        self._bounds = np.cumsum([part.nnz for part in parts]).tolist()
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        columns, rows = (a.astype(index) for a in np.divmod(keys[first], size))  # of S
+        del keys
+        order = order.astype(index)
+        entry = np.cumsum(first, dtype=index)
+        entry -= 1  # the union entry each term adds to
+        rank = np.arange(len(first), dtype=index)  # its place among that entry's terms
+        rank -= np.flatnonzero(first).astype(index)[entry]
+        # entry e of S(x) is terms[first term] + terms[second] + ..., added in part order
+        self._first_terms = order[first]
+        self._later_terms = tuple((entry[rank == r], order[rank == r]) for r in range(1, rank.max(initial=0) + 1))
+        del order, first, entry, rank
+        # (n_row, n_col, indptr, indices): the leading arguments of a kernel call
+        self._adjoint_pattern = (size, size, _indptr(columns, size, index), rows)
+        upper = np.flatnonzero(rows // d <= rows % d)
+        half = upper[np.argsort(rows[upper], kind="stable")].astype(index)  # S's CSR order: by row, then by column
+        half_rows = rows[half]
+        self._half_entries = half
+        self._half_pattern = (size, size, _indptr(half_rows, size, index), columns[half])
+        self._half_diagonal = np.flatnonzero(half_rows % (d + 1) == 0).astype(index)  # rows (i, i) = i (d + 1)
 
-    def at(self, x: np.ndarray) -> tuple[sparse.csr_array, sparse.csr_array]:
-        """(S(x), S(x)^H); x must hold one value per parameter."""
+    def _tables(self, x: np.ndarray) -> tuple:
+        """The memo (key, half rows, S(x)^H) for x, each as the (n_row, n_col, indptr, indices,
+        data) a kernel call takes; x must hold one value per parameter."""
         if not (type(x) is np.ndarray and x.dtype is _FLOAT64 and x.shape == self._x_shape):
             x = np.ascontiguousarray(x, dtype=np.float64)
             if x.shape != self._x_shape:
@@ -356,12 +425,45 @@ class Superoperator:
         # read and replaced as one tuple, so a concurrent caller sees a whole entry
         memo = self._memo
         if memo[0] != key:
-            s = self.base
-            for xk, sk in zip(x, self.derivatives):
-                s = s + xk * sk
-            memo = (key, s, s.conj().T.tocsr())
+            # the parts' data laid end to end, S_k's scaled by x_k as the sparse product x_k S_k does
+            terms, start = np.empty(self._bounds[-1], dtype=np.complex128), self._bounds[0]
+            terms[:start] = self.base.data
+            for xk, sk, end in zip(x, self.derivatives, self._bounds[1:]):
+                np.multiply(sk.data, xk, out=terms[start:end])
+                start = end
+            data = np.take(terms, self._first_terms)  # on int32 indices take is faster than []
+            for entries, later in self._later_terms:
+                data[entries] += np.take(terms, later)
+            half = np.take(data, self._half_entries)
+            half[self._half_diagonal] *= 0.5
+            memo = (key, (*self._half_pattern, half), (*self._adjoint_pattern, np.conjugate(data, out=data)))
             self._memo = memo
-        return memo[1], memo[2]
+        return memo
+
+    def apply(
+        self, x: np.ndarray, state: np.ndarray, out: np.ndarray | None = None, *, adjoint: bool = False
+    ) -> np.ndarray:
+        """L(state) = h + h^H from the half rows of S(x), or S(x)^H vec(state) with ``adjoint``, into ``out``."""
+        memo = self._tables(x)
+        if adjoint:
+            return _csr_apply(memo[2], state, out)
+        h = _csr_apply(memo[1], state, out)
+        return _mirror(h, h)
+
+    @staticmethod
+    def _csr(table: tuple) -> sparse.csr_array:
+        n_row, n_col, indptr, indices, data = table
+        return sparse.csr_array((data, indices, indptr), shape=(n_row, n_col), copy=True)
+
+    def at(self, x: np.ndarray) -> tuple[sparse.csr_array, sparse.csr_array]:
+        """(S(x), S(x)^H) as copies of the memo's table; x must hold one value per parameter."""
+        s_adjoint = self._csr(self._tables(x)[2])
+        return s_adjoint.conj().T.tocsr(), s_adjoint
+
+    def half_rows(self, x: np.ndarray) -> sparse.csr_array:
+        """The half rows of S(x) that ``apply`` multiplies by, as a copy: S(x)'s rows
+        (i, j) with i <= j, the diagonal rows (i, i) scaled by 1/2, and empty rows (i, j), i > j."""
+        return self._csr(self._tables(x)[1])
 
 
 def _compile(model: LindbladModel) -> Superoperator | None:
@@ -392,33 +494,61 @@ def _right_matmul(a: np.ndarray, b: Operator) -> np.ndarray:
     return a @ b
 
 
-def _sandwich(
-    a: Operator, a_right: Operator, channels: Sequence[JumpChannel], state: np.ndarray, *, adjoint: bool = False
-) -> np.ndarray:
-    """-i (a X - X a') + sum_j gamma_j L_j X R_j on X = state, (L, R) = (J, J^dag).
+def _add_jumps(
+    out: np.ndarray, channels: Sequence[JumpChannel], state: np.ndarray, weight: float, adjoint: bool
+) -> None:
+    """out += weight sum_j gamma_j L_j X R_j on X = state, (L, R) = (J, J^dag), or (J^dag, J) with ``adjoint``.
 
-    The one place a state meets a generator operand.  With K the model's ``decay``,
-    L is (H - iK, H + iK, channels), dL/dx_k is (dH/dx_k, dH/dx_k, ()) and L^dag is
-    (-H - iK, -H + iK, channels, adjoint=True), which swaps (L, R) to (J^dag, J).
-    A channel with a ``local`` form adds its blocks on the qubit view instead of
-    the two products.
+    A channel with a ``local`` form adds its blocks on the qubit view instead
+    of the two products; ``out`` must be C-contiguous, so its reshape is a view.
     """
-    out = -1j * (np.asarray(a @ state) - _right_matmul(state, a_right))
     for ch in channels:
         if ch.rate == 0.0:
             continue
+        rate = weight * ch.rate
         if ch.local is not None:
-            # out is a fresh C-ordered array (a @ state is), so its reshape is a view
             src, dst = state.reshape(ch.local.view), out.reshape(ch.local.view)
             for to, frm, c in ch.local.blocks:
                 if adjoint:
                     to, frm, c = frm, to, c.conjugate()
-                dst[to] += (ch.rate * c) * src[frm]
+                dst[to] += (rate * c) * src[frm]
             continue
         left, right = ch.operator, ch.adjoint_operator
         if adjoint:
             left, right = right, left
-        out += ch.rate * _right_matmul(np.asarray(left @ state), right)
+        out += rate * _right_matmul(np.asarray(left @ state), right)
+
+
+def _sandwich(
+    a: Operator | None,
+    a_right: Operator,
+    channels: Sequence[JumpChannel],
+    state: np.ndarray,
+    *,
+    adjoint: bool = False,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """-i (a X - X a') + sum_j gamma_j L_j X R_j on X = state, (L, R) = (J, J^dag), into ``out`` if given.
+
+    The one place a state meets a generator operand.  With K the model's
+    ``decay``, dL/dx_k is (dH/dx_k, dH/dx_k, ()) and L^dag is (-H - iK, -H + iK,
+    channels, adjoint=True), which swaps (L, R) to (J^dag, J): two products
+    each, for any X.  L is (None, H + iK, channels) and takes a Hermitian X:
+    there a = a'^dag, so a X = P^H for the one product P = X a', and the
+    coherent term is -i (P^H - P) = i P + (i P)^H.  The result is M + M^H
+    with M = i P + (1/2) sum_j gamma_j J_j X J_j^dag, bitwise Hermitian, as
+    the compiled kernel's h + h^H is.
+    """
+    if a is None:
+        half = np.multiply(_right_matmul(state, a_right), 1j, order="C")
+        _add_jumps(half, channels, state, 0.5, adjoint)
+        return _mirror(half, np.empty(state.shape, dtype=np.complex128) if out is None else out)
+    # a fresh C-ordered array (a @ state is), as _add_jumps needs
+    result = -1j * (np.asarray(a @ state) - _right_matmul(state, a_right))
+    _add_jumps(result, channels, state, 1.0, adjoint)
+    if out is None:
+        return result
+    out[...] = result
     return out
 
 
@@ -427,26 +557,39 @@ def lindblad_rhs(
 ) -> np.ndarray:
     """Master-equation right-hand side at time t, state rho, parameters x.
 
-    rho need not satisfy state invariants here; integrator stages pass
-    through arbitrary Hermitian-ish matrices.  With ``out``, a C-contiguous
-    complex128 array of rho's shape that does not overlap rho, the result is
-    written into it and it is returned.
+    rho must be Hermitian, as every state, stage state and tangent the
+    library integrates is; it need not satisfy the other state invariants,
+    since integrator stages violate trace and positivity.  The result is
+    bitwise Hermitian.  On a non-Hermitian rho neither kernel returns
+    L(rho): the compiled kernel returns the Hermitian mirror of L(rho)'s
+    rows (i, j), i <= j (the real part on the diagonal), and the sandwich
+    kernel M + M^H for its half M (see _sandwich).  With ``out``, a
+    C-contiguous complex128 array of rho's shape that does not overlap rho,
+    the result is written into it and it is returned.
     """
     if rho.shape != (model.dimension, model.dimension):
         raise ShapeMismatchError("lindblad_rhs state", rho.shape, (model.dimension, model.dimension))
-    # any non-finite entry makes the sum non-finite; a finite state whose sum
-    # overflows takes the elementwise test
-    if not cmath.isfinite(rho.sum()) and not np.isfinite(rho).all():
+    # any non-finite entry makes the sum of |rho_ij|^2 (one BLAS call)
+    # non-finite; a finite state whose sum overflows takes the elementwise test
+    if not cmath.isfinite(np.vdot(rho, rho)) and not np.isfinite(rho).all():
         raise ValidationError("lindblad_rhs received a non-finite state")
     return _generator_apply(model, t, x, rho, out=out)
 
 
-def _csr_apply(s: sparse.csr_array, state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """s @ vec(state) in state's shape, into a C-contiguous ``out`` if given: the one kernel call s @ v makes."""
+def _csr_apply(table: tuple, state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """S @ vec(state) in state's shape for the CSR table S = (n_row, n_col, indptr, indices,
+    data), into a C-contiguous ``out`` if given: the one kernel call S @ v makes."""
     out = np.empty(state.shape, dtype=np.complex128) if out is None else out
     out.fill(0)  # the kernel adds to its output
-    csr_matvec(state.size, state.size, s.indptr, s.indices, s.data, state.ravel(), out.reshape(-1))
+    csr_matvec(*table, state.ravel(), out.reshape(-1))
     return out
+
+
+def _mirror(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """h + h^H into ``out`` (h itself allowed): bitwise Hermitian, since entry (j, i) adds
+    the conjugates of the two numbers entry (i, j) adds."""
+    # conj(h^T) into a C-ordered temporary first: an add with a transposed operand costs more
+    return np.add(h, np.conjugate(h.T, order="C"), out=out)
 
 
 def _check_out(out: np.ndarray | None, state: np.ndarray, name: str = "out") -> None:
@@ -454,7 +597,7 @@ def _check_out(out: np.ndarray | None, state: np.ndarray, name: str = "out") -> 
     and not overlap it, since the CSR kernel would read entries it has already overwritten."""
     if out is None:
         return
-    if out.shape != state.shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
+    if out.shape != state.shape or out.dtype != _COMPLEX128 or not out.flags.c_contiguous:
         raise ValidationError(f"{name} must be a C-contiguous complex128 array of shape {state.shape}")
     if np.may_share_memory(out, state):
         raise ValidationError(f"{name} must not overlap the kernel's input")
@@ -471,22 +614,21 @@ def _generator_apply(
 ) -> np.ndarray:
     """L(state), or L^dag(state) with adjoint=True, into ``out`` if given.
 
-    A compiled model makes one CSR kernel call with S(x) or S(x)^H straight
-    into ``out``; the sandwich kernel's result is copied into it.  ``out``
-    must be C-contiguous: a strided one would reach the kernel as a copy.
+    L takes a Hermitian state, L^dag any.  A compiled model makes one CSR
+    kernel call straight into ``out``: over the half rows of S(x) for L,
+    mirrored in place, and with S(x)^H for L^dag.  The sandwich kernel
+    writes L's mirror into ``out`` and copies L^dag's result into it.
+    ``out`` must be C-contiguous: a strided one would reach the kernel as a
+    copy.
     """
     _check_out(out, state)
     compiled = model.superoperator
     if compiled is not None:
-        s, s_adjoint = compiled.at(x)
-        return _csr_apply(s_adjoint if adjoint else s, state, out)
+        return compiled.apply(x, state, out, adjoint=adjoint)
     h, ik = model.hamiltonian.evaluate(t, x), 1j * model.decay
-    a, a_right = (-h - ik, -h + ik) if adjoint else (h - ik, h + ik)
-    result = _sandwich(a, a_right, model.channels, state, adjoint=adjoint)
-    if out is None:
-        return result
-    out[...] = result
-    return out
+    if adjoint:
+        return _sandwich(-h - ik, -h + ik, model.channels, state, adjoint=True, out=out)
+    return _sandwich(None, h + ik, model.channels, state, out=out)
 
 
 def rhs_parameter_derivative(
@@ -521,13 +663,10 @@ def rhs_parameter_derivative(
             return out
     dh = model.hamiltonian.param_derivative(t, x, k)  # also rejects an out-of-range k
     if compiled is None:
-        if out is None:
-            return _sandwich(dh, dh, (), rho)
-        out[...] = _sandwich(dh, dh, (), rho)
-        return out
+        return _sandwich(dh, dh, (), rho, out=out)
     s = compiled.derivatives[k]
     if rho.ndim == 2:
-        return _csr_apply(s, rho, out)
+        return _csr_apply((*s.shape, s.indptr, s.indices, s.data), rho, out)
     m, n = len(rho), d * d
     _check_out(scratch, rho, "scratch")
     _check_out(scratch, out, "scratch")  # out holds the kernel's operand

@@ -50,7 +50,7 @@ from .solver import (
     dense_segment,
     _S,
     _TABLEAU,
-    _StageWork,
+    _StageLoop,
     _adaptive_core,
     _check_inputs,
     _CountedRhs,
@@ -288,7 +288,7 @@ _ONES = np.ones(_S + 1)
 _ONES.setflags(write=False)
 
 
-class _ReverseWork(_StageWork):
+class _ReverseWork(_StageLoop):
     """The buffers and views of one adjoint pass's reverse steps on d x d states.
 
     The inherited stack is [y_n, k_0 ... k_(s-2), -] while a step recomputes
@@ -296,15 +296,16 @@ class _ReverseWork(_StageWork):
     v_i = h [a_(i+1)i ... a_(s-1)i, b_i] @ stack[i+1:] is one BLAS product
     and lam_prev = ones @ stack another, into ``lam``.  V holds the v_i, and
     on a compiled model the pairing kernel writes its (N, s) result into
-    ``columns``, which only such a pass allocates.
+    ``columns``, which only such a pass allocates.  A reverse step forms no
+    step-end sums and no error estimate, so it has no buffers for them.
     """
 
     def __init__(self, shape: tuple[int, ...], compiled: bool):
         super().__init__(shape)
         self.ys, self.vs = np.empty((2, _S, *shape), dtype=np.complex128)
         self.columns = np.empty((_S, *shape), dtype=np.complex128) if compiled else None
-        # a reverse step forms no step-end sums, so their first row takes lam_prev
-        self.lam, self.lam_flat = self.sums[0], self.sums_flat[0]
+        self.lam = np.empty(shape, dtype=np.complex128)
+        self.lam_flat = self.lam.reshape(-1).view(np.float64)
         self.cotangent = np.empty((_S, _S + 1))
         self.y_rows = _rows(self.ys)[1:]
         self.ws = self.stack[:_S]

@@ -20,8 +20,8 @@ checkpoint budget leaves and a fixed byte cap, so the reverse pass reads
 them with no right-hand-side call; segment replay writes step i_a + j's
 stage states into row j of the reverse pass's tape (``dense_segment(...,
 tape=)``) in the same way, and the state it reaches into that row's row 0.
-The error norm writes its scaled terms into buffers of the workspace, so a
-try allocates no state-sized temporary.
+The error norm writes its scaled terms into buffers the solve allocates
+once, so a try allocates no state-sized temporary.
 Every accepted step time and step size is recorded, and the ``SolveResult``
 keeps the model and x it was solved with, so any segment between two
 checkpoints can later be replayed on the recorded grid from the result
@@ -270,16 +270,15 @@ def _rows(states: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return list(zip(states, states.reshape(len(states), -1).view(np.float64)))
 
 
-class _StageWork:
-    """The buffers and views of one pass of DOP853 steps on states of one shape.
+class _StageLoop:
+    """The buffers and views of one pass's stage loop (``_stage_states``) on states of one shape.
 
     ``stack`` is [y_n, k_0 ... k_(s-1)] and ``tableau`` is _TABLEAU with
     columns 1 ... s scaled by the current h, so stage state i is one BLAS
-    product ``tableau[i, :i+1] @ stack[:i+1]`` over the float64 view, and
-    (y_new, delta5, delta3) is one (3, s+1) product into ``sums``, whose
-    error norm writes its scale and scaled estimates into ``error_scale``
-    and ``error_ratio``.  Every operand view is built here, once per pass,
-    so a step slices nothing.
+    product ``tableau[i, :i+1] @ stack[:i+1]`` over the float64 view.  Every
+    operand view is built here, once per pass, so a step slices nothing.
+    The reverse pass's workspace extends this class, not _StageWork: a reverse
+    step forms no step-end sums.
     """
 
     def __init__(self, shape: tuple[int, ...]):
@@ -289,16 +288,23 @@ class _StageWork:
         self.first_column = self.tableau[:, 0]
         self.stage_terms = [(self.tableau[i, : i + 1], self.flat[: i + 1]) for i in range(1, _S)]
         self.slopes = list(self.stack[2:])  # k_1 ... k_(s-1)
-        self.end_weights = self.tableau[_S:]
-        self.sums = np.empty((3, *shape), dtype=np.complex128)
-        self.sums_flat = self.sums.reshape(3, -1).view(np.float64)
-        self.error_scale, self.error_ratio = np.empty(shape), np.empty((2, *shape))
 
     def scale(self, h: float) -> None:
         """Scale the tableau's columns 1 ... s by h for the next step."""
         # two contiguous-source calls: a strided multiply would allocate a buffer
         np.multiply(_TABLEAU, h, out=self.tableau)
         np.copyto(self.first_column, _FIRST_COLUMN)
+
+
+class _StageWork(_StageLoop):
+    """The stage loop's buffers plus a whole step's (``rk_stages``): (y_new, delta5,
+    delta3) is one (3, s+1) product of the scaled end weights with the stack into ``sums``."""
+
+    def __init__(self, shape: tuple[int, ...]):
+        super().__init__(shape)
+        self.end_weights = self.tableau[_S:]
+        self.sums = np.empty((3, *shape), dtype=np.complex128)
+        self.sums_flat = self.sums.reshape(3, -1).view(np.float64)
 
 
 def _scratch_rows(shape: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -310,7 +316,7 @@ def _stage_states(
     f: Callable[..., np.ndarray],
     t: float,
     h: float,
-    work: _StageWork,
+    work: _StageLoop,
     stages: list[tuple[np.ndarray, np.ndarray]],
 ) -> None:
     """A step's stage states 1 ... s-1 and every slope but the last: the stage loop of every pass.
@@ -409,12 +415,14 @@ def _adaptive_core(
     a rejected try leaves to its retry, any other into one scratch state, and
     _KEPT_STAGES_MAX_BYTES bounds the kept bytes.  The room for stacks only
     shrinks, so kept steps are a prefix.  The solve owns one _StageWork, and
-    y_n lives in row 0 of its stack.
+    y_n lives in row 0 of its stack; the error norm writes into two float64
+    buffers it also allocates once.
     """
     span = t_final - t0
     s = _S
     work = _StageWork(y0.shape)
     y, sums = work.stack[0], work.sums
+    error_scale, error_ratio = np.empty(y0.shape), np.empty((2, *y0.shape))
     scratch = _scratch_rows(y0.shape)
     np.copyto(y, y0)
     f0 = f(t0, y, work.stack[1])
@@ -464,7 +472,7 @@ def _adaptive_core(
         # total overflows take the elementwise test
         if not math.isfinite(work.sums_flat.sum()) and not np.isfinite(work.sums_flat).all():
             raise IntegrationError(f"non-finite state produced at t = {t:.6g} with h = {h:.3e}")
-        err = _error_norm(sums, y, cfg.rtol, cfg.atol, work.error_scale, work.error_ratio)
+        err = _error_norm(sums, y, cfg.rtol, cfg.atol, error_scale, error_ratio)
         if err <= 1.0:
             if stages is not scratch:
                 np.copyto(fresh[0], y)

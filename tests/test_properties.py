@@ -64,7 +64,8 @@ def _case(draw, d, rates, ops, linear=False):
 
     The Hamiltonian is a fixed H behind a callable schedule (the sandwich
     kernel), or with ``linear`` a LinearSchedule A_0 + sum_k x_k A_k with
-    zero to two parameters and random x (the compiled superoperator).
+    zero to two parameters and random x (the compiled superoperator).  rho
+    is Hermitian, as every state L is applied to; lam is a general matrix.
     """
     wrap = as_sparse if draw(st.booleans()) else (lambda m: m)
     channels = tuple(JumpChannel(rate=g, operator=wrap(j)) for g, j in zip(rates, ops))
@@ -86,7 +87,7 @@ def _case(draw, d, rates, ops, linear=False):
         scale += 2.0 * _norm(h)
     model = LindbladModel(hamiltonian=hamiltonian, channels=channels, dimension=d)
     t = draw(st.floats(0.0, 1.0))
-    return model, t, x, _complex(draw, d), _complex(draw, d), scale
+    return model, t, x, _hermitian(draw, d), _complex(draw, d), scale
 
 
 # rate 0 exercises the skipped-channel branch
@@ -164,10 +165,14 @@ def test_compiled_generator_pairing_and_textbook_form(case):
 @given(cases(linear=True))
 def test_direct_kernel_writes_the_bits_of_the_sparse_product(case):
     # the compiled generator calls scipy's private CSR kernel straight into the
-    # caller's buffer; its results must stay bit-equal to scipy's public S @ v
+    # caller's buffer; its results must stay bit-equal to scipy's public S @ v:
+    # L's to the mirrored product h + h^H of the half rows, L^dag's and each
+    # S_k's to the full product
     model, t, x, rho, lam, _ = case
-    s, s_adjoint = model.superoperator.at(x)
-    expect = (s @ rho.ravel()).reshape(rho.shape)
+    compiled = model.superoperator
+    s, s_adjoint = compiled.at(x)
+    h = (compiled.half_rows(x) @ rho.ravel()).reshape(rho.shape)
+    expect = h + h.conj().T
     out = np.full(rho.shape, np.nan, dtype=np.complex128)
     assert lindblad_rhs(t, rho, model, x, out=out) is out
     assert np.array_equal(out, expect)
@@ -176,8 +181,43 @@ def test_direct_kernel_writes_the_bits_of_the_sparse_product(case):
     out = np.full(lam.shape, np.nan, dtype=np.complex128)
     assert adjoint_liouvillian_apply(model, x, t, lam, out=out) is out
     assert np.array_equal(out, (s_adjoint @ lam.ravel()).reshape(lam.shape))
-    for k, s_k in enumerate(model.superoperator.derivatives):
+    for k, s_k in enumerate(compiled.derivatives):
         assert np.array_equal(rhs_parameter_derivative(t, rho, model, x, k), (s_k @ rho.ravel()).reshape(rho.shape))
+
+
+@pytest.mark.bit_identity
+@PROPERTY
+@given(cases(linear=True))
+def test_half_rows_are_the_upper_rows_of_s_with_the_diagonal_halved(case):
+    # row (i, j) = i d + j of S(x): kept for i < j, scaled by 1/2 for i == j
+    # (exact), empty for i > j; and S(x) itself is the entrywise sum of its parts
+    model, _, x, _, _, _ = case
+    compiled, d = model.superoperator, model.dimension
+    s, half = compiled.at(x)[0], compiled.half_rows(x)
+    i, j = np.divmod(np.arange(d * d), d)
+    counts = np.diff(s.indptr)
+    kept = np.repeat(i <= j, counts)  # per stored entry of S(x)
+    assert np.array_equal(half.indptr, np.concatenate([[0], np.cumsum(counts * (i <= j))]))
+    assert np.array_equal(half.indices, s.indices[kept])
+    assert np.array_equal(half.data, np.repeat(np.where(i == j, 0.5, 1.0), counts)[kept] * s.data[kept])
+    expect = compiled.base.toarray()
+    for xk, part in zip(x, compiled.derivatives):
+        expect = expect + xk * part.toarray()
+    assert np.array_equal(s.toarray(), expect)
+
+
+@pytest.mark.bit_identity
+@PROPERTY
+@given(st.one_of(cases(), cases(linear=True), local_cases().map(lambda drawn: drawn[0])))
+def test_generator_output_is_bitwise_hermitian_and_matches_textbook_form(case):
+    # both kernels return L(rho) on a Hermitian rho as h + h^H: a bitwise
+    # Hermitian matrix, within rounding of the anticommutator form
+    model, t, x, rho, _, scale = case
+    out = lindblad_rhs(t, rho, model, x)
+    assert np.array_equal(out, out.conj().T)
+    h = to_dense(model.hamiltonian.evaluate(t, x))
+    reference = lindblad_reference(h, [(ch.rate, to_dense(ch.operator)) for ch in model.channels], rho)
+    assert _norm(out - reference) <= 1e-12 * scale * _norm(rho)
 
 
 @PROPERTY

@@ -809,7 +809,8 @@ class TestReverseStep:
         x = self.X
         rng = np.random.default_rng(11)
         for _ in range(3):
-            sigma = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            # L takes Hermitian states, as a step's are; lam is general
+            sigma = random_hermitian(rng, 4)
             lam = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             lam_prev = self._reverse(model, x, sigma, lam, np.zeros(2))
             forward = _pair(lam, self._step(model, x, sigma))

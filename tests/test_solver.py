@@ -177,6 +177,20 @@ class TestAccuracy:
         assert res.stats.trace_drift < 1e-12
         assert res.stats.hermiticity_drift < 1e-12
 
+    @pytest.mark.bit_identity
+    @pytest.mark.parametrize("kernel", ["compiled", "sandwich"])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_hermiticity_drift_is_exactly_zero(self, kernel, sparse, monkeypatch):
+        # both kernels return each slope as h + h^H, bitwise Hermitian, and a
+        # step's sums are real row products over the states' float64 views, so
+        # every accepted state of a bitwise Hermitian rho0 is bitwise Hermitian
+        if kernel == "sandwich":
+            monkeypatch.setattr(model_module, "COMPILE_MAX_NNZ", 0)
+        model = preset_oat(3, 0.2, sparse=sparse)
+        assert (model.superoperator is None) == (kernel == "sandwich")
+        res = integrate(model, np.array([1.0, 0.7]), all_zero_density(3), (0.0, 2.0))
+        assert res.stats.hermiticity_drift == 0.0
+
 
 class TestTrailAndReplay:
     @pytest.mark.bit_identity
