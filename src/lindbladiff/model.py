@@ -6,10 +6,11 @@ The generator acts on density matrices as
                 + sum_j gamma_j (J_j rho J_j^dag - (1/2) {J_j^dag J_j, rho})
 
 with a Hermitian, time- and parameter-dependent Hamiltonian H and fixed jump
-channels (gamma_j, J_j).  Every state the library integrates is Hermitian, and
-L preserves Hermiticity, L(X^H) = L(X)^H, so both kernels form L on a
-Hermitian X as h + h^H from a half h of the work, and the result is bitwise
-Hermitian; L^dag and dL/dx_k take any input.  A declared LinearSchedule
+channels (gamma_j, J_j).  Every state, tangent and cotangent the library
+forms is Hermitian, and L, L^dag and dL/dx_k take Hermitian operands alone.
+Each preserves Hermiticity, L(X^H) = L(X)^H, so both kernels form L, and the
+sandwich kernel also L^dag and dL/dx_k, on a Hermitian X as h + h^H from a
+half h of the work: the result is bitwise Hermitian.  A declared LinearSchedule
 H(x) = A_0 + sum_k x_k A_k (preset_oat and explicit JSON models use one)
 compiles the generator once per model, on first use, to S_0 and S_k, each a
 row-major CSR superoperator on its own pattern, with integer maps into the
@@ -23,8 +24,8 @@ COMPILE_MAX_NNZ entries (preset_oat from n = 9 on), apply the generator in
 effective-Hamiltonian form L(rho) = -i (H_eff rho - rho H_eff^dag) + sum_j
 gamma_j J_j rho J_j^dag with H_eff = H - iK, K = (1/2) sum_j gamma_j J_j^dag
 J_j: L takes one product rho H_eff^dag, whose conjugate transpose is
-H_eff rho, and L^dag and dL/dx_k are the same sandwich kernel with other
-operands and two products.  A jump operator that acts on one qubit,
+H_eff rho, and L^dag and dL/dx_k are the same one-product sandwich with
+other operands.  A jump operator that acts on one qubit,
 J = I (x) a (x) I with a 2x2 factor a of at most two nonzero entries
 (sigma_+/-, sigma_x/y/z, the projectors; every preset channel), is detected
 once per JumpChannel, adds its J^dag J to K in O(d^2), and is applied by the
@@ -371,9 +372,9 @@ class Superoperator:
     one CSR kernel call over the half rows, h, and returns h + h^H, bitwise
     Hermitian: row (i, j) of L for i < j, its conjugate at (j, i), and the
     real part of row (i, i).  With ``adjoint`` it is one kernel call with all
-    rows of S(x)^H, for any input.  The memo holds the last x's tables, keyed
-    on the exact bytes of x, so the forward, replay and reverse passes of a
-    solve share them.  ``at`` and ``half_rows`` return them as CSR arrays.
+    rows of S(x)^H.  The memo holds the last x's tables, keyed on the exact
+    bytes of x, so the forward, replay and reverse passes of a solve share
+    them.  ``at`` and ``half_rows`` return them as CSR arrays.
     """
 
     def __init__(self, base: sparse.csr_array, derivatives: Sequence[sparse.csr_array]):
@@ -494,10 +495,8 @@ def _right_matmul(a: np.ndarray, b: Operator) -> np.ndarray:
     return a @ b
 
 
-def _add_jumps(
-    out: np.ndarray, channels: Sequence[JumpChannel], state: np.ndarray, weight: float, adjoint: bool
-) -> None:
-    """out += weight sum_j gamma_j L_j X R_j on X = state, (L, R) = (J, J^dag), or (J^dag, J) with ``adjoint``.
+def _add_jumps(out: np.ndarray, channels: Sequence[JumpChannel], state: np.ndarray, adjoint: bool) -> None:
+    """out += (1/2) sum_j gamma_j L_j X R_j on X = state, (L, R) = (J, J^dag), or (J^dag, J) with ``adjoint``.
 
     A channel with a ``local`` form adds its blocks on the qubit view instead
     of the two products; ``out`` must be C-contiguous, so its reshape is a view.
@@ -505,7 +504,7 @@ def _add_jumps(
     for ch in channels:
         if ch.rate == 0.0:
             continue
-        rate = weight * ch.rate
+        rate = 0.5 * ch.rate
         if ch.local is not None:
             src, dst = state.reshape(ch.local.view), out.reshape(ch.local.view)
             for to, frm, c in ch.local.blocks:
@@ -520,7 +519,6 @@ def _add_jumps(
 
 
 def _sandwich(
-    a: Operator | None,
     a_right: Operator,
     channels: Sequence[JumpChannel],
     state: np.ndarray,
@@ -528,28 +526,23 @@ def _sandwich(
     adjoint: bool = False,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """-i (a X - X a') + sum_j gamma_j L_j X R_j on X = state, (L, R) = (J, J^dag), into ``out`` if given.
+    """M + M^H with M = i X a' + (1/2) sum_j gamma_j L_j X R_j, (L, R) = (J, J^dag), on X = state.
 
-    The one place a state meets a generator operand.  With K the model's
-    ``decay``, dL/dx_k is (dH/dx_k, dH/dx_k, ()) and L^dag is (-H - iK, -H + iK,
-    channels, adjoint=True), which swaps (L, R) to (J^dag, J): two products
-    each, for any X.  L is (None, H + iK, channels) and takes a Hermitian X:
-    there a = a'^dag, so a X = P^H for the one product P = X a', and the
-    coherent term is -i (P^H - P) = i P + (i P)^H.  The result is M + M^H
-    with M = i P + (1/2) sum_j gamma_j J_j X J_j^dag, bitwise Hermitian, as
-    the compiled kernel's h + h^H is.
+    The one place a state meets a generator operand; X must be Hermitian.
+    With K the model's ``decay``, L is (H + iK, channels), L^dag is
+    (-H + iK, channels, adjoint=True), which swaps (L, R) to (J^dag, J), and
+    dL/dx_k is (dH/dx_k, ()): for Hermitian X, H and K, (i X a')^H =
+    -i a'^H X, so M + M^H is each map's textbook form; on a non-Hermitian X
+    it is none of them.  The one product R = a'^T X^T = (X a')^T comes back
+    C-ordered from numpy and scipy alike, so N = -i conj(R) = (i X a')^H is
+    formed in place, the jump terms (Hermitian, so N becomes M^H) are added
+    to it, and N + N^H goes into ``out`` if given: bitwise Hermitian, as the
+    compiled kernel's h + h^H is.
     """
-    if a is None:
-        half = np.multiply(_right_matmul(state, a_right), 1j, order="C")
-        _add_jumps(half, channels, state, 0.5, adjoint)
-        return _mirror(half, np.empty(state.shape, dtype=np.complex128) if out is None else out)
-    # a fresh C-ordered array (a @ state is), as _add_jumps needs
-    result = -1j * (np.asarray(a @ state) - _right_matmul(state, a_right))
-    _add_jumps(result, channels, state, 1.0, adjoint)
-    if out is None:
-        return result
-    out[...] = result
-    return out
+    half = np.asarray(a_right.T @ state.T, dtype=np.complex128)  # real operands give a real product
+    np.conjugate(np.multiply(half, 1j, out=half), out=half)  # conj(i R) = -i conj(R)
+    _add_jumps(half, channels, state, adjoint)
+    return _mirror(half, np.empty(state.shape, dtype=np.complex128) if out is None else out)
 
 
 def lindblad_rhs(
@@ -563,9 +556,10 @@ def lindblad_rhs(
     bitwise Hermitian.  On a non-Hermitian rho neither kernel returns
     L(rho): the compiled kernel returns the Hermitian mirror of L(rho)'s
     rows (i, j), i <= j (the real part on the diagonal), and the sandwich
-    kernel M + M^H for its half M (see _sandwich).  With ``out``, a
-    C-contiguous complex128 array of rho's shape that does not overlap rho,
-    the result is written into it and it is returned.
+    kernel M + M^H for its half M (see _sandwich); adjoint_liouvillian_apply
+    and rhs_parameter_derivative take Hermitian operands too.  With ``out``,
+    a C-contiguous complex128 array of rho's shape that does not overlap
+    rho, the result is written into it and it is returned.
     """
     if rho.shape != (model.dimension, model.dimension):
         raise ShapeMismatchError("lindblad_rhs state", rho.shape, (model.dimension, model.dimension))
@@ -614,10 +608,10 @@ def _generator_apply(
 ) -> np.ndarray:
     """L(state), or L^dag(state) with adjoint=True, into ``out`` if given.
 
-    L takes a Hermitian state, L^dag any.  A compiled model makes one CSR
-    kernel call straight into ``out``: over the half rows of S(x) for L,
-    mirrored in place, and with S(x)^H for L^dag.  The sandwich kernel
-    writes L's mirror into ``out`` and copies L^dag's result into it.
+    Both take a Hermitian state.  A compiled model makes one CSR kernel
+    call straight into ``out``: over the half rows of S(x) for L, mirrored
+    in place, and with S(x)^H for L^dag.  The sandwich kernel writes the
+    mirror N + N^H of its half into ``out`` for both (see _sandwich).
     ``out`` must be C-contiguous: a strided one would reach the kernel as a
     copy.
     """
@@ -626,9 +620,7 @@ def _generator_apply(
     if compiled is not None:
         return compiled.apply(x, state, out, adjoint=adjoint)
     h, ik = model.hamiltonian.evaluate(t, x), 1j * model.decay
-    if adjoint:
-        return _sandwich(-h - ik, -h + ik, model.channels, state, adjoint=True, out=out)
-    return _sandwich(None, h + ik, model.channels, state, out=out)
+    return _sandwich(-h + ik if adjoint else h + ik, model.channels, state, adjoint=adjoint, out=out)
 
 
 def rhs_parameter_derivative(
@@ -637,16 +629,17 @@ def rhs_parameter_derivative(
 ) -> np.ndarray:
     """d/dx_k of the right-hand side at fixed rho: -i [dH/dx_k, rho].
 
-    rho is one state (d, d) at time t, or a stack (m, d, d) of states with t
-    a sequence of m times, one per state; the result has rho's shape, in
-    ``out`` if given (as for lindblad_rhs; it must not overlap rho).  Jump
-    channels are parameter-independent, so only the coherent term
-    contributes.  A compiled model applies S_k to a stack in one
+    rho is one Hermitian state (d, d) at time t, or a stack (m, d, d) of
+    them with t a sequence of m times, one per state; the result has rho's
+    shape, in ``out`` if given (as for lindblad_rhs; it must not overlap
+    rho).  Jump channels are parameter-independent, so only the coherent
+    term contributes.  A compiled model applies S_k to a stack in one
     multi-vector kernel call on the (N, m) matrix of its columns, copied
     into ``out``, and the kernel writes into ``scratch`` (a buffer of rho's
     shape, if given) before the result is copied back.  The sandwich kernel
-    takes a stack state by state: two stacked sandwich products would need
-    strided copies of it, which cost more than they save.
+    takes a stack state by state, one _sandwich with dH/dx_k at t_i each,
+    bitwise Hermitian: a stacked product would need strided copies of the
+    stack, which cost more than they save.
     """
     d = model.dimension
     if rho.shape[-2:] != (d, d) or rho.ndim not in (2, 3):
@@ -659,11 +652,11 @@ def rhs_parameter_derivative(
         out = np.empty(rho.shape, dtype=np.complex128) if out is None else out
         if compiled is None:
             for t_i, y_i, out_i in zip(t, rho, out):
-                rhs_parameter_derivative(t_i, y_i, model, x, k, out_i)
+                _sandwich(model.hamiltonian.param_derivative(t_i, x, k), (), y_i, out=out_i)
             return out
     dh = model.hamiltonian.param_derivative(t, x, k)  # also rejects an out-of-range k
     if compiled is None:
-        return _sandwich(dh, dh, (), rho, out=out)
+        return _sandwich(dh, (), rho, out=out)
     s = compiled.derivatives[k]
     if rho.ndim == 2:
         return _csr_apply((*s.shape, s.indptr, s.indices, s.data), rho, out)

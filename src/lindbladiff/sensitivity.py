@@ -5,8 +5,10 @@ the state is viewed as the stacked real vector (Re rho, Im rho), on which
 every cost is an ordinary real function.  Internally all arithmetic stays
 complex -- for the realified system, the transpose-Jacobian product is
 exactly the application of the adjoint generator, so a cotangent is carried
-as the complex matrix lambda = dc/d(Re rho) + i dc/d(Im rho) and paired
-with tangents through Re Tr(lambda^dag v).
+as a complex matrix lambda, the Hermitian part of dc/d(Re rho) + i
+dc/d(Im rho), and paired with the Hermitian tangents v through
+Re Tr(lambda^dag v); every v_i and lambda the reverse pass forms is
+Hermitian, the operands L^dag and dL/dx_k take.
 
 The reverse pass is the exact discrete adjoint of the replayed forward
 steps: each checkpoint segment is recomputed forward on the recorded step
@@ -125,7 +127,8 @@ class CostCofunction:
     name: str = "cost"
 
     def cotangent(self, rho: np.ndarray) -> np.ndarray:
-        """Complex packing dc/d(Re rho) + i dc/d(Im rho) of the gradient."""
+        """The Hermitian part of the packing C = dc/d(Re rho) + i dc/d(Im rho): the gradient
+        over Hermitian states, as Re Tr(C^H sigma) = Re Tr(C sigma) for every Hermitian sigma."""
         dre, dim = self.gradient(rho)
         dre = np.asarray(dre, dtype=float)
         dim = np.asarray(dim, dtype=float)
@@ -133,7 +136,8 @@ class CostCofunction:
             raise ValidationError(
                 f"cost gradient blocks have shapes {dre.shape}/{dim.shape}, expected {rho.shape}"
             )
-        return dre + 1j * dim
+        packed = dre + 1j * dim
+        return 0.5 * (packed + packed.conj().T)
 
     def verify(self, rho: np.ndarray) -> dict:
         """Directional finite-difference check of the gradient rule at rho.
@@ -208,8 +212,8 @@ def observable_cost(a: np.ndarray, name: str = "observable") -> CostCofunction:
 class GradientResult:
     """Adjoint-pass output: parameter gradient plus optional extras.
 
-    dc_drho0 is realified (length 2 d^2); dc_dT is the endpoint chain-rule
-    derivative <dc/d(rho(T)), L(rho(T))>.
+    dc_drho0 is realified (length 2 d^2) and Hermitian, the gradient over
+    Hermitian rho0; dc_dT is the endpoint derivative <dc/d(rho(T)), L(rho(T))>.
     """
 
     dc_dx: np.ndarray
@@ -229,9 +233,10 @@ def adjoint_liouvillian_apply(
 ) -> np.ndarray:
     """Adjoint generator: +i[H, lam] + sum_j gamma_j (J^dag lam J - (1/2){J^dag J, lam}).
 
-    Satisfies the pairing identity Tr(lam^dag L(rho)) == Tr((L^dag lam)^dag rho).
-    With ``out``, a C-contiguous complex128 array of lam's shape that does
-    not overlap lam, the result is written into it and it is returned.
+    lam must be Hermitian, as lindblad_rhs's rho.  Satisfies the pairing identity
+    Tr(lam^dag L(rho)) == Tr((L^dag lam)^dag rho).  With ``out``, a C-contiguous
+    complex128 array of lam's shape that does not overlap lam, the result is
+    written into it and it is returned.
     """
     lam = np.asarray(lam, dtype=np.complex128)
     if lam.shape != (model.dimension, model.dimension):

@@ -622,6 +622,20 @@ class TestRhs:
             rhs_parameter_derivative(0.0, rho, model, x, 1), -1j * (sx @ rho - rho @ sx), atol=1e-14
         )
 
+    @pytest.mark.parametrize("wrap", [np.asarray, scipy.sparse.csr_array])
+    def test_sandwich_takes_a_real_state_and_real_operands(self, wrap):
+        # the sandwich kernel's one product of two real matrices is real; the
+        # result is still the complex generator applied to the state
+        pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        sched = HamiltonianSchedule(
+            evaluate=lambda t, x: wrap(x[0] * pauli_x), n_params=1, derivative=lambda t, x, k: wrap(pauli_x)
+        )
+        model = LindbladModel(hamiltonian=sched, channels=(), dimension=2)
+        rho, x = np.array([[0.7, 0.2], [0.2, 0.3]]), np.array([0.5])
+        assert np.array_equal(lindblad_rhs(0.0, rho, model, x), lindblad_rhs(0.0, rho.astype(complex), model, x))
+        expect = -1j * (pauli_x @ rho - rho @ pauli_x)
+        assert np.array_equal(rhs_parameter_derivative(0.0, rho, model, x, 0), expect)
+
     def test_rhs_validates_state(self):
         model = preset_oat(1)
         with pytest.raises(ShapeMismatchError):

@@ -65,7 +65,8 @@ def _case(draw, d, rates, ops, linear=False):
     The Hamiltonian is a fixed H behind a callable schedule (the sandwich
     kernel), or with ``linear`` a LinearSchedule A_0 + sum_k x_k A_k with
     zero to two parameters and random x (the compiled superoperator).  rho
-    is Hermitian, as every state L is applied to; lam is a general matrix.
+    and lam are Hermitian, as every state and cotangent the generator and its
+    adjoint are applied to.
     """
     wrap = as_sparse if draw(st.booleans()) else (lambda m: m)
     channels = tuple(JumpChannel(rate=g, operator=wrap(j)) for g, j in zip(rates, ops))
@@ -87,7 +88,7 @@ def _case(draw, d, rates, ops, linear=False):
         scale += 2.0 * _norm(h)
     model = LindbladModel(hamiltonian=hamiltonian, channels=channels, dimension=d)
     t = draw(st.floats(0.0, 1.0))
-    return model, t, x, _hermitian(draw, d), _complex(draw, d), scale
+    return model, t, x, _hermitian(draw, d), _hermitian(draw, d), scale
 
 
 # rate 0 exercises the skipped-channel branch
@@ -218,6 +219,42 @@ def test_generator_output_is_bitwise_hermitian_and_matches_textbook_form(case):
     h = to_dense(model.hamiltonian.evaluate(t, x))
     reference = lindblad_reference(h, [(ch.rate, to_dense(ch.operator)) for ch in model.channels], rho)
     assert _norm(out - reference) <= 1e-12 * scale * _norm(rho)
+
+
+def _sandwich_models(model):
+    """The sandwich-kernel models of a case: itself for a callable schedule; for
+    a linear one, the model built above COMPILE_MAX_NNZ and its callable twin."""
+    sched = model.hamiltonian
+    if not isinstance(sched, LinearSchedule):
+        return [model]
+    with mock.patch.object(model_module, "COMPILE_MAX_NNZ", -1):  # an all-zero draw counts 0 entries
+        capped = LindbladModel(hamiltonian=sched, channels=model.channels, dimension=model.dimension)
+        assert capped.superoperator is None
+    twin = HamiltonianSchedule(
+        evaluate=sched.evaluate, n_params=sched.n_params, derivative=lambda t, x, k: sched.terms[k]
+    )
+    return [capped, LindbladModel(hamiltonian=twin, channels=model.channels, dimension=model.dimension)]
+
+
+@pytest.mark.bit_identity
+@PROPERTY
+@given(st.one_of(cases(), cases(linear=True), local_cases().map(lambda drawn: drawn[0])))
+def test_sandwich_adjoint_and_parameter_derivative_are_bitwise_hermitian(case):
+    # on Hermitian operands the sandwich kernel returns L^dag(lam) and
+    # dL/dx_k(rho) as M + M^H, as it returns L: bitwise Hermitian, within
+    # rounding of the anticommutator form and of -i [dH/dx_k, rho]
+    model, t, x, rho, lam, scale = case
+    h = to_dense(model.hamiltonian.evaluate(t, x))
+    reference = lindblad_reference(h, [(ch.rate, to_dense(ch.operator)) for ch in model.channels], lam, adjoint=True)
+    for sandwich in _sandwich_models(model):
+        adjoint = adjoint_liouvillian_apply(sandwich, x, t, lam)
+        assert np.array_equal(adjoint, adjoint.conj().T)
+        assert _norm(adjoint - reference) <= 1e-12 * scale * _norm(lam)
+        for k in range(model.n_params):
+            dh = to_dense(model.hamiltonian.param_derivative(t, x, k))
+            derivative = rhs_parameter_derivative(t, rho, sandwich, x, k)
+            assert np.array_equal(derivative, derivative.conj().T)
+            assert _norm(derivative + 1j * (dh @ rho - rho @ dh)) <= 1e-12 * 2.0 * _norm(dh) * _norm(rho)
 
 
 @PROPERTY
