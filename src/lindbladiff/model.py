@@ -18,7 +18,8 @@ one fixed pattern of S(x) = S_0 + sum_k x_k S_k, whose entries are formed
 once per x by vector operations on data arrays: L is one call of scipy's CSR
 matrix-vector kernel over the half rows (i, j), i <= j, of S(x), L^dag one
 with S(x)^H and dL/dx_k one with S_k, each writing into a buffer the caller
-may own (a row of the integrator's stage stack) with no copy.  Callable
+may own (a row of the integrator's stage stack) with no copy; one more call
+on a table of the A_k's entries gives the reverse pass every Tr(A_k Q).  Callable
 schedules, and linear models whose Kronecker terms count more than
 COMPILE_MAX_NNZ entries (preset_oat from n = 9 on), apply the generator in
 effective-Hamiltonian form L(rho) = -i (H_eff rho - rho H_eff^dag) + sum_j
@@ -46,7 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse._sparsetools import csr_matvec, csr_matvecs  # the kernels S @ v and S @ V call; tests pin their bits
+from scipy.sparse._sparsetools import csr_matvec  # the kernel S @ v calls; tests pin its bits
 
 from . import linalg
 from .errors import ShapeMismatchError, ValidationError
@@ -367,7 +368,8 @@ class Superoperator:
     ..., the operations of the sparse sum; the half rows gathered from them,
     with the diagonal rows (i, i) scaled by 1/2, which is exact; and S(x)^H
     as their conjugates in place, with the bits of the conjugate transposed
-    sum.
+    sum.  A (p, N) table fixed at construction holds A_k[a, b] at column
+    b d + a of row k, dense and sparse terms alike, for ``pairings``.
     For a Hermitian X, L(X) is Hermitian (L(X^H) = L(X)^H), so ``apply`` makes
     one CSR kernel call over the half rows, h, and returns h + h^H, bitwise
     Hermitian: row (i, j) of L for i < j, its conjugate at (j, i), and the
@@ -377,7 +379,7 @@ class Superoperator:
     them.  ``at`` and ``half_rows`` return them as CSR arrays.
     """
 
-    def __init__(self, base: sparse.csr_array, derivatives: Sequence[sparse.csr_array]):
+    def __init__(self, base: sparse.csr_array, derivatives: Sequence[sparse.csr_array], terms: Sequence[Operator]):
         parts = (base, *derivatives)
         for part in parts:
             part.sum_duplicates()  # canonical: sorted column indices, no duplicates
@@ -413,6 +415,12 @@ class Superoperator:
         self._half_entries = half
         self._half_pattern = (size, size, _indptr(half_rows, size, index), columns[half])
         self._half_diagonal = np.flatnonzero(half_rows % (d + 1) == 0).astype(index)  # rows (i, i) = i (d + 1)
+        # row k holds each stored A_k[a, b] at column b d + a: its product with vec(Q) is Tr(A_k Q)
+        entries = [sparse.csr_array(a) for a in terms]
+        rows = np.repeat(np.arange(len(entries)), [a.nnz for a in entries])
+        keys = np.concatenate([np.zeros(0, index), *(_transposed_keys(a).astype(index) for a in entries)])
+        values = np.concatenate([np.zeros(0, np.complex128), *(a.data for a in entries)])
+        self._pairing = (len(entries), size, _indptr(rows, len(entries), index), keys, values)
 
     def _tables(self, x: np.ndarray) -> tuple:
         """The memo (key, half rows, S(x)^H) for x, each as the (n_row, n_col, indptr, indices,
@@ -451,6 +459,12 @@ class Superoperator:
         h = _csr_apply(memo[1], state, out)
         return _mirror(h, h)
 
+    def pairings(self, q: np.ndarray) -> np.ndarray:
+        """Tr(A_k Q) for every parameter k, from one CSR kernel call on a C-contiguous (d, d) Q."""
+        out = np.zeros(self._x_shape, dtype=np.complex128)
+        csr_matvec(*self._pairing, q.reshape(-1), out)
+        return out
+
     @staticmethod
     def _csr(table: tuple) -> sparse.csr_array:
         n_row, n_col, indptr, indices, data = table
@@ -485,7 +499,7 @@ def _compile(model: LindbladModel) -> Superoperator | None:
         jump = sparse.csr_array(ch.operator)
         pieces.append(ch.rate * sparse.kron(jump, jump.conj(), format="csr"))
     base = sum(pieces, sparse.csr_array((d * d, d * d), dtype=np.complex128))
-    return Superoperator(base, [_coherent_super(a, eye) for a in sched.terms])
+    return Superoperator(base, [_coherent_super(a, eye) for a in sched.terms], sched.terms)
 
 
 def _right_matmul(a: np.ndarray, b: Operator) -> np.ndarray:
@@ -499,18 +513,22 @@ def _add_jumps(out: np.ndarray, channels: Sequence[JumpChannel], state: np.ndarr
     """out += (1/2) sum_j gamma_j L_j X R_j on X = state, (L, R) = (J, J^dag), or (J^dag, J) with ``adjoint``.
 
     A channel with a ``local`` form adds its blocks on the qubit view instead
-    of the two products; ``out`` must be C-contiguous, so its reshape is a view.
+    of the two products, each scaled into one quarter-state scratch block the
+    call allocates once; ``out`` must be C-contiguous, so its reshape is a view.
     """
+    scratch = None
     for ch in channels:
         if ch.rate == 0.0:
             continue
         rate = 0.5 * ch.rate
         if ch.local is not None:
             src, dst = state.reshape(ch.local.view), out.reshape(ch.local.view)
+            scratch = np.empty(state.size // 4, dtype=np.complex128) if scratch is None else scratch
+            block = scratch.reshape(src[:, 0, :, :, 0, :].shape)  # every src[frm] and dst[to] has this shape
             for to, frm, c in ch.local.blocks:
                 if adjoint:
                     to, frm, c = frm, to, c.conjugate()
-                dst[to] += (rate * c) * src[frm]
+                dst[to] += np.multiply(rate * c, src[frm], out=block)
             continue
         left, right = ch.operator, ch.adjoint_operator
         if adjoint:
@@ -586,15 +604,15 @@ def _mirror(h: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.add(h, np.conjugate(h.T, order="C"), out=out)
 
 
-def _check_out(out: np.ndarray | None, state: np.ndarray, name: str = "out") -> None:
+def _check_out(out: np.ndarray | None, state: np.ndarray) -> None:
     """Reject an ``out`` the kernels cannot write: it must match the kernel's input ``state``
     and not overlap it, since the CSR kernel would read entries it has already overwritten."""
     if out is None:
         return
     if out.shape != state.shape or out.dtype != _COMPLEX128 or not out.flags.c_contiguous:
-        raise ValidationError(f"{name} must be a C-contiguous complex128 array of shape {state.shape}")
+        raise ValidationError(f"out must be a C-contiguous complex128 array of shape {state.shape}")
     if np.may_share_memory(out, state):
-        raise ValidationError(f"{name} must not overlap the kernel's input")
+        raise ValidationError("out must not overlap the kernel's input")
 
 
 def _generator_apply(
@@ -624,51 +642,24 @@ def _generator_apply(
 
 
 def rhs_parameter_derivative(
-    t: float | Sequence[float], rho: np.ndarray, model: LindbladModel, x: np.ndarray, k: int,
-    out: np.ndarray | None = None, scratch: np.ndarray | None = None,
+    t: float, rho: np.ndarray, model: LindbladModel, x: np.ndarray, k: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """d/dx_k of the right-hand side at fixed rho: -i [dH/dx_k, rho].
+    """d/dx_k of the right-hand side at fixed rho, -i [dH/dx_k, rho], for forward_sensitivity.
 
-    rho is one Hermitian state (d, d) at time t, or a stack (m, d, d) of
-    them with t a sequence of m times, one per state; the result has rho's
-    shape, in ``out`` if given (as for lindblad_rhs; it must not overlap
-    rho).  Jump channels are parameter-independent, so only the coherent
-    term contributes.  A compiled model applies S_k to a stack in one
-    multi-vector kernel call on the (N, m) matrix of its columns, copied
-    into ``out``, and the kernel writes into ``scratch`` (a buffer of rho's
-    shape, if given) before the result is copied back.  The sandwich kernel
-    takes a stack state by state, one _sandwich with dH/dx_k at t_i each,
-    bitwise Hermitian: a stacked product would need strided copies of the
-    stack, which cost more than they save.
+    rho is one Hermitian state; the result has its shape, in ``out`` if given
+    (as for lindblad_rhs; it must not overlap rho).  Jump channels do not
+    depend on x.  A compiled model makes one CSR kernel call with S_k, the
+    sandwich kernel one _sandwich with dH/dx_k, bitwise Hermitian.
     """
-    d = model.dimension
-    if rho.shape[-2:] != (d, d) or rho.ndim not in (2, 3):
-        raise ShapeMismatchError("rhs state", rho.shape, (d, d))
+    if rho.shape != (model.dimension, model.dimension):
+        raise ShapeMismatchError("rhs state", rho.shape, (model.dimension, model.dimension))
     _check_out(out, rho)
-    compiled = model.superoperator
-    if rho.ndim == 3:
-        if np.shape(t) != rho.shape[:1]:
-            raise ValidationError(f"a stack of {rho.shape[0]} states needs as many times, got {np.shape(t)}")
-        out = np.empty(rho.shape, dtype=np.complex128) if out is None else out
-        if compiled is None:
-            for t_i, y_i, out_i in zip(t, rho, out):
-                _sandwich(model.hamiltonian.param_derivative(t_i, x, k), (), y_i, out=out_i)
-            return out
     dh = model.hamiltonian.param_derivative(t, x, k)  # also rejects an out-of-range k
+    compiled = model.superoperator
     if compiled is None:
         return _sandwich(dh, (), rho, out=out)
     s = compiled.derivatives[k]
-    if rho.ndim == 2:
-        return _csr_apply((*s.shape, s.indptr, s.indices, s.data), rho, out)
-    m, n = len(rho), d * d
-    _check_out(scratch, rho, "scratch")
-    _check_out(scratch, out, "scratch")  # out holds the kernel's operand
-    columns = (np.empty(rho.shape, dtype=np.complex128) if scratch is None else scratch).reshape(n, m)
-    columns.fill(0)  # the kernel adds to its output
-    np.copyto(out.reshape(n, m), rho.reshape(m, n).T)  # the operand, until the result replaces it
-    csr_matvecs(n, n, m, s.indptr, s.indices, s.data, out.reshape(-1), columns.reshape(-1))
-    np.copyto(out.reshape(m, n), columns.T)
-    return out
+    return _csr_apply((*s.shape, s.indptr, s.indices, s.data), rho, out)
 
 
 def validate_hamiltonian(model: LindbladModel, x: np.ndarray, t: float = 0.0) -> None:

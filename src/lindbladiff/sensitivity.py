@@ -8,7 +8,7 @@ exactly the application of the adjoint generator, so a cotangent is carried
 as a complex matrix lambda, the Hermitian part of dc/d(Re rho) + i
 dc/d(Im rho), and paired with the Hermitian tangents v through
 Re Tr(lambda^dag v); every v_i and lambda the reverse pass forms is
-Hermitian, the operands L^dag and dL/dx_k take.
+Hermitian, the operand L^dag takes and the parameter pairing assumes.
 
 The reverse pass is the exact discrete adjoint of the replayed forward
 steps: each checkpoint segment is recomputed forward on the recorded step
@@ -19,7 +19,9 @@ k_0 ... k_(s-2), -] while a step recomputes its stage states and [w_0 ...
 w_(s-1), lambda] after, so each v_i (a packed, h-scaled row [a_(i+1)i ...
 a_(s-1)i, b_i] times the stack's rows i+1 ... s) and lambda_prev (a ones
 row times the whole stack) is one BLAS product; each L^dag application
-writes w_i straight into its row, and a step makes p parameter pairings.
+writes w_i straight into its row.  A step pairs with dH/dx_k, never dL/dx_k:
+Re <v_i, -i [A, Y_i]> = 2 Im Tr(A Y_i v_i) for Hermitian A, so on a compiled
+model Q = sum_i Y_i v_i is one GEMM per step for all p parameters.
 A step gets its stage states from one of three sources, all with the same
 bits: the stack the solve kept (``SolveResult.step_stages``, filled by
 ``integrate(..., keep_stages=True)``), the row of the pass's one (m, s, d,
@@ -299,16 +301,14 @@ class _ReverseWork(_StageLoop):
     The inherited stack is [y_n, k_0 ... k_(s-2), -] while a step recomputes
     its stage states into Y and [w_0 ... w_(s-1), lam] from then on, so
     v_i = h [a_(i+1)i ... a_(s-1)i, b_i] @ stack[i+1:] is one BLAS product
-    and lam_prev = ones @ stack another, into ``lam``.  V holds the v_i, and
-    on a compiled model the pairing kernel writes its (N, s) result into
-    ``columns``, which only such a pass allocates.  A reverse step forms no
-    step-end sums and no error estimate, so it has no buffers for them.
+    and lam_prev = ones @ stack another, into ``lam``.  V holds the v_i.  A
+    reverse step forms no step-end sums and no error estimate, so it has no
+    buffers for them.
     """
 
-    def __init__(self, shape: tuple[int, ...], compiled: bool):
+    def __init__(self, shape: tuple[int, ...]):
         super().__init__(shape)
         self.ys, self.vs = np.empty((2, _S, *shape), dtype=np.complex128)
-        self.columns = np.empty((_S, *shape), dtype=np.complex128) if compiled else None
         self.lam = np.empty(shape, dtype=np.complex128)
         self.lam_flat = self.lam.reshape(-1).view(np.float64)
         self.cotangent = np.empty((_S, _S + 1))
@@ -344,11 +344,13 @@ def _reverse_step(
         v_i = h b_i lam + h sum_{j>i} a_ji w_j,   w_i = L^dag(t_i) v_i,
     each v_i one BLAS product into its row of V and each w_i written
     straight into row i, giving lam_prev = lam + sum_i w_i, one product with
-    a ones row.  Parameter sensitivities accumulate through the stage
-    slopes: dc/dx_k += sum_i <v_i, (dL/dx_k)(t_i) Y_i>, one
-    rhs_parameter_derivative call on the whole stack Y, into rows 0 ... s-1
-    of the stack (a compiled model's kernel writes its (N, s) result into
-    work.columns), and one vdot per parameter, so a step makes p such calls.
+    a ones row.  Then dc/dx_k += sum_i Re <v_i, -i [A_k(t_i), Y_i]>, A_k = dH/dx_k,
+    is 2 Im Tr(A_k Y_i v_i) for Hermitian v_i, Y_i and A_k (jump channels do
+    not depend on x), so dL/dx_k is never applied.  A compiled model's A_k is
+    constant: with conj(Y) = Y^T in the spent rows 0 ... s-1, Q = sum_i Y_i v_i
+    is one GEMM into row s for any p (the transposed view is a BLAS flag, not
+    a copy), and Superoperator.pairings gives every Tr(A_k Q).  Otherwise
+    each stage and parameter takes one product A_k(t_i) Y_i.
     """
     if stages is None:  # the stack is unused until the recursion below, so the fresh slopes fill it
         stages = work.ys
@@ -363,9 +365,15 @@ def _reverse_step(
         np.dot(weights, operand, out=v_flat)
         adjoint_liouvillian_apply(model, x, t_i, v, w)
     np.dot(_ONES, work.flat, out=work.lam_flat)
-    for k in range(grad.shape[0]):
-        pairing = rhs_parameter_derivative(stage_times, stages, model, x, k, work.ws, work.columns)
-        grad[k] += np.vdot(work.vs, pairing).real
+    compiled = model.superoperator
+    if compiled is not None:
+        d = lam.shape[0]
+        q = np.matmul(np.conjugate(stages, out=work.ws).reshape(-1, d).T, work.vs.reshape(-1, d), out=work.stack[_S])
+        grad += 2.0 * compiled.pairings(q).imag
+        return work.lam
+    for t_i, y_i, v_i in zip(stage_times, stages, work.vs):
+        for k in range(grad.shape[0]):
+            grad[k] += 2.0 * np.vdot(v_i, model.hamiltonian.param_derivative(t_i, x, k) @ y_i).imag
     return work.lam
 
 
@@ -412,7 +420,7 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     s = _S
     kept = len(result.step_stages)
     longest = max(i_b - i_a for (i_a, _), (i_b, _) in pairs)
-    work = _ReverseWork(rho_t.shape, model.superoperator is not None)
+    work = _ReverseWork(rho_t.shape)
     # tape row j holds a segment's step i_a + j, for all but its last step;
     # a solve that keeps stacks stores a checkpoint at every step, so kept
     # stacks and a tape never meet in one pass

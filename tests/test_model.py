@@ -351,13 +351,15 @@ class TestCompiled:
         channels = [{"gamma": 0.3, "matrix": operator_to_json(embed_single(LOWERING, 0, n))}]
         model = model_from_json({"dimension": d, "hamiltonian": {"kind": "explicit", "terms": terms}, "channels": channels})
         compiled = model.superoperator
-        # every stored complex entry, before at() fills the memo
+        # every stored complex entry, before at() fills the memo: S_0, each S_k,
+        # and the entries of each A_k that the reverse pass pairs with
         stored = sum(
             v.nnz if is_sparse(v) else v.size
             for v in _flatten(vars(compiled).values())
             if is_sparse(v) or (isinstance(v, np.ndarray) and np.iscomplexobj(v))
         )
-        assert stored == compiled.base.nnz + sum(part.nnz for part in compiled.derivatives)
+        entries = sum(a.nnz if is_sparse(a) else np.count_nonzero(a) for a in model.hamiltonian.terms)
+        assert stored == compiled.base.nnz + sum(part.nnz for part in compiled.derivatives) + entries
         base = compiled.base.toarray()
         parts = [part.toarray() for part in compiled.derivatives]
         eye = np.eye(d)
@@ -512,7 +514,7 @@ class TestInputChecks:
                 with pytest.raises(ValidationError, match="out must be"):
                     apply(out=bad)
 
-    @pytest.mark.parametrize("entry", ["rhs", "adjoint", "derivative", "stacked derivative"])
+    @pytest.mark.parametrize("entry", ["rhs", "adjoint", "derivative"])
     def test_out_overlapping_the_input_is_rejected(self, model, entry):
         # the CSR kernel would read entries of the input it has already overwritten
         rng = np.random.default_rng(17)
@@ -522,41 +524,11 @@ class TestInputChecks:
             "rhs": lambda: lindblad_rhs(0.2, rho, model, x, rho),
             "adjoint": lambda: adjoint_liouvillian_apply(model, x, 0.2, rho, rho),
             "derivative": lambda: rhs_parameter_derivative(0.2, rho, model, x, 0, rho),
-            "stacked derivative": lambda: rhs_parameter_derivative([0.1, 0.2], stack, model, x, 0, stack),
         }
         before = stack.copy()
         with pytest.raises(ValidationError, match="out must not overlap"):
             calls[entry]()
         assert np.array_equal(stack, before)
-
-    def test_stacked_parameter_derivative_writes_each_state_s_bits_into_out(self, model):
-        # a compiled stack is one multi-vector kernel call, with its result in
-        # the caller's scratch if given; each row has the bits of the single-state call
-        rng = np.random.default_rng(16)
-        stack = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
-        times = [0.1 * i for i in range(5)]
-        x = np.array([0.8, 0.6])
-        for k in range(2):
-            want = np.stack([rhs_parameter_derivative(t, y, model, x, k) for t, y in zip(times, stack)])
-            assert np.array_equal(rhs_parameter_derivative(times, stack, model, x, k), want)
-            out = np.full(stack.shape, np.nan, dtype=complex)
-            scratch = np.full(stack.shape, np.nan, dtype=complex)
-            assert rhs_parameter_derivative(times, stack, model, x, k, out, scratch) is out
-            assert np.array_equal(out, want)
-        with pytest.raises(ValidationError, match="out must be"):
-            rhs_parameter_derivative(times, stack, model, x, 0, np.empty((5, 4, 8), dtype=complex)[:, :, ::2])
-        if model.superoperator is not None:  # the kernel would write past a wrong-sized buffer
-            for bad in (np.empty((5, 16), dtype=complex), np.empty((5, 4, 8), dtype=complex)[:, :, ::2]):
-                with pytest.raises(ValidationError, match="scratch must be"):
-                    rhs_parameter_derivative(times, stack, model, x, 0, out, bad)
-            for overlapping in (stack, out):  # the input, or the operand the kernel reads from out
-                with pytest.raises(ValidationError, match="scratch must not overlap"):
-                    rhs_parameter_derivative(times, stack, model, x, 0, out, overlapping)
-
-    def test_stacked_parameter_derivative_needs_one_time_per_state(self, model):
-        stack = np.stack([np.eye(4, dtype=complex) / 4] * 3)
-        with pytest.raises(ValidationError, match="times"):
-            rhs_parameter_derivative([0.0, 0.1], stack, model, np.zeros(2), 0)
 
     def test_linear_schedule_rejects_non_hermitian_terms(self):
         with pytest.raises(ValidationError):

@@ -29,8 +29,15 @@ from lindbladiff.model import (
     rhs_parameter_derivative,
 )
 from lindbladiff.qfi import Generator, qfi_of_params, qfi_rho_cotangent
-from lindbladiff.sensitivity import adjoint_gradient, adjoint_liouvillian_apply, forward_sensitivity, observable_cost
-from lindbladiff.solver import DOP853, SolveConfig, integrate
+from lindbladiff.sensitivity import (
+    _ReverseWork,
+    _reverse_step,
+    adjoint_gradient,
+    adjoint_liouvillian_apply,
+    forward_sensitivity,
+    observable_cost,
+)
+from lindbladiff.solver import DOP853, SolveConfig, _CountedRhs, integrate
 from lindbladiff.spins import as_sparse, collective_sx, collective_sz, embed_single
 
 # derandomized and without an example database: every run draws the same examples
@@ -274,37 +281,48 @@ def test_local_channels_match_textbook_form_and_pairing(drawn):
 
 
 @st.composite
-def state_stacks(draw):
-    """(schedule, x, times, stack): a random 1-3 qubit LinearSchedule with one
-    or two parameter terms, and a stack of 1-4 states with a time each."""
+def pairing_cases(draw):
+    """(schedule, x, lam, Y): a random 1-3 qubit LinearSchedule with one to three
+    dense or sparse parameter terms and maybe a constant term, a Hermitian
+    cotangent and a Hermitian stack of one step's s stage states."""
     d = 2 ** draw(st.integers(1, 3))
     wrap = as_sparse if draw(st.booleans()) else (lambda m: m)
-    terms = tuple(wrap(_hermitian(draw, d)) for _ in range(draw(st.integers(1, 2))))
+    terms = tuple(wrap(_hermitian(draw, d)) for _ in range(draw(st.integers(1, 3))))
     constant = wrap(_hermitian(draw, d)) if draw(st.booleans()) else None
     x = np.array([draw(_ENTRY) for _ in terms])
-    m = draw(st.integers(1, 4))
-    times = [draw(st.floats(0.0, 1.0)) for _ in range(m)]
-    return LinearSchedule(terms=terms, constant=constant), x, times, np.stack([_complex(draw, d) for _ in range(m)])
+    stages = np.stack([_hermitian(draw, d) for _ in DOP853.c])
+    return LinearSchedule(terms=terms, constant=constant), x, _hermitian(draw, d), stages
 
 
 @PROPERTY
-@given(state_stacks())
-def test_parameter_derivative_of_a_stack_matches_per_state_calls(drawn):
-    # one SpMM for the whole stack (compiled) or a sandwich per state gives
-    # the per-state results, stacked
-    schedule, x, times, stack = drawn
-    d = stack.shape[1]
+@given(pairing_cases())
+def test_hamiltonian_form_pairing_matches_the_parameter_derivative(drawn):
+    # the reverse step's sum_i 2 Im Tr(A_k(t_i) Y_i v_i), one GEMM on a compiled
+    # model and a product per stage on the sandwich kernel, is
+    # sum_i Re <v_i, dL/dx_k(t_i) Y_i>; the callable twin's dH/dx_k depends on t
+    schedule, x, lam, stages = drawn
+    d, p, t_n, h = lam.shape[0], schedule.n_params, 0.3, 0.7
+    times = [t_n + c * h for c in DOP853.c]
     with mock.patch.object(model_module, "COMPILE_MAX_NNZ", -1):  # an all-zero draw counts 0 entries
         capped = LindbladModel(hamiltonian=schedule, channels=(), dimension=d)
         assert capped.superoperator is None
     compiled = LindbladModel(hamiltonian=schedule, channels=(), dimension=d)
     assert compiled.superoperator is not None
-    for model in (compiled, capped):
-        for k, term in enumerate(schedule.terms):
-            got = rhs_parameter_derivative(times, stack, model, x, k)
-            expect = np.stack([rhs_parameter_derivative(t, y, model, x, k) for t, y in zip(times, stack)])
-            assert got.shape == stack.shape
-            assert _norm(got - expect) <= 1e-14 * 2.0 * _norm(term) * _norm(stack)
+    twin = HamiltonianSchedule(
+        evaluate=schedule.evaluate, n_params=p, derivative=lambda t, x, k: (1.0 + t) ** (k + 1) * schedule.terms[k]
+    )
+    timed = LindbladModel(hamiltonian=twin, channels=(), dimension=d)
+    for model in (compiled, capped, timed):
+        work, got = _ReverseWork((d, d)), np.zeros(p)
+        _reverse_step(model, x, t_n, stages[0], h, lam, got, _CountedRhs(model, x), work, stages)
+        for k in range(p):
+            terms = [rhs_parameter_derivative(t, y, model, x, k) for t, y in zip(times, stages)]
+            expect = sum(np.vdot(v, term).real for v, term in zip(work.vs, terms))
+            bound = sum(
+                2.0 * _norm(model.hamiltonian.param_derivative(t, x, k)) * _norm(y) * _norm(v)
+                for t, y, v in zip(times, stages, work.vs)
+            )
+            assert abs(got[k] - expect) <= 1e-13 * bound
 
 
 @st.composite

@@ -259,17 +259,24 @@ class TestAdjointGradient:
         assert np.max(np.abs(adj - fd)) < 1e-4 * max(1.0, np.max(np.abs(adj)))
 
     @pytest.mark.bit_identity
-    def test_checkpoint_count_invariance_is_bitwise(self):
-        model = preset_oat(2, gamma=0.1)
+    def test_checkpoint_count_invariance_is_bitwise(self, monkeypatch):
+        # on both kernels: the compiled pairing's one GEMM and the sandwich
+        # kernel's per-stage products read the same stage states whether they
+        # were kept, taped or recomputed
         x = np.array([1.0, 0.6])
         rho0 = all_zero_density(2)
         cost = state_entry_re_cost(0, 0)
-        grads = []
-        for k in (2, 10, 50):
-            cfg = SolveConfig(checkpoints=k)
-            grads.append(adjoint_gradient(integrate(model, x, rho0, (0.0, 1.0), cfg), cost).dc_dx)
-        assert np.array_equal(grads[0], grads[1])
-        assert np.array_equal(grads[1], grads[2])
+        for kernel in ("compiled", "sandwich"):
+            if kernel == "sandwich":
+                monkeypatch.setattr(model_module, "COMPILE_MAX_NNZ", 0)
+            model = preset_oat(2, gamma=0.1)
+            assert (model.superoperator is None) == (kernel == "sandwich")
+            grads = []
+            for k in (2, 10, 50):
+                cfg = SolveConfig(checkpoints=k)
+                grads.append(adjoint_gradient(integrate(model, x, rho0, (0.0, 1.0), cfg), cost).dc_dx)
+            assert np.array_equal(grads[0], grads[1])
+            assert np.array_equal(grads[1], grads[2])
 
     def test_gradient_over_rejected_steps(self):
         # the trail of a solve with rejected steps holds the accepted steps
@@ -374,9 +381,12 @@ class TestAdjointGradient:
         s = len(DOP853.b)
         assert replay_rhs == s * (res.stats.accepted - grad.diagnostics["segments"])
 
-    def test_reverse_step_pairs_each_parameter_once(self, monkeypatch):
-        # dL/dx_k is applied to the whole stack of s stage states in one
-        # call, so a replayed step makes p calls, not s * p
+    @pytest.mark.parametrize("kernel", ["compiled", "sandwich"])
+    def test_adjoint_gradient_makes_no_parameter_derivative_call(self, kernel, monkeypatch):
+        # the reverse step pairs each v_i with dH/dx_k in Hamiltonian form,
+        # so dL/dx_k is never applied on either kernel
+        if kernel == "sandwich":
+            monkeypatch.setattr(model_module, "COMPILE_MAX_NNZ", 0)
         calls = 0
 
         def counted(*args):
@@ -385,10 +395,13 @@ class TestAdjointGradient:
             return rhs_parameter_derivative(*args)
 
         monkeypatch.setattr(sensitivity, "rhs_parameter_derivative", counted)
+        monkeypatch.setattr(model_module, "rhs_parameter_derivative", counted)
         model = preset_oat(2, 0.1)
+        assert (model.superoperator is None) == (kernel == "sandwich")
         res = integrate(model, np.array([0.9, 0.6]), all_zero_density(2), (0.0, 1.0), SolveConfig(checkpoints=4))
         grad = adjoint_gradient(res, state_entry_re_cost(0, 0))
-        assert calls == model.n_params * grad.diagnostics["steps_replayed"] > 0
+        assert grad.diagnostics["steps_replayed"] > 0 and np.all(grad.dc_dx != 0)
+        assert calls == 0
 
     def test_reverse_step_skips_the_last_stage_slope(self):
         # the reverse step needs the s stage states, and the last one depends
@@ -574,7 +587,7 @@ class TestKeptSlopes:
         nodes = dense_segment(res, res.step_checkpoints[0][1], (0, res.stats.accepted))
         monkeypatch.setattr(solver_module, "rk_stages", stages_of)
         assert len(replayed) == res.stats.accepted
-        f, work = _CountedRhs(res.model, res.x), _ReverseWork((d, d), res.model.superoperator is not None)
+        f, work = _CountedRhs(res.model, res.x), _ReverseWork((d, d))
         for n, stages in enumerate(res.step_stages):
             i_n, y_n = res.step_checkpoints[n]
             assert i_n == n and np.array_equal(stages[0], y_n)
@@ -609,9 +622,9 @@ class TestKeptSlopes:
 
     @pytest.mark.parametrize("kernel", ["sandwich", "compiled"])
     def test_reverse_steps_allocate_no_stage_stack(self, kernel, monkeypatch):
-        # the pass allocates its workspace once, the compiled kernel's
-        # columns included, so the peak of traced memory over any one reverse
-        # step stays below one (s, d, d) stack
+        # the pass allocates its workspace once, and the compiled pairing writes
+        # conj(Y) and Q into the spent cotangent rows, so the peak of traced
+        # memory over any one reverse step stays below one (s, d, d) stack
         if kernel == "sandwich":
             monkeypatch.setattr(model_module, "COMPILE_MAX_NNZ", 0)
         res = self._solve(40.0, n=3)
@@ -742,7 +755,7 @@ class TestTapedReplay:
         assert i_a + rows <= res.stats.accepted
         tape = np.empty((rows, self.S, d, d), dtype=complex)
         nodes = dense_segment(res, state_a, (i_a, i_a + rows), tape=tape)
-        f, work = _CountedRhs(res.model, res.x), _ReverseWork((d, d), res.model.superoperator is not None)
+        f, work = _CountedRhs(res.model, res.x), _ReverseWork((d, d))
         for j in range(rows):
             n = i_a + j
             t_n, h_n = float(res.step_times[n]), float(res.step_sizes[n])
@@ -817,7 +830,7 @@ class TestReverseStep:
         return rk_stages(f, self.T_N, self.H, work, _scratch_rows(y.shape))[0].copy()
 
     def _reverse(self, model, x, y, lam, grad):
-        work = _ReverseWork(y.shape, model.superoperator is not None)
+        work = _ReverseWork(y.shape)
         return _reverse_step(model, x, self.T_N, y, self.H, lam, grad, _CountedRhs(model, x), work).copy()
 
     def test_is_exact_transpose_of_one_step(self, model):
