@@ -25,13 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningWarning, GaugeDependenceError, ValidationError
-from .linalg import is_hermitian
+from .linalg import STATE_TOL, hermitian_part, is_hermitian
 
 #: Eigenvalues closer than this (times max(1, spectral norm)) are clustered.
 DEGENERACY_TOL = 1e-8
-
-#: eigh rejects an input whose anti-Hermitian part exceeds this, relative to its Frobenius norm.
-HERMITIAN_TOL = 1e-9
 
 #: eig_vjp rejects a vector cotangent whose within-cluster gauge component
 #: exceeds this, relative to max(1, its Frobenius norm).
@@ -62,9 +59,6 @@ class EigDecomposition:
         """Each entry replaced by the mean of values over its index's cluster."""
         return (np.bincount(self.labels, weights=values) / np.bincount(self.labels))[self.labels]
 
-    def cluster_of(self, i: int) -> tuple[int, ...]:
-        return self.clusters[int(self.labels[i])]
-
     @property
     def min_gap(self) -> float:
         if self.dimension < 2:
@@ -89,7 +83,7 @@ def eigh(rho: np.ndarray) -> EigDecomposition:
     """Full spectral decomposition of a Hermitian matrix.
 
     The input is symmetrized as (rho + rho^dag)/2 before decomposition;
-    inputs whose anti-Hermitian part exceeds HERMITIAN_TOL (relative) are
+    inputs whose anti-Hermitian part exceeds STATE_TOL (relative) are
     rejected.  Output is deterministic: bit-identical across calls for a
     given numpy/LAPACK build and BLAS thread count.
     """
@@ -98,9 +92,9 @@ def eigh(rho: np.ndarray) -> EigDecomposition:
         raise ValidationError(f"eigh needs a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError("eigh received non-finite entries")
-    if not is_hermitian(m, HERMITIAN_TOL, floor=1e-300):
-        raise ValidationError(f"matrix is not Hermitian to relative tolerance {HERMITIAN_TOL}")
-    sym = 0.5 * (m + m.conj().T)
+    if not is_hermitian(m, STATE_TOL, floor=1e-300):
+        raise ValidationError(f"matrix is not Hermitian to relative tolerance {STATE_TOL}")
+    sym = hermitian_part(m)
     lam, vec = np.linalg.eigh(sym)  # LAPACK: eigenvalues ascending
     # phase gauge: largest-magnitude entry real positive, ties by lowest row
     idx, cols = np.argmax(np.abs(vec), axis=0), np.arange(vec.shape[1])
@@ -260,4 +254,4 @@ def eig_vjp(
         core = core + f * (b - b.conj().T)
 
     out = V @ core @ V.conj().T
-    return 0.5 * (out + out.conj().T)
+    return hermitian_part(out)

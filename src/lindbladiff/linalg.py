@@ -129,6 +129,17 @@ def to_dense(op: Operator) -> Dense:
     return op
 
 
+#: The one tolerance of a validated state: it bounds the anti-Hermitian part (relative
+#: to the Frobenius norm), the trace's deviation from 1 and the most negative
+#: eigenvalue; eigh's Hermiticity check and the QFI's eigenvalue clip read it too.
+STATE_TOL = 1e-9
+
+
+def hermitian_part(a: Dense) -> Dense:
+    """(a + a^dag) / 2 as a new array: bitwise Hermitian, and equal to a when a already is."""
+    return 0.5 * (a + a.conj().T)
+
+
 def is_hermitian(a: Operator, tol: float, floor: float = 1.0) -> bool:
     """||a - a^dag||_F <= tol * max(floor, ||a||_F), tested on a / max|a_ij| so no norm overflows.
 

@@ -56,41 +56,41 @@ from .spins import LOWERING, all_zero_state, as_sparse, collective_sx, collectiv
 
 _FLOAT64, _COMPLEX128 = np.dtype(np.float64), np.dtype(np.complex128)
 
-#: Largest anti-Hermitian part a Hamiltonian operand may have, in Frobenius norm
+#: Largest anti-Hermitian part a Hamiltonian or QFI generator operand may have, in Frobenius norm
 #: relative to max(1, its norm).
 HERMITIAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Validated quantum state: Hermitian, unit-trace, PSD complex matrix."""
+    """Validated quantum state: bitwise Hermitian, unit-trace, PSD complex matrix."""
 
     matrix: np.ndarray
     n_qubits: int
 
     @classmethod
     def from_matrix(
-        cls,
-        matrix,
-        *,
-        trace_tol: float = 1e-9,
-        herm_tol: float = 1e-9,
-        psd_tol: float = 1e-9,
+        cls, matrix, *, trace_tol: float = linalg.STATE_TOL, psd_tol: float = linalg.STATE_TOL
     ) -> "DensityOperator":
+        """Check matrix to STATE_TOL in Hermiticity and to the given trace and PSD tolerances,
+        then store its Hermitian part, a new array: equal to matrix if it is bitwise Hermitian,
+        and otherwise within STATE_TOL of it, relative.  The generator preserves Hermiticity
+        bit for bit, so every state a solve forms from it is bitwise Hermitian too."""
         m = linalg.as_cmatrix(matrix, square=True, name="density matrix")
         d = m.shape[0]
         n = d.bit_length() - 1
         if 2**n != d:
             raise ValidationError(f"density matrix dimension {d} is not a power of two")
-        if not linalg.is_hermitian(m, herm_tol, floor=1e-300):
-            raise ValidationError("density matrix is not Hermitian within tolerance")
+        if not linalg.is_hermitian(m, linalg.STATE_TOL, floor=1e-300):
+            raise ValidationError(f"density matrix is not Hermitian to relative tolerance {linalg.STATE_TOL}")
         tr = linalg.trace(m)
         if abs(tr - 1.0) >= trace_tol:
             raise ValidationError(f"density matrix trace {tr} deviates from 1 beyond {trace_tol}")
         lam_min = float(np.linalg.eigvalsh(m)[0])
         if lam_min <= -psd_tol:
             raise ValidationError(f"density matrix has eigenvalue {lam_min:.3e} below -{psd_tol}")
-        return cls(matrix=m, n_qubits=n)
+        # symmetrized last: the checks above bound every entry, so the sum cannot overflow
+        return cls(matrix=linalg.hermitian_part(m), n_qubits=n)
 
     @property
     def dimension(self) -> int:
@@ -376,7 +376,7 @@ class Superoperator:
     real part of row (i, i).  With ``adjoint`` it is one kernel call with all
     rows of S(x)^H.  The memo holds the last x's tables, keyed on the exact
     bytes of x, so the forward, replay and reverse passes of a solve share
-    them.  ``at`` and ``half_rows`` return them as CSR arrays.
+    them.
     """
 
     def __init__(self, base: sparse.csr_array, derivatives: Sequence[sparse.csr_array], terms: Sequence[Operator]):
@@ -464,21 +464,6 @@ class Superoperator:
         out = np.zeros(self._x_shape, dtype=np.complex128)
         csr_matvec(*self._pairing, q.reshape(-1), out)
         return out
-
-    @staticmethod
-    def _csr(table: tuple) -> sparse.csr_array:
-        n_row, n_col, indptr, indices, data = table
-        return sparse.csr_array((data, indices, indptr), shape=(n_row, n_col), copy=True)
-
-    def at(self, x: np.ndarray) -> tuple[sparse.csr_array, sparse.csr_array]:
-        """(S(x), S(x)^H) as copies of the memo's table; x must hold one value per parameter."""
-        s_adjoint = self._csr(self._tables(x)[2])
-        return s_adjoint.conj().T.tocsr(), s_adjoint
-
-    def half_rows(self, x: np.ndarray) -> sparse.csr_array:
-        """The half rows of S(x) that ``apply`` multiplies by, as a copy: S(x)'s rows
-        (i, j) with i <= j, the diagonal rows (i, i) scaled by 1/2, and empty rows (i, j), i > j."""
-        return self._csr(self._tables(x)[1])
 
 
 def _compile(model: LindbladModel) -> Superoperator | None:

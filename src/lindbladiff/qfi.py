@@ -25,18 +25,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import LindbladiffError, ValidationError
-from .linalg import Operator, is_hermitian, to_dense
+from .linalg import STATE_TOL, Operator, to_dense
 from .eigen import EigDecomposition, eig_vjp, eigh
-from .model import DensityOperator, LindbladModel
+from .model import DensityOperator, LindbladModel, _check_hermitian
 from .sensitivity import CostCofunction, adjoint_gradient
 from .solver import SolveConfig, _psd_tolerance, integrate
 from .spins import collective_sz
 
 #: Pairs with eigenvalue sum at or below this are dropped from the sum.
 SKIP_TOL = 1e-12
-#: Negative eigenvalues above -CLIP_TOL are clipped to zero; below is an error,
-#: except that the QFI of a solve's rho(T) clips to the solve's PSD tolerance.
-CLIP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,10 +48,7 @@ class Generator:
         dense = to_dense(self.operator)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValidationError(f"generator must be square, got shape {dense.shape}")
-        if not np.all(np.isfinite(dense)):
-            raise ValidationError("generator has non-finite entries")
-        if not is_hermitian(dense, 1e-12):
-            raise ValidationError("generator is not Hermitian to 1e-12")
+        _check_hermitian(dense, "generator")
         object.__setattr__(self, "dense", dense)
 
     @property
@@ -97,6 +91,8 @@ class QfiReport:
 
 
 def _clipped_eigenvalues(decomp: EigDecomposition, clip_tol: float) -> np.ndarray:
+    """The eigenvalues with those above -clip_tol clipped at zero; one below is an error.  clip_tol
+    is STATE_TOL, except for a solve's rho(T), whose QFI takes the solve's PSD tolerance."""
     lam = decomp.eigenvalues
     if float(lam.min()) < -clip_tol:
         raise ValidationError(
@@ -129,7 +125,7 @@ def _pair_terms(
 
 def qfi(decomp: EigDecomposition, g: Generator) -> QfiReport:
     """Evaluate the figure of merit on a precomputed decomposition."""
-    return _qfi(decomp, g, CLIP_TOL)
+    return _qfi(decomp, g, STATE_TOL)
 
 
 def _qfi(decomp: EigDecomposition, g: Generator, clip_tol: float) -> QfiReport:
@@ -155,7 +151,7 @@ def qfi_rho_cotangent(decomp: EigDecomposition, g: Generator) -> np.ndarray:
     cotangent block is exactly Hermitian, so the eigendecomposition
     pullback is gauge-clean by construction.
     """
-    return _qfi_rho_cotangent(decomp, g, CLIP_TOL)
+    return _qfi_rho_cotangent(decomp, g, STATE_TOL)
 
 
 def _qfi_rho_cotangent(decomp: EigDecomposition, g: Generator, clip_tol: float) -> np.ndarray:
@@ -197,10 +193,9 @@ def _qfi_point(model, x, rho0, t_span, g, cfg, keep_stages: bool) -> tuple[QfiRe
     stage = "integrate"
     try:
         result = integrate(model, x, rho0, t_span, cfg, keep_stages=keep_stages)
-        stage = "eigendecomposition"
+        stage = "figure-of-merit"
         rho_t = result.final_state.matrix
         decomp = eigh(rho_t)
-        stage = "figure-of-merit"
         report = _qfi(decomp, g, _psd_tolerance(cfg))
         report = replace(report, diagnostics={"solver": result.stats.to_json()})
     except LindbladiffError as exc:

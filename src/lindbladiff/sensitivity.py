@@ -43,9 +43,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CostGradientError, ValidationError
+from .errors import CostGradientError, ShapeMismatchError, ValidationError
 from .instrumentation import counters
-from .linalg import to_dense
+from .linalg import hermitian_part, to_dense
 from .model import DensityOperator, LindbladModel, _generator_apply, lindblad_rhs, rhs_parameter_derivative
 from .solver import (
     DOP853,
@@ -110,7 +110,7 @@ def _probe_operators(d: int) -> np.ndarray:
     """The Hermitian K and A of CostCofunction.verify's probe directions at dimension d."""
     rng = np.random.default_rng(0xC0F7 + d)
     draws = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(2)]
-    return np.array([0.5 * (m + m.conj().T) for m in draws])
+    return np.array([hermitian_part(m) for m in draws])
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ class CostCofunction:
                 f"cost gradient blocks have shapes {dre.shape}/{dim.shape}, expected {rho.shape}"
             )
         packed = dre + 1j * dim
-        return 0.5 * (packed + packed.conj().T)
+        return hermitian_part(packed)
 
     def verify(self, rho: np.ndarray) -> dict:
         """Directional finite-difference check of the gradient rule at rho.
@@ -242,7 +242,7 @@ def adjoint_liouvillian_apply(
     """
     lam = np.asarray(lam, dtype=np.complex128)
     if lam.shape != (model.dimension, model.dimension):
-        raise ValidationError(f"adjoint state shape {lam.shape} != model dimension {model.dimension}")
+        raise ShapeMismatchError("adjoint state", lam.shape, (model.dimension, model.dimension))
     return _generator_apply(model, t, np.asarray(x, dtype=float), lam, adjoint=True, out=out)
 
 

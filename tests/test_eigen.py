@@ -77,8 +77,8 @@ class TestEigh:
         m = np.diag([0.2, 0.2 + 0.5 * DEGENERACY_TOL, 0.7]).astype(complex)
         dec = eigh(m)
         assert dec.clusters == ((0, 1), (2,))
-        assert dec.cluster_of(1) == (0, 1)
-        assert len(dec.cluster_of(0)) > 1 and len(dec.cluster_of(2)) == 1
+        assert dec.clusters[dec.labels[1]] == (0, 1)
+        assert len(dec.clusters[dec.labels[0]]) > 1 and len(dec.clusters[dec.labels[2]]) == 1
         # min_gap reports the smallest adjacent gap, within-cluster included
         assert dec.min_gap == pytest.approx(0.5 * DEGENERACY_TOL, rel=1e-6)
         iso = eigh(np.diag([0.1, 0.4, 0.5]).astype(complex))
@@ -123,7 +123,7 @@ class TestSimpleDerivative:
         dec = eigh(rho)
         der = eig_derivative(dec, drho)
         for i in range(4):
-            if len(dec.cluster_of(i)) > 1:
+            if len(dec.clusters[dec.labels[i]]) > 1:
                 continue
             lam = dec.eigenvalues[i]
             psi = dec.eigenvectors[:, i]
@@ -159,7 +159,7 @@ class TestSimpleDerivative:
         v = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
         rho = v @ np.diag([0.3, 0.3 + 1e-7, 0.6, 0.8]) @ v.conj().T
         dec = eigh(rho)
-        assert not any(len(dec.cluster_of(i)) > 1 for i in range(4))
+        assert not any(len(dec.clusters[dec.labels[i]]) > 1 for i in range(4))
         with pytest.warns(ConditioningWarning, match=r"indices \[0, 1\]"):
             eig_derivative(dec, random_hermitian(rng, 4, 0.5))
 
@@ -187,7 +187,7 @@ class TestClusteredDerivative:
             rho = v @ np.diag(spectrum) @ v.conj().T
             drho = random_hermitian(rng, d, 0.5)
             dec = eigh(rho)
-            cluster = dec.cluster_of(i)
+            cluster = dec.clusters[dec.labels[i]]
             assert len(cluster) == size
             der = eig_derivative(dec, drho)
             fd = dense_eig_fd(rho, drho, 1e-5).value

@@ -14,13 +14,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
 
 from oracles import block_exp_tangent, lindblad_reference
 from lindbladiff.eigen import eig_vjp, eigh
 from lindbladiff.errors import GaugeDependenceError
-from lindbladiff.linalg import to_dense
+from lindbladiff.linalg import STATE_TOL, to_dense
 from lindbladiff import model as model_module
 from lindbladiff.model import (
+    DensityOperator,
     HamiltonianSchedule,
     JumpChannel,
     LindbladModel,
@@ -53,6 +55,12 @@ def _norm(a):
     r = np.abs(to_dense(a))
     m = np.max(r, initial=0.0)
     return 0.0 if m == 0.0 else float(m * np.sqrt(np.sum((r / m) ** 2)))
+
+
+def _csr(table):
+    """A copy of a compiled model's kernel table (n_row, n_col, indptr, indices, data) as a CSR array."""
+    n_row, n_col, indptr, indices, data = table
+    return sparse.csr_array((data, indices, indptr), shape=(n_row, n_col), copy=True)
 
 
 def _complex(draw, d):
@@ -170,6 +178,29 @@ def test_compiled_generator_pairing_and_textbook_form(case):
 
 @pytest.mark.bit_identity
 @PROPERTY
+@given(st.data())
+def test_a_validated_state_is_its_input_made_bitwise_hermitian(data):
+    # a random full-rank state, then an anti-Hermitian part of trace zero whose
+    # Frobenius norm is a drawn fraction of STATE_TOL, relative, which
+    # from_matrix accepts; it stores the Hermitian part, a new array
+    d = 2 ** data.draw(st.integers(1, 3))
+    w = _complex(data.draw, d)
+    w = w @ w.conj().T + np.eye(d)
+    rho = 0.5 * (w + w.conj().T) / np.trace(w).real
+    skew = _complex(data.draw, d)
+    skew = skew - skew.conj().T
+    skew[np.diag_indices(d)] -= np.trace(skew) / d
+    size = _norm(skew)
+    m = rho if size == 0.0 else rho + (data.draw(st.floats(0.0, 0.99)) * STATE_TOL * _norm(rho) / (2.0 * size)) * skew
+    for given in (rho, m):
+        stored = DensityOperator.from_matrix(given).matrix
+        assert np.array_equal(stored, stored.conj().T) and not np.shares_memory(stored, given)
+        assert _norm(stored - given) <= STATE_TOL * _norm(given)
+    assert np.array_equal(DensityOperator.from_matrix(rho).matrix, rho)
+
+
+@pytest.mark.bit_identity
+@PROPERTY
 @given(cases(linear=True))
 def test_direct_kernel_writes_the_bits_of_the_sparse_product(case):
     # the compiled generator calls scipy's private CSR kernel straight into the
@@ -177,9 +208,8 @@ def test_direct_kernel_writes_the_bits_of_the_sparse_product(case):
     # L's to the mirrored product h + h^H of the half rows, L^dag's and each
     # S_k's to the full product
     model, t, x, rho, lam, _ = case
-    compiled = model.superoperator
-    s, s_adjoint = compiled.at(x)
-    h = (compiled.half_rows(x) @ rho.ravel()).reshape(rho.shape)
+    half, s_adjoint = (_csr(table) for table in model.superoperator._tables(x)[1:])
+    h = (half @ rho.ravel()).reshape(rho.shape)
     expect = h + h.conj().T
     out = np.full(rho.shape, np.nan, dtype=np.complex128)
     assert lindblad_rhs(t, rho, model, x, out=out) is out
@@ -189,7 +219,7 @@ def test_direct_kernel_writes_the_bits_of_the_sparse_product(case):
     out = np.full(lam.shape, np.nan, dtype=np.complex128)
     assert adjoint_liouvillian_apply(model, x, t, lam, out=out) is out
     assert np.array_equal(out, (s_adjoint @ lam.ravel()).reshape(lam.shape))
-    for k, s_k in enumerate(compiled.derivatives):
+    for k, s_k in enumerate(model.superoperator.derivatives):
         assert np.array_equal(rhs_parameter_derivative(t, rho, model, x, k), (s_k @ rho.ravel()).reshape(rho.shape))
 
 
@@ -201,7 +231,8 @@ def test_half_rows_are_the_upper_rows_of_s_with_the_diagonal_halved(case):
     # (exact), empty for i > j; and S(x) itself is the entrywise sum of its parts
     model, _, x, _, _, _ = case
     compiled, d = model.superoperator, model.dimension
-    s, half = compiled.at(x)[0], compiled.half_rows(x)
+    half, s_adjoint = (_csr(table) for table in compiled._tables(x)[1:])
+    s = s_adjoint.conj().T.tocsr()
     i, j = np.divmod(np.arange(d * d), d)
     counts = np.diff(s.indptr)
     kept = np.repeat(i <= j, counts)  # per stored entry of S(x)

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from oracles import fd_gradient, qfi_reference, qfi_sld_reference, random_density, random_hermitian
+from lindbladiff import cli
 from lindbladiff.eigen import eigh
 from lindbladiff.errors import IntegrationError, LindbladiffError, ValidationError
 from lindbladiff.instrumentation import counters
-from lindbladiff.model import DensityOperator, all_zero_density, preset_oat
-from lindbladiff.optimize import gradient_check
+from lindbladiff.linalg import STATE_TOL
+from lindbladiff.model import DensityOperator, JumpChannel, LindbladModel, LinearSchedule, all_zero_density, preset_oat
+from lindbladiff.optimize import OptConfig, gradient_check, maximize_qfi
 from lindbladiff.qfi import (
-    CLIP_TOL,
     Generator,
     QfiReport,
     generator_from_preset,
@@ -22,7 +23,7 @@ from lindbladiff.qfi import (
     qfi_rho_cotangent,
 )
 from lindbladiff.solver import DOP853, SolveConfig, integrate
-from lindbladiff.spins import PAULI_Z, collective_sz
+from lindbladiff.spins import PAULI_X, PAULI_Z, collective_sx, collective_sz, embed_single
 
 PLUS = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
 TIGHT = SolveConfig(rtol=1e-10, atol=1e-12)
@@ -139,7 +140,7 @@ class TestValues:
         slight = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
         rep = qfi(eigh(slight), Generator(0.5 * PAULI_Z))
         assert np.isfinite(rep.value) and rep.value >= 0.0
-        bad = np.diag([1.0 + 2 * CLIP_TOL, -2 * CLIP_TOL]).astype(complex)
+        bad = np.diag([1.0 + 2 * STATE_TOL, -2 * STATE_TOL]).astype(complex)
         with pytest.raises(ValidationError):
             qfi(eigh(bad), Generator(0.5 * PAULI_Z))
 
@@ -297,12 +298,12 @@ class TestOfParams:
     @pytest.mark.parametrize("x1", [40.0, 85.06])
     def test_a_final_state_the_solve_accepts_has_a_figure_of_merit(self, x1):
         # rho(T) is pure in exact arithmetic, but after 186 / 387 steps its
-        # smallest computed eigenvalue sits below -CLIP_TOL; it is within the
+        # smallest computed eigenvalue sits below -STATE_TOL; it is within the
         # solve's PSD tolerance, which the QFI of a solved state clips to
         model, x, rho0 = preset_oat(2), np.array([1.16, x1]), all_zero_density(2)
         g = generator_from_preset("Sz", 2)
         final = integrate(model, x, rho0, (0.0, 1.0)).final_state.matrix
-        assert np.linalg.eigvalsh(final).min() < -CLIP_TOL
+        assert np.linalg.eigvalsh(final).min() < -STATE_TOL
         with pytest.raises(ValidationError):
             qfi(eigh(final), g)  # a decomposition no solve vouches for keeps the strict tolerance
         rep = qfi_of_params(model, x, rho0, (0.0, 1.0), g, want_gradient=True)
@@ -331,6 +332,14 @@ class TestOfParams:
                 SolveConfig(max_steps=5),
             )
         assert getattr(exc.value, "stage", None) == "integrate"
+
+    def test_a_generator_of_another_dimension_is_tagged_figure_of_merit(self):
+        # the solve succeeds; the pair sum then meets a 3-qubit generator on a 2-qubit state
+        with pytest.raises(ValidationError, match="generator dimension") as exc:
+            qfi_of_params(
+                preset_oat(2), np.array([0.5, 0.5]), all_zero_density(2), (0.0, 1.0), generator_from_preset("Sz", 3)
+            )
+        assert exc.value.stage == "figure-of-merit"
 
     def test_adjoint_failure_is_tagged_gradient(self, monkeypatch):
         # the adjoint pass runs after the value is known, under its own tag
@@ -381,3 +390,29 @@ class TestOfParams:
                 clusters=((0,),),
                 min_gap=1.0,
             )
+
+
+def test_a_state_accepted_with_an_anti_hermitian_part_solves_to_a_decomposable_state():
+    # rho0 = |000><000| + eps (|0><1| - |1><0|) has an anti-Hermitian part of
+    # 0.9e-9 in Frobenius norm, within the state tolerance; from_matrix stores
+    # its Hermitian part, so rho(T) is bitwise Hermitian and every stage that
+    # decomposes it accepts it
+    n = 3
+    sz = collective_sz(n)
+    channels = tuple(JumpChannel(rate=1.0, operator=embed_single(PAULI_X, i, n)) for i in range(n))
+    model = LindbladModel(LinearSchedule((sz @ sz, collective_sx(n))), channels, 2**n)
+    eps = 0.9e-9 / (2.0 * np.sqrt(2.0))
+    m = np.zeros((2**n, 2**n), dtype=complex)
+    m[0, 0], m[0, 1], m[1, 0] = 1.0, eps, -eps
+    assert 0.8e-9 < np.linalg.norm(m - m.conj().T) < STATE_TOL
+    rho0 = DensityOperator.from_matrix(m)
+    x, span, g = np.array([0.8, 0.6]), (0.0, 5.0), generator_from_preset("Sz", n)
+    res = integrate(model, x, rho0, span)
+    assert res.stats.hermiticity_drift == 0.0
+    rep = qfi_of_params(model, x, rho0, span, g, want_gradient=True)
+    assert np.isfinite(rep.value) and np.all(np.isfinite(rep.gradient))
+    assert gradient_check(model, x, rho0, span, g)["pass"]
+    summary = cli._final_state_summary(res.final_state.matrix)
+    assert summary["purity"] == pytest.approx(1.0 / 2**n, rel=1e-3) and summary["min_eigenvalue"] > -STATE_TOL
+    best, trace = maximize_qfi(model, x, rho0, span, g, opt_cfg=OptConfig(max_iterations=2))
+    assert np.all(np.isfinite(best)) and all(np.isfinite(it.value) for it in trace.iterates)
