@@ -8,7 +8,8 @@ The generator acts on density matrices as
 with a Hermitian, time- and parameter-dependent Hamiltonian H and fixed jump
 channels (gamma_j, J_j).  Every state, tangent and cotangent the library
 forms is Hermitian, and L, L^dag and dL/dx_k take Hermitian operands alone.
-Each preserves Hermiticity, L(X^H) = L(X)^H, so both kernels form L, and the
+Each preserves Hermiticity, L(X^H) = L(X)^H, so both kernels form L, the
+compiled kernel from d = HALF_ADJOINT_MIN_DIMENSION on also L^dag, and the
 sandwich kernel also L^dag and dL/dx_k, on a Hermitian X as h + h^H from a
 half h of the work: the result is bitwise Hermitian.  A declared LinearSchedule
 H(x) = A_0 + sum_k x_k A_k (preset_oat and explicit JSON models use one)
@@ -17,8 +18,9 @@ row-major CSR superoperator on its own pattern, with integer maps into the
 one fixed pattern of S(x) = S_0 + sum_k x_k S_k, whose entries are formed
 once per x by vector operations on data arrays: L is one call of scipy's CSR
 matrix-vector kernel over the half rows (i, j), i <= j, of S(x), L^dag one
-with S(x)^H and dL/dx_k one with S_k, each writing into a buffer the caller
-may own (a row of the integrator's stage stack) with no copy; one more call
+over the half rows of S(x)^H from d = HALF_ADJOINT_MIN_DIMENSION on and over
+all its rows below, and dL/dx_k one with S_k, each writing into a buffer the
+caller may own (a row of the integrator's stage stack) with no copy; one more call
 on a table of the A_k's entries gives the reverse pass every Tr(A_k Q).  Callable
 schedules, and linear models whose Kronecker terms count more than
 COMPILE_MAX_NNZ entries (preset_oat from n = 9 on), apply the generator in
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -63,24 +65,29 @@ HERMITIAN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Validated quantum state: bitwise Hermitian, unit-trace, PSD complex matrix."""
+    """Validated quantum state: bitwise Hermitian, unit-trace, PSD complex matrix.
+
+    Construction checks ``matrix`` to STATE_TOL in Hermiticity and to
+    ``trace_tol`` and ``psd_tol`` in trace and smallest eigenvalue, checks
+    that it is 2^n_qubits square, then stores its Hermitian part, a new array:
+    equal to matrix if it is bitwise Hermitian, and otherwise within STATE_TOL
+    of it, relative.  The generator preserves Hermiticity bit for bit, so
+    every state a solve forms from it is bitwise Hermitian too.
+    """
 
     matrix: np.ndarray
     n_qubits: int
+    _: KW_ONLY
+    trace_tol: InitVar[float] = linalg.STATE_TOL
+    psd_tol: InitVar[float] = linalg.STATE_TOL
 
-    @classmethod
-    def from_matrix(
-        cls, matrix, *, trace_tol: float = linalg.STATE_TOL, psd_tol: float = linalg.STATE_TOL
-    ) -> "DensityOperator":
-        """Check matrix to STATE_TOL in Hermiticity and to the given trace and PSD tolerances,
-        then store its Hermitian part, a new array: equal to matrix if it is bitwise Hermitian,
-        and otherwise within STATE_TOL of it, relative.  The generator preserves Hermiticity
-        bit for bit, so every state a solve forms from it is bitwise Hermitian too."""
-        m = linalg.as_cmatrix(matrix, square=True, name="density matrix")
+    def __post_init__(self, trace_tol: float, psd_tol: float):
+        m = linalg.as_cmatrix(self.matrix, square=True, name="density matrix")
         d = m.shape[0]
-        n = d.bit_length() - 1
-        if 2**n != d:
+        if d < 1 or d & (d - 1):
             raise ValidationError(f"density matrix dimension {d} is not a power of two")
+        if self.n_qubits != d.bit_length() - 1:
+            raise ValidationError(f"a {self.n_qubits}-qubit state needs dimension {2 ** self.n_qubits}, got {d}")
         if not linalg.is_hermitian(m, linalg.STATE_TOL, floor=1e-300):
             raise ValidationError(f"density matrix is not Hermitian to relative tolerance {linalg.STATE_TOL}")
         tr = linalg.trace(m)
@@ -90,7 +97,16 @@ class DensityOperator:
         if lam_min <= -psd_tol:
             raise ValidationError(f"density matrix has eigenvalue {lam_min:.3e} below -{psd_tol}")
         # symmetrized last: the checks above bound every entry, so the sum cannot overflow
-        return cls(matrix=linalg.hermitian_part(m), n_qubits=n)
+        object.__setattr__(self, "matrix", linalg.hermitian_part(m))
+
+    @classmethod
+    def from_matrix(
+        cls, matrix, *, trace_tol: float = linalg.STATE_TOL, psd_tol: float = linalg.STATE_TOL
+    ) -> "DensityOperator":
+        """The validated state of ``matrix``, its qubit count read from its dimension."""
+        shape = np.shape(matrix)  # a malformed shape is the constructor's to reject
+        n = (shape[0] if shape else 0).bit_length() - 1
+        return cls(matrix=matrix, n_qubits=n, trace_tol=trace_tol, psd_tol=psd_tol)
 
     @property
     def dimension(self) -> int:
@@ -263,6 +279,13 @@ class LinearSchedule:
 #: 6.36M and keeps the sandwich kernel.
 COMPILE_MAX_NNZ = 2_000_000
 
+#: Smallest dimension d at which the compiled L^dag, as L does, multiplies by the half
+#: rows of S(x)^H and mirrors the result.  Below it the mirror costs more than the half
+#: rows save, and L^dag multiplies by all rows of S(x)^H.  Per call on preset_oat(n, 0.1)
+#: (one BLAS thread, 2-core Xeon), full rows -> half rows: 4.0 -> 5.6 us at d = 8,
+#: 7.0 -> 7.9 at d = 16, 21.7 -> 16.9 at d = 32 and 91 -> 57 at d = 64.
+HALF_ADJOINT_MIN_DIMENSION = 32
+
 
 @dataclass(frozen=True)
 class LindbladModel:
@@ -367,16 +390,19 @@ class Superoperator:
     by x_k, gathered and added into S(x)'s entries ((S_0 + x_1 S_1) + x_2 S_2)
     ..., the operations of the sparse sum; the half rows gathered from them,
     with the diagonal rows (i, i) scaled by 1/2, which is exact; and S(x)^H
-    as their conjugates in place, with the bits of the conjugate transposed
-    sum.  A (p, N) table fixed at construction holds A_k[a, b] at column
-    b d + a of row k, dense and sparse terms alike, for ``pairings``.
+    as their conjugates, with the bits of the conjugate transposed sum: from
+    d = HALF_ADJOINT_MIN_DIMENSION on its half rows, gathered and scaled as
+    S(x)'s are, and below it all its rows, conjugated in place.  A (p, N)
+    table fixed at construction holds A_k[a, b] at column b d + a of row k,
+    dense and sparse terms alike, for ``pairings``.
     For a Hermitian X, L(X) is Hermitian (L(X^H) = L(X)^H), so ``apply`` makes
     one CSR kernel call over the half rows, h, and returns h + h^H, bitwise
     Hermitian: row (i, j) of L for i < j, its conjugate at (j, i), and the
-    real part of row (i, i).  With ``adjoint`` it is one kernel call with all
-    rows of S(x)^H.  The memo holds the last x's tables, keyed on the exact
-    bytes of x, so the forward, replay and reverse passes of a solve share
-    them.
+    real part of row (i, i).  With ``adjoint`` it does the same with the half
+    rows of S(x)^H, since L^dag preserves Hermiticity too, or below
+    HALF_ADJOINT_MIN_DIMENSION makes one kernel call with all rows of S(x)^H.
+    The memo holds the last x's tables, keyed on the exact bytes of x, so the
+    forward, replay and reverse passes of a solve share them.
     """
 
     def __init__(self, base: sparse.csr_array, derivatives: Sequence[sparse.csr_array], terms: Sequence[Operator]):
@@ -408,7 +434,15 @@ class Superoperator:
         self._later_terms = tuple((entry[rank == r], order[rank == r]) for r in range(1, rank.max(initial=0) + 1))
         del order, first, entry, rank
         # (n_row, n_col, indptr, indices): the leading arguments of a kernel call
-        self._adjoint_pattern = (size, size, _indptr(columns, size, index), rows)
+        if d >= HALF_ADJOINT_MIN_DIMENSION:
+            # the half rows of S^H, its rows (i, j) with i <= j: S's columns, already in S^H's order
+            adjoint = np.flatnonzero(columns // d <= columns % d).astype(index)
+            self._adjoint_entries = adjoint
+            self._adjoint_diagonal = np.flatnonzero(columns[adjoint] % (d + 1) == 0).astype(index)
+            self._adjoint_pattern = (size, size, _indptr(columns[adjoint], size, index), rows[adjoint])
+        else:
+            self._adjoint_entries = self._adjoint_diagonal = None
+            self._adjoint_pattern = (size, size, _indptr(columns, size, index), rows)
         upper = np.flatnonzero(rows // d <= rows % d)
         half = upper[np.argsort(rows[upper], kind="stable")].astype(index)  # S's CSR order: by row, then by column
         half_rows = rows[half]
@@ -423,8 +457,9 @@ class Superoperator:
         self._pairing = (len(entries), size, _indptr(rows, len(entries), index), keys, values)
 
     def _tables(self, x: np.ndarray) -> tuple:
-        """The memo (key, half rows, S(x)^H) for x, each as the (n_row, n_col, indptr, indices,
-        data) a kernel call takes; x must hold one value per parameter."""
+        """The memo (key, half rows of S(x), rows of S(x)^H that L^dag reads) for x, each as the
+        (n_row, n_col, indptr, indices, data) a kernel call takes; x must hold one value per
+        parameter."""
         if not (type(x) is np.ndarray and x.dtype is _FLOAT64 and x.shape == self._x_shape):
             x = np.ascontiguousarray(x, dtype=np.float64)
             if x.shape != self._x_shape:
@@ -445,18 +480,25 @@ class Superoperator:
                 data[entries] += np.take(terms, later)
             half = np.take(data, self._half_entries)
             half[self._half_diagonal] *= 0.5
-            memo = (key, (*self._half_pattern, half), (*self._adjoint_pattern, np.conjugate(data, out=data)))
+            if self._adjoint_entries is None:
+                adjoint = np.conjugate(data, out=data)
+            else:
+                adjoint = np.take(data, self._adjoint_entries)
+                np.conjugate(adjoint, out=adjoint)
+                adjoint[self._adjoint_diagonal] *= 0.5
+            memo = (key, (*self._half_pattern, half), (*self._adjoint_pattern, adjoint))
             self._memo = memo
         return memo
 
     def apply(
         self, x: np.ndarray, state: np.ndarray, out: np.ndarray | None = None, *, adjoint: bool = False
     ) -> np.ndarray:
-        """L(state) = h + h^H from the half rows of S(x), or S(x)^H vec(state) with ``adjoint``, into ``out``."""
+        """L(state) = h + h^H from the half rows of S(x), or L^dag(state) from the rows of S(x)^H
+        with ``adjoint``, into ``out``."""
         memo = self._tables(x)
-        if adjoint:
+        if adjoint and self._adjoint_entries is None:
             return _csr_apply(memo[2], state, out)
-        h = _csr_apply(memo[1], state, out)
+        h = _csr_apply(memo[2] if adjoint else memo[1], state, out)
         return _mirror(h, h)
 
     def pairings(self, q: np.ndarray) -> np.ndarray:
@@ -613,7 +655,8 @@ def _generator_apply(
 
     Both take a Hermitian state.  A compiled model makes one CSR kernel
     call straight into ``out``: over the half rows of S(x) for L, mirrored
-    in place, and with S(x)^H for L^dag.  The sandwich kernel writes the
+    in place, and for L^dag over the half rows of S(x)^H, mirrored, or below
+    HALF_ADJOINT_MIN_DIMENSION over all its rows.  The sandwich kernel writes the
     mirror N + N^H of its half into ``out`` for both (see _sandwich).
     ``out`` must be C-contiguous: a strided one would reach the kernel as a
     copy.

@@ -404,9 +404,9 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     ones, ``adjoint_rhs_evaluations`` the L applications that recompute
     stage states, (s - 1) per step with neither, and
     ``adjoint_generator_applications`` the L^dag applications of the stage
-    recursion, s per step.  The retained-state count includes each kept
-    stack and each tape row as s states and a taped state once, so its peak
-    is at most checkpoints + longest + s (longest - 1).
+    recursion, s per step; ``peak_retained_states`` the most states held
+    at once, counting each kept stack and each tape row as s states and a
+    taped state once, so at most checkpoints + longest + s (longest - 1).
     """
     model, x, t_final = result.model, result.x, result.t_span[1]
     rho_t = result.final_state.matrix
@@ -426,14 +426,14 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     # stacks and a tape never meet in one pass
     rows = min(longest - 1, _stacks_under_cap(rho_t.nbytes))
     tape = np.empty((rows, s, *rho_t.shape), dtype=np.complex128) if rows else None
-    taped = 0
+    taped = peak = 0
 
     for (i_a, state_a), (i_b, _) in reversed(pairs):
         # replay stops at the start of the segment's last step: the state at
         # its right end is the stored next checkpoint, which nothing reads
         segment = dense_segment(result, state_a, (i_a, i_b - 1), tape=tape)
         # state 0 is the checkpoint and states 1 ... rows - 1 live in the tape
-        counters.note_retained_states(len(stored) + max(0, len(segment) - max(rows, 1)) + s * (kept + rows))
+        peak = max(peak, len(stored) + max(0, len(segment) - max(rows, 1)) + s * (kept + rows))
         on_tape = min(rows, len(segment) - 1)
         taped += on_tape
         for j, (t_n, y_n) in reversed(list(enumerate(segment))):
@@ -448,6 +448,7 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     counters.adjoint_passes += 1
     counters.adjoint_rhs_evaluations += f.calls
     counters.adjoint_generator_applications += applications
+    counters.note_retained_states(peak)
     diagnostics = {
         "segments": len(pairs),
         "steps_replayed": stored[-1][0],
@@ -456,6 +457,7 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
         "taped_stage_steps": taped,
         "adjoint_rhs_evaluations": f.calls,
         "adjoint_generator_applications": applications,
+        "peak_retained_states": peak,
     }
     return GradientResult(
         dc_dx=grad,

@@ -261,7 +261,7 @@ def _error_norm(
     err5, err3 = ratio.reshape(2, -1).sum(axis=1).tolist()
     if not (math.isfinite(err5) and math.isfinite(err3)):
         return math.inf
-    if err5 == 0.0 and err3 == 0.0:
+    if err5 == 0.0:  # the norm's exact value, also where 0.01 err3 underflows and the blend would be 0 / 0
         return 0.0
     return err5 / math.sqrt((err5 + 0.01 * err3) * y.size)
 

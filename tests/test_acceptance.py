@@ -188,10 +188,9 @@ def test_criterion_4_checkpoint_invariance_and_memory():
     grads, mem_ok = [], True
     for k in (2, 10, 50):
         cfg = SolveConfig(rtol=1e-8, atol=1e-10, checkpoints=k)
-        counters.reset()
         rep = qfi_of_params(model, x, rho0, (0.0, 1.5), g, cfg, want_gradient=True)
         grads.append(np.asarray(rep.gradient))
-        peak = counters.snapshot()["peak_retained_states"]
+        peak = rep.diagnostics["adjoint"]["peak_retained_states"]
         longest = rep.diagnostics["adjoint"]["longest_segment"]
         # checkpoints, one replayed segment and its taped stage stacks
         mem_ok = mem_ok and peak <= k + longest + len(DOP853.c) * (longest - 1)

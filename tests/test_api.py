@@ -14,7 +14,7 @@ import lindbladiff
 API = {
     "ShapeMismatchError": ("what", "shape_a", "shape_b"),
     "ValidationError": ("message", "path"),
-    "DensityOperator": ("matrix", "n_qubits"),
+    "DensityOperator": ("matrix", "n_qubits", "trace_tol", "psd_tol"),
     "HamiltonianSchedule": ("evaluate", "n_params", "derivative"),
     "LinearSchedule": ("terms", "constant"),
     "JumpChannel": ("rate", "operator"),

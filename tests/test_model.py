@@ -73,6 +73,16 @@ class TestDensityOperator:
         with pytest.raises(ValidationError):
             DensityOperator.from_matrix(np.eye(3) / 3.0)
 
+    def test_direct_construction_is_validated_and_stores_a_new_array(self):
+        m = np.diag([0.25, 0.75]).astype(complex)
+        rho = DensityOperator(matrix=m, n_qubits=1)
+        assert np.array_equal(rho.matrix, m) and not np.shares_memory(rho.matrix, m)
+        with pytest.raises(ValidationError, match="dimension 4"):
+            DensityOperator(matrix=m, n_qubits=2)
+        with pytest.raises(ValidationError, match="trace"):
+            DensityOperator(matrix=np.diag([0.5, 0.6]), n_qubits=1)
+        assert DensityOperator(matrix=np.diag([0.5, 0.6]), n_qubits=1, trace_tol=0.2).dimension == 2
+
     def test_all_zero_density(self):
         rho = all_zero_density(2)
         expect = np.zeros((4, 4))
@@ -317,6 +327,17 @@ def _sandwich_twin(model):
     )
 
 
+def _nonlocal_linear_model(rng, n):
+    """A random compiled model: a dense constant term, Sx as the one parameter
+    term, a local channel and a sparse jump operator that acts on every qubit."""
+    d = 2**n
+    jump = scipy.sparse.random(d, d, density=0.1, random_state=rng, format="csr", dtype=np.complex128)
+    jump.data += 1j * rng.standard_normal(jump.nnz)
+    channels = (JumpChannel(rate=0.3, operator=embed_single(LOWERING, 1, n)), JumpChannel(rate=0.7, operator=jump))
+    schedule = LinearSchedule(terms=(collective_sx(n),), constant=random_hermitian(rng, d))
+    return LindbladModel(hamiltonian=schedule, channels=channels, dimension=d)
+
+
 class TestCompiled:
     def test_presets_match_textbook_oracle(self):
         # companion to criterion 9 for the compiled S: each storage against the oracle
@@ -396,6 +417,44 @@ class TestCompiled:
             assert np.array_equal(_s_of(compiled, same)[0].toarray(), expect)
         with pytest.raises(ValidationError, match="parameter vector shape"):
             compiled._tables(np.zeros(3))
+
+    def test_l_dag_takes_the_half_rows_of_s_adjoint_from_32_dimensions(self):
+        # all rows of S(x)^H up to n = 4; from n = 5 none of its rows (i, j) with i > j
+        x = np.array([0.8, 0.6])
+        for n, half in ((4, False), (5, True)):
+            compiled, d = preset_oat(n, 0.1).superoperator, 2**n
+            _, _, indptr, _, data = compiled._tables(x)[2]
+            i, j = np.divmod(np.arange(d * d), d)
+            assert (np.diff(indptr)[i > j].sum() == 0) == half
+            assert (len(data) < len(compiled._first_terms)) == half
+
+    @pytest.mark.bit_identity
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "nonlocal"])
+    def test_half_rows_of_s_adjoint_give_l_dag_at_32_dimensions(self, kind):
+        # the memo's rows (i, j), i <= j, of S(x)^H, the diagonal ones halved; L^dag
+        # is their product h mirrored, h + h^H: bitwise Hermitian, bit-equal to
+        # scipy's public S(x)^H @ v above the diagonal, and within rounding below
+        n, d = 5, 32
+        rng = np.random.default_rng(32)
+        model = _nonlocal_linear_model(rng, n) if kind == "nonlocal" else preset_oat(n, 0.3, sparse=kind == "sparse")
+        compiled = model.superoperator
+        x = np.array([0.8, -0.6][: model.n_params])
+        n_row, n_col, indptr, indices, data = compiled._tables(x)[2]
+        half = scipy.sparse.csr_array((data, indices, indptr), shape=(n_row, n_col)).toarray()
+        s = compiled.base
+        for xk, part in zip(x, compiled.derivatives):
+            s = s + xk * part
+        s_adjoint = s.conj().T.tocsr()
+        i, j = np.divmod(np.arange(d * d), d)
+        assert np.array_equal(half, np.where(i < j, 1.0, np.where(i == j, 0.5, 0.0))[:, None] * s_adjoint.toarray())
+        lam = random_hermitian(rng, d)
+        got = adjoint_liouvillian_apply(model, x, 0.0, lam)
+        expect = (s_adjoint @ lam.ravel()).reshape(d, d)
+        assert np.array_equal(got, got.conj().T)
+        upper = np.triu_indices(d, 1)
+        assert np.array_equal(got[upper], expect[upper])
+        assert np.array_equal(np.diag(got), np.diag(expect).real)
+        assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
     def test_missing_parameter_index_is_a_zero_term(self):
         term = {"coefficient": "param:1", "matrix": operator_to_json(PAULI_X)}

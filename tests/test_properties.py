@@ -40,7 +40,7 @@ from lindbladiff.sensitivity import (
     observable_cost,
 )
 from lindbladiff.solver import DOP853, SolveConfig, _CountedRhs, integrate
-from lindbladiff.spins import as_sparse, collective_sx, collective_sz, embed_single
+from lindbladiff.spins import LOWERING, as_sparse, collective_sx, collective_sz, embed_single
 
 # derandomized and without an example database: every run draws the same examples
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -119,6 +119,31 @@ def cases(draw, linear=False):
     return _case(draw, d, rates, [_complex(draw, d) for _ in range(n_channels)], linear=linear)
 
 
+def _case_at_32_dimensions(rng, sparse):
+    """A _case-style tuple on 5 qubits, built from rng: the drawn cases stop at
+    d = 8, and from d = 32 on the compiled L^dag takes the half rows of S(x)^H.
+    A LinearSchedule with a constant and two parameter terms, a local channel
+    and a dense jump operator with a tenth of its entries nonzero."""
+    d = 32
+    wrap = as_sparse if sparse else (lambda m: m)
+
+    def hermitian():
+        a = rng.uniform(-1.0, 1.0, (d, d)) + 1j * rng.uniform(-1.0, 1.0, (d, d))
+        return 0.5 * (a + a.conj().T)
+
+    jump = (rng.uniform(-1.0, 1.0, (d, d)) + 1j * rng.uniform(-1.0, 1.0, (d, d))) * (rng.random((d, d)) < 0.1)
+    ops, rates = [embed_single(LOWERING, 3, 5), jump], [0.3, 1.0]
+    constant, terms, x = hermitian(), [hermitian(), hermitian()], rng.uniform(-1.0, 1.0, 2)
+    model = LindbladModel(
+        hamiltonian=LinearSchedule(terms=tuple(map(wrap, terms)), constant=wrap(constant)),
+        channels=tuple(JumpChannel(rate=g, operator=wrap(j)) for g, j in zip(rates, ops)),
+        dimension=d,
+    )
+    scale = 2.0 * sum(g * _norm(j) ** 2 for g, j in zip(rates, ops))
+    scale += 2.0 * sum(abs(c) * _norm(a) for c, a in zip([1.0, *x], [constant, *terms]))
+    return model, float(rng.random()), x, hermitian(), hermitian(), scale
+
+
 @st.composite
 def local_cases(draw):
     """(case, n_local): a random 1-4 qubit model whose channels are single-qubit
@@ -172,6 +197,15 @@ def test_adjoint_pairing_identity(case):
 def test_compiled_generator_pairing_and_textbook_form(case):
     # Tr(lam^dag S rho) == Tr((S^H lam)^dag rho) for the compiled S of a random linear model
     assert case[0].superoperator is not None
+    _check_pairing(case)
+    _check_textbook_form(case)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_compiled_pairing_and_textbook_form_at_32_dimensions(sparse):
+    case = _case_at_32_dimensions(np.random.default_rng(5), sparse)
+    compiled = case[0].superoperator
+    assert compiled is not None and compiled._adjoint_entries is not None
     _check_pairing(case)
     _check_textbook_form(case)
 

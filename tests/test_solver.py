@@ -373,6 +373,14 @@ class TestCostsAndErrors:
         assert _error_norm(np.stack([y, small, small]), y, 1e-8, 1e-10, *buffers) > 1.0
         assert _error_norm(np.stack([y, y, y]), y, 1e-8, 1e-10, *buffers) == 0.0
 
+    def test_error_norm_is_zero_when_the_fifth_order_estimate_is(self):
+        # delta5 = 0 with a delta3 whose squared scaled norm, times 0.01,
+        # underflows: the blend err5^2 / sqrt((err5^2 + 0.01 err3^2) N) is 0 / 0
+        y = np.zeros((2, 2), dtype=complex)
+        sums = np.zeros((3, 2, 2), dtype=complex)
+        sums[2, 0, 0] = 2.5e-170
+        assert _error_norm(sums, y, 1e-8, 1e-8, np.empty((2, 2)), np.empty((2, 2, 2))) == 0.0
+
     @pytest.mark.parametrize("kernel", ["compiled", "sandwich"])
     def test_a_step_allocates_less_than_one_state(self, kernel, monkeypatch):
         # rk_stages writes every stage state, slope and sum into the pass's
@@ -443,6 +451,41 @@ class TestCostsAndErrors:
             integrate(model, x, (1.0 + 1e-7) * rho0.matrix, (0.0, 1.0))
         from_array = integrate(model, x, rho0.matrix, (0.0, 1.0))
         assert np.array_equal(from_array.final_state.matrix, integrate(model, x, rho0, (0.0, 1.0)).final_state.matrix)
+
+    def test_a_directly_built_state_is_validated_before_any_rhs_call(self, monkeypatch):
+        # the constructor checks as from_matrix does: a non-Hermitian and an
+        # indefinite matrix raise before the solve's first right-hand side
+        calls, rhs = [], solver_module.lindblad_rhs
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return rhs(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "lindblad_rhs", counted)
+        model, x = preset_oat(1, 0.1), np.array([0.8, 0.6])
+        for matrix, message in (([[0.5, 0.3], [0, 0.5]], "not Hermitian"), ([[1.2, 0], [0, -0.2]], "eigenvalue")):
+            with pytest.raises(ValidationError, match=message):
+                integrate(model, x, DensityOperator(matrix=np.array(matrix, dtype=complex), n_qubits=1), (0.0, 1.0))
+        assert calls == []
+        integrate(model, x, DensityOperator(matrix=[[1.0, 0], [0, 0]], n_qubits=1), (0.0, 1.0))
+        assert calls  # the wrapper sees a valid state's solve
+
+    def test_each_state_of_a_solve_is_checked_once(self, monkeypatch):
+        # one eigvalsh for a validated rho0 (at its construction) and one for rho(T)
+        calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(1)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        model, x = preset_oat(2, 0.1), np.array([0.8, 0.6])
+        rho0 = all_zero_density(2)
+        assert len(calls) == 1
+        integrate(model, x, rho0, (0.0, 1.0))
+        assert len(calls) == 2
+        integrate(model, x, rho0.matrix, (0.0, 1.0))
+        assert len(calls) == 4
 
     def test_blown_up_stage_state_is_an_integration_error(self):
         # the stage states of a huge first step overflow; lindblad_rhs
