@@ -31,7 +31,7 @@ import numpy as np
 
 from .eigen import eigh
 from .errors import LindbladiffError, ShapeMismatchError, ValidationError
-from .linalg import json_array, json_number, json_object, operator_from_json, operator_to_json, to_dense
+from .linalg import json_array, json_number, json_object, operator_from_json, operator_to_json, packing, to_dense
 from .model import (
     DensityOperator,
     LindbladModel,
@@ -368,7 +368,7 @@ def _run_solve(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
     elapsed = time.perf_counter() - tic
     stage = {
         "stats": result.stats.to_json(),
-        "checkpoints_retained": len(result.step_checkpoints),
+        "checkpoints_retained": len(result.packed_checkpoints),
         "final_state": _final_state_summary(result.final_state.matrix),
     }
     return {"solve": stage}, {"solve": elapsed}, 0
@@ -476,7 +476,8 @@ def _run_optimize(cfg: ExperimentConfig, out: str | None) -> tuple[dict, dict, i
 
 def _trajectory_rows(cfg: ExperimentConfig) -> list[tuple[float, float, float, float]]:
     result = integrate(cfg.model, cfg.x, cfg.state, cfg.t_span, cfg.solver)
-    nodes = dense_segment(result, result.step_checkpoints[0][1], (0, result.stats.accepted))
+    start = packing(result.model.dimension).unpack(result.packed_checkpoints[0][1])  # only checkpoint 0
+    nodes = dense_segment(result, start, (0, result.stats.accepted))
     return [(float(t), *_state_health(rho)) for t, rho in nodes]
 
 

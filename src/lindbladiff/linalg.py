@@ -18,6 +18,7 @@ Every value decoded from JSON, here and in ``model`` and ``cli``, is read by
 
 from __future__ import annotations
 
+import functools
 import math
 import reprlib
 from typing import Union
@@ -138,6 +139,104 @@ STATE_TOL = 1e-9
 def hermitian_part(a: Dense) -> Dense:
     """(a + a^dag) / 2 as a new array: bitwise Hermitian, and equal to a when a already is."""
     return 0.5 * (a + a.conj().T)
+
+
+class HermitianPacking:
+    """The d^2 real coordinates of a d x d Hermitian matrix X, its packed vector r.
+
+    r[:2m], m = d(d-1)/2, holds X's strict upper triangle row by row, each entry
+    as its (Re, Im) pair, so viewed as complex128 it is X[i, j], i < j; r[2m:] is
+    the real diagonal.  ``pack``, ``unpack`` and ``moduli`` take stacks
+    (..., d^2) of packed vectors and C-contiguous (..., d, d) complex
+    matrices; every map is copies, conjugates and gathers with index tables
+    fixed here, so ``pack`` and ``unpack`` round nothing and overflow
+    nowhere: ``unpack(pack(X))`` is bit-equal to every X that ``unpack``
+    makes, whose diagonal has an imaginary part of +0.0.  ``weights`` (2 on
+    r[:2m], 1 on r[2m:]) make sum(weights * r * s) the Hilbert-Schmidt
+    pairing Re Tr(X^H Y), and ``entry_weights`` (2 on each off-diagonal
+    modulus, 1 on the diagonal) weigh |X[i, j]|^2 the same way.  Get one per
+    d from ``packing(d)``.
+    """
+
+    def __init__(self, d: int):
+        self.d, self.size = d, d * d
+        rows, cols = np.triu_indices(d, 1)
+        self.m = m = len(rows)
+        # row-major positions of X[i, j] and of X[j, i] for i < j in packed order, and of X[i, i]
+        self._upper, self._lower, self._diagonal = rows * d + cols, cols * d + rows, np.arange(d) * (d + 1)
+        # unpack permutes the entries [X[i, j] for i < j, their conjugates, the diagonal] into row-major order
+        k = np.arange(m)
+        self._unpack = np.empty(self.size, dtype=np.intp)
+        self._unpack[self._upper], self._unpack[self._lower] = k, m + k
+        self._unpack[self._diagonal] = 2 * m + np.arange(d)
+        self.weights = np.concatenate([np.full(2 * m, 2.0), np.ones(d)])
+        self.entry_weights = np.concatenate([np.full(m, 2.0), np.ones(d)])
+        for table in (self._upper, self._lower, self._diagonal, self._unpack, self.weights, self.entry_weights):
+            table.setflags(write=False)
+
+    def pack(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The packed (..., d^2) vectors of C-contiguous Hermitian (..., d, d) complex128 matrices
+        (only their upper triangles and real diagonals are read), into ``out`` if given."""
+        lead, m = x.shape[:-2], self.m
+        flat = x.reshape(*lead, -1)
+        out = np.empty((*lead, self.size)) if out is None else out
+        # mode="clip" (the indices are in range): with the default, numpy gathers into a buffer first
+        np.take(flat, self._upper, axis=-1, out=out[..., : 2 * m].view(np.complex128), mode="clip")
+        out[..., 2 * m :] = np.take(flat, self._diagonal, axis=-1).real
+        return out
+
+    def pack_mirror(self, n: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """pack(N + N^H) for a C-contiguous (d, d) complex128 N, read from N with no mirror formed:
+        the same additions, so the bits of the mirror's upper triangle and diagonal."""
+        flat, m = n.reshape(-1), self.m
+        out = np.empty(self.size) if out is None else out
+        upper = np.take(flat, self._upper, out=out[: 2 * m].view(np.complex128), mode="clip")
+        lower = np.take(flat, self._lower)
+        upper += np.conjugate(lower, out=lower)  # N[i, j] + conj(N[j, i])
+        diagonal = np.take(flat, self._diagonal).real
+        np.add(diagonal, diagonal, out=out[2 * m :])
+        return out
+
+    def pack_commutator(self, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """pack(-i (M - M^H)) for a C-contiguous (d, d) complex128 M, read from M: the packed
+        -i [A, Y] of M = A Y for Hermitian A and Y, each entry M[i, j] - conj(M[j, i]) formed
+        before it is rotated by -i (exact)."""
+        flat, m2 = m.reshape(-1), 2 * self.m
+        out = np.empty(self.size) if out is None else out
+        upper = np.take(flat, self._upper)
+        lower = np.take(flat, self._lower)
+        upper -= np.conjugate(lower, out=lower)  # M[i, j] - conj(M[j, i])
+        out[:m2:2] = upper.imag  # -i (a + ib) = b - ia
+        np.negative(upper.real, out=out[1:m2:2])
+        diagonal = np.take(flat, self._diagonal).imag  # -i (M[i, i] - conj(M[i, i])) = 2 Im M[i, i]
+        np.add(diagonal, diagonal, out=out[m2:])
+        return out
+
+    def unpack(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The Hermitian (..., d, d) complex128 matrices of packed (..., d^2) vectors, into a
+        C-contiguous ``out`` if given."""
+        lead, m = r.shape[:-1], self.m
+        entries = np.empty((*lead, self.size), dtype=np.complex128)
+        upper = r[..., : 2 * m].view(np.complex128)
+        entries[..., :m] = upper
+        np.conjugate(upper, out=entries[..., m : 2 * m])
+        entries[..., 2 * m :] = r[..., 2 * m :]  # a real diagonal, +0.0 imaginary parts
+        out = np.empty((*lead, self.d, self.d), dtype=np.complex128) if out is None else out
+        np.take(entries, self._unpack, axis=-1, out=out.reshape(*lead, -1), mode="clip")
+        return out
+
+    def moduli(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """|X[i, j]| for i < j, then |X[i, i]|, of packed (..., d^2) vectors, into (..., m + d) ``out``:
+        numpy's complex modulus, so the moduli of the unpacked entries bit for bit."""
+        np.abs(r[..., : 2 * self.m].view(np.complex128), out=out[..., : self.m])
+        np.abs(r[..., 2 * self.m :], out=out[..., self.m :])
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def packing(d: int) -> HermitianPacking:
+    """The one HermitianPacking of dimension d."""
+    return HermitianPacking(d)
 
 
 def is_hermitian(a: Operator, tol: float, floor: float = 1.0) -> bool:

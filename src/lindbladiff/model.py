@@ -7,53 +7,57 @@ The generator acts on density matrices as
 
 with a Hermitian, time- and parameter-dependent Hamiltonian H and fixed jump
 channels (gamma_j, J_j).  Every state, tangent and cotangent the library
-forms is Hermitian, and L, L^dag and dL/dx_k take Hermitian operands alone.
-Each preserves Hermiticity, L(X^H) = L(X)^H, so both kernels form L, the
-compiled kernel from d = HALF_ADJOINT_MIN_DIMENSION on also L^dag, and the
-sandwich kernel also L^dag and dL/dx_k, on a Hermitian X as h + h^H from a
-half h of the work: the result is bitwise Hermitian.  A declared LinearSchedule
-H(x) = A_0 + sum_k x_k A_k (preset_oat and explicit JSON models use one)
-compiles the generator once per model, on first use, to S_0 and S_k, each a
-row-major CSR superoperator on its own pattern, with integer maps into the
-one fixed pattern of S(x) = S_0 + sum_k x_k S_k, whose entries are formed
-once per x by vector operations on data arrays: L is one call of scipy's CSR
-matrix-vector kernel over the half rows (i, j), i <= j, of S(x), L^dag one
-over the half rows of S(x)^H from d = HALF_ADJOINT_MIN_DIMENSION on and over
-all its rows below, and dL/dx_k one with S_k, each writing into a buffer the
-caller may own (a row of the integrator's stage stack) with no copy; one more call
-on a table of the A_k's entries gives the reverse pass every Tr(A_k Q).  Callable
-schedules, and linear models whose Kronecker terms count more than
-COMPILE_MAX_NNZ entries (preset_oat from n = 9 on), apply the generator in
-effective-Hamiltonian form L(rho) = -i (H_eff rho - rho H_eff^dag) + sum_j
-gamma_j J_j rho J_j^dag with H_eff = H - iK, K = (1/2) sum_j gamma_j J_j^dag
-J_j: L takes one product rho H_eff^dag, whose conjugate transpose is
-H_eff rho, and L^dag and dL/dx_k are the same one-product sandwich with
-other operands.  A jump operator that acts on one qubit,
+forms is Hermitian, and L, L^dag and dL/dx_k take Hermitian operands alone;
+each preserves Hermiticity, L(X^H) = L(X)^H.  So the integrator steps on
+packed states (linalg.HermitianPacking: the d^2 real coordinates of a
+Hermitian matrix, its strict upper triangle's (Re, Im) pairs, then its real
+diagonal), and lindblad_rhs, adjoint_liouvillian_apply and
+rhs_parameter_derivative take a packed state, with a packed result, or a
+(d, d) matrix, which is packed, applied and unpacked.  A declared
+LinearSchedule H(x) = A_0 + sum_k x_k A_k (preset_oat and explicit JSON
+models use one) compiles the generator once per model, on first use, to S_0
+and S_k, each a row-major CSR superoperator on its own pattern, with integer
+maps into the one fixed pattern of S(x) = S_0 + sum_k x_k S_k, whose entries
+are formed once per x by vector operations on data arrays, and from them the
+real d^2 x d^2 maps r -> pack(S(x) unpack(r)) of L and of L^dag (with S(x)^H):
+each is one call of scipy's CSR matrix-vector kernel on the packed state,
+writing into a buffer the caller may own (a row of the integrator's stage
+stack) with no copy, and dL/dx_k is one with the fixed map of S_k; one more
+call on the stacked maps of the S_k gives the reverse pass every parameter's
+pairing.  Callable schedules, and linear models whose Kronecker terms count
+more than COMPILE_MAX_NNZ entries (preset_oat from n = 9 on), apply the
+generator to the unpacked state in effective-Hamiltonian form
+L(rho) = -i (H_eff rho - rho H_eff^dag) + sum_j gamma_j J_j rho J_j^dag with
+H_eff = H - iK, K = (1/2) sum_j gamma_j J_j^dag J_j: L takes one product
+rho H_eff^dag, whose conjugate transpose is H_eff rho, and L^dag and dL/dx_k
+are the same one-product sandwich with other operands, whose packed
+N + N^H is read from its half N.  A jump operator that acts on one qubit,
 J = I (x) a (x) I with a 2x2 factor a of at most two nonzero entries
 (sigma_+/-, sigma_x/y/z, the projectors; every preset channel), is detected
 once per JumpChannel, adds its J^dag J to K in O(d^2), and is applied by the
 kernel as O(d^2) block copies on the qubit tensor view of the state; every
-other J takes two dense or sparse products.  The
-right-hand side is evaluated on raw complex matrices: intermediate integrator
-stages legitimately violate trace and positivity, so state invariants are only
-enforced on accepted states via DensityOperator.
+other J takes two dense or sparse products.  The right-hand side is
+evaluated on raw states: intermediate integrator stages legitimately violate
+trace and positivity, so state invariants are only enforced on accepted
+states via DensityOperator.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse._sparsetools import csr_matvec  # the kernel S @ v calls; tests pin its bits
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs  # the kernels S @ v and S @ V call; tests pin their bits
 
 from . import linalg
 from .errors import ShapeMismatchError, ValidationError
-from .linalg import Operator
+from .linalg import Operator, packing
 from .spins import LOWERING, all_zero_state, as_sparse, collective_sx, collective_sz, embed_single
 
 _FLOAT64, _COMPLEX128 = np.dtype(np.float64), np.dtype(np.complex128)
@@ -279,13 +283,6 @@ class LinearSchedule:
 #: 6.36M and keeps the sandwich kernel.
 COMPILE_MAX_NNZ = 2_000_000
 
-#: Smallest dimension d at which the compiled L^dag, as L does, multiplies by the half
-#: rows of S(x)^H and mirrors the result.  Below it the mirror costs more than the half
-#: rows save, and L^dag multiplies by all rows of S(x)^H.  Per call on preset_oat(n, 0.1)
-#: (one BLAS thread, 2-core Xeon), full rows -> half rows: 4.0 -> 5.6 us at d = 8,
-#: 7.0 -> 7.9 at d = 16, 21.7 -> 16.9 at d = 32 and 91 -> 57 at d = 64.
-HALF_ADJOINT_MIN_DIMENSION = 32
-
 
 @dataclass(frozen=True)
 class LindbladModel:
@@ -367,9 +364,69 @@ def _transposed_keys(part: sparse.csr_array) -> np.ndarray:
     return keys
 
 
-def _indptr(rows: np.ndarray, size: int, index: np.dtype) -> np.ndarray:
-    """The CSR row pointer of entries with these sorted rows, in an N = size row array."""
-    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=size))]).astype(index)
+def _packed_coordinate(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    """The packed coordinate (linalg.HermitianPacking) of Re X[a, b]: of the upper entry
+    (min, max) for a != b, whose Im is the next one, and of the diagonal entry for a == b."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    upper = 2 * (lo * d - lo * (lo + 1) // 2 + hi - lo - 1)
+    return np.where(a == b, d * (d - 1) + a, upper)
+
+
+def _real_map(
+    rows: np.ndarray, cols: np.ndarray, nonzero: np.ndarray, d: int, index: np.dtype, *, conjugate: bool = False
+) -> tuple:
+    """The real map r -> pack(M unpack(r)) of a d^2 x d^2 complex M with entries M_e at (rows[e], cols[e]),
+    or of its entrywise conjugate with ``conjugate``, as (pattern, fill).
+
+    ``pattern`` is the (n_row, n_col, indptr, indices) of its CSR, and
+    fill(M's entries) its data: entry q is -v if negated else v, where v is
+    Re M_e or Im M_e.  For Hermitian-preserving M, pack(M X) reads the rows
+    (i, j), i <= j, of M: Re on the upper rows' first coordinate and the
+    diagonal, Im on the second.  An entry at column (k, l) reads
+    X[k, l] = r_re + i r_im for k < l (r_re - i r_im for k > l, r_re alone for
+    k = l), so M_e gives up to four real entries: Re and Im of M_e, i M_e or
+    -i M_e.  Those that read a part of M_e that ``nonzero`` (over M's
+    entries' float64 view, [Re M_0, Im M_0, Re M_1, ...]) marks as zero at
+    every x are left out: a coherent term -i [A, X] with a real A has
+    imaginary entries, and a real jump operator real ones, so this halves
+    the map for such models.  The rest are left unmerged (the kernel sums
+    whatever a row lists) and sorted by row, then column.
+    """
+    i, j = np.divmod(rows, d)
+    keep = np.flatnonzero(i <= j)
+    i, j, (k, l) = i[keep], j[keep], np.divmod(cols[keep], d)
+    out_re, in_re = _packed_coordinate(i, j, d), _packed_coordinate(k, l, d)
+    off, cross = i < j, k != l  # with an Im row; with an Im column
+    size = d * d
+    keys, sources, negated = [], [], []
+    # (entries, row shift, column shift, reads Im M_e, negated): Re and Im of M_e, i M_e or -i M_e
+    for mask, row, col, imag, negate in (
+        (slice(None), 0, 0, False, False),
+        (cross, 0, 1, True, k < l),
+        (off, 1, 0, True, False),
+        (off & cross, 1, 1, False, k > l),
+    ):
+        source = 2 * keep[mask] + imag
+        live = nonzero[source]
+        keys.append(((out_re[mask] + row).astype(np.int64) * size + in_re[mask] + col)[live])  # row * size + column
+        sources.append(source[live].astype(index))
+        negate = np.broadcast_to(negate, keep.shape)[mask] != (conjugate and imag)
+        negated.append(negate[live])
+    del i, j, k, l, out_re, in_re, off, cross
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    source, negate = np.concatenate(sources)[order], np.concatenate(negated)[order]
+    keys = keys[order]
+    del order
+    indptr = np.searchsorted(keys, np.arange(size + 1, dtype=np.int64) * size).astype(index)
+    pattern = (size, size, indptr, np.remainder(keys, size, out=keys).astype(index))
+    del keys
+
+    def fill(values: np.ndarray) -> np.ndarray:
+        data = np.take(values.view(np.float64), source)  # on int32 indices take is faster than []
+        return np.negative(data, out=data, where=negate)
+
+    return pattern, fill
 
 
 class Superoperator:
@@ -381,31 +438,27 @@ class Superoperator:
     (S_0) and each of ``derivatives`` (S_k) is one canonical CSR on its own
     pattern, the only complex tables stored before a first x.
 
-    S(x) lives on one fixed pattern, the union of theirs, held in the CSR
-    order of S(x)^H.  Construction fixes integer tables once: for each entry
-    of the union, the stored values of the parts it sums, in part order; and
-    the half rows of S(x), its rows (i, j) = i d + j with i <= j, as a CSR
-    pattern with the positions of its entries.  At a new x the memo is then
-    a few vector operations on data arrays: the parts' values, S_k's scaled
-    by x_k, gathered and added into S(x)'s entries ((S_0 + x_1 S_1) + x_2 S_2)
-    ..., the operations of the sparse sum; the half rows gathered from them,
-    with the diagonal rows (i, i) scaled by 1/2, which is exact; and S(x)^H
-    as their conjugates, with the bits of the conjugate transposed sum: from
-    d = HALF_ADJOINT_MIN_DIMENSION on its half rows, gathered and scaled as
-    S(x)'s are, and below it all its rows, conjugated in place.  A (p, N)
-    table fixed at construction holds A_k[a, b] at column b d + a of row k,
-    dense and sparse terms alike, for ``pairings``.
-    For a Hermitian X, L(X) is Hermitian (L(X^H) = L(X)^H), so ``apply`` makes
-    one CSR kernel call over the half rows, h, and returns h + h^H, bitwise
-    Hermitian: row (i, j) of L for i < j, its conjugate at (j, i), and the
-    real part of row (i, i).  With ``adjoint`` it does the same with the half
-    rows of S(x)^H, since L^dag preserves Hermiticity too, or below
-    HALF_ADJOINT_MIN_DIMENSION makes one kernel call with all rows of S(x)^H.
-    The memo holds the last x's tables, keyed on the exact bytes of x, so the
-    forward, replay and reverse passes of a solve share them.
+    S(x) lives on one fixed pattern, the union of theirs.  Construction fixes
+    integer tables once: for each entry of the union, the stored values of
+    the parts it sums, in part order; and the real maps of L and L^dag on
+    packed Hermitian states (linalg.HermitianPacking), pack(S(x) unpack(r))
+    and pack(S(x)^H unpack(r)), as CSR patterns of d^2 x d^2 real matrices
+    whose every entry is + or - the Re or Im of one union entry, leaving
+    out the parts no S_k or S_0 entry makes nonzero (_real_map).  At a new x
+    the memo is then a few vector operations on data arrays: the parts'
+    values, S_k's scaled by x_k, gathered and added into S(x)'s entries
+    ((S_0 + x_1 S_1) + x_2 S_2) ..., the operations of the sparse sum, and
+    each real map's entries gathered from their float64 view and negated
+    where its table says, which is exact.  ``apply`` is then one real CSR
+    kernel call with L's or L^dag's map on a packed state, writing the
+    packed result.  The real maps of the S_k are fixed, built on first use
+    and stacked into one CSR, which ``pairings`` applies for the reverse
+    pass, and whose rows of one S_k ``apply_derivative`` applies.  The memo
+    holds the last x's tables, keyed on the exact bytes of x, so the forward,
+    replay and reverse passes of a solve share them.
     """
 
-    def __init__(self, base: sparse.csr_array, derivatives: Sequence[sparse.csr_array], terms: Sequence[Operator]):
+    def __init__(self, base: sparse.csr_array, derivatives: Sequence[sparse.csr_array]):
         parts = (base, *derivatives)
         for part in parts:
             part.sum_duplicates()  # canonical: sorted column indices, no duplicates
@@ -413,9 +466,9 @@ class Superoperator:
         self._memo: tuple = (None, None, None)
         self._x_shape = (len(self.derivatives),)
         size, index = base.shape[0], np.result_type(*(part.indices for part in parts))
-        d = math.isqrt(size)
+        self._index, self._d = index, math.isqrt(size)
         # every part's entries, as terms of the parts' data laid end to end, sorted
-        # into S^H's CSR order (by column of S, then by row) and, stably, by part
+        # by position (column of S, then row) and, stably, by part
         keys = np.concatenate([_transposed_keys(part) for part in parts])
         self._bounds = np.cumsum([part.nnz for part in parts]).tolist()
         order = np.argsort(keys, kind="stable")
@@ -433,31 +486,20 @@ class Superoperator:
         self._first_terms = order[first]
         self._later_terms = tuple((entry[rank == r], order[rank == r]) for r in range(1, rank.max(initial=0) + 1))
         del order, first, entry, rank
-        # (n_row, n_col, indptr, indices): the leading arguments of a kernel call
-        if d >= HALF_ADJOINT_MIN_DIMENSION:
-            # the half rows of S^H, its rows (i, j) with i <= j: S's columns, already in S^H's order
-            adjoint = np.flatnonzero(columns // d <= columns % d).astype(index)
-            self._adjoint_entries = adjoint
-            self._adjoint_diagonal = np.flatnonzero(columns[adjoint] % (d + 1) == 0).astype(index)
-            self._adjoint_pattern = (size, size, _indptr(columns[adjoint], size, index), rows[adjoint])
-        else:
-            self._adjoint_entries = self._adjoint_diagonal = None
-            self._adjoint_pattern = (size, size, _indptr(columns, size, index), rows)
-        upper = np.flatnonzero(rows // d <= rows % d)
-        half = upper[np.argsort(rows[upper], kind="stable")].astype(index)  # S's CSR order: by row, then by column
-        half_rows = rows[half]
-        self._half_entries = half
-        self._half_pattern = (size, size, _indptr(half_rows, size, index), columns[half])
-        self._half_diagonal = np.flatnonzero(half_rows % (d + 1) == 0).astype(index)  # rows (i, i) = i (d + 1)
-        # row k holds each stored A_k[a, b] at column b d + a: its product with vec(Q) is Tr(A_k Q)
-        entries = [sparse.csr_array(a) for a in terms]
-        rows = np.repeat(np.arange(len(entries)), [a.nnz for a in entries])
-        keys = np.concatenate([np.zeros(0, index), *(_transposed_keys(a).astype(index) for a in entries)])
-        values = np.concatenate([np.zeros(0, np.complex128), *(a.data for a in entries)])
-        self._pairing = (len(entries), size, _indptr(rows, len(entries), index), keys, values)
+        # the parts of each union entry that some part's entry makes nonzero, in the float64 view
+        parts_nonzero = np.concatenate([part.data for part in parts]).view(np.float64).reshape(-1, 2) != 0
+        nonzero = parts_nonzero[self._first_terms]
+        for entries, later in self._later_terms:
+            nonzero[entries] |= parts_nonzero[later]
+        nonzero = nonzero.reshape(-1)
+        del parts_nonzero
+        self._maps = (
+            _real_map(rows, columns, nonzero, self._d, index),
+            _real_map(columns, rows, nonzero, self._d, index, conjugate=True),
+        )
 
     def _tables(self, x: np.ndarray) -> tuple:
-        """The memo (key, half rows of S(x), rows of S(x)^H that L^dag reads) for x, each as the
+        """The memo (key, L's packed map, L^dag's packed map) for x, each map as the
         (n_row, n_col, indptr, indices, data) a kernel call takes; x must hold one value per
         parameter."""
         if not (type(x) is np.ndarray and x.dtype is _FLOAT64 and x.shape == self._x_shape):
@@ -475,37 +517,49 @@ class Superoperator:
             for xk, sk, end in zip(x, self.derivatives, self._bounds[1:]):
                 np.multiply(sk.data, xk, out=terms[start:end])
                 start = end
-            data = np.take(terms, self._first_terms)  # on int32 indices take is faster than []
+            data = np.take(terms, self._first_terms)
             for entries, later in self._later_terms:
                 data[entries] += np.take(terms, later)
-            half = np.take(data, self._half_entries)
-            half[self._half_diagonal] *= 0.5
-            if self._adjoint_entries is None:
-                adjoint = np.conjugate(data, out=data)
-            else:
-                adjoint = np.take(data, self._adjoint_entries)
-                np.conjugate(adjoint, out=adjoint)
-                adjoint[self._adjoint_diagonal] *= 0.5
-            memo = (key, (*self._half_pattern, half), (*self._adjoint_pattern, adjoint))
+            memo = (key, *((*pattern, fill(data)) for pattern, fill in self._maps))
             self._memo = memo
         return memo
 
     def apply(
         self, x: np.ndarray, state: np.ndarray, out: np.ndarray | None = None, *, adjoint: bool = False
     ) -> np.ndarray:
-        """L(state) = h + h^H from the half rows of S(x), or L^dag(state) from the rows of S(x)^H
-        with ``adjoint``, into ``out``."""
-        memo = self._tables(x)
-        if adjoint and self._adjoint_entries is None:
-            return _csr_apply(memo[2], state, out)
-        h = _csr_apply(memo[2] if adjoint else memo[1], state, out)
-        return _mirror(h, h)
+        """L(X), or L^dag(X) with ``adjoint``, on a packed Hermitian X into ``out``: one kernel call."""
+        return _csr_apply(self._tables(x)[2 if adjoint else 1], state, out)
 
-    def pairings(self, q: np.ndarray) -> np.ndarray:
-        """Tr(A_k Q) for every parameter k, from one CSR kernel call on a C-contiguous (d, d) Q."""
-        out = np.zeros(self._x_shape, dtype=np.complex128)
-        csr_matvec(*self._pairing, q.reshape(-1), out)
-        return out
+    @cached_property
+    def _derivative_maps(self) -> tuple:
+        """The packed maps of S_1 ... S_p stacked into one (p d^2, d^2) CSR, rows k d^2 ... (k + 1) d^2
+        S_k's, as the (n_row, n_col, indptr, indices, data) a kernel call takes; fixed, built on first use."""
+        size, indptr, indices, data = self._d**2, [np.zeros(1, self._index)], [], []
+        for sk in self.derivatives:
+            rows = np.repeat(np.arange(sk.shape[0]), np.diff(sk.indptr))
+            (_, _, ptr, idx), fill = _real_map(rows, sk.indices, sk.data.view(np.float64) != 0, self._d, self._index)
+            indptr.append(ptr[1:] + indptr[-1][-1])
+            indices.append(idx)
+            data.append(fill(sk.data))
+        indices, data = np.concatenate([np.zeros(0, self._index), *indices]), np.concatenate([np.zeros(0), *data])
+        return (size * len(self.derivatives), size, np.concatenate(indptr), indices, data)
+
+    def apply_derivative(self, k: int, state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """dL/dx_k (X) = S_k vec(X) on a packed Hermitian X: one kernel call with S_k's rows of the stacked map."""
+        _, size, indptr, indices, data = self._derivative_maps
+        ptr = indptr[k * size : (k + 1) * size + 1]
+        start, end = ptr[0], ptr[-1]
+        return _csr_apply((size, size, ptr - start, indices[start:end], data[start:end]), state, out)
+
+    def pairings(self, stages: np.ndarray, cotangents: np.ndarray, products: np.ndarray) -> np.ndarray:
+        """sum_i <v_i, dL/dx_k (Y_i)> for every parameter k, the Hilbert-Schmidt pairing Re Tr(v_i^H
+        dL/dx_k (Y_i)) summed over stages, from (d^2, s) stacks whose column i is the packed Y_i or
+        the packed v_i times the packed weights: one kernel call over the stacked maps of the S_k
+        and every stage into ``products``, a (p d^2, s) buffer, and one dot."""
+        products.fill(0)  # the kernel adds to its output
+        n_row, n_col, indptr, indices, data = self._derivative_maps
+        csr_matvecs(n_row, n_col, stages.shape[1], indptr, indices, data, stages, products)
+        return products.reshape(len(self.derivatives), cotangents.size) @ cotangents.reshape(-1)
 
 
 def _compile(model: LindbladModel) -> Superoperator | None:
@@ -526,7 +580,7 @@ def _compile(model: LindbladModel) -> Superoperator | None:
         jump = sparse.csr_array(ch.operator)
         pieces.append(ch.rate * sparse.kron(jump, jump.conj(), format="csr"))
     base = sum(pieces, sparse.csr_array((d * d, d * d), dtype=np.complex128))
-    return Superoperator(base, [_coherent_super(a, eye) for a in sched.terms], sched.terms)
+    return Superoperator(base, [_coherent_super(a, eye) for a in sched.terms])
 
 
 def _right_matmul(a: np.ndarray, b: Operator) -> np.ndarray:
@@ -571,23 +625,51 @@ def _sandwich(
     adjoint: bool = False,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """M + M^H with M = i X a' + (1/2) sum_j gamma_j L_j X R_j, (L, R) = (J, J^dag), on X = state.
+    """pack(M + M^H) with M = i X a' + (1/2) sum_j gamma_j L_j X R_j, (L, R) = (J, J^dag), on X = state.
 
-    The one place a state meets a generator operand; X must be Hermitian.
-    With K the model's ``decay``, L is (H + iK, channels), L^dag is
+    The one place a state meets a generator operand; X is a Hermitian (d, d)
+    matrix.  With K the model's ``decay``, L is (H + iK, channels), L^dag is
     (-H + iK, channels, adjoint=True), which swaps (L, R) to (J^dag, J), and
     dL/dx_k is (dH/dx_k, ()): for Hermitian X, H and K, (i X a')^H =
-    -i a'^H X, so M + M^H is each map's textbook form; on a non-Hermitian X
-    it is none of them.  The one product R = a'^T X^T = (X a')^T comes back
-    C-ordered from numpy and scipy alike, so N = -i conj(R) = (i X a')^H is
-    formed in place, the jump terms (Hermitian, so N becomes M^H) are added
-    to it, and N + N^H goes into ``out`` if given: bitwise Hermitian, as the
-    compiled kernel's h + h^H is.
+    -i a'^H X, so M + M^H is each map's textbook form.  The one product
+    R = a'^T X^T = (X a')^T comes back C-ordered from numpy and scipy alike,
+    so N = -i conj(R) = (i X a')^H is formed in place, the jump terms
+    (Hermitian, so N becomes M^H) are added to it, and the packed N + N^H is
+    read from N into ``out`` if given (linalg.HermitianPacking.pack_mirror),
+    with no mirror formed.
     """
     half = np.asarray(a_right.T @ state.T, dtype=np.complex128)  # real operands give a real product
     np.conjugate(np.multiply(half, 1j, out=half), out=half)  # conj(i R) = -i conj(R)
     _add_jumps(half, channels, state, adjoint)
-    return _mirror(half, np.empty(state.shape, dtype=np.complex128) if out is None else out)
+    return packing(state.shape[0]).pack_mirror(half, out)
+
+
+def _on_packed(apply: Callable, model: LindbladModel, state: np.ndarray, out: np.ndarray | None, what: str):
+    """apply(r, out) on the packed Hermitian operand of a generator map, with ``out`` checked.
+
+    A packed (d^2,) float64 state goes through as it is, and the result is
+    packed; a (d, d) matrix is packed (its upper triangle and real diagonal
+    are read, so a Hermitian one is taken exactly), and the result is
+    unpacked into ``out``.  ``out``, if given, must be a C-contiguous array
+    of the result's form that does not overlap ``state``: the CSR kernel
+    would read entries it has already overwritten.
+    """
+    d = model.dimension
+    packed = state.shape == (d * d,)
+    if not packed and state.shape != (d, d):
+        raise ShapeMismatchError(what, state.shape, (d, d))
+    dtype = _FLOAT64 if packed else _COMPLEX128
+    if packed and state.dtype != _FLOAT64:
+        raise ValidationError(f"a packed {what} must be float64, got {state.dtype}")
+    if out is not None:
+        if out.shape != state.shape or out.dtype != dtype or not out.flags.c_contiguous:
+            raise ValidationError(f"out must be a C-contiguous {dtype} array of shape {state.shape}")
+        if np.may_share_memory(out, state):
+            raise ValidationError("out must not overlap the kernel's input")
+    if packed:
+        return apply(state, out)
+    pack = packing(d)
+    return pack.unpack(apply(pack.pack(np.ascontiguousarray(state, dtype=np.complex128)), None), out)
 
 
 def lindblad_rhs(
@@ -597,49 +679,29 @@ def lindblad_rhs(
 
     rho must be Hermitian, as every state, stage state and tangent the
     library integrates is; it need not satisfy the other state invariants,
-    since integrator stages violate trace and positivity.  The result is
-    bitwise Hermitian.  On a non-Hermitian rho neither kernel returns
-    L(rho): the compiled kernel returns the Hermitian mirror of L(rho)'s
-    rows (i, j), i <= j (the real part on the diagonal), and the sandwich
-    kernel M + M^H for its half M (see _sandwich); adjoint_liouvillian_apply
-    and rhs_parameter_derivative take Hermitian operands too.  With ``out``,
-    a C-contiguous complex128 array of rho's shape that does not overlap
-    rho, the result is written into it and it is returned.
+    since integrator stages violate trace and positivity.  It is either a
+    packed vector (linalg.HermitianPacking), the form the integrator steps
+    on, with a packed result, or a (d, d) matrix, of which the upper
+    triangle and the real diagonal are read, with a bitwise Hermitian
+    matrix result; adjoint_liouvillian_apply and rhs_parameter_derivative
+    take the same operands.  With ``out``, a C-contiguous array of the
+    result's form that does not overlap rho, the result is written into it
+    and it is returned.
     """
-    if rho.shape != (model.dimension, model.dimension):
-        raise ShapeMismatchError("lindblad_rhs state", rho.shape, (model.dimension, model.dimension))
     # any non-finite entry makes the sum of |rho_ij|^2 (one BLAS call)
     # non-finite; a finite state whose sum overflows takes the elementwise test
     if not cmath.isfinite(np.vdot(rho, rho)) and not np.isfinite(rho).all():
         raise ValidationError("lindblad_rhs received a non-finite state")
-    return _generator_apply(model, t, x, rho, out=out)
+    return _on_packed(lambda r, o: _generator_apply(model, t, x, r, o), model, rho, out, "lindblad_rhs state")
 
 
 def _csr_apply(table: tuple, state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """S @ vec(state) in state's shape for the CSR table S = (n_row, n_col, indptr, indices,
-    data), into a C-contiguous ``out`` if given: the one kernel call S @ v makes."""
-    out = np.empty(state.shape, dtype=np.complex128) if out is None else out
+    """S @ state for the real CSR table S = (n_row, n_col, indptr, indices, data) and a packed
+    state, into a C-contiguous ``out`` if given: the one kernel call S @ v makes."""
+    out = np.empty(state.shape) if out is None else out
     out.fill(0)  # the kernel adds to its output
-    csr_matvec(*table, state.ravel(), out.reshape(-1))
+    csr_matvec(*table, state, out)
     return out
-
-
-def _mirror(h: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """h + h^H into ``out`` (h itself allowed): bitwise Hermitian, since entry (j, i) adds
-    the conjugates of the two numbers entry (i, j) adds."""
-    # conj(h^T) into a C-ordered temporary first: an add with a transposed operand costs more
-    return np.add(h, np.conjugate(h.T, order="C"), out=out)
-
-
-def _check_out(out: np.ndarray | None, state: np.ndarray) -> None:
-    """Reject an ``out`` the kernels cannot write: it must match the kernel's input ``state``
-    and not overlap it, since the CSR kernel would read entries it has already overwritten."""
-    if out is None:
-        return
-    if out.shape != state.shape or out.dtype != _COMPLEX128 or not out.flags.c_contiguous:
-        raise ValidationError(f"out must be a C-contiguous complex128 array of shape {state.shape}")
-    if np.may_share_memory(out, state):
-        raise ValidationError("out must not overlap the kernel's input")
 
 
 def _generator_apply(
@@ -647,26 +709,36 @@ def _generator_apply(
     t: float,
     x: np.ndarray,
     state: np.ndarray,
+    out: np.ndarray | None = None,
     *,
     adjoint: bool = False,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """L(state), or L^dag(state) with adjoint=True, into ``out`` if given.
+    """L(X), or L^dag(X) with adjoint=True, on a packed Hermitian X, into a packed ``out`` if given.
 
-    Both take a Hermitian state.  A compiled model makes one CSR kernel
-    call straight into ``out``: over the half rows of S(x) for L, mirrored
-    in place, and for L^dag over the half rows of S(x)^H, mirrored, or below
-    HALF_ADJOINT_MIN_DIMENSION over all its rows.  The sandwich kernel writes the
-    mirror N + N^H of its half into ``out`` for both (see _sandwich).
-    ``out`` must be C-contiguous: a strided one would reach the kernel as a
-    copy.
+    A compiled model makes one real CSR kernel call straight into ``out``
+    (Superoperator.apply).  The sandwich kernel unpacks X into the calling
+    thread's one scratch matrix and packs its N + N^H into ``out`` (see
+    _sandwich).
     """
-    _check_out(out, state)
     compiled = model.superoperator
     if compiled is not None:
         return compiled.apply(x, state, out, adjoint=adjoint)
     h, ik = model.hamiltonian.evaluate(t, x), 1j * model.decay
-    return _sandwich(-h + ik if adjoint else h + ik, model.channels, state, adjoint=adjoint, out=out)
+    matrix = packing(model.dimension).unpack(state, _scratch_matrix(model.dimension))
+    return _sandwich(-h + ik if adjoint else h + ik, model.channels, matrix, adjoint=adjoint, out=out)
+
+
+_SCRATCH = threading.local()
+
+
+def _scratch_matrix(d: int) -> np.ndarray:
+    """This thread's (d, d) complex128 scratch matrix, kept for the next call: the sandwich kernel
+    unpacks each operand into it, because at d = 512 a fresh 4 MiB array costs each call its page
+    faults, about 3 ms of a 17 ms application (kept for the last d only)."""
+    matrix = getattr(_SCRATCH, "matrix", None)
+    if matrix is None or matrix.shape != (d, d):
+        matrix = _SCRATCH.matrix = np.empty((d, d), dtype=np.complex128)
+    return matrix
 
 
 def rhs_parameter_derivative(
@@ -674,20 +746,21 @@ def rhs_parameter_derivative(
 ) -> np.ndarray:
     """d/dx_k of the right-hand side at fixed rho, -i [dH/dx_k, rho], for forward_sensitivity.
 
-    rho is one Hermitian state; the result has its shape, in ``out`` if given
-    (as for lindblad_rhs; it must not overlap rho).  Jump channels do not
-    depend on x.  A compiled model makes one CSR kernel call with S_k, the
-    sandwich kernel one _sandwich with dH/dx_k, bitwise Hermitian.
+    rho is one Hermitian state, packed or a matrix as for lindblad_rhs; the
+    result has its form, in ``out`` if given (it must not overlap rho).
+    Jump channels do not depend on x.  A compiled model makes one real CSR
+    kernel call with S_k's packed map, the sandwich kernel one _sandwich
+    with dH/dx_k.
     """
-    if rho.shape != (model.dimension, model.dimension):
-        raise ShapeMismatchError("rhs state", rho.shape, (model.dimension, model.dimension))
-    _check_out(out, rho)
-    dh = model.hamiltonian.param_derivative(t, x, k)  # also rejects an out-of-range k
-    compiled = model.superoperator
-    if compiled is None:
-        return _sandwich(dh, (), rho, out=out)
-    s = compiled.derivatives[k]
-    return _csr_apply((*s.shape, s.indptr, s.indices, s.data), rho, out)
+
+    def apply(r: np.ndarray, o: np.ndarray | None) -> np.ndarray:
+        dh = model.hamiltonian.param_derivative(t, x, k)  # also rejects an out-of-range k
+        compiled = model.superoperator
+        if compiled is None:
+            return _sandwich(dh, (), packing(model.dimension).unpack(r), out=o)
+        return compiled.apply_derivative(k, r, o)
+
+    return _on_packed(apply, model, rho, out, "rhs state")
 
 
 def validate_hamiltonian(model: LindbladModel, x: np.ndarray, t: float = 0.0) -> None:

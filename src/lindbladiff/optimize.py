@@ -19,7 +19,7 @@ from .model import DensityOperator, LindbladModel
 from .qfi import Generator, _qfi_cost, _qfi_point, qfi_of_params
 from .eigen import eigh
 from .sensitivity import _pair, forward_sensitivity
-from .solver import SolveConfig, require_count, require_positive
+from .solver import SolveConfig, real_vector, require_count, require_positive
 
 _MAX_BACKTRACKS = 30
 
@@ -97,7 +97,7 @@ def maximize(
     ``backtracking_factor`` at most 30 times before the search reports
     failure and the best accepted iterate is returned.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = real_vector(x0, "start point x0")
     evals = 0
     rows: list[OptIterate] = []
 
@@ -159,7 +159,7 @@ def maximize_qfi(
         report, differentiate = _qfi_point(model, x, rho0, t_span, g, solve_cfg, True)
         return report.value, lambda: differentiate().gradient
 
-    return maximize(objective, np.asarray(x0, dtype=float), opt_cfg)
+    return maximize(objective, real_vector(x0, "start point x0"), opt_cfg)
 
 
 def gradient_check(
@@ -185,7 +185,7 @@ def gradient_check(
     """
     require_positive(h, "h")
     require_positive(tol, "tol")
-    x = np.asarray(x, dtype=float)
+    x = real_vector(x)
     rep = qfi_of_params(model, x, rho0, t_span, g, cfg, want_gradient=True)
     adjoint = rep.gradient
 

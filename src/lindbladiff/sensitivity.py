@@ -2,33 +2,36 @@
 
 The complex master equation is differentiated through its realification:
 the state is viewed as the stacked real vector (Re rho, Im rho), on which
-every cost is an ordinary real function.  Internally all arithmetic stays
-complex -- for the realified system, the transpose-Jacobian product is
-exactly the application of the adjoint generator, so a cotangent is carried
-as a complex matrix lambda, the Hermitian part of dc/d(Re rho) + i
-dc/d(Im rho), and paired with the Hermitian tangents v through
+every cost is an ordinary real function.  For the realified system the
+transpose-Jacobian product is exactly the application of the adjoint
+generator, so a cotangent is lambda, the Hermitian part of dc/d(Re rho) +
+i dc/d(Im rho), paired with the Hermitian tangents v through
 Re Tr(lambda^dag v); every v_i and lambda the reverse pass forms is
-Hermitian, the operand L^dag takes and the parameter pairing assumes.
+Hermitian, the operand L^dag takes, so the pass carries them packed.
 
 The reverse pass is the exact discrete adjoint of the replayed forward
 steps: each checkpoint segment is recomputed forward on the recorded step
 grid, then the stage cotangent recursion runs backward through the same
 stages, with the A and b of the solver's one tableau (``solver.DOP853``), on
-a workspace the pass allocates once.  Its (s+1, d, d) stack holds [y_n,
-k_0 ... k_(s-2), -] while a step recomputes its stage states and [w_0 ...
-w_(s-1), lambda] after, so each v_i (a packed, h-scaled row [a_(i+1)i ...
-a_(s-1)i, b_i] times the stack's rows i+1 ... s) and lambda_prev (a ones
-row times the whole stack) is one BLAS product; each L^dag application
-writes w_i straight into its row.  A step pairs with dH/dx_k, never dL/dx_k:
-Re <v_i, -i [A, Y_i]> = 2 Im Tr(A Y_i v_i) for Hermitian A, so on a compiled
-model Q = sum_i Y_i v_i is one GEMM per step for all p parameters.
-A step gets its stage states from one of three sources, all with the same
-bits: the stack the solve kept (``SolveResult.step_stages``, filled by
-``integrate(..., keep_stages=True)``), the row of the pass's one (m, s, d,
-d) tape that segment replay wrote (row j holds the segment's step i_a + j;
-m is the longest segment less one, capped by solver's byte cap), or, for
-each segment's last step and the steps beyond the cap, the solver's own
-stage loop (``solver._stage_states``) with s - 1 L applications.
+a workspace the pass allocates once, in packed coordinates
+(linalg.HermitianPacking) as the solver's: vectors of d^2 reals, whose
+Hilbert-Schmidt pairing is sum(weights * a * b).  Its (s+1, d^2) stack holds
+[y_n, k_0 ... k_(s-2), -] while a step recomputes its stage states and
+[w_0 ... w_(s-1), lambda] after, so each v_i (a packed, h-scaled row
+[a_(i+1)i ... a_(s-1)i, b_i] times the stack's rows i+1 ... s) and
+lambda_prev (a ones row times the whole stack) is one BLAS product; each
+L^dag application writes w_i straight into its row.  A step pairs each v_i
+with dL/dx_k(Y_i) = -i [dH/dx_k, Y_i] in packed form: on a compiled model one
+kernel call with the stacked maps of the S_k over all stages and
+parameters, on the sandwich kernel one product dH/dx_k Y_i per stage and
+parameter.  A step gets its stage states from one of three sources, all
+with the same bits: the stack the solve kept (``SolveResult.packed_stages``,
+filled by ``integrate(..., keep_stages=True)``), the row of the pass's one
+(m, s, d^2) tape that segment replay wrote (row j holds the segment's step
+i_a + j; m is the longest segment less one, capped by solver's byte cap), or,
+for each segment's last step and the steps beyond the cap, the solver's own
+stage loop (``solver._stage_states``) with s - 1 L applications; replay
+steps on the pass's own workspace.
 It takes the forward solve's ``SolveResult`` as its only input besides the
 cost, and reads the model, x, span, checkpoints and step grid from it, so
 it always replays the trajectory that solve produced.  Because replay is
@@ -43,10 +46,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CostGradientError, ShapeMismatchError, ValidationError
+from .errors import CostGradientError, ValidationError
 from .instrumentation import counters
-from .linalg import hermitian_part, to_dense
-from .model import DensityOperator, LindbladModel, _generator_apply, lindblad_rhs, rhs_parameter_derivative
+from .linalg import hermitian_part, packing, to_dense
+from .model import DensityOperator, LindbladModel, _generator_apply, _on_packed, lindblad_rhs, rhs_parameter_derivative
 from .solver import (
     DOP853,
     SolveConfig,
@@ -54,7 +57,7 @@ from .solver import (
     dense_segment,
     _S,
     _TABLEAU,
-    _StageLoop,
+    _StageWork,
     _adaptive_core,
     _check_inputs,
     _CountedRhs,
@@ -235,15 +238,14 @@ def adjoint_liouvillian_apply(
 ) -> np.ndarray:
     """Adjoint generator: +i[H, lam] + sum_j gamma_j (J^dag lam J - (1/2){J^dag J, lam}).
 
-    lam must be Hermitian, as lindblad_rhs's rho.  Satisfies the pairing identity
+    lam must be Hermitian, packed or a matrix as lindblad_rhs's rho, and the
+    result has its form.  Satisfies the pairing identity
     Tr(lam^dag L(rho)) == Tr((L^dag lam)^dag rho).  With ``out``, a C-contiguous
-    complex128 array of lam's shape that does not overlap lam, the result is
+    array of the result's form that does not overlap lam, the result is
     written into it and it is returned.
     """
-    lam = np.asarray(lam, dtype=np.complex128)
-    if lam.shape != (model.dimension, model.dimension):
-        raise ShapeMismatchError("adjoint state", lam.shape, (model.dimension, model.dimension))
-    return _generator_apply(model, t, np.asarray(x, dtype=float), lam, adjoint=True, out=out)
+    lam, x = np.asarray(lam), np.asarray(x, dtype=float)
+    return _on_packed(lambda r, o: _generator_apply(model, t, x, r, o, adjoint=True), model, lam, out, "adjoint state")
 
 
 def forward_sensitivity(
@@ -257,9 +259,10 @@ def forward_sensitivity(
 
     The stacked system is d/dt (rho, sigma_1..sigma_p) = (L rho, L sigma_k +
     dL/dx_k rho for each k) with sigma_k(t0) = 0, solved in one adaptive
-    integration whose error control acts on the whole stack; each evaluation
-    applies L p + 1 times and writes each dL/dx_k rho into one scratch state.  Returns (rho(T) as a DensityOperator, the
-    tangents sigma_k(T) as one array of shape (p, d, d)).
+    integration on packed states whose error control acts on the whole stack;
+    each evaluation applies L p + 1 times and writes each dL/dx_k rho into one
+    scratch state.  Returns (rho(T) as a DensityOperator, the tangents
+    sigma_k(T) as one array of shape (p, d, d)).
     """
     y0, x, t0, t_final = _check_inputs(model, x, rho0, t_span)
     p = model.n_params
@@ -282,7 +285,7 @@ def forward_sensitivity(
     trail = _adaptive_core(f, stacked0, t0, t_final, cfg)
     counters.forward_integrations += 1
     counters.rhs_evaluations += rhs_calls
-    return _final_state(trail.final[0], cfg), trail.final[1:]
+    return _final_state(trail.final[0], cfg), packing(model.dimension).unpack(trail.final[1:])
 
 
 #: The cotangent weights over [w_0 ... w_(s-1), lam], before h: row i holds a_(i+1)i ... a_(s-1)i
@@ -295,30 +298,40 @@ _ONES = np.ones(_S + 1)
 _ONES.setflags(write=False)
 
 
-class _ReverseWork(_StageLoop):
-    """The buffers and views of one adjoint pass's reverse steps on d x d states.
+class _ReverseWork(_StageWork):
+    """The buffers and views of one adjoint pass on packed d x d states: its replay and its reverse steps.
 
-    The inherited stack is [y_n, k_0 ... k_(s-2), -] while a step recomputes
-    its stage states into Y and [w_0 ... w_(s-1), lam] from then on, so
+    Segment replay (``dense_segment(..., workspace=)``) steps on the
+    inherited stage loop, sums and scratch state.  In a reverse step the
+    stack is [y_n, k_0 ... k_(s-2), -] while the step recomputes its stage
+    states into Y and [w_0 ... w_(s-1), lam] from then on, so
     v_i = h [a_(i+1)i ... a_(s-1)i, b_i] @ stack[i+1:] is one BLAS product
     and lam_prev = ones @ stack another, into ``lam``.  V holds the v_i.  A
-    reverse step forms no step-end sums and no error estimate, so it has no
-    buffers for them.
+    compiled model's pairing also takes Y and the weighted V transposed,
+    (d^2, s), and a (p d^2, s) buffer for the products dL/dx_k (Y_i); the
+    sandwich kernel's takes one matrix for the unpacked Y_i, one packed state
+    for the weighted v_i and one for -i [dH/dx_k, Y_i].
     """
 
-    def __init__(self, shape: tuple[int, ...]):
+    def __init__(self, d: int, compiled: bool, n_params: int):
+        shape = (d * d,)
         super().__init__(shape)
-        self.ys, self.vs = np.empty((2, _S, *shape), dtype=np.complex128)
-        self.lam = np.empty(shape, dtype=np.complex128)
-        self.lam_flat = self.lam.reshape(-1).view(np.float64)
+        self.ys, self.vs = np.empty((2, _S, *shape))
+        self.lam = np.empty(shape)
         self.cotangent = np.empty((_S, _S + 1))
         self.y_rows = _rows(self.ys)[1:]
         self.ws = self.stack[:_S]
         v_rows = _rows(self.vs)
-        # i = s-1 ... 0: (weights, operand rows i+1 ... s, v_i, its float64 view, w_i)
+        # i = s-1 ... 0: (weights, operand rows i+1 ... s, v_i, its flat view, w_i)
         self.cotangent_terms = [
             (self.cotangent[i, i + 1 :], self.flat[i + 1 :], *v_rows[i], self.ws[i]) for i in reversed(range(_S))
         ]
+        if compiled:
+            self.stages_t, self.vs_t = np.empty((2, d * d, _S))
+            self.products = np.empty((n_params * d * d, _S))
+        else:
+            self.stage_matrix = np.empty((d, d), dtype=np.complex128)
+            self.weighted_v, self.commutator = np.empty((2, *shape))
 
 
 def _reverse_step(
@@ -333,7 +346,7 @@ def _reverse_step(
     work: _ReverseWork,
     stages: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Exact reverse-mode of one replayed step of the DOP853 tableau; returns lam_prev in work.lam.
+    """Exact reverse-mode of one replayed step of the DOP853 tableau on packed states; returns lam_prev in work.lam.
 
     The s stage states Y are ``stages`` if given, the step's kept or taped stack;
     otherwise solver._stage_states forms them into work.ys from work.stack =
@@ -344,13 +357,17 @@ def _reverse_step(
         v_i = h b_i lam + h sum_{j>i} a_ji w_j,   w_i = L^dag(t_i) v_i,
     each v_i one BLAS product into its row of V and each w_i written
     straight into row i, giving lam_prev = lam + sum_i w_i, one product with
-    a ones row.  Then dc/dx_k += sum_i Re <v_i, -i [A_k(t_i), Y_i]>, A_k = dH/dx_k,
-    is 2 Im Tr(A_k Y_i v_i) for Hermitian v_i, Y_i and A_k (jump channels do
-    not depend on x), so dL/dx_k is never applied.  A compiled model's A_k is
-    constant: with conj(Y) = Y^T in the spent rows 0 ... s-1, Q = sum_i Y_i v_i
-    is one GEMM into row s for any p (the transposed view is a BLAS flag, not
-    a copy), and Superoperator.pairings gives every Tr(A_k Q).  Otherwise
-    each stage and parameter takes one product A_k(t_i) Y_i.
+    a ones row.  Then dc/dx_k += sum_i <v_i, dL/dx_k (Y_i)>, the pairing
+    Re Tr(v_i^H (-i [A_k(t_i), Y_i])), A_k = dH/dx_k (jump channels do not
+    depend on x).  On a compiled model A_k is constant, and with Y and the
+    weighted V copied into (d^2, s) columns Superoperator.pairings gives every
+    k's sum from one kernel call.  On the sandwich kernel each stage unpacks Y_i
+    once, and each parameter takes one product M = A_k(t_i) Y_i, packs
+    -i [A_k, Y_i] = -i (M - M^H) from it and pairs it with v_i through the
+    packed weights.  Either way
+    the (a, b) term of the trace Tr(v_i A_k Y_i) meets its (b, a) partner
+    before the sum (as the packed coordinate of a Hermitian matrix), so the
+    terms whose imaginary parts cancel pairwise never enter it.
     """
     if stages is None:  # the stack is unused until the recursion below, so the fresh slopes fill it
         stages = work.ys
@@ -364,16 +381,20 @@ def _reverse_step(
     for (weights, operand, v, v_flat, w), t_i in zip(work.cotangent_terms, reversed(stage_times)):
         np.dot(weights, operand, out=v_flat)
         adjoint_liouvillian_apply(model, x, t_i, v, w)
-    np.dot(_ONES, work.flat, out=work.lam_flat)
-    compiled = model.superoperator
+    np.dot(_ONES, work.flat, out=work.lam)
+    compiled, pack = model.superoperator, packing(model.dimension)
     if compiled is not None:
-        d = lam.shape[0]
-        q = np.matmul(np.conjugate(stages, out=work.ws).reshape(-1, d).T, work.vs.reshape(-1, d), out=work.stack[_S])
-        grad += 2.0 * compiled.pairings(q).imag
+        np.copyto(work.stages_t, stages.T)
+        np.copyto(work.vs_t, work.vs.T)
+        work.vs_t[: 2 * pack.m] *= 2.0  # the packed weights; a broadcast multiply would allocate a buffer
+        grad += compiled.pairings(work.stages_t, work.vs_t, work.products)
         return work.lam
     for t_i, y_i, v_i in zip(stage_times, stages, work.vs):
+        y = pack.unpack(y_i, work.stage_matrix)
+        np.multiply(v_i, pack.weights, out=work.weighted_v)
         for k in range(grad.shape[0]):
-            grad[k] += 2.0 * np.vdot(v_i, model.hamiltonian.param_derivative(t_i, x, k) @ y_i).imag
+            m = np.asarray(model.hamiltonian.param_derivative(t_i, x, k) @ y, dtype=np.complex128)
+            grad[k] += np.dot(work.weighted_v, pack.pack_commutator(m, work.commutator))
     return work.lam
 
 
@@ -410,28 +431,31 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     """
     model, x, t_final = result.model, result.x, result.t_span[1]
     rho_t = result.final_state.matrix
-    lam = cost.cotangent(rho_t)
-    dc_dt = _pair(lam, lindblad_rhs(t_final, rho_t, model, x))
+    cotangent = cost.cotangent(rho_t)
+    dc_dt = _pair(cotangent, lindblad_rhs(t_final, rho_t, model, x))
+    d = model.dimension
+    pack = packing(d)
+    lam = pack.pack(cotangent)
 
     f = _CountedRhs(model, x)
     grad = np.zeros(model.n_params)
-    stored = result.step_checkpoints
+    stored = result.packed_checkpoints
     pairs = list(zip(stored, stored[1:]))
     s = _S
-    kept = len(result.step_stages)
+    kept = len(result.packed_stages)
     longest = max(i_b - i_a for (i_a, _), (i_b, _) in pairs)
-    work = _ReverseWork(rho_t.shape)
+    work = _ReverseWork(d, model.superoperator is not None, model.n_params)
     # tape row j holds a segment's step i_a + j, for all but its last step;
     # a solve that keeps stacks stores a checkpoint at every step, so kept
     # stacks and a tape never meet in one pass
-    rows = min(longest - 1, _stacks_under_cap(rho_t.nbytes))
-    tape = np.empty((rows, s, *rho_t.shape), dtype=np.complex128) if rows else None
+    rows = min(longest - 1, _stacks_under_cap(lam.nbytes))
+    tape = np.empty((rows, s, d * d)) if rows else None
     taped = peak = 0
 
     for (i_a, state_a), (i_b, _) in reversed(pairs):
         # replay stops at the start of the segment's last step: the state at
         # its right end is the stored next checkpoint, which nothing reads
-        segment = dense_segment(result, state_a, (i_a, i_b - 1), tape=tape)
+        segment = dense_segment(result, state_a, (i_a, i_b - 1), tape=tape, workspace=work)
         # state 0 is the checkpoint and states 1 ... rows - 1 live in the tape
         peak = max(peak, len(stored) + max(0, len(segment) - max(rows, 1)) + s * (kept + rows))
         on_tape = min(rows, len(segment) - 1)
@@ -439,7 +463,7 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
         for j, (t_n, y_n) in reversed(list(enumerate(segment))):
             n = i_a + j
             if n < kept:
-                stages = result.step_stages[n]
+                stages = result.packed_stages[n]
             else:
                 stages = tape[j] if j < on_tape else None
             lam = _reverse_step(model, x, t_n, y_n, float(result.step_sizes[n]), lam, grad, f, work, stages)
@@ -461,7 +485,7 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     }
     return GradientResult(
         dc_dx=grad,
-        dc_drho0=realify(lam),
+        dc_drho0=realify(pack.unpack(lam)),
         dc_dT=dc_dt,
         diagnostics=diagnostics,
     )

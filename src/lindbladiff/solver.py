@@ -1,27 +1,34 @@
 """Adaptive integration of the master equation with a checkpoint trail.
 
-The stepper is an explicit embedded Runge--Kutta pair on the complex density
-matrix with a stabilized PI step-size controller.  One tableau, ``DOP853``
-(Dormand--Prince 8(5,3), FSAL), drives the forward step, segment replay and
-the reverse pass in ``sensitivity``, each on a workspace it allocates once
-per pass: one (s+1, *state shape) stack [y_n, k_0 ... k_(s-1)] whose
-float64 view every stage sum reads, and the tableau with its a, b, e and e3
+The stepper is an explicit embedded Runge--Kutta pair with a stabilized PI
+step-size controller, on packed states: every state, stage state and slope
+is Hermitian, so it is carried as its d^2 real coordinates
+(linalg.HermitianPacking), half the reals of the complex matrix, and is
+unpacked only where a matrix leaves the solver (rho(T), the public
+``step_checkpoints`` and ``step_stages``, a matrix-started ``dense_segment``).
+One tableau, ``DOP853`` (Dormand--Prince 8(5,3), FSAL), drives the forward
+step, segment replay and the reverse pass in ``sensitivity``, each on a
+workspace it allocates once per pass: one (s+1, d^2) stack [y_n, k_0 ...
+k_(s-1)] that every stage sum reads, and the tableau with its a, b, e and e3
 columns scaled by h once per step.  One stage loop, ``_stage_states``,
 serves all three: stage state i is one BLAS product of the row [1, h a_i0
 ... h a_i(i-1)] with the stack's first i + 1 rows, written straight into its
 kept, taped or scratch row, and each slope is written in place by the
-right-hand side (one CSR kernel call into its row for a compiled model).
+right-hand side (one real CSR kernel call into its row for a compiled model).
 A step (``rk_stages``) adds the last slope, and y_new, delta5 and delta3
 are one (3, s+1) product of [1, h b], [0, h e] and [0, h e3] into a reused
-sums buffer.  A solve that will be differentiated (``integrate(...,
-keep_stages=True)``) writes the stage states of its leading accepted steps
-straight into one kept (s, *state shape) stack per step, within what the
-checkpoint budget leaves and a fixed byte cap, so the reverse pass reads
-them with no right-hand-side call; segment replay writes step i_a + j's
-stage states into row j of the reverse pass's tape (``dense_segment(...,
-tape=)``) in the same way, and the state it reaches into that row's row 0.
-The error norm writes its scaled terms into buffers the solve allocates
-once, so a try allocates no state-sized temporary.
+sums buffer.  The error norm and the initial-step heuristic read the full
+matrices' entry moduli from the packed coordinates, an off-diagonal one
+weighing 2, so the controller sees the norms of the full matrices.  A solve
+that will be differentiated (``integrate(..., keep_stages=True)``) writes
+the stage states of its leading accepted steps straight into one kept
+(s, d^2) stack per step, within what the checkpoint budget leaves and a
+fixed byte cap, so the reverse pass reads them with no right-hand-side call;
+segment replay writes step i_a + j's stage states into row j of the reverse
+pass's tape (``dense_segment(..., tape=)``) in the same way, and the state it
+reaches into that row's row 0, stepping on the reverse pass's own workspace
+(``workspace=``).  The error norm writes its scaled terms into buffers the
+solve allocates once, so a try allocates no state-sized temporary.
 Every accepted step time and step size is recorded, and the ``SolveResult``
 keeps the model and x it was solved with, so any segment between two
 checkpoints can later be replayed on the recorded grid from the result
@@ -42,7 +49,7 @@ import numpy as np
 
 from .errors import IntegrationError, ValidationError
 from .instrumentation import counters
-from .linalg import STATE_TOL
+from .linalg import STATE_TOL, packing
 from .model import DensityOperator, LindbladModel, lindblad_rhs, validate_hamiltonian
 
 
@@ -139,9 +146,9 @@ _TABLEAU = np.array(
 _TABLEAU.setflags(write=False)
 _FIRST_COLUMN = _TABLEAU[:, 0].copy()
 _STAGE_NODES = DOP853.c[1:-1]  # the nodes of stages 1 ... s-2, whose slopes every stage loop forms
-#: Most bytes of stage stacks a differentiated solve keeps for its reverse
-#: pass, and of the reverse pass's tape of replayed stacks: every step at
-#: n <= 7 qubits, and none at n = 10 (192 MiB per stack).
+#: Most bytes of packed stage stacks a differentiated solve keeps for its
+#: reverse pass, and of the reverse pass's tape of replayed stacks: every
+#: step at n <= 7 qubits, 10 stacks at n = 8, and none at n = 10 (96 MiB per stack).
 _KEPT_STAGES_MAX_BYTES = 64 * 2**20
 
 
@@ -160,6 +167,18 @@ def require_positive(value, name: str) -> None:
     """Raise a ValidationError at ``/name`` unless ``value`` is a finite number above zero (not NaN or inf)."""
     if not 0 < value < math.inf:
         raise ValidationError(f"{name} must be finite and positive, got {value!r}", path="/" + name)
+
+
+def real_vector(value, name: str = "parameter vector x") -> np.ndarray:
+    """``value`` as a new float64 array if every entry is a real number (int or float, not a
+    bool, complex, string or object); raise a ValidationError otherwise."""
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError) as exc:  # a ragged sequence
+        raise ValidationError(f"{name} must be an array of real numbers: {exc}") from exc
+    if a.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must hold real numbers, got entries of type {a.dtype}")
+    return a.astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -212,23 +231,46 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Final state plus the recorded trail needed for exact replay; integrate makes its arrays read-only."""
+    """Final state plus the recorded trail needed for exact replay; integrate makes its arrays read-only.
+
+    The trail's states are stored packed (linalg.HermitianPacking, d^2 reals
+    per state); ``step_checkpoints`` and ``step_stages`` unpack them into new
+    read-only (d, d) matrices on each access.
+    """
 
     final_state: DensityOperator
-    step_checkpoints: tuple[tuple[int, np.ndarray], ...]  # (step index i, state i), i = 0 ... accepted
+    packed_checkpoints: tuple[tuple[int, np.ndarray], ...]  # (step index i, packed state i), i = 0 ... accepted
     step_times: np.ndarray  # accepted times, t0 ... T, length accepted+1
     step_sizes: np.ndarray  # accepted step sizes, length accepted
     stats: SolveStats
     t_span: tuple[float, float]
     x: np.ndarray  # a copy of the checked parameter vector the solve used
     model: LindbladModel
-    # the (s, *state shape) stage-state stacks of accepted steps 0 ... kept - 1,
+    # the packed (s, d^2) stage-state stacks of accepted steps 0 ... kept - 1,
     # row 0 the step's start state; only integrate(..., keep_stages=True) keeps any
-    step_stages: tuple[np.ndarray, ...] = ()
+    packed_stages: tuple[np.ndarray, ...] = ()
+
+    @property
+    def step_checkpoints(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """(step index i, state i as a (d, d) matrix) for each stored checkpoint."""
+        return tuple((i, _unpacked(state)) for i, state in self.packed_checkpoints)
+
+    @property
+    def step_stages(self) -> tuple[np.ndarray, ...]:
+        """The kept stage-state stacks as (s, d, d) matrices."""
+        return tuple(_unpacked(stack) for stack in self.packed_stages)
 
 
-def _rms(values: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.abs(values) ** 2)))
+def _packing_of(packed: np.ndarray):
+    """The HermitianPacking of packed (..., d^2) states."""
+    return packing(math.isqrt(packed.shape[-1]))
+
+
+def _unpacked(packed: np.ndarray) -> np.ndarray:
+    """Packed states as new read-only matrices."""
+    matrix = _packing_of(packed).unpack(packed)
+    matrix.setflags(write=False)
+    return matrix
 
 
 def _error_norm(
@@ -241,24 +283,29 @@ def _error_norm(
 ) -> float:
     """Hairer's DOP853 blend err5^2 / sqrt((err5^2 + 0.01 err3^2) N) of the squared scaled norms.
 
-    ``sums`` is the step's (3, *y.shape) stack (y_new, delta5, delta3), and
-    the two estimates are read as its last two rows.  The 3rd-order estimate
-    keeps the 5th-order one from being too optimistic.  A squared norm that
-    overflows gives inf, so the step is rejected.  ``scale`` (y's shape) and
-    ``ratio`` ((2, *y.shape)), two C-contiguous float64 buffers that share
-    no memory (numpy copies an operand that may overlap the output), take
-    the scale and the two scaled estimates, so a try allocates no
-    state-sized temporary.
+    ``sums`` is the step's packed (3, *y.shape) stack (y_new, delta5,
+    delta3), and the two estimates are read as its last two rows.  The norms
+    are those of the full matrices: each entry's modulus is scaled by
+    atol + rtol max(|y|, |y_new|) of that entry, an off-diagonal one weighs
+    2 (it stands for X[i, j] and X[j, i]), and N is the matrices' entry
+    count, the packed size.  The 3rd-order estimate keeps the 5th-order one
+    from being too optimistic.  A squared norm that overflows gives inf, so
+    the step is rejected.  ``scale`` ((..., m + d), the moduli of y's
+    states) and ``ratio`` ((2, ..., m + d)), two C-contiguous float64
+    buffers that share no memory (numpy copies an operand that may overlap
+    the output), take the scale and the two scaled estimates, so a try
+    allocates no state-sized temporary.
     """
-    np.abs(y, out=scale)
-    np.maximum(scale, np.abs(sums[0], out=ratio[0]), out=scale)
+    pack = _packing_of(y)
+    pack.moduli(y, scale)
+    np.maximum(scale, pack.moduli(sums[0], ratio[0]), out=scale)
     scale *= rtol
     scale += atol
-    np.abs(sums[1:], out=ratio)
-    for estimate in ratio:  # row by row: a broadcast scale would make numpy allocate a 64 KiB buffer
+    pack.moduli(sums[1:], ratio)
+    for estimate in ratio:  # row by row: a broadcast scale would make numpy allocate a buffer
         estimate /= scale
     ratio *= ratio
-    err5, err3 = ratio.reshape(2, -1).sum(axis=1).tolist()
+    err5, err3 = (ratio.reshape(2, -1, pack.m + pack.d) @ pack.entry_weights).sum(axis=1).tolist()
     if not (math.isfinite(err5) and math.isfinite(err3)):
         return math.inf
     if err5 == 0.0:  # the norm's exact value, also where 0.01 err3 underflows and the blend would be 0 / 0
@@ -267,24 +314,23 @@ def _error_norm(
 
 
 def _rows(states: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(row, its float64 view) for each row of a C-contiguous complex stack, built once per stack."""
-    return list(zip(states, states.reshape(len(states), -1).view(np.float64)))
+    """(row, its flat view) for each row of a C-contiguous packed stack, built once per stack."""
+    return list(zip(states, states.reshape(len(states), -1)))
 
 
 class _StageLoop:
-    """The buffers and views of one pass's stage loop (``_stage_states``) on states of one shape.
+    """The buffers and views of one pass's stage loop (``_stage_states``) on packed states of one shape.
 
     ``stack`` is [y_n, k_0 ... k_(s-1)] and ``tableau`` is _TABLEAU with
     columns 1 ... s scaled by the current h, so stage state i is one BLAS
-    product ``tableau[i, :i+1] @ stack[:i+1]`` over the float64 view.  Every
-    operand view is built here, once per pass, so a step slices nothing.
-    The reverse pass's workspace extends this class, not _StageWork: a reverse
-    step forms no step-end sums.
+    product ``tableau[i, :i+1] @ stack[:i+1]`` over the stack's flat rows.
+    Every operand view is built here, once per pass, so a step slices
+    nothing.
     """
 
     def __init__(self, shape: tuple[int, ...]):
-        self.stack = np.empty((_S + 1, *shape), dtype=np.complex128)
-        self.flat = self.stack.reshape(_S + 1, -1).view(np.float64)
+        self.stack = np.empty((_S + 1, *shape))
+        self.flat = self.stack.reshape(_S + 1, -1)
         self.tableau = _TABLEAU.copy()
         self.first_column = self.tableau[:, 0]
         self.stage_terms = [(self.tableau[i, : i + 1], self.flat[: i + 1]) for i in range(1, _S)]
@@ -299,18 +345,20 @@ class _StageLoop:
 
 class _StageWork(_StageLoop):
     """The stage loop's buffers plus a whole step's (``rk_stages``): (y_new, delta5,
-    delta3) is one (3, s+1) product of the scaled end weights with the stack into ``sums``."""
+    delta3) is one (3, s+1) product of the scaled end weights with the stack into ``sums``,
+    and ``scratch`` is one stage state for the stages of a step that keeps none."""
 
     def __init__(self, shape: tuple[int, ...]):
         super().__init__(shape)
         self.end_weights = self.tableau[_S:]
-        self.sums = np.empty((3, *shape), dtype=np.complex128)
-        self.sums_flat = self.sums.reshape(3, -1).view(np.float64)
+        self.sums = np.empty((3, *shape))
+        self.sums_flat = self.sums.reshape(3, -1)
+        self.scratch = _scratch_rows(shape)
 
 
 def _scratch_rows(shape: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
     """One scratch stage state, as the s - 1 rows rk_stages writes a step's stages 1 ... s-1 into."""
-    return _rows(np.empty((1, *shape), dtype=np.complex128)) * (_S - 1)
+    return _rows(np.empty((1, *shape))) * (_S - 1)
 
 
 def _stage_states(
@@ -324,7 +372,7 @@ def _stage_states(
 
     On entry rows 0 and 1 of work.stack hold y_n and k_0 = f(t, y_n).
     Stage state i is one BLAS product into ``stages[i - 1]`` (a row and its
-    float64 view: a kept or taped stack's row i, or one scratch state every
+    flat view: a kept or taped stack's row i, or one scratch state every
     stage overwrites), and f(t, y, out) writes k_i straight into stack row
     i + 1 for i < s - 1.  The forward step, segment replay and the reverse
     step's recompute all form their stage states here, each on its own
@@ -366,17 +414,26 @@ def _initial_step(
     rtol: float,
     atol: float,
 ) -> float:
-    """Starting step size from the standard two-evaluation heuristic."""
-    scale = atol + rtol * np.abs(y0)
-    d0 = _rms(np.abs(y0) / scale)
+    """Starting step size from the standard two-evaluation heuristic, on the full matrices' entries
+    (each off-diagonal modulus of a packed state weighs 2, as in _error_norm)."""
+    pack = _packing_of(y0)
+
+    def moduli(r: np.ndarray) -> np.ndarray:
+        return pack.moduli(r, np.empty((*r.shape[:-1], pack.m + pack.d)))
+
+    def rms(values: np.ndarray) -> float:  # values are the scaled moduli
+        return math.sqrt(float(np.sum((values * values) @ pack.entry_weights)) / y0.size)
+
+    scale = atol + rtol * moduli(y0)
+    d0 = rms(moduli(y0) / scale)
     with np.errstate(over="ignore"):  # an overflowing norm is reported below
-        d1 = _rms(np.abs(f0) / scale)
+        d1 = rms(moduli(f0) / scale)
     if not math.isfinite(d1):
         raise IntegrationError(f"the scaled norm of the initial slope overflows at t = {t0:.6g}")
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
     f1 = f(t0 + h0, y0 + h0 * f0)
-    d2 = _rms(np.abs(f1 - f0) / scale) / h0
+    d2 = rms(moduli(f1 - f0) / scale) / h0
     dmax = max(d1, d2)
     h1 = max(1e-6, h0 * 1e-3) if dmax <= 1e-15 else (0.01 / dmax) ** (1.0 / (DOP853.error_order + 1))
     return min(100.0 * h0, h1, span)
@@ -402,7 +459,7 @@ def _adaptive_core(
     cfg: SolveConfig,
     keep_stages: bool = False,
 ) -> _CoreTrail:
-    """Adaptive 8(5,3) loop on an arbitrary complex array state; f(t, y, out=None) as in rk_stages.
+    """Adaptive 8(5,3) loop on a packed state or stack of them (..., d^2); f(t, y, out=None) as in rk_stages.
 
     Records every accepted step time and size, and keeps a thinned
     checkpoint list: stride doubles whenever the stored count would exceed
@@ -422,9 +479,10 @@ def _adaptive_core(
     span = t_final - t0
     s = _S
     work = _StageWork(y0.shape)
-    y, sums = work.stack[0], work.sums
-    error_scale, error_ratio = np.empty(y0.shape), np.empty((2, *y0.shape))
-    scratch = _scratch_rows(y0.shape)
+    y, sums, scratch = work.stack[0], work.sums, work.scratch
+    pack = _packing_of(y0)
+    error_scale = np.empty((*y0.shape[:-1], pack.m + pack.d))
+    error_ratio = np.empty((2, *error_scale.shape))
     np.copyto(y, y0)
     f0 = f(t0, y, work.stack[1])
     h = cfg.initial_step if cfg.initial_step is not None else _initial_step(f, t0, y, f0, span, cfg.rtol, cfg.atol)
@@ -458,7 +516,7 @@ def _adaptive_core(
             h = t_final - t
         if len(kept) < room:
             if fresh is None:
-                fresh = np.empty((s, *y0.shape), dtype=np.complex128)
+                fresh = np.empty((s, *y0.shape))
                 fresh_rows = _rows(fresh)[1:]
             stages = fresh_rows
         else:
@@ -534,23 +592,23 @@ class _CountedRhs:
 def _check_inputs(
     model: LindbladModel, x: np.ndarray, rho0: DensityOperator | np.ndarray, t_span: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(packed rho0, x as float64, t0, T), each checked."""
     t0, t_final = float(t_span[0]), float(t_span[1])
     if not (np.isfinite(t0) and np.isfinite(t_final)) or not t_final > t0:
         raise ValidationError(f"need a finite span with T > t0, got ({t0}, {t_final})")
     if not isinstance(rho0, DensityOperator):
         rho0 = DensityOperator.from_matrix(rho0)
-    y = rho0.matrix.astype(np.complex128, copy=True)
-    if y.shape != (model.dimension, model.dimension):
+    if rho0.dimension != model.dimension:
         raise ValidationError(
-            f"initial state dimension {y.shape[0]} does not match model dimension {model.dimension}"
+            f"initial state dimension {rho0.dimension} does not match model dimension {model.dimension}"
         )
-    x = np.asarray(x, dtype=float)
+    x = real_vector(x)
     if x.shape != (model.n_params,):
         raise ValidationError(f"parameter vector shape {x.shape} != ({model.n_params},)")
     if not np.all(np.isfinite(x)):
         raise ValidationError(f"parameter vector x must be finite, got {x}")
     validate_hamiltonian(model, x, t0)
-    return y, x, t0, t_final
+    return packing(model.dimension).pack(rho0.matrix), x, t0, t_final
 
 
 def _psd_tolerance(cfg: SolveConfig) -> float:
@@ -559,9 +617,15 @@ def _psd_tolerance(cfg: SolveConfig) -> float:
 
 
 def _final_state(y: np.ndarray, cfg: SolveConfig) -> DensityOperator:
-    """rho(T) as a DensityOperator, its trace and PSD checks scaled with cfg.rtol.  Its Hermiticity
-    check is the state rule itself: a solve keeps a validated rho0's bitwise Hermiticity."""
-    return DensityOperator.from_matrix(y, trace_tol=max(STATE_TOL, 50.0 * cfg.rtol), psd_tol=_psd_tolerance(cfg))
+    """rho(T) of the packed y as a DensityOperator, its trace and PSD checks scaled with cfg.rtol.  Its
+    Hermiticity check is the state rule itself: an unpacked state is bitwise Hermitian."""
+    matrix = _packing_of(y).unpack(y)
+    return DensityOperator.from_matrix(matrix, trace_tol=max(STATE_TOL, 50.0 * cfg.rtol), psd_tol=_psd_tolerance(cfg))
+
+
+def _trace(y: np.ndarray) -> float:
+    """Tr X of a packed state: the sum of its diagonal, the last d coordinates."""
+    return float(y[-math.isqrt(y.size) :].sum())
 
 
 def integrate(
@@ -575,29 +639,31 @@ def integrate(
 ) -> SolveResult:
     """Integrate the master equation from t0 to T with adaptive steps.
 
-    Returns the final state, a thinned trail of (step index, state)
-    checkpoints (first step 0, last step accepted, roughly equally spaced in
-    index, at most the configured checkpoint count), and the full accepted
-    step grid, from which the step statistics are read.  With
-    ``keep_stages``, for a solve that will be differentiated, the result's
-    ``step_stages`` also holds the stage-state stacks of as many leading
-    accepted steps as the checkpoint budget leaves room for (each counted as
-    s states) and the fixed byte cap allows; otherwise it is empty.
+    Steps on packed states (linalg.HermitianPacking).  Returns the final
+    state, a thinned trail of (step index, packed state) checkpoints (first
+    step 0, last step accepted, roughly equally spaced in index, at most the
+    configured checkpoint count), and the full accepted step grid, from
+    which the step statistics are read.  With ``keep_stages``, for a solve
+    that will be differentiated, the result's ``packed_stages`` also holds
+    the stage-state stacks of as many leading accepted steps as the
+    checkpoint budget leaves room for (each counted as s states) and the
+    fixed byte cap allows; otherwise it is empty.
     """
     y0, x, t0, t_final = _check_inputs(model, x, rho0, t_span)
-    trace0 = float(np.trace(y0).real)
+    trace0 = _trace(y0)
 
     f = _CountedRhs(model, x)
 
     trail = _adaptive_core(f, y0, t0, t_final, cfg, keep_stages)
     y, sizes = trail.final, trail.step_sizes
     final_state = _final_state(y, cfg)
+    matrix = final_state.matrix
     stats = SolveStats(
         accepted=len(sizes),
         rejected=trail.rejected,
         rhs_evaluations=f.calls,
-        trace_drift=abs(float(np.trace(y).real) - trace0),
-        hermiticity_drift=float(np.linalg.norm(y - y.conj().T)),
+        trace_drift=abs(_trace(y) - trace0),
+        hermiticity_drift=float(np.linalg.norm(matrix - matrix.conj().T)),
         min_step=float(sizes.min()),
         max_step=float(sizes.max()),
     )
@@ -605,18 +671,18 @@ def integrate(
     counters.rhs_evaluations += f.calls
 
     x = x.copy()  # replay and the adjoint trust these arrays, so none of them may change
-    for a in (x, trail.step_times, sizes, final_state.matrix, *trail.stages, *(s for _, s in trail.checkpoints)):
+    for a in (x, trail.step_times, sizes, matrix, *trail.stages, *(s for _, s in trail.checkpoints)):
         a.setflags(write=False)
     return SolveResult(
         final_state=final_state,
-        step_checkpoints=tuple(trail.checkpoints),
+        packed_checkpoints=tuple(trail.checkpoints),
         step_times=trail.step_times,
         step_sizes=sizes,
         stats=stats,
         t_span=(t0, t_final),
         x=x,
         model=model,
-        step_stages=tuple(trail.stages),
+        packed_stages=tuple(trail.stages),
     )
 
 
@@ -626,6 +692,7 @@ def dense_segment(
     steps: tuple[int, int],
     *,
     tape: np.ndarray | None = None,
+    workspace: _StageWork | None = None,
 ) -> list[tuple[float, np.ndarray]]:
     """Recompute accepted-step states i_a ... i_b, integer ``steps`` = (i_a, i_b), for the reverse pass.
 
@@ -633,37 +700,52 @@ def dense_segment(
     recorded accepted-step grid: the same step sizes and stages, hence the
     same floating-point operations, hence bit-identical states.  The state
     at step i_a is an argument rather than read from the stored checkpoints,
-    so a caller may replay from a state it recomputed itself.  Returns
-    [(t_i, state_i) for i = i_a ... i_b] with t_i = result.step_times[i];
-    when i_b == i_a that is just [(t_i_a, state_a)], with no RHS call.
+    so a caller may replay from a state it recomputed itself: a packed
+    (d^2,) vector, and the states returned are packed, or a Hermitian (d, d)
+    matrix (its upper triangle and real diagonal are read), and they are
+    new (d, d) matrices.  Returns [(t_i, state_i) for i = i_a ... i_b] with
+    t_i = result.step_times[i]; when i_b == i_a that is just
+    [(t_i_a, state_a)], with no RHS call.
 
-    ``tape``, a writable C-contiguous complex128 (m, s, *state shape) array,
-    is filled like ``out=``: row j holds step i_a + j for j < m, just as the
-    forward solve writes a kept stack (row 0 y_n, rows 1 ... s-1 the stage
+    ``tape``, a writable C-contiguous float64 (m, s, d^2) array, is filled
+    like ``out=``: row j holds step i_a + j for j < m, just as the forward
+    solve writes a kept packed stack (row 0 y_n, rows 1 ... s-1 the stage
     states formed by the same products), and any later step forms its
-    stages in one scratch state.  Replay writes state i_a + j straight into
-    tape[j, 0] for 1 <= j < m, so those returned states are views into the
-    tape, valid until the tape is next filled.
+    stages in one scratch state.  Replay writes packed state i_a + j
+    straight into tape[j, 0] for 1 <= j < m, so for a packed start those
+    returned states are views into the tape, valid until the tape is next
+    filled.  ``workspace``, the stage-loop buffers of a pass that replays
+    many segments (the reverse pass's), is used instead of allocating new
+    ones for each segment.
     """
     i_a, i_b = operator.index(steps[0]), operator.index(steps[1])
     if not 0 <= i_a <= i_b <= result.stats.accepted:
         raise ValidationError(f"segment needs 0 <= i_a <= i_b <= {result.stats.accepted}, got ({i_a}, {i_b})")
-    # no copy: the returned list shares the caller's checkpoint array as its
-    # left endpoint, keeping reverse-pass retained states at K + segment steps
-    y = np.asarray(state_at_checkpoint, dtype=np.complex128)
+    d = result.model.dimension
+    pack = packing(d)
+    packed = np.shape(state_at_checkpoint) == (d * d,)
+    # no copy of a packed start: the returned list shares the caller's checkpoint
+    # array as its left endpoint, keeping reverse-pass retained states at K + segment steps
+    if packed:
+        y = np.asarray(state_at_checkpoint, dtype=np.float64)
+    else:
+        matrix = np.ascontiguousarray(state_at_checkpoint, dtype=np.complex128)
+        if matrix.shape != (d, d):
+            raise ValidationError(f"segment start must be a ({d}, {d}) matrix or a packed ({d * d},) state")
+        y = pack.pack(matrix)
     if tape is None:
-        tape = np.empty((0, _S, *y.shape), dtype=np.complex128)
+        tape = np.empty((0, _S, d * d))
     elif (
         not isinstance(tape, np.ndarray)
-        or tape.dtype != np.complex128
-        or tape.shape[1:] != (_S, *y.shape)
+        or tape.dtype != np.float64
+        or tape.shape[1:] != (_S, d * d)
         or not (tape.flags.c_contiguous and tape.flags.writeable)
     ):
-        raise ValidationError(f"tape must be a writable C-contiguous complex128 (m, {_S}, *{y.shape}) array")
+        raise ValidationError(f"tape must be a writable C-contiguous float64 (m, {_S}, {d * d}) array")
 
     f = _CountedRhs(result.model, result.x)
-    if i_b > i_a:  # one workspace and one scratch stage state serve every replayed step
-        work, scratch = _StageWork(y.shape), _scratch_rows(y.shape)
+    if i_b > i_a:  # one workspace and its scratch stage state serve every replayed step
+        work = _StageWork(y.shape) if workspace is None else workspace
         y_n, y_new = work.stack[0], work.sums[0]
         if len(tape):
             np.copyto(tape[0, 0], y)
@@ -674,9 +756,11 @@ def dense_segment(
         t_n, h_n = float(times[n]), float(result.step_sizes[n])
         np.copyto(y_n, y)
         f(t_n, y_n, work.stack[1])
-        rk_stages(f, t_n, h_n, work, _rows(tape[j])[1:] if j < len(tape) else scratch)
+        rk_stages(f, t_n, h_n, work, _rows(tape[j])[1:] if j < len(tape) else work.scratch)
         y = tape[j + 1, 0] if j + 1 < len(tape) else np.empty_like(y_n)
         np.copyto(y, y_new)
         out.append((float(times[n + 1]), y))
     counters.rhs_evaluations += f.calls
+    if not packed:
+        out = [(t, pack.unpack(state)) for t, state in out]
     return out

@@ -25,14 +25,14 @@ API = {
     "preset_oat": ("n", "gamma", "sparse"),
     "SolveConfig": ("rtol", "atol", "initial_step", "max_steps", "checkpoints"),
     "SolveResult": (
-        "final_state", "step_checkpoints", "step_times", "step_sizes", "stats", "t_span", "x",
-        "model", "step_stages"
+        "final_state", "packed_checkpoints", "step_times", "step_sizes", "stats", "t_span", "x",
+        "model", "packed_stages"
     ),
     "SolveStats": (
         "accepted", "rejected", "rhs_evaluations", "trace_drift", "hermiticity_drift", "min_step",
         "max_step"
     ),
-    "dense_segment": ("result", "state_at_checkpoint", "steps", "tape"),
+    "dense_segment": ("result", "state_at_checkpoint", "steps", "tape", "workspace"),
     "integrate": ("model", "x", "rho0", "t_span", "cfg", "keep_stages"),
     "CostCofunction": ("evaluate", "gradient", "name"),
     "GradientResult": ("dc_dx", "dc_drho0", "dc_dT", "diagnostics"),

@@ -81,12 +81,29 @@ def test_traced_sites_see_every_generator_application(checkpoints, t_end):
     # pass recomputes no stage, and 4 checkpoints keep none but tape every
     # segment's steps but its last; at t = 40 the kept steps are a strict
     # prefix, so one pass reads both the kept and the recomputed stages
+    _check_traced_sites(checkpoints, t_end)
+
+
+@pytest.mark.parametrize(
+    "checkpoints, t_end",
+    [pytest.param(None, 1.0, id="None"), pytest.param(4, 1.0, id="4"), pytest.param(None, 40.0, id="None-t40")],
+)
+def test_traced_sites_see_every_generator_application_on_the_sandwich_kernel(checkpoints, t_end, monkeypatch):
+    # the sandwich kernel unpacks and packs inside the same two call sites
+    import lindbladiff.model as model_module
+
+    monkeypatch.setattr(model_module, "COMPILE_MAX_NNZ", 0)
+    _check_traced_sites(checkpoints, t_end, sandwich=True)
+
+
+def _check_traced_sites(checkpoints, t_end, sandwich=False):
     from lindbladiff import counters
     from lindbladiff.model import all_zero_density, preset_oat
     from lindbladiff.qfi import generator_from_preset, qfi_of_params
     from lindbladiff.solver import DOP853, SolveConfig, integrate
 
     model, x, rho0 = preset_oat(2, 0.1), [0.8, 0.6], all_zero_density(2)
+    assert (model.superoperator is None) == sandwich
     cfg = SolveConfig(checkpoints=checkpoints)
     solved = integrate(model, x, rho0, (0.0, t_end), cfg, keep_stages=True)
     kept, steps = len(solved.step_stages), solved.stats.accepted

@@ -1,5 +1,6 @@
 """Model construction, the master-equation right-hand side, and presets."""
 
+import math
 import warnings
 from functools import partial
 
@@ -9,7 +10,7 @@ import scipy.sparse
 
 from oracles import lindblad_reference, random_density, random_hermitian
 from lindbladiff.errors import ShapeMismatchError, ValidationError
-from lindbladiff.linalg import is_sparse, operator_to_json, to_dense
+from lindbladiff.linalg import is_sparse, operator_to_json, packing, to_dense
 from lindbladiff.model import (
     DensityOperator,
     HamiltonianSchedule,
@@ -308,11 +309,21 @@ def _flatten(values):
             yield v
 
 
-def _s_of(compiled, x):
-    """(S(x), S(x)^H) as copies of the memo table of S(x)^H that L^dag's kernel call reads."""
-    n_row, n_col, indptr, indices, data = compiled._tables(x)[2]
-    s_adjoint = scipy.sparse.csr_array((data, indices, indptr), shape=(n_row, n_col), copy=True)
-    return s_adjoint.conj().T.tocsr(), s_adjoint
+def _maps_of(compiled, x):
+    """The dense real matrices of the memo's packed maps of L and L^dag at x, the tables their kernel calls read."""
+    return [
+        scipy.sparse.csr_array((data, indices, indptr), shape=(n_row, n_col)).toarray()
+        for n_row, n_col, indptr, indices, data in compiled._tables(x)[1:]
+    ]
+
+
+def _packed_matrix(s):
+    """The real matrix of r -> pack(S vec(unpack(r))) for a dense complex d^2 x d^2 S: column b
+    of unpack(I) has at most two entries, 1, i or -i, so S times it adds at most two exact terms."""
+    d = math.isqrt(s.shape[0])
+    pack = packing(d)
+    unpacked = pack.unpack(np.eye(d * d)).reshape(d * d, d * d).T  # column b is vec(unpack(e_b))
+    return pack.pack(np.ascontiguousarray((s @ unpacked).T).reshape(d * d, d, d)).T
 
 
 def _sandwich_twin(model):
@@ -379,81 +390,89 @@ class TestCompiled:
         channels = [{"gamma": 0.3, "matrix": operator_to_json(embed_single(LOWERING, 0, n))}]
         model = model_from_json({"dimension": d, "hamiltonian": {"kind": "explicit", "terms": terms}, "channels": channels})
         compiled = model.superoperator
-        # every stored complex entry, before a first x fills the memo: S_0, each S_k,
-        # and the entries of each A_k that the reverse pass pairs with
+        # every stored complex entry, before a first x fills the memo: S_0 and each S_k
         stored = sum(
             v.nnz if is_sparse(v) else v.size
             for v in _flatten(vars(compiled).values())
             if is_sparse(v) or (isinstance(v, np.ndarray) and np.iscomplexobj(v))
         )
-        entries = sum(a.nnz if is_sparse(a) else np.count_nonzero(a) for a in model.hamiltonian.terms)
-        assert stored == compiled.base.nnz + sum(part.nnz for part in compiled.derivatives) + entries
+        assert stored == compiled.base.nnz + sum(part.nnz for part in compiled.derivatives)
         base = compiled.base.toarray()
         parts = [part.toarray() for part in compiled.derivatives]
         eye = np.eye(d)
         assert np.allclose(parts[2], -1j * (np.kron(a2, eye) - np.kron(eye, a2.conj())), rtol=0.0, atol=1e-15)
         assert np.any((parts[0] != 0) & (base == 0)) and np.any((parts[2] != 0) & (base == 0))
         x = np.array([0.0, -0.0, -0.7])
-        s, s_adjoint = _s_of(compiled, x)
         expect = base
         for xk, part in zip(x, parts):
             expect = expect + xk * part
-        assert np.array_equal(s.toarray(), expect)
-        assert np.array_equal(s_adjoint.toarray(), expect.conj().T)
+        forward, adjoint = _maps_of(compiled, x)
+        assert np.array_equal(forward, _packed_matrix(expect))
+        assert np.array_equal(adjoint, _packed_matrix(expect.conj().T))
 
     def test_memo_sees_an_x_written_in_place(self):
         # the memo is keyed on the bytes of x, not on the array: an x its
         # owner changes in place between two calls gets the new S(x)
         compiled = preset_oat(2, 0.3).superoperator
         x = np.array([0.8, 0.6])
-        first = _s_of(compiled, x)[0].toarray()
+        first = _maps_of(compiled, x)[0]
         x[0] = -0.4
-        s, s_adjoint = _s_of(compiled, x)
+        forward, adjoint = _maps_of(compiled, x)
         expect = (compiled.base + (-0.4) * compiled.derivatives[0] + 0.6 * compiled.derivatives[1]).toarray()
-        assert np.array_equal(s.toarray(), expect) and not np.array_equal(first, expect)
-        assert np.array_equal(s_adjoint.toarray(), expect.conj().T)
+        assert np.array_equal(forward, _packed_matrix(expect)) and not np.array_equal(first, forward)
+        assert np.array_equal(adjoint, _packed_matrix(expect.conj().T))
         # a list or a strided vector is read by value, and a wrong length is rejected
         for same in ([-0.4, 0.6], np.array([-0.4, 9.0, 0.6])[::2]):
-            assert np.array_equal(_s_of(compiled, same)[0].toarray(), expect)
+            assert np.array_equal(_maps_of(compiled, same)[0], forward)
         with pytest.raises(ValidationError, match="parameter vector shape"):
             compiled._tables(np.zeros(3))
 
-    def test_l_dag_takes_the_half_rows_of_s_adjoint_from_32_dimensions(self):
-        # all rows of S(x)^H up to n = 4; from n = 5 none of its rows (i, j) with i > j
+    @pytest.mark.bit_identity
+    def test_packed_maps_leave_out_parts_that_are_zero_at_every_x(self):
+        # preset_oat's A_k are real, so each S_k is imaginary, and its jump operators
+        # are real, so their terms are real: of the up to four real entries an entry
+        # of S(x) gives, the maps keep only those that can be nonzero, about half;
+        # a complex jump operator makes every part of its entries nonzero
         x = np.array([0.8, 0.6])
-        for n, half in ((4, False), (5, True)):
-            compiled, d = preset_oat(n, 0.1).superoperator, 2**n
-            _, _, indptr, _, data = compiled._tables(x)[2]
-            i, j = np.divmod(np.arange(d * d), d)
-            assert (np.diff(indptr)[i > j].sum() == 0) == half
-            assert (len(data) < len(compiled._first_terms)) == half
+        for model in (preset_oat(3, 0.1), _nonlocal_linear_model(np.random.default_rng(4), 3)):
+            compiled = model.superoperator
+            y = x[: model.n_params]
+            forward, adjoint = _maps_of(compiled, y)
+            s = compiled.base.toarray()
+            for xk, part in zip(y, compiled.derivatives):
+                s = s + xk * part.toarray()
+            assert np.array_equal(forward, _packed_matrix(s)) and np.array_equal(adjoint, _packed_matrix(s.conj().T))
+            i, j = np.divmod(np.arange(64), 8)
+            half = np.count_nonzero(s[i <= j])  # the entries in S(x)'s rows (i, j), i <= j
+            for table in compiled._tables(y)[1:]:
+                data = table[4]
+                assert np.count_nonzero(data) == len(data)
+                assert len(data) < 2 * half if model.n_params == 2 else len(data) > 3 * half
 
     @pytest.mark.bit_identity
     @pytest.mark.parametrize("kind", ["dense", "sparse", "nonlocal"])
-    def test_half_rows_of_s_adjoint_give_l_dag_at_32_dimensions(self, kind):
-        # the memo's rows (i, j), i <= j, of S(x)^H, the diagonal ones halved; L^dag
-        # is their product h mirrored, h + h^H: bitwise Hermitian, bit-equal to
-        # scipy's public S(x)^H @ v above the diagonal, and within rounding below
+    def test_packed_maps_are_the_packed_s_and_s_adjoint_at_32_dimensions(self, kind):
+        # the memo's real maps are pack(S(x) unpack(r)) and pack(S(x)^H unpack(r))
+        # entry for entry, and L^dag is their kernel's product: within rounding of
+        # scipy's public S(x)^H @ vec(lam), bit-equal to the packed map's product
         n, d = 5, 32
         rng = np.random.default_rng(32)
         model = _nonlocal_linear_model(rng, n) if kind == "nonlocal" else preset_oat(n, 0.3, sparse=kind == "sparse")
         compiled = model.superoperator
         x = np.array([0.8, -0.6][: model.n_params])
-        n_row, n_col, indptr, indices, data = compiled._tables(x)[2]
-        half = scipy.sparse.csr_array((data, indices, indptr), shape=(n_row, n_col)).toarray()
         s = compiled.base
         for xk, part in zip(x, compiled.derivatives):
             s = s + xk * part
-        s_adjoint = s.conj().T.tocsr()
-        i, j = np.divmod(np.arange(d * d), d)
-        assert np.array_equal(half, np.where(i < j, 1.0, np.where(i == j, 0.5, 0.0))[:, None] * s_adjoint.toarray())
+        forward, adjoint = _maps_of(compiled, x)
+        assert np.array_equal(forward, _packed_matrix(s.toarray()))
+        assert np.array_equal(adjoint, _packed_matrix(s.conj().T.toarray()))
         lam = random_hermitian(rng, d)
         got = adjoint_liouvillian_apply(model, x, 0.0, lam)
-        expect = (s_adjoint @ lam.ravel()).reshape(d, d)
+        pack = packing(d)
+        table = compiled._tables(x)[2]
+        assert np.array_equal(pack.pack(got), scipy.sparse.csr_array(table[4:1:-1], shape=table[:2]) @ pack.pack(lam))
+        expect = (s.conj().T.tocsr() @ lam.ravel()).reshape(d, d)
         assert np.array_equal(got, got.conj().T)
-        upper = np.triu_indices(d, 1)
-        assert np.array_equal(got[upper], expect[upper])
-        assert np.array_equal(np.diag(got), np.diag(expect).real)
         assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
     def test_missing_parameter_index_is_a_zero_term(self):

@@ -225,6 +225,21 @@ class TestMaximizeQfi:
         )
         assert np.array_equal(trace.iterates[0].x, start)
 
+    @pytest.mark.parametrize(
+        "x0",
+        [[0.8 + 0.5j, 0.6], [True, False], ["0.8", "0.6"], np.array([0.8, None], dtype=object)],
+        ids=["complex", "bool", "string", "object"],
+    )
+    def test_a_non_real_start_is_rejected_before_any_solve(self, x0):
+        g = generator_from_preset("Sz", 2)
+        with pytest.raises(ValidationError, match="real numbers"):
+            maximize_qfi(preset_oat(2), x0, all_zero_density(2), (0.0, 1.0), g, FAST, OptConfig(max_iterations=1))
+        with pytest.raises(ValidationError, match="real numbers"):
+            maximize(_quadratic(np.zeros(2)), x0, OptConfig(max_iterations=1))
+        with pytest.raises(ValidationError, match="real numbers"):
+            gradient_check(preset_oat(2), x0, all_zero_density(2), (0.0, 1.0), g, FAST)
+        assert counters.forward_integrations == 0
+
     def test_forward_and_adjoint_counts_match_trace(self, monkeypatch):
         # one forward solve per objective call, and one adjoint pass over the
         # solves of the start point and of each accepted trial, never over a

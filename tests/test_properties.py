@@ -19,7 +19,7 @@ from scipy import sparse
 from oracles import block_exp_tangent, lindblad_reference
 from lindbladiff.eigen import eig_vjp, eigh
 from lindbladiff.errors import GaugeDependenceError
-from lindbladiff.linalg import STATE_TOL, to_dense
+from lindbladiff.linalg import STATE_TOL, packing, to_dense
 from lindbladiff import model as model_module
 from lindbladiff.model import (
     DensityOperator,
@@ -121,8 +121,7 @@ def cases(draw, linear=False):
 
 def _case_at_32_dimensions(rng, sparse):
     """A _case-style tuple on 5 qubits, built from rng: the drawn cases stop at
-    d = 8, and from d = 32 on the compiled L^dag takes the half rows of S(x)^H.
-    A LinearSchedule with a constant and two parameter terms, a local channel
+    d = 8.  A LinearSchedule with a constant and two parameter terms, a local channel
     and a dense jump operator with a tenth of its entries nonzero."""
     d = 32
     wrap = as_sparse if sparse else (lambda m: m)
@@ -204,8 +203,7 @@ def test_compiled_generator_pairing_and_textbook_form(case):
 @pytest.mark.parametrize("sparse", [False, True])
 def test_compiled_pairing_and_textbook_form_at_32_dimensions(sparse):
     case = _case_at_32_dimensions(np.random.default_rng(5), sparse)
-    compiled = case[0].superoperator
-    assert compiled is not None and compiled._adjoint_entries is not None
+    assert case[0].superoperator is not None
     _check_pairing(case)
     _check_textbook_form(case)
 
@@ -233,58 +231,77 @@ def test_a_validated_state_is_its_input_made_bitwise_hermitian(data):
     assert np.array_equal(DensityOperator.from_matrix(rho).matrix, rho)
 
 
+def _packed_matrix(s):
+    """The real matrix of r -> pack(S vec(unpack(r))) for a dense complex d^2 x d^2 S: column b
+    of unpack(I) has at most two entries, 1, i or -i, so S times it adds at most two exact terms."""
+    d = int(round(np.sqrt(s.shape[0])))
+    pack = packing(d)
+    unpacked = pack.unpack(np.eye(d * d)).reshape(d * d, d * d).T  # column b is vec(unpack(e_b))
+    return pack.pack(np.ascontiguousarray((s @ unpacked).T).reshape(d * d, d, d)).T
+
+
 @pytest.mark.bit_identity
 @PROPERTY
 @given(cases(linear=True))
 def test_direct_kernel_writes_the_bits_of_the_sparse_product(case):
-    # the compiled generator calls scipy's private CSR kernel straight into the
-    # caller's buffer; its results must stay bit-equal to scipy's public S @ v:
-    # L's to the mirrored product h + h^H of the half rows, L^dag's and each
-    # S_k's to the full product
+    # the compiled generator calls scipy's private CSR kernels straight into the
+    # caller's buffer; on packed operands its results must stay bit-equal to
+    # scipy's public product csr_array(table) @ r for L's, L^dag's and each S_k's
+    # packed map, and a matrix operand is packed, applied and unpacked
     model, t, x, rho, lam, _ = case
-    half, s_adjoint = (_csr(table) for table in model.superoperator._tables(x)[1:])
-    h = (half @ rho.ravel()).reshape(rho.shape)
-    expect = h + h.conj().T
-    out = np.full(rho.shape, np.nan, dtype=np.complex128)
-    assert lindblad_rhs(t, rho, model, x, out=out) is out
-    assert np.array_equal(out, expect)
-    assert np.array_equal(lindblad_rhs(t, rho, model, x), expect)
-    assert np.array_equal(lindblad_rhs(t, np.ascontiguousarray(rho.T).T, model, x), expect)  # a strided view
-    out = np.full(lam.shape, np.nan, dtype=np.complex128)
-    assert adjoint_liouvillian_apply(model, x, t, lam, out=out) is out
-    assert np.array_equal(out, (s_adjoint @ lam.ravel()).reshape(lam.shape))
-    for k, s_k in enumerate(model.superoperator.derivatives):
-        assert np.array_equal(rhs_parameter_derivative(t, rho, model, x, k), (s_k @ rho.ravel()).reshape(rho.shape))
+    compiled, pack = model.superoperator, packing(model.dimension)
+    forward, adjoint = (_csr(table) for table in compiled._tables(x)[1:])
+    r, q = pack.pack(rho), pack.pack(lam)
+    out = np.full(r.shape, np.nan)
+    assert lindblad_rhs(t, r, model, x, out=out) is out
+    assert np.array_equal(out, forward @ r)
+    assert np.array_equal(lindblad_rhs(t, rho, model, x), pack.unpack(forward @ r))
+    assert np.array_equal(lindblad_rhs(t, np.ascontiguousarray(rho.T).T, model, x), pack.unpack(forward @ r))
+    out = np.full(q.shape, np.nan)
+    assert adjoint_liouvillian_apply(model, x, t, q, out=out) is out
+    assert np.array_equal(out, adjoint @ q)
+    stacked, size = _csr(compiled._derivative_maps), r.size
+    for k in range(model.n_params):
+        assert np.array_equal(rhs_parameter_derivative(t, r, model, x, k), stacked[k * size : (k + 1) * size] @ r)
+    # the reverse pass's pairing: one kernel call over the stacked maps of the S_k
+    stages = np.stack([r, q, 2.0 * r])
+    products = np.empty((model.n_params * size, len(stages)))
+    weighted = np.ascontiguousarray((stages[::-1] * pack.weights).T)
+    got = compiled.pairings(np.ascontiguousarray(stages.T), weighted, products)
+    expect = [
+        sum(np.vdot(pack.unpack(v), rhs_parameter_derivative(t, pack.unpack(y), model, x, k)).real
+            for y, v in zip(stages, stages[::-1]))
+        for k in range(model.n_params)
+    ]
+    assert np.allclose(got, expect, rtol=1e-13, atol=1e-13 * max(1.0, np.max(np.abs(expect), initial=0.0)))
 
 
 @pytest.mark.bit_identity
 @PROPERTY
 @given(cases(linear=True))
-def test_half_rows_are_the_upper_rows_of_s_with_the_diagonal_halved(case):
-    # row (i, j) = i d + j of S(x): kept for i < j, scaled by 1/2 for i == j
-    # (exact), empty for i > j; and S(x) itself is the entrywise sum of its parts
+def test_packed_maps_are_pack_s_unpack(case):
+    # the real map of L is pack(S(x) unpack(r)) entry for entry, that of L^dag
+    # pack(S(x)^H unpack(r)), and that of each S_k pack(S_k unpack(r)); and S(x)
+    # is the entrywise sum of its parts in part order
     model, _, x, _, _, _ = case
-    compiled, d = model.superoperator, model.dimension
-    half, s_adjoint = (_csr(table) for table in compiled._tables(x)[1:])
-    s = s_adjoint.conj().T.tocsr()
-    i, j = np.divmod(np.arange(d * d), d)
-    counts = np.diff(s.indptr)
-    kept = np.repeat(i <= j, counts)  # per stored entry of S(x)
-    assert np.array_equal(half.indptr, np.concatenate([[0], np.cumsum(counts * (i <= j))]))
-    assert np.array_equal(half.indices, s.indices[kept])
-    assert np.array_equal(half.data, np.repeat(np.where(i == j, 0.5, 1.0), counts)[kept] * s.data[kept])
-    expect = compiled.base.toarray()
+    compiled = model.superoperator
+    s = compiled.base.toarray()
     for xk, part in zip(x, compiled.derivatives):
-        expect = expect + xk * part.toarray()
-    assert np.array_equal(s.toarray(), expect)
+        s = s + xk * part.toarray()
+    forward, adjoint = (_csr(table).toarray() for table in compiled._tables(x)[1:])
+    assert np.array_equal(forward, _packed_matrix(s))
+    assert np.array_equal(adjoint, _packed_matrix(s.conj().T))
+    stacked, size = _csr(compiled._derivative_maps).toarray(), compiled.base.shape[0]
+    for k, part in enumerate(compiled.derivatives):
+        assert np.array_equal(stacked[k * size : (k + 1) * size], _packed_matrix(part.toarray()))
 
 
 @pytest.mark.bit_identity
 @PROPERTY
 @given(st.one_of(cases(), cases(linear=True), local_cases().map(lambda drawn: drawn[0])))
 def test_generator_output_is_bitwise_hermitian_and_matches_textbook_form(case):
-    # both kernels return L(rho) on a Hermitian rho as h + h^H: a bitwise
-    # Hermitian matrix, within rounding of the anticommutator form
+    # both kernels return L(rho) on a Hermitian matrix rho as a packed result
+    # unpacked: a bitwise Hermitian matrix, within rounding of the anticommutator form
     model, t, x, rho, _, scale = case
     out = lindblad_rhs(t, rho, model, x)
     assert np.array_equal(out, out.conj().T)
@@ -330,6 +347,26 @@ def test_sandwich_adjoint_and_parameter_derivative_are_bitwise_hermitian(case):
 
 
 @PROPERTY
+@given(st.one_of(cases(), cases(linear=True), local_cases().map(lambda drawn: drawn[0])))
+def test_packed_generator_matches_textbook_form_and_weighted_pairing(case):
+    # on packed operands, the form the integrator steps on, L and L^dag (both
+    # kernels: a callable schedule takes the sandwich) are the anticommutator
+    # forms, and the packed weights make sum(w q L(r)) the pairing Tr(lam^H L(rho))
+    model, t, x, rho, lam, scale = case
+    pack = packing(model.dimension)
+    r, q = pack.pack(rho), pack.pack(lam)
+    h = to_dense(model.hamiltonian.evaluate(t, x))
+    channels = [(ch.rate, to_dense(ch.operator)) for ch in model.channels]
+    forward, backward = lindblad_rhs(t, r, model, x), adjoint_liouvillian_apply(model, x, t, q)
+    assert _norm(pack.unpack(forward) - lindblad_reference(h, channels, rho)) <= 1e-12 * scale * _norm(rho)
+    reference = lindblad_reference(h, channels, lam, adjoint=True)
+    assert _norm(pack.unpack(backward) - reference) <= 1e-12 * scale * _norm(lam)
+    weighted = (np.dot(pack.weights * q, forward), np.dot(pack.weights * backward, r))
+    assert abs(weighted[0] - weighted[1]) <= 1e-12 * scale * _norm(lam) * _norm(rho)
+    assert abs(weighted[0] - np.vdot(lam, pack.unpack(forward)).real) <= 1e-12 * scale * _norm(lam) * _norm(rho)
+
+
+@PROPERTY
 @given(cases())
 def test_generator_and_adjoint_match_textbook_form(case):
     _check_textbook_form(case)
@@ -362,11 +399,14 @@ def pairing_cases(draw):
 @PROPERTY
 @given(pairing_cases())
 def test_hamiltonian_form_pairing_matches_the_parameter_derivative(drawn):
-    # the reverse step's sum_i 2 Im Tr(A_k(t_i) Y_i v_i), one GEMM on a compiled
-    # model and a product per stage on the sandwich kernel, is
-    # sum_i Re <v_i, dL/dx_k(t_i) Y_i>; the callable twin's dH/dx_k depends on t
+    # the reverse step's packed pairing, one kernel call over the maps of the S_k
+    # on a compiled model and a product per stage and parameter on the sandwich
+    # kernel, is sum_i Re Tr(v_i^H dL/dx_k(t_i) Y_i) on the unpacked matrices;
+    # the callable twin's dH/dx_k depends on t
     schedule, x, lam, stages = drawn
-    d, p, t_n, h = lam.shape[0], schedule.n_params, 0.3, 0.7
+    pack = packing(lam.shape[0])
+    lam, stages = pack.pack(lam), pack.pack(stages)
+    d, p, t_n, h = pack.d, schedule.n_params, 0.3, 0.7
     times = [t_n + c * h for c in DOP853.c]
     with mock.patch.object(model_module, "COMPILE_MAX_NNZ", -1):  # an all-zero draw counts 0 entries
         capped = LindbladModel(hamiltonian=schedule, channels=(), dimension=d)
@@ -378,14 +418,15 @@ def test_hamiltonian_form_pairing_matches_the_parameter_derivative(drawn):
     )
     timed = LindbladModel(hamiltonian=twin, channels=(), dimension=d)
     for model in (compiled, capped, timed):
-        work, got = _ReverseWork((d, d)), np.zeros(p)
+        work, got = _ReverseWork(d, model.superoperator is not None, p), np.zeros(p)
         _reverse_step(model, x, t_n, stages[0], h, lam, got, _CountedRhs(model, x), work, stages)
+        ys, vs = pack.unpack(stages), pack.unpack(work.vs)
         for k in range(p):
-            terms = [rhs_parameter_derivative(t, y, model, x, k) for t, y in zip(times, stages)]
-            expect = sum(np.vdot(v, term).real for v, term in zip(work.vs, terms))
+            terms = [rhs_parameter_derivative(t, y, model, x, k) for t, y in zip(times, ys)]
+            expect = sum(np.vdot(v, term).real for v, term in zip(vs, terms))
             bound = sum(
                 2.0 * _norm(model.hamiltonian.param_derivative(t, x, k)) * _norm(y) * _norm(v)
-                for t, y, v in zip(times, stages, work.vs)
+                for t, y, v in zip(times, ys, vs)
             )
             assert abs(got[k] - expect) <= 1e-13 * bound
 

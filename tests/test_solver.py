@@ -14,6 +14,7 @@ import pytest
 from oracles import expm_propagate, random_hermitian, rk4_lindblad
 import lindbladiff
 from lindbladiff.errors import IntegrationError, ValidationError
+from lindbladiff.linalg import packing
 from lindbladiff.model import (
     DensityOperator,
     HamiltonianSchedule,
@@ -181,9 +182,8 @@ class TestAccuracy:
     @pytest.mark.parametrize("kernel", ["compiled", "sandwich"])
     @pytest.mark.parametrize("sparse", [False, True])
     def test_hermiticity_drift_is_exactly_zero(self, kernel, sparse, monkeypatch):
-        # both kernels return each slope as h + h^H, bitwise Hermitian, and a
-        # step's sums are real row products over the states' float64 views, so
-        # every accepted state of a bitwise Hermitian rho0 is bitwise Hermitian
+        # the solver steps on packed states, and rho(T) is unpacked from them,
+        # so every accepted state of a bitwise Hermitian rho0 is bitwise Hermitian
         if kernel == "sandwich":
             monkeypatch.setattr(model_module, "COMPILE_MAX_NNZ", 0)
         model = preset_oat(3, 0.2, sparse=sparse)
@@ -212,7 +212,7 @@ class TestTrailAndReplay:
         x = np.array([1.5, 1.2])
         cfg = SolveConfig(initial_step=0.5)
         a = integrate(model, x, all_zero_density(2), (0.0, 4.0), cfg)
-        stack_shape = (len(DOP853.c), 4, 4)
+        stack_shape = (len(DOP853.c), 16)  # a packed stack of 4 x 4 states
         allocated = 0
 
         class CountingNumpy:
@@ -236,9 +236,9 @@ class TestTrailAndReplay:
         # each kept stack is the accepted step's, not a rejected try's from
         # the same y_n: its rows are the stage states the accepted h_n forms
         # again from y_n, and that step's slopes lead to y_(n+1)
-        states = [state for _, state in b.step_checkpoints]
+        states = [state for _, state in b.packed_checkpoints]
         f = _CountedRhs(model, x)
-        for n, stages in enumerate(b.step_stages):
+        for n, stages in enumerate(b.packed_stages):
             t_n, h_n = float(b.step_times[n]), float(b.step_sizes[n])
             work, recomputed = _StageWork(states[n].shape), np.empty_like(stages)
             recomputed[0] = work.stack[0] = states[n]
@@ -364,9 +364,9 @@ class TestCostsAndErrors:
     def test_overflowing_error_norm_rejects_the_step(self):
         # finite estimates whose squared scaled norms overflow must not be
         # accepted: inf from either norm (alone or both) means a retry
-        y = np.zeros(4, dtype=complex)
-        small, huge = np.full(4, 1e-3 + 0j), np.full(4, 1e200 + 0j)
-        buffers = np.empty(4), np.empty((2, 4))  # the scale and the scaled estimates
+        y = np.zeros(4)  # a packed 2 x 2 state: one upper entry's (Re, Im), then the diagonal
+        small, huge = np.full(4, 1e-3), np.full(4, 1e200)
+        buffers = np.empty(3), np.empty((2, 3))  # the scale and the scaled estimates, one per entry of the triangle
         with np.errstate(over="ignore"):
             for delta5, delta3 in ((small, huge), (huge, small), (huge, huge)):
                 assert _error_norm(np.stack([y, delta5, delta3]), y, 1e-8, 1e-10, *buffers) == np.inf
@@ -376,22 +376,22 @@ class TestCostsAndErrors:
     def test_error_norm_is_zero_when_the_fifth_order_estimate_is(self):
         # delta5 = 0 with a delta3 whose squared scaled norm, times 0.01,
         # underflows: the blend err5^2 / sqrt((err5^2 + 0.01 err3^2) N) is 0 / 0
-        y = np.zeros((2, 2), dtype=complex)
-        sums = np.zeros((3, 2, 2), dtype=complex)
-        sums[2, 0, 0] = 2.5e-170
-        assert _error_norm(sums, y, 1e-8, 1e-8, np.empty((2, 2)), np.empty((2, 2, 2))) == 0.0
+        y = np.zeros(4)  # a packed 2 x 2 state
+        sums = np.zeros((3, 4))
+        sums[2, 2] = 2.5e-170  # delta3's entry (0, 0)
+        assert _error_norm(sums, y, 1e-8, 1e-8, np.empty(3), np.empty((2, 3))) == 0.0
 
     @pytest.mark.parametrize("kernel", ["compiled", "sandwich"])
     def test_a_step_allocates_less_than_one_state(self, kernel, monkeypatch):
         # rk_stages writes every stage state, slope and sum into the pass's
         # workspace: between its right-hand-side calls (whose own
         # temporaries are the kernel's), the peak of traced memory over one
-        # step stays below one d x d state
+        # step stays below one packed state
         if kernel == "sandwich":
             monkeypatch.setattr(model_module, "COMPILE_MAX_NNZ", 0)
         model = preset_oat(4, 0.1)
         assert (model.superoperator is None) == (kernel == "sandwich")
-        y = all_zero_density(4).matrix
+        y = packing(16).pack(all_zero_density(4).matrix)
         work, scratch = _StageWork(y.shape), _scratch_rows(y.shape)
         rhs = _CountedRhs(model, np.array([0.8, 0.6]))
         work.stack[0] = y
@@ -422,6 +422,23 @@ class TestCostsAndErrors:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValidationError, match="x"):
                 integrate(model, np.array([bad, 0.5]), all_zero_density(2), (0.0, 1.0))
+        assert counters.rhs_evaluations == 0
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            pytest.param(np.array([0.8 + 0.5j, 0.6]), id="complex"),
+            pytest.param([0.8 + 0.5j, 0.6], id="complex-list"),
+            pytest.param([True, False], id="bool"),
+            pytest.param(["0.8", "0.6"], id="string"),
+            pytest.param(np.array([0.8, None], dtype=object), id="object"),
+        ],
+    )
+    def test_a_non_real_parameter_vector_is_rejected_before_any_rhs_call(self, x):
+        # a cast to float would drop the imaginary part (a ComplexWarning), fail
+        # with a bare TypeError, or read True as 1.0 and "0.8" as 0.8
+        with pytest.raises(ValidationError, match="real numbers"):
+            integrate(preset_oat(2, gamma=0.1), x, all_zero_density(2), (0.0, 1.0))
         assert counters.rhs_evaluations == 0
 
     def test_max_steps_exhaustion_raises(self):
@@ -507,7 +524,7 @@ class TestCostsAndErrors:
         cfg = SolveConfig(initial_step=1.0, max_steps=50)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationError, match="non-finite state produced"):
-                _adaptive_core(f, np.zeros((2, 2), dtype=complex), 0.0, 1.0, cfg)
+                _adaptive_core(f, np.zeros(4), 0.0, 1.0, cfg)
 
     def test_initial_state_of_another_dimension_is_rejected(self):
         with pytest.raises(ValidationError, match="initial state dimension 2"):
@@ -681,3 +698,64 @@ def test_import_leaves_scipy_integrate_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# The benchmark's first three points at seed 1 (perfbench/workloads.py: points(1, 3)), and
+# (accepted, rejected, rhs_evaluations) of preset_oat(n, 0.1) from |0...0> over each
+# workload's span at rtol 1e-8, atol 1e-10, as the full-matrix solver counted them before
+# the solver stepped on packed states; the packed error norm must keep every count.
+BENCHMARK_POINTS = (
+    (0.7979832773156491, -0.8391059715305564),
+    (1.1385149636924656, -0.46393588566911664),
+    (0.40423419862598303, 1.164686854591179),
+)
+BENCHMARK_COUNTS = {
+    (3, 1.0): [(13, 0, 158), (11, 0, 134), (15, 0, 182)],
+    (4, 10.0): [(85, 0, 1022), (86, 0, 1034), (86, 0, 1034)],
+    (5, 1.0): [(17, 0, 206), (16, 0, 194), (17, 0, 206)],
+    (6, 6.0): [(77, 0, 926), (80, 0, 962), (70, 0, 842)],
+}
+
+
+@pytest.mark.bit_identity
+@pytest.mark.parametrize("n, t_end", list(BENCHMARK_COUNTS), ids=[f"n{n}" for n, _ in BENCHMARK_COUNTS])
+def test_step_counts_at_benchmark_points_are_pinned(n, t_end):
+    model, rho0 = preset_oat(n, 0.1), all_zero_density(n)
+    cfg = SolveConfig(rtol=1e-8, atol=1e-10)
+    counts = []
+    for x in BENCHMARK_POINTS:
+        stats = integrate(model, np.array(x), rho0, (0.0, t_end), cfg).stats
+        counts.append((stats.accepted, stats.rejected, stats.rhs_evaluations))
+    assert counts == BENCHMARK_COUNTS[(n, t_end)]
+
+
+@pytest.mark.bit_identity
+@pytest.mark.parametrize("kernel", ["compiled", "sandwich"])
+def test_every_stored_state_round_trips_through_its_packed_form(kernel, monkeypatch):
+    # every state a solve stores is packed: a checkpoint, a kept stack's rows,
+    # a tape row's and rho(T)'s matrix; each unpacks to a bitwise Hermitian
+    # matrix with a +0.0 imaginary diagonal whose packed form is itself, and
+    # unpack(pack(X)) is bit-equal to X
+    if kernel == "sandwich":
+        monkeypatch.setattr(model_module, "COMPILE_MAX_NNZ", 0)
+    model = preset_oat(2, 0.1)
+    assert (model.superoperator is None) == (kernel == "sandwich")
+    pack = packing(4)
+    kept = integrate(model, np.array([0.8, 0.6]), all_zero_density(2), (0.0, 40.0), keep_stages=True)
+    assert 0 < len(kept.packed_stages) < kept.stats.accepted
+    taped = integrate(model, np.array([0.8, 0.6]), all_zero_density(2), (0.0, 1.0), SolveConfig(checkpoints=4))
+    tape = np.empty((3, len(DOP853.c), 16))
+    i_a, state_a = taped.packed_checkpoints[1]
+    assert i_a + 3 <= taped.stats.accepted
+    dense_segment(taped, state_a, (i_a, i_a + 3), tape=tape)
+    stored = [r for res in (kept, taped) for _, r in res.packed_checkpoints]
+    stored += [row for stack in (*kept.packed_stages, *tape) for row in stack]
+    for r in stored:
+        x = pack.unpack(r)
+        assert np.array_equal(x, x.conj().T) and not np.any(np.signbit(np.diag(x).imag))
+        assert np.array_equal(pack.pack(x), r) and np.array_equal(pack.unpack(pack.pack(x)), x)
+    for res in (kept, taped):
+        rho = res.final_state.matrix
+        assert np.array_equal(pack.unpack(pack.pack(rho)), rho)
+        assert np.array_equal(pack.pack(rho), res.packed_checkpoints[-1][1])
+        assert res.stats.hermiticity_drift == 0.0
