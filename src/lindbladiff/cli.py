@@ -31,7 +31,16 @@ import numpy as np
 
 from .eigen import eigh
 from .errors import LindbladiffError, ShapeMismatchError, ValidationError
-from .linalg import json_array, json_number, json_object, operator_from_json, operator_to_json, packing, to_dense
+from .linalg import (
+    json_array,
+    json_keys,
+    json_number,
+    json_object,
+    operator_from_json,
+    operator_to_json,
+    packing,
+    to_dense,
+)
 from .model import (
     DensityOperator,
     LindbladModel,
@@ -117,6 +126,7 @@ def _resolve_model(spec, pointer: str) -> tuple[LindbladModel, dict]:
     if not isinstance(spec, dict):
         raise ValidationError("model must be a preset string or an object", path=pointer)
     if "file" in spec:
+        json_keys(spec, pointer, {"file"})
         raw = _load_json(spec["file"], pointer + "/file")
         try:
             model = model_from_json(raw)
@@ -124,6 +134,7 @@ def _resolve_model(spec, pointer: str) -> tuple[LindbladModel, dict]:
             raise _repath(exc, pointer + "/file")
         return model, {"file": spec["file"]}
     if "preset" in spec:
+        json_keys(spec, pointer, {"preset", "gamma"})
         n = _preset_size(str(spec["preset"]), "oat", pointer + "/preset")
         gamma = json_number(spec.get("gamma", 0.0), pointer + "/gamma")
         if gamma < 0:
@@ -145,6 +156,7 @@ def _resolve_operand(spec, model: LindbladModel, pointer: str, what: str, family
         n = _preset_size(spec, family, pointer)
         shape, echo, build = (2**n, 2**n), f"{family}:{n}", partial(preset, n)
     elif isinstance(spec, dict) and "file" in spec:
+        json_keys(spec, pointer, {"file"})
         pointer += "/file"
         raw = _load_json(spec["file"], pointer)
         try:
@@ -165,10 +177,7 @@ def _resolve_operand(spec, model: LindbladModel, pointer: str, what: str, family
 def _section(raw: dict, key: str, known=None) -> dict:
     """The object under ``raw[key]`` (empty when absent or null), with keys from ``known`` if given."""
     spec = {} if raw.get(key) is None else json_object(raw[key], "/" + key)
-    for name in spec:
-        if known is not None and name not in known:
-            raise ValidationError(f"unknown {key} option {name!r}", path=f"/{key}/{name}")
-    return spec
+    return spec if known is None else json_keys(spec, "/" + key, known)
 
 
 def _resolve_section(cls, raw: dict, key: str) -> tuple[object, dict]:
@@ -214,9 +223,7 @@ def resolve_config(raw: dict, subcommand: str) -> ExperimentConfig:
         "grad_check",
         "output",
     }
-    for key in raw:
-        if key not in known:
-            raise ValidationError(f"unknown config key {key!r}", path=f"/{key}")
+    json_keys(raw, "", known)
 
     model, model_echo = _resolve_model(raw.get("model", "oat:2"), "/model")
 
@@ -476,9 +483,8 @@ def _run_optimize(cfg: ExperimentConfig, out: str | None) -> tuple[dict, dict, i
 
 def _trajectory_rows(cfg: ExperimentConfig) -> list[tuple[float, float, float, float]]:
     result = integrate(cfg.model, cfg.x, cfg.state, cfg.t_span, cfg.solver)
-    start = packing(result.model.dimension).unpack(result.packed_checkpoints[0][1])  # only checkpoint 0
-    nodes = dense_segment(result, start, (0, result.stats.accepted))
-    return [(float(t), *_state_health(rho)) for t, rho in nodes]
+    unpack = packing(result.model.dimension).unpack
+    return [(float(t), *_state_health(unpack(y))) for t, y in dense_segment(result, (0, result.stats.accepted))]
 
 
 def _read_trace_file(path: str) -> list[dict]:

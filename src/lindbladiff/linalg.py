@@ -13,7 +13,9 @@ JSON wire formats:
 
 Every value decoded from JSON, here and in ``model`` and ``cli``, is read by
 ``json_number``, ``json_array`` or ``json_object``, which raise a
-``ValidationError`` at the JSON pointer of a malformed value.
+``ValidationError`` at the JSON pointer of a malformed value, and every
+object's keys are checked by ``json_keys``, which raises one at the pointer
+of a key the reader does not know.
 """
 
 from __future__ import annotations
@@ -63,6 +65,14 @@ def json_object(value, path: str) -> dict:
     if isinstance(value, dict):
         return value
     raise ValidationError(f"must be an object, got {reprlib.repr(value)}", path=path)
+
+
+def json_keys(obj: dict, path: str, known) -> dict:
+    """``obj`` if each of its keys is in ``known``; a ValidationError at the first other key's pointer otherwise."""
+    for key in obj:
+        if key not in known:
+            raise ValidationError(f"unknown key {key!r}", path=f"{path}/{key}")
+    return obj
 
 
 def is_sparse(op: Operator) -> bool:

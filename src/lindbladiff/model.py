@@ -811,6 +811,7 @@ def model_from_json(obj: dict) -> LindbladModel:
                                                             "matrix": <operator literal>}, ...]},
              "channels": [{"gamma": g, "matrix": <operator literal>}, ...],
              "gamma": g?}           (preset dissipation rate, preset_oat only)
+    A key the schema does not name raises a ValidationError at its JSON pointer.
 
     Explicit Hamiltonians are linear in the parameters: H(t, x) = sum_m c_m(x) A_m
     with each c_m a constant or one parameter x_k, and each A_m Hermitian.  They
@@ -830,6 +831,8 @@ def model_from_json(obj: dict) -> LindbladModel:
     kind = ham["kind"]
 
     if kind == "preset_oat":
+        linalg.json_keys(obj, "", {"dimension", "hamiltonian", "gamma", "channels"})
+        linalg.json_keys(ham, "/hamiltonian", {"kind"})
         n = d.bit_length() - 1
         if 2**n != d:
             raise ValidationError(f"preset_oat needs a power-of-two dimension, got {d}", path="/dimension")
@@ -842,12 +845,14 @@ def model_from_json(obj: dict) -> LindbladModel:
 
     if kind != "explicit":
         raise ValidationError(f"unknown hamiltonian kind {kind!r}", path="/hamiltonian/kind")
+    linalg.json_keys(obj, "", {"dimension", "hamiltonian", "channels"})
+    linalg.json_keys(ham, "/hamiltonian", {"kind", "terms"})
 
     constant = None
     by_param: dict[int, Operator] = {}
     for m, term in enumerate(linalg.json_array(ham.get("terms", []), "/hamiltonian/terms")):
         path = f"/hamiltonian/terms/{m}"
-        term = linalg.json_object(term, path)
+        term = linalg.json_keys(linalg.json_object(term, path), path, {"coefficient", "matrix"})
         if "coefficient" not in term or "matrix" not in term:
             raise ValidationError("term needs 'coefficient' and 'matrix'", path=path)
         coef = term["coefficient"]
@@ -878,7 +883,7 @@ def model_from_json(obj: dict) -> LindbladModel:
     channels = []
     for j, ch in enumerate(linalg.json_array(obj.get("channels", []), "/channels")):
         path = f"/channels/{j}"
-        ch = linalg.json_object(ch, path)
+        ch = linalg.json_keys(linalg.json_object(ch, path), path, {"gamma", "matrix"})
         if "gamma" not in ch or "matrix" not in ch:
             raise ValidationError("channel needs 'gamma' and 'matrix'", path=path)
         gamma = linalg.json_number(ch["gamma"], path + "/gamma")

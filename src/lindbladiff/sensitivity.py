@@ -55,6 +55,7 @@ from .solver import (
     SolveConfig,
     SolveResult,
     dense_segment,
+    real_vector,
     _S,
     _TABLEAU,
     _StageWork,
@@ -133,10 +134,11 @@ class CostCofunction:
 
     def cotangent(self, rho: np.ndarray) -> np.ndarray:
         """The Hermitian part of the packing C = dc/d(Re rho) + i dc/d(Im rho): the gradient
-        over Hermitian states, as Re Tr(C^H sigma) = Re Tr(C sigma) for every Hermitian sigma."""
+        over Hermitian states, as Re Tr(C^H sigma) = Re Tr(C sigma) for every Hermitian sigma.  Each
+        block must hold real numbers, by the rule x obeys (solver.real_vector)."""
         dre, dim = self.gradient(rho)
-        dre = np.asarray(dre, dtype=float)
-        dim = np.asarray(dim, dtype=float)
+        dre = real_vector(dre, "cost gradient block dc/d(Re rho)")
+        dim = real_vector(dim, "cost gradient block dc/d(Im rho)")
         if dre.shape != rho.shape or dim.shape != rho.shape:
             raise ValidationError(
                 f"cost gradient blocks have shapes {dre.shape}/{dim.shape}, expected {rho.shape}"
@@ -452,10 +454,10 @@ def adjoint_gradient(result: SolveResult, cost: CostCofunction) -> GradientResul
     tape = np.empty((rows, s, d * d)) if rows else None
     taped = peak = 0
 
-    for (i_a, state_a), (i_b, _) in reversed(pairs):
+    for (i_a, _), (i_b, _) in reversed(pairs):
         # replay stops at the start of the segment's last step: the state at
         # its right end is the stored next checkpoint, which nothing reads
-        segment = dense_segment(result, state_a, (i_a, i_b - 1), tape=tape, workspace=work)
+        segment = dense_segment(result, (i_a, i_b - 1), tape=tape, workspace=work)
         # state 0 is the checkpoint and states 1 ... rows - 1 live in the tape
         peak = max(peak, len(stored) + max(0, len(segment) - max(rows, 1)) + s * (kept + rows))
         on_tape = min(rows, len(segment) - 1)

@@ -3,9 +3,9 @@
 The stepper is an explicit embedded Runge--Kutta pair with a stabilized PI
 step-size controller, on packed states: every state, stage state and slope
 is Hermitian, so it is carried as its d^2 real coordinates
-(linalg.HermitianPacking), half the reals of the complex matrix, and is
-unpacked only where a matrix leaves the solver (rho(T), the public
-``step_checkpoints`` and ``step_stages``, a matrix-started ``dense_segment``).
+(linalg.HermitianPacking), half the reals of the complex matrix.  The
+trail (checkpoints, kept stage stacks, replayed states) stays packed, and
+the solver unpacks one matrix only: rho(T).
 One tableau, ``DOP853`` (Dormand--Prince 8(5,3), FSAL), drives the forward
 step, segment replay and the reverse pass in ``sensitivity``, each on a
 workspace it allocates once per pass: one (s+1, d^2) stack [y_n, k_0 ...
@@ -30,16 +30,18 @@ reaches into that row's row 0, stepping on the reverse pass's own workspace
 (``workspace=``).  The error norm writes its scaled terms into buffers the
 solve allocates once, so a try allocates no state-sized temporary.
 Every accepted step time and step size is recorded, and the ``SolveResult``
-keeps the model and x it was solved with, so any segment between two
-checkpoints can later be replayed on the recorded grid from the result
-alone; replay performs the same floating-point operations as the original
-pass and is therefore bit-identical.  Checkpoints and replay spans are
-addressed by accepted-step index i; state i sits at step_times[i].  Trace is
-never renormalized -- trace drift is reported as a diagnostic instead.
+keeps the model and x it was solved with, so any segment that starts at a
+stored checkpoint can later be replayed on the recorded grid from the
+result alone; replay starts only there and performs the same floating-point
+operations as the original pass, so it is bit-identical.  Checkpoints and
+replay spans are addressed by accepted-step index i; state i sits at
+step_times[i].  Trace is never renormalized -- trace drift is reported as a
+diagnostic instead.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass, field
@@ -189,7 +191,7 @@ class SolveConfig:
     atol: float = 1e-10
     initial_step: float | None = None
     max_steps: int = 100_000
-    checkpoints: int | None = None  # default: ceil(sqrt(max_steps))
+    checkpoints: int | None = None  # default: max(2, ceil(sqrt(max_steps)))
 
     def __post_init__(self):
         require_positive(self.rtol, "rtol")
@@ -204,7 +206,8 @@ class SolveConfig:
     def checkpoint_budget(self) -> int:
         if self.checkpoints is not None:
             return self.checkpoints
-        return int(math.ceil(math.sqrt(self.max_steps)))
+        # at least the first and the final state, the least an explicit budget may be
+        return max(2, math.ceil(math.sqrt(self.max_steps)))
 
 
 @dataclass(frozen=True)
@@ -234,8 +237,7 @@ class SolveResult:
     """Final state plus the recorded trail needed for exact replay; integrate makes its arrays read-only.
 
     The trail's states are stored packed (linalg.HermitianPacking, d^2 reals
-    per state); ``step_checkpoints`` and ``step_stages`` unpack them into new
-    read-only (d, d) matrices on each access.
+    per state); ``linalg.packing(d).unpack`` turns one into its (d, d) matrix.
     """
 
     final_state: DensityOperator
@@ -250,27 +252,10 @@ class SolveResult:
     # row 0 the step's start state; only integrate(..., keep_stages=True) keeps any
     packed_stages: tuple[np.ndarray, ...] = ()
 
-    @property
-    def step_checkpoints(self) -> tuple[tuple[int, np.ndarray], ...]:
-        """(step index i, state i as a (d, d) matrix) for each stored checkpoint."""
-        return tuple((i, _unpacked(state)) for i, state in self.packed_checkpoints)
-
-    @property
-    def step_stages(self) -> tuple[np.ndarray, ...]:
-        """The kept stage-state stacks as (s, d, d) matrices."""
-        return tuple(_unpacked(stack) for stack in self.packed_stages)
-
 
 def _packing_of(packed: np.ndarray):
     """The HermitianPacking of packed (..., d^2) states."""
     return packing(math.isqrt(packed.shape[-1]))
-
-
-def _unpacked(packed: np.ndarray) -> np.ndarray:
-    """Packed states as new read-only matrices."""
-    matrix = _packing_of(packed).unpack(packed)
-    matrix.setflags(write=False)
-    return matrix
 
 
 def _error_norm(
@@ -318,14 +303,17 @@ def _rows(states: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return list(zip(states, states.reshape(len(states), -1)))
 
 
-class _StageLoop:
-    """The buffers and views of one pass's stage loop (``_stage_states``) on packed states of one shape.
+class _StageWork:
+    """The buffers and views of one pass's stage loop (``_stage_states``) and whole step (``rk_stages``)
+    on packed states of one shape.
 
     ``stack`` is [y_n, k_0 ... k_(s-1)] and ``tableau`` is _TABLEAU with
     columns 1 ... s scaled by the current h, so stage state i is one BLAS
-    product ``tableau[i, :i+1] @ stack[:i+1]`` over the stack's flat rows.
-    Every operand view is built here, once per pass, so a step slices
-    nothing.
+    product ``tableau[i, :i+1] @ stack[:i+1]`` over the stack's flat rows,
+    and (y_new, delta5, delta3) is one (3, s+1) product of the scaled end
+    weights with the stack into ``sums``.  ``scratch`` is one stage state for
+    the stages of a step that keeps none.  Every operand view is built here,
+    once per pass, so a step slices nothing.
     """
 
     def __init__(self, shape: tuple[int, ...]):
@@ -335,25 +323,16 @@ class _StageLoop:
         self.first_column = self.tableau[:, 0]
         self.stage_terms = [(self.tableau[i, : i + 1], self.flat[: i + 1]) for i in range(1, _S)]
         self.slopes = list(self.stack[2:])  # k_1 ... k_(s-1)
+        self.end_weights = self.tableau[_S:]
+        self.sums = np.empty((3, *shape))
+        self.sums_flat = self.sums.reshape(3, -1)
+        self.scratch = _scratch_rows(shape)
 
     def scale(self, h: float) -> None:
         """Scale the tableau's columns 1 ... s by h for the next step."""
         # two contiguous-source calls: a strided multiply would allocate a buffer
         np.multiply(_TABLEAU, h, out=self.tableau)
         np.copyto(self.first_column, _FIRST_COLUMN)
-
-
-class _StageWork(_StageLoop):
-    """The stage loop's buffers plus a whole step's (``rk_stages``): (y_new, delta5,
-    delta3) is one (3, s+1) product of the scaled end weights with the stack into ``sums``,
-    and ``scratch`` is one stage state for the stages of a step that keeps none."""
-
-    def __init__(self, shape: tuple[int, ...]):
-        super().__init__(shape)
-        self.end_weights = self.tableau[_S:]
-        self.sums = np.empty((3, *shape))
-        self.sums_flat = self.sums.reshape(3, -1)
-        self.scratch = _scratch_rows(shape)
 
 
 def _scratch_rows(shape: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -365,7 +344,7 @@ def _stage_states(
     f: Callable[..., np.ndarray],
     t: float,
     h: float,
-    work: _StageLoop,
+    work: _StageWork,
     stages: list[tuple[np.ndarray, np.ndarray]],
 ) -> None:
     """A step's stage states 1 ... s-1 and every slope but the last: the stage loop of every pass.
@@ -688,7 +667,6 @@ def integrate(
 
 def dense_segment(
     result: SolveResult,
-    state_at_checkpoint: np.ndarray,
     steps: tuple[int, int],
     *,
     tape: np.ndarray | None = None,
@@ -696,43 +674,37 @@ def dense_segment(
 ) -> list[tuple[float, np.ndarray]]:
     """Recompute accepted-step states i_a ... i_b, integer ``steps`` = (i_a, i_b), for the reverse pass.
 
-    The segment is replayed with the model and x of ``result`` on its
-    recorded accepted-step grid: the same step sizes and stages, hence the
-    same floating-point operations, hence bit-identical states.  The state
-    at step i_a is an argument rather than read from the stored checkpoints,
-    so a caller may replay from a state it recomputed itself: a packed
-    (d^2,) vector, and the states returned are packed, or a Hermitian (d, d)
-    matrix (its upper triangle and real diagonal are read), and they are
-    new (d, d) matrices.  Returns [(t_i, state_i) for i = i_a ... i_b] with
-    t_i = result.step_times[i]; when i_b == i_a that is just
-    [(t_i_a, state_a)], with no RHS call.
+    The segment starts from the packed checkpoint the solve stored at step
+    i_a; an i_a at which no checkpoint is stored raises a ValidationError
+    before any RHS call.  It is replayed with the model and
+    x of ``result`` on its recorded accepted-step grid: the same step sizes
+    and stages as the solve that stored that checkpoint, hence the same
+    floating-point operations, hence bit-identical states.  Returns
+    [(t_i, packed state_i) for i = i_a ... i_b] with t_i =
+    result.step_times[i]; state i_a is the stored checkpoint array itself,
+    so when i_b == i_a that is just [(t_i_a, checkpoint)], with no RHS call.
 
     ``tape``, a writable C-contiguous float64 (m, s, d^2) array, is filled
     like ``out=``: row j holds step i_a + j for j < m, just as the forward
     solve writes a kept packed stack (row 0 y_n, rows 1 ... s-1 the stage
     states formed by the same products), and any later step forms its
-    stages in one scratch state.  Replay writes packed state i_a + j
-    straight into tape[j, 0] for 1 <= j < m, so for a packed start those
-    returned states are views into the tape, valid until the tape is next
-    filled.  ``workspace``, the stage-loop buffers of a pass that replays
-    many segments (the reverse pass's), is used instead of allocating new
-    ones for each segment.
+    stages in one scratch state.  Replay writes state i_a + j straight into
+    tape[j, 0] for 1 <= j < m, so those returned states are views into the
+    tape, valid until the tape is next filled.  ``workspace``, the
+    stage-loop buffers of a pass that replays many segments (the reverse
+    pass's), is used instead of allocating new ones for each segment.
     """
     i_a, i_b = operator.index(steps[0]), operator.index(steps[1])
     if not 0 <= i_a <= i_b <= result.stats.accepted:
         raise ValidationError(f"segment needs 0 <= i_a <= i_b <= {result.stats.accepted}, got ({i_a}, {i_b})")
+    stored = result.packed_checkpoints
+    k = bisect.bisect_left(stored, i_a, key=operator.itemgetter(0))
+    if k == len(stored) or stored[k][0] != i_a:
+        raise ValidationError(f"segment start {i_a} is not the step of a stored checkpoint")
+    # no copy of the start: the returned list shares the checkpoint array as its
+    # left endpoint, keeping reverse-pass retained states at K + segment steps
+    y = stored[k][1]
     d = result.model.dimension
-    pack = packing(d)
-    packed = np.shape(state_at_checkpoint) == (d * d,)
-    # no copy of a packed start: the returned list shares the caller's checkpoint
-    # array as its left endpoint, keeping reverse-pass retained states at K + segment steps
-    if packed:
-        y = np.asarray(state_at_checkpoint, dtype=np.float64)
-    else:
-        matrix = np.ascontiguousarray(state_at_checkpoint, dtype=np.complex128)
-        if matrix.shape != (d, d):
-            raise ValidationError(f"segment start must be a ({d}, {d}) matrix or a packed ({d * d},) state")
-        y = pack.pack(matrix)
     if tape is None:
         tape = np.empty((0, _S, d * d))
     elif (
@@ -761,6 +733,4 @@ def dense_segment(
         np.copyto(y, y_new)
         out.append((float(times[n + 1]), y))
     counters.rhs_evaluations += f.calls
-    if not packed:
-        out = [(t, pack.unpack(state)) for t, state in out]
     return out

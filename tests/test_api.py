@@ -32,7 +32,7 @@ API = {
         "accepted", "rejected", "rhs_evaluations", "trace_drift", "hermiticity_drift", "min_step",
         "max_step"
     ),
-    "dense_segment": ("result", "state_at_checkpoint", "steps", "tape", "workspace"),
+    "dense_segment": ("result", "steps", "tape", "workspace"),
     "integrate": ("model", "x", "rho0", "t_span", "cfg", "keep_stages"),
     "CostCofunction": ("evaluate", "gradient", "name"),
     "GradientResult": ("dc_dx", "dc_drho0", "dc_dT", "diagnostics"),

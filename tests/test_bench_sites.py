@@ -106,7 +106,7 @@ def _check_traced_sites(checkpoints, t_end, sandwich=False):
     assert (model.superoperator is None) == sandwich
     cfg = SolveConfig(checkpoints=checkpoints)
     solved = integrate(model, x, rho0, (0.0, t_end), cfg, keep_stages=True)
-    kept, steps = len(solved.step_stages), solved.stats.accepted
+    kept, steps = len(solved.packed_stages), solved.stats.accepted
     assert (kept == (0 if checkpoints == 4 else steps)) if t_end == 1.0 else (0 < kept < steps)
     tracing = _load_tracing()
     tracer = tracing.Tracer()

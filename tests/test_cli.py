@@ -90,6 +90,30 @@ class TestResolveConfig:
             cli.resolve_config(raw, "solve")
         assert "/solver/rtl" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "section, spec, path",
+        [
+            ("model", {"preset": "oat:3", "gama": 0.1}, "/model/gama"),
+            ("model", {"file": "model.json", "gamma": 0.1}, "/model/gamma"),
+            ("state", {"file": "state.json", "name": "plus"}, "/state/name"),
+        ],
+    )
+    def test_unknown_operand_key_rejected(self, section, spec, path, tmp_path):
+        # a stray key beside "preset" or "file" is rejected, not ignored
+        _write(tmp_path / "model.json", {"dimension": 2, "hamiltonian": {"kind": "preset_oat"}})
+        _write(tmp_path / "state.json", PLUS_STATE)
+        spec = {k: str(tmp_path / v) if k == "file" else v for k, v in spec.items()}
+        raw = {"model": {"file": str(tmp_path / "model.json")}, "t_span": [0, 1], section: spec}
+        with pytest.raises(ValidationError) as err:
+            cli.resolve_config(raw, "solve")
+        assert err.value.path == path
+
+    def test_echo_of_a_one_step_budget_resolves_again(self):
+        # the derived budget is at least 2, the least an explicit checkpoints may be
+        cfg = cli.resolve_config({"model": "oat:2", "t_span": [0, 1], "solver": {"max_steps": 1}}, "solve")
+        assert cfg.echo["solver"]["checkpoints"] == cfg.solver.checkpoint_budget == 2
+        assert cli.resolve_config(cfg.echo, "solve").echo == cfg.echo
+
     def test_bad_t_span_path(self):
         with pytest.raises(ValidationError) as err:
             cli.resolve_config({"model": "oat:2", "t_span": [2.0, 1.0]}, "solve")

@@ -844,6 +844,8 @@ class TestModelFromJson:
             ({"dimension": 6}, "/dimension", "power-of-two"),
             ({"gamma": -0.1}, "/gamma", "nonnegative"),
             ({"channels": [{"gamma": 0.1, "matrix": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}]}, "/channels", "own channels"),
+            ({"gama": 0.1}, "/gama", "unknown key"),
+            ({"hamiltonian": {"kind": "preset_oat", "terms": []}}, "/hamiltonian/terms", "unknown key"),
         ],
     )
     def test_preset_kind_errors(self, extra, path, message):
@@ -881,6 +883,12 @@ class TestModelFromJson:
             (lambda obj: _with_term(obj, {"matrix": ONE_BY_ONE}), "/hamiltonian/terms/0", "term matrix shape"),
             (lambda obj: dict(obj, channels=[{"matrix": JSON_LOWERING}]), "/channels/0", "needs 'gamma'"),
             (lambda obj: dict(obj, channels=[{"gamma": 0.1, "matrix": ONE_BY_ONE}]), "/channels/0", "matrix shape"),
+            # a misspelt or misplaced key is rejected, not read as absent (a model with no dissipation)
+            (lambda obj: dict(obj, gamma=0.1), "/gamma", "unknown key"),
+            (lambda obj: {"chanels" if k == "channels" else k: v for k, v in obj.items()}, "/chanels", "unknown key"),
+            (lambda obj: dict(obj, hamiltonian=dict(obj["hamiltonian"], a=1)), "/hamiltonian/a", "unknown key"),
+            (lambda obj: _with_term(obj, {"coeff": 1.0}), "/hamiltonian/terms/0/coeff", "unknown key"),
+            (lambda obj: dict(obj, channels=[dict(obj["channels"][0], rate=0.2)]), "/channels/0/rate", "unknown key"),
         ],
     )
     def test_explicit_model_errors(self, edit, path, message):

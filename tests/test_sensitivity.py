@@ -162,6 +162,31 @@ class TestCosts:
         with pytest.raises(CostGradientError):
             bad.verify(rho)
 
+    @pytest.mark.parametrize(
+        "block",
+        [
+            lambda a: a + 1j * np.eye(4),  # its imaginary part would be dropped with a ComplexWarning
+            lambda a: a.real > 2.0,
+            lambda a: a.real.astype(str),
+            lambda a: a.real.astype(object),
+        ],
+        ids=["complex", "bool", "string", "object"],
+    )
+    def test_gradient_blocks_must_hold_real_numbers(self, block):
+        # each block follows the rule x does: int or float entries, nothing that a cast to float
+        # would quietly truncate or parse; adjoint_gradient and verify read them through cotangent
+        a = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        base = observable_cost(a)
+        cost = CostCofunction(base.evaluate, lambda rho: (block(a), np.zeros((4, 4))), "bad block")
+        res = integrate(preset_oat(2, 0.1), np.array([0.8, 0.6]), all_zero_density(2), (0.0, 1.0))
+        rho = res.final_state.matrix
+        for call in (lambda: cost.cotangent(rho), lambda: adjoint_gradient(res, cost), lambda: cost.verify(rho)):
+            with pytest.raises(ValidationError, match="dc/d\\(Re rho\\) must hold real numbers"):
+                call()
+        swapped = CostCofunction(base.evaluate, lambda rho: (a.real, block(a)), "bad block")
+        with pytest.raises(ValidationError, match="dc/d\\(Im rho\\)"):
+            swapped.cotangent(rho)
+
     def test_cotangent_is_linear_packing(self):
         rng = np.random.default_rng(6)
         rho = random_density(rng, 2)
@@ -396,7 +421,7 @@ class TestAdjointGradient:
         res = integrate(model, np.array([0.8, 0.6]), all_zero_density(2), (0.0, 1.0))
         before = adjoint_gradient(res, cost).dc_dx
         arrays = [res.x, res.step_times, res.step_sizes, res.final_state.matrix]
-        arrays += [state for _, state in res.packed_checkpoints] + [state for _, state in res.step_checkpoints]
+        arrays += [state for _, state in res.packed_checkpoints]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[(1,) * a.ndim] = -0.6
@@ -466,7 +491,7 @@ class TestAdjointGradient:
         for checkpoints, keep_stages in [(4, False), (None, True)]:
             res, grad, _ = self._replayed_gradient(checkpoints, keep_stages)
             diag = grad.diagnostics
-            assert len(res.step_stages) == diag["kept_stage_steps"] == (res.stats.accepted if keep_stages else 0)
+            assert len(res.packed_stages) == diag["kept_stage_steps"] == (res.stats.accepted if keep_stages else 0)
             assert diag["taped_stage_steps"] == (0 if keep_stages else res.stats.accepted - diag["segments"])
             recomputed = res.stats.accepted - diag["kept_stage_steps"] - diag["taped_stage_steps"]
             assert diag["adjoint_rhs_evaluations"] == (s - 1) * recomputed
@@ -507,7 +532,7 @@ class TestAdjointGradient:
         counters.reset()
         res = integrate(model, x, all_zero_density(2), (0.0, 1.0), cfg)
         diag = adjoint_gradient(res, state_entry_re_cost(0, 0)).diagnostics
-        indices = [i for i, _ in res.step_checkpoints]
+        indices = [i for i, _ in res.packed_checkpoints]
         longest = max(b - a for a, b in zip(indices, indices[1:]))
         assert longest > 1
         # checkpoints, one replayed segment and a tape of s-state stacks for all but its last step
@@ -569,7 +594,7 @@ class TestKeptSlopes:
     def test_a_small_budget_keeps_nothing(self):
         # 8 states leave no room for one 12-state stack beside two checkpoints
         res = self._solve(1.0, SolveConfig(checkpoints=8))
-        assert res.step_stages == ()
+        assert res.packed_stages == ()
         grad = adjoint_gradient(res, state_entry_re_cost(0, 0))
         diag = grad.diagnostics
         assert diag["kept_stage_steps"] == 0
@@ -584,9 +609,9 @@ class TestKeptSlopes:
         # stacks fill what is left of the budget, a leading prefix of steps
         res = self._solve(40.0)
         budget = SolveConfig().checkpoint_budget
-        stored = len(res.step_checkpoints)
+        stored = len(res.packed_checkpoints)
         assert stored == res.stats.accepted + 1
-        kept = len(res.step_stages)
+        kept = len(res.packed_stages)
         assert kept == (budget - stored) // self.S
         assert 0 < kept < res.stats.accepted
         grad = adjoint_gradient(res, state_entry_re_cost(0, 0))
@@ -611,7 +636,7 @@ class TestKeptSlopes:
         monkeypatch.setattr(solver_module, "_KEPT_STAGES_MAX_BYTES", 3 * stack_bytes + stack_bytes // 2)
         res = self._solve(1.0)
         assert res.stats.accepted > 3
-        assert len(res.step_stages) == 3
+        assert len(res.packed_stages) == 3
 
     @pytest.mark.bit_identity
     @pytest.mark.parametrize("kernel", ["compiled", "sandwich"])
@@ -639,7 +664,7 @@ class TestKeptSlopes:
             return sums
 
         monkeypatch.setattr(solver_module, "rk_stages", recording)
-        nodes = dense_segment(res, res.packed_checkpoints[0][1], (0, res.stats.accepted))
+        nodes = dense_segment(res, (0, res.stats.accepted))
         monkeypatch.setattr(solver_module, "rk_stages", stages_of)
         assert len(replayed) == res.stats.accepted
         f, work = _CountedRhs(res.model, res.x), _ReverseWork(d, compiled, 2)
@@ -659,7 +684,7 @@ class TestKeptSlopes:
         # stack as it is, leaving the Y buffer and f alone, and every later
         # step forms its s - 1 stage states after Y_0 = y_n into Y
         res = self._solve(40.0)
-        kept = len(res.step_stages)
+        kept = len(res.packed_stages)
         assert 0 < kept < res.stats.accepted
         formed = {}
         reverse_step = sensitivity._reverse_step
@@ -686,7 +711,7 @@ class TestKeptSlopes:
             monkeypatch.setattr(model_module, "COMPILE_MAX_NNZ", 0)
         res = self._solve(40.0, n=3)
         assert (res.model.superoperator is None) == (kernel == "sandwich")
-        assert res.stats.accepted >= 40 and 0 < len(res.step_stages) < res.stats.accepted
+        assert res.stats.accepted >= 40 and 0 < len(res.packed_stages) < res.stats.accepted
         if kernel == "compiled":  # the pairing's stacked maps are built on the pass's first step
             res.model.superoperator._derivative_maps
         kernels = [(solver_module, "lindblad_rhs"), (sensitivity, "adjoint_liouvillian_apply")]
@@ -706,14 +731,14 @@ class TestKeptSlopes:
         res = self._solve(1.5, cfg)
         grad = adjoint_gradient(res, state_entry_re_cost(0, 0))
         kept = grad.diagnostics["kept_stage_steps"]
-        assert kept == len(res.step_stages)
-        assert len(res.step_checkpoints) + self.S * kept <= cfg.checkpoint_budget
+        assert kept == len(res.packed_stages)
+        assert len(res.packed_checkpoints) + self.S * kept <= cfg.checkpoint_budget
         longest = grad.diagnostics["longest_segment"]
         assert kept == 0 or longest == 1  # a budget that keeps stacks stores every step
         peak = grad.diagnostics["peak_retained_states"]
         assert peak <= cfg.checkpoint_budget + longest + self.S * (longest - 1)
         # at n = 2 the byte cap leaves room for a tape of every segment's steps but its last
-        assert peak >= len(res.step_checkpoints) + self.S * kept + self.S * (longest - 1)
+        assert peak >= len(res.packed_checkpoints) + self.S * kept + self.S * (longest - 1)
 
 
 class TestTapedReplay:
@@ -741,7 +766,7 @@ class TestTapedReplay:
             grads.append(adjoint_gradient(res, cost))
         diag = grads[0].diagnostics
         segments, steps = diag["segments"], res.stats.accepted
-        lengths = np.diff([i for i, _ in res.step_checkpoints])
+        lengths = np.diff([i for i, _ in res.packed_checkpoints])
         assert diag["longest_segment"] > 2
         assert [g.diagnostics["taped_stage_steps"] for g in grads] == [
             steps - segments,
@@ -815,7 +840,7 @@ class TestTapedReplay:
         else:
             res = self._solve(2)
         kept, d = len(res.packed_stages), res.model.dimension
-        i_a, state_a = res.packed_checkpoints[1]
+        i_a = res.packed_checkpoints[1][0]
         if keep_stages:  # the tape takes kept steps and the two after them
             rows = kept + 2 - i_a
             assert 0 < i_a < kept
@@ -824,7 +849,7 @@ class TestTapedReplay:
             assert kept == 0
         assert i_a + rows <= res.stats.accepted
         tape = np.empty((rows, self.S, d * d))
-        nodes = dense_segment(res, state_a, (i_a, i_a + rows), tape=tape)
+        nodes = dense_segment(res, (i_a, i_a + rows), tape=tape)
         f, work = _CountedRhs(res.model, res.x), _ReverseWork(d, True, 2)
         lam = packing(d).pack(np.eye(d, dtype=complex))
         for j in range(rows):
@@ -842,9 +867,9 @@ class TestTapedReplay:
         replay = sensitivity.dense_segment
         views = []
 
-        def checked_replay(result, state_a, steps, *, tape, workspace):
-            segment = replay(result, state_a, steps, tape=tape, workspace=workspace)
-            plain = replay(result, state_a, steps)
+        def checked_replay(result, steps, *, tape, workspace):
+            segment = replay(result, steps, tape=tape, workspace=workspace)
+            plain = replay(result, steps)
             assert all(np.array_equal(y, y_plain) for (_, y), (_, y_plain) in zip(segment, plain, strict=True))
             on_tape = min(len(tape), len(segment) - 1)
             for j in range(1, on_tape):
@@ -856,7 +881,7 @@ class TestTapedReplay:
         grad = adjoint_gradient(res, state_entry_re_cost(0, 0))
         longest = grad.diagnostics["longest_segment"]
         assert longest > 2 and max(views) == longest - 2
-        stored = len(res.step_checkpoints)
+        stored = len(res.packed_checkpoints)
         # the longest segment: its checkpoint, the tape and one state of its own
         assert grad.diagnostics["peak_retained_states"] == stored + 1 + self.S * (longest - 1)
 
@@ -873,7 +898,7 @@ class TestTapedReplay:
     def test_a_malformed_tape_is_rejected(self, tape):
         res = self._solve(2)
         with pytest.raises(ValidationError, match="tape"):
-            dense_segment(res, res.step_checkpoints[0][1], (0, 2), tape=tape)
+            dense_segment(res, (0, 2), tape=tape)
 
 
 class TestReverseStep:

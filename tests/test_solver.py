@@ -60,6 +60,8 @@ class TestSolveConfig:
         assert cfg.rtol == 1e-8 and cfg.atol == 1e-10
         assert cfg.checkpoint_budget == int(np.ceil(np.sqrt(cfg.max_steps)))
         assert SolveConfig(checkpoints=5).checkpoint_budget == 5
+        # the derived budget holds at least the first and the final state, as an explicit one must
+        assert [SolveConfig(max_steps=m).checkpoint_budget for m in (1, 2, 5)] == [2, 2, 3]
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -228,11 +230,11 @@ class TestTrailAndReplay:
         b = integrate(model, x, all_zero_density(2), (0.0, 4.0), cfg, keep_stages=True)
         monkeypatch.undo()
         assert b.stats.rejected >= 2 and b.stats == a.stats
-        assert a.step_stages == () and len(b.step_stages) == b.stats.accepted
-        assert allocated == len(b.step_stages)
+        assert a.packed_stages == () and len(b.packed_stages) == b.stats.accepted
+        assert allocated == len(b.packed_stages)
         assert np.array_equal(a.final_state.matrix, b.final_state.matrix)
         assert np.array_equal(a.step_sizes, b.step_sizes)
-        assert [i for i, _ in a.step_checkpoints] == [i for i, _ in b.step_checkpoints]
+        assert [i for i, _ in a.packed_checkpoints] == [i for i, _ in b.packed_checkpoints]
         # each kept stack is the accepted step's, not a rejected try's from
         # the same y_n: its rows are the stage states the accepted h_n forms
         # again from y_n, and that step's slopes lead to y_(n+1)
@@ -263,24 +265,50 @@ class TestTrailAndReplay:
         x = np.array([0.8, 0.6])
         rho0 = all_zero_density(2)
         res = integrate(model, x, rho0, (0.0, 1.0))
-        nodes = dense_segment(res, res.step_checkpoints[0][1], (0, res.stats.accepted))
+        nodes = dense_segment(res, (0, res.stats.accepted))
         assert len(nodes) == res.stats.accepted + 1
         assert [t for t, _ in nodes] == res.step_times.tolist()
         assert nodes[-1][0] == 1.0
-        assert np.array_equal(nodes[-1][1], res.final_state.matrix)
+        assert np.array_equal(packing(4).unpack(nodes[-1][1]), res.final_state.matrix)
+
+    @pytest.mark.bit_identity
+    @pytest.mark.parametrize("kernel", ["compiled", "sandwich"])
+    def test_full_span_replay_is_every_stored_checkpoint(self, kernel, monkeypatch):
+        if kernel == "sandwich":
+            monkeypatch.setattr(model_module, "COMPILE_MAX_NNZ", 0)
+        model = preset_oat(2, gamma=0.15)
+        assert (model.superoperator is None) == (kernel == "sandwich")
+        res = integrate(model, np.array([0.8, 0.6]), all_zero_density(2), (0.0, 3.0), SolveConfig(checkpoints=5))
+        assert res.stats.accepted > len(res.packed_checkpoints) > 2
+        nodes = dense_segment(res, (0, res.stats.accepted))
+        for i, state in res.packed_checkpoints:
+            assert np.array_equal(nodes[i][1], state)
+
+    def test_replay_starts_only_at_a_stored_checkpoint(self):
+        # replay reads its start from the trail, so a step the solve stored no
+        # state for is refused before any right-hand side is evaluated
+        cfg = SolveConfig(checkpoints=3)
+        res = integrate(preset_oat(2), np.array([0.8, 0.6]), all_zero_density(2), (0.0, 1.0), cfg)
+        stored = [i for i, _ in res.packed_checkpoints]
+        between = next(i for i in range(res.stats.accepted) if i not in stored)
+        before = counters.rhs_evaluations
+        for steps in ((between, between), (between, res.stats.accepted)):
+            with pytest.raises(ValidationError, match="stored checkpoint"):
+                dense_segment(res, steps)
+        assert counters.rhs_evaluations == before
 
     def test_segments_tile_the_accepted_grid(self):
         model = preset_oat(2)
         x = np.array([1.1, 0.2])
         cfg = SolveConfig(checkpoints=4)
         res = integrate(model, x, all_zero_density(2), (0.0, 1.2), cfg)
-        cps = res.step_checkpoints
+        cps = res.packed_checkpoints
         assert len(cps) <= 4
         assert cps[0][0] == 0 and cps[-1][0] == res.stats.accepted
         assert res.step_times[cps[0][0]] == 0.0 and res.step_times[cps[-1][0]] == 1.2
         covered = 0
-        for (i_a, state_a), (i_b, _) in zip(cps, cps[1:]):
-            nodes = dense_segment(res, state_a, (i_a, i_b))
+        for (i_a, _), (i_b, _) in zip(cps, cps[1:]):
+            nodes = dense_segment(res, (i_a, i_b))
             covered += len(nodes) - 1
             # right endpoint of each replayed segment is the stored checkpoint's step
             assert len(nodes) == i_b - i_a + 1
@@ -291,25 +319,25 @@ class TestTrailAndReplay:
         model = preset_oat(2)
         x = np.array([0.8, 0.6])
         res = integrate(model, x, all_zero_density(2), (0.0, 1.0))
-        i_a, state_a = res.step_checkpoints[1]
+        i_a, state_a = res.packed_checkpoints[1]
         counters.reset()
-        nodes = dense_segment(res, state_a, (i_a, i_a))
+        nodes = dense_segment(res, (i_a, i_a))
         assert len(nodes) == 1
-        assert nodes[0][0] == res.step_times[i_a] and np.array_equal(nodes[0][1], state_a)
+        # with no tape the one state is the stored checkpoint array itself, not a copy
+        assert nodes[0][0] == res.step_times[i_a] and nodes[0][1] is state_a
         assert counters.rhs_evaluations == 0
         with pytest.raises(ValidationError):
-            dense_segment(res, state_a, (i_a, 0))
+            dense_segment(res, (i_a, 0))
 
     def test_replay_span_is_a_pair_of_step_indices(self):
         res = integrate(preset_oat(2), np.array([0.8, 0.6]), all_zero_density(2), (0.0, 1.0))
-        state0 = res.step_checkpoints[0][1]
         # a float time span is refused, not truncated to an index
         with pytest.raises(TypeError):
-            dense_segment(res, state0, (0.0, 1.0))
+            dense_segment(res, (0.0, 1.0))
         for bad in ((-1, 1), (0, res.stats.accepted + 1)):
             with pytest.raises(ValidationError, match="i_a <= i_b"):
-                dense_segment(res, state0, bad)
-        nodes = dense_segment(res, state0, (np.int64(0), np.int64(2)))
+                dense_segment(res, bad)
+        nodes = dense_segment(res, (np.int64(0), np.int64(2)))
         assert [t for t, _ in nodes] == res.step_times[:3].tolist()
 
     def test_checkpoint_budget_and_thinning(self):
@@ -317,7 +345,7 @@ class TestTrailAndReplay:
         for k in (2, 3, 10):
             cfg = SolveConfig(checkpoints=k, rtol=1e-10, atol=1e-12)
             res = integrate(model, np.array([1.0, 0.8]), all_zero_density(2), (0.0, 2.0), cfg)
-            indices = [i for i, _ in res.step_checkpoints]
+            indices = [i for i, _ in res.packed_checkpoints]
             assert 2 <= len(indices) <= k
             assert indices[0] == 0 and indices[-1] == res.stats.accepted
             assert indices == sorted(set(indices))
@@ -329,9 +357,9 @@ class TestTrailAndReplay:
         x = np.array([0.5, 0.9])
         cfg = SolveConfig(checkpoints=5)
         res = integrate(model, x, all_zero_density(2), (0.0, 1.0), cfg)
-        cps = res.step_checkpoints
-        for (i_a, state_a), (i_b, state_b) in zip(cps, cps[1:]):
-            nodes = dense_segment(res, state_a, (i_a, i_b))
+        cps = res.packed_checkpoints
+        for (i_a, _), (i_b, state_b) in zip(cps, cps[1:]):
+            nodes = dense_segment(res, (i_a, i_b))
             assert np.array_equal(nodes[-1][1], state_b)
 
 
@@ -745,9 +773,9 @@ def test_every_stored_state_round_trips_through_its_packed_form(kernel, monkeypa
     assert 0 < len(kept.packed_stages) < kept.stats.accepted
     taped = integrate(model, np.array([0.8, 0.6]), all_zero_density(2), (0.0, 1.0), SolveConfig(checkpoints=4))
     tape = np.empty((3, len(DOP853.c), 16))
-    i_a, state_a = taped.packed_checkpoints[1]
+    i_a = taped.packed_checkpoints[1][0]
     assert i_a + 3 <= taped.stats.accepted
-    dense_segment(taped, state_a, (i_a, i_a + 3), tape=tape)
+    dense_segment(taped, (i_a, i_a + 3), tape=tape)
     stored = [r for res in (kept, taped) for _, r in res.packed_checkpoints]
     stored += [row for stack in (*kept.packed_stages, *tape) for row in stack]
     for r in stored:
