@@ -1,7 +1,9 @@
 """Process-wide counters instrumenting the expensive pipeline stages.
 
 Tests use these to assert the cost contract (one forward integration and one
-backward pass per gradient evaluation) and the reverse-pass memory ceiling.
+backward pass per gradient evaluation).  The reverse-pass memory ceiling is
+read from each gradient's ``diagnostics``, whose ``peak_retained_states`` the
+counter of that name mirrors.
 Counting is observational only and never changes numerical behavior.
 """
 

@@ -15,7 +15,9 @@ Every value decoded from JSON, here and in ``model`` and ``cli``, is read by
 ``json_number``, ``json_array`` or ``json_object``, which raise a
 ``ValidationError`` at the JSON pointer of a malformed value, and every
 object's keys are checked by ``json_keys``, which raises one at the pointer
-of a key the reader does not know.
+of a key the reader does not know, escaped by RFC 6901 (``~`` as ``~0``,
+``/`` as ``~1``).  No model dimension or sparse-literal shape read from JSON
+exceeds ``MAX_DIMENSION``.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ Sparse = sparse.csr_array
 Operator = Union[Dense, Sparse]
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+
+#: The largest Hilbert-space dimension the package accepts (preset_oat's 10 qubits): a
+#: JSON model's /dimension and a sparse literal's rows and cols above it are rejected at
+#: their pointers before anything is allocated.
+MAX_DIMENSION = 2**10
 
 
 def json_number(value, path: str, *, integer: bool = False):
@@ -71,7 +78,8 @@ def json_keys(obj: dict, path: str, known) -> dict:
     """``obj`` if each of its keys is in ``known``; a ValidationError at the first other key's pointer otherwise."""
     for key in obj:
         if key not in known:
-            raise ValidationError(f"unknown key {key!r}", path=f"{path}/{key}")
+            token = str(key).replace("~", "~0").replace("/", "~1")  # RFC 6901, in this order
+            raise ValidationError(f"unknown key {key!r}", path=f"{path}/{token}")
     return obj
 
 
@@ -103,6 +111,9 @@ def csr_from_triplets(rows: int, cols: int, triplets, path: str = "") -> Sparse:
     """
     if rows <= 0 or cols <= 0:
         raise ValidationError(f"sparse shape ({rows}, {cols}) must be positive", path=path)
+    for key, size in (("rows", rows), ("cols", cols)):
+        if size > MAX_DIMENSION:
+            raise ValidationError(f"{key} {size} exceeds MAX_DIMENSION = {MAX_DIMENSION}", path=f"{path}/{key}")
     ii, jj, vv = [], [], []
     for k, t in enumerate(triplets):
         at = f"{path}/triplets/{k}"

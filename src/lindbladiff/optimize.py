@@ -155,7 +155,7 @@ def maximize_qfi(
         x0 = rng.uniform(-math.pi, math.pi, model.n_params)
 
     def objective(x: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
-        # the solve keeps its slopes, so an accepted trial is differentiated with no stage recompute
+        # the solve keeps its stage states, so an accepted trial is differentiated with no stage recompute
         report, differentiate = _qfi_point(model, x, rho0, t_span, g, solve_cfg, True)
         return report.value, lambda: differentiate().gradient
 

@@ -15,6 +15,7 @@ from oracles import (
     random_density,
     random_hermitian,
 )
+from twins import dense_twin
 from lindbladiff import cli
 from lindbladiff.eigen import DEGENERACY_TOL, eig_derivative, eigh
 from lindbladiff.instrumentation import counters
@@ -369,8 +370,8 @@ def test_criterion_9_sparse_dense_parity():
     worst = 0.0
     for n in (1, 2, 3, 4):
         for gamma in (0.0, 0.3):
-            dense = preset_oat(n, gamma)
-            sparse = preset_oat(n, gamma, sparse=True)
+            sparse = preset_oat(n, gamma)
+            dense = dense_twin(sparse)
             rho = random_density(rng, 2**n)
             diff = lindblad_rhs(0.4, rho, dense, x) - lindblad_rhs(0.4, rho, sparse, x)
             worst = max(worst, float(np.max(np.abs(diff))))

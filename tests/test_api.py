@@ -22,7 +22,7 @@ API = {
     "all_zero_density": ("n",),
     "lindblad_rhs": ("t", "rho", "model", "x", "out"),
     "model_from_json": ("obj",),
-    "preset_oat": ("n", "gamma", "sparse"),
+    "preset_oat": ("n", "gamma"),
     "SolveConfig": ("rtol", "atol", "initial_step", "max_steps", "checkpoints"),
     "SolveResult": (
         "final_state", "packed_checkpoints", "step_times", "step_sizes", "stats", "t_span", "x",

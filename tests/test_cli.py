@@ -108,6 +108,28 @@ class TestResolveConfig:
             cli.resolve_config(raw, "solve")
         assert err.value.path == path
 
+    @pytest.mark.parametrize("key, token", [("a/b", "a~1b"), ("a~b", "a~0b"), ("~/", "~0~1")])
+    def test_unknown_key_pointer_escapes_slash_and_tilde(self, key, token):
+        # RFC 6901 writes "~" as "~0" and "/" as "~1", "~" first, so a pointer names its key alone
+        for raw, base in (
+            ({"model": "oat:2", "solver": {key: 1}}, "/solver"),
+            ({"model": {"preset": "oat:2", key: 1}}, "/model"),
+        ):
+            with pytest.raises(ValidationError) as err:
+                cli.resolve_config(raw, "solve")
+            assert err.value.path == f"{base}/{token}"
+
+    def test_config_that_is_not_an_object_rejected(self):
+        with pytest.raises(ValidationError, match="config must be a JSON object"):
+            cli.resolve_config([{"model": "oat:2"}], "solve")
+
+    def test_default_state_needs_a_qubit_register(self, tmp_path):
+        model = {"dimension": 3, "hamiltonian": {"kind": "explicit", "terms": []}, "channels": []}
+        raw = {"model": {"file": _write(tmp_path / "model.json", model)}, "t_span": [0, 1]}
+        with pytest.raises(ValidationError, match="not a power of two") as err:
+            cli.resolve_config(raw, "solve")
+        assert err.value.path == "/state"
+
     def test_echo_of_a_one_step_budget_resolves_again(self):
         # the derived budget is at least 2, the least an explicit checkpoints may be
         cfg = cli.resolve_config({"model": "oat:2", "t_span": [0, 1], "solver": {"max_steps": 1}}, "solve")
@@ -311,6 +333,16 @@ class TestQfi:
         assert rep["stages"]["qfi"]["F"] == pytest.approx(expect, rel=1e-7)
 
 
+    def test_generator_flag_reads_a_file(self, tmp_path):
+        # a path is not a name:<int> tag, so --generator reads it as a {"file": path} operand
+        half_x = np.array([[0.0, 0.5], [0.5, 0.0]])
+        gen = _write(tmp_path / "gen.json", operator_to_json(np.kron(half_x, np.eye(2)) + np.kron(np.eye(2), half_x)))
+        rep = _run(tmp_path, ["qfi", "--model", "oat:2", "--params", "0.8,0.6", "--generator", gen])
+        assert rep["config"]["generator"] == {"file": gen}
+        default = _run(tmp_path, ["qfi", "--model", "oat:2", "--params", "0.8,0.6"])
+        assert rep["stages"]["qfi"]["F"] != default["stages"]["qfi"]["F"]
+
+
 class TestGradCheck:
     def test_passes_on_phase_model(self, phase_cfg, tmp_path):
         rep = _run(tmp_path, ["grad-check", "--config", phase_cfg])
@@ -475,6 +507,33 @@ class TestEmitPlots:
         assert "line 2 of" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_blank_trace_lines_are_skipped(self, tmp_path):
+        rows = [{"iter": i, "F": 0.1 * i, "grad_norm": 0.5, "step": 0.1} for i in range(2)]
+        trace = tmp_path / "t.jsonl"
+        trace.write_text("\n" + json.dumps(rows[0]) + "\n  \n\n" + json.dumps(rows[1]) + "\n")
+        out = tmp_path / "plot.csv"
+        assert cli.main(["emit-plots", "--kind", "trace", "--trace-file", str(trace), "--out", str(out)]) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["iter", "0", "1"]
+
+    def test_unknown_kind_writes_no_file(self, tmp_path):
+        out = tmp_path / "plot.csv"
+        with pytest.raises(ValidationError, match="unknown plot kind 'bars'"):
+            cli.emit_plot_data([], str(out), kind="bars")
+        assert not out.exists()
+
+    def test_trace_row_missing_a_column_writes_no_file(self, tmp_path):
+        out = tmp_path / "plot.csv"
+        with pytest.raises(ValidationError, match=r"missing columns \['step'\]") as err:
+            cli.emit_plot_data([{"iter": 0, "F": 0.1, "grad_norm": 0.5}], str(out), kind="trace")
+        assert err.value.path == "/0"
+        assert not out.exists()
+
+    def test_trajectory_row_of_the_wrong_length_writes_no_file(self, tmp_path):
+        out = tmp_path / "plot.csv"
+        with pytest.raises(ValidationError, match="plot row 1 has 3 columns, expected 4"):
+            cli.emit_plot_data([(0.0, 1.0, 1.0, 1.0), (0.1, 1.0, 1.0)], str(out), kind="trajectory")
+        assert not out.exists()
+
     def test_empty_trace_emits_header_only(self, tmp_path):
         trace = tmp_path / "t.jsonl"
         trace.write_text(json.dumps({"summary": {"status": "converged"}}) + "\n")
@@ -545,6 +604,16 @@ MALFORMED_CONFIGS = [
     ("config", "/generator", 5, "/generator"),
     ("config", "/times_four", "yes", "/times_four"),
     ("config", "/output", 3, "/output"),
+    # a few bytes of JSON that declare a size numpy could not allocate
+    ("model", "/dimension", 1e12, "/model/file/dimension"),
+    ("preset", "/dimension", 2**11, "/model/file/dimension"),
+    (
+        "model",
+        "/hamiltonian/terms/0/matrix",
+        {"rows": 1e12, "cols": 1e12, "triplets": []},
+        "/model/file/hamiltonian/terms/0/matrix/rows",
+    ),
+    ("generator", "/rows", 1e12, "/generator/file/rows"),
 ]
 
 
@@ -573,6 +642,22 @@ class TestMalformedInput:
         cfg = _write(tmp_path / "cfg.json", config)
         self._expect_two(["qfi", "--config", cfg], tmp_path / "report.json", pointer, capsys)
 
+    def test_config_file_that_is_not_json(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{model: oat:2")
+        self._expect_two(["solve", "--config", str(cfg)], tmp_path / "report.json", "--config", capsys)
+
+    def test_config_file_that_is_not_an_object(self, tmp_path, capsys):
+        # checked before a flag is merged into it
+        cfg = _write(tmp_path / "cfg.json", [BASE_CONFIG])
+        code = cli.main(["solve", "--config", cfg, "--model", "oat:2", "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        assert capsys.readouterr().err == "validation error: config must be a JSON object\n"
+
+    def test_malformed_params_flag(self, tmp_path, capsys):
+        argv = ["solve", "--model", "oat:2", "--params", "0.8,x"]
+        self._expect_two(argv, tmp_path / "report.json", "/params", capsys)
+
     def test_negative_seed_flag(self, tmp_path, capsys):
         argv = ["optimize", "--model", "oat:2", "--seed", "-1"]
         self._expect_two(argv, tmp_path / "report.json", "/optimizer/seed", capsys)
@@ -597,6 +682,12 @@ class TestExitCodes:
         out = tmp_path / "r.json"
         code = cli.main(["solve", "--config", str(tmp_path / "absent.json"), "--out", str(out)])
         assert code == 2
+
+    def test_unwritable_report_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "r.json"
+        code = cli.main(["solve", "--model", "oat:1", "--params", "0.3,0.2", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("i/o error: ")
 
     def test_integration_failure_exits_three(self, tmp_path, capsys):
         cfg = _write(

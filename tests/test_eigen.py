@@ -84,6 +84,7 @@ class TestEigh:
         iso = eigh(np.diag([0.1, 0.4, 0.5]).astype(complex))
         assert iso.clusters == ((0,), (1,), (2,))
         assert iso.min_gap == pytest.approx(0.1, abs=1e-12)
+        assert eigh(np.ones((1, 1), dtype=complex)).min_gap == float("inf")  # one eigenvalue, no gap
 
     def test_rejects_invalid_input(self):
         with pytest.raises(ValidationError):

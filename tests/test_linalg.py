@@ -8,6 +8,7 @@ from scipy import sparse
 
 from lindbladiff.errors import ValidationError
 from lindbladiff.linalg import (
+    MAX_DIMENSION,
     as_cmatrix,
     csr_from_triplets,
     hermitian_adjoint,
@@ -163,9 +164,16 @@ def test_json_array_and_object_readers():
         ({"rows": 2, "cols": 2, "triplets": [[0.7, 0, 1.0, 0.0]]}, "/m/triplets/0/0"),
         ({"rows": 2, "cols": 2, "triplets": [[0, 1, "1", 0.0]]}, "/m/triplets/0/2"),
         ({"rows": 2, "cols": 2, "triplets": [5]}, "/m/triplets/0"),
+        ({"rows": MAX_DIMENSION + 1, "cols": 2, "triplets": []}, "/m/rows"),
+        ({"rows": 2, "cols": 1e12, "triplets": []}, "/m/cols"),
     ],
 )
 def test_operator_from_json_points_at_the_malformed_value(literal, pointer):
     with pytest.raises(ValidationError) as err:
         operator_from_json(literal, "/m")
     assert err.value.path == pointer
+
+
+def test_sparse_literal_may_be_as_large_as_the_largest_dimension():
+    op = operator_from_json({"rows": MAX_DIMENSION, "cols": 1, "triplets": [[MAX_DIMENSION - 1, 0, 1.0, 0.0]]})
+    assert op.shape == (MAX_DIMENSION, 1) and op.nnz == 1

@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse
 
 from oracles import lindblad_reference, random_density, random_hermitian
+from twins import dense_twin
 from lindbladiff.errors import ShapeMismatchError, ValidationError
 from lindbladiff.linalg import is_sparse, operator_to_json, packing, to_dense
 from lindbladiff.model import (
@@ -106,7 +107,7 @@ class TestJumpChannel:
 
         kron = partial(scipy.sparse.kron, format="csr") if sparse_ops else np.kron
         for n in range(1, 9):
-            model = preset_oat(n, 0.1, sparse=sparse_ops)
+            model = preset_oat(n, 0.1) if sparse_ops else dense_twin(preset_oat(n, 0.1))
             expect = 0.0
             for ch in model.channels:
                 a = ch.local.factor
@@ -165,7 +166,7 @@ class TestLocalJump:
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_every_preset_channel_is_local_on_its_qubit(self, n, sparse):
-        model = preset_oat(n, gamma=0.2, sparse=sparse)
+        model = preset_oat(n, gamma=0.2) if sparse else dense_twin(preset_oat(n, gamma=0.2))
         for i, ch in enumerate(model.channels):
             assert ch.local is not None and ch.local.site == i
             assert np.array_equal(ch.local.factor, LOWERING)
@@ -238,7 +239,7 @@ class TestLocalJump:
 class TestDecay:
     @pytest.mark.parametrize("sparse", [False, True])
     def test_is_half_rate_weighted_sum_of_jump_squares(self, sparse):
-        model = preset_oat(3, gamma=0.1, sparse=sparse)
+        model = preset_oat(3, gamma=0.1) if sparse else dense_twin(preset_oat(3, gamma=0.1))
         jumps = [(ch.rate, to_dense(ch.operator)) for ch in model.channels]
         expect = sum(0.5 * rate * j.conj().T @ j for rate, j in jumps)
         assert np.allclose(to_dense(model.decay), expect, rtol=0.0, atol=1e-15)
@@ -246,18 +247,18 @@ class TestDecay:
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_local_factors_give_half_rate_weighted_jump_squares(self, n, sparse):
-        model = preset_oat(n, gamma=0.3, sparse=sparse)
+        model = preset_oat(n, gamma=0.3) if sparse else dense_twin(preset_oat(n, gamma=0.3))
         assert all(ch.local is not None for ch in model.channels)
         assert is_sparse(model.decay) == sparse
         expect = sum(0.5 * ch.rate * to_dense(ch.adjoint_operator) @ to_dense(ch.operator) for ch in model.channels)
         assert np.max(np.abs(to_dense(model.decay) - expect)) <= 1e-15
 
     def test_keeps_sparse_storage(self):
-        assert is_sparse(preset_oat(3, 0.1, sparse=True).decay)
-        assert not is_sparse(preset_oat(3, 0.1).decay)
+        assert is_sparse(preset_oat(3, 0.1).decay)
+        assert not is_sparse(dense_twin(preset_oat(3, 0.1)).decay)
 
     def test_zero_without_channels_keeps_sparse_hamiltonian_sparse(self):
-        model = preset_oat(3, sparse=True)
+        model = preset_oat(3)
         assert model.decay == 0.0
         h = model.hamiltonian.evaluate(0.0, np.array([0.8, 0.6]))
         assert is_sparse(h - 1j * model.decay) and is_sparse(-h + 1j * model.decay)
@@ -356,8 +357,7 @@ class TestCompiled:
         x = np.array([0.8, -0.6])
         for n in (1, 2, 3, 4, 5):
             for gamma in (0.0, 0.3):
-                for sparse in (False, True):
-                    model = preset_oat(n, gamma, sparse=sparse)
+                for model in (dense_twin(preset_oat(n, gamma)), preset_oat(n, gamma)):
                     assert isinstance(model.hamiltonian, LinearSchedule) and model.superoperator is not None
                     assert max(_oracle_errors(model, x, rng)) < 1e-12
                     assert _commutator_errors(model, x, rng) < 1e-12
@@ -457,7 +457,8 @@ class TestCompiled:
         # scipy's public S(x)^H @ vec(lam), bit-equal to the packed map's product
         n, d = 5, 32
         rng = np.random.default_rng(32)
-        model = _nonlocal_linear_model(rng, n) if kind == "nonlocal" else preset_oat(n, 0.3, sparse=kind == "sparse")
+        model = _nonlocal_linear_model(rng, n) if kind == "nonlocal" else preset_oat(n, 0.3)
+        model = dense_twin(model) if kind == "dense" else model
         compiled = model.superoperator
         x = np.array([0.8, -0.6][: model.n_params])
         s = compiled.base
@@ -500,7 +501,7 @@ class TestCompiled:
             assert np.max(np.abs(got - expect)) < 1e-12
 
     def test_cap_sits_between_eight_and_nine_qubits(self):
-        assert preset_oat(9, 0.1, sparse=True).superoperator is None
+        assert preset_oat(9, 0.1).superoperator is None
 
     def test_memo_follows_the_bytes_of_x(self):
         model = preset_oat(3, 0.2)
@@ -637,6 +638,23 @@ class TestInputChecks:
         with pytest.raises(ValidationError, match="non-finite"):
             LinearSchedule(terms=(PAULI_Z,), constant=op)
 
+    def test_linear_schedule_rejects_operands_of_two_shapes(self):
+        with pytest.raises(ShapeMismatchError, match="linear schedule term 1"):
+            LinearSchedule(terms=(PAULI_Z, np.eye(4, dtype=complex)))
+
+    def test_model_rejects_a_jump_operator_of_another_dimension(self):
+        schedule = LinearSchedule(terms=(PAULI_Z,))
+        with pytest.raises(ShapeMismatchError, match="jump operator 0"):
+            LindbladModel(schedule, (JumpChannel(rate=0.1, operator=embed_single(LOWERING, 0, 2)),), 2)
+
+    def test_model_rejects_a_schedule_of_another_dimension(self):
+        with pytest.raises(ShapeMismatchError, match="linear schedule"):
+            LindbladModel(LinearSchedule(terms=(PAULI_Z,)), (), 4)
+
+    def test_packed_state_must_be_float64(self, model):
+        with pytest.raises(ValidationError, match="must be float64"):
+            lindblad_rhs(0.0, np.zeros(16, dtype=np.float32), model, np.zeros(2))
+
     def test_time_dependent_schedule_takes_the_sandwich(self):
         rng = np.random.default_rng(12)
         model = _random_model(rng, 2, 2)
@@ -742,8 +760,13 @@ class TestPresetOat:
                     assert np.array_equal(embed_single(op, q, n), chain)
             sz, sx = collective_sz(n), collective_sx(n)
             sz2, sx_term = preset_oat(n).hamiltonian.terms
-            assert np.array_equal(sz2, sz @ sz) and sz2.dtype == np.complex128
-            assert np.array_equal(sx_term, sx)
+            assert np.array_equal(to_dense(sz2), sz @ sz) and sz2.dtype == np.complex128
+            assert np.array_equal(to_dense(sx_term), sx)
+
+    def test_every_operand_is_canonical_csr(self):
+        model = preset_oat(3, 0.1)
+        for op in (*model.hamiltonian.terms, *(ch.operator for ch in model.channels)):
+            assert is_sparse(op) and op.format == "csr" and op.has_canonical_format
 
     def test_dissipative_channels_are_per_qubit_lowering(self):
         model = preset_oat(3, gamma=0.25)
@@ -755,8 +778,8 @@ class TestPresetOat:
     def test_sparse_dense_equivalence_on_presets(self):
         rng = np.random.default_rng(9)
         for n in (1, 2, 3):
-            dense_m = preset_oat(n, gamma=0.2)
-            sparse_m = preset_oat(n, gamma=0.2, sparse=True)
+            sparse_m = preset_oat(n, gamma=0.2)
+            dense_m = dense_twin(sparse_m)
             rho = random_density(rng, 2**n)
             x = np.array([0.6, 0.35])
             a = lindblad_rhs(0.1, rho, dense_m, x)
@@ -771,8 +794,8 @@ class TestPresetOat:
         worst = 0.0
         for n in (1, 2, 3, 4):
             for gamma in (0.0, 0.3):
-                for sparse in (False, True):
-                    worst = max(worst, *_oracle_errors(preset_oat(n, gamma, sparse=sparse), x, rng))
+                for model in (dense_twin(preset_oat(n, gamma)), preset_oat(n, gamma)):
+                    worst = max(worst, *_oracle_errors(model, x, rng))
         assert worst < 1e-12
 
     def test_rejects_bad_arguments(self):
@@ -830,7 +853,7 @@ class TestModelFromJson:
         expect = preset_oat(n, gamma)
         assert model.dimension == expect.dimension and model.n_params == 2
         for a, b in zip(model.hamiltonian.terms, expect.hamiltonian.terms, strict=True):
-            assert np.array_equal(a, b)
+            assert np.array_equal(to_dense(a), to_dense(b))
         assert [ch.rate for ch in model.channels] == [ch.rate for ch in expect.channels]
         for a, b in zip(model.channels, expect.channels):
             assert np.array_equal(to_dense(a.operator), to_dense(b.operator))
@@ -922,6 +945,22 @@ class TestModelFromJson:
                 }
             )
         assert exc.value.path == "/channels/0/gamma"
+
+
+def test_validate_hamiltonian_does_not_evaluate_a_linear_schedule(monkeypatch):
+    # its terms were checked Hermitian once, at construction
+    def evaluate(self, t, x):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(LinearSchedule, "evaluate", evaluate)
+    validate_hamiltonian(preset_oat(2, 0.1), np.array([0.8, 0.6]))
+
+
+def test_validate_hamiltonian_catches_a_wrong_shape():
+    sched = HamiltonianSchedule(evaluate=lambda t, x: np.eye(4, dtype=complex), n_params=0)
+    model = LindbladModel(hamiltonian=sched, channels=(), dimension=2)
+    with pytest.raises(ShapeMismatchError, match="hamiltonian"):
+        validate_hamiltonian(model, np.zeros(0))
 
 
 def test_validate_hamiltonian_catches_nonhermitian():

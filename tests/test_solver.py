@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from oracles import expm_propagate, random_hermitian, rk4_lindblad
+from twins import dense_twin
 import lindbladiff
 from lindbladiff.errors import IntegrationError, ValidationError
-from lindbladiff.linalg import packing
+from lindbladiff.linalg import packing, to_dense
 from lindbladiff.model import (
     DensityOperator,
     HamiltonianSchedule,
@@ -137,8 +138,8 @@ class TestAccuracy:
         x = np.array([0.8, 0.5])
         rho0 = all_zero_density(2)
         res = integrate(model, x, rho0, (0.0, 1.0), SolveConfig(rtol=1e-10, atol=1e-12))
-        h = model.hamiltonian.evaluate(0.0, x)
-        chans = [(ch.rate, np.asarray(ch.operator)) for ch in model.channels]
+        h = to_dense(model.hamiltonian.evaluate(0.0, x))
+        chans = [(ch.rate, to_dense(ch.operator)) for ch in model.channels]
         ref = rk4_lindblad(lambda t: h, chans, rho0.matrix, (0.0, 1.0), 4000).value
         assert np.linalg.norm(res.final_state.matrix - ref) < 1e-8
 
@@ -188,7 +189,7 @@ class TestAccuracy:
         # so every accepted state of a bitwise Hermitian rho0 is bitwise Hermitian
         if kernel == "sandwich":
             monkeypatch.setattr(model_module, "COMPILE_MAX_NNZ", 0)
-        model = preset_oat(3, 0.2, sparse=sparse)
+        model = preset_oat(3, 0.2) if sparse else dense_twin(preset_oat(3, 0.2))
         assert (model.superoperator is None) == (kernel == "sandwich")
         res = integrate(model, np.array([1.0, 0.7]), all_zero_density(3), (0.0, 2.0))
         assert res.stats.hermiticity_drift == 0.0
@@ -460,6 +461,7 @@ class TestCostsAndErrors:
             pytest.param([True, False], id="bool"),
             pytest.param(["0.8", "0.6"], id="string"),
             pytest.param(np.array([0.8, None], dtype=object), id="object"),
+            pytest.param([0.8, [0.6, 0.1]], id="ragged"),
         ],
     )
     def test_a_non_real_parameter_vector_is_rejected_before_any_rhs_call(self, x):
