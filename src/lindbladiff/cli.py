@@ -32,6 +32,7 @@ import numpy as np
 from .eigen import eigh
 from .errors import LindbladiffError, ShapeMismatchError, ValidationError
 from .linalg import (
+    MAX_DIMENSION,
     json_array,
     json_keys,
     json_number,
@@ -115,8 +116,9 @@ def _preset_size(spec: str, family: str, pointer: str) -> int:
         n = int(spec[len(prefix) :])
     except ValueError:
         raise ValidationError(f"preset size in {spec!r} is not an integer", path=pointer)
-    if n < 1:
-        raise ValidationError(f"preset size must be at least 1, got {n}", path=pointer)
+    max_n = MAX_DIMENSION.bit_length() - 1
+    if not 1 <= n <= max_n:
+        raise ValidationError(f"preset size {n} outside supported range [1, {max_n}]", path=pointer)
     return n
 
 

@@ -218,21 +218,6 @@ class HermitianPacking:
         np.add(diagonal, diagonal, out=out[2 * m :])
         return out
 
-    def pack_commutator(self, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """pack(-i (M - M^H)) for a C-contiguous (d, d) complex128 M, read from M: the packed
-        -i [A, Y] of M = A Y for Hermitian A and Y, each entry M[i, j] - conj(M[j, i]) formed
-        before it is rotated by -i (exact)."""
-        flat, m2 = m.reshape(-1), 2 * self.m
-        out = np.empty(self.size) if out is None else out
-        upper = np.take(flat, self._upper)
-        lower = np.take(flat, self._lower)
-        upper -= np.conjugate(lower, out=lower)  # M[i, j] - conj(M[j, i])
-        out[:m2:2] = upper.imag  # -i (a + ib) = b - ia
-        np.negative(upper.real, out=out[1:m2:2])
-        diagonal = np.take(flat, self._diagonal).imag  # -i (M[i, i] - conj(M[i, i])) = 2 Im M[i, i]
-        np.add(diagonal, diagonal, out=out[m2:])
-        return out
-
     def unpack(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The Hermitian (..., d, d) complex128 matrices of packed (..., d^2) vectors, into a
         C-contiguous ``out`` if given."""

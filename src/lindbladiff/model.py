@@ -26,20 +26,19 @@ stack) with no copy, and dL/dx_k is one with the fixed map of S_k; one more
 call on the stacked maps of the S_k gives the reverse pass every parameter's
 pairing.  Callable schedules, and linear models whose Kronecker terms count
 more than COMPILE_MAX_NNZ entries (preset_oat from n = 9 on), apply the
-generator to the unpacked state in effective-Hamiltonian form
-L(rho) = -i (H_eff rho - rho H_eff^dag) + sum_j gamma_j J_j rho J_j^dag with
-H_eff = H - iK, K = (1/2) sum_j gamma_j J_j^dag J_j: L takes one product
-rho H_eff^dag, whose conjugate transpose is H_eff rho, and L^dag and dL/dx_k
-are the same one-product sandwich with other operands, whose packed
-N + N^H is read from its half N.  A jump operator that acts on one qubit,
-J = I (x) a (x) I with a 2x2 factor a of at most two nonzero entries
-(sigma_+/-, sigma_x/y/z, the projectors; every preset channel), is detected
-once per JumpChannel, adds its J^dag J to K in O(d^2), and is applied by the
-kernel as O(d^2) block copies on the qubit tensor view of the state; every
-other J takes two dense or sparse products.  The right-hand side is
-evaluated on raw states: intermediate integrator stages legitimately violate
-trace and positivity, so state invariants are only enforced on accepted
-states via DensityOperator.
+generator to the state unpacked into the thread's one scratch matrix, in
+effective-Hamiltonian form with H_eff = H - iK, K = (1/2) sum_j gamma_j
+J_j^dag J_j: L, L^dag and dL/dx_k (the map the reverse pass pairs with) each
+pack N + N^H, read from N = -i A rho + (1/2) sum_j gamma_j L_j rho R_j of one
+left product A rho, A = H_eff, -H - iK or dH/dx_k (with no channels).  A
+jump operator that acts on one qubit, J = I (x) a (x) I with a 2x2 factor a
+of at most two nonzero entries (sigma_+/-, sigma_x/y/z, the projectors;
+every preset channel), is detected once per JumpChannel, adds its J^dag J
+to K in O(d^2), and is applied by the kernel as O(d^2) block copies on the
+qubit tensor view of the state; every other J takes two dense or sparse
+products.  The right-hand side is evaluated on raw states: intermediate
+integrator stages legitimately violate trace and positivity, so state
+invariants are only enforced on accepted states via DensityOperator.
 """
 
 from __future__ import annotations
@@ -618,30 +617,29 @@ def _add_jumps(out: np.ndarray, channels: Sequence[JumpChannel], state: np.ndarr
 
 
 def _sandwich(
-    a_right: Operator,
+    a: Operator,
     channels: Sequence[JumpChannel],
     state: np.ndarray,
     *,
     adjoint: bool = False,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """pack(M + M^H) with M = i X a' + (1/2) sum_j gamma_j L_j X R_j, (L, R) = (J, J^dag), on X = state.
+    """pack(N + N^H) with N = -i a X + (1/2) sum_j gamma_j L_j X R_j, (L, R) = (J, J^dag), on X = state.
 
     The one place a state meets a generator operand; X is a Hermitian (d, d)
-    matrix.  With K the model's ``decay``, L is (H + iK, channels), L^dag is
-    (-H + iK, channels, adjoint=True), which swaps (L, R) to (J^dag, J), and
-    dL/dx_k is (dH/dx_k, ()): for Hermitian X, H and K, (i X a')^H =
-    -i a'^H X, so M + M^H is each map's textbook form.  The one product
-    R = a'^T X^T = (X a')^T comes back C-ordered from numpy and scipy alike,
-    so N = -i conj(R) = (i X a')^H is formed in place, the jump terms
-    (Hermitian, so N becomes M^H) are added to it, and the packed N + N^H is
-    read from N into ``out`` if given (linalg.HermitianPacking.pack_mirror),
-    with no mirror formed.
+    matrix.  With K the model's ``decay``, L is (H - iK, channels), L^dag is
+    (-H - iK, channels, adjoint=True), which swaps (L, R) to (J^dag, J), and
+    dL/dx_k is (dH/dx_k, ()): for Hermitian X, H and K, N + N^H is each map's
+    textbook form, -i (a X - X a^H) plus the jump terms.  The one left
+    product a X comes back C-ordered from numpy and scipy alike, is rotated
+    by -i in place (exact), the jump terms are added to it, and the packed
+    N + N^H is read from N into ``out`` if given
+    (linalg.HermitianPacking.pack_mirror), with no mirror formed.
     """
-    half = np.asarray(a_right.T @ state.T, dtype=np.complex128)  # real operands give a real product
-    np.conjugate(np.multiply(half, 1j, out=half), out=half)  # conj(i R) = -i conj(R)
-    _add_jumps(half, channels, state, adjoint)
-    return packing(state.shape[0]).pack_mirror(half, out)
+    n = np.asarray(a @ state, dtype=np.complex128)
+    np.multiply(n, -1j, out=n)
+    _add_jumps(n, channels, state, adjoint)
+    return packing(state.shape[0]).pack_mirror(n, out)
 
 
 def _on_packed(apply: Callable, model: LindbladModel, state: np.ndarray, out: np.ndarray | None, what: str):
@@ -724,21 +722,21 @@ def _generator_apply(
     if compiled is not None:
         return compiled.apply(x, state, out, adjoint=adjoint)
     h, ik = model.hamiltonian.evaluate(t, x), 1j * model.decay
-    matrix = packing(model.dimension).unpack(state, _scratch_matrix(model.dimension))
-    return _sandwich(-h + ik if adjoint else h + ik, model.channels, matrix, adjoint=adjoint, out=out)
+    matrix = _unpacked(state, model.dimension)
+    return _sandwich(-h - ik if adjoint else h - ik, model.channels, matrix, adjoint=adjoint, out=out)
 
 
 _SCRATCH = threading.local()
 
 
-def _scratch_matrix(d: int) -> np.ndarray:
-    """This thread's (d, d) complex128 scratch matrix, kept for the next call: the sandwich kernel
-    unpacks each operand into it, because at d = 512 a fresh 4 MiB array costs each call its page
-    faults, about 3 ms of a 17 ms application (kept for the last d only)."""
+def _unpacked(state: np.ndarray, d: int) -> np.ndarray:
+    """A packed state unpacked into this thread's one (d, d) complex128 scratch matrix, kept for the
+    next call (for the last d only): the sandwich kernel takes every operand from it, because at
+    d = 512 a fresh 4 MiB array costs each call its page faults, about 3 ms of a 17 ms application."""
     matrix = getattr(_SCRATCH, "matrix", None)
     if matrix is None or matrix.shape != (d, d):
         matrix = _SCRATCH.matrix = np.empty((d, d), dtype=np.complex128)
-    return matrix
+    return packing(d).unpack(state, matrix)
 
 
 def rhs_parameter_derivative(
@@ -750,14 +748,14 @@ def rhs_parameter_derivative(
     result has its form, in ``out`` if given (it must not overlap rho).
     Jump channels do not depend on x.  A compiled model makes one real CSR
     kernel call with S_k's packed map, the sandwich kernel one _sandwich
-    with dH/dx_k.
+    with dH/dx_k on the thread's scratch matrix.
     """
 
     def apply(r: np.ndarray, o: np.ndarray | None) -> np.ndarray:
         dh = model.hamiltonian.param_derivative(t, x, k)  # also rejects an out-of-range k
         compiled = model.superoperator
         if compiled is None:
-            return _sandwich(dh, (), packing(model.dimension).unpack(r), out=o)
+            return _sandwich(dh, (), _unpacked(r, model.dimension), out=o)
         return compiled.apply_derivative(k, r, o)
 
     return _on_packed(apply, model, rho, out, "rhs state")

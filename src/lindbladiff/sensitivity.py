@@ -23,8 +23,8 @@ lambda_prev (a ones row times the whole stack) is one BLAS product; each
 L^dag application writes w_i straight into its row.  A step pairs each v_i
 with dL/dx_k(Y_i) = -i [dH/dx_k, Y_i] in packed form: on a compiled model one
 kernel call with the stacked maps of the S_k over all stages and
-parameters, on the sandwich kernel one product dH/dx_k Y_i per stage and
-parameter.  A step gets its stage states from one of three sources, all
+parameters, on the sandwich kernel rhs_parameter_derivative's dL/dx_k map
+per stage and parameter.  A step gets its stage states from one of three sources, all
 with the same bits: the stack the solve kept (``SolveResult.packed_stages``,
 filled by ``integrate(..., keep_stages=True)``), the row of the pass's one
 (m, s, d^2) tape that segment replay wrote (row j holds the segment's step
@@ -49,7 +49,16 @@ import numpy as np
 from .errors import CostGradientError, ValidationError
 from .instrumentation import counters
 from .linalg import hermitian_part, packing, to_dense
-from .model import DensityOperator, LindbladModel, _generator_apply, _on_packed, lindblad_rhs, rhs_parameter_derivative
+from .model import (
+    DensityOperator,
+    LindbladModel,
+    _generator_apply,
+    _on_packed,
+    _sandwich,
+    _unpacked,
+    lindblad_rhs,
+    rhs_parameter_derivative,
+)
 from .solver import (
     DOP853,
     SolveConfig,
@@ -311,8 +320,8 @@ class _ReverseWork(_StageWork):
     and lam_prev = ones @ stack another, into ``lam``.  V holds the v_i.  A
     compiled model's pairing also takes Y and the weighted V transposed,
     (d^2, s), and a (p d^2, s) buffer for the products dL/dx_k (Y_i); the
-    sandwich kernel's takes one matrix for the unpacked Y_i, one packed state
-    for the weighted v_i and one for -i [dH/dx_k, Y_i].
+    sandwich kernel's takes one packed state for the weighted v_i and one for
+    dL/dx_k (Y_i); Y_i is unpacked into the kernel's own scratch matrix.
     """
 
     def __init__(self, d: int, compiled: bool, n_params: int):
@@ -332,7 +341,6 @@ class _ReverseWork(_StageWork):
             self.stages_t, self.vs_t = np.empty((2, d * d, _S))
             self.products = np.empty((n_params * d * d, _S))
         else:
-            self.stage_matrix = np.empty((d, d), dtype=np.complex128)
             self.weighted_v, self.commutator = np.empty((2, *shape))
 
 
@@ -363,10 +371,10 @@ def _reverse_step(
     Re Tr(v_i^H (-i [A_k(t_i), Y_i])), A_k = dH/dx_k (jump channels do not
     depend on x).  On a compiled model A_k is constant, and with Y and the
     weighted V copied into (d^2, s) columns Superoperator.pairings gives every
-    k's sum from one kernel call.  On the sandwich kernel each stage unpacks Y_i
-    once, and each parameter takes one product M = A_k(t_i) Y_i, packs
-    -i [A_k, Y_i] = -i (M - M^H) from it and pairs it with v_i through the
-    packed weights.  Either way
+    k's sum from one kernel call.  On the sandwich kernel each stage unpacks
+    Y_i once into the thread's scratch matrix, and each parameter applies
+    rhs_parameter_derivative's map, model._sandwich with A_k(t_i) and no
+    channels, and pairs it with v_i through the packed weights.  Either way
     the (a, b) term of the trace Tr(v_i A_k Y_i) meets its (b, a) partner
     before the sum (as the packed coordinate of a Hermitian matrix), so the
     terms whose imaginary parts cancel pairwise never enter it.
@@ -392,11 +400,11 @@ def _reverse_step(
         grad += compiled.pairings(work.stages_t, work.vs_t, work.products)
         return work.lam
     for t_i, y_i, v_i in zip(stage_times, stages, work.vs):
-        y = pack.unpack(y_i, work.stage_matrix)
+        y = _unpacked(y_i, model.dimension)
         np.multiply(v_i, pack.weights, out=work.weighted_v)
         for k in range(grad.shape[0]):
-            m = np.asarray(model.hamiltonian.param_derivative(t_i, x, k) @ y, dtype=np.complex128)
-            grad[k] += np.dot(work.weighted_v, pack.pack_commutator(m, work.commutator))
+            a_k = model.hamiltonian.param_derivative(t_i, x, k)
+            grad[k] += np.dot(work.weighted_v, _sandwich(a_k, (), y, out=work.commutator))
     return work.lam
 
 

@@ -597,6 +597,7 @@ MALFORMED_CONFIGS = [
     ("config", "/grad_check", {"tolerance": -1e-4}, "/grad_check/tolerance"),
     ("config", "/model", "oat:x", "/model/preset"),
     ("config", "/model", "oat:0", "/model/preset"),
+    ("config", "/model", "oat:11", "/model/preset"),  # above MAX_DIMENSION
     ("config", "/model", {"gamma": 0.1}, "/model"),
     ("config", "/state", "all-zero-pure:3", "/state"),
     ("config", "/model", "xyz:2", "/model/preset"),

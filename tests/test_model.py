@@ -1,6 +1,7 @@
 """Model construction, the master-equation right-hand side, and presets."""
 
 import math
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -499,6 +500,33 @@ class TestCompiled:
             (rhs_parameter_derivative(0.2, rho, capped, x, 1), rhs_parameter_derivative(0.2, rho, compiled, x, 1)),
         ):
             assert np.max(np.abs(got - expect)) < 1e-12
+
+    @pytest.mark.parametrize("entry", ["lindblad_rhs", "adjoint_liouvillian_apply", "rhs_parameter_derivative"])
+    def test_sandwich_call_allocates_at_most_two_states(self, entry, monkeypatch):
+        # every map unpacks into the thread's one scratch matrix and forms one
+        # left product, so with ``out`` given a warm call's traced peak stays
+        # within two complex d x d states (the product, the packing's gathers)
+        import lindbladiff.model as model_module
+
+        monkeypatch.setattr(model_module, "COMPILE_MAX_NNZ", 0)
+        model, x, d = preset_oat(8, 0.1), np.array([0.8, 0.6]), 256
+        assert model.superoperator is None
+        call = {
+            "lindblad_rhs": lambda r, o: lindblad_rhs(0.3, r, model, x, o),
+            "adjoint_liouvillian_apply": lambda r, o: adjoint_liouvillian_apply(model, x, 0.3, r, o),
+            "rhs_parameter_derivative": lambda r, o: rhs_parameter_derivative(0.3, r, model, x, 1, o),
+        }[entry]
+        r = packing(d).pack(random_hermitian(np.random.default_rng(8), d))
+        out = np.empty_like(r)
+        lindblad_rhs(0.3, r, model, x, out)  # allocates the scratch matrix
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            call(r, out)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 16 * d * d
 
     def test_cap_sits_between_eight_and_nine_qubits(self):
         assert preset_oat(9, 0.1).superoperator is None

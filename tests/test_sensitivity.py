@@ -980,6 +980,7 @@ def _long_double_pairing(a, ys, vs):
     return total
 
 
+@pytest.mark.bit_identity
 @pytest.mark.parametrize("n", [6, 9])
 def test_sandwich_pairing_of_one_reverse_step_is_accurate(n, monkeypatch):
     # the sandwich kernel's pairing adds each (a, b) term of Tr(v_i A Y_i) to its
@@ -1002,3 +1003,8 @@ def test_sandwich_pairing_of_one_reverse_step_is_accurate(n, monkeypatch):
     for k, a in enumerate(model.hamiltonian.terms):
         expect = _long_double_pairing(a, stages, vs)
         assert abs(np.longdouble(grad[k]) - expect) <= 1e-13 * abs(expect)
+        # the pairing applies the dL/dx_k map itself, term by term in stage order
+        total = 0.0
+        for c, y_i, v_i in zip(DOP853.c, ys, work.vs):
+            total += np.dot(pack.weights * v_i, rhs_parameter_derivative(0.3 + c * 0.01, y_i, model, x, k))
+        assert grad[k] == total
