@@ -597,7 +597,6 @@ MALFORMED_CONFIGS = [
     ("config", "/grad_check", {"tolerance": -1e-4}, "/grad_check/tolerance"),
     ("config", "/model", "oat:x", "/model/preset"),
     ("config", "/model", "oat:0", "/model/preset"),
-    ("config", "/model", "oat:11", "/model/preset"),  # above MAX_DIMENSION
     ("config", "/model", {"gamma": 0.1}, "/model"),
     ("config", "/state", "all-zero-pure:3", "/state"),
     ("config", "/model", "xyz:2", "/model/preset"),
@@ -615,6 +614,8 @@ MALFORMED_CONFIGS = [
         "/model/file/hamiltonian/terms/0/matrix/rows",
     ),
     ("generator", "/rows", 1e12, "/generator/file/rows"),
+    # appended last: pytest ids such as value37 count positions in this list
+    ("config", "/model", "oat:11", "/model/preset"),  # above MAX_DIMENSION
 ]
 
 
